@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race bench bench-smoke bench-aggregator bench-json bench-telemetry bench-trace bench-mount bench-cluster bench-cluster-json flame trace-sample audit-smoke incident-smoke check
+.PHONY: all build vet staticcheck test race bench bench-smoke bench-aggregator bench-json bench-telemetry bench-trace bench-mount bench-cluster bench-cluster-json bench-journey flame trace-sample audit-smoke incident-smoke check
 
 all: check
 
@@ -109,6 +109,22 @@ bench-cluster-json:
 	$(GO) test -json -run '^$$' -bench 'ClusterThroughput/' -benchmem ./internal/bench/ \
 		> bench-cluster.json
 
+# bench-journey runs the event-journey benchmark (BENCHMARK.json): its own
+# module's tests — which `go test ./...` at the root does not reach — then
+# each of the four workloads exactly as the benchmark's driver invokes them
+# (seed 1, 10 measured seconds, untraced). A run exits non-zero when its
+# oracle finds a lost, duplicated, reordered or mis-resolved event. The
+# result lines land in bench-journey.json, one object per workload — the
+# artifact CI uploads so the end-to-end numbers can be followed across
+# commits.
+bench-journey:
+	cd benchmark && $(GO) test ./...
+	@rm -f bench-journey.json
+	@for w in hot_inproc hot_tcp_journal churn_cold_4part crash_recovery; do \
+		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 10 --trace 0) || { echo "$$out"; exit 1; }; \
+		printf '{"workload":"%s","result":%s}\n' $$w "$$(printf '%s\n' "$$out" | tail -n 1)" | tee -a bench-journey.json; \
+	done
+
 # audit-smoke is the delivery-conservation gate: deploy a 2-node
 # cluster, stream a batch of events through capture → store → deliver,
 # and require the audit to balance to zero with no sequence violations
@@ -137,7 +153,8 @@ trace-sample:
 
 # check is the pre-PR gate: everything must build, vet (and staticcheck,
 # where installed) clean, pass the full suite under the race detector,
-# hold the tracing-overhead and mount-routing benches, keep the cluster
-# delivery-conservation audit balanced, and prove the incident flight
-# recorder captures an injected stall.
-check: build vet staticcheck race bench-trace bench-mount audit-smoke incident-smoke
+# hold the tracing-overhead and mount-routing benches, run the event-journey
+# benchmark with its oracle green, keep the cluster delivery-conservation
+# audit balanced, and prove the incident flight recorder captures an
+# injected stall.
+check: build vet staticcheck race bench-trace bench-mount bench-journey audit-smoke incident-smoke

@@ -295,10 +295,9 @@ func (n *Node) BroadcastIncident(id, reason string) {
 	n.mem.BroadcastIncident(id, reason)
 }
 
-// newPoolBlock sizes pooled event blocks like the scalable tier does.
-func newPoolBlock() *events.Block {
-	return events.NewBlock(pipeline.DefaultChangelogBatch, 32<<10)
-}
+// newPoolBlock hands the store lane a bare decode or clone target, like the
+// scalable aggregator's: everything the block holds arrives with the batch.
+func newPoolBlock() *events.Block { return events.NewBlock(0, 0) }
 
 // ID returns the node's member ID.
 func (n *Node) ID() string { return n.opts.ID }
@@ -543,8 +542,8 @@ func (n *Node) storeLane(ctx context.Context, pb nodeBatch) (repBatch, bool) {
 		}
 	} else {
 		// In-process pointer fast path: the received block is frozen, so
-		// sequence assignment works on a clone — columns copied, arena
-		// and wire image shared.
+		// sequence assignment works on a clone — seqs copied, every other
+		// column, the arena and the wire image shared.
 		c := n.pool.Get()
 		c.CloneFrom(blk)
 		blk = c

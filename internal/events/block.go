@@ -3,6 +3,7 @@ package events
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -37,15 +38,25 @@ import (
 //   - A Block decoded from a received payload aliases that payload as its
 //     arena; the payload must not be modified afterwards (msgq payloads
 //     never are).
+//   - A CloneFrom clone shares every column of its frozen source except
+//     seqs: it is seq-mutable only (SetSeq, SetTrace, Wire), never
+//     appendable.
 type Block struct {
 	ops     []Op
 	cookies []uint32
 	seqs    []uint64
 	times   []int64 // record time, unix nanoseconds
 	spans   []fieldSpans
+	// sharedCols marks ops/cookies/times/spans/seqPos as a frozen source's
+	// columns (CloneFrom): they are dropped, never truncated or appended to.
+	sharedCols bool
 
 	arena    []byte
-	ownArena bool   // arena backing is this Block's own buffer (appendable)
+	ownArena bool // arena backing is this Block's own buffer (appendable)
+	// packed: the arena is exactly the rows' strings, row after row
+	// (root, path, old, src), so a row range is one contiguous byte range.
+	// True for every block built by appending, and for clones of one.
+	packed   bool
 	interned string // string copy of arena; "" until Intern
 
 	stamp int64
@@ -80,25 +91,32 @@ func NewBlock(evCap, arenaCap int) *Block {
 		arena:   make([]byte, 0, arenaCap),
 
 		ownArena: true,
+		packed:   true,
 		ownWire:  true,
 	}
 }
 
-// Reset empties the Block for reuse, dropping any foreign (aliased) arena
-// or wire backing and retaining owned capacity.
+// Reset empties the Block for reuse, dropping any foreign backing (aliased
+// arena or wire, a clone's shared columns) and retaining owned capacity.
 func (b *Block) Reset() {
-	b.ops = b.ops[:0]
-	b.cookies = b.cookies[:0]
+	if b.sharedCols {
+		b.ops, b.cookies, b.times, b.spans, b.seqPos = nil, nil, nil, nil, nil
+		b.sharedCols = false
+	} else {
+		b.ops = b.ops[:0]
+		b.cookies = b.cookies[:0]
+		b.times = b.times[:0]
+		b.spans = b.spans[:0]
+		b.seqPos = b.seqPos[:0]
+	}
 	b.seqs = b.seqs[:0]
-	b.times = b.times[:0]
-	b.spans = b.spans[:0]
-	b.seqPos = b.seqPos[:0]
 	if b.ownArena {
 		b.arena = b.arena[:0]
 	} else {
 		b.arena = nil
 		b.ownArena = true
 	}
+	b.packed = true
 	if b.ownWire {
 		b.wire = b.wire[:0]
 	} else {
@@ -150,8 +168,18 @@ func (b *Block) invalidateWire() {
 		b.wire = nil
 		b.ownWire = true
 	}
-	b.seqPos = b.seqPos[:0]
+	b.clearSeqPos()
 	b.seqDirty = false
+}
+
+// clearSeqPos empties seqPos for a re-encode; a clone lets go of its
+// source's positions instead of overwriting them.
+func (b *Block) clearSeqPos() {
+	if b.sharedCols {
+		b.seqPos = nil
+	} else {
+		b.seqPos = b.seqPos[:0]
+	}
 }
 
 // AppendEvent appends one event, copying its strings into the arena. It
@@ -188,6 +216,13 @@ func (b *Block) AppendEvent(e Event) error {
 func (b *Block) appendStr(s string) strSpan {
 	off := uint32(len(b.arena))
 	b.arena = append(b.arena, s...)
+	return strSpan{off: off, end: uint32(len(b.arena))}
+}
+
+// copySpan appends the bytes sp names in a foreign arena to b's own.
+func (b *Block) copySpan(arena []byte, sp strSpan) strSpan {
+	off := uint32(len(b.arena))
+	b.arena = append(b.arena, arena[sp.off:sp.end]...)
 	return strSpan{off: off, end: uint32(len(b.arena))}
 }
 
@@ -275,8 +310,41 @@ func (b *Block) Event(i int) Event {
 // extended slice. With an interned arena this allocates only dst growth:
 // all strings are substrings of the single interned copy.
 func (b *Block) AppendEventsTo(dst []Event) []Event {
-	for i := range b.ops {
-		dst = append(dst, b.Event(i))
+	return b.AppendRangeTo(dst, 0, len(b.ops))
+}
+
+// AppendRangeTo materializes events [lo, hi) onto dst and returns the
+// extended slice. Strings are substrings of the interned copy when there
+// is one; otherwise a packed block makes one string copy of exactly the
+// range's bytes and every event shares it — a page read costs what the
+// page holds, and the block retains no second copy of its arena.
+func (b *Block) AppendRangeTo(dst []Event, lo, hi int) []Event {
+	if lo >= hi {
+		return dst
+	}
+	page, base := b.interned, uint32(0)
+	if page == "" {
+		if !b.packed {
+			for i := lo; i < hi; i++ {
+				dst = append(dst, b.Event(i))
+			}
+			return dst
+		}
+		base = b.spans[lo].root.off
+		page = string(b.arena[base:b.spans[hi-1].src.end])
+	}
+	for i := lo; i < hi; i++ {
+		fs := b.spans[i]
+		dst = append(dst, Event{
+			Root:    page[fs.root.off-base : fs.root.end-base],
+			Op:      b.ops[i],
+			Path:    page[fs.path.off-base : fs.path.end-base],
+			OldPath: page[fs.old.off-base : fs.old.end-base],
+			Cookie:  b.cookies[i],
+			Time:    time.Unix(0, b.times[i]),
+			Seq:     b.seqs[i],
+			Source:  page[fs.src.off-base : fs.src.end-base],
+		})
 	}
 	return dst
 }
@@ -316,10 +384,14 @@ func (b *Block) EventKey(i int) uint64 {
 // is the path-hash split: P view blocks over one received payload. A block
 // with its own arena copies the bytes instead.
 func (b *Block) AppendFrom(src *Block, i int) {
+	if b.sharedCols {
+		panic("events: Block.AppendFrom into a seq-only clone")
+	}
 	if len(b.ops) == 0 && len(b.arena) == 0 {
 		// Adopt src's arena wholesale; span offsets stay valid.
 		b.arena = src.arena
 		b.ownArena = false
+		b.packed = false
 		b.interned = src.interned
 	}
 	if b.aliases(src.arena) {
@@ -330,15 +402,10 @@ func (b *Block) AppendFrom(src *Block, i int) {
 			// one source block, so this is a misuse, not a data shape.
 			panic("events: Block.AppendFrom across different source arenas")
 		}
-		var fs fieldSpans
-		cp := func(sp strSpan) strSpan {
-			off := uint32(len(b.arena))
-			b.arena = append(b.arena, src.arena[sp.off:sp.end]...)
-			return strSpan{off: off, end: uint32(len(b.arena))}
-		}
-		s := src.spans[i]
-		fs.root, fs.path, fs.old, fs.src = cp(s.root), cp(s.path), cp(s.old), cp(s.src)
-		b.spans = append(b.spans, fs)
+		s, a := src.spans[i], src.arena
+		b.spans = append(b.spans, fieldSpans{
+			root: b.copySpan(a, s.root), path: b.copySpan(a, s.path), old: b.copySpan(a, s.old), src: b.copySpan(a, s.src),
+		})
 		b.interned = ""
 	}
 	b.ops = append(b.ops, src.ops[i])
@@ -353,20 +420,64 @@ func (b *Block) aliases(arena []byte) bool {
 	return len(b.arena) == len(arena) && (len(arena) == 0 || &b.arena[0] == &arena[0])
 }
 
-// CloneFrom makes b an exclusively mutable copy of a frozen src: columns
-// and seq positions are copied (so SetSeq and clone+patch re-encoding work
-// without touching src), while the arena, interned string, and cached wire
-// image are shared read-only. The trace is deep-copied — the clone's
-// owner appends spans to it. b must be empty (freshly built or Reset).
+// AppendBlock appends every event of src to b, copying the string bytes
+// into b's own arena: afterwards b holds no reference to src's memory, so
+// src may be Reset, refilled or recycled. A packed source costs one
+// memmove per column plus a span rebase; a source aliasing a payload is
+// copied span by span. b must own its arena (built or Reset, not decoded
+// or cloned).
+func (b *Block) AppendBlock(src *Block) {
+	if !b.ownArena {
+		panic("events: Block.AppendBlock into a decoded or cloned block")
+	}
+	first := len(b.spans)
+	b.ops = append(b.ops, src.ops...)
+	b.cookies = append(b.cookies, src.cookies...)
+	b.seqs = append(b.seqs, src.seqs...)
+	b.times = append(b.times, src.times...)
+	b.spans = append(b.spans, src.spans...)
+	rows := b.spans[first:]
+	if src.packed {
+		base := uint32(len(b.arena))
+		b.arena = append(b.arena, src.arena...)
+		if base != 0 {
+			for i := range rows {
+				fs := &rows[i]
+				fs.root.off, fs.root.end = fs.root.off+base, fs.root.end+base
+				fs.path.off, fs.path.end = fs.path.off+base, fs.path.end+base
+				fs.old.off, fs.old.end = fs.old.off+base, fs.old.end+base
+				fs.src.off, fs.src.end = fs.src.off+base, fs.src.end+base
+			}
+		}
+	} else {
+		a := src.arena
+		for i := range rows {
+			fs := &rows[i]
+			fs.root, fs.path, fs.old, fs.src = b.copySpan(a, fs.root), b.copySpan(a, fs.path), b.copySpan(a, fs.old), b.copySpan(a, fs.src)
+		}
+	}
+	b.interned = ""
+	b.invalidateWire()
+}
+
+// ArenaLen returns the number of string bytes the block holds (for a
+// decoded block, the length of the payload it aliases).
+func (b *Block) ArenaLen() int { return len(b.arena) }
+
+// CloneFrom makes b a seq-mutable clone of a frozen src: only the seq
+// column is copied (so SetSeq and clone+patch re-encoding work without
+// touching src); every other column, the seq positions, the arena, the
+// interned string and the cached wire image are shared read-only. The
+// trace is deep-copied — the clone's owner appends spans to it. b must be
+// empty (freshly built or Reset); whatever column capacity it owned is
+// let go.
 func (b *Block) CloneFrom(src *Block) {
-	b.ops = append(b.ops[:0], src.ops...)
-	b.cookies = append(b.cookies[:0], src.cookies...)
+	b.ops, b.cookies, b.times, b.spans, b.seqPos = src.ops, src.cookies, src.times, src.spans, src.seqPos
+	b.sharedCols = true
 	b.seqs = append(b.seqs[:0], src.seqs...)
-	b.times = append(b.times[:0], src.times...)
-	b.spans = append(b.spans[:0], src.spans...)
-	b.seqPos = append(b.seqPos[:0], src.seqPos...)
 	b.arena = src.arena
 	b.ownArena = false
+	b.packed = src.packed
 	b.interned = src.interned
 	b.stamp = src.stamp
 	b.wire = src.wire
@@ -456,7 +567,7 @@ func (b *Block) Wire() []byte {
 			return b.wire
 		}
 	}
-	b.seqPos = b.seqPos[:0]
+	b.clearSeqPos()
 	var buf []byte
 	if b.ownWire {
 		buf = b.wire[:0]
@@ -465,6 +576,23 @@ func (b *Block) Wire() []byte {
 	b.ownWire = true
 	b.seqDirty = false
 	return b.wire
+}
+
+// minEntry is the smallest wire entry: the 24-byte fixed header, three
+// empty u16-prefixed strings and an empty u8-prefixed source.
+const minEntry = 24 + 3*2 + 1
+
+// reserve makes room for n more rows in the columns a decode fills.
+func (b *Block) reserve(n int) {
+	if cap(b.ops)-len(b.ops) >= n {
+		return
+	}
+	b.ops = slices.Grow(b.ops, n)
+	b.cookies = slices.Grow(b.cookies, n)
+	b.seqs = slices.Grow(b.seqs, n)
+	b.times = slices.Grow(b.times, n)
+	b.spans = slices.Grow(b.spans, n)
+	b.seqPos = slices.Grow(b.seqPos, n)
 }
 
 // DecodeBlock decodes a wire batch into a fresh Block. See DecodeBlockInto.
@@ -520,6 +648,9 @@ func DecodeBlockInto(b *Block, payload []byte) error {
 		}
 		b.trace = tr
 	}
+	// Size the columns once for the announced count, capped by what the
+	// payload could hold so a hostile header cannot force the allocation.
+	b.reserve(min(int(n), (len(payload)-pos)/minEntry))
 	for i := uint32(0); i < n; i++ {
 		if len(payload)-pos < 24 {
 			return fmt.Errorf("events: batch entry %d: short buffer (%d bytes) decoding header", i, len(payload)-pos)
@@ -572,6 +703,7 @@ func DecodeBlockInto(b *Block, payload []byte) error {
 	}
 	b.arena = payload
 	b.ownArena = false
+	b.packed = false
 	b.wire = payload
 	b.ownWire = false
 	return nil

@@ -32,9 +32,9 @@ func sampleEvents(n int) []events.Event {
 	return evs
 }
 
-// AppendBlock must journal byte-for-byte what AppendBatch journals and
-// assign the same sequence numbers.
-func TestAppendBlockMatchesAppendBatch(t *testing.T) {
+// AppendBlock must journal byte-for-byte what event-by-event Append
+// journals and assign the same sequence numbers.
+func TestAppendBlockMatchesAppend(t *testing.T) {
 	dir := t.TempDir()
 	evs := sampleEvents(10)
 
@@ -44,9 +44,12 @@ func TestAppendBlockMatchesAppendBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	batchEvs := append([]events.Event(nil), evs...)
-	lastBatch, err := sb.AppendBatch(batchEvs)
-	if err != nil {
-		t.Fatal(err)
+	var lastBatch uint64
+	for i := range batchEvs {
+		if lastBatch, err = sb.Append(batchEvs[i]); err != nil {
+			t.Fatal(err)
+		}
+		batchEvs[i].Seq = lastBatch
 	}
 	sb.Close()
 
@@ -61,7 +64,7 @@ func TestAppendBlockMatchesAppendBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if lastBlock != lastBatch {
-		t.Fatalf("AppendBlock last seq %d, AppendBatch %d", lastBlock, lastBatch)
+		t.Fatalf("AppendBlock last seq %d, Append %d", lastBlock, lastBatch)
 	}
 	for i := range evs {
 		if blk.Seq(i) != batchEvs[i].Seq {

@@ -14,9 +14,6 @@ import (
 type Engine interface {
 	// Append stores one event, assigning and returning its sequence number.
 	Append(e events.Event) (uint64, error)
-	// AppendBatch stores a batch, stamping the assigned sequence numbers
-	// into the caller's slice, and returns the last one.
-	AppendBatch(evs []events.Event) (uint64, error)
 	// Since returns up to max events with Seq > seq in global order
 	// (max <= 0 = all).
 	Since(seq uint64, max int) ([]events.Event, error)
@@ -46,14 +43,11 @@ type PartitionedEngine interface {
 	Engine
 	// Partitions returns the partition count P (>= 1).
 	Partitions() int
-	// AppendBatchPartition stores a batch entirely in partition part,
-	// stamping seqs in place and returning the last one. Callers route
-	// by a stable key (MDT index, falling back to path hash) so a key's
-	// events share a partition and keep their relative order.
-	AppendBatchPartition(part int, evs []events.Event) (uint64, error)
-	// AppendBlockPartition is the zero-copy form of AppendBatchPartition:
-	// the batch arrives as an event block and sequence numbers are
-	// assigned directly into its seq column.
+	// AppendBlockPartition stores an event block entirely in partition
+	// part, assigning sequence numbers directly into its seq column and
+	// returning the last one. Callers route by a stable key (MDT index,
+	// falling back to path hash) so a key's events share a partition and
+	// keep their relative order.
 	AppendBlockPartition(part int, blk *events.Block) (uint64, error)
 	// SinceVector returns up to max events not covered by the cursor
 	// vector — event e qualifies when e.Seq > cursors[e.Seq % P] — in
@@ -74,11 +68,6 @@ func errPartitions(got, want int) error {
 
 // Partitions reports that a plain Store is a single partition.
 func (s *Store) Partitions() int { return 1 }
-
-// AppendBatchPartition ignores the partition index (a Store has one lane).
-func (s *Store) AppendBatchPartition(part int, evs []events.Event) (uint64, error) {
-	return s.AppendBatch(evs)
-}
 
 // AppendBlockPartition ignores the partition index (a Store has one lane).
 func (s *Store) AppendBlockPartition(part int, blk *events.Block) (uint64, error) {
@@ -119,20 +108,17 @@ type singleEngine struct{ Engine }
 
 func (w singleEngine) Partitions() int { return 1 }
 
-func (w singleEngine) AppendBatchPartition(part int, evs []events.Event) (uint64, error) {
-	return w.AppendBatch(evs)
-}
-
-// AppendBlockPartition materializes the block for an engine that only
-// speaks []Event, copying the assigned seqs back into the block.
-func (w singleEngine) AppendBlockPartition(part int, blk *events.Block) (uint64, error) {
+// AppendBlockPartition appends event by event to an engine that only
+// speaks Event, copying the assigned seqs back into the block.
+func (w singleEngine) AppendBlockPartition(part int, blk *events.Block) (last uint64, err error) {
 	blk.Intern()
-	evs := blk.AppendEventsTo(nil)
-	last, err := w.AppendBatch(evs)
-	for i := range evs {
-		blk.SetSeq(i, evs[i].Seq)
+	for i := 0; i < blk.Len(); i++ {
+		if last, err = w.Append(blk.Event(i)); err != nil {
+			return last, err
+		}
+		blk.SetSeq(i, last)
 	}
-	return last, err
+	return last, nil
 }
 
 func (w singleEngine) SinceVector(cursors []uint64, max int) ([]events.Event, error) {

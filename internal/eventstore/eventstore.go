@@ -9,6 +9,12 @@
 // serves "events since ID" queries for consumer fault recovery, tracks the
 // reported flag, and bounds its size by purging reported events. An
 // optional JSONL journal provides durability across process restarts.
+//
+// The retained window is columnar: a list of events.Block segments the
+// store owns, filled by copying — the store never keeps a reference to
+// caller memory — and read by materializing exactly the page a query asks
+// for. Segments hold no pointers, so the garbage collector does not scan
+// retained history.
 package eventstore
 
 import (
@@ -16,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"sort"
 	"sync"
@@ -34,7 +41,7 @@ var ErrClosed = errors.New("eventstore: closed")
 // been Appended but not yet flushed is lost if the monitor process dies.
 // SyncOnClose (the default, and the historical behaviour) buffers until
 // Sync/Close/CompactJournal — fastest, weakest. SyncEveryN bounds the loss
-// window to N events. SyncAlways flushes after every Append/AppendBatch, so
+// window to N events. SyncAlways flushes after every Append/AppendBlock, so
 // any event acknowledged to the aggregator survives a process crash.
 // All policies flush to the OS page cache; surviving power loss additionally
 // requires Sync, which fsyncs the file.
@@ -54,7 +61,7 @@ const (
 	// SyncOnClose flushes the journal only on Sync, Close, or journal
 	// compaction (historical behaviour).
 	SyncOnClose SyncPolicy = iota
-	// SyncAlways flushes the journal after every Append/AppendBatch.
+	// SyncAlways flushes the journal after every Append/AppendBlock.
 	SyncAlways
 	// SyncEveryN flushes the journal once at least Options.SyncEvery
 	// events have accumulated since the last flush.
@@ -92,16 +99,27 @@ type Options struct {
 	seqOffset uint64
 }
 
+// segmentEvents is the row capacity of a store segment: a segment is closed
+// once the next block no longer fits below it, so only a block larger than
+// this makes a longer one. segEvents is the same, as a variable only so that
+// tests can shrink it and cross segment boundaries constantly.
+const segmentEvents = 8192
+
+var segEvents = segmentEvents
+
 // Store is a goroutine-safe reliable event store.
 type Store struct {
-	mu       sync.Mutex
-	opts     Options
-	events   []events.Event // ordered by Seq; not necessarily contiguous after purge
-	reported map[uint64]bool
-	// ackedThrough is the highest seq ever passed to MarkReported: every
-	// retained event at or below it is already flagged, so each ack only
-	// marks the (ackedThrough, seq] suffix instead of rescanning the whole
-	// window (which made steady-state ack cost quadratic).
+	mu   sync.Mutex
+	opts Options
+	// segs is the retained window, oldest first, as store-owned columnar
+	// segments in Seq order (not necessarily contiguous after a reopen).
+	// The first head rows of segs[0] are already dropped; a segment leaves
+	// the list when its last row is.
+	segs     []*events.Block
+	head     int
+	retained int
+	// ackedThrough is the reported set: acks are always a prefix, so every
+	// retained event with Seq <= ackedThrough is flagged and no other is.
 	ackedThrough uint64
 	nextSeq      uint64
 	journal      *os.File
@@ -115,8 +133,8 @@ type Store struct {
 	// with a window shared across the shards of one Sharded engine.
 	// Only buildSharded sets it.
 	group *flushGroup
-	// scratch is the reusable buffer block appends marshal journal lines
-	// into, so the whole batch reaches the writer as one vectored write.
+	// scratch is the reusable buffer journal lines are marshaled into, so
+	// a whole batch reaches the writer as one vectored write.
 	scratch []byte
 
 	tel storeTel // nil handles when telemetry is off — every call is a no-op
@@ -135,20 +153,32 @@ func (o *Options) normalize() {
 // New creates a store with the given options.
 func New(opts Options) (*Store, error) {
 	opts.normalize()
-	s := &Store{opts: opts, reported: make(map[uint64]bool), nextSeq: opts.seqOffset + opts.seqStride}
+	s := &Store{opts: opts, nextSeq: opts.seqOffset + opts.seqStride}
 	if opts.JournalPath != "" {
-		f, err := os.OpenFile(opts.JournalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("eventstore: open journal: %w", err)
+		if err := s.openJournal(); err != nil {
+			return nil, err
 		}
-		s.journal = f
-		s.jw = bufio.NewWriter(f)
 	}
 	return s, nil
 }
 
+// openJournal (re)opens the journal file for appending.
+func (s *Store) openJournal() error {
+	f, err := os.OpenFile(s.opts.JournalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("eventstore: open journal: %w", err)
+	}
+	s.journal = f
+	s.jw = bufio.NewWriter(f)
+	return nil
+}
+
 // Open recovers a store from an existing journal, then continues appending
-// to it. Events flagged reported in the journal stay flagged.
+// to it. Events flagged reported in the journal stay flagged. A last line
+// that is not JSON — the torn tail of a crashed writer — is logged and cut
+// off the file, so that the next append starts on a line of its own; one
+// anywhere earlier is damage, and Open fails naming it. Records of a kind
+// this version does not know are skipped.
 func Open(opts Options) (*Store, error) {
 	if opts.JournalPath == "" {
 		return nil, errors.New("eventstore: Open requires a JournalPath")
@@ -160,48 +190,69 @@ func Open(opts Options) (*Store, error) {
 		}
 		return nil, err
 	}
+	defer f.Close()
 	type entry struct {
 		Kind string     `json:"kind"`
 		Ev   *wireEvent `json:"ev,omitempty"`
 		Seq  uint64     `json:"seq,omitempty"`
 	}
 	opts.normalize()
-	s := &Store{opts: opts, reported: make(map[uint64]bool), nextSeq: opts.seqOffset + opts.seqStride}
+	s := &Store{opts: opts, nextSeq: opts.seqOffset + opts.seqStride}
+	var lineAt, next int64 // byte offsets of the current line and the one after
+	var unterminated bool  // the file does not end in a newline
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if adv > 0 {
+			lineAt, next = next, next+int64(adv)
+			unterminated = data[adv-1] != '\n'
+		}
+		return adv, tok, err
+	})
+	torn := int64(-1) // byte offset of a torn last line
+	for line := 1; sc.Scan(); line++ {
 		var e entry
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			continue // tolerate a torn trailing line
-		}
-		switch e.Kind {
-		case "event":
-			if e.Ev == nil {
-				continue
+			if torn = lineAt; sc.Scan() {
+				return nil, fmt.Errorf("eventstore: journal %s: line %d (byte offset %d) is undecodable and not the last line: %w",
+					opts.JournalPath, line, torn, err)
 			}
+			slog.Warn("eventstore: dropped torn trailing journal line",
+				"journal", opts.JournalPath, "line", line, "offset", torn, "err", err)
+			break
+		}
+		switch {
+		case e.Kind == "event" && e.Ev != nil:
 			ev := e.Ev.toEvent()
-			s.events = append(s.events, ev)
+			if err := s.putLocked(ev); err != nil {
+				return nil, fmt.Errorf("eventstore: journal %s: line %d (byte offset %d): %w",
+					opts.JournalPath, line, lineAt, err)
+			}
 			if ev.Seq >= s.nextSeq {
 				// Stay in this store's sequence lane: the journal only
 				// ever holds seqs from one lane, so advancing by the
 				// stride preserves Seq % stride across restarts.
 				s.nextSeq = ev.Seq + opts.seqStride
 			}
-			s.appended++
-		case "reported":
+		case e.Kind == "reported":
 			s.markReportedLocked(e.Seq)
 		}
 	}
-	f.Close()
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("eventstore: journal scan: %w", err)
 	}
-	jf, err := os.OpenFile(opts.JournalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if torn >= 0 {
+		if err := os.Truncate(opts.JournalPath, torn); err != nil {
+			return nil, fmt.Errorf("eventstore: cut torn journal tail: %w", err)
+		}
+	}
+	if err := s.openJournal(); err != nil {
 		return nil, err
 	}
-	s.journal = jf
-	s.jw = bufio.NewWriter(jf)
+	if unterminated && torn < 0 {
+		s.jw.WriteByte('\n') // torn exactly before the newline: finish the line
+	}
 	return s, nil
 }
 
@@ -231,7 +282,65 @@ func (w *wireEvent) toEvent() events.Event {
 	}
 }
 
-// Append stores the event, assigning and returning its sequence number.
+// appendEventLine appends e's journal line to buf.
+func appendEventLine(buf []byte, e events.Event) ([]byte, error) {
+	line, err := json.Marshal(struct {
+		Kind string     `json:"kind"`
+		Ev   *wireEvent `json:"ev"`
+	}{"event", fromEvent(e)})
+	if err != nil {
+		return buf, err
+	}
+	return append(append(buf, line...), '\n'), nil
+}
+
+// appendReportedLine appends the journal line recording an ack through seq.
+func appendReportedLine(buf []byte, seq uint64) []byte {
+	line, err := json.Marshal(struct {
+		Kind string `json:"kind"`
+		Seq  uint64 `json:"seq"`
+	}{"reported", seq})
+	if err != nil {
+		return buf
+	}
+	return append(append(buf, line...), '\n')
+}
+
+// tailLocked returns the segment the next n rows go into: the current tail
+// while they fit below segEvents, a new segment otherwise. A new segment is
+// allocated whole, its arena as large as the one's before it, so a steady
+// stream appends without allocating; a store's first segment has nothing to
+// be sized from and grows on demand, as most stores stay small. What either
+// half buys is measured in EXPERIMENTS.md ("Segment sizing").
+func (s *Store) tailLocked(n int) *events.Block {
+	var prev *events.Block
+	if len(s.segs) > 0 {
+		prev = s.segs[len(s.segs)-1]
+		if prev.Len()+n <= segEvents || prev.Len() == 0 {
+			return prev
+		}
+	}
+	seg := events.NewBlock(0, 0)
+	if prev != nil {
+		seg = events.NewBlock(max(segEvents, n), prev.ArenaLen())
+	}
+	s.segs = append(s.segs, seg)
+	return seg
+}
+
+// putLocked copies e, under the seq it carries, into the tail segment.
+func (s *Store) putLocked(e events.Event) error {
+	if err := s.tailLocked(1).AppendEvent(e); err != nil {
+		return err
+	}
+	s.retained++
+	s.appended++
+	return nil
+}
+
+// Append stores the event, assigning and returning its sequence number. An
+// event that does not fit a block row (events.Block.AppendEvent: Root, Path,
+// OldPath over 64 KB, Source over 255 bytes) is neither stored nor journaled.
 func (s *Store) Append(e events.Event) (uint64, error) {
 	if h := s.tel.appendUS; h != nil {
 		defer h.ObserveSince(time.Now())
@@ -242,10 +351,16 @@ func (s *Store) Append(e events.Event) (uint64, error) {
 		return 0, ErrClosed
 	}
 	e.Seq = s.nextSeq
+	if err := s.putLocked(e); err != nil {
+		s.mu.Unlock()
+		return 0, err
+	}
 	s.nextSeq += s.opts.seqStride
-	s.events = append(s.events, e)
-	s.appended++
-	s.journalEventLocked(e)
+	if s.jw != nil {
+		if line, err := appendEventLine(s.scratch[:0], e); err == nil {
+			s.writeJournalLocked(line)
+		}
+	}
 	s.tel.auditAppend(e.Seq, 1, s.opts.seqStride)
 	groupFlush := s.maybeFlushLocked(1)
 	s.enforceBoundLocked()
@@ -256,46 +371,14 @@ func (s *Store) Append(e events.Event) (uint64, error) {
 	return e.Seq, nil
 }
 
-// AppendBatch stores a batch under a single lock acquisition, stamping the
-// assigned sequence numbers into the caller's slice, and returns the last
-// one. The journal flush policy is applied once for the whole batch.
-func (s *Store) AppendBatch(evs []events.Event) (uint64, error) {
-	if len(evs) == 0 {
-		return 0, nil
-	}
-	if h := s.tel.appendUS; h != nil {
-		defer h.ObserveSince(time.Now())
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrClosed
-	}
-	for i := range evs {
-		evs[i].Seq = s.nextSeq
-		s.nextSeq += s.opts.seqStride
-		s.events = append(s.events, evs[i])
-		s.appended++
-		s.journalEventLocked(evs[i])
-	}
-	groupFlush := s.maybeFlushLocked(len(evs))
-	s.enforceBoundLocked()
-	last := evs[len(evs)-1].Seq
-	s.tel.auditAppend(last, len(evs), s.opts.seqStride)
-	s.mu.Unlock()
-	if groupFlush {
-		s.group.flush()
-	}
-	return last, nil
-}
-
 // AppendBlock stores every event of the block under a single lock
 // acquisition, assigning sequence numbers directly into the block's seq
-// column, and returns the last one. This is the zero-copy form of
-// AppendBatch: the block's arena is interned once (one string allocation
-// for the whole batch — materialized events share its backing), and the
-// journal receives all of the batch's JSONL lines as a single vectored
-// write instead of two small writes per event.
+// column, and returns the last one. The store copies the block's columns
+// and string bytes into its own tail segment and keeps no reference to the
+// block: the caller may Reset, refill or recycle it at once. The block's
+// arena is interned on the way (one string allocation for the whole batch,
+// which in-process consumers materialize deliveries out of), and the
+// journal receives the batch's JSONL lines as a single vectored write.
 func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
 	n := blk.Len()
 	if n == 0 {
@@ -315,9 +398,16 @@ func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
 		s.nextSeq += s.opts.seqStride
 	}
 	last := s.nextSeq - s.opts.seqStride
-	s.events = blk.AppendEventsTo(s.events)
+	s.tailLocked(n).AppendBlock(blk)
+	s.retained += n
 	s.appended += uint64(n)
-	s.journalBlockLocked(blk)
+	if s.jw != nil {
+		buf := s.scratch[:0]
+		for i := 0; i < n; i++ {
+			buf, _ = appendEventLine(buf, blk.Event(i))
+		}
+		s.writeJournalLocked(buf)
+	}
 	s.tel.auditAppend(last, n, s.opts.seqStride)
 	groupFlush := s.maybeFlushLocked(n)
 	s.enforceBoundLocked()
@@ -328,42 +418,9 @@ func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
 	return last, nil
 }
 
-// journalEventLocked appends one event record to the journal buffer.
-func (s *Store) journalEventLocked(e events.Event) {
-	if s.jw == nil {
-		return
-	}
-	line, err := json.Marshal(struct {
-		Kind string     `json:"kind"`
-		Ev   *wireEvent `json:"ev"`
-	}{"event", fromEvent(e)})
-	if err == nil {
-		s.jw.Write(line)
-		s.jw.WriteByte('\n')
-		s.tel.journalBytes.Add(uint64(len(line) + 1))
-	}
-}
-
-// journalBlockLocked appends the block's event records to the journal as
-// one vectored write: every JSONL line is marshaled into a reused scratch
-// buffer, which reaches the writer in a single Write call instead of the
-// 2·n small writes of the per-event path.
-func (s *Store) journalBlockLocked(blk *events.Block) {
-	if s.jw == nil {
-		return
-	}
-	buf := s.scratch[:0]
-	for i := 0; i < blk.Len(); i++ {
-		line, err := json.Marshal(struct {
-			Kind string     `json:"kind"`
-			Ev   *wireEvent `json:"ev"`
-		}{"event", fromEvent(blk.Event(i))})
-		if err != nil {
-			continue
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-	}
+// writeJournalLocked hands marshaled event lines to the journal writer in
+// one Write and keeps the buffer for the next batch.
+func (s *Store) writeJournalLocked(buf []byte) {
 	if len(buf) > 0 {
 		s.jw.Write(buf)
 		s.tel.journalBytes.Add(uint64(len(buf)))
@@ -403,6 +460,77 @@ func (s *Store) maybeFlushLocked(n int) (groupFlush bool) {
 	return false
 }
 
+// searchLocked returns how many retained events precede the first one for
+// which past holds. past must be monotone over the window (false, then
+// true) — Seq and record time both are — so it is one binary search over
+// the segments' last rows and one inside the segment found.
+func (s *Store) searchLocked(past func(seg *events.Block, row int) bool) int {
+	si := sort.Search(len(s.segs), func(i int) bool {
+		n := s.segs[i].Len() // 0 only for a tail nothing has landed in yet
+		return n == 0 || past(s.segs[i], n-1)
+	})
+	before := -s.head
+	for _, seg := range s.segs[:si] {
+		before += seg.Len()
+	}
+	if si < len(s.segs) {
+		// The dropped head rows of segs[0] are still in place and in order;
+		// a hit among them means nothing retained precedes it.
+		seg := s.segs[si]
+		before += sort.Search(seg.Len(), func(i int) bool { return past(seg, i) })
+	}
+	return max(before, 0)
+}
+
+// throughLocked counts the retained events with Seq <= seq.
+func (s *Store) throughLocked(seq uint64) int {
+	return s.searchLocked(func(seg *events.Block, row int) bool { return seg.Seq(row) > seq })
+}
+
+// pageLocked materializes up to max retained events after skipping the
+// first skip (max <= 0 = all).
+func (s *Store) pageLocked(skip, max int) []events.Event {
+	n := s.retained - skip
+	if n <= 0 {
+		return nil
+	}
+	if max > 0 && n > max {
+		n = max
+	}
+	out := make([]events.Event, 0, n)
+	skip += s.head
+	for _, seg := range s.segs {
+		if skip >= seg.Len() {
+			skip -= seg.Len()
+			continue
+		}
+		out = seg.AppendRangeTo(out, skip, min(seg.Len(), skip+n-len(out)))
+		skip = 0
+		if len(out) == n {
+			break
+		}
+	}
+	return out
+}
+
+// dropHeadLocked removes the n oldest retained events, releasing every
+// segment whose last row goes.
+func (s *Store) dropHeadLocked(n int) {
+	s.retained -= n
+	s.head += n
+	for len(s.segs) > 0 && s.head >= s.segs[0].Len() {
+		if len(s.segs) == 1 {
+			// Keep the emptied tail for the next appends.
+			s.segs[0].Reset()
+			s.head = 0
+			return
+		}
+		s.head -= s.segs[0].Len()
+		s.segs[0] = nil
+		s.segs = s.segs[1:]
+	}
+}
+
 // Since returns up to max events with Seq > seq in order (max <= 0 = all).
 // This is the consumer fault-recovery query: "If users provide an event
 // identifier, FSMonitor will only report events that have happened since
@@ -413,38 +541,21 @@ func (s *Store) Since(seq uint64, max int) ([]events.Event, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	// events is ordered by Seq (append assigns increasing seqs and purge
-	// preserves relative order), so binary search for the first entry
-	// past the cursor instead of scanning the whole retained window.
-	i := sort.Search(len(s.events), func(i int) bool { return s.events[i].Seq > seq })
-	return s.copyFromLocked(i, max), nil
+	return s.pageLocked(s.throughLocked(seq), max), nil
 }
 
 // SinceTime returns events recorded at or after t. Timestamps are assumed
 // monotonically non-decreasing in append order (true for events stamped by
-// one monitor clock), which makes the slice binary-searchable by time too.
+// one monitor clock), which makes the window binary-searchable by time too.
 func (s *Store) SinceTime(t time.Time, max int) ([]events.Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	i := sort.Search(len(s.events), func(i int) bool { return !s.events[i].Time.Before(t) })
-	return s.copyFromLocked(i, max), nil
-}
-
-// copyFromLocked copies up to max events starting at index i (max <= 0 = all).
-func (s *Store) copyFromLocked(i, max int) []events.Event {
-	n := len(s.events) - i
-	if n <= 0 {
-		return nil
-	}
-	if max > 0 && n > max {
-		n = max
-	}
-	out := make([]events.Event, n)
-	copy(out, s.events[i:i+n])
-	return out
+	ns := t.UnixNano()
+	skip := s.searchLocked(func(seg *events.Block, row int) bool { return seg.TimeNano(row) >= ns })
+	return s.pageLocked(skip, max), nil
 }
 
 // MarkReported flags every stored event with Seq <= seq as reported
@@ -458,31 +569,21 @@ func (s *Store) MarkReported(seq uint64) error {
 	}
 	s.markReportedLocked(seq)
 	if s.jw != nil {
-		line, err := json.Marshal(struct {
-			Kind string `json:"kind"`
-			Seq  uint64 `json:"seq"`
-		}{"reported", seq})
-		if err == nil {
-			s.jw.Write(line)
-			s.jw.WriteByte('\n')
-		}
+		s.jw.Write(appendReportedLine(nil, seq))
 	}
 	return nil
 }
 
-// markReportedLocked flags events with Seq <= seq. Events are kept sorted
-// by Seq and seqs below ackedThrough are flagged already (or purged), so
-// only the newly covered range is touched.
+// markReportedLocked raises the reported high-water mark to seq, capped at
+// the last assigned seq: an ack covers stored events only, never ones
+// appended later.
 func (s *Store) markReportedLocked(seq uint64) {
-	if seq <= s.ackedThrough {
-		return
+	if last := s.nextSeq - s.opts.seqStride; seq > last {
+		seq = last
 	}
-	lo := sort.Search(len(s.events), func(i int) bool { return s.events[i].Seq > s.ackedThrough })
-	hi := sort.Search(len(s.events), func(i int) bool { return s.events[i].Seq > seq })
-	for _, e := range s.events[lo:hi] {
-		s.reported[e.Seq] = true
+	if seq > s.ackedThrough {
+		s.ackedThrough = seq
 	}
-	s.ackedThrough = seq
 }
 
 // Purge removes reported events (the "next data purge cycle" of §IV-2),
@@ -493,76 +594,24 @@ func (s *Store) Purge() (int, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	kept := s.events[:0]
-	removed := 0
-	for _, e := range s.events {
-		if s.reported[e.Seq] {
-			delete(s.reported, e.Seq)
-			removed++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	s.events = kept
+	removed := s.throughLocked(s.ackedThrough)
+	s.dropHeadLocked(removed)
 	s.purged += uint64(removed)
 	return removed, nil
 }
 
-// enforceBoundLocked drops oldest events past MaxEvents, reported first.
+// enforceBoundLocked drops the oldest events past MaxEvents. Reported
+// events are the oldest there are, so the drop counts as purged up to the
+// number reported and as evicted beyond it.
 func (s *Store) enforceBoundLocked() {
-	if s.opts.MaxEvents <= 0 || len(s.events) <= s.opts.MaxEvents {
+	over := s.retained - s.opts.MaxEvents
+	if s.opts.MaxEvents <= 0 || over <= 0 {
 		return
 	}
-	over := len(s.events) - s.opts.MaxEvents
-	// Fast path: nothing is reported at all — the steady state of a
-	// consumer-less bounded store — so every discard is an eviction and
-	// the window slides forward without touching the retained events.
-	// The vacated front is reclaimed when append next grows the slice.
-	if len(s.reported) == 0 {
-		s.events = s.events[over:]
-		s.evicted += uint64(over)
-		return
-	}
-	// Fast path: the oldest `over` events are all reported — the steady
-	// state under AutoAck — so slide the window forward instead of
-	// compacting it (which re-copied the whole retained window per
-	// append batch). The vacated front is reclaimed when append next
-	// grows the slice.
-	allReported := true
-	for _, e := range s.events[:over] {
-		if !s.reported[e.Seq] {
-			allReported = false
-			break
-		}
-	}
-	if allReported {
-		for _, e := range s.events[:over] {
-			delete(s.reported, e.Seq)
-		}
-		s.events = s.events[over:]
-		s.purged += uint64(over)
-		return
-	}
-	// First pass: drop oldest reported.
-	kept := s.events[:0]
-	for _, e := range s.events {
-		if over > 0 && s.reported[e.Seq] {
-			delete(s.reported, e.Seq)
-			over--
-			s.purged++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	s.events = kept
-	// Second pass: still over (nothing reported) — evict oldest.
-	if over > 0 {
-		for _, e := range s.events[:over] {
-			delete(s.reported, e.Seq)
-		}
-		s.events = append(s.events[:0], s.events[over:]...)
-		s.evicted += uint64(over)
-	}
+	reported := min(over, s.throughLocked(s.ackedThrough))
+	s.dropHeadLocked(over)
+	s.purged += uint64(reported)
+	s.evicted += uint64(over - reported)
 }
 
 // Stats is a snapshot of store counters.
@@ -580,7 +629,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Retained: len(s.events), Reported: len(s.reported),
+		Retained: s.retained, Reported: s.throughLocked(s.ackedThrough),
 		Appended: s.appended, Purged: s.purged, Evicted: s.evicted, NextSeq: s.nextSeq,
 	}
 }
@@ -589,7 +638,7 @@ func (s *Store) Stats() Stats {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.events)
+	return s.retained
 }
 
 // LastSeq returns the highest assigned sequence number (0 = none yet).
@@ -620,40 +669,7 @@ func (s *Store) CompactJournal() error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	var maxReported uint64
-	for _, e := range s.events {
-		line, err := json.Marshal(struct {
-			Kind string     `json:"kind"`
-			Ev   *wireEvent `json:"ev"`
-		}{"event", fromEvent(e)})
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		w.Write(line)
-		w.WriteByte('\n')
-		if s.reported[e.Seq] && e.Seq > maxReported {
-			maxReported = e.Seq
-		}
-	}
-	if maxReported > 0 {
-		line, err := json.Marshal(struct {
-			Kind string `json:"kind"`
-			Seq  uint64 `json:"seq"`
-		}{"reported", maxReported})
-		if err == nil {
-			w.Write(line)
-			w.WriteByte('\n')
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
+	if err := s.writeCompactedLocked(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -668,14 +684,36 @@ func (s *Store) CompactJournal() error {
 	if err := os.Rename(tmp, s.opts.JournalPath); err != nil {
 		return err
 	}
-	nf, err := os.OpenFile(s.opts.JournalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	s.pendingSync = 0
+	return s.openJournal()
+}
+
+// writeCompactedLocked writes the retained window, one segment's lines at
+// a time, then the reported mark if it covers any of it, and syncs the file.
+func (s *Store) writeCompactedLocked(f *os.File) error {
+	w := bufio.NewWriter(f)
+	var page []events.Event
+	lo := s.head
+	for _, seg := range s.segs {
+		page = seg.AppendRangeTo(page[:0], lo, seg.Len())
+		lo = 0
+		buf := s.scratch[:0]
+		for _, e := range page {
+			var err error
+			if buf, err = appendEventLine(buf, e); err != nil {
+				return err
+			}
+		}
+		w.Write(buf)
+		s.scratch = buf[:0]
+	}
+	if s.throughLocked(s.ackedThrough) > 0 {
+		w.Write(appendReportedLine(nil, s.ackedThrough))
+	}
+	if err := w.Flush(); err != nil {
 		return err
 	}
-	s.journal = nf
-	s.jw = bufio.NewWriter(nf)
-	s.pendingSync = 0
-	return nil
+	return f.Sync()
 }
 
 // Sync flushes the journal to disk.

@@ -230,10 +230,9 @@ func TestClosedStoreErrors(t *testing.T) {
 	}
 }
 
-func TestAppendBatch(t *testing.T) {
+func TestAppendBlock(t *testing.T) {
 	s := mustNew(t, Options{})
-	batch := []events.Event{ev("/a"), ev("/b"), ev("/c")}
-	last, err := s.AppendBatch(batch)
+	last, err := s.AppendBlock(blockOf(t, []events.Event{ev("/a"), ev("/b"), ev("/c")}))
 	if err != nil {
 		t.Fatal(err)
 	}

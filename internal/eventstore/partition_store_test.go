@@ -46,10 +46,11 @@ func TestPartitionStoreHandoffContinuity(t *testing.T) {
 	for i := range batch {
 		batch[i] = events.Event{Path: fmt.Sprintf("/old/%d", i), Op: events.OpCreate}
 	}
-	if _, err := eng.AppendBatchPartition(2, batch); err != nil {
+	blk := blockOf(t, batch)
+	lastOld, err := eng.AppendBlockPartition(2, blk)
+	if err != nil {
 		t.Fatal(err)
 	}
-	lastOld := batch[len(batch)-1].Seq
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +68,8 @@ func TestPartitionStoreHandoffContinuity(t *testing.T) {
 		t.Fatalf("recovered %d events, want %d", len(got), len(batch))
 	}
 	for i, e := range got {
-		if e.Seq != batch[i].Seq || e.Path != batch[i].Path {
-			t.Fatalf("recovered[%d] = seq %d %q, want seq %d %q", i, e.Seq, e.Path, batch[i].Seq, batch[i].Path)
+		if e.Seq != blk.Seq(i) || e.Path != batch[i].Path {
+			t.Fatalf("recovered[%d] = seq %d %q, want seq %d %q", i, e.Seq, e.Path, blk.Seq(i), batch[i].Path)
 		}
 	}
 	seq, err := st.Append(events.Event{Path: "/new/0", Op: events.OpCreate})

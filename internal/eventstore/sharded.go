@@ -222,30 +222,6 @@ func (s *Sharded) Append(e events.Event) (uint64, error) {
 	return s.shards[PartitionForPath(e.Path, len(s.shards))].Append(e)
 }
 
-// AppendBatch routes each event to its path-hash partition, stamping seqs
-// into the caller's slice, and returns the seq of the final element.
-func (s *Sharded) AppendBatch(evs []events.Event) (uint64, error) {
-	var last uint64
-	for i := range evs {
-		seq, err := s.Append(evs[i])
-		if err != nil {
-			return last, err
-		}
-		evs[i].Seq = seq
-		last = seq
-	}
-	return last, nil
-}
-
-// AppendBatchPartition stores the whole batch in one shard under a single
-// lock acquisition, stamping seqs in place.
-func (s *Sharded) AppendBatchPartition(part int, evs []events.Event) (uint64, error) {
-	if part < 0 || part >= len(s.shards) {
-		return 0, fmt.Errorf("eventstore: partition %d out of range [0,%d)", part, len(s.shards))
-	}
-	return s.shards[part].AppendBatch(evs)
-}
-
 // AppendBlockPartition stores the whole block in one shard under a single
 // lock acquisition, assigning seqs into the block's seq column.
 func (s *Sharded) AppendBlockPartition(part int, blk *events.Block) (uint64, error) {

@@ -26,22 +26,22 @@ func TestShardedSeqLanes(t *testing.T) {
 	// Each partition gets the interleaved lane part, part+4, part+8, ...
 	// offset by one stride: part + 4, part + 8, ... so Seq%4 recovers it.
 	for part := 0; part < 4; part++ {
-		batch := []events.Event{mkEvent(fmt.Sprintf("/p%d/a", part), 1), mkEvent(fmt.Sprintf("/p%d/b", part), 2)}
-		last, err := s.AppendBatchPartition(part, batch)
+		batch := blockOf(t, []events.Event{mkEvent(fmt.Sprintf("/p%d/a", part), 1), mkEvent(fmt.Sprintf("/p%d/b", part), 2)})
+		last, err := s.AppendBlockPartition(part, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k, e := range batch {
-			want := uint64(part) + uint64(k+1)*4
-			if e.Seq != want {
-				t.Errorf("part %d event %d seq = %d, want %d", part, k, e.Seq, want)
+		for k := 0; k < batch.Len(); k++ {
+			seq, want := batch.Seq(k), uint64(part)+uint64(k+1)*4
+			if seq != want {
+				t.Errorf("part %d event %d seq = %d, want %d", part, k, seq, want)
 			}
-			if int(e.Seq%4) != part {
-				t.Errorf("seq %d does not map back to partition %d", e.Seq, part)
+			if int(seq%4) != part {
+				t.Errorf("seq %d does not map back to partition %d", seq, part)
 			}
 		}
-		if last != batch[1].Seq {
-			t.Errorf("AppendBatchPartition returned %d, want %d", last, batch[1].Seq)
+		if last != batch.Seq(1) {
+			t.Errorf("AppendBlockPartition returned %d, want %d", last, batch.Seq(1))
 		}
 	}
 	vec := s.LastSeqVector()
@@ -63,7 +63,7 @@ func TestShardedSinceMergesGlobalOrder(t *testing.T) {
 	defer s.Close()
 	// Interleave appends across partitions.
 	for i := 0; i < 12; i++ {
-		if _, err := s.AppendBatchPartition(i%3, []events.Event{mkEvent(fmt.Sprintf("/f%d", i), int64(i))}); err != nil {
+		if _, err := s.AppendBlockPartition(i%3, blockOf(t, []events.Event{mkEvent(fmt.Sprintf("/f%d", i), int64(i))})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestShardedSinceVector(t *testing.T) {
 	}
 	defer s.Close()
 	for i := 0; i < 6; i++ {
-		if _, err := s.AppendBatchPartition(i%2, []events.Event{mkEvent(fmt.Sprintf("/f%d", i), int64(i))}); err != nil {
+		if _, err := s.AppendBlockPartition(i%2, blockOf(t, []events.Event{mkEvent(fmt.Sprintf("/f%d", i), int64(i))})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestShardedJournalSegmentsAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := s.AppendBatchPartition(i%2, []events.Event{mkEvent(fmt.Sprintf("/f%d", i), int64(i))}); err != nil {
+		if _, err := s.AppendBlockPartition(i%2, blockOf(t, []events.Event{mkEvent(fmt.Sprintf("/f%d", i), int64(i))})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestShardedJournalSegmentsAndRecovery(t *testing.T) {
 		t.Fatalf("recovered %d events, %v", len(all), err)
 	}
 	// Lanes continue where they left off: p0 held 2,4,6,8 → next is 10.
-	if _, err := s2.AppendBatchPartition(0, []events.Event{mkEvent("/next", 99)}); err != nil {
+	if _, err := s2.AppendBlockPartition(0, blockOf(t, []events.Event{mkEvent("/next", 99)})); err != nil {
 		t.Fatal(err)
 	}
 	if vec := s2.LastSeqVector(); vec[0] != 10 {

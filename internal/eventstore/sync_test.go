@@ -88,7 +88,7 @@ func TestSyncEveryNFlushesInWindows(t *testing.T) {
 		t.Fatalf("third append flushed early (%d lines)", got)
 	}
 	// A batch counts all its events against the window.
-	if _, err := s.AppendBatch([]events.Event{mkEvent("/d", 4), mkEvent("/e", 5)}); err != nil {
+	if _, err := s.AppendBlock(blockOf(t, []events.Event{mkEvent("/d", 4), mkEvent("/e", 5)})); err != nil {
 		t.Fatal(err)
 	}
 	if got := journalLines(t, jp); got != 5 {

@@ -10,7 +10,7 @@ import (
 // telemetry is off; every handle method is nil-safe, so the hot path only
 // pays the handle's own nil branch.
 type storeTel struct {
-	appendUS     *telemetry.Histogram // Append/AppendBatch wall time
+	appendUS     *telemetry.Histogram // Append/AppendBlock wall time
 	flushUS      *telemetry.Histogram // journal buffer flush / fsync time
 	journalBytes *telemetry.Counter   // bytes appended to the journal
 

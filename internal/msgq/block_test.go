@@ -1,8 +1,8 @@
 package msgq
 
 import (
-	"bytes"
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -23,8 +23,8 @@ func benchBlock(t *testing.T) *events.Block {
 	return b
 }
 
-// In-process subscribers receive the block pointer itself; TCP
-// subscribers receive its wire image and a nil Block.
+// In-process subscribers receive the block pointer itself and no payload;
+// TCP subscribers receive its wire image and a nil Block.
 func TestPublishBlockInproc(t *testing.T) {
 	pub := NewPub()
 	if err := pub.Bind("inproc://block-pub"); err != nil {
@@ -49,8 +49,8 @@ func TestPublishBlockInproc(t *testing.T) {
 	if m.Block != blk {
 		t.Fatalf("inproc receiver got Block %p, want the published pointer %p", m.Block, blk)
 	}
-	if !bytes.Equal(m.Payload, blk.Wire()) {
-		t.Fatal("payload is not the block's wire image")
+	if m.Payload != nil {
+		t.Fatalf("inproc receiver got a %d-byte payload beside the block", len(m.Payload))
 	}
 }
 
@@ -108,5 +108,52 @@ func TestPublishBlockNoSubscriber(t *testing.T) {
 	delivered, shared := pub.PublishBlockCtx(context.Background(), "events.mdt0", blk)
 	if delivered != 0 || shared {
 		t.Fatalf("delivered=%d shared=%v, want 0/false", delivered, shared)
+	}
+}
+
+// Publishing to in-process subscribers only hands over the pointer: no
+// wire image is built or cached on their account, so nothing the size of
+// a payload is allocated however often the block is published.
+func TestPublishBlockInprocBuildsNoWire(t *testing.T) {
+	pub := NewPub()
+	if err := pub.Bind("inproc://block-nowire"); err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	sub := NewSub(WithRecvBuffer(64))
+	defer sub.Close()
+	sub.Subscribe("events.")
+	if err := sub.Connect(pub.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	blk := events.NewBlock(512, 32<<10)
+	for i := 0; i < 512; i++ {
+		if err := blk.AppendEvent(events.Event{Root: "/mnt/lustre", Op: events.OpModify, Path: "/dir/file", Time: time.Unix(0, int64(i)), Source: "mdt0"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wireLen := uint64(len(blk.Wire()))
+	blk.Reset() // drops the cached image along with the rows
+	for i := 0; i < 512; i++ {
+		blk.AppendEvent(events.Event{Root: "/mnt/lustre", Op: events.OpModify, Path: "/dir/file", Time: time.Unix(0, int64(i)), Source: "mdt0"})
+	}
+	ctx := context.Background()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if n, shared := pub.PublishBlockCtx(ctx, "events.mdt0", blk); n != 1 || !shared {
+			t.Fatalf("delivered=%d shared=%v, want 1/true", n, shared)
+		}
+		if m := <-sub.C(); m.Block != blk || m.Payload != nil {
+			t.Fatalf("received Block %p with a %d-byte payload, want the pointer alone", m.Block, len(m.Payload))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perPublish := (after.TotalAlloc - before.TotalAlloc) / runs; perPublish*8 > wireLen {
+		t.Fatalf("%d B allocated per in-process publish of a block whose wire image is %d B", perPublish, wireLen)
 	}
 }

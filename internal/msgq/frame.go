@@ -25,12 +25,14 @@ import (
 
 // Message is one topic-tagged frame.
 //
-// Block, when non-nil, is the decoded form of Payload shared by pointer
-// over the in-process transport (see Pub.PublishBlockCtx): receivers on
-// the same process skip decoding entirely. It never crosses TCP — the
-// wire carries Payload only, and a message read from a TCP connection
-// always has a nil Block. A received Block is frozen: the receiver must
-// treat it (and its trace) as immutable shared state.
+// A message carries its batch one way or the other, never both. Block,
+// when non-nil, is an event block shared by pointer over the in-process
+// transport (see Pub.PublishBlockCtx): Payload is nil — the wire image is
+// not built for a peer that would not read it — and the receiver skips
+// decoding entirely. A Block never crosses TCP: the wire carries Payload
+// only, and a message read from a TCP connection always has a nil Block.
+// A received Block is frozen: the receiver must treat it (and its trace)
+// as immutable shared state.
 type Message struct {
 	Topic   string
 	Payload []byte

@@ -343,9 +343,10 @@ func (p *Pub) PublishCtx(ctx context.Context, topic string, payload []byte) int 
 
 // PublishBlockCtx distributes an event block to all matching subscribers.
 // It is the zero-copy form of PublishCtx: in-process subscribers receive
-// the Block pointer itself (decode-never), TCP subscribers receive its
-// wire image, and when no subscriber matches the topic the wire image is
-// never even materialized.
+// the Block pointer itself and nothing else (decode-never, and the wire
+// image is not built on their account), TCP subscribers receive its wire
+// image, and when no TCP subscriber matches the topic that image is never
+// materialized.
 //
 // It returns how many queues accepted the message and whether any
 // subscriber now shares the block's memory — the pointer itself for
@@ -366,21 +367,16 @@ func (p *Pub) PublishBlockCtx(ctx context.Context, topic string, blk *events.Blo
 		peers = append(peers, q)
 	}
 	p.mu.Unlock()
-	var (
-		m     Message
-		built bool
-	)
-	build := func() {
-		if !built {
-			m = Message{Topic: topic, Payload: blk.Wire(), Block: blk}
-			built = true
-		}
-	}
+	// TCP first: Wire caches the image inside the block, which must happen
+	// before any in-process peer shares (and so freezes) it.
+	var m Message
 	for _, s := range tcpSubs {
 		if !s.matches(topic) {
 			continue
 		}
-		build()
+		if m.Payload == nil {
+			m = Message{Topic: topic, Payload: blk.Wire()}
+		}
 		if p.blockOnFull {
 			select {
 			case s.queue <- m:
@@ -400,11 +396,11 @@ func (p *Pub) PublishBlockCtx(ctx context.Context, topic string, blk *events.Blo
 			}
 		}
 	}
+	m = Message{Topic: topic, Block: blk}
 	for _, q := range peers {
 		if !q.matches(topic) {
 			continue
 		}
-		build()
 		if q.deliver(m) {
 			delivered++
 			shared = true

@@ -29,12 +29,19 @@ const (
 	AggTopic = "agg.events"
 )
 
-// newPoolBlock sizes pooled event blocks for a full Changelog read with a
-// typical path footprint. Every scalable service recycles blocks through a
-// pipeline.Pool of these.
+// newPoolBlock sizes the blocks collectors fill for a full Changelog read
+// with a typical path footprint.
 func newPoolBlock() *events.Block {
 	return events.NewBlock(pipeline.DefaultChangelogBatch, 32<<10)
 }
+
+// newTargetBlock is what the aggregator and consumer pools hand out: decode,
+// clone and view targets. They start bare because everything they hold
+// arrives with the batch — a decode aliases the payload as its arena and
+// sizes its columns from the header, a clone shares its source's columns
+// and copies only seqs, a view adopts its source's arena — and a block
+// published to a subscriber never comes back to be reused.
+func newTargetBlock() *events.Block { return events.NewBlock(0, 0) }
 
 // AggregatorOptions configures the aggregator service (which the paper
 // deploys on the MGS).
@@ -204,7 +211,7 @@ func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 		ownStore:  ownStore,
 		throttles: make([]*pace.Throttle, parts),
 		counters:  make([]uint64, parts),
-		pool:      pipeline.NewPool(0, newPoolBlock, (*events.Block).Reset),
+		pool:      pipeline.NewPool(0, newTargetBlock, (*events.Block).Reset),
 	}
 	for i := range a.throttles {
 		a.throttles[i] = pace.NewThrottle()
@@ -460,8 +467,8 @@ func (a *Aggregator) storeLane() func(context.Context, partBatch) (repBatch, boo
 			}
 		case !pb.owned:
 			// In-process pointer fast path: the received block is frozen,
-			// so sequence assignment works on a clone — columns copied,
-			// arena and wire image shared.
+			// so sequence assignment works on a clone — seqs copied, every
+			// other column, the arena and the wire image shared.
 			c := a.pool.Get()
 			c.CloneFrom(blk)
 			blk = c

@@ -166,7 +166,7 @@ func NewConsumer(opts ConsumerOptions) (*Consumer, error) {
 		throttle: pace.NewThrottle(),
 		parts:    parts,
 		cursors:  make([]uint64, parts),
-		pool:     pipeline.NewPool(0, newPoolBlock, (*events.Block).Reset),
+		pool:     pipeline.NewPool(0, newTargetBlock, (*events.Block).Reset),
 	}
 	if opts.SinceVector != nil {
 		copy(c.cursors, opts.SinceVector)
