@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race bench bench-smoke bench-aggregator bench-json bench-telemetry bench-trace bench-mount bench-cluster bench-cluster-json bench-journey flame trace-sample audit-smoke incident-smoke check
+.PHONY: all build vet staticcheck test race fuzz-smoke bench bench-smoke bench-aggregator bench-json bench-telemetry bench-trace bench-mount bench-cluster bench-cluster-json bench-journey flame trace-sample audit-smoke incident-smoke check
 
 all: check
 
@@ -26,6 +26,17 @@ staticcheck:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# fuzz-smoke runs every Fuzz* target in the repository for 5 s each: long
+# enough to replay the seed corpus and mutate a few thousand inputs, so a
+# parser that panics or over-allocates on damaged bytes fails the gate
+# instead of waiting for a dedicated fuzzing run.
+fuzz-smoke:
+	@grep -rHo --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz[A-Za-z0-9_]*' . | \
+	while IFS=: read -r file fn; do \
+		echo "fuzz $$(dirname $$file) $${fn#func }"; \
+		$(GO) test -run '^$$' -fuzz "^$${fn#func }$$" -fuzztime 5s "$$(dirname $$file)" || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
@@ -153,8 +164,9 @@ trace-sample:
 
 # check is the pre-PR gate: everything must build, vet (and staticcheck,
 # where installed) clean, pass the full suite under the race detector,
-# hold the tracing-overhead and mount-routing benches, run the event-journey
+# survive a fuzz smoke of every parser, hold the tracing-overhead and
+# mount-routing benches, run the event-journey
 # benchmark with its oracle green, keep the cluster delivery-conservation
 # audit balanced, and prove the incident flight recorder captures an
 # injected stall.
-check: build vet staticcheck race bench-trace bench-mount bench-journey audit-smoke incident-smoke
+check: build vet staticcheck race fuzz-smoke bench-trace bench-mount bench-journey audit-smoke incident-smoke

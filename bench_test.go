@@ -185,14 +185,17 @@ func BenchmarkEventCodec(b *testing.B) {
 			Time: time.Unix(1, 0), Seq: uint64(i), Source: "lustre",
 		}
 	}
+	enc, dec := events.NewBlock(len(batch), 0), events.NewBlock(len(batch), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err := events.MarshalBatch(batch)
-		if err != nil {
-			b.Fatal(err)
+		enc.Reset()
+		for _, e := range batch {
+			if err := enc.AppendEvent(e); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if _, err := events.UnmarshalBatch(buf); err != nil {
+		if err := events.DecodeBlockInto(dec, enc.Wire()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,11 +16,17 @@
 //
 //	fsmon -mount /logs=local:/var/log -mount /obj=object:/
 //	fsmon -list-backends
+//
+// Print an event-store journal (a binary file; see DESIGN.md §3h):
+//
+//	fsmon -dump-journal /var/lib/fsmon/journal.p0
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -31,6 +37,7 @@ import (
 
 	"fsmonitor"
 	"fsmonitor/internal/events"
+	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/lustre"
 	"fsmonitor/internal/workload"
 )
@@ -105,7 +112,15 @@ func main() {
 	var mounts mountList
 	flag.Var(&mounts, "mount", "mount a backend into the namespace as /prefix=backend:root (repeatable; backend: local, object, or a DSI name)")
 	listBackends := flag.Bool("list-backends", false, "print registered DSI backends with their selection scores and exit")
+	dump := flag.String("dump-journal", "", "print an event-store journal file — one line per event (seq, then the -format representation), acks as \"reported <seq>\" — and exit")
 	flag.Parse()
+
+	if *dump != "" {
+		if err := dumpJournal(os.Stdout, *dump, fsmonitor.Format(*format)); err != nil {
+			fatal(err)
+		}
+		return
+	}
 
 	if *listBackends {
 		info := fsmonitor.StorageInfo{Platform: runtime.GOOS, FSType: "local", Root: "/"}
@@ -404,6 +419,40 @@ func main() {
 			}
 		}
 	}
+}
+
+// dumpJournal prints the journal at path through the store's own record
+// reader. Corruption is an error naming the byte offset; a torn tail — what
+// a crash leaves, and what the store cuts off when it next opens the file —
+// is noted on stderr after the records before it.
+func dumpJournal(w io.Writer, path string, format fsmonitor.Format) error {
+	out := bufio.NewWriter(w)
+	var evs []events.Event
+	torn, err := eventstore.ReadJournal(path, func(blk *events.Block, reported uint64) error {
+		if blk == nil {
+			_, err := fmt.Fprintf(out, "reported %d\n", reported)
+			return err
+		}
+		blk.Intern()
+		evs = blk.AppendEventsTo(evs[:0])
+		for _, e := range evs {
+			line, err := fsmonitor.Transform(e, format)
+			if err != nil {
+				return err
+			}
+			if _, err := fmt.Fprintf(out, "%d %s\n", e.Seq, line); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if ferr := out.Flush(); err == nil {
+		err = ferr
+	}
+	if err == nil && torn >= 0 {
+		fmt.Fprintf(os.Stderr, "fsmon: %s: torn tail at byte offset %d\n", path, torn)
+	}
+	return err
 }
 
 func fatal(err error) {

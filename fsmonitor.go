@@ -172,7 +172,9 @@ func WithStoreBound(n int) Option {
 	return func(o *core.Options) { o.Store.MaxEvents = n }
 }
 
-// WithJournal persists the event store to a JSONL journal at path.
+// WithJournal persists the event store to a journal file at path — framed,
+// checksummed binary records (DESIGN.md §3h; print one with
+// fsmon -dump-journal). A file in another format is refused, not migrated.
 func WithJournal(path string) Option {
 	return func(o *core.Options) { o.Store.JournalPath = path }
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fsmonitor/internal/events"
+	"fsmonitor/internal/events/eventstest"
 	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/msgq"
 	"fsmonitor/internal/scalable"
@@ -96,21 +97,13 @@ func benchAggregatorOverhead(b *testing.B, parts int, reg *telemetry.Registry, t
 				Source: "bench",
 			}
 		}
-		p, err := events.MarshalBatchStamped(batch, stamp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		payloads[i] = p
+		payloads[i] = eventstest.WireBatch(b, batch, stamp, nil)
 		if tracedEvery > 0 {
 			tr := &events.BatchTrace{ID: events.EventKey(batch[0])}
 			tr.Append(events.TierCollect, stamp)
 			tr.Append(events.TierResolve, stamp)
 			tr.Append(events.TierPublish, stamp)
-			tp, err := events.MarshalBatchTraced(batch, stamp, tr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			traced[i] = tp
+			traced[i] = eventstest.WireBatch(b, batch, stamp, tr)
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 
 	"fsmonitor/internal/cluster"
 	"fsmonitor/internal/events"
+	"fsmonitor/internal/events/eventstest"
 	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/msgq"
 	"fsmonitor/internal/telemetry"
@@ -100,22 +101,15 @@ func benchCluster(b *testing.B, nodes int, reg *telemetry.Registry) {
 				Source: "bench",
 			}
 		}
-		pl, err := events.MarshalBatch(batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		payloads[p] = pl
+		payloads[p] = eventstest.WireBatch(b, batch, 0, nil)
 	}
 
 	// Warm-up: one single-event batch per partition, republished until the
 	// owner's subscription accepts it — the timed loop must not race the
 	// nodes' connect handshake and silently drop its first batches.
-	warm, err := events.MarshalBatch([]events.Event{{
+	warm := eventstest.WireBatch(b, []events.Event{{
 		Root: "/mnt/lustre", Op: events.OpCreate, Path: "/bench/warm", Source: "bench",
-	}})
-	if err != nil {
-		b.Fatal(err)
-	}
+	}}, 0, nil)
 	warmed := uint64(0)
 	for p := 0; p < parts; p++ {
 		topic := msgq.NodeTopic(owner[p], p)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fsmonitor/internal/events"
+	"fsmonitor/internal/events/eventstest"
 	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/msgq"
 )
@@ -254,10 +255,7 @@ func TestNodeHandoffContinuity(t *testing.T) {
 		for i := 0; i < count; i++ {
 			path := fmt.Sprintf("/%s/f%03d", phase, i)
 			p := eventstore.PartitionForPath(path, parts)
-			payload, err := events.MarshalBatch([]events.Event{{Path: path, Op: events.OpCreate, Root: "/mnt", Source: "test"}})
-			if err != nil {
-				t.Fatal(err)
-			}
+			payload := eventstest.WireBatch(t, []events.Event{{Path: path, Op: events.OpCreate, Root: "/mnt", Source: "test"}}, 0, nil)
 			// Retry-until-delivered with owner re-resolution: the same
 			// loop the routing collector runs.
 			deadline := time.Now().Add(5 * time.Second)
@@ -490,10 +488,7 @@ func TestNodeJoinFencedHandoff(t *testing.T) {
 	publish := func(path string) {
 		t.Helper()
 		p := eventstore.PartitionForPath(path, parts)
-		payload, err := events.MarshalBatch([]events.Event{{Path: path, Op: events.OpCreate, Root: "/mnt", Source: "test"}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		payload := eventstest.WireBatch(t, []events.Event{{Path: path, Op: events.OpCreate, Root: "/mnt", Source: "test"}}, 0, nil)
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			owner := live[0].Membership().Assignment().OwnerOf(p)

@@ -490,8 +490,8 @@ func (b *Block) CloneFrom(src *Block) {
 	}
 }
 
-// EncodeTo appends the block's wire encoding — byte-identical to
-// MarshalBatchTraced(evs, stamp, trace) over the materialized events — to
+// EncodeTo appends the block's wire encoding — header, stamp and trace
+// sections when set, then every row, in the layout codec.go documents — to
 // buf and returns the extended buffer. seqPos, when non-nil, receives the
 // buffer offset of each event's seq field.
 func (b *Block) EncodeTo(buf []byte, seqPos *[]int) []byte {
@@ -520,7 +520,21 @@ func (b *Block) EncodeTo(buf []byte, seqPos *[]int) []byte {
 			buf = append(buf, node...)
 		}
 	}
-	for i := range b.ops {
+	return b.appendRows(buf, 0, len(b.ops), seqPos)
+}
+
+// AppendRowsTo appends rows [lo, hi) to buf as a wire batch of their own —
+// u32 count, then the rows, whatever stamp or trace the block carries left
+// out — and returns the extended buffer. The bytes are a function of the
+// rows alone, which is what the event journal stores.
+func (b *Block) AppendRowsTo(buf []byte, lo, hi int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(hi-lo))
+	return b.appendRows(buf, lo, hi, nil)
+}
+
+// appendRows appends the wire entries of rows [lo, hi).
+func (b *Block) appendRows(buf []byte, lo, hi int, seqPos *[]int) []byte {
+	for i := lo; i < hi; i++ {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.ops[i]))
 		buf = binary.LittleEndian.AppendUint32(buf, b.cookies[i])
 		if seqPos != nil {
@@ -604,11 +618,10 @@ func DecodeBlock(payload []byte) (*Block, error) {
 	return b, nil
 }
 
-// DecodeBlockInto decodes a wire batch (any MarshalBatch* encoding) into
-// b, which is Reset first. The decode is zero-copy: b's arena and cached
-// wire image alias payload, which must not be modified afterwards. The
-// accepted input grammar is exactly UnmarshalBatchTraced's, including its
-// trailing-bytes check.
+// DecodeBlockInto decodes a wire batch (codec.go's layout: plain, stamped or
+// traced) into b, which is Reset first. The decode is zero-copy: b's arena
+// and cached wire image alias payload, which must not be modified
+// afterwards. Bytes left over after the announced events are an error.
 func DecodeBlockInto(b *Block, payload []byte) error {
 	b.Reset()
 	if len(payload) < 4 {
@@ -707,4 +720,33 @@ func DecodeBlockInto(b *Block, payload []byte) error {
 	b.wire = payload
 	b.ownWire = false
 	return nil
+}
+
+// BatchLen returns how many bytes the plain (no stamp, no trace) wire batch
+// at the front of payload occupies, by its own count and string lengths
+// alone; ok is false when payload ends first. A journal reader uses it to
+// tell a record whose length field is damaged from one that was cut short.
+func BatchLen(payload []byte) (n int, ok bool) {
+	if len(payload) < 4 {
+		return 0, false
+	}
+	count := binary.LittleEndian.Uint32(payload)
+	if count&batchFlags != 0 {
+		return 0, false
+	}
+	pos := 4
+	for ; count > 0; count-- {
+		pos += 24
+		for range 3 {
+			if len(payload)-pos < 2 {
+				return 0, false
+			}
+			pos += 2 + int(binary.LittleEndian.Uint16(payload[pos:]))
+		}
+		if len(payload)-pos < 1 {
+			return 0, false
+		}
+		pos += 1 + int(payload[pos])
+	}
+	return pos, pos <= len(payload)
 }

@@ -34,8 +34,17 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		if (legacyErr == nil) != (blockErr == nil) {
 			t.Fatalf("decoder disagreement: legacy=%v block=%v", legacyErr, blockErr)
 		}
+		// BatchLen measures any input without panicking, never past its end,
+		// and a plain batch that decodes is exactly as long as it says.
+		n, ok := BatchLen(payload)
+		if ok && n > len(payload) {
+			t.Fatalf("BatchLen = %d of %d bytes", n, len(payload))
+		}
 		if legacyErr != nil {
 			return
+		}
+		if plain := binary.LittleEndian.Uint32(payload)&batchFlags == 0; plain && (!ok || n != len(payload)) {
+			t.Fatalf("BatchLen of a plain %d-byte batch = %d, %v", len(payload), n, ok)
 		}
 		if blk.Len() != len(evs) {
 			t.Fatalf("len = %d, want %d", blk.Len(), len(evs))

@@ -356,3 +356,36 @@ func TestBlockCloneIsSeqOnly(t *testing.T) {
 		t.Fatal("refilling a Reset clone changed its source")
 	}
 }
+
+// A row range encodes as the plain reference batch of those events whatever
+// the block is stamped with, and BatchLen finds where that batch ends from its
+// own length prefixes: exactly, with other bytes behind it, and not at all
+// once it is cut short or is not a plain batch.
+func TestAppendRowsToAndBatchLen(t *testing.T) {
+	evs := blockEvents()
+	b := buildBlock(t, evs)
+	b.SetStamp(123456789)
+	for lo := 0; lo <= len(evs); lo++ {
+		for hi := lo; hi <= len(evs); hi++ {
+			want, err := MarshalBatch(evs[lo:hi])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := b.AppendRowsTo([]byte("front"), lo, hi)[len("front"):]
+			if !bytes.Equal(got, want) {
+				t.Fatalf("rows [%d,%d):\n got %x\nwant %x", lo, hi, got, want)
+			}
+			if n, ok := BatchLen(append(bytes.Clone(got), "behind"...)); !ok || n != len(got) {
+				t.Fatalf("rows [%d,%d): BatchLen = %d, %v, want %d", lo, hi, n, ok, len(got))
+			}
+			for cut := 0; cut < len(got); cut++ {
+				if n, ok := BatchLen(got[:cut]); ok {
+					t.Fatalf("rows [%d,%d) cut at %d of %d: BatchLen = %d, want not ok", lo, hi, cut, len(got), n)
+				}
+			}
+		}
+	}
+	if n, ok := BatchLen(b.Wire()); ok {
+		t.Fatalf("BatchLen of a stamped batch = %d, want not ok", n)
+	}
+}

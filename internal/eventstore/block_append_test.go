@@ -1,7 +1,6 @@
 package eventstore
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,13 +31,13 @@ func sampleEvents(n int) []events.Event {
 	return evs
 }
 
-// AppendBlock must journal byte-for-byte what event-by-event Append
-// journals and assign the same sequence numbers.
+// AppendBlock must journal the events event-by-event Append journals — as
+// one record instead of one each — and assign the same sequence numbers.
 func TestAppendBlockMatchesAppend(t *testing.T) {
 	dir := t.TempDir()
 	evs := sampleEvents(10)
 
-	batchPath := filepath.Join(dir, "batch.jsonl")
+	batchPath := filepath.Join(dir, "batch.journal")
 	sb, err := New(Options{JournalPath: batchPath, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +52,7 @@ func TestAppendBlockMatchesAppend(t *testing.T) {
 	}
 	sb.Close()
 
-	blockPath := filepath.Join(dir, "block.jsonl")
+	blockPath := filepath.Join(dir, "block.journal")
 	sk, err := New(Options{JournalPath: blockPath, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -73,10 +72,10 @@ func TestAppendBlockMatchesAppend(t *testing.T) {
 	}
 	sk.Close()
 
-	ja, _ := os.ReadFile(batchPath)
-	jb, _ := os.ReadFile(blockPath)
-	if !bytes.Equal(ja, jb) {
-		t.Fatalf("journals differ:\nbatch: %s\nblock: %s", ja, jb)
+	ja, jb := journalEvents(t, batchPath), journalEvents(t, blockPath)
+	sameEvents(t, "block journal vs event-by-event journal", jb, ja)
+	if len(ja) != len(evs) {
+		t.Fatalf("journal holds %d events, want %d", len(ja), len(evs))
 	}
 
 	// And the block journal recovers.
@@ -104,7 +103,7 @@ func TestAppendBlockMatchesAppend(t *testing.T) {
 // reaches SyncEvery, not once each shard individually accumulates it.
 func TestShardedGroupFlushWindow(t *testing.T) {
 	dir := t.TempDir()
-	base := filepath.Join(dir, "j.jsonl")
+	base := filepath.Join(dir, "j.journal")
 	eng, err := NewSharded(4, Options{JournalPath: base, Sync: SyncEveryN, SyncEvery: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 )
 
 // Engine is the storage contract the aggregation tier programs against —
-// the role MySQL plays in the paper's aggregator (§IV-2). The memory+JSONL
-// Store is the reference engine; Sharded composes N of them behind the
+// the role MySQL plays in the paper's aggregator (§IV-2). The in-memory,
+// journaled Store is the reference engine; Sharded composes N of them behind the
 // same surface.
 type Engine interface {
 	// Append stores one event, assigning and returning its sequence number.

@@ -8,7 +8,7 @@
 // The store assigns each event a monotonically increasing sequence number,
 // serves "events since ID" queries for consumer fault recovery, tracks the
 // reported flag, and bounds its size by purging reported events. An
-// optional JSONL journal provides durability across process restarts.
+// optional journal (journal.go) provides durability across process restarts.
 //
 // The retained window is columnar: a list of events.Block segments the
 // store owns, filled by copying — the store never keeps a reference to
@@ -18,10 +18,10 @@
 package eventstore
 
 import (
-	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"os"
 	"sort"
@@ -80,8 +80,8 @@ type Options struct {
 	// discarded anyway and counted as Evicted (the paper sizes the
 	// database "depending on the resources available to FSMonitor").
 	MaxEvents int
-	// JournalPath, if non-empty, appends every stored event to a JSONL
-	// file so a restarted monitor can reload history with Open.
+	// JournalPath, if non-empty, appends every stored batch to a journal of
+	// checksummed records so a restarted monitor can reload history with Open.
 	JournalPath string
 	// Sync selects when journal writes reach the OS (see SyncPolicy).
 	Sync SyncPolicy
@@ -122,8 +122,7 @@ type Store struct {
 	// retained event with Seq <= ackedThrough is flagged and no other is.
 	ackedThrough uint64
 	nextSeq      uint64
-	journal      *os.File
-	jw           *bufio.Writer
+	jw           *journalWriter // nil without a journal
 	closed       bool
 
 	pendingSync               int // events buffered since the last flush (SyncEveryN)
@@ -133,9 +132,9 @@ type Store struct {
 	// with a window shared across the shards of one Sharded engine.
 	// Only buildSharded sets it.
 	group *flushGroup
-	// scratch is the reusable buffer journal lines are marshaled into, so
-	// a whole batch reaches the writer as one vectored write.
-	scratch []byte
+	// jerr latches the first journal write or flush error: appends keep
+	// succeeding in memory, Sync, Close and CompactJournal report it.
+	jerr error
 
 	tel storeTel // nil handles when telemetry is off — every call is a no-op
 }
@@ -155,155 +154,61 @@ func New(opts Options) (*Store, error) {
 	opts.normalize()
 	s := &Store{opts: opts, nextSeq: opts.seqOffset + opts.seqStride}
 	if opts.JournalPath != "" {
-		if err := s.openJournal(); err != nil {
+		var err error
+		if s.jw, err = openJournalWriter(opts.JournalPath); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// openJournal (re)opens the journal file for appending.
-func (s *Store) openJournal() error {
-	f, err := os.OpenFile(s.opts.JournalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("eventstore: open journal: %w", err)
-	}
-	s.journal = f
-	s.jw = bufio.NewWriter(f)
-	return nil
-}
-
 // Open recovers a store from an existing journal, then continues appending
-// to it. Events flagged reported in the journal stay flagged. A last line
-// that is not JSON — the torn tail of a crashed writer — is logged and cut
-// off the file, so that the next append starts on a line of its own; one
-// anywhere earlier is damage, and Open fails naming it. Records of a kind
-// this version does not know are skipped.
+// to it: every 'E' record is bulk-copied into the tail segment, every 'R'
+// record raises the reported mark. The torn tail of a crashed writer is
+// logged and cut off, so that the next append starts on a record boundary;
+// corruption and files that are not journals fail the open (ReadJournal).
 func Open(opts Options) (*Store, error) {
 	if opts.JournalPath == "" {
 		return nil, errors.New("eventstore: Open requires a JournalPath")
 	}
-	f, err := os.Open(opts.JournalPath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return New(opts)
-		}
-		return nil, err
-	}
-	defer f.Close()
-	type entry struct {
-		Kind string     `json:"kind"`
-		Ev   *wireEvent `json:"ev,omitempty"`
-		Seq  uint64     `json:"seq,omitempty"`
-	}
 	opts.normalize()
 	s := &Store{opts: opts, nextSeq: opts.seqOffset + opts.seqStride}
-	var lineAt, next int64 // byte offsets of the current line and the one after
-	var unterminated bool  // the file does not end in a newline
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
-		adv, tok, err := bufio.ScanLines(data, atEOF)
-		if adv > 0 {
-			lineAt, next = next, next+int64(adv)
-			unterminated = data[adv-1] != '\n'
+	var last uint64
+	torn, err := ReadJournal(opts.JournalPath, func(blk *events.Block, reported uint64) error {
+		if blk == nil {
+			s.markReportedLocked(reported)
+			return nil
 		}
-		return adv, tok, err
+		n := blk.Len()
+		for i := 0; i < n; i++ {
+			if blk.Seq(i) <= last {
+				return fmt.Errorf("seq %d follows seq %d", blk.Seq(i), last)
+			}
+			last = blk.Seq(i)
+		}
+		s.tailLocked(n).AppendBlock(blk)
+		s.retained += n
+		s.appended += uint64(n)
+		if last >= s.nextSeq {
+			// The journal only ever holds seqs from one lane, so advancing
+			// by the stride preserves Seq % stride across restarts.
+			s.nextSeq = last + opts.seqStride
+		}
+		return nil
 	})
-	torn := int64(-1) // byte offset of a torn last line
-	for line := 1; sc.Scan(); line++ {
-		var e entry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			if torn = lineAt; sc.Scan() {
-				return nil, fmt.Errorf("eventstore: journal %s: line %d (byte offset %d) is undecodable and not the last line: %w",
-					opts.JournalPath, line, torn, err)
-			}
-			slog.Warn("eventstore: dropped torn trailing journal line",
-				"journal", opts.JournalPath, "line", line, "offset", torn, "err", err)
-			break
-		}
-		switch {
-		case e.Kind == "event" && e.Ev != nil:
-			ev := e.Ev.toEvent()
-			if err := s.putLocked(ev); err != nil {
-				return nil, fmt.Errorf("eventstore: journal %s: line %d (byte offset %d): %w",
-					opts.JournalPath, line, lineAt, err)
-			}
-			if ev.Seq >= s.nextSeq {
-				// Stay in this store's sequence lane: the journal only
-				// ever holds seqs from one lane, so advancing by the
-				// stride preserves Seq % stride across restarts.
-				s.nextSeq = ev.Seq + opts.seqStride
-			}
-		case e.Kind == "reported":
-			s.markReportedLocked(e.Seq)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("eventstore: journal scan: %w", err)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) { // no journal yet is an empty one
+		return nil, err
 	}
 	if torn >= 0 {
+		slog.Warn("eventstore: dropped torn journal tail", "journal", opts.JournalPath, "offset", torn)
 		if err := os.Truncate(opts.JournalPath, torn); err != nil {
 			return nil, fmt.Errorf("eventstore: cut torn journal tail: %w", err)
 		}
 	}
-	if err := s.openJournal(); err != nil {
+	if s.jw, err = openJournalWriter(opts.JournalPath); err != nil {
 		return nil, err
 	}
-	if unterminated && torn < 0 {
-		s.jw.WriteByte('\n') // torn exactly before the newline: finish the line
-	}
 	return s, nil
-}
-
-// wireEvent is the JSON shape of an event in the journal.
-type wireEvent struct {
-	Root    string `json:"root"`
-	Op      uint32 `json:"op"`
-	Path    string `json:"path"`
-	OldPath string `json:"old,omitempty"`
-	Cookie  uint32 `json:"cookie,omitempty"`
-	TimeNS  int64  `json:"t"`
-	Seq     uint64 `json:"seq"`
-	Source  string `json:"src,omitempty"`
-}
-
-func fromEvent(e events.Event) *wireEvent {
-	return &wireEvent{
-		Root: e.Root, Op: uint32(e.Op), Path: e.Path, OldPath: e.OldPath,
-		Cookie: e.Cookie, TimeNS: e.Time.UnixNano(), Seq: e.Seq, Source: e.Source,
-	}
-}
-
-func (w *wireEvent) toEvent() events.Event {
-	return events.Event{
-		Root: w.Root, Op: events.Op(w.Op), Path: w.Path, OldPath: w.OldPath,
-		Cookie: w.Cookie, Time: time.Unix(0, w.TimeNS), Seq: w.Seq, Source: w.Source,
-	}
-}
-
-// appendEventLine appends e's journal line to buf.
-func appendEventLine(buf []byte, e events.Event) ([]byte, error) {
-	line, err := json.Marshal(struct {
-		Kind string     `json:"kind"`
-		Ev   *wireEvent `json:"ev"`
-	}{"event", fromEvent(e)})
-	if err != nil {
-		return buf, err
-	}
-	return append(append(buf, line...), '\n'), nil
-}
-
-// appendReportedLine appends the journal line recording an ack through seq.
-func appendReportedLine(buf []byte, seq uint64) []byte {
-	line, err := json.Marshal(struct {
-		Kind string `json:"kind"`
-		Seq  uint64 `json:"seq"`
-	}{"reported", seq})
-	if err != nil {
-		return buf
-	}
-	return append(append(buf, line...), '\n')
 }
 
 // tailLocked returns the segment the next n rows go into: the current tail
@@ -328,16 +233,6 @@ func (s *Store) tailLocked(n int) *events.Block {
 	return seg
 }
 
-// putLocked copies e, under the seq it carries, into the tail segment.
-func (s *Store) putLocked(e events.Event) error {
-	if err := s.tailLocked(1).AppendEvent(e); err != nil {
-		return err
-	}
-	s.retained++
-	s.appended++
-	return nil
-}
-
 // Append stores the event, assigning and returning its sequence number. An
 // event that does not fit a block row (events.Block.AppendEvent: Root, Path,
 // OldPath over 64 KB, Source over 255 bytes) is neither stored nor journaled.
@@ -351,24 +246,31 @@ func (s *Store) Append(e events.Event) (uint64, error) {
 		return 0, ErrClosed
 	}
 	e.Seq = s.nextSeq
-	if err := s.putLocked(e); err != nil {
+	tail := s.tailLocked(1)
+	if err := tail.AppendEvent(e); err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
+	s.retained++
+	s.appended++
 	s.nextSeq += s.opts.seqStride
 	if s.jw != nil {
-		if line, err := appendEventLine(s.scratch[:0], e); err == nil {
-			s.writeJournalLocked(line)
-		}
+		s.journalLocked(tail.AppendRowsTo(newRecord(s.jw.buf, kindEvents), tail.Len()-1, tail.Len()))
 	}
-	s.tel.auditAppend(e.Seq, 1, s.opts.seqStride)
-	groupFlush := s.maybeFlushLocked(1)
+	s.appendedLocked(e.Seq, 1)
+	return e.Seq, nil
+}
+
+// appendedLocked runs what follows every append — audit, sync policy,
+// retention bound — and releases the lock, which a group flush must not hold.
+func (s *Store) appendedLocked(last uint64, n int) {
+	s.tel.auditAppend(last, n, s.opts.seqStride)
+	groupFlush := s.maybeFlushLocked(n)
 	s.enforceBoundLocked()
 	s.mu.Unlock()
 	if groupFlush {
 		s.group.flush()
 	}
-	return e.Seq, nil
 }
 
 // AppendBlock stores every event of the block under a single lock
@@ -378,7 +280,8 @@ func (s *Store) Append(e events.Event) (uint64, error) {
 // block: the caller may Reset, refill or recycle it at once. The block's
 // arena is interned on the way (one string allocation for the whole batch,
 // which in-process consumers materialize deliveries out of), and the
-// journal receives the batch's JSONL lines as a single vectored write.
+// journal receives the batch as one record, encoded once into the store's
+// scratch buffer.
 func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
 	n := blk.Len()
 	if n == 0 {
@@ -402,38 +305,34 @@ func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
 	s.retained += n
 	s.appended += uint64(n)
 	if s.jw != nil {
-		buf := s.scratch[:0]
-		for i := 0; i < n; i++ {
-			buf, _ = appendEventLine(buf, blk.Event(i))
-		}
-		s.writeJournalLocked(buf)
+		s.journalLocked(blk.AppendRowsTo(newRecord(s.jw.buf, kindEvents), 0, n))
 	}
-	s.tel.auditAppend(last, n, s.opts.seqStride)
-	groupFlush := s.maybeFlushLocked(n)
-	s.enforceBoundLocked()
-	s.mu.Unlock()
-	if groupFlush {
-		s.group.flush()
-	}
+	s.appendedLocked(last, n)
 	return last, nil
 }
 
-// writeJournalLocked hands marshaled event lines to the journal writer in
-// one Write and keeps the buffer for the next batch.
-func (s *Store) writeJournalLocked(buf []byte) {
-	if len(buf) > 0 {
-		s.jw.Write(buf)
-		s.tel.journalBytes.Add(uint64(len(buf)))
+// journalLocked writes a record begun in s.jw.buf to the journal.
+func (s *Store) journalLocked(rec []byte) {
+	s.tel.journalBytes.Add(uint64(len(rec)))
+	s.latchLocked(s.jw.write(rec))
+}
+
+// latchLocked keeps the first journal error, reporting it once.
+func (s *Store) latchLocked(err error) {
+	if err == nil || s.jerr != nil {
+		return
 	}
-	s.scratch = buf[:0]
+	s.jerr = fmt.Errorf("eventstore: journal %s: %w", s.opts.JournalPath, err)
+	slog.Error("eventstore: journal write failed", "journal", s.opts.JournalPath, "err", err)
+	s.tel.journalErrors.Inc()
 }
 
 // flushLocked flushes the journal buffer, timing it when telemetry is on.
-func (s *Store) flushLocked() error {
+func (s *Store) flushLocked() {
 	if h := s.tel.flushUS; h != nil {
 		defer h.ObserveSince(time.Now())
 	}
-	return s.jw.Flush()
+	s.latchLocked(s.jw.w.Flush())
 }
 
 // maybeFlushLocked applies the SyncPolicy after n newly journaled events.
@@ -569,7 +468,8 @@ func (s *Store) MarkReported(seq uint64) error {
 	}
 	s.markReportedLocked(seq)
 	if s.jw != nil {
-		s.jw.Write(appendReportedLine(nil, seq))
+		s.journalLocked(binary.LittleEndian.AppendUint64(newRecord(s.jw.buf, kindReported), seq))
+		s.maybeFlushLocked(0)
 	}
 	return nil
 }
@@ -653,87 +553,69 @@ func (s *Store) LastSeq() uint64 {
 
 // CompactJournal rewrites the journal to contain only the currently
 // retained events and their reported flags, reclaiming space from purged
-// history (the JSONL journal otherwise grows without bound across purge
-// cycles). No-op without a journal.
+// history (the journal otherwise grows without bound across purge cycles).
+// No-op without a journal.
 func (s *Store) CompactJournal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if s.jw == nil {
-		return nil
+	if s.jw == nil || s.jerr != nil {
+		return s.jerr
 	}
-	tmp := s.opts.JournalPath + ".compact"
-	f, err := os.Create(tmp)
+	// Write the replacement through a writer of its own: an 'E' record per
+	// retained segment, then the mark. A failed write resurfaces from Flush.
+	path := s.opts.JournalPath + ".compact"
+	os.Remove(path)
+	tmp, err := openJournalWriter(path)
 	if err != nil {
 		return err
 	}
-	if err := s.writeCompactedLocked(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Swap the live journal for the compacted one.
-	s.jw.Flush()
-	s.journal.Close()
-	if err := os.Rename(tmp, s.opts.JournalPath); err != nil {
-		return err
-	}
-	s.pendingSync = 0
-	return s.openJournal()
-}
-
-// writeCompactedLocked writes the retained window, one segment's lines at
-// a time, then the reported mark if it covers any of it, and syncs the file.
-func (s *Store) writeCompactedLocked(f *os.File) error {
-	w := bufio.NewWriter(f)
-	var page []events.Event
 	lo := s.head
 	for _, seg := range s.segs {
-		page = seg.AppendRangeTo(page[:0], lo, seg.Len())
-		lo = 0
-		buf := s.scratch[:0]
-		for _, e := range page {
-			var err error
-			if buf, err = appendEventLine(buf, e); err != nil {
-				return err
-			}
+		if lo < seg.Len() {
+			tmp.write(seg.AppendRowsTo(newRecord(tmp.buf, kindEvents), lo, seg.Len()))
 		}
-		w.Write(buf)
-		s.scratch = buf[:0]
+		lo = 0
 	}
 	if s.throughLocked(s.ackedThrough) > 0 {
-		w.Write(appendReportedLine(nil, s.ackedThrough))
+		tmp.write(binary.LittleEndian.AppendUint64(newRecord(tmp.buf, kindReported), s.ackedThrough))
 	}
-	if err := w.Flush(); err != nil {
-		return err
+	if err = errors.Join(tmp.w.Flush(), tmp.f.Sync()); err == nil {
+		err = os.Rename(path, s.opts.JournalPath)
 	}
-	return f.Sync()
+	if err != nil {
+		tmp.f.Close()
+		os.Remove(path)
+		return fmt.Errorf("eventstore: compact journal %s: %w", s.opts.JournalPath, err)
+	}
+	// The new file is the journal from here on; the old one's buffer holds
+	// nothing it does not.
+	s.jw.f.Close()
+	s.jw, s.pendingSync = tmp, 0
+	return nil
 }
 
-// Sync flushes the journal to disk.
+// Sync flushes the journal to disk, reporting the journal's first error.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.jw == nil {
 		return nil
 	}
-	if err := s.flushLocked(); err != nil {
-		return err
-	}
+	s.flushLocked()
 	s.pendingSync = 0
-	if h := s.tel.flushUS; h != nil {
-		defer h.ObserveSince(time.Now())
+	if s.jerr == nil {
+		if h := s.tel.flushUS; h != nil {
+			defer h.ObserveSince(time.Now())
+		}
+		s.latchLocked(s.jw.f.Sync())
 	}
-	return s.journal.Sync()
+	return s.jerr
 }
 
-// Close flushes and closes the store.
+// Close flushes and closes the store, reporting the first journal error.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -742,8 +624,8 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	if s.jw != nil {
-		s.jw.Flush()
-		return s.journal.Close()
+		s.flushLocked()
+		s.latchLocked(s.jw.f.Close())
 	}
-	return nil
+	return s.jerr
 }

@@ -157,7 +157,7 @@ func TestStoreMatchesModel(t *testing.T) {
 
 func checkAgainstModel(t *testing.T, opts Options, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	opts.JournalPath = filepath.Join(t.TempDir(), "j.jsonl")
+	opts.JournalPath = filepath.Join(t.TempDir(), "j.journal")
 	opts.Sync = SyncAlways
 	s, err := New(opts)
 	if err != nil {

@@ -138,7 +138,7 @@ func TestShardedSinceVector(t *testing.T) {
 
 func TestShardedJournalSegmentsAndRecovery(t *testing.T) {
 	dir := t.TempDir()
-	jp := filepath.Join(dir, "events.jsonl")
+	jp := filepath.Join(dir, "events.journal")
 	s, err := NewSharded(2, Options{JournalPath: jp, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -183,8 +183,8 @@ func TestShardedJournalSegmentsAndRecovery(t *testing.T) {
 // unmodified path.
 func TestShardedOneMatchesStoreByteForByte(t *testing.T) {
 	dir := t.TempDir()
-	jpStore := filepath.Join(dir, "plain.jsonl")
-	jpShard := filepath.Join(dir, "sharded.jsonl")
+	jpStore := filepath.Join(dir, "plain.journal")
+	jpShard := filepath.Join(dir, "sharded.journal")
 	st, err := New(Options{JournalPath: jpStore})
 	if err != nil {
 		t.Fatal(err)

@@ -10,26 +10,27 @@ import (
 	"fsmonitor/internal/events"
 )
 
+// journalLines counts what has reached the journal file: events and
+// reported marks.
 func journalLines(t *testing.T, path string) int {
 	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0
-		}
-		t.Fatal(err)
-	}
 	n := 0
-	for _, c := range b {
-		if c == '\n' {
+	_, err := ReadJournal(path, func(blk *events.Block, _ uint64) error {
+		if blk != nil {
+			n += blk.Len()
+		} else {
 			n++
 		}
+		return nil
+	})
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
 	}
 	return n
 }
 
 func TestSyncAlwaysFlushesEveryAppend(t *testing.T) {
-	jp := filepath.Join(t.TempDir(), "j.jsonl")
+	jp := filepath.Join(t.TempDir(), "j.journal")
 	s, err := New(Options{JournalPath: jp, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +47,7 @@ func TestSyncAlwaysFlushesEveryAppend(t *testing.T) {
 }
 
 func TestSyncOnCloseBuffers(t *testing.T) {
-	jp := filepath.Join(t.TempDir(), "j.jsonl")
+	jp := filepath.Join(t.TempDir(), "j.journal")
 	s, err := New(Options{JournalPath: jp}) // default SyncOnClose
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestSyncOnCloseBuffers(t *testing.T) {
 }
 
 func TestSyncEveryNFlushesInWindows(t *testing.T) {
-	jp := filepath.Join(t.TempDir(), "j.jsonl")
+	jp := filepath.Join(t.TempDir(), "j.journal")
 	s, err := New(Options{JournalPath: jp, Sync: SyncEveryN, SyncEvery: 2})
 	if err != nil {
 		t.Fatal(err)

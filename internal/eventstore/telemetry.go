@@ -10,9 +10,10 @@ import (
 // telemetry is off; every handle method is nil-safe, so the hot path only
 // pays the handle's own nil branch.
 type storeTel struct {
-	appendUS     *telemetry.Histogram // Append/AppendBlock wall time
-	flushUS      *telemetry.Histogram // journal buffer flush / fsync time
-	journalBytes *telemetry.Counter   // bytes appended to the journal
+	appendUS      *telemetry.Histogram // Append/AppendBlock wall time
+	flushUS       *telemetry.Histogram // journal buffer flush / fsync time
+	journalBytes  *telemetry.Counter   // bytes appended to the journal
+	journalErrors *telemetry.Counter   // 1 once a journal write or flush has failed
 
 	// aud, when non-nil, receives delivery-conservation counts: every
 	// append is added to auditPart's stored flow and checked against the
@@ -42,9 +43,10 @@ func (s *Store) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 		return
 	}
 	tel := storeTel{
-		appendUS:     reg.Histogram(prefix+".append_us", nil),
-		flushUS:      reg.Histogram(prefix+".flush_us", nil),
-		journalBytes: reg.Counter(prefix + ".journal_bytes"),
+		appendUS:      reg.Histogram(prefix+".append_us", nil),
+		flushUS:       reg.Histogram(prefix+".flush_us", nil),
+		journalBytes:  reg.Counter(prefix + ".journal_bytes"),
+		journalErrors: reg.Counter(prefix + ".journal_errors"),
 	}
 	s.mu.Lock()
 	// Preserve an auditor attached before the mirror: SetAudit and

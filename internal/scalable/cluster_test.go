@@ -11,6 +11,7 @@ import (
 
 	"fsmonitor/internal/cluster"
 	"fsmonitor/internal/events"
+	"fsmonitor/internal/events/eventstest"
 	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/iface"
 	"fsmonitor/internal/msgq"
@@ -144,10 +145,7 @@ func TestClusterSingleNodeWireIdentity(t *testing.T) {
 		{Path: "/a/two.txt", Op: events.OpModify, Root: "/mnt/lustre", Source: "mdt0"},
 		{Path: "/b/three.txt", Op: events.OpDelete, Root: "/mnt/lustre", Source: "mdt0"},
 	}
-	payload, err := events.MarshalBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := eventstest.WireBatch(t, batch, 0, nil)
 
 	classic := rawRepublish(t, TopicPrefix+"mdt0", payload, func(intake string) (string, func()) {
 		agg, err := NewAggregator(AggregatorOptions{
@@ -253,10 +251,7 @@ func TestClusterConsumerHandoffRecovery(t *testing.T) {
 		for i := 0; i < count; i++ {
 			path := fmt.Sprintf("/%s/f%03d", phase, i)
 			p := eventstore.PartitionForPath(path, parts)
-			payload, err := events.MarshalBatch([]events.Event{{Path: path, Op: events.OpCreate, Root: "/mnt", Source: "test"}})
-			if err != nil {
-				t.Fatal(err)
-			}
+			payload := eventstest.WireBatch(t, []events.Event{{Path: path, Op: events.OpCreate, Root: "/mnt", Source: "test"}}, 0, nil)
 			deadline := time.Now().Add(5 * time.Second)
 			for {
 				owner := alive[0].Membership().Assignment().OwnerOf(p)

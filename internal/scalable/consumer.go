@@ -220,7 +220,7 @@ func NewConsumer(opts ConsumerOptions) (*Consumer, error) {
 			}
 			history = nil
 		}
-		var replay []events.Event
+		replay := history[:0] // filtered in place: the source handed the slice over
 		for _, e := range history {
 			if e.Seq != 0 {
 				p := e.Seq % uint64(c.parts)

@@ -3,6 +3,7 @@ package scalable
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"net"
@@ -203,6 +204,80 @@ func TestShardedOneRecoveryWireIdentical(t *testing.T) {
 	}
 }
 
+// The recovery stream is pinned byte for byte: this is the digest of what the
+// server sent for these 2500 events (three pages, renames among them) when
+// it encoded each page with the reference codec, before pages went through
+// a reused Block.
+func TestRecoveryStreamGoldenDigest(t *testing.T) {
+	store, err := eventstore.New(eventstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	base := time.Unix(1700000000, 0).UTC()
+	for i := 0; i < 2500; i++ {
+		e := events.Event{
+			Root: "/mnt/lustre", Op: events.OpCreate, Path: fmt.Sprintf("/wire/f%04d", i),
+			Time: base.Add(time.Duration(i) * time.Millisecond), Source: "mdt0",
+		}
+		if i%7 == 0 {
+			e.Op, e.OldPath, e.Cookie = events.OpMovedTo, e.Path+".old", uint32(i)
+		}
+		if _, err := store.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := NewRecoveryServer(store, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	raw := rawRecoveryResponse(t, srv.Addr(), msgq.Message{Topic: recoveryReqTopic, Payload: encodeSeq(0)})
+	const want = "4c4390e012a3bd91262c7da4def919e6cf314c2b2ae37691b243cb1551921e97"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); len(raw) != 147932 || got != want {
+		t.Fatalf("recovery stream: %d bytes, sha256 %s; want 147932 bytes, %s", len(raw), got, want)
+	}
+}
+
+// A recovery round trip allocates per page — frame payload, interned
+// strings, the server's page — and one result slice, not per event.
+func TestRecoveryClientAllocations(t *testing.T) {
+	const n, perBlock = 100_000, 500
+	eng, err := eventstore.NewSharded(2, eventstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	blk := events.NewBlock(perBlock, 0)
+	for at := 0; at < n; at += perBlock {
+		blk.Reset()
+		for i := at; i < at+perBlock; i++ {
+			e := events.Event{Root: "/mnt/lustre", Op: events.OpModify, Path: fmt.Sprintf("/dir%02d/file%04d", i%64, i%4096), Time: time.Unix(0, int64(i)), Source: "mdt0"}
+			if err := blk.AppendEvent(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := eng.AppendBlockPartition(at/perBlock%2, blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := NewRecoveryServer(eng, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := NewRecoveryClient(srv.Addr())
+	got := testing.AllocsPerRun(2, func() {
+		evs, err := cli.SinceVector([]uint64{0, 0}, 0)
+		if err != nil || len(evs) != n {
+			t.Fatalf("SinceVector = %d events, %v", len(evs), err)
+		}
+	})
+	if perEvent := got / n; perEvent > 0.05 {
+		t.Fatalf("SinceVector over %d events: %v allocs (%.4f/event), want <= 0.05/event", n, got, perEvent)
+	}
+}
+
 // TestPartitionedCrashRestartRecovery kills a partitioned store
 // mid-stream, reopens it from its journal segments, and verifies that
 // partition-aware recovery — both direct RecoveryClient.SinceVector calls
@@ -210,7 +285,7 @@ func TestShardedOneRecoveryWireIdentical(t *testing.T) {
 // NewConsumerVector — replays exactly the missed suffix with no
 // duplicates.
 func TestPartitionedCrashRestartRecovery(t *testing.T) {
-	jp := t.TempDir() + "/agg.jsonl"
+	jp := t.TempDir() + "/agg.journal"
 	storeOpts := eventstore.Options{JournalPath: jp, Sync: eventstore.SyncAlways}
 	eng1, err := eventstore.OpenSharded(2, storeOpts)
 	if err != nil {

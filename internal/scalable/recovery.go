@@ -98,6 +98,7 @@ func (s *RecoveryServer) serve(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
+	page := events.NewBlock(recoveryBatchMax, 0) // every page of this connection is encoded through it
 	for {
 		req, err := msgq.ReadFrame(r)
 		if err != nil {
@@ -146,7 +147,7 @@ func (s *RecoveryServer) serve(conn net.Conn) {
 			_ = msgq.WriteFrame(w, msgq.Message{Topic: recoveryErrTopic, Payload: []byte("bad request")})
 			return
 		}
-		if !stream(w, next) {
+		if !stream(w, page, next) {
 			return
 		}
 	}
@@ -177,9 +178,10 @@ func vectorQuery(src VectorRecoverySource, cursors []uint64) func() ([]events.Ev
 	}
 }
 
-// stream pages next() until empty, framing each page; reports whether the
-// connection is still usable for another request.
-func stream(w *bufio.Writer, next func() ([]events.Event, error)) bool {
+// stream pages next() until empty, framing each page as the wire image of
+// the reused block; reports whether the connection is still usable for
+// another request.
+func stream(w *bufio.Writer, page *events.Block, next func() ([]events.Event, error)) bool {
 	for {
 		batch, err := next()
 		if err != nil {
@@ -189,11 +191,13 @@ func stream(w *bufio.Writer, next func() ([]events.Event, error)) bool {
 		if len(batch) == 0 {
 			break
 		}
-		payload, err := events.MarshalBatch(batch)
-		if err != nil {
-			return false
+		page.Reset()
+		for _, e := range batch {
+			if err := page.AppendEvent(e); err != nil {
+				return false
+			}
 		}
-		if err := msgq.WriteFrame(w, msgq.Message{Topic: recoveryBatchTopic, Payload: payload}); err != nil {
+		if err := msgq.WriteFrame(w, msgq.Message{Topic: recoveryBatchTopic, Payload: page.Wire()}); err != nil {
 			return false
 		}
 	}
@@ -242,6 +246,10 @@ func (c *RecoveryClient) SinceVectorOwned(cursors []uint64, max int) ([]events.E
 	return c.request(msgq.Message{Topic: recoveryVecReqTopic, Payload: encodeSeqVector(cursors)}, max)
 }
 
+// request sends req and collects the answer. Batch frames are decoded as
+// they arrive only to be checked and counted; their payloads are held until
+// the stream ends and then materialized into a result sized once — one
+// string per page, no slice regrown on the way to half a million events.
 func (c *RecoveryClient) request(req msgq.Message, max int) ([]events.Event, []int, error) {
 	conn, err := net.Dial("tcp", c.addr)
 	if err != nil {
@@ -253,9 +261,13 @@ func (c *RecoveryClient) request(req msgq.Message, max int) ([]events.Event, []i
 	if err := msgq.WriteFrame(w, req); err != nil {
 		return nil, nil, err
 	}
-	var out []events.Event
-	var owned []int
-	for {
+	var (
+		pages [][]byte
+		total int
+		owned []int
+		blk   = events.NewBlock(recoveryBatchMax, 0)
+	)
+	for done := false; !done; {
 		f, err := msgq.ReadFrame(r)
 		if err != nil {
 			return nil, nil, err
@@ -266,22 +278,35 @@ func (c *RecoveryClient) request(req msgq.Message, max int) ([]events.Event, []i
 				return nil, nil, fmt.Errorf("scalable: recovery server: bad coverage frame")
 			}
 		case recoveryBatchTopic:
-			batch, err := events.UnmarshalBatch(f.Payload)
-			if err != nil {
+			if err := events.DecodeBlockInto(blk, f.Payload); err != nil {
 				return nil, nil, err
 			}
-			out = append(out, batch...)
-			if max > 0 && len(out) >= max {
-				return out[:max], owned, nil
-			}
+			pages = append(pages, f.Payload)
+			total += blk.Len()
+			done = max > 0 && total >= max
 		case recoveryEndTopic:
-			return out, owned, nil
+			done = true
 		case recoveryErrTopic:
 			return nil, nil, fmt.Errorf("scalable: recovery server: %s", f.Payload)
 		default:
 			return nil, nil, fmt.Errorf("scalable: unexpected recovery frame %q", f.Topic)
 		}
 	}
+	if total == 0 {
+		return nil, owned, nil
+	}
+	out := make([]events.Event, 0, total)
+	for _, p := range pages {
+		if err := events.DecodeBlockInto(blk, p); err != nil {
+			return nil, nil, err
+		}
+		blk.Intern()
+		out = blk.AppendEventsTo(out)
+	}
+	if max > 0 && len(out) > max {
+		out = out[:max]
+	}
+	return out, owned, nil
 }
 
 // encodeParts/decodeParts frame a partition list for the "owned" coverage

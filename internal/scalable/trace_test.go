@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fsmonitor/internal/events"
+	"fsmonitor/internal/events/eventstest"
 	"fsmonitor/internal/iface"
 	"fsmonitor/internal/msgq"
 	"fsmonitor/internal/telemetry"
@@ -145,11 +146,7 @@ func TestTraceFollowsEventAcrossSplit(t *testing.T) {
 	tr.Append(events.TierCollect, now.UnixNano())
 	tr.Append(events.TierResolve, now.UnixNano())
 	tr.Append(events.TierPublish, now.UnixNano())
-	payload, err := events.MarshalBatchTraced(evs, now.UnixNano(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub.Publish(TopicPrefix+"external", payload)
+	pub.Publish(TopicPrefix+"external", eventstest.WireBatch(t, evs, now.UnixNano(), tr))
 
 	if got := drainConsumer(con, 300*time.Millisecond); len(got) != len(evs) {
 		t.Fatalf("delivered %d events, want %d", len(got), len(evs))
