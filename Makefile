@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race fuzz-smoke bench bench-smoke bench-aggregator bench-json bench-telemetry bench-trace bench-mount bench-cluster bench-cluster-json bench-journey flame trace-sample audit-smoke incident-smoke check
+.PHONY: all build fmt vet staticcheck test race fuzz-smoke bench bench-smoke bench-aggregator bench-json bench-telemetry bench-trace bench-mount bench-cluster bench-cluster-json bench-journey flame trace-sample audit-smoke incident-smoke check
 
 all: check
 
@@ -14,6 +14,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would rewrite any source file (the named roots keep
+# it out of .bench_build/, which holds a copy of the tree).
+fmt:
+	@out=$$(gofmt -l *.go cmd examples internal benchmark); \
+	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
 
 # staticcheck runs when the binary is available (CI installs it; dev
 # machines without it skip with a note rather than failing the gate).
@@ -104,10 +110,20 @@ bench-mount:
 	$(GO) test -run '^$$' -bench 'MonitorThroughput' -benchtime 100000x -benchmem ./internal/bench/
 
 # bench-cluster measures aggregate store throughput of the clustered
-# aggregation tier at 1/2/4 nodes over 4 partitions, each node pacing the
-# accounted per-event aggregation cost on its own ingest throttle
-# (acceptance: >= 1.6x aggregate events/s from 1 node to 2). The
-# Telemetry variant re-runs with the observability plane armed — gauges,
+# aggregation tier at 1/2/4 members over 4 partitions. The accounted
+# per-event aggregation cost (2µs) is paced per store lane, exactly as in
+# the classic aggregator (a lane is the paper's serial store thread,
+# whoever runs it), so the model's ceiling is lanes/cost = 2M events/s at
+# every member count and the old ">= 1.6x from 1 node to 2" gate — which
+# one throttle per node guaranteed by construction — is no longer a
+# prediction. It is still what this bench measures on a 2-core host
+# (~0.5M / 1.0M / 2.0M): one aggregator has a single dispatcher in front
+# of its lanes, and when the intake queue holds long single-partition runs
+# the lanes take turns (bench-aggregator shows the same, partitions=4 ~
+# partitions=1), so what members add is intake pipelines. The 1->2 ratio is
+# reported, not gated. Acceptance: no member count below the figure the
+# per-node throttle gave it (0.50M / 0.94M / 2.00M, EXPERIMENTS.md).
+# The Telemetry variant re-runs with the observability plane armed — gauges,
 # conservation audit, federated snapshots — and the events/s delta is
 # the enabled-plane overhead (acceptance: < 5%).
 bench-cluster:
@@ -162,11 +178,11 @@ incident-smoke:
 trace-sample:
 	$(GO) run ./cmd/fsmon -lustre iota -demo -partitions 2 -trace-sample 1 -trace-out traces.json >/dev/null
 
-# check is the pre-PR gate: everything must build, vet (and staticcheck,
-# where installed) clean, pass the full suite under the race detector,
+# check is the pre-PR gate: everything must build, be gofmt-clean, vet (and
+# staticcheck, where installed) clean, pass the full suite under the race detector,
 # survive a fuzz smoke of every parser, hold the tracing-overhead and
 # mount-routing benches, run the event-journey
 # benchmark with its oracle green, keep the cluster delivery-conservation
 # audit balanced, and prove the incident flight recorder captures an
 # injected stall.
-check: build vet staticcheck race fuzz-smoke bench-trace bench-mount bench-journey audit-smoke incident-smoke
+check: build fmt vet staticcheck race fuzz-smoke bench-trace bench-mount bench-journey audit-smoke incident-smoke

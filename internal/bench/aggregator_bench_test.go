@@ -14,63 +14,147 @@ import (
 	"fsmonitor/internal/telemetry"
 )
 
-// benchAggregator drives the aggregation tier with four synthetic
-// collectors publishing pre-marshaled 512-event batches; b.N counts
-// events. reg == nil is the production default (telemetry disabled); a
-// non-nil registry turns on store/latency instrumentation so the two
-// variants measure its overhead. traceEvery1In, when > 0, interleaves
-// span-traced payloads at that per-event sampling rate: a traced batch
-// takes the aggregator's decode → span-append → deferred re-encode path
-// instead of the plain store-lane re-encode.
-func benchAggregator(b *testing.B, parts int, reg *telemetry.Registry, traceEvery1In int) {
-	benchAggregatorOverhead(b, parts, reg, traceEvery1In, time.Microsecond)
+// benchStreams is the number of synthetic collector streams the tier
+// benches publish: one publisher and one pre-marshaled payload each.
+const benchStreams = 4
+
+// benchTier is the topology both tier benches drive: benchStreams
+// synthetic collectors in front of one aggregation tier, which is the
+// classic aggregator when nodes == 0 and a cluster of that many members
+// otherwise. The members are the same type with an ID and a share of the
+// partitions, so everything after construction — payloads, warm-up, the
+// timed loop, the stored count — is one code path.
+type benchTier struct {
+	pubs   []*msgq.Pub
+	aggs   []*scalable.Aggregator
+	topics []string // stream → the intake topic its batches are published on
 }
 
-func benchAggregatorOverhead(b *testing.B, parts int, reg *telemetry.Registry, traceEvery1In int, overhead time.Duration) {
-	const (
-		collectors = 4
-		batchSize  = 512
-	)
-	pubs := make([]*msgq.Pub, collectors)
-	eps := make([]string, collectors)
-	for i := range pubs {
-		pubs[i] = msgq.NewPub(msgq.WithBlockOnFull())
-		eps[i] = fmt.Sprintf("inproc://bench-agg-%p-c%d", b, i)
-		if err := pubs[i].Bind(eps[i]); err != nil {
+// buildTier starts the topology and resolves each stream's intake topic: the
+// per-MDT topic for a classic aggregator (stream c lands in partition
+// c % parts), the owning member's routed inbox for a cluster (the
+// collector's routing decision, pre-computed). Engines are bounded — the
+// benches measure store throughput, not the retention window.
+func buildTier(b *testing.B, nodes, parts int, reg *telemetry.Registry, overhead time.Duration) *benchTier {
+	t := &benchTier{pubs: make([]*msgq.Pub, benchStreams), topics: make([]string, benchStreams)}
+	b.Cleanup(t.close)
+	eps := make([]string, benchStreams)
+	for i := range t.pubs {
+		t.pubs[i] = msgq.NewPub(msgq.WithBlockOnFull())
+		eps[i] = fmt.Sprintf("inproc://bench-tier-%p-c%d", b, i)
+		if err := t.pubs[i].Bind(eps[i]); err != nil {
 			b.Fatal(err)
 		}
 	}
-	defer func() {
-		for _, p := range pubs {
+	member := func(id string, join []string) *scalable.Aggregator {
+		mk := eventstore.NewSharded
+		if id != "" {
+			mk = eventstore.NewShardedClosed
+		}
+		eng, err := mk(parts, eventstore.Options{MaxEvents: 1 << 16})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { eng.Close() })
+		agg, err := scalable.NewAggregator(scalable.AggregatorOptions{
+			ID:                 id,
+			Join:               join,
+			CollectorEndpoints: eps,
+			Endpoint:           fmt.Sprintf("inproc://bench-tier-%p-agg%s", b, id),
+			Engine:             eng,
+			EventOverhead:      overhead,
+			Telemetry:          reg,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		t.aggs = append(t.aggs, agg)
+		return agg
+	}
+	if nodes == 0 {
+		member("", nil)
+		for c := range t.topics {
+			t.topics[c] = fmt.Sprintf("%smdt%d", scalable.TopicPrefix, c)
+		}
+		return t
+	}
+	for i := 0; i < nodes; i++ {
+		var join []string
+		if i > 0 {
+			join = []string{t.aggs[0].CtlEndpoint()}
+		}
+		if err := member(fmt.Sprintf("n%d", i), join).Start(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, n := range t.aggs {
+		if err := n.Membership().WaitMembers(nodes, 10*time.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
+	owner := make([]string, parts) // partition → owning member ID
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		owned := 0
+		for _, n := range t.aggs {
+			for _, p := range n.OwnedPartitions() {
+				owner[p] = n.ID()
+				owned++
+			}
+		}
+		if owned == parts {
+			break
+		}
+		if time.Now().After(deadline) {
+			b.Fatalf("cluster owns %d/%d partitions", owned, parts)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for c := range t.topics {
+		t.topics[c] = msgq.NodeTopic(owner[c%parts], c%parts)
+	}
+	return t
+}
+
+func (t *benchTier) stored() uint64 {
+	var s uint64
+	for _, a := range t.aggs {
+		s += a.Stats().Stored
+	}
+	return s
+}
+
+func (t *benchTier) close() {
+	for _, a := range t.aggs {
+		a.Close()
+	}
+	for _, p := range t.pubs {
+		if p != nil {
 			p.Close()
 		}
-	}()
-	// Bounded engine: the bench measures store throughput, not
-	// retention, so cap the window instead of holding b.N events.
-	eng, err := eventstore.NewSharded(parts, eventstore.Options{MaxEvents: 1 << 16})
-	if err != nil {
-		b.Fatal(err)
 	}
-	defer eng.Close()
-	agg, err := scalable.NewAggregator(scalable.AggregatorOptions{
-		CollectorEndpoints: eps,
-		Endpoint:           fmt.Sprintf("inproc://bench-agg-%p", b),
-		Engine:             eng,
-		EventOverhead:      overhead,
-		Telemetry:          reg,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer agg.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	for _, p := range pubs {
-		if err := p.WaitSubscribed(ctx); err != nil {
-			cancel()
-			b.Fatal(err)
-		}
-	}
-	cancel()
+}
+
+// benchAggregator drives the classic aggregator; see benchTierThroughput.
+func benchAggregator(b *testing.B, parts int, reg *telemetry.Registry, traceEvery1In int) {
+	benchTierThroughput(b, 0, parts, reg, traceEvery1In, time.Microsecond)
+}
+
+// benchTierThroughput drives the aggregation tier with benchStreams
+// synthetic collectors publishing pre-marshaled 512-event batches; b.N
+// counts events. Every store lane paces the accounted per-event aggregation
+// cost on its own throttle — a lane is the paper's serial store thread,
+// whichever aggregator runs it. reg == nil is the production default
+// (telemetry disabled); a non-nil registry turns on the observability plane
+// — store/latency instrumentation and the conservation audit, plus
+// per-member gauges and federated snapshots at heartbeat cadence in a
+// cluster — so the two variants measure its overhead. traceEvery1In, when
+// > 0, interleaves span-traced payloads at that per-event sampling rate: a
+// traced batch takes the aggregator's decode → span-append → deferred
+// re-encode path instead of the plain store-lane re-encode.
+func benchTierThroughput(b *testing.B, nodes, parts int, reg *telemetry.Registry, traceEvery1In int, overhead time.Duration) {
+	const batchSize = 512
+	tier := buildTier(b, nodes, parts, reg, overhead)
 
 	// Collectors only stamp batches when telemetry is attached, so the
 	// disabled variant's payloads carry no stamp (and no stamp wire
@@ -79,8 +163,8 @@ func benchAggregatorOverhead(b *testing.B, parts int, reg *telemetry.Registry, t
 	if reg != nil {
 		stamp = telemetry.Stamp()
 	}
-	payloads := make([][]byte, collectors)
-	traced := make([][]byte, collectors)
+	payloads := make([][]byte, benchStreams)
+	traced := make([][]byte, benchStreams)
 	// tracedEvery interleaves one traced batch per that many published
 	// batches, approximating the per-event 1-in-N rate with batchSize
 	// events per batch (1-in-1024 events ≈ every 2nd batch of 512).
@@ -107,32 +191,46 @@ func benchAggregatorOverhead(b *testing.B, parts int, reg *telemetry.Registry, t
 		}
 	}
 
+	// Warm-up: one single-event batch per stream, republished until the
+	// intake accepts it — the timed loop must not race the connect handshake
+	// and silently drop its first batches.
+	warm := eventstest.WireBatch(b, []events.Event{{
+		Root: "/mnt/lustre", Op: events.OpCreate, Path: "/bench/warm", Source: "bench",
+	}}, 0, nil)
+	for c, pub := range tier.pubs {
+		for pub.PublishCtx(context.Background(), tier.topics[c], warm) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for tier.stored() < benchStreams {
+		time.Sleep(200 * time.Microsecond)
+	}
+
 	batches := (b.N + batchSize - 1) / batchSize
-	total := uint64(batches) * batchSize
+	total := uint64(batches)*batchSize + benchStreams
 	b.ResetTimer()
 	start := time.Now()
-	for c := 0; c < collectors; c++ {
-		n := batches / collectors
-		if c < batches%collectors {
+	for c := 0; c < benchStreams; c++ {
+		n := batches / benchStreams
+		if c < batches%benchStreams {
 			n++
 		}
 		go func(c, n int) {
-			topic := fmt.Sprintf("%smdt%d", scalable.TopicPrefix, c)
 			for k := 0; k < n; k++ {
 				p := payloads[c]
 				if tracedEvery > 0 && k%tracedEvery == 0 {
 					p = traced[c]
 				}
-				pubs[c].Publish(topic, p)
+				tier.pubs[c].Publish(tier.topics[c], p)
 			}
 		}(c, n)
 	}
-	for agg.Stats().Stored < total {
+	for tier.stored() < total {
 		time.Sleep(200 * time.Microsecond)
 	}
 	elapsed := time.Since(start)
 	b.StopTimer()
-	b.ReportMetric(float64(total)/elapsed.Seconds(), "events/s")
+	b.ReportMetric(float64(uint64(batches)*batchSize)/elapsed.Seconds(), "events/s")
 }
 
 // BenchmarkAggregatorThroughput measures aggregate store throughput of the
@@ -161,7 +259,7 @@ func BenchmarkAggregatorThroughput(b *testing.B) {
 func BenchmarkAggregatorThroughputRaw(b *testing.B) {
 	for _, parts := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("partitions=%d", parts), func(b *testing.B) {
-			benchAggregatorOverhead(b, parts, nil, 0, time.Nanosecond)
+			benchTierThroughput(b, 0, parts, nil, 0, time.Nanosecond)
 		})
 	}
 }

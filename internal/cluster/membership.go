@@ -17,9 +17,9 @@ const (
 	// DefaultHeartbeatInterval is how often a member broadcasts a
 	// heartbeat on MembershipTopic.
 	DefaultHeartbeatInterval = 250 * time.Millisecond
-	// defaultFailFactor: a peer is declared dead after this many missed
+	// DefaultFailFactor: a peer is declared dead after this many missed
 	// heartbeat intervals.
-	defaultFailFactor = 4
+	DefaultFailFactor = 4
 	// helloTimeout bounds a join hello to an unreachable ctl inbox.
 	helloTimeout = 5 * time.Second
 )
@@ -196,7 +196,7 @@ func NewMembership(opts MembershipOptions) (*Membership, error) {
 		opts.Interval = DefaultHeartbeatInterval
 	}
 	if opts.FailAfter <= 0 {
-		opts.FailAfter = defaultFailFactor * opts.Interval
+		opts.FailAfter = DefaultFailFactor * opts.Interval
 	}
 	opts.Logger = telemetry.ComponentLogger(opts.Logger, "cluster."+opts.Self.ID)
 	ctl := msgq.NewPull(0)
@@ -227,6 +227,11 @@ func NewMembership(opts MembershipOptions) (*Membership, error) {
 
 // Self returns this participant's info (with resolved addresses).
 func (m *Membership) Self() MemberInfo { return m.opts.Self }
+
+// SetRecovery records the member's advertised recovery-server address, set
+// by the deployment after it wraps the member in a server. Must be called
+// before Start: hellos and heartbeats carry Self unsynchronized.
+func (m *Membership) SetRecovery(addr string) { m.opts.Self.Recovery = addr }
 
 // Start begins heartbeating and announces to the Join seeds.
 func (m *Membership) Start() {

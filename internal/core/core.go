@@ -194,7 +194,14 @@ func New(opts Options) (*Monitor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: attaching DSI: %w", err)
 	}
-	store, err := eventstore.New(opts.Store)
+	// A journal path names history to continue, not a file to start over:
+	// reopening reloads it and resumes the sequence one past its last event,
+	// so a restarted monitor's seqs stay unique and the file stays readable.
+	mkStore := eventstore.New
+	if opts.Store.JournalPath != "" {
+		mkStore = eventstore.Open
+	}
+	store, err := mkStore(opts.Store)
 	if err != nil {
 		d.Close()
 		return nil, err

@@ -8,6 +8,7 @@ import (
 
 	"fsmonitor/internal/dsi"
 	"fsmonitor/internal/events"
+	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/iface"
 	"fsmonitor/internal/vfs"
 )
@@ -157,6 +158,87 @@ func TestEventsSinceAndAck(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("events never all arrived in store")
+}
+
+// TestRestartOnSameJournal runs a monitor twice on one journal path: the
+// second run continues the first one's sequence numbers instead of starting
+// over at 1, a consumer's remembered seq replays exactly what it missed, and
+// the file both runs wrote is one the store (and so fsmon -dump-journal,
+// which reads it with the same ReadJournal) still accepts.
+func TestRestartOnSameJournal(t *testing.T) {
+	jp := filepath.Join(t.TempDir(), "journal")
+	run := func(name string) []events.Event {
+		t.Helper()
+		fs := vfs.New()
+		if err := fs.Mkdir("/w"); err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(Options{
+			Storage: dsi.StorageInfo{Platform: "sim-linux", FSType: "local", Root: "/w"},
+			Backend: fs,
+			Store:   eventstore.Options{JournalPath: jp},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		if err := fs.WriteFile("/w/"+name, 1); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			all, err := m.Since(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mine []events.Event
+			for _, e := range all {
+				if e.Path == "/"+name {
+					mine = append(mine, e)
+				}
+			}
+			if len(mine) == 3 { // create/modify/close
+				return mine
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("run %s: %d of 3 events stored", name, len(mine))
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	first := run("one")
+	second := run("two")
+	last := first[len(first)-1].Seq
+	for i, e := range second {
+		if want := last + uint64(i) + 1; e.Seq != want {
+			t.Fatalf("second run event %d has seq %d, want %d (continuing past %d)", i, e.Seq, want, last)
+		}
+	}
+
+	st, err := eventstore.Open(eventstore.Options{JournalPath: jp})
+	if err != nil {
+		t.Fatalf("a third open refuses the journal two runs wrote: %v", err)
+	}
+	defer st.Close()
+	missed, err := st.Since(last, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missed) != len(second) {
+		t.Fatalf("replay past seq %d = %d events, want the second run's %d", last, len(missed), len(second))
+	}
+	var prev uint64
+	if _, err := eventstore.ReadJournal(jp, func(blk *events.Block, _ uint64) error {
+		for i := 0; blk != nil && i < blk.Len(); i++ {
+			if blk.Seq(i) <= prev {
+				t.Errorf("journal holds seq %d after seq %d", blk.Seq(i), prev)
+			}
+			prev = blk.Seq(i)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestMonitorStats(t *testing.T) {

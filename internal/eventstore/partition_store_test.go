@@ -1,6 +1,7 @@
 package eventstore
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -10,11 +11,16 @@ import (
 
 func TestPartitionStoreSeqLane(t *testing.T) {
 	const parts = 4
+	eng, err := NewShardedClosed(parts, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
 	for part := 0; part < parts; part++ {
-		st, err := NewPartitionStore(parts, part, Options{})
-		if err != nil {
+		if err := eng.OpenPartition(part); err != nil {
 			t.Fatal(err)
 		}
+		st := eng.Partition(part)
 		for k := 1; k <= 3; k++ {
 			seq, err := st.Append(events.Event{Path: fmt.Sprintf("/f%d", k), Op: events.OpCreate})
 			if err != nil {
@@ -25,14 +31,15 @@ func TestPartitionStoreSeqLane(t *testing.T) {
 				t.Fatalf("part %d append %d: seq %d, want %d", part, k, seq, want)
 			}
 		}
-		st.Close()
 	}
 }
 
 // TestPartitionStoreHandoffContinuity is the handoff invariant: a
 // partition journaled by one owner (here, inside a Sharded engine) is
-// recovered by OpenPartitionStore with the same contents, and further
-// appends continue the same sequence lane with no gap or overlap.
+// recovered by another engine's OpenPartition with the same contents, and
+// further appends continue the same sequence lane with no gap or overlap.
+// The new owner holds that partition only: its queries skip the rest and an
+// append to a partition it does not hold is refused.
 func TestPartitionStoreHandoffContinuity(t *testing.T) {
 	const parts = 4
 	base := filepath.Join(t.TempDir(), "journal")
@@ -55,12 +62,22 @@ func TestPartitionStoreHandoffContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := OpenPartitionStore(parts, 2, opts)
+	next, err := NewShardedClosed(parts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	got, err := st.Since(0, 0)
+	defer next.Close()
+	if err := next.OpenPartition(2); err != nil {
+		t.Fatal(err)
+	}
+	if owned := next.OwnedPartitions(); len(owned) != 1 || owned[0] != 2 {
+		t.Fatalf("OwnedPartitions = %v, want [2]", owned)
+	}
+	if _, err := next.AppendBlockPartition(1, blockOf(t, batch)); !errors.Is(err, ErrNotHeld) {
+		t.Fatalf("append to a partition not held: err = %v, want ErrNotHeld", err)
+	}
+	st := next.Partition(2)
+	got, err := next.SinceVector(make([]uint64, parts), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,16 +96,39 @@ func TestPartitionStoreHandoffContinuity(t *testing.T) {
 	if seq != lastOld+parts {
 		t.Fatalf("post-handoff seq %d, want %d (one stride past %d)", seq, lastOld+parts, lastOld)
 	}
+
+	// A snapshot taken while the partition is held keeps answering for it
+	// until the partition is released, and then fails instead of skipping it.
+	snap := next.Snapshot()
+	if err := next.ClosePartition(2); err != nil {
+		t.Fatal(err)
+	}
+	if owned := next.OwnedPartitions(); len(owned) != 0 {
+		t.Fatalf("OwnedPartitions after release = %v, want none", owned)
+	}
+	if got, err := next.Since(0, 0); err != nil || len(got) != 0 {
+		t.Fatalf("query after release = %d events, %v; want none", len(got), err)
+	}
+	if owned := snap.OwnedPartitions(); len(owned) != 1 || owned[0] != 2 {
+		t.Fatalf("snapshot OwnedPartitions = %v, want [2]", owned)
+	}
+	if _, err := snap.Since(0, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("snapshot query after release: err = %v, want ErrClosed", err)
+	}
 }
 
 func TestPartitionStoreValidation(t *testing.T) {
-	if _, err := NewPartitionStore(0, 0, Options{}); err == nil {
+	if _, err := NewShardedClosed(0, Options{}); err == nil {
 		t.Fatal("parts=0 accepted")
 	}
-	if _, err := NewPartitionStore(4, 4, Options{}); err == nil {
+	eng, err := NewShardedClosed(4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.OpenPartition(4); err == nil {
 		t.Fatal("part out of range accepted")
 	}
-	if _, err := OpenPartitionStore(4, -1, Options{}); err == nil {
+	if err := eng.OpenPartition(-1); err == nil {
 		t.Fatal("negative part accepted")
 	}
 }

@@ -3,27 +3,52 @@ package eventstore
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"fsmonitor/internal/events"
+	"fsmonitor/internal/telemetry"
 )
 
-// Sharded is a partitioned Engine: P reference Stores, each with its own
-// mutex and journal segment, carved into interleaved sequence lanes
-// (shard i assigns i+P, i+2P, ... — see PartitionedEngine). Appends to
+// ErrNotHeld is returned by a partition-addressed append to a partition
+// the engine does not currently hold.
+var ErrNotHeld = errors.New("eventstore: partition not held")
+
+// Sharded is the partitioned engine the aggregation tier stores into — the
+// role MySQL plays in the paper's aggregator (§IV-2): P reference Stores,
+// each with its own mutex and journal segment, carved into interleaved
+// sequence lanes. An engine with P partitions assigns partition i the lane
+// i+P, i+2P, i+3P, ... so Seq % P recovers the partition and comparing seqs
+// still yields a cheap global order for Since/recovery queries. Appends to
 // different shards never contend on a lock or a journal buffer, which is
 // what lets the aggregation tier scale past the paper's single aggregator
-// thread, while comparing the shard-tagged seqs still gives a cheap global
-// order for Since/recovery queries.
+// thread.
 //
 // With parts == 1 a Sharded engine is operationally identical to a plain
 // Store — same 1,2,3,... seqs, same journal file at Options.JournalPath —
 // so the default deployment reproduces the single-store behaviour exactly.
+//
+// The engine need not hold every partition. A member of a clustered
+// aggregation tier holds exactly the partitions assigned to it:
+// OpenPartition recovers one from its "<path>.p<i>" journal segment,
+// ClosePartition flushes it back, and because lane and segment are
+// functions of (parts, part) alone a partition handed between members
+// keeps both. Query and maintenance methods skip partitions that are not
+// held.
 type Sharded struct {
-	shards []*Store
+	parts int
+	opts  Options // base options every partition derives its own from
+
+	// shards is the held set, indexed by partition, nil where not held. It
+	// is copy-on-write: readers take one atomic load and see a consistent
+	// set, OpenPartition and ClosePartition swap in a new slice under mu.
+	shards atomic.Pointer[[]*Store]
+	mu     sync.Mutex
+	aud    *telemetry.Audit // attached to partitions opened later
 }
+
+// held returns the current held set.
+func (s *Sharded) held() []*Store { return *s.shards.Load() }
 
 // flushGroup coalesces the SyncEveryN windows of a multi-shard engine
 // into one engine-wide window: shards count journaled events into a
@@ -102,17 +127,19 @@ func buildSharded(parts int, opts Options, mk func(Options) (*Store, error)) (*S
 	if parts < 1 {
 		return nil, errors.New("eventstore: partitions must be >= 1")
 	}
-	s := &Sharded{shards: make([]*Store, parts)}
-	for i := range s.shards {
+	shards := make([]*Store, parts)
+	for i := range shards {
 		st, err := mk(shardOptions(opts, parts, i))
 		if err != nil {
-			for _, done := range s.shards[:i] {
+			for _, done := range shards[:i] {
 				done.Close()
 			}
 			return nil, err
 		}
-		s.shards[i] = st
+		shards[i] = st
 	}
+	s := &Sharded{parts: parts, opts: opts}
+	s.shards.Store(&shards)
 	// Multi-shard SyncEveryN engines share one flush window (see
 	// flushGroup). A single shard keeps its private window so parts == 1
 	// stays operationally identical to a plain Store.
@@ -121,83 +148,130 @@ func buildSharded(parts int, opts Options, mk func(Options) (*Store, error)) (*S
 		if every <= 0 {
 			every = DefaultSyncEvery
 		}
-		g := &flushGroup{every: every, members: s.shards}
-		for _, st := range s.shards {
+		g := &flushGroup{every: every, members: shards}
+		for _, st := range shards {
 			st.group = g
 		}
 	}
 	return s, nil
 }
 
-// validPartition checks a (parts, part) pair for the partition-store
-// constructors.
-func validPartition(parts, part int) error {
+// NewShardedClosed creates a partitioned engine that holds no partition
+// yet: a member of a clustered aggregation tier, which opens each partition
+// as it is assigned one (OpenPartition).
+func NewShardedClosed(parts int, opts Options) (*Sharded, error) {
 	if parts < 1 {
-		return errors.New("eventstore: partitions must be >= 1")
+		return nil, errors.New("eventstore: partitions must be >= 1")
 	}
-	if part < 0 || part >= parts {
-		return fmt.Errorf("eventstore: partition %d out of range [0,%d)", part, parts)
+	s := &Sharded{parts: parts, opts: opts}
+	shards := make([]*Store, parts)
+	s.shards.Store(&shards)
+	return s, nil
+}
+
+// OpenPartition recovers partition part from its journal segment (a
+// missing segment starts empty) and holds it, continuing the lane exactly
+// one stride past the last durable seq. This is the handoff path: the new
+// owner of a partition replays the old owner's segment. Without a
+// JournalPath the partition is in-memory and its lane restarts at its base,
+// so there is nothing for a handoff to replay — durable handoff requires
+// the journal. The opened partition keeps a SyncEveryN window of its own,
+// never a shared one. A partition already held is left as it is.
+func (s *Sharded) OpenPartition(part int) error {
+	if part < 0 || part >= s.parts {
+		return fmt.Errorf("eventstore: partition %d out of range [0,%d)", part, s.parts)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.held()[part] != nil {
+		return nil
+	}
+	mk := Open
+	if s.opts.JournalPath == "" {
+		mk = New
+	}
+	st, err := mk(shardOptions(s.opts, s.parts, part))
+	if err != nil {
+		return err
+	}
+	st.SetAudit(s.aud, part)
+	s.swapLocked(part, st)
 	return nil
 }
 
-// NewPartitionStore creates the single shard holding partition part of a
-// parts-wide engine: the same interleaved sequence lane (part+parts,
-// part+2·parts, ...) and the same journal segment ("<path>.p<part>"
-// when parts > 1) the shard would occupy inside NewSharded(parts, opts).
-// It exists for deployments where one process owns only a subset of the
-// global partitions — a cluster node opens exactly the partitions
-// assigned to it, and because lane and segment are functions of (parts,
-// part) alone, a partition handed off between nodes keeps both.
-func NewPartitionStore(parts, part int, opts Options) (*Store, error) {
-	if err := validPartition(parts, part); err != nil {
-		return nil, err
+// ClosePartition flushes and closes partition part and stops holding it;
+// its journal segment is then complete for the next owner to open. A
+// partition not held is a no-op.
+func (s *Sharded) ClosePartition(part int) error {
+	if part < 0 || part >= s.parts {
+		return nil
 	}
-	return New(shardOptions(opts, parts, part))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.held()[part]
+	if st == nil {
+		return nil
+	}
+	s.swapLocked(part, nil)
+	return st.Close()
 }
 
-// OpenPartitionStore recovers partition part of a parts-wide engine from
-// its journal segment (missing segment starts empty), then continues
-// appending on its sequence lane. This is the handoff path: the new
-// owner of a partition replays the old owner's segment and resumes the
-// lane exactly one stride past the last durable seq. Without a
-// JournalPath the partition store is in-memory: the lane restarts at its
-// base, so there is nothing for a handoff to replay — durable handoff
-// requires the journal.
-func OpenPartitionStore(parts, part int, opts Options) (*Store, error) {
-	if err := validPartition(parts, part); err != nil {
-		return nil, err
-	}
-	if opts.JournalPath == "" {
-		return New(shardOptions(opts, parts, part))
-	}
-	return Open(shardOptions(opts, parts, part))
+// swapLocked publishes a copy of the held set with partition part replaced.
+// Caller holds s.mu.
+func (s *Sharded) swapLocked(part int, st *Store) {
+	next := append([]*Store(nil), s.held()...)
+	next[part] = st
+	s.shards.Store(&next)
 }
 
-// MergeBySeq k-way merges per-partition slices (each already ordered by
-// Seq) into global Seq order, capped at max (<= 0 = all). Exported for
-// the cluster recovery fan-in, which merges partition streams served by
-// different nodes.
-func MergeBySeq(lists [][]events.Event, max int) []events.Event {
-	return mergeBySeq(lists, max)
+// Partition returns the held store of partition part, nil when the
+// partition is not held (or out of range).
+func (s *Sharded) Partition(part int) *Store {
+	if part < 0 || part >= s.parts {
+		return nil
+	}
+	return s.held()[part]
 }
 
-// PartitionForPath is the stable fallback partition function: an FNV-1a
-// hash of the event path. Callers that know a better affinity key (the
-// collector's MDT index) should route on that instead; the hash only has
-// to keep one path's events in one partition.
+// OwnedPartitions returns the sorted partitions the engine holds.
+func (s *Sharded) OwnedPartitions() []int {
+	shards := s.held()
+	out := make([]int, 0, len(shards))
+	for p, sh := range shards {
+		if sh != nil {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// Snapshot freezes the held set into a read-only view sharing the same
+// stores: its OwnedPartitions and its queries describe one store set even
+// while partitions move. The recovery server answers a request from one
+// snapshot, so a partition released mid-request is either covered with its
+// events or — its captured store now closed — fails the round with
+// ErrClosed; it is never claimed as covered with its events missing.
+func (s *Sharded) Snapshot() *Sharded {
+	v := &Sharded{parts: s.parts, opts: s.opts}
+	v.shards.Store(s.shards.Load())
+	return v
+}
+
+// errPartitions builds the mismatched-cursor-vector error.
+func errPartitions(got, want int) error {
+	return fmt.Errorf("eventstore: cursor vector has %d entries, engine has %d partitions", got, want)
+}
+
+// PartitionForPath is PartitionForPathBytes for a path held as a string.
 func PartitionForPath(path string, parts int) int {
-	if parts <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(path))
-	return int(h.Sum32() % uint32(parts))
+	return PartitionForPathBytes([]byte(path), parts)
 }
 
-// PartitionForPathBytes is PartitionForPath over raw path bytes — the
-// event-block routing hop, which hashes arena spans without materializing
-// a string. The two functions agree for every path.
+// PartitionForPathBytes is the stable fallback partition function: an
+// FNV-1a hash of the event path, taken over raw arena bytes so that the
+// event-block routing hop materializes no string. Callers that know a
+// better affinity key (the collector's MDT index) route on that instead;
+// the hash only has to keep one path's events in one partition.
 func PartitionForPathBytes(path []byte, parts int) int {
 	if parts <= 1 {
 		return 0
@@ -214,71 +288,64 @@ func PartitionForPathBytes(path []byte, parts int) int {
 	return int(h % uint32(parts))
 }
 
-// Partitions returns the shard count.
-func (s *Sharded) Partitions() int { return len(s.shards) }
-
-// Append routes the event to its path-hash partition.
-func (s *Sharded) Append(e events.Event) (uint64, error) {
-	return s.shards[PartitionForPath(e.Path, len(s.shards))].Append(e)
-}
+// Partitions returns the partition count P (>= 1), held or not.
+func (s *Sharded) Partitions() int { return s.parts }
 
 // AppendBlockPartition stores the whole block in one shard under a single
-// lock acquisition, assigning seqs into the block's seq column.
+// lock acquisition, assigning seqs into the block's seq column and
+// returning the last one. Callers route by a stable key (MDT index, falling
+// back to path hash) so a key's events share a partition and keep their
+// relative order.
 func (s *Sharded) AppendBlockPartition(part int, blk *events.Block) (uint64, error) {
-	if part < 0 || part >= len(s.shards) {
-		return 0, fmt.Errorf("eventstore: partition %d out of range [0,%d)", part, len(s.shards))
+	if part < 0 || part >= s.parts {
+		return 0, fmt.Errorf("eventstore: partition %d out of range [0,%d)", part, s.parts)
 	}
-	return s.shards[part].AppendBlock(blk)
+	sh := s.held()[part]
+	if sh == nil {
+		return 0, ErrNotHeld
+	}
+	return sh.AppendBlock(blk)
 }
 
-// Since returns up to max events with Seq > seq merged from all shards in
-// global Seq order.
+// collect runs one per-shard query over the held set and merges the results
+// in global Seq order.
+func (s *Sharded) collect(max int, query func(i int, sh *Store) ([]events.Event, error)) ([]events.Event, error) {
+	shards := s.held()
+	lists := make([][]events.Event, len(shards))
+	for i, sh := range shards {
+		if sh == nil {
+			continue
+		}
+		l, err := query(i, sh)
+		if err != nil {
+			return nil, err
+		}
+		lists[i] = l
+	}
+	return MergeBySeq(lists, max), nil
+}
+
+// Since returns up to max events with Seq > seq merged from the held shards
+// in global Seq order.
 func (s *Sharded) Since(seq uint64, max int) ([]events.Event, error) {
-	lists := make([][]events.Event, len(s.shards))
-	for i, sh := range s.shards {
-		l, err := sh.Since(seq, max)
-		if err != nil {
-			return nil, err
-		}
-		lists[i] = l
-	}
-	return mergeBySeq(lists, max), nil
+	return s.collect(max, func(_ int, sh *Store) ([]events.Event, error) { return sh.Since(seq, max) })
 }
 
-// SinceVector returns up to max events past the per-partition cursors,
-// merged in global Seq order.
+// SinceVector returns up to max events not covered by the cursor vector —
+// event e qualifies when e.Seq > cursors[e.Seq % P] — in global Seq order.
+// len(cursors) must equal Partitions().
 func (s *Sharded) SinceVector(cursors []uint64, max int) ([]events.Event, error) {
-	if len(cursors) != len(s.shards) {
-		return nil, errPartitions(len(cursors), len(s.shards))
+	if len(cursors) != s.parts {
+		return nil, errPartitions(len(cursors), s.parts)
 	}
-	lists := make([][]events.Event, len(s.shards))
-	for i, sh := range s.shards {
-		l, err := sh.Since(cursors[i], max)
-		if err != nil {
-			return nil, err
-		}
-		lists[i] = l
-	}
-	return mergeBySeq(lists, max), nil
+	return s.collect(max, func(i int, sh *Store) ([]events.Event, error) { return sh.Since(cursors[i], max) })
 }
 
-// SinceTime returns up to max events recorded at or after t, merged in
-// global Seq order.
-func (s *Sharded) SinceTime(t time.Time, max int) ([]events.Event, error) {
-	lists := make([][]events.Event, len(s.shards))
-	for i, sh := range s.shards {
-		l, err := sh.SinceTime(t, max)
-		if err != nil {
-			return nil, err
-		}
-		lists[i] = l
-	}
-	return mergeBySeq(lists, max), nil
-}
-
-// mergeBySeq k-way merges per-shard slices (each already ordered by Seq)
-// into global Seq order, capped at max (<= 0 = all).
-func mergeBySeq(lists [][]events.Event, max int) []events.Event {
+// MergeBySeq k-way merges per-partition slices (each already ordered by
+// Seq) into global Seq order, capped at max (<= 0 = all). Exported for the
+// cluster recovery fan-in, which merges partition streams served by
+// different members.
+func MergeBySeq(lists [][]events.Event, max int) []events.Event {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
@@ -308,10 +375,13 @@ func mergeBySeq(lists [][]events.Event, max int) []events.Event {
 	return out
 }
 
-// MarkReported applies the global cutoff to every shard: each flags its
-// events with Seq <= seq.
+// MarkReported applies the global cutoff to every held shard: each flags
+// its events with Seq <= seq.
 func (s *Sharded) MarkReported(seq uint64) error {
-	for _, sh := range s.shards {
+	for _, sh := range s.held() {
+		if sh == nil {
+			continue
+		}
 		if err := sh.MarkReported(seq); err != nil {
 			return err
 		}
@@ -319,12 +389,16 @@ func (s *Sharded) MarkReported(seq uint64) error {
 	return nil
 }
 
-// MarkReportedVector flags, per shard i, events with Seq <= cursors[i].
+// MarkReportedVector flags, per held shard i, events with Seq <= cursors[i].
+// len(cursors) must equal Partitions().
 func (s *Sharded) MarkReportedVector(cursors []uint64) error {
-	if len(cursors) != len(s.shards) {
-		return errPartitions(len(cursors), len(s.shards))
+	if len(cursors) != s.parts {
+		return errPartitions(len(cursors), s.parts)
 	}
-	for i, sh := range s.shards {
+	for i, sh := range s.held() {
+		if sh == nil {
+			continue
+		}
 		if err := sh.MarkReported(cursors[i]); err != nil {
 			return err
 		}
@@ -332,10 +406,13 @@ func (s *Sharded) MarkReportedVector(cursors []uint64) error {
 	return nil
 }
 
-// Purge removes reported events from every shard.
+// Purge removes reported events from every held shard.
 func (s *Sharded) Purge() (int, error) {
 	total := 0
-	for _, sh := range s.shards {
+	for _, sh := range s.held() {
+		if sh == nil {
+			continue
+		}
 		n, err := sh.Purge()
 		total += n
 		if err != nil {
@@ -345,11 +422,10 @@ func (s *Sharded) Purge() (int, error) {
 	return total, nil
 }
 
-// Stats sums the shard counters; NextSeq reports the highest shard lane.
+// Stats sums the held shards' counters; NextSeq reports the highest lane.
 func (s *Sharded) Stats() Stats {
 	var agg Stats
-	for _, sh := range s.shards {
-		st := sh.Stats()
+	for _, st := range s.ShardStats() {
 		agg.Retained += st.Retained
 		agg.Reported += st.Reported
 		agg.Appended += st.Appended
@@ -362,58 +438,37 @@ func (s *Sharded) Stats() Stats {
 	return agg
 }
 
-// ShardStats returns each shard's counters (for inspection and tests).
+// ShardStats returns each partition's counters (zero where not held).
 func (s *Sharded) ShardStats() []Stats {
-	out := make([]Stats, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.Stats()
+	out := make([]Stats, s.parts)
+	for i, sh := range s.held() {
+		if sh != nil {
+			out[i] = sh.Stats()
+		}
 	}
 	return out
 }
 
-// Len returns the total retained events across shards.
-func (s *Sharded) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Len()
-	}
-	return n
-}
-
-// LastSeq returns the highest assigned seq across all shards.
-func (s *Sharded) LastSeq() uint64 {
-	var last uint64
-	for _, sh := range s.shards {
-		if l := sh.LastSeq(); l > last {
-			last = l
-		}
-	}
-	return last
-}
-
-// LastSeqVector returns each shard's highest assigned seq.
+// LastSeqVector returns each partition's highest assigned seq (0 = none
+// yet, or not held).
 func (s *Sharded) LastSeqVector() []uint64 {
-	out := make([]uint64, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.LastSeq()
+	out := make([]uint64, s.parts)
+	for i, sh := range s.held() {
+		if sh != nil {
+			out[i] = sh.LastSeq()
+		}
 	}
 	return out
 }
 
-// CompactJournal compacts every shard's journal segment.
-func (s *Sharded) CompactJournal() error {
-	for _, sh := range s.shards {
-		if err := sh.CompactJournal(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Sync flushes every shard journal to disk.
+// Sync flushes every held shard's journal to disk, returning the first
+// error.
 func (s *Sharded) Sync() error {
 	var first error
-	for _, sh := range s.shards {
+	for _, sh := range s.held() {
+		if sh == nil {
+			continue
+		}
 		if err := sh.Sync(); err != nil && first == nil {
 			first = err
 		}
@@ -421,10 +476,13 @@ func (s *Sharded) Sync() error {
 	return first
 }
 
-// Close closes every shard, returning the first error.
+// Close closes every held shard, returning the first error.
 func (s *Sharded) Close() error {
 	var first error
-	for _, sh := range s.shards {
+	for _, sh := range s.held() {
+		if sh == nil {
+			continue
+		}
 		if err := sh.Close(); err != nil && first == nil {
 			first = err
 		}

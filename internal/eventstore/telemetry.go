@@ -77,44 +77,33 @@ func (s *Store) SetAudit(aud *telemetry.Audit, part int) {
 	s.mu.Unlock()
 }
 
-// SetAudit attaches an auditor to every shard, each on its own partition
-// lane. No-op when aud is nil.
+// SetAudit attaches an auditor to every held shard, each on its own
+// partition lane, and to every partition opened later. No-op when aud is
+// nil.
 func (s *Sharded) SetAudit(aud *telemetry.Audit) {
-	for i, sh := range s.shards {
-		sh.SetAudit(aud, i)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.aud = aud
+	for i, sh := range s.held() {
+		if sh != nil {
+			sh.SetAudit(aud, i)
+		}
 	}
 }
 
-// RegisterTelemetry mirrors every shard under "<prefix>.p<i>" — the
+// RegisterTelemetry mirrors every held shard under "<prefix>.p<i>" — the
 // per-partition append/fsync latency and journal-byte surface — plus
 // engine-wide aggregates under the bare prefix. No-op when reg is nil.
 func (s *Sharded) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
-	for i, sh := range s.shards {
-		sh.RegisterTelemetry(reg, fmt.Sprintf("%s.p%d", prefix, i))
+	for i, sh := range s.held() {
+		if sh != nil {
+			sh.RegisterTelemetry(reg, fmt.Sprintf("%s.p%d", prefix, i))
+		}
 	}
-	reg.GaugeFunc(prefix+".partitions", func() float64 { return float64(len(s.shards)) })
+	reg.GaugeFunc(prefix+".partitions", func() float64 { return float64(s.parts) })
 	reg.GaugeFunc(prefix+".retained", func() float64 { return float64(s.Stats().Retained) })
 	reg.GaugeFunc(prefix+".appended", func() float64 { return float64(s.Stats().Appended) })
-}
-
-// RegisterEngineTelemetry mirrors any Engine into reg: Stores and Sharded
-// engines get their full per-partition surface; other engines get
-// GaugeFuncs over the generic Stats counters. No-op when reg is nil.
-func RegisterEngineTelemetry(reg *telemetry.Registry, prefix string, e Engine) {
-	if reg == nil || e == nil {
-		return
-	}
-	switch eng := e.(type) {
-	case *Store:
-		eng.RegisterTelemetry(reg, prefix+".p0")
-	case *Sharded:
-		eng.RegisterTelemetry(reg, prefix)
-	default:
-		reg.GaugeFunc(prefix+".retained", func() float64 { return float64(e.Stats().Retained) })
-		reg.GaugeFunc(prefix+".appended", func() float64 { return float64(e.Stats().Appended) })
-		reg.GaugeFunc(prefix+".purged", func() float64 { return float64(e.Stats().Purged) })
-	}
 }

@@ -118,15 +118,15 @@ func TestOnEvictMayReenter(t *testing.T) {
 	var evicted []int
 	c = NewWithEvict[int, int](2, func(k, v int) {
 		evicted = append(evicted, k)
-		c.Get(k)        // re-entrant lookup of the (gone) victim
+		c.Get(k) // re-entrant lookup of the (gone) victim
 		c.Contains(k + 100)
 	})
 	go func() {
 		defer close(done)
 		c.Set(1, 1)
 		c.Set(2, 2)
-		c.Set(3, 3)    // evicts 1
-		c.Resize(1)    // evicts 2
+		c.Set(3, 3) // evicts 1
+		c.Resize(1) // evicts 2
 	}()
 	select {
 	case <-done:

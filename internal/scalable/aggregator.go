@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"log/slog"
 	"strconv"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fsmonitor/internal/cluster"
 	"fsmonitor/internal/events"
 	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/msgq"
@@ -44,27 +46,32 @@ func newPoolBlock() *events.Block {
 func newTargetBlock() *events.Block { return events.NewBlock(0, 0) }
 
 // AggregatorOptions configures the aggregator service (which the paper
-// deploys on the MGS).
+// deploys on the MGS). The fields from ID down make the aggregator one
+// member of a clustered aggregation tier; left zero, it is the paper's
+// single aggregator and none of the membership machinery exists.
 type AggregatorOptions struct {
 	// CollectorEndpoints are the publisher endpoints of every collector.
+	// Required for a classic aggregator; a cluster member may attach its
+	// collectors later (ConnectCollectors).
 	CollectorEndpoints []string
 	// Endpoint is where the aggregator's own publisher binds (default
-	// "inproc://aggregator").
+	// "inproc://aggregator", "inproc://aggregator-<ID>" for a member). A
+	// member's publisher also carries its membership broadcasts, and peers
+	// subscribe to it for batches forwarded to a partition's new owner.
 	Endpoint string
-	// Engine is the reliable event store engine; it takes precedence
-	// over Store and StorePartitions. If both Engine and Store are nil
-	// (and the store is not disabled) the aggregator creates an
-	// unbounded in-memory sharded engine with StorePartitions shards
-	// (the paper uses MySQL here).
-	Engine eventstore.Engine
-	// Store is the legacy single-store knob (equivalent to Engine with
-	// one partition); retained so existing callers keep working.
-	Store *eventstore.Store
+	// Engine is the reliable event store engine. Nil (and the store not
+	// disabled) creates an unbounded in-memory engine with StorePartitions
+	// shards (the paper uses MySQL here). A cluster member opens and closes
+	// the engine's partitions as ownership moves and closes the rest on
+	// shutdown; its Options.JournalPath is the base every partition derives
+	// its "<path>.p<i>" segment from, which is the handoff medium — shared
+	// or replicated storage in a real deployment, one directory in tests.
+	Engine *eventstore.Sharded
 	// StorePartitions is the partition count for the default engine and
 	// for the aggregation pipeline's store lanes (default
 	// pipeline.DefaultStorePartitions = 1, which reproduces the paper's
-	// single serial store thread). Ignored when Store is set (a plain
-	// Store is one partition).
+	// single serial store thread). Ignored when Engine is set. Every
+	// member of one cluster must use the same count.
 	StorePartitions int
 	// EventOverhead is the accounted aggregation cost per event
 	// (default 500ns), spent on the owning partition's lane.
@@ -72,7 +79,7 @@ type AggregatorOptions struct {
 	// DisableStore skips the reliable event store entirely (sequence
 	// numbers still flow, from per-partition counters). Consumers cannot
 	// fault-recover; exists to quantify the fault-tolerance cost
-	// (DESIGN.md ablations).
+	// (DESIGN.md ablations). Not available to a cluster member.
 	DisableStore bool
 	// QueueSize is the subscription buffer capacity in messages (default
 	// pipeline.DefaultAggregatorQueue).
@@ -80,17 +87,48 @@ type AggregatorOptions struct {
 	// Context aborts the aggregator when canceled (Close remains the
 	// graceful path). Nil means Background.
 	Context context.Context
-	// Telemetry, when non-nil, mirrors the aggregator into the unified
-	// registry under "fsmon.aggregator" (and the engine under
-	// "fsmon.store.p<i>"). Nil (the default) costs nothing.
+	// Telemetry, when non-nil, mirrors a classic aggregator into the
+	// unified registry under "fsmon.aggregator" (and the engine under
+	// "fsmon.store.p<i>"), a cluster member under "fsmon.cluster.<ID>".
+	// Nil (the default) costs nothing.
 	Telemetry *telemetry.Registry
 	// Logger receives component-tagged structured logs; nil discards.
 	Logger *slog.Logger
+
+	// ID names this aggregator as a cluster member (cluster.ValidID) and
+	// switches it to clustered operation: it ingests the routed
+	// "events.node.<ID>.p<part>" topics instead of the per-MDT ones, stores
+	// only the partitions the assignment map gives it, and forwards batches
+	// for any other partition to that partition's owner.
+	ID string
+	// Ctl is the member's join inbox bind (default "<Endpoint>.ctl" for
+	// inproc, "tcp://127.0.0.1:0" when Endpoint is tcp).
+	Ctl string
+	// Advertise, when non-empty, is the externally reachable host
+	// substituted into the advertised publisher and ctl addresses —
+	// required when Endpoint/Ctl bind wildcard addresses (0.0.0.0) that
+	// peers on other machines cannot dial.
+	Advertise string
+	// Join lists ctl inboxes of existing members; empty founds a cluster.
+	Join []string
+	// HeartbeatInterval/FailAfter tune the membership failure detector.
+	HeartbeatInterval time.Duration
+	FailAfter         time.Duration
 }
 
 func (o AggregatorOptions) withDefaults() AggregatorOptions {
 	if o.Endpoint == "" {
 		o.Endpoint = "inproc://aggregator"
+		if o.ID != "" {
+			o.Endpoint += "-" + o.ID
+		}
+	}
+	if o.ID != "" && o.Ctl == "" {
+		if strings.HasPrefix(o.Endpoint, "tcp://") {
+			o.Ctl = "tcp://127.0.0.1:0"
+		} else {
+			o.Ctl = o.Endpoint + ".ctl"
+		}
 	}
 	if o.EventOverhead <= 0 {
 		o.EventOverhead = 500 * time.Nanosecond
@@ -120,6 +158,15 @@ type AggregatorStats struct {
 	// Pipeline is the per-stage view (subscribe → partition → store →
 	// republish).
 	Pipeline []pipeline.Stats
+
+	// PartitionsOwned is how many partitions the aggregator stores right
+	// now: all of them for a classic aggregator, the assigned share for a
+	// cluster member. The remaining fields are zero outside a cluster.
+	PartitionsOwned int
+	StraysForwarded uint64
+	Handoffs        uint64
+	Members         int
+	Epoch           uint64
 }
 
 // Aggregator merges every collector's stream, persists it, and republishes
@@ -131,11 +178,21 @@ type AggregatorStats struct {
 // recovery), and the republish stage publishes stamped batches on the
 // partition's topic. Order is preserved within a partition — one lane owns
 // each partition — while partitions proceed in parallel.
+//
+// The paper has one aggregator; a clustered deployment runs several of
+// this same type, and what differs is only who stores a partition right
+// now. A classic aggregator holds every partition for its whole life. A
+// cluster member (AggregatorOptions.ID) holds the partitions the
+// membership's assignment map gives it, takes the partition of a batch
+// from the routed topic it arrived on, and forwards a batch for a
+// partition it does not (or no longer does) hold to the current owner —
+// the zero-loss path during a reassignment window (ownership.go).
 type Aggregator struct {
 	opts      AggregatorOptions
 	sub       *msgq.Sub
 	pub       *msgq.Pub
-	engine    eventstore.PartitionedEngine // nil when the store is disabled
+	engine    *eventstore.Sharded // nil when the store is disabled
+	mem       *cluster.Membership // nil for a classic aggregator
 	parts     int
 	ownStore  bool
 	throttles []*pace.Throttle // one per store lane
@@ -144,9 +201,13 @@ type Aggregator struct {
 	pipe *pipeline.Pipeline
 	pool *pipeline.Pool[events.Block] // blocks cycling through decode → store → republish
 
+	own ownership // partition acquire/release state (cluster members only)
+
 	received  atomic.Uint64
 	published atomic.Uint64
 	stored    atomic.Uint64
+	strays    atomic.Uint64
+	handoffs  atomic.Uint64
 
 	slog             *slog.Logger
 	storeUS          *telemetry.Histogram // per-batch store-lane wall time
@@ -157,26 +218,31 @@ type Aggregator struct {
 	closeOnce sync.Once
 }
 
-// NewAggregator creates and starts the aggregator.
+// NewAggregator creates the aggregator. A classic aggregator is returned
+// running. A cluster member is returned bound but not started, so that the
+// deployment can wrap it in a recovery server and advertise that address
+// (SetRecovery) before the first heartbeat carries it; call Start.
 func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 	opts = opts.withDefaults()
-	if len(opts.CollectorEndpoints) == 0 {
+	clustered := opts.ID != ""
+	switch {
+	case clustered && !cluster.ValidID(opts.ID):
+		return nil, fmt.Errorf("scalable: invalid aggregator ID %q", opts.ID)
+	case clustered && opts.DisableStore:
+		return nil, errors.New("scalable: a cluster member cannot run with DisableStore (handoff replays the store)")
+	case !clustered && len(opts.CollectorEndpoints) == 0:
 		return nil, errors.New("scalable: AggregatorOptions.CollectorEndpoints is required")
 	}
-	var engine eventstore.PartitionedEngine
-	ownStore := false
-	switch {
-	case opts.DisableStore:
-	case opts.Engine != nil:
-		engine = eventstore.AsPartitioned(opts.Engine)
-	case opts.Store != nil:
-		engine = opts.Store
-	default:
-		sh, err := eventstore.NewSharded(opts.StorePartitions, eventstore.Options{})
-		if err != nil {
+	engine, ownStore := opts.Engine, false
+	if engine == nil && !opts.DisableStore {
+		mk := eventstore.NewSharded
+		if clustered {
+			mk = eventstore.NewShardedClosed
+		}
+		var err error
+		if engine, err = mk(opts.StorePartitions, eventstore.Options{}); err != nil {
 			return nil, err
 		}
-		engine = sh
 		ownStore = true
 	}
 	parts := opts.StorePartitions
@@ -190,21 +256,9 @@ func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 		}
 		return nil, err
 	}
-	sub := msgq.NewSub(msgq.WithRecvBuffer(opts.QueueSize))
-	sub.Subscribe(TopicPrefix)
-	for _, ep := range opts.CollectorEndpoints {
-		if err := sub.Connect(ep); err != nil {
-			pub.Close()
-			sub.Close()
-			if ownStore {
-				engine.Close()
-			}
-			return nil, err
-		}
-	}
 	a := &Aggregator{
 		opts:      opts,
-		sub:       sub,
+		sub:       msgq.NewSub(msgq.WithRecvBuffer(opts.QueueSize)),
 		pub:       pub,
 		engine:    engine,
 		parts:     parts,
@@ -216,69 +270,133 @@ func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 	for i := range a.throttles {
 		a.throttles[i] = pace.NewThrottle()
 	}
-	// At least one collector link must be live before the aggregator
-	// reports ready; collectors that bind later attach automatically (and
-	// hold their Changelogs until then).
-	if err := sub.WaitAnyReady(5 * time.Second); err != nil {
-		pub.Close()
-		sub.Close()
-		if ownStore {
-			engine.Close()
-		}
+	var err error
+	if clustered {
+		a.slog = telemetry.ComponentLogger(opts.Logger, "node."+opts.ID)
+		a.sub.Subscribe(msgq.NodeSubscription(opts.ID))
+		err = a.joinCluster()
+	} else {
+		a.slog = telemetry.ComponentLogger(opts.Logger, "aggregator")
+		a.sub.Subscribe(TopicPrefix)
+		err = a.Start()
+	}
+	if err != nil {
+		a.Close()
 		return nil, err
 	}
-
-	a.slog = telemetry.ComponentLogger(opts.Logger, "aggregator")
-	a.initTelemetry(opts.Telemetry)
-
-	a.pipe = pipeline.New(opts.Context)
-	intake := pipeline.Source(a.pipe, "subscribe", pipeline.DefaultBatchDepth, a.intakeLoop)
-	parted := pipeline.Expand(a.pipe, "partition", pipeline.DefaultBatchDepth, intake, a.partitionBatch)
-	stamped := pipeline.ShardN(a.pipe, "store", pipeline.DefaultBatchDepth, parts, parted,
-		func(pb partBatch) int { return pb.part }, a.storeLane())
-	pipeline.Sink(a.pipe, "republish", stamped, a.republishBatch)
-	a.registerTelemetry(opts.Telemetry)
-	a.slog.Debug("aggregator started", "endpoint", a.pub.Addr(), "partitions", parts)
 	return a, nil
 }
 
-// initTelemetry creates the latency histograms on the store/republish hot
+// Start connects the intake and builds the pipeline; a cluster member also
+// applies the founding assignment and begins heartbeating. NewAggregator
+// has already called it for a classic aggregator.
+func (a *Aggregator) Start() error {
+	if err := a.ConnectCollectors(a.opts.CollectorEndpoints...); err != nil {
+		return err
+	}
+	a.initTelemetry(a.opts.Telemetry)
+	if a.mem == nil {
+		// At least one collector link must be live before the aggregator
+		// reports ready; collectors that bind later attach automatically (and
+		// hold their Changelogs until then).
+		if err := a.sub.WaitAnyReady(5 * time.Second); err != nil {
+			return err
+		}
+	} else {
+		// A founding member applies its initial self-only map immediately; a
+		// joiner waits for the first view that includes its seeds — opening
+		// every partition only to release most of them a heartbeat later
+		// would overlap ownership with the current owners.
+		if len(a.opts.Join) == 0 {
+			a.applyAssignment(a.mem.Assignment())
+		}
+		a.mem.Start()
+	}
+	a.pipe = pipeline.New(a.opts.Context)
+	intake := pipeline.Source(a.pipe, "subscribe", pipeline.DefaultBatchDepth, a.intakeLoop)
+	parted := pipeline.Expand(a.pipe, "partition", pipeline.DefaultBatchDepth, intake, a.partitionBatch)
+	stamped := pipeline.ShardN(a.pipe, "store", pipeline.DefaultBatchDepth, a.parts, parted,
+		func(pb partBatch) int { return pb.part }, a.storeLane)
+	pipeline.Sink(a.pipe, "republish", stamped, a.republishBatch)
+	a.registerTelemetry(a.opts.Telemetry)
+	a.slog.Debug("aggregator started", "endpoint", a.pub.Addr(), "partitions", a.parts)
+	return nil
+}
+
+// ConnectCollectors attaches collector publishers. A clustered deployment
+// starts its members first (collectors route on the cluster view, which
+// needs running members), then the collectors, then this hookup.
+func (a *Aggregator) ConnectCollectors(endpoints ...string) error {
+	for _, ep := range endpoints {
+		if err := a.sub.Connect(ep); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// initTelemetry attaches the conservation audit and, for a classic
+// aggregator, creates the latency histograms on the store/republish hot
 // path (both local lane time and cumulative time since the collector's
-// capture stamp). It must run before the pipeline is built: lane
-// goroutines read these fields without synchronization. No-op when reg is
-// nil.
+// capture stamp). It must run before the pipeline is built: lane goroutines
+// read these fields without synchronization. No-op when reg is nil.
 func (a *Aggregator) initTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
+		return
+	}
+	// The aggregator knows the partition count, so it attaches the auditor
+	// and hands it to the engine's append path (an idempotent attach —
+	// in-process members share one).
+	a.aud = reg.EnableAudit(a.parts)
+	if a.engine != nil {
+		a.engine.SetAudit(a.aud)
+	}
+	if a.mem != nil {
 		return
 	}
 	const prefix = "fsmon.aggregator"
 	a.storeUS = reg.Histogram(prefix+".store_us", nil)
 	a.captureToStoreUS = reg.Histogram(prefix+".capture_to_store_us", nil)
 	a.republishUS = reg.Histogram(prefix+".capture_to_republish_us", nil)
-	// The classic aggregator is the conservation audit's anchor: it knows
-	// the partition count, so it attaches the auditor and hands it to the
-	// engine's append path.
-	a.aud = reg.EnableAudit(a.parts)
-	switch eng := a.engine.(type) {
-	case *eventstore.Store:
-		eng.SetAudit(a.aud, 0)
-	case *eventstore.Sharded:
-		eng.SetAudit(a.aud)
-	}
 }
 
-// registerTelemetry mirrors the aggregator into reg: the engine's
-// per-partition surface under "fsmon.store" and GaugeFunc mirrors of the
-// existing counters. Runs after the pipeline is built so the mirrors can
-// close over live stages. No-op when reg is nil.
+// registerTelemetry mirrors the aggregator into reg. A classic aggregator
+// registers "fsmon.aggregator.*" — counters, pipeline stages, both sockets
+// — and the engine's per-partition surface under "fsmon.store". A cluster
+// member registers "fsmon.cluster.<id>.*" instead: several members can
+// share one process and one registry, so their names carry the member ID,
+// and that prefix is the slice of the registry the member publishes to the
+// federation and the watchdog's cluster rules read. Runs after the pipeline
+// is built so the mirrors can close over live stages. No-op when reg is nil.
 func (a *Aggregator) registerTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	const prefix = "fsmon.aggregator"
+	prefix := "fsmon.aggregator"
+	if a.mem != nil {
+		prefix = "fsmon.cluster." + a.opts.ID
+	}
 	reg.GaugeFunc(prefix+".received", func() float64 { return float64(a.received.Load()) })
-	reg.GaugeFunc(prefix+".published", func() float64 { return float64(a.published.Load()) })
 	reg.GaugeFunc(prefix+".stored", func() float64 { return float64(a.stored.Load()) })
+	if a.mem != nil {
+		reg.GaugeFunc(prefix+".members", func() float64 { return float64(a.mem.Members()) })
+		reg.GaugeFunc(prefix+".epoch", func() float64 { return float64(a.mem.Epoch()) })
+		reg.GaugeFunc(prefix+".partitions_owned", func() float64 { return float64(len(a.engine.OwnedPartitions())) })
+		reg.GaugeFunc(prefix+".handoffs_total", func() float64 { return float64(a.handoffs.Load()) })
+		reg.GaugeFunc(prefix+".heartbeat_age_ms", func() float64 {
+			return float64(a.mem.HeartbeatAge()) / float64(time.Millisecond)
+		})
+		reg.GaugeFunc(prefix+".strays_forwarded", func() float64 { return float64(a.strays.Load()) })
+		// The flight recorder's cluster hook: incidents this process declares
+		// are broadcast through this member. In-process members share one
+		// recorder and any member's pub reaches the mesh, so the last-started
+		// member winning the hook is harmless.
+		if fr := reg.Flight(); fr != nil {
+			fr.SetBroadcast(a.mem.BroadcastIncident)
+		}
+		return
+	}
+	reg.GaugeFunc(prefix+".published", func() float64 { return float64(a.published.Load()) })
 	reg.GaugeFunc(prefix+".partitions", func() float64 { return float64(a.parts) })
 	reg.GaugeFunc(prefix+".utilization", func() float64 {
 		var total float64
@@ -291,24 +409,31 @@ func (a *Aggregator) registerTelemetry(reg *telemetry.Registry) {
 	msgq.RegisterPubTelemetry(reg, prefix+".pub", a.pub)
 	msgq.RegisterSubTelemetry(reg, prefix+".sub", a.sub)
 	if a.engine != nil {
-		eventstore.RegisterEngineTelemetry(reg, "fsmon.store", a.engine)
+		a.engine.RegisterTelemetry(reg, "fsmon.store")
 	}
 }
 
-// Endpoint returns the aggregator's publisher endpoint.
-func (a *Aggregator) Endpoint() string { return a.pub.Addr() }
+// Endpoint returns the aggregator's publisher endpoint — for a cluster
+// member the advertised one (the bound address unless
+// AggregatorOptions.Advertise rewrote the host).
+func (a *Aggregator) Endpoint() string {
+	if a.mem != nil {
+		return a.mem.Self().Endpoint
+	}
+	return a.pub.Addr()
+}
 
 // Partitions returns the store-lane / engine partition count.
 func (a *Aggregator) Partitions() int { return a.parts }
 
 // rawBatch is an unrouted collector message: the wire payload, the shared
 // block pointer when the message arrived on the in-process fast path (nil
-// over TCP), and the MDT index parsed from its topic (-1 when the topic
-// carries none).
+// over TCP), and the partition its topic names (-1 when the topic names
+// none).
 type rawBatch struct {
 	payload []byte
 	blk     *events.Block
-	mdt     int
+	part    int
 }
 
 // partBatch is a batch routed to one partition. Three shapes flow through:
@@ -340,14 +465,27 @@ type repBatch struct {
 // aggregator it is placed in a processing queue"). It does not decode:
 // decoding happens on the owning partition's lane so the work parallelizes
 // — and when the collector shares its block pointer in process, decoding
-// never happens at all.
+// never happens at all. The partition comes from the topic: a collector's
+// MDT index for "events.mdt<N>", the routed partition itself for a cluster
+// member's "events.node.<id>.p<part>" inbox.
 func (a *Aggregator) intakeLoop(ctx context.Context, emit func(rawBatch) bool) error {
 	for {
 		m, ok := a.sub.Recv(ctx)
 		if !ok {
 			return nil
 		}
-		if !emit(rawBatch{payload: m.Payload, blk: m.Block, mdt: mdtFromTopic(m.Topic)}) {
+		part := -1
+		if a.mem != nil {
+			id, p, ok := msgq.ParseNodeTopic(m.Topic)
+			if !ok || id != a.opts.ID || p >= a.parts {
+				a.slog.Warn("dropping misaddressed batch", "topic", m.Topic)
+				continue
+			}
+			part = p
+		} else if mdt := mdtFromTopic(m.Topic); mdt >= 0 {
+			part = mdt % a.parts
+		}
+		if !emit(rawBatch{payload: m.Payload, blk: m.Block, part: part}) {
 			return nil
 		}
 	}
@@ -368,17 +506,13 @@ func mdtFromTopic(topic string) int {
 }
 
 // partitionBatch is the partition router stage: the stable partition
-// function is the collector's MDT index (all of one MDT's events share a
-// partition, keeping their Changelog order), falling back to a per-path
-// hash split for batches whose origin is unknown. The MDT fast path
+// function is the one the batch's topic named (all of one MDT's events
+// share a partition, keeping their Changelog order), falling back to a
+// per-path hash split for batches whose origin is unknown. The fast path
 // forwards the payload undecoded.
 func (a *Aggregator) partitionBatch(_ context.Context, rb rawBatch, emit func(partBatch) bool) {
-	if a.parts == 1 {
-		emit(partBatch{part: 0, payload: rb.payload, blk: rb.blk})
-		return
-	}
-	if rb.mdt >= 0 {
-		emit(partBatch{part: rb.mdt % a.parts, payload: rb.payload, blk: rb.blk})
+	if rb.part >= 0 || a.parts == 1 {
+		emit(partBatch{part: max(rb.part, 0), payload: rb.payload, blk: rb.blk})
 		return
 	}
 	// Path-hash split: decode the payload as a zero-copy block (or adopt
@@ -394,33 +528,8 @@ func (a *Aggregator) partitionBatch(_ context.Context, rb rawBatch, emit func(pa
 			return
 		}
 	}
-	views := make([]*events.Block, a.parts)
-	// The trace follows its sampled event, not the batch: only the view
-	// that carries the event whose key is the trace ID keeps the span
-	// chain across the split.
-	trace := src.Trace()
-	tracePart := -1
-	n := src.Len()
-	for i := 0; i < n; i++ {
-		p := eventstore.PartitionForPathBytes(src.PathBytes(i), a.parts)
-		v := views[p]
-		if v == nil {
-			v = a.pool.Get()
-			v.SetStamp(src.Stamp())
-			views[p] = v
-		}
-		v.AppendFrom(src, i)
-		if trace != nil && tracePart < 0 && src.EventKey(i) == trace.ID {
-			tracePart = p
-		}
-	}
-	if trace != nil && tracePart >= 0 {
-		// src may be a shared frozen block, so the partition span goes on
-		// a copy of its trace, attached to the owning view.
-		tr := &events.BatchTrace{ID: trace.ID, Spans: append([]events.Span(nil), trace.Spans...)}
-		tr.Append(events.TierPartition, time.Now().UnixNano())
-		views[tracePart].SetTrace(tr)
-	}
+	views, traced := splitByPath(a.pool, src, a.parts)
+	traced.AppendNode(events.TierPartition, time.Now().UnixNano(), a.opts.ID)
 	for p, v := range views {
 		if v == nil {
 			continue
@@ -436,89 +545,162 @@ func (a *Aggregator) partitionBatch(_ context.Context, rb rawBatch, emit func(pa
 	}
 }
 
-// storeLane returns the per-partition store stage function: take exclusive
-// ownership of the batch's block (zero-copy decode of a wire payload, or a
-// column clone of a shared frozen block), spend the aggregation overhead on
-// this lane's throttle, and persist the block into the partition's shard —
-// sequence numbers are assigned directly into the seq column, so the
-// republish image is a clone+patch of the received bytes, never a
-// re-marshal. ShardN guarantees one lane owns each partition, so the
-// DisableStore counters need no locking.
-func (a *Aggregator) storeLane() func(context.Context, partBatch) (repBatch, bool) {
-	return func(_ context.Context, pb partBatch) (repBatch, bool) {
-		var start time.Time
-		if a.storeUS != nil {
-			start = time.Now()
+// splitByPath is the path-hash partitioner, shared by the aggregator's
+// router stage and a routing collector: one pooled view block per non-empty
+// partition (nil elsewhere) over src's arena — no event structs, no string
+// copies. The views alias src's bytes, which must outlive them. The trace
+// follows its sampled event, not the batch: only the view that carries the
+// event whose key is the trace ID keeps the span chain, as a copy (src may
+// be a shared frozen block), returned so the caller can append its own hop.
+func splitByPath(pool *pipeline.Pool[events.Block], src *events.Block, parts int) (views []*events.Block, traced *events.BatchTrace) {
+	views = make([]*events.Block, parts)
+	trace := src.Trace()
+	for i, n := 0, src.Len(); i < n; i++ {
+		p := eventstore.PartitionForPathBytes(src.PathBytes(i), parts)
+		v := views[p]
+		if v == nil {
+			v = pool.Get()
+			v.SetStamp(src.Stamp())
+			views[p] = v
 		}
-		blk := pb.blk
-		switch {
-		case blk == nil:
-			blk = a.pool.Get()
-			if err := events.DecodeBlockInto(blk, pb.payload); err != nil {
-				a.pool.Put(blk)
-				a.slog.Warn("dropping undecodable batch", "partition", pb.part, "bytes", len(pb.payload), "err", err)
-				return repBatch{}, false
-			}
-			if tr := blk.Trace(); tr != nil {
-				// The wire fast path forwards payloads undecoded, so the
-				// partition hop is only observable here, at lane entry.
-				tr.Append(events.TierPartition, time.Now().UnixNano())
-				blk.MarkTraceDirty()
-			}
-		case !pb.owned:
-			// In-process pointer fast path: the received block is frozen,
-			// so sequence assignment works on a clone — seqs copied, every
-			// other column, the arena and the wire image shared.
-			c := a.pool.Get()
-			c.CloneFrom(blk)
-			blk = c
-			if tr := blk.Trace(); tr != nil {
-				tr.Append(events.TierPartition, time.Now().UnixNano())
-				blk.MarkTraceDirty()
-			}
+		v.AppendFrom(src, i)
+		if trace != nil && traced == nil && src.EventKey(i) == trace.ID {
+			traced = &events.BatchTrace{ID: trace.ID, Spans: append([]events.Span(nil), trace.Spans...)}
+			v.SetTrace(traced)
 		}
-		n := blk.Len()
-		if n == 0 {
+	}
+	return views, traced
+}
+
+// storeLane is the per-partition store stage: take exclusive ownership of
+// the batch's block (zero-copy decode of a wire payload, or a column clone
+// of a shared frozen block) and persist the block into the partition's
+// shard — sequence numbers are assigned directly into the seq column, so
+// the republish image is a clone+patch of the received bytes, never a
+// re-marshal. ShardN guarantees one lane owns each partition, so
+// within-partition order is preserved through the store and the
+// DisableStore counters need no locking. Spans carry the member ID (empty
+// for a classic aggregator), so a traced event that crossed a handoff or a
+// stray-forward renders as one chain with each hop attributed to its node.
+func (a *Aggregator) storeLane(ctx context.Context, pb partBatch) (repBatch, bool) {
+	var start time.Time
+	if a.storeUS != nil {
+		start = time.Now()
+	}
+	blk := pb.blk
+	switch {
+	case blk == nil:
+		blk = a.pool.Get()
+		if err := events.DecodeBlockInto(blk, pb.payload); err != nil {
 			a.pool.Put(blk)
+			a.slog.Warn("dropping undecodable batch", "partition", pb.part, "bytes", len(pb.payload), "err", err)
 			return repBatch{}, false
 		}
-		a.received.Add(uint64(n))
+		// The wire fast path forwards payloads undecoded, so the
+		// partition hop is only observable here, at lane entry.
+		a.span(blk, events.TierPartition)
+	case !pb.owned:
+		// In-process pointer fast path: the received block is frozen,
+		// so sequence assignment works on a clone — seqs copied, every
+		// other column, the arena and the wire image shared.
+		c := a.pool.Get()
+		c.CloneFrom(blk)
+		blk = c
+		a.span(blk, events.TierPartition)
+	}
+	n := blk.Len()
+	if n == 0 {
+		a.pool.Put(blk)
+		return repBatch{}, false
+	}
+	a.received.Add(uint64(n))
+	if a.engine == nil {
 		a.throttles[pb.part].Spend(time.Duration(n) * a.opts.EventOverhead)
-		if a.engine != nil {
-			if _, err := a.engine.AppendBlockPartition(pb.part, blk); err != nil {
-				// Store rejection (e.g. capacity): drop the batch but
-				// keep the service alive for subsequent ones.
-				a.slog.Error("store append failed, dropping batch", "partition", pb.part, "events", n, "err", err)
+		// Counter-only stamping mirrors the sharded lanes: partition
+		// p assigns p+P, p+2P, ... (1,2,3,... when P == 1). Intern so
+		// consumers materialize delivered events from one string copy.
+		blk.Intern()
+		stride := uint64(a.parts)
+		for i := 0; i < n; i++ {
+			a.counters[pb.part]++
+			blk.SetSeq(i, uint64(pb.part)+a.counters[pb.part]*stride)
+		}
+		// No engine to report the audit's stored boundary, so the
+		// counter lane reports it directly.
+		a.aud.Stored(pb.part, n)
+		a.aud.StoreSeq(pb.part, uint64(pb.part)+(a.counters[pb.part]-uint64(n)+1)*stride, n, stride)
+	} else if !a.persist(ctx, pb.part, blk, n) {
+		return repBatch{}, false
+	}
+	a.stored.Add(uint64(n))
+	if a.storeUS != nil {
+		a.storeUS.ObserveSince(start)
+		if us := telemetry.SinceStampUS(blk.Stamp()); us >= 0 {
+			a.captureToStoreUS.Observe(us)
+		}
+	}
+	a.span(blk, events.TierStore)
+	return repBatch{part: pb.part, blk: blk, n: n, stamp: blk.Stamp()}, true
+}
+
+// span appends a tier span under this aggregator's identity to a traced
+// block; untraced blocks are untouched.
+func (a *Aggregator) span(blk *events.Block, tier uint8) {
+	if tr := blk.Trace(); tr != nil {
+		tr.AppendNode(tier, time.Now().UnixNano(), a.opts.ID)
+		blk.MarkTraceDirty()
+	}
+}
+
+// persist appends the block to the partition's store, spending the
+// aggregation overhead on the lane's throttle, or — a cluster member that
+// does not (or no longer does) hold the partition — forwards it to the
+// current owner. It reports whether the block was stored here; when it was
+// not, the block has been recycled or handed on.
+func (a *Aggregator) persist(ctx context.Context, part int, blk *events.Block, n int) bool {
+	for {
+		if st := a.store(part); st != nil {
+			a.throttles[part].Spend(time.Duration(n) * a.opts.EventOverhead)
+			_, err := st.AppendBlock(blk)
+			if err == nil {
+				return true
+			}
+			if a.store(part) == st {
+				// Still the holder: a real store failure (e.g. capacity), not
+				// a handoff race. Drop the batch but keep the service alive
+				// for subsequent ones.
+				a.slog.Error("store append failed, dropping batch", "partition", part, "events", n, "err", err)
 				a.pool.Put(blk)
-				return repBatch{}, false
+				return false
 			}
-		} else {
-			// Counter-only stamping mirrors the sharded lanes: partition
-			// p assigns p+P, p+2P, ... (1,2,3,... when P == 1). Intern so
-			// consumers materialize delivered events from one string copy.
-			blk.Intern()
-			stride := uint64(a.parts)
-			for i := 0; i < n; i++ {
-				a.counters[pb.part]++
-				blk.SetSeq(i, uint64(pb.part)+a.counters[pb.part]*stride)
-			}
-			// No engine to report the audit's stored boundary, so the
-			// counter lane reports it directly.
-			a.aud.Stored(pb.part, n)
-			a.aud.StoreSeq(pb.part, uint64(pb.part)+(a.counters[pb.part]-uint64(n)+1)*stride, n, stride)
+			continue // lost the partition mid-append: re-route
 		}
-		a.stored.Add(uint64(n))
-		if a.storeUS != nil {
-			a.storeUS.ObserveSince(start)
-			if us := telemetry.SinceStampUS(blk.Stamp()); us >= 0 {
-				a.captureToStoreUS.Observe(us)
+		if a.mem == nil {
+			a.slog.Error("engine does not hold partition, dropping batch", "partition", part, "events", n)
+			a.pool.Put(blk)
+			return false
+		}
+		// Not the owner: forward to whoever is. The routed topic goes out
+		// on our own pub — every member's intake is subscribed to its
+		// inbox on every peer pub, so the forward is one hop (the lane-entry
+		// partition span already records it under this member's identity).
+		if topic, ok := a.mem.OwnerTopic(part); ok && topic != msgq.NodeTopic(a.opts.ID, part) {
+			if delivered, shared := a.pub.PublishBlockCtx(ctx, topic, blk); delivered > 0 {
+				a.strays.Add(uint64(n))
+				if !shared {
+					a.pool.Put(blk)
+				}
+				return false
 			}
 		}
-		if tr := blk.Trace(); tr != nil {
-			tr.Append(events.TierStore, time.Now().UnixNano())
-			blk.MarkTraceDirty()
+		// Owner unknown, not yet subscribed, or it is us but the store
+		// has not opened yet (assignment in flight): wait and re-check.
+		select {
+		case <-ctx.Done():
+			a.pool.Put(blk)
+			return false
+		case <-time.After(time.Millisecond):
 		}
-		return repBatch{part: pb.part, blk: blk, n: n, stamp: blk.Stamp()}, true
 	}
 }
 
@@ -533,13 +715,10 @@ func (a *Aggregator) republishBatch(ctx context.Context, rb repBatch) {
 	if a.parts > 1 {
 		topic = msgq.PartitionTopic(AggTopic, rb.part)
 	}
-	if tr := rb.blk.Trace(); tr != nil {
-		// The republish span is stamped before encoding so it rides inside
-		// the payload (traced batches re-encode; untraced ones go out as a
-		// clone+patch of the received bytes).
-		tr.Append(events.TierRepublish, time.Now().UnixNano())
-		rb.blk.MarkTraceDirty()
-	}
+	// The republish span is stamped before encoding so it rides inside
+	// the payload (traced batches re-encode; untraced ones go out as a
+	// clone+patch of the received bytes).
+	a.span(rb.blk, events.TierRepublish)
 	_, shared := a.pub.PublishBlockCtx(ctx, topic, rb.blk)
 	a.published.Add(uint64(rb.n))
 	a.aud.Republished(rb.part, rb.n)
@@ -554,7 +733,8 @@ func (a *Aggregator) republishBatch(ctx context.Context, rb repBatch) {
 }
 
 // Since serves the consumer fault-recovery API: events with sequence
-// numbers greater than seq, from the reliable store, in global order.
+// numbers greater than seq, from the reliable store (the partitions held
+// here, for a cluster member), in global order.
 func (a *Aggregator) Since(seq uint64, max int) ([]events.Event, error) {
 	if a.engine == nil {
 		return nil, errors.New("scalable: aggregator store disabled")
@@ -610,11 +790,15 @@ func (a *Aggregator) Purge() (int, error) {
 // Stats returns a snapshot of the aggregator's counters.
 func (a *Aggregator) Stats() AggregatorStats {
 	st := AggregatorStats{
-		Received:   a.received.Load(),
-		Published:  a.published.Load(),
-		Stored:     a.stored.Load(),
-		Partitions: a.parts,
-		Pipeline:   a.pipe.Stats(),
+		Received:        a.received.Load(),
+		Published:       a.published.Load(),
+		Stored:          a.stored.Load(),
+		Partitions:      a.parts,
+		StraysForwarded: a.strays.Load(),
+		Handoffs:        a.handoffs.Load(),
+	}
+	if a.pipe != nil {
+		st.Pipeline = a.pipe.Stats()
 	}
 	for _, t := range a.throttles {
 		st.BusyTime += t.Busy()
@@ -622,6 +806,11 @@ func (a *Aggregator) Stats() AggregatorStats {
 	}
 	if a.engine != nil {
 		st.Store = a.engine.Stats()
+		st.PartitionsOwned = len(a.engine.OwnedPartitions())
+	}
+	if a.mem != nil {
+		st.Members = a.mem.Members()
+		st.Epoch = a.mem.Epoch()
 	}
 	return st
 }
@@ -633,19 +822,40 @@ func (a *Aggregator) ResetAccounting() {
 	}
 }
 
-// Close stops the aggregator: the subscription closes (ending the intake
-// source after its buffer drains), the stages drain in order, then the
-// publisher and any owned store shut down.
-func (a *Aggregator) Close() {
+// shutdown is the shared teardown: the subscription closes (ending the
+// intake source after its buffer drains), the stages drain in order, a
+// cluster member flushes and releases its partitions and leaves (graceful)
+// or just stops (not), then the publisher and any owned store shut down.
+func (a *Aggregator) shutdown(graceful bool) {
 	a.closeOnce.Do(func() {
 		a.sub.Close()
-		a.pipe.Drain(pipeline.DefaultDrainGrace)
+		if a.pipe != nil {
+			a.pipe.Drain(pipeline.DefaultDrainGrace)
+		}
+		if a.mem != nil {
+			a.releaseAll()
+			if graceful {
+				a.mem.Close()
+			} else {
+				a.mem.Kill()
+			}
+		}
 		a.pub.Close()
 		if a.ownStore {
 			a.engine.Close()
 		}
 	})
 }
+
+// Close stops the aggregator gracefully. A cluster member's leave
+// broadcast lets peers take its partitions over immediately.
+func (a *Aggregator) Close() { a.shutdown(true) }
+
+// Kill stops a cluster member abruptly — no leave broadcast, peers must
+// detect the silence. Tests use it to exercise failure-driven handoff; the
+// partitions' durability is whatever the journal Sync policy guaranteed
+// at the moment of death.
+func (a *Aggregator) Kill() { a.shutdown(false) }
 
 // encodeSeq/decodeSeq frame a sequence number for the recovery protocol.
 func encodeSeq(seq uint64) []byte {

@@ -1,10 +1,13 @@
 package scalable
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -93,90 +96,194 @@ func TestClusterDeployEndToEnd(t *testing.T) {
 	}
 }
 
-// rawRepublish publishes one pre-marshaled batch into an aggregation tier
-// over TCP and captures the republished wire payload, also over TCP — TCP
-// on both hops forces real encoding on the republish side. makeTier
-// builds the tier subscribed to the given intake endpoint and returns its
-// publisher endpoint plus a cleanup.
-func rawRepublish(t *testing.T, intakeTopic string, payload []byte, makeTier func(intakeEndpoint string) (string, func())) []byte {
+// tierOutput is everything a consumer can observe of an aggregation tier
+// fed one op stream: the republished wire images per topic, and the raw
+// recovery-server responses to a scalar and a vector request from zero.
+type tierOutput struct {
+	republished   map[string][][]byte
+	since, sincev []byte
+}
+
+// runTier feeds a fixed op stream — twelve batches dealt round-robin over
+// the partitions, renames among them — into a classic aggregator (id "") or
+// a founding one-member cluster (id set), over inproc (the collector shares
+// its block pointers) or TCP (real encoding on both hops), and captures what
+// comes out.
+func runTier(t *testing.T, parts int, transport, id string) tierOutput {
 	t.Helper()
-	pub := msgq.NewPub(msgq.WithBlockOnFull())
-	if err := pub.Bind("tcp://127.0.0.1:0"); err != nil {
+	endpoint := func(role string) string {
+		if transport == "tcp" {
+			return "tcp://127.0.0.1:0"
+		}
+		return fmt.Sprintf("inproc://wireid-%p-%s-%s", t, role, id)
+	}
+	col := msgq.NewPub(msgq.WithBlockOnFull())
+	if err := col.Bind(endpoint("col")); err != nil {
 		t.Fatal(err)
 	}
-	defer pub.Close()
-	tierEndpoint, cleanup := makeTier(pub.Addr())
-	defer cleanup()
+	defer col.Close()
+	opts := AggregatorOptions{
+		ID:                 id,
+		CollectorEndpoints: []string{col.Addr()},
+		Endpoint:           endpoint("agg"),
+		StorePartitions:    parts,
+	}
+	agg, err := NewAggregator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	if id != "" {
+		if err := agg.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sub := msgq.NewSub()
 	sub.Subscribe(AggTopic)
-	if err := sub.Connect(tierEndpoint); err != nil {
+	if err := sub.Connect(agg.Endpoint()); err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
 	if err := sub.WaitReady(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for pub.PublishCtx(context.Background(), intakeTopic, payload) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("intake never subscribed")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	out, ok := sub.Recv(ctx)
-	if !ok {
-		t.Fatal("no republished batch")
+	if err := col.WaitSubscribed(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if out.Topic != AggTopic {
-		t.Fatalf("republish topic %q, want %q", out.Topic, AggTopic)
+
+	const batches, perBatch = 12, 5
+	base := time.Unix(1700000000, 0).UTC()
+	for b := 0; b < batches; b++ {
+		blk := events.NewBlock(perBatch, 0)
+		for i := 0; i < perBatch; i++ {
+			n := b*perBatch + i
+			e := events.Event{
+				Root: "/mnt/lustre", Op: events.OpCreate, Path: fmt.Sprintf("/wire/d%d/f%03d", b, i),
+				Time: base.Add(time.Duration(n) * time.Millisecond), Source: fmt.Sprintf("mdt%d", b%parts),
+			}
+			if n%7 == 0 {
+				e.Op, e.OldPath, e.Cookie = events.OpMovedTo, e.Path+".old", uint32(n)
+			}
+			if err := blk.AppendEvent(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		topic := fmt.Sprintf("%smdt%d", TopicPrefix, b%parts)
+		if id != "" {
+			topic = msgq.NodeTopic(id, b%parts)
+		}
+		if delivered, _ := col.PublishBlockCtx(ctx, topic, blk); delivered == 0 {
+			t.Fatalf("batch %d reached no intake", b)
+		}
 	}
-	return out.Payload
+
+	out := tierOutput{republished: map[string][][]byte{}}
+	for got := 0; got < batches; got++ {
+		m, ok := sub.Recv(ctx)
+		if !ok {
+			t.Fatalf("republished %d of %d batches", got, batches)
+		}
+		wire := m.Payload
+		if m.Block != nil {
+			wire = m.Block.Wire()
+		}
+		out.republished[m.Topic] = append(out.republished[m.Topic], wire)
+	}
+	srv, err := NewRecoveryServer(agg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	out.since = rawRecoveryResponse(t, srv.Addr(), msgq.Message{Topic: recoveryReqTopic, Payload: encodeSeq(0)})
+	out.sincev = rawRecoveryResponse(t, srv.Addr(), msgq.Message{Topic: recoveryVecReqTopic, Payload: encodeSeqVector(make([]uint64, parts))})
+	return out
 }
 
-// TestClusterSingleNodeWireIdentity proves the ISSUE's compatibility bar:
-// a one-node cluster republishes byte-for-byte what the classic
-// single-process aggregator would for the same input batch — same topic,
-// same sequence lane, same wire image.
+// TestClusterSingleNodeWireIdentity proves the compatibility bar of the one
+// aggregation tier: a founding one-member cluster republishes byte for byte
+// what the classic aggregator does for the same op stream — same topics,
+// same sequence lanes, same wire images — and serves the same recovery
+// stream. The only difference a consumer can see is the coverage frame a
+// member puts in front of a vector response (it holds every partition here,
+// and says so); a classic aggregator sends none.
 func TestClusterSingleNodeWireIdentity(t *testing.T) {
-	batch := []events.Event{
-		{Path: "/a/one.txt", Op: events.OpCreate, Root: "/mnt/lustre", Source: "mdt0"},
-		{Path: "/a/two.txt", Op: events.OpModify, Root: "/mnt/lustre", Source: "mdt0"},
-		{Path: "/b/three.txt", Op: events.OpDelete, Root: "/mnt/lustre", Source: "mdt0"},
+	for _, parts := range []int{1, 4} {
+		for _, transport := range []string{"inproc", "tcp"} {
+			t.Run(fmt.Sprintf("partitions=%d/%s", parts, transport), func(t *testing.T) {
+				classic := runTier(t, parts, transport, "")
+				clustered := runTier(t, parts, transport, "n0")
+
+				if len(classic.republished) != parts {
+					t.Fatalf("classic republished on %d topics, want %d", len(classic.republished), parts)
+				}
+				for topic, want := range classic.republished {
+					got := clustered.republished[topic]
+					if len(got) != len(want) {
+						t.Fatalf("topic %s: clustered republished %d batches, classic %d", topic, len(got), len(want))
+					}
+					for i := range want {
+						if !bytes.Equal(got[i], want[i]) {
+							t.Fatalf("topic %s batch %d: wire differs:\nclassic   %d bytes %x\nclustered %d bytes %x",
+								topic, i, len(want[i]), want[i], len(got[i]), got[i])
+						}
+					}
+				}
+
+				digest := func(b []byte) string { return fmt.Sprintf("%d bytes sha256 %x", len(b), sha256.Sum256(b)) }
+				if !bytes.Equal(classic.since, clustered.since) {
+					t.Fatalf("scalar recovery stream differs: classic %s, clustered %s", digest(classic.since), digest(clustered.since))
+				}
+				var coverage bytes.Buffer
+				all := make([]int, parts)
+				for p := range all {
+					all[p] = p
+				}
+				w := bufio.NewWriter(&coverage)
+				if err := msgq.WriteFrame(w, msgq.Message{Topic: recoveryOwnedTopic, Payload: encodeParts(all)}); err != nil {
+					t.Fatal(err)
+				}
+				if want := append(coverage.Bytes(), classic.sincev...); !bytes.Equal(clustered.sincev, want) {
+					t.Fatalf("vector recovery stream: clustered %s, want the full coverage frame then classic's %s",
+						digest(clustered.sincev), digest(classic.sincev))
+				}
+			})
+		}
 	}
-	payload := eventstest.WireBatch(t, batch, 0, nil)
+}
 
-	classic := rawRepublish(t, TopicPrefix+"mdt0", payload, func(intake string) (string, func()) {
-		agg, err := NewAggregator(AggregatorOptions{
-			CollectorEndpoints: []string{intake},
-			Endpoint:           "tcp://127.0.0.1:0",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return agg.Endpoint(), agg.Close
-	})
-
-	clustered := rawRepublish(t, msgq.NodeTopic("n0", 0), payload, func(intake string) (string, func()) {
-		node, err := cluster.NewNode(cluster.NodeOptions{
-			ID:                 "n0",
-			Endpoint:           "tcp://127.0.0.1:0",
-			CollectorEndpoints: []string{intake},
-			Parts:              1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := node.Start(); err != nil {
-			t.Fatal(err)
-		}
-		return node.Endpoint(), node.Close
-	})
-
-	if !bytes.Equal(classic, clustered) {
-		t.Fatalf("single-node cluster wire differs from classic aggregator:\nclassic   %d bytes %x\nclustered %d bytes %x",
-			len(classic), classic, len(clustered), clustered)
+// TestClassicAggregatorHasNoMembership pins what "membership is a parameter"
+// costs a classic deployment: nothing. No ctl inbox is bound (the address a
+// member would have taken is still free), no membership exists, and no
+// membership goroutine runs.
+func TestClassicAggregatorHasNoMembership(t *testing.T) {
+	col := msgq.NewPub()
+	if err := col.Bind(fmt.Sprintf("inproc://classic-%p-col", t)); err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	endpoint := fmt.Sprintf("inproc://classic-%p-agg", t)
+	agg, err := NewAggregator(AggregatorOptions{CollectorEndpoints: []string{col.Addr()}, Endpoint: endpoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	if agg.Membership() != nil || agg.ID() != "" {
+		t.Fatalf("classic aggregator has membership %v, ID %q", agg.Membership(), agg.ID())
+	}
+	if snap := agg.RecoverySnapshot(); snap != nil {
+		t.Fatalf("classic aggregator limits its recovery coverage to %v", snap.OwnedPartitions())
+	}
+	ctl := msgq.NewPull(0)
+	if err := ctl.Bind(endpoint + ".ctl"); err != nil {
+		t.Fatalf("the ctl inbox address is taken: %v", err)
+	}
+	ctl.Close()
+	stacks := make([]byte, 1<<20)
+	stacks = stacks[:runtime.Stack(stacks, true)]
+	if bytes.Contains(stacks, []byte("cluster.(*Membership).tickLoop")) {
+		t.Fatalf("a heartbeat goroutine is running:\n%s", stacks)
 	}
 }
 
@@ -188,16 +295,8 @@ func TestClusterSingleNodeWireIdentity(t *testing.T) {
 func TestClusterConsumerHandoffRecovery(t *testing.T) {
 	const parts = 4
 	journal := filepath.Join(t.TempDir(), "journal")
-	newNode := func(id string, join ...string) (*cluster.Node, *RecoveryServer) {
-		n, err := cluster.NewNode(cluster.NodeOptions{
-			ID:                id,
-			Endpoint:          fmt.Sprintf("inproc://handoff-%p-%s", t, id),
-			Join:              join,
-			Parts:             parts,
-			Store:             eventstore.Options{JournalPath: journal, Sync: eventstore.SyncAlways},
-			HeartbeatInterval: 10 * time.Millisecond,
-			FailAfter:         60 * time.Millisecond,
-		})
+	newNode := func(id string, join ...string) (*Aggregator, *RecoveryServer) {
+		n, err := NewAggregator(memberOptions(t, id, parts, journal, join...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +315,7 @@ func TestClusterConsumerHandoffRecovery(t *testing.T) {
 	defer rec0.Close()
 	n1, rec1 := newNode("n1", n0.CtlEndpoint())
 	defer n1.Close()
-	for _, n := range []*cluster.Node{n0, n1} {
+	for _, n := range []*Aggregator{n0, n1} {
 		if err := n.Membership().WaitMembers(2, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -239,12 +338,12 @@ func TestClusterConsumerHandoffRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col.Close()
-	for _, n := range []*cluster.Node{n0, n1} {
+	for _, n := range []*Aggregator{n0, n1} {
 		if err := n.ConnectCollectors(col.Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	alive := []*cluster.Node{n0, n1}
+	alive := []*Aggregator{n0, n1}
 	publish := func(phase string, count int) map[string]bool {
 		t.Helper()
 		paths := map[string]bool{}

@@ -29,7 +29,6 @@ import (
 
 	"fsmonitor/internal/cache"
 	"fsmonitor/internal/events"
-	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/lustre"
 	"fsmonitor/internal/msgq"
 	"fsmonitor/internal/pipeline"
@@ -518,35 +517,11 @@ func (c *Collector) publishRouted(ctx context.Context, blk *events.Block) bool {
 		}
 		return ok
 	}
-	// Path-hash split over the resolved block, mirroring the partitioned
-	// aggregator's router stage: one pooled view per non-empty partition
-	// over the same arena — no event structs, no string copies. The views
-	// adopt blk's own arena by reference, so blk must outlive every view:
-	// it recycles only below, and never once any view is shared with an
-	// in-process subscriber.
-	views := make([]*events.Block, parts)
-	trace := blk.Trace()
-	tracePart := -1
-	n := blk.Len()
-	for i := 0; i < n; i++ {
-		p := eventstore.PartitionForPathBytes(blk.PathBytes(i), parts)
-		v := views[p]
-		if v == nil {
-			v = c.pool.Get()
-			v.SetStamp(blk.Stamp())
-			views[p] = v
-		}
-		v.AppendFrom(blk, i)
-		if trace != nil && tracePart < 0 && blk.EventKey(i) == trace.ID {
-			tracePart = p
-		}
-	}
-	if trace != nil && tracePart >= 0 {
-		// The trace follows its sampled event: only the view carrying the
-		// event whose key is the trace ID keeps the span chain.
-		tr := &events.BatchTrace{ID: trace.ID, Spans: append([]events.Span(nil), trace.Spans...)}
-		views[tracePart].SetTrace(tr)
-	}
+	// The aggregator's own partitioner, run at the source. The views adopt
+	// blk's arena by reference, so blk must outlive every view: it recycles
+	// only below, and never once any view is shared with an in-process
+	// subscriber.
+	views, _ := splitByPath(c.pool, blk, parts)
 	all, anyShared := true, false
 	for p, v := range views {
 		if v == nil {

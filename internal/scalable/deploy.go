@@ -37,28 +37,24 @@ type DeployOptions struct {
 	// Transport selects endpoints: "inproc" (default) or "tcp"
 	// (127.0.0.1 with kernel-assigned ports).
 	Transport string
-	// Store is the aggregator's reliable store (nil = in-memory).
-	// A plain Store is one partition; to combine partitioning with a
-	// custom engine, pass Engine instead.
-	Store *eventstore.Store
-	// Engine is the aggregator's reliable store engine; takes precedence
-	// over Store.
-	Engine eventstore.Engine
+	// Engine is the aggregator's reliable store engine (nil = in-memory
+	// with StorePartitions shards).
+	Engine *eventstore.Sharded
 	// StorePartitions shards the aggregation tier: the reliable store,
 	// the aggregator's store lanes, and the republish topics all split
 	// into this many partitions keyed by MDT index (default
 	// pipeline.DefaultStorePartitions = 1, the paper's single serial
 	// store — Tables IV/VII re-runs stay calibrated). Ignored when
-	// Store/Engine supply their own partition count.
+	// Engine supplies its own partition count.
 	StorePartitions int
 	// ClusterNodes deploys the aggregation tier as a cluster of this many
-	// aggregator nodes (internal/cluster) instead of the single
-	// Aggregator: collectors route each batch slice to the partition
+	// aggregators (members of one internal/cluster membership) instead of
+	// the single one: collectors route each batch slice to the partition
 	// owner's inbox topic, every node stores and republishes the
 	// partitions it owns, and consumers recover through a fan-out across
 	// all nodes' recovery servers. 0 (the default) keeps the classic
-	// single-aggregator deployment; Store/Engine are ignored when
-	// clustered (use ClusterStore). StorePartitions is raised to at least
+	// single-aggregator deployment; Engine is ignored when clustered (use
+	// ClusterStore). StorePartitions is raised to at least
 	// ClusterNodes so every node owns work.
 	ClusterNodes int
 	// ClusterJoin lists ctl inboxes of an existing cluster's members:
@@ -116,7 +112,7 @@ type Monitor struct {
 	Aggregator *Aggregator
 	// Nodes are the in-process members of the clustered aggregation tier
 	// (DeployOptions.ClusterNodes > 0).
-	Nodes      []*cluster.Node
+	Nodes      []*Aggregator
 	cluster    *lustre.Cluster
 	opts       DeployOptions
 	router     *cluster.Membership // collector-side observer view (clustered only)
@@ -176,7 +172,6 @@ func Deploy(cluster *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		CollectorEndpoints: endpoints,
 		Endpoint:           aggEp,
 		Engine:             opts.Engine,
-		Store:              opts.Store,
 		StorePartitions:    opts.StorePartitions,
 		Context:            opts.Context,
 		Telemetry:          opts.Telemetry,
@@ -195,40 +190,40 @@ func Deploy(cluster *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 
 // NewConsumer attaches a consumer to this deployment's aggregation tier
 // with fault recovery. The consumer adopts the tier's partition count
-// automatically; against a cluster it subscribes to every node and
-// recovers through the fan-out.
+// automatically; against a cluster it subscribes to every member's
+// republish stream and recovers through the coverage-checked fan-out across
+// every member's recovery server.
 func (m *Monitor) NewConsumer(filter iface.Filter, sinceSeq uint64) (*Consumer, error) {
-	if m.router != nil {
-		return m.newClusterConsumer(filter, sinceSeq, nil)
-	}
-	return NewConsumer(ConsumerOptions{
-		AggregatorEndpoint: m.Aggregator.Endpoint(),
-		Filter:             filter,
-		Recover:            m.Aggregator,
-		SinceSeq:           sinceSeq,
-		StorePartitions:    m.Aggregator.Partitions(),
-		Context:            m.opts.Context,
-		Telemetry:          m.opts.Telemetry,
-		Logger:             m.opts.Logger,
-	})
+	return m.newConsumer(filter, sinceSeq, nil)
 }
 
 // NewConsumerVector attaches a consumer resuming from per-partition
 // cursors (a previous consumer's LastSeqVector) — the precise restart path
 // for partitioned and clustered deployments.
 func (m *Monitor) NewConsumerVector(filter iface.Filter, sinceVector []uint64) (*Consumer, error) {
-	if m.router != nil {
-		return m.newClusterConsumer(filter, 0, sinceVector)
+	return m.newConsumer(filter, 0, sinceVector)
+}
+
+func (m *Monitor) newConsumer(filter iface.Filter, sinceSeq uint64, sinceVector []uint64) (*Consumer, error) {
+	opts := ConsumerOptions{
+		Filter:      filter,
+		SinceSeq:    sinceSeq,
+		SinceVector: sinceVector,
+		Context:     m.opts.Context,
+		Telemetry:   m.opts.Telemetry,
+		Logger:      m.opts.Logger,
 	}
-	return NewConsumer(ConsumerOptions{
-		AggregatorEndpoint: m.Aggregator.Endpoint(),
-		Filter:             filter,
-		Recover:            m.Aggregator,
-		SinceVector:        sinceVector,
-		Context:            m.opts.Context,
-		Telemetry:          m.opts.Telemetry,
-		Logger:             m.opts.Logger,
-	})
+	if m.router != nil {
+		eps, recs := m.clusterEndpoints()
+		opts.AggregatorEndpoints = eps
+		opts.Recover = NewRecoveryFanout(m.parts, recs...)
+		opts.StorePartitions = m.parts
+	} else {
+		opts.AggregatorEndpoint = m.Aggregator.Endpoint()
+		opts.Recover = m.Aggregator
+		opts.StorePartitions = m.Aggregator.Partitions()
+	}
+	return NewConsumer(opts)
 }
 
 // ResetAccounting restarts every component's utilization window.
@@ -245,9 +240,9 @@ func (m *Monitor) ResetAccounting() {
 type Stats struct {
 	Collectors []CollectorStats
 	Aggregator AggregatorStats
-	// Nodes holds per-node snapshots of the clustered aggregation tier
+	// Nodes holds per-member snapshots of the clustered aggregation tier
 	// (empty for classic deployments).
-	Nodes []cluster.NodeStats
+	Nodes []AggregatorStats
 }
 
 // Stats returns a deployment-wide snapshot.

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"fsmonitor/internal/cluster"
-	"fsmonitor/internal/iface"
+	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/lustre"
 	"fsmonitor/internal/metrics"
 	"fsmonitor/internal/pipeline"
@@ -83,8 +83,9 @@ func clusterBindHost(opts DeployOptions) string {
 	return "127.0.0.1"
 }
 
-// deployCluster is Deploy's clustered path: N aggregator nodes replace
-// the single Aggregator. The order matters — nodes first (and their
+// deployCluster is Deploy's clustered path: N aggregators, each a member
+// holding its share of the partitions, replace the single one. The order
+// matters — nodes first (and their
 // recovery servers, so the advertised address rides in the join hello),
 // then the routing observer (which needs a live member to join), then the
 // collectors (whose Router is the observer's view), and finally the
@@ -130,14 +131,18 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		if i > 0 {
 			join = append([]string{m.Nodes[0].CtlEndpoint()}, opts.ClusterJoin...)
 		}
-		n, err := cluster.NewNode(cluster.NodeOptions{
+		engine, err := eventstore.NewShardedClosed(parts, opts.ClusterStore)
+		if err != nil {
+			m.Close()
+			return nil, err
+		}
+		n, err := NewAggregator(AggregatorOptions{
 			ID:        id,
 			Endpoint:  ep,
 			Ctl:       ctl,
 			Advertise: opts.ClusterAdvertise,
 			Join:      join,
-			Parts:     parts,
-			Store:     opts.ClusterStore,
+			Engine:    engine,
 			Context:   opts.Context,
 			Telemetry: opts.Telemetry,
 			Logger:    opts.Logger,
@@ -151,9 +156,8 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		if opts.Transport == "tcp" || external {
 			recBind = net.JoinHostPort(bindHost, "0")
 		}
-		rec, err := NewRecoveryServer(nodeRecoverySource{n}, recBind)
+		rec, err := NewRecoveryServer(n, recBind)
 		if err != nil {
-			n.Close()
 			m.Close()
 			return nil, err
 		}
@@ -296,18 +300,6 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 	return m, nil
 }
 
-// nodeRecoverySource adapts a cluster node to the recovery server's
-// snapshotting contract: the server's coverage frame and query run
-// against one atomic capture of the node's store set, so a partition
-// moving mid-request is either fully covered or fails the round.
-type nodeRecoverySource struct {
-	*cluster.Node
-}
-
-func (s nodeRecoverySource) RecoverySnapshot() RecoverySourceSnapshot {
-	return s.Node.RecoverySnapshot()
-}
-
 // ClusterMembers returns the identities and reachable addresses of every
 // known cluster member: this process's nodes first, then members joined
 // from other processes (from the observer's view). Deployments print
@@ -332,52 +324,16 @@ func (m *Monitor) ClusterMembers() []cluster.MemberInfo {
 	return out
 }
 
-// clusterEndpoints gathers the current member publisher endpoints and
-// recovery addresses: the in-process nodes first (deterministic order),
-// then anything else the observer's view knows (nodes joined from other
-// processes).
+// clusterEndpoints gathers what a consumer dials: every known member's
+// publisher endpoint and recovery address, in ClusterMembers order.
 func (m *Monitor) clusterEndpoints() (eps, recovery []string) {
-	seenEP := map[string]bool{}
-	seenRec := map[string]bool{}
-	add := func(ep, rec string) {
-		if ep != "" && !seenEP[ep] {
-			seenEP[ep] = true
-			eps = append(eps, ep)
+	for _, mi := range m.ClusterMembers() {
+		eps = append(eps, mi.Endpoint)
+		if mi.Recovery != "" {
+			recovery = append(recovery, mi.Recovery)
 		}
-		if rec != "" && !seenRec[rec] {
-			seenRec[rec] = true
-			recovery = append(recovery, rec)
-		}
-	}
-	for i, n := range m.Nodes {
-		rec := ""
-		if i < len(m.recoveries) {
-			rec = m.recoveries[i].Addr()
-		}
-		add(n.Endpoint(), rec)
-	}
-	for _, p := range m.router.Peers() {
-		add(p.Endpoint, p.Recovery)
 	}
 	return eps, recovery
-}
-
-// newClusterConsumer attaches a consumer to the clustered tier: subscribed
-// to every node's republish stream, recovering through the coverage-checked
-// fan-out across every node's recovery server.
-func (m *Monitor) newClusterConsumer(filter iface.Filter, sinceSeq uint64, sinceVector []uint64) (*Consumer, error) {
-	eps, recs := m.clusterEndpoints()
-	return NewConsumer(ConsumerOptions{
-		AggregatorEndpoints: eps,
-		Filter:              filter,
-		Recover:             NewRecoveryFanout(m.parts, recs...),
-		SinceSeq:            sinceSeq,
-		SinceVector:         sinceVector,
-		StorePartitions:     m.parts,
-		Context:             m.opts.Context,
-		Telemetry:           m.opts.Telemetry,
-		Logger:              m.opts.Logger,
-	})
 }
 
 // ClusterParts returns the clustered tier's partition count (0 for

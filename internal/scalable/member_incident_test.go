@@ -1,12 +1,10 @@
-package cluster
+package scalable
 
 import (
-	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/telemetry"
 )
 
@@ -14,7 +12,7 @@ import (
 // flight recorder — the multi-process shape, where coordination must ride
 // the cluster.telemetry topic rather than a shared in-process recorder.
 type incidentNode struct {
-	node *Node
+	node *Aggregator
 	reg  *telemetry.Registry
 	fr   *telemetry.FlightRecorder
 }
@@ -30,24 +28,11 @@ func newIncidentNode(t *testing.T, id, journal string, join ...string) *incident
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewNode(NodeOptions{
-		ID:                id,
-		Endpoint:          fmt.Sprintf("inproc://incident-%p-%s-%d", t, id, time.Now().UnixNano()),
-		Join:              join,
-		Parts:             4,
-		Store:             eventstore.Options{JournalPath: journal, Sync: eventstore.SyncAlways},
-		HeartbeatInterval: 20 * time.Millisecond,
-		FailAfter:         250 * time.Millisecond,
-		Telemetry:         reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Start(); err != nil {
-		n.Close()
-		t.Fatal(err)
-	}
-	return &incidentNode{node: n, reg: reg, fr: fr}
+	opts := memberOptions(t, id, 4, journal, join...)
+	opts.HeartbeatInterval = 20 * time.Millisecond
+	opts.FailAfter = 250 * time.Millisecond
+	opts.Telemetry = reg
+	return &incidentNode{node: startMember(t, opts), reg: reg, fr: fr}
 }
 
 // hasBundle reports whether the member's incident dir holds a bundle for
@@ -94,7 +79,7 @@ func TestClusterCoordinatedIncident(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			for _, in := range members {
-				t.Logf("%s: captures=%d has=%v", in.node.opts.ID, in.fr.Captures(), in.hasBundle(info.ID))
+				t.Logf("%s: captures=%d has=%v", in.node.ID(), in.fr.Captures(), in.hasBundle(info.ID))
 			}
 			t.Fatalf("only %d/%d members captured incident %s", done, len(members), info.ID)
 		}

@@ -1,13 +1,11 @@
-package cluster
+package scalable
 
 import (
-	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/telemetry"
 )
 
@@ -31,32 +29,19 @@ func TestClusterHealthzMemberDeathAndRejoin(t *testing.T) {
 	t.Cleanup(health.Close)
 	reg.SetHealth(health)
 
-	newNode := func(id string, join ...string) *Node {
+	newNode := func(id string, join ...string) *Aggregator {
 		t.Helper()
-		n, err := NewNode(NodeOptions{
-			ID:                id,
-			Endpoint:          fmt.Sprintf("inproc://healthtest-%p-%s-%d", t, id, time.Now().UnixNano()),
-			Join:              join,
-			Parts:             parts,
-			Store:             eventstore.Options{JournalPath: journal, Sync: eventstore.SyncAlways},
-			HeartbeatInterval: 20 * time.Millisecond,
-			FailAfter:         failAfter,
-			Telemetry:         reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Start(); err != nil {
-			n.Close()
-			t.Fatal(err)
-		}
-		return n
+		opts := memberOptions(t, id, parts, journal, join...)
+		opts.HeartbeatInterval = 20 * time.Millisecond
+		opts.FailAfter = failAfter
+		opts.Telemetry = reg
+		return startMember(t, opts)
 	}
 	n0 := newNode("n0")
 	defer n0.Close()
 	n1 := newNode("n1", n0.CtlEndpoint())
 	defer n1.Close()
-	for _, n := range []*Node{n0, n1} {
+	for _, n := range []*Aggregator{n0, n1} {
 		if err := n.Membership().WaitMembers(2, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}

@@ -316,10 +316,9 @@ type MountDeployOptions struct {
 	Root string
 	// Transport selects endpoints: "inproc" (default) or "tcp".
 	Transport string
-	// Engine / Store / StorePartitions configure the aggregator's
-	// reliable store exactly as in DeployOptions.
-	Engine          eventstore.Engine
-	Store           *eventstore.Store
+	// Engine / StorePartitions configure the aggregator's reliable store
+	// exactly as in DeployOptions.
+	Engine          *eventstore.Sharded
 	StorePartitions int
 	// BatchSize / FlushInterval tune every mount collector's batching.
 	BatchSize     int
@@ -397,7 +396,6 @@ func DeployMounts(mounts []MountSource, opts MountDeployOptions) (*MountMonitor,
 		CollectorEndpoints: endpoints,
 		Endpoint:           aggEp,
 		Engine:             opts.Engine,
-		Store:              opts.Store,
 		StorePartitions:    opts.StorePartitions,
 		Context:            opts.Context,
 		Telemetry:          opts.Telemetry,

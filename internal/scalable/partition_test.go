@@ -171,7 +171,7 @@ func TestShardedOneRecoveryWireIdentical(t *testing.T) {
 		if _, err := store.Append(e); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sharded.Append(e); err != nil {
+		if _, err := sharded.Partition(0).Append(e); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,29 +23,24 @@ const (
 	recoveryBatchTopic  = "batch"
 	recoveryEndTopic    = "end"
 	recoveryErrTopic    = "error"
-	// recoveryOwnedTopic is the optional coverage frame a partition-owning
-	// source (a cluster node) sends first in a "sincev" response: the
-	// partitions its answer actually covers. Sources without
-	// OwnedPartitions never send it, so the classic recovery wire is
-	// untouched; clients ignore the frame unless they asked for coverage.
+	// recoveryOwnedTopic is the optional coverage frame a source that holds
+	// only some partitions (a cluster member) sends first in a "sincev"
+	// response: the partitions its answer actually covers. Other sources
+	// never send it, so the classic recovery wire is untouched; clients
+	// ignore the frame unless they asked for coverage.
 	recoveryOwnedTopic = "owned"
 	recoveryBatchMax   = 1024
 )
 
-// PartitionOwner is the optional recovery-source extension a clustered
-// store implements: which partitions its answers cover. The recovery
-// server advertises it to fan-out clients via the "owned" frame.
-type PartitionOwner interface {
-	OwnedPartitions() []int
-}
-
-// RecoverySnapshotter is the stronger form of PartitionOwner: one call
-// captures coverage and queryability atomically, so the "owned" frame
-// and the events that follow it describe the same store set even while
-// a rebalance is moving partitions. Without it, a partition released
-// between the coverage read and the query would be claimed as covered
-// with its events silently missing — the fan-out client would accept
-// the round and drop that partition's history.
+// RecoverySnapshotter is the optional recovery-source extension of a
+// source that may hold only some partitions: one call captures coverage and
+// queryability atomically, so the "owned" frame and the events that follow
+// it describe the same store set even while a rebalance is moving
+// partitions. Reading coverage and querying separately would let a
+// partition released in between be claimed as covered with its events
+// silently missing — the fan-out client would accept the round and drop
+// that partition's history. A nil snapshot means the source answers for
+// every partition (a classic aggregator): no coverage frame is sent.
 type RecoverySnapshotter interface {
 	RecoverySnapshot() RecoverySourceSnapshot
 }
@@ -115,23 +110,18 @@ func (s *RecoveryServer) serve(conn net.Conn) {
 				_ = msgq.WriteFrame(w, msgq.Message{Topic: recoveryErrTopic, Payload: []byte("bad cursor vector")})
 				return
 			}
-			// Coverage header: only partition-owning sources send it, so a
-			// classic aggregator's response stream is unchanged. A
-			// snapshotting source freezes coverage and query together —
-			// the frame and the events describe the same store set even
-			// mid-rebalance.
+			// Coverage header: only a source holding a subset sends it, so a
+			// classic aggregator's response stream is unchanged. The
+			// snapshot freezes coverage and query together — the frame and
+			// the events describe the same store set even mid-rebalance.
 			var snap RecoverySourceSnapshot
 			if ss, ok := s.src.(RecoverySnapshotter); ok {
 				snap = ss.RecoverySnapshot()
+			}
+			if snap != nil {
 				if err := msgq.WriteFrame(w, msgq.Message{Topic: recoveryOwnedTopic, Payload: encodeParts(snap.OwnedPartitions())}); err != nil {
 					return
 				}
-			} else if po, ok := s.src.(PartitionOwner); ok {
-				if err := msgq.WriteFrame(w, msgq.Message{Topic: recoveryOwnedTopic, Payload: encodeParts(po.OwnedPartitions())}); err != nil {
-					return
-				}
-			}
-			if snap != nil {
 				next = vectorQuery(snap, cursors)
 			} else if vsrc, ok := s.src.(VectorRecoverySource); ok {
 				next = vectorQuery(vsrc, cursors)
