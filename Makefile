@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet staticcheck test race fuzz-smoke bench bench-smoke bench-aggregator bench-json bench-telemetry bench-trace bench-mount bench-cluster bench-cluster-json bench-journey flame trace-sample audit-smoke incident-smoke check
+.PHONY: all build fmt vet staticcheck loc test race fuzz-smoke bench bench-smoke bench-aggregator bench-json bench-telemetry bench-trace bench-mount bench-cluster bench-cluster-json bench-journey flame trace-sample audit-smoke incident-smoke check
 
 all: check
 
@@ -29,6 +29,12 @@ staticcheck:
 	else \
 		echo "staticcheck: not installed, skipping (CI runs it)"; \
 	fi
+
+# loc prints the figure every simplicity PR is gated on: committed non-test
+# Go lines outside benchmark/ (the benchmark's own module may not change in
+# such a PR, so it is not part of the count).
+loc:
+	@git ls-files '*.go' | grep -v '^benchmark/' | grep -v '_test\.go$$' | xargs cat | wc -l
 
 race:
 	$(GO) test -race -shuffle=on ./...

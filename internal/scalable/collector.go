@@ -21,13 +21,13 @@ package scalable
 import (
 	"context"
 	"errors"
-	"fmt"
 	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"fsmonitor/internal/cache"
+	"fsmonitor/internal/dsi"
 	"fsmonitor/internal/events"
 	"fsmonitor/internal/lustre"
 	"fsmonitor/internal/msgq"
@@ -37,7 +37,10 @@ import (
 )
 
 // TopicPrefix is the message-queue topic prefix for collector event
-// batches; the per-MDT topic is TopicPrefix + "mdt<N>".
+// batches; the per-MDT topic is TopicPrefix + "mdt<N>", a mounted
+// backend's TopicPrefix + "mount.<name>". Sharing the prefix is what lets
+// both kinds of collector feed one aggregation tier through one
+// subscription.
 const TopicPrefix = "events."
 
 // ParentDirectoryRemoved is the path reported when both the target and its
@@ -47,9 +50,9 @@ const ParentDirectoryRemoved = resolve.ParentDirectoryRemoved
 
 // Router maps store partitions to their owning aggregator node. A routed
 // collector publishes each batch slice to the owning node's inbox topic
-// instead of its own per-MDT topic, and re-resolves the owner between
-// delivery retries, so an in-flight batch follows a partition handoff to
-// the new owner. cluster.Membership (observer mode) implements it.
+// instead of its own topic, and re-resolves the owner between delivery
+// retries, so an in-flight batch follows a partition handoff to the new
+// owner. cluster.Membership (observer mode) implements it.
 type Router interface {
 	// Parts is the partition count batches are split by.
 	Parts() int
@@ -58,7 +61,30 @@ type Router interface {
 	OwnerTopic(part int) (string, bool)
 }
 
-// CollectorOptions configures one collector service.
+// fixedRoute is the Router of a collector that was given none: a single
+// partition whose owner is always the collector's own topic, so the whole
+// batch goes out unsplit on "events.mdt<N>" / "events.mount.<name>".
+type fixedRoute string
+
+func (r fixedRoute) Parts() int                    { return 1 }
+func (r fixedRoute) OwnerTopic(int) (string, bool) { return string(r), true }
+
+// MountSource names one mounted backend: the capture side of a collector
+// that drains an arbitrary DSI instead of a Changelog. The DSI is typically
+// opened through the dsi registry.
+type MountSource struct {
+	// Prefix is the unified-namespace mount point (e.g. "/lustre").
+	Prefix string
+	// Name overrides the telemetry-safe mount name
+	// (default mount.PointName(Prefix)).
+	Name string
+	// DSI is the opened backend to mount. A started collector owns it
+	// (Close closes it).
+	DSI dsi.DSI
+}
+
+// CollectorOptions configures one collector service. What it captures is
+// whichever of Cluster and Mount.DSI is set — exactly one must be.
 type CollectorOptions struct {
 	// Cluster is the file system whose Changelog is read.
 	Cluster *lustre.Cluster
@@ -67,6 +93,12 @@ type CollectorOptions struct {
 	// MountPoint is the client mount path used as the event root
 	// (e.g. "/mnt/lustre").
 	MountPoint string
+	// Mount is the mounted backend drained instead of a Changelog: an
+	// already-standardized DSI stream, rewritten under Mount.Prefix into
+	// the unified namespace (root "/") and batched by size or age
+	// (pipeline.DefaultBatchInterval). The fields from MDT to
+	// ResolveWorkers, and the two modeled costs, do not apply to it.
+	Mount MountSource
 	// CacheSize is the fid2path LRU capacity; 0 disables caching
 	// (the paper's "without cache" configuration).
 	CacheSize int
@@ -90,18 +122,19 @@ type CollectorOptions struct {
 	// collector.
 	ResolveWorkers int
 	// BatchSize bounds records per Changelog read (default
-	// pipeline.DefaultChangelogBatch).
+	// pipeline.DefaultChangelogBatch), or events per published batch of a
+	// mounted backend (default pipeline.DefaultLocalBatch).
 	BatchSize int
-	// PollInterval is the idle wait between empty Changelog reads
-	// (default pipeline.DefaultPollInterval).
+	// PollInterval is the idle wait between empty Changelog reads and
+	// between delivery retries (default pipeline.DefaultPollInterval).
 	PollInterval time.Duration
 	// Endpoint is the msgq endpoint the collector's publisher binds
-	// (default "inproc://collector-mdt<N>").
+	// (default "inproc://collector-mdt<N>" / "inproc://collector-mount-<name>").
 	Endpoint string
 	// Router, when non-nil, switches the collector to clustered routing:
-	// each resolved batch is split by the store partition function and
+	// each sealed batch is split by the store partition function and
 	// every slice is published to the partition owner's inbox topic. Nil
-	// (the default) publishes whole batches on the classic per-MDT topic.
+	// (the default) publishes whole batches on the collector's own topic.
 	// With Parts() == 1 the whole batch routes to the single owner
 	// unsplit, so a one-node cluster receives the exact bytes a classic
 	// aggregator would.
@@ -117,32 +150,23 @@ type CollectorOptions struct {
 	// graceful path). Nil means Background.
 	Context context.Context
 	// Telemetry, when non-nil, mirrors the collector into the unified
-	// registry under "fsmon.collector.mdt<N>" and records per-stage
-	// latency histograms. Nil (the default) costs nothing.
+	// registry under "fsmon.collector.mdt<N>" (a mounted backend:
+	// "fsmon.mount.<name>"), records per-stage latency histograms, and
+	// stamps batches at capture for tracing and the conservation audit.
+	// Nil (the default) costs nothing.
 	Telemetry *telemetry.Registry
 	// Logger receives component-tagged structured logs; nil discards.
 	Logger *slog.Logger
 }
 
-func (o CollectorOptions) withDefaults() CollectorOptions {
-	if o.BatchSize <= 0 {
-		o.BatchSize = pipeline.DefaultChangelogBatch
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = pipeline.DefaultPollInterval
-	}
-	if o.Endpoint == "" {
-		o.Endpoint = fmt.Sprintf("inproc://collector-mdt%d", o.MDT)
-	}
-	if o.ResolveWorkers <= 0 {
-		o.ResolveWorkers = pipeline.DefaultResolveWorkers
-	}
-	return o
-}
-
 // CollectorStats is a snapshot of one collector's counters.
 type CollectorStats struct {
-	MDT             int
+	// Mount is the mount name of a collector draining a mounted backend;
+	// "" for a Changelog collector, which MDT identifies.
+	Mount string
+	MDT   int
+	// RecordsRead counts what the source handed over: Changelog records,
+	// or events drained from the mounted DSI.
 	RecordsRead     uint64
 	EventsPublished uint64
 	// Fid2PathCalls counts fid2path tool invocations.
@@ -158,48 +182,39 @@ type CollectorStats struct {
 	BusyTime       time.Duration
 	Utilization    float64
 	ChangelogLag   int // records retained behind the collector
-	// Pipeline is the per-stage view (changelog-read → resolve → publish).
+	// Pipeline is the per-stage view (changelog-read → resolve → publish,
+	// or collect → publish).
 	Pipeline []pipeline.Stats
 }
 
-// readBatch is one Changelog read travelling between stages: the raw
-// records, the purge cursor covering them, and the wall-clock capture
-// stamp carried on the published batch for latency tracing (0 when the
-// collector is untraced).
-type readBatch struct {
-	recs  []lustre.Record
-	since uint64
-	stamp int64
-}
-
-// pubBatch is a resolved batch awaiting publication; blk may be nil or
-// empty (e.g. a read of only MARK records) in which case only the purge
-// cursor advances. The capture stamp and any sampled span chain ride inside
-// the block.
+// pubBatch is a sealed batch awaiting publication, with the source cursor
+// that may be acknowledged once it is delivered; blk may be nil (e.g. a
+// read of only MARK records) in which case only the cursor advances. The
+// capture stamp and any sampled span chain ride inside the block.
 type pubBatch struct {
 	blk   *events.Block
 	since uint64
 }
 
-// Collector extracts, processes, and publishes one MDS's events as a
-// changelog-read → resolve → publish pipeline.
+// Collector extracts, processes, and publishes one source's events: the
+// source's capture stages (source.go) feeding the one publish tail below.
 type Collector struct {
-	opts   CollectorOptions
-	log    *lustre.Changelog
-	res    *resolve.Resolver
-	pub    *msgq.Pub
-	topic  string
-	reader string
+	opts  CollectorOptions
+	src   source
+	pub   *msgq.Pub
+	route Router
+	// topic is the collector's own topic, metrics its telemetry prefix;
+	// the source names both.
+	topic   string
+	metrics string
 
 	pipe *pipeline.Pipeline
 	pool *pipeline.Pool[events.Block]
 
-	recordsRead atomic.Uint64
-	published   atomic.Uint64
+	read      atomic.Uint64
+	published atomic.Uint64
 
 	slog      *slog.Logger
-	traced    bool                 // stamp batches at capture (telemetry attached)
-	resolveUS *telemetry.Histogram // per-batch resolve stage wall time
 	publishUS *telemetry.Histogram // per-batch publish stage wall time
 
 	closeOnce sync.Once
@@ -207,208 +222,107 @@ type Collector struct {
 
 // NewCollector creates and starts a collector.
 func NewCollector(opts CollectorOptions) (*Collector, error) {
-	opts = opts.withDefaults()
-	if opts.Cluster == nil {
-		return nil, errors.New("scalable: CollectorOptions.Cluster is required")
+	if opts.PollInterval <= 0 {
+		opts.PollInterval = pipeline.DefaultPollInterval
 	}
-	log, err := opts.Cluster.Changelog(opts.MDT)
+	c := &Collector{opts: opts, pool: pipeline.NewPool(0, newPoolBlock, (*events.Block).Reset)}
+	var err error
+	switch hasLog, hasDSI := opts.Cluster != nil, opts.Mount.DSI != nil; {
+	case hasLog == hasDSI:
+		err = errors.New("scalable: CollectorOptions needs exactly one of Cluster and Mount.DSI to capture from")
+	case hasLog:
+		err = c.openChangelog()
+	default:
+		err = c.openDSI()
+	}
 	if err != nil {
 		return nil, err
 	}
-	res, err := resolve.New(resolve.Options{
-		Backend:         opts.Cluster,
-		MountPoint:      opts.MountPoint,
-		CacheSize:       opts.CacheSize,
-		CacheShards:     opts.CacheShards,
-		NegativeTTL:     opts.NegativeTTL,
-		Workers:         opts.ResolveWorkers,
-		EventOverhead:   opts.EventOverhead,
-		CacheLookupCost: opts.CacheLookupCost,
-	})
-	if err != nil {
+	c.pub = msgq.NewPub(msgq.WithBlockOnFull()) // §V-D2: no event loss — queue, don't drop
+	if err := c.pub.Bind(c.opts.Endpoint); err != nil {
 		return nil, err
 	}
-	pub := msgq.NewPub(msgq.WithBlockOnFull()) // §V-D2: no event loss — queue, don't drop
-	if err := pub.Bind(opts.Endpoint); err != nil {
-		return nil, err
+	// Stored once: a per-batch conversion would allocate on the hot path.
+	if c.route = opts.Router; c.route == nil {
+		c.route = fixedRoute(c.topic)
 	}
-	c := &Collector{
-		opts:  opts,
-		log:   log,
-		res:   res,
-		pub:   pub,
-		topic: fmt.Sprintf("%smdt%d", TopicPrefix, opts.MDT),
-		pool:  pipeline.NewPool(0, newPoolBlock, (*events.Block).Reset),
+	// The hot-path instruments must exist before the pipeline is built:
+	// stage goroutines read them without synchronization. Untraced
+	// collectors have none, publish unstamped batches and pay no wire or
+	// clock cost.
+	if reg := opts.Telemetry; reg != nil {
+		c.publishUS = reg.Histogram(c.metrics+".publish_us", nil)
 	}
-	c.reader = log.Register()
-	c.slog = telemetry.ComponentLogger(opts.Logger, "collector", "mdt", opts.MDT)
-	c.initTelemetry(opts.Telemetry)
-
 	c.pipe = pipeline.New(opts.Context)
-	read := pipeline.Source(c.pipe, "changelog-read", pipeline.DefaultBatchDepth, c.readLoop)
-	resolved := pipeline.MapN(c.pipe, "resolve", pipeline.DefaultBatchDepth, opts.ResolveWorkers, read, c.resolveBatch)
-	pipeline.Sink(c.pipe, "publish", resolved, c.publishBatch)
-	c.registerTelemetry(opts.Telemetry)
-	c.slog.Debug("collector started", "endpoint", c.pub.Addr(), "workers", opts.ResolveWorkers)
+	pipeline.Sink(c.pipe, "publish", c.src.capture(), c.publish)
+	if reg := opts.Telemetry; reg != nil {
+		// After the pipeline is built, so the mirrors close over live stages.
+		c.pipe.RegisterTelemetry(reg, c.metrics+".pipeline")
+		msgq.RegisterPubTelemetry(reg, c.metrics+".pub", c.pub)
+	}
+	c.slog.Debug("collector started", "topic", c.topic, "endpoint", c.pub.Addr())
 	return c, nil
 }
 
-// initTelemetry creates the hot-path instruments and arms capture
-// stamping. It must run before the pipeline is built: stage goroutines
-// read these fields without synchronization, so they have to be in place
-// before any stage starts. No-op when reg is nil — untraced collectors
-// publish unstamped batches and pay no wire or clock cost.
-func (c *Collector) initTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	prefix := fmt.Sprintf("fsmon.collector.mdt%d", c.opts.MDT)
-	c.resolveUS = reg.Histogram(prefix+".resolve_us", nil)
-	c.publishUS = reg.Histogram(prefix+".publish_us", nil)
-	c.traced = true
-}
-
-// traceN resolves the effective span-sampling rate at use time rather
-// than construction time: the flight recorder's adaptive boost densifies
-// the rate on a live deployment, so collectors must see rate changes per
-// batch. The lookup is two atomic loads per batch, not per event.
-func (c *Collector) traceN() int {
-	return c.opts.Telemetry.TraceSampleN()
-}
-
 // audit resolves the delivery-conservation audit at use time rather than
-// construction time: the classic Deploy builds collectors before the
-// aggregator enables the audit on the shared registry, so a cached handle
-// would always be nil. The lookup is one atomic pointer load per batch.
+// construction time: Deploy builds collectors before the aggregator enables
+// the audit on the shared registry, so a cached handle would always be nil.
+// The lookup is one atomic pointer load per batch.
 func (c *Collector) audit() *telemetry.Audit {
 	return c.opts.Telemetry.Audit()
-}
-
-// registerTelemetry mirrors the collector into reg under
-// "fsmon.collector.mdt<N>": GaugeFunc mirrors of every existing counter
-// (pipeline stages, resolver, cache, publisher fan-out). Runs after the
-// pipeline is built so the mirrors can close over live stages. No-op when
-// reg is nil.
-func (c *Collector) registerTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	prefix := fmt.Sprintf("fsmon.collector.mdt%d", c.opts.MDT)
-	reg.GaugeFunc(prefix+".records_read", func() float64 { return float64(c.recordsRead.Load()) })
-	reg.GaugeFunc(prefix+".events_published", func() float64 { return float64(c.published.Load()) })
-	reg.GaugeFunc(prefix+".changelog_lag", func() float64 { return float64(c.log.Len()) })
-	c.res.RegisterTelemetry(reg, prefix+".resolver")
-	c.pipe.RegisterTelemetry(reg, prefix+".pipeline")
-	msgq.RegisterPubTelemetry(reg, prefix+".pub", c.pub)
 }
 
 // Endpoint returns the publisher endpoint consumers should connect to.
 func (c *Collector) Endpoint() string { return c.pub.Addr() }
 
-// Topic returns the topic this collector publishes under.
-func (c *Collector) Topic() string { return c.topic }
-
-// Resolver exposes the collector's shared resolution layer (stats,
-// accounting).
-func (c *Collector) Resolver() *resolve.Resolver { return c.res }
-
-// readLoop is the changelog-read source stage (§IV-2). It does not
-// consume Changelog records while nobody is subscribed: PUB/SUB gives no
-// delivery guarantee without a subscriber, and purging unconsumed records
-// would lose events if the aggregator attaches late or restarts mid-run.
-// The gate guards every batch, so an aggregator crash pauses collection
-// (the Changelog buffers) rather than losing events.
-func (c *Collector) readLoop(ctx context.Context, emit func(readBatch) bool) error {
-	idle := time.NewTimer(c.opts.PollInterval)
-	defer idle.Stop()
-	var since uint64
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		if err := c.pub.WaitSubscribed(ctx); err != nil {
-			return nil
-		}
-		recs := c.log.Read(since, c.opts.BatchSize)
-		if len(recs) == 0 {
-			idle.Reset(c.opts.PollInterval)
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-idle.C:
-			}
-			continue
-		}
-		since = recs[len(recs)-1].Index
-		c.recordsRead.Add(uint64(len(recs)))
-		// With telemetry attached, stamp the batch at capture: the
-		// published batch carries this wall-clock mark, so downstream
-		// tiers (and other processes) can measure latency from this
-		// moment. Untraced collectors leave the stamp at zero, which
-		// keeps the wire encoding byte-identical to an uninstrumented
-		// build.
-		var stamp int64
-		if c.traced {
-			stamp = telemetry.Stamp()
-		}
-		if !emit(readBatch{recs: recs, since: since, stamp: stamp}) {
-			return nil
-		}
+// stamp is the wall-clock capture mark a source takes when it starts a
+// batch. With telemetry attached the published batch carries it, so
+// downstream tiers (and other processes) can measure latency from this
+// moment. Untraced collectors leave it at zero, which keeps the wire
+// encoding byte-identical to an uninstrumented build.
+func (c *Collector) stamp() int64 {
+	if c.opts.Telemetry != nil {
+		return telemetry.Stamp()
 	}
+	return 0
 }
 
-// resolveBatch is the resolve stage: Algorithm 1 over every record of one
-// read via the shared resolver, appending directly into a pooled event
-// block — the strings land in the block's arena once and are never copied
-// again on this process's hot path. Up to ResolveWorkers batches resolve
-// concurrently (MapN re-sequences the outputs, so publish order stays
-// Changelog order).
-func (c *Collector) resolveBatch(_ context.Context, rb readBatch) (pubBatch, bool) {
-	var start time.Time
-	if c.resolveUS != nil {
-		start = time.Now()
-	}
-	blk := c.pool.Get()
-	c.res.TranslateBlock(blk, rb.recs)
-	if c.resolveUS != nil {
-		c.resolveUS.ObserveSince(start)
-	}
-	if blk.Len() == 0 {
-		c.pool.Put(blk)
-		return pubBatch{since: rb.since}, true
-	}
-	// The capture boundary of the conservation audit: every resolved
-	// event is accounted here, before any publish can fail or split.
+// seal is where a source's filled, non-empty block becomes a batch: the
+// capture boundary of the conservation audit — every event is accounted
+// here, before any publish can fail or split — and the point a sampled
+// span chain opens.
+func (c *Collector) seal(blk *events.Block, stamp int64) {
 	c.audit().Captured(blk.Len())
-	blk.SetStamp(rb.stamp)
+	blk.SetStamp(stamp)
 	// Deterministic 1-in-N trace sampling: the first sampled event in the
 	// batch opens the span chain — collect at the capture stamp, resolve
 	// now. Keying on the event's identity hash means the same event is
 	// picked at any batch boundary, so a test (or a rerun) traces the
-	// same chain.
-	if traceN := c.traceN(); traceN > 0 && rb.stamp != 0 {
+	// same chain. The rate is read per batch (two atomic loads), not at
+	// construction: the flight recorder's adaptive boost densifies it on a
+	// live deployment.
+	if traceN := c.opts.Telemetry.TraceSampleN(); traceN > 0 && stamp != 0 {
 		for i := 0; i < blk.Len(); i++ {
 			if key := blk.EventKey(i); traceN == 1 || key%uint64(traceN) == 0 {
 				tr := &events.BatchTrace{ID: key}
-				tr.Append(events.TierCollect, rb.stamp)
+				tr.Append(events.TierCollect, stamp)
 				tr.Append(events.TierResolve, time.Now().UnixNano())
 				blk.SetTrace(tr)
 				break
 			}
 		}
 	}
-	return pubBatch{blk: blk, since: rb.since}, true
 }
 
-// publishBatch is the publish sink stage: marshal, publish to at least
-// one subscriber, then purge the Changelog up to the batch's cursor —
-// "after processing a batch of file system events from the Changelog, a
-// collector will purge the Changelogs." Purging strictly after delivery
-// preserves the no-loss guarantee: if the aggregator is gone (or, routed,
-// any slice's owner is) the batch's records stay in the Changelog for the
-// next collector.
-func (c *Collector) publishBatch(ctx context.Context, pb pubBatch) {
-	purge := true
+// publish is the publish sink stage: marshal, publish to at least one
+// subscriber, then acknowledge the batch's cursor to the source — "after
+// processing a batch of file system events from the Changelog, a
+// collector will purge the Changelogs." Acknowledging strictly after
+// delivery preserves the no-loss guarantee: if the aggregator is gone (or,
+// routed, any slice's owner is) the batch's records stay in the Changelog
+// for the next collector.
+func (c *Collector) publish(ctx context.Context, pb pubBatch) {
+	delivered := true
 	if blk := pb.blk; blk != nil && blk.Len() > 0 {
 		var start time.Time
 		if c.publishUS != nil {
@@ -420,72 +334,37 @@ func (c *Collector) publishBatch(ctx context.Context, pb pubBatch) {
 			tr.Append(events.TierPublish, time.Now().UnixNano())
 			blk.MarkTraceDirty()
 		}
-		var published bool
-		if c.opts.Router != nil {
-			published = c.publishRouted(ctx, blk)
-		} else {
-			var shared bool
-			published, shared = c.deliver(ctx, c.topic, blk)
-			if published {
-				c.published.Add(uint64(blk.Len()))
-				c.audit().Published(blk.Len())
-			}
-			if !shared {
-				c.pool.Put(blk)
-			}
-		}
-		purge = published
-		if published && c.publishUS != nil {
+		delivered = c.publishRouted(ctx, blk)
+		if delivered && c.publishUS != nil {
 			c.publishUS.ObserveSince(start)
 		}
 	}
-	if purge {
-		if err := c.log.Clear(c.reader, pb.since); err != nil {
-			c.slog.Warn("changelog purge failed", "since", pb.since, "err", err)
-		}
+	if delivered {
+		c.src.ack(pb.since)
 	}
 }
 
-// deliver publishes blk on topic until at least one subscriber accepts it
-// or ctx is canceled. A zero count means no subscriber accepted the batch
-// — all detached between the wait and the send, or a fresh TCP link has
-// not registered its topics yet — so pause and re-wait rather than losing
-// the batch; the block's wire image is encoded at most once across the
-// retries. Reports delivery and whether an in-process subscriber now
+// routeDeliver publishes blk to the current owner of part until at least
+// one subscriber accepts it (the events then count as published) or ctx is
+// canceled, re-resolving the owner between attempts: a batch in flight
+// across a partition handoff retargets to the new owner instead of stalling
+// on the dead one's topic. A zero count means no subscriber accepted the
+// batch — all detached between the wait and the send, or a fresh TCP link
+// has not registered its topics yet — so pause and re-wait rather than
+// losing the batch; the block's wire image is encoded at most once across
+// the retries. Reports delivery and whether an in-process subscriber now
 // shares the block (a failed delivery never shares).
-func (c *Collector) deliver(ctx context.Context, topic string, blk *events.Block) (ok, shared bool) {
-	for {
-		if err := c.pub.WaitSubscribed(ctx); err != nil {
-			return false, shared
-		}
-		n, sh := c.pub.PublishBlockCtx(ctx, topic, blk)
-		shared = shared || sh
-		if n > 0 {
-			return true, shared
-		}
-		select {
-		case <-ctx.Done():
-		case <-time.After(c.opts.PollInterval):
-		}
-		if ctx.Err() != nil {
-			return false, shared
-		}
-	}
-}
-
-// routeDeliver publishes blk to the current owner of part, re-resolving
-// the owner between attempts: a batch in flight across a partition
-// handoff retargets to the new owner instead of stalling on the dead
-// one's topic.
 func (c *Collector) routeDeliver(ctx context.Context, part int, blk *events.Block) (ok, shared bool) {
 	for {
-		if topic, assigned := c.opts.Router.OwnerTopic(part); assigned {
+		if topic, assigned := c.route.OwnerTopic(part); assigned {
 			if err := c.pub.WaitSubscribed(ctx); err != nil {
 				return false, shared
 			}
 			n, sh := c.pub.PublishBlockCtx(ctx, topic, blk)
 			shared = shared || sh
 			if n > 0 {
+				c.published.Add(uint64(blk.Len()))
+				c.audit().Published(blk.Len())
 				return true, shared
 			}
 		}
@@ -501,17 +380,14 @@ func (c *Collector) routeDeliver(ctx context.Context, part int, blk *events.Bloc
 
 // publishRouted splits blk by store partition and delivers each slice to
 // its owning node's inbox topic, reporting whether every slice was
-// delivered (the batch's Changelog records may purge only then). The
-// single-partition cluster routes the whole block unsplit — the owner
-// receives the identical batch a classic aggregator would.
+// delivered (the batch's cursor may be acknowledged only then). A single
+// partition — every un-clustered collector — routes the whole block
+// unsplit: the owner receives the identical batch a classic aggregator
+// would.
 func (c *Collector) publishRouted(ctx context.Context, blk *events.Block) bool {
-	parts := c.opts.Router.Parts()
+	parts := c.route.Parts()
 	if parts <= 1 {
 		ok, shared := c.routeDeliver(ctx, 0, blk)
-		if ok {
-			c.published.Add(uint64(blk.Len()))
-			c.audit().Published(blk.Len())
-		}
 		if !shared {
 			c.pool.Put(blk)
 		}
@@ -527,24 +403,16 @@ func (c *Collector) publishRouted(ctx context.Context, blk *events.Block) bool {
 		if v == nil {
 			continue
 		}
-		if !all {
-			// A previous slice failed (context canceled): release the
-			// rest undelivered. Reset drops their arena alias safely.
-			c.pool.Put(v)
-			continue
+		// Once a slice has failed (context canceled) the rest are released
+		// undelivered.
+		ok, shared := false, false
+		if all {
+			ok, shared = c.routeDeliver(ctx, p, v)
 		}
-		ok, sh := c.routeDeliver(ctx, p, v)
-		if ok {
-			c.published.Add(uint64(v.Len()))
-			c.audit().Published(v.Len())
-			if sh {
-				anyShared = true
-			} else {
-				c.pool.Put(v)
-			}
-		} else {
-			all = false
-			c.pool.Put(v) // failed deliveries never share
+		all = all && ok
+		anyShared = anyShared || shared
+		if !shared {
+			c.pool.Put(v) // Reset drops the view's arena alias safely
 		}
 	}
 	if !anyShared {
@@ -555,33 +423,25 @@ func (c *Collector) publishRouted(ctx context.Context, blk *events.Block) bool {
 
 // Stats returns a snapshot of the collector's counters.
 func (c *Collector) Stats() CollectorStats {
-	rs := c.res.Stats()
-	return CollectorStats{
+	st := CollectorStats{
 		MDT:             c.opts.MDT,
-		RecordsRead:     c.recordsRead.Load(),
+		RecordsRead:     c.read.Load(),
 		EventsPublished: c.published.Load(),
-		Fid2PathCalls:   rs.Fid2PathCalls,
-		Fid2PathStale:   rs.Fid2PathStale,
-		Fid2PathErrors:  rs.Fid2PathErrors,
-		Cache:           rs.Cache,
-		BusyTime:        c.res.Busy(),
-		Utilization:     c.res.Utilization(),
-		ChangelogLag:    c.log.Len(),
 		Pipeline:        c.pipe.Stats(),
 	}
+	c.src.stats(&st)
+	return st
 }
 
 // ResetAccounting restarts the utilization window (benchmarks call this at
 // the start of a measurement interval).
-func (c *Collector) ResetAccounting() { c.res.ResetAccounting() }
+func (c *Collector) ResetAccounting() { c.src.resetAccounting() }
 
-// Close drains the collector's stages in order (read stops, in-flight
-// batches resolve and publish), releases its Changelog reader, and closes
-// the publisher.
+// Close stops the source and drains the stages in the order the source
+// needs (in-flight batches still publish), then closes the publisher.
 func (c *Collector) Close() {
 	c.closeOnce.Do(func() {
-		c.pipe.Drain(pipeline.DefaultDrainGrace)
-		_ = c.log.Deregister(c.reader)
+		c.src.close(func() { c.pipe.Drain(pipeline.DefaultDrainGrace) })
 		c.pub.Close()
 	})
 }

@@ -2,11 +2,13 @@ package scalable
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"time"
 
 	"fsmonitor/internal/cluster"
+	"fsmonitor/internal/dsi/mount"
 	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/iface"
 	"fsmonitor/internal/lustre"
@@ -14,10 +16,16 @@ import (
 	"fsmonitor/internal/telemetry"
 )
 
-// DeployOptions configures a full scalable-monitor deployment over one
-// cluster: a collector per MDS, the aggregator, and optionally the TCP
-// recovery service.
+// DeployOptions configures a full scalable-monitor deployment: a collector
+// per MDS of the cluster and per mounted backend, and the aggregation tier
+// they feed — one aggregator, or a cluster of them.
 type DeployOptions struct {
+	// Mounts are mounted backends deployed beside (or, with a nil cluster,
+	// instead of) the per-MDS collectors: one collector drains each DSI
+	// into the same aggregation tier, its events prefixed into one
+	// namespace with root "/". The deployment owns the DSIs — Close, or a
+	// failed Deploy, closes every one.
+	Mounts []MountSource
 	// MountPoint is the client mount path events are reported under.
 	MountPoint string
 	// CacheSize is each collector's fid2path cache capacity (0 = no
@@ -82,13 +90,8 @@ type DeployOptions struct {
 	// the engine-wide base every partition derives its "<path>.p<i>"
 	// segment from (the handoff medium). The zero value is in-memory.
 	ClusterStore eventstore.Options
-	// ClusterTelemetryAddrs, when non-empty on a clustered deployment,
-	// serves the telemetry HTTP endpoint (including the /cluster/*
-	// observability plane) on one server per address — typically one per
-	// node (":0" picks free ports). Every server is shut down gracefully
-	// by Monitor.Close. Requires Telemetry.
-	ClusterTelemetryAddrs []string
-	// BatchSize overrides the collectors' Changelog read batch.
+	// BatchSize overrides the collectors' batch bound (Changelog records
+	// per read; events per batch of a mounted backend).
 	BatchSize int
 	// PollInterval overrides the collectors' idle poll.
 	PollInterval time.Duration
@@ -96,9 +99,9 @@ type DeployOptions struct {
 	// the graceful path). Nil means Background.
 	Context context.Context
 	// Telemetry, when non-nil, mirrors every deployed component into the
-	// unified registry (fsmon.collector.mdt<N>.*, fsmon.aggregator.*,
-	// fsmon.store.p<i>.*, fsmon.process.*) and enables event latency
-	// tracing. Nil (the default) costs nothing.
+	// unified registry (fsmon.collector.mdt<N>.*, fsmon.mount.<name>.*,
+	// fsmon.aggregator.*, fsmon.store.p<i>.*, fsmon.process.*) and enables
+	// event latency tracing. Nil (the default) costs nothing.
 	Telemetry *telemetry.Registry
 	// Logger receives component-tagged structured logs from every
 	// deployed service; nil discards.
@@ -113,75 +116,132 @@ type Monitor struct {
 	// Nodes are the in-process members of the clustered aggregation tier
 	// (DeployOptions.ClusterNodes > 0).
 	Nodes      []*Aggregator
-	cluster    *lustre.Cluster
 	opts       DeployOptions
 	router     *cluster.Membership // collector-side observer view (clustered only)
 	recoveries []*RecoveryServer   // one per in-process node (clustered only)
-	parts      int                 // cluster partition count
-	telSrvs    []*telemetry.Server // per-node telemetry HTTP servers (clustered only)
+	parts      int                 // cluster partition count (clustered only)
 }
 
-// Deploy starts a collector on every MDS of the cluster and an aggregator
-// subscribed to all of them — the Fig. 4 topology ("an aggregator service
-// on MGS that polls all MDSs concurrently and pushes all events in a
-// single queue to the clients").
-func Deploy(cluster *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
+// endpoint picks where one of the deployment's services binds: a
+// kernel-assigned loopback port, or an inproc name derived from the
+// *Monitor — never from a process-global string or the file system's
+// identity — so any number of deployments coexist in one process.
+func (m *Monitor) endpoint(role string) string {
+	if m.opts.Transport == "tcp" {
+		return "tcp://127.0.0.1:0"
+	}
+	return fmt.Sprintf("inproc://%s-%p", role, m)
+}
+
+// tier is the aggregation tier whichever shape it has: the single
+// aggregator, or the in-process cluster members.
+func (m *Monitor) tier() []*Aggregator {
+	if m.Aggregator != nil {
+		return []*Aggregator{m.Aggregator}
+	}
+	return m.Nodes
+}
+
+// Deploy starts a collector on every MDS of the cluster (which may be nil
+// when opts.Mounts is not empty) and on every mounted backend, and the
+// aggregation tier subscribed to all of them — the Fig. 4 topology ("an
+// aggregator service on MGS that polls all MDSs concurrently and pushes all
+// events in a single queue to the clients"), with heterogeneous storage
+// behind the collectors. What the collectors capture and whether the tier
+// is one aggregator or a cluster are independent: the collectors differ
+// only in their Router.
+func Deploy(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 	if opts.MountPoint == "" {
 		opts.MountPoint = "/mnt/lustre"
 	}
-	if opts.ClusterNodes > 0 || len(opts.ClusterJoin) > 0 || opts.ClusterListen != "" {
-		return deployCluster(cluster, opts)
+	if lc == nil && len(opts.Mounts) == 0 {
+		return nil, errors.New("scalable: Deploy needs a cluster or at least one DeployOptions.Mounts entry")
 	}
-	m := &Monitor{cluster: cluster, opts: opts}
-	endpoints := make([]string, 0, cluster.NumMDS())
-	for i := 0; i < cluster.NumMDS(); i++ {
-		ep := ""
-		switch opts.Transport {
-		case "tcp":
-			ep = "tcp://127.0.0.1:0"
-		default:
-			ep = fmt.Sprintf("inproc://collector-%p-mdt%d", cluster, i)
+	m := &Monitor{opts: opts}
+	var cols []CollectorOptions
+	for i := 0; lc != nil && i < lc.NumMDS(); i++ {
+		cols = append(cols, CollectorOptions{Cluster: lc, MDT: i})
+	}
+	for _, ms := range opts.Mounts {
+		cols = append(cols, CollectorOptions{Mount: ms})
+	}
+	// A started collector closes its DSI; a failed Deploy must also close
+	// the ones no collector got as far as owning.
+	fail := func(err error) (*Monitor, error) {
+		m.Close()
+		for _, co := range cols[len(m.Collectors):] {
+			if co.Mount.DSI != nil {
+				_ = co.Mount.DSI.Close()
+			}
 		}
-		col, err := NewCollector(CollectorOptions{
-			Cluster:        cluster,
-			MDT:            i,
-			MountPoint:     opts.MountPoint,
-			CacheSize:      opts.CacheSize,
-			CacheShards:    opts.CacheShards,
-			NegativeTTL:    opts.NegativeTTL,
-			ResolveWorkers: opts.ResolveWorkers,
-			Endpoint:       ep,
-			BatchSize:      opts.BatchSize,
-			PollInterval:   opts.PollInterval,
-			Context:        opts.Context,
-			Telemetry:      opts.Telemetry,
-			Logger:         opts.Logger,
-		})
+		return nil, err
+	}
+	seen := make(map[string]bool, len(opts.Mounts))
+	for _, ms := range opts.Mounts {
+		cp, err := mount.CleanPrefix(ms.Prefix)
 		if err != nil {
-			m.Close()
-			return nil, err
+			return fail(err)
+		}
+		if seen[cp] {
+			return fail(fmt.Errorf("%w: %s", mount.ErrMounted, cp))
+		}
+		seen[cp] = true
+	}
+
+	// Clustered, the order matters: members first, then the routing
+	// observer (which needs a live member to join), then the collectors
+	// (whose Router is the observer's view), and finally the member-side
+	// subscriptions to the collectors.
+	clustered := opts.ClusterNodes > 0 || len(opts.ClusterJoin) > 0 || opts.ClusterListen != ""
+	var router Router
+	if clustered {
+		if err := m.startMembers(); err != nil {
+			return fail(err)
+		}
+		router = m.router
+	}
+	endpoints := make([]string, 0, len(cols))
+	for i, co := range cols {
+		co.MountPoint = opts.MountPoint
+		co.CacheSize = opts.CacheSize
+		co.CacheShards = opts.CacheShards
+		co.NegativeTTL = opts.NegativeTTL
+		co.ResolveWorkers = opts.ResolveWorkers
+		co.Endpoint = m.endpoint(fmt.Sprintf("collector%d", i))
+		co.Router = router
+		co.BatchSize = opts.BatchSize
+		co.PollInterval = opts.PollInterval
+		co.Context = opts.Context
+		co.Telemetry = opts.Telemetry
+		co.Logger = opts.Logger
+		col, err := NewCollector(co)
+		if err != nil {
+			return fail(err)
 		}
 		m.Collectors = append(m.Collectors, col)
 		endpoints = append(endpoints, col.Endpoint())
 	}
-	aggEp := fmt.Sprintf("inproc://aggregator-%p", cluster)
-	if opts.Transport == "tcp" {
-		aggEp = "tcp://127.0.0.1:0"
+	if clustered {
+		for _, n := range m.Nodes {
+			if err := n.ConnectCollectors(endpoints...); err != nil {
+				return fail(err)
+			}
+		}
+	} else {
+		agg, err := NewAggregator(AggregatorOptions{
+			CollectorEndpoints: endpoints,
+			Endpoint:           m.endpoint("aggregator"),
+			Engine:             opts.Engine,
+			StorePartitions:    opts.StorePartitions,
+			Context:            opts.Context,
+			Telemetry:          opts.Telemetry,
+			Logger:             opts.Logger,
+		})
+		if err != nil {
+			return fail(err)
+		}
+		m.Aggregator = agg
 	}
-	agg, err := NewAggregator(AggregatorOptions{
-		CollectorEndpoints: endpoints,
-		Endpoint:           aggEp,
-		Engine:             opts.Engine,
-		StorePartitions:    opts.StorePartitions,
-		Context:            opts.Context,
-		Telemetry:          opts.Telemetry,
-		Logger:             opts.Logger,
-	})
-	if err != nil {
-		m.Close()
-		return nil, err
-	}
-	m.Aggregator = agg
 	// Process-wide resource gauges ride the same registry so one snapshot
 	// answers both "how fast" and "at what cost" (Tables IV/VII).
 	metrics.Register(opts.Telemetry)
@@ -231,8 +291,8 @@ func (m *Monitor) ResetAccounting() {
 	for _, c := range m.Collectors {
 		c.ResetAccounting()
 	}
-	if m.Aggregator != nil {
-		m.Aggregator.ResetAccounting()
+	for _, a := range m.tier() {
+		a.ResetAccounting()
 	}
 }
 
@@ -260,16 +320,9 @@ func (m *Monitor) Stats() Stats {
 	return st
 }
 
-// TelemetryServers returns the per-node telemetry HTTP servers a
-// clustered deployment started for ClusterTelemetryAddrs (empty
-// otherwise). Their lifecycle belongs to the monitor; Close shuts down
-// every one of them.
-func (m *Monitor) TelemetryServers() []*telemetry.Server { return m.telSrvs }
-
-// Close stops every component upstream-first: collectors, then the
-// routing observer, the recovery servers, the aggregation tier, and
-// finally every per-node telemetry HTTP server — all of them, not just
-// the first, each through the graceful Server.Close drain.
+// Close stops every component upstream-first: collectors (and with them
+// the mounted DSIs), then the routing observer, the recovery servers, and
+// the aggregation tier.
 func (m *Monitor) Close() {
 	for _, c := range m.Collectors {
 		c.Close()
@@ -280,13 +333,7 @@ func (m *Monitor) Close() {
 	for _, r := range m.recoveries {
 		r.Close()
 	}
-	for _, n := range m.Nodes {
-		n.Close()
-	}
-	if m.Aggregator != nil {
-		m.Aggregator.Close()
-	}
-	for _, s := range m.telSrvs {
-		s.Close()
+	for _, a := range m.tier() {
+		a.Close()
 	}
 }

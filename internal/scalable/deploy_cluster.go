@@ -9,8 +9,6 @@ import (
 
 	"fsmonitor/internal/cluster"
 	"fsmonitor/internal/eventstore"
-	"fsmonitor/internal/lustre"
-	"fsmonitor/internal/metrics"
 	"fsmonitor/internal/pipeline"
 	"fsmonitor/internal/telemetry"
 )
@@ -83,14 +81,14 @@ func clusterBindHost(opts DeployOptions) string {
 	return "127.0.0.1"
 }
 
-// deployCluster is Deploy's clustered path: N aggregators, each a member
-// holding its share of the partitions, replace the single one. The order
-// matters — nodes first (and their
-// recovery servers, so the advertised address rides in the join hello),
-// then the routing observer (which needs a live member to join), then the
-// collectors (whose Router is the observer's view), and finally the
-// node-side subscriptions to the collectors.
-func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
+// startMembers brings up Deploy's clustered aggregation tier: N
+// aggregators, each a member holding its share of the partitions, in place
+// of the single one — members first (and their recovery servers, so the
+// advertised address rides in the join hello), then the routing observer
+// the collectors will resolve partition owners against. On error the
+// caller closes whatever was started.
+func (m *Monitor) startMembers() error {
+	opts := m.opts
 	nodes := opts.ClusterNodes
 	if nodes <= 0 {
 		nodes = 1
@@ -103,12 +101,12 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		// Every node must own at least one partition to contribute.
 		parts = nodes
 	}
-	m := &Monitor{cluster: lc, opts: opts, parts: parts}
+	m.parts = parts
 	dlog := telemetry.ComponentLogger(opts.Logger, "deploy")
 
 	prefix, err := clusterIDPrefix(opts)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Any cross-process configuration (listen bind, join addresses, an
 	// advertise host) forces TCP for every cluster socket: inproc and
@@ -119,7 +117,7 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 
 	for i := 0; i < nodes; i++ {
 		id := fmt.Sprintf("%s%d", prefix, i)
-		ep := fmt.Sprintf("inproc://clnode-%p-%s", m, id)
+		ep := m.endpoint("clnode-" + id)
 		ctl := ""
 		if opts.Transport == "tcp" || external {
 			ep, ctl = tcpBind, tcpBind
@@ -133,8 +131,7 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		}
 		engine, err := eventstore.NewShardedClosed(parts, opts.ClusterStore)
 		if err != nil {
-			m.Close()
-			return nil, err
+			return err
 		}
 		n, err := NewAggregator(AggregatorOptions{
 			ID:        id,
@@ -148,8 +145,7 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 			Logger:    opts.Logger,
 		})
 		if err != nil {
-			m.Close()
-			return nil, err
+			return err
 		}
 		m.Nodes = append(m.Nodes, n)
 		recBind := "127.0.0.1:0"
@@ -158,20 +154,17 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		}
 		rec, err := NewRecoveryServer(n, recBind)
 		if err != nil {
-			m.Close()
-			return nil, err
+			return err
 		}
 		m.recoveries = append(m.recoveries, rec)
 		n.SetRecovery(cluster.AdvertiseEndpoint(rec.Addr(), opts.ClusterAdvertise))
 		if err := n.Start(); err != nil {
-			m.Close()
-			return nil, err
+			return err
 		}
 	}
 	for _, n := range m.Nodes {
 		if err := n.Membership().WaitMembers(nodes, clusterReadyTimeout); err != nil {
-			m.Close()
-			return nil, err
+			return err
 		}
 	}
 	if len(opts.ClusterJoin) > 0 {
@@ -182,8 +175,7 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		time.Sleep(2 * cluster.DefaultHeartbeatInterval)
 		for _, n := range m.Nodes {
 			if other, ok := n.Membership().Conflict(); ok {
-				m.Close()
-				return nil, fmt.Errorf("scalable: member ID %q already in use by a live cluster member at %s (set ClusterNodePrefix)", n.ID(), other.Endpoint)
+				return fmt.Errorf("scalable: member ID %q already in use by a live cluster member at %s (set ClusterNodePrefix)", n.ID(), other.Endpoint)
 			}
 		}
 	}
@@ -201,8 +193,7 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 				break
 			}
 			if time.Now().After(deadline) {
-				m.Close()
-				return nil, fmt.Errorf("scalable: cluster owns %d/%d partitions after %v", owned, parts, clusterReadyTimeout)
+				return fmt.Errorf("scalable: cluster owns %d/%d partitions after %v", owned, parts, clusterReadyTimeout)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -214,9 +205,9 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 	// The routing observer: a receive-only membership participant whose
 	// view the collectors resolve partition owners against. It owns no
 	// partitions and broadcasts no heartbeats.
-	obsCtl := fmt.Sprintf("inproc://clrouter-%p.ctl", m)
-	if opts.Transport == "tcp" || external {
-		obsCtl = tcpBind
+	obsCtl := tcpBind
+	if opts.Transport != "tcp" && !external {
+		obsCtl = m.endpoint("clrouter") + ".ctl"
 	}
 	obsJoin := append([]string{m.Nodes[0].CtlEndpoint()}, opts.ClusterJoin...)
 	router, err := cluster.NewMembership(cluster.MembershipOptions{
@@ -240,64 +231,11 @@ func deployCluster(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		Logger:    opts.Logger,
 	})
 	if err != nil {
-		m.Close()
-		return nil, err
+		return err
 	}
 	m.router = router
 	router.Start()
-	if err := router.WaitMembers(nodes, clusterReadyTimeout); err != nil {
-		m.Close()
-		return nil, err
-	}
-
-	endpoints := make([]string, 0, lc.NumMDS())
-	for i := 0; i < lc.NumMDS(); i++ {
-		ep := fmt.Sprintf("inproc://collector-%p-mdt%d", m, i)
-		if opts.Transport == "tcp" {
-			ep = "tcp://127.0.0.1:0"
-		}
-		col, err := NewCollector(CollectorOptions{
-			Cluster:        lc,
-			MDT:            i,
-			MountPoint:     opts.MountPoint,
-			CacheSize:      opts.CacheSize,
-			CacheShards:    opts.CacheShards,
-			NegativeTTL:    opts.NegativeTTL,
-			ResolveWorkers: opts.ResolveWorkers,
-			Endpoint:       ep,
-			Router:         router,
-			BatchSize:      opts.BatchSize,
-			PollInterval:   opts.PollInterval,
-			Context:        opts.Context,
-			Telemetry:      opts.Telemetry,
-			Logger:         opts.Logger,
-		})
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		m.Collectors = append(m.Collectors, col)
-		endpoints = append(endpoints, col.Endpoint())
-	}
-	for _, n := range m.Nodes {
-		if err := n.ConnectCollectors(endpoints...); err != nil {
-			m.Close()
-			return nil, err
-		}
-	}
-	// Per-node telemetry HTTP servers: each serves the shared registry
-	// (and with it the /cluster/* plane), and every one is tied to
-	// Monitor.Close — the fan-out, not just the first.
-	for _, addr := range opts.ClusterTelemetryAddrs {
-		srv, err := telemetry.Serve(addr, opts.Telemetry)
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		m.telSrvs = append(m.telSrvs, srv)
-	}
-	metrics.Register(opts.Telemetry)
-	return m, nil
+	return router.WaitMembers(nodes, clusterReadyTimeout)
 }
 
 // ClusterMembers returns the identities and reachable addresses of every
@@ -338,9 +276,4 @@ func (m *Monitor) clusterEndpoints() (eps, recovery []string) {
 
 // ClusterParts returns the clustered tier's partition count (0 for
 // classic deployments).
-func (m *Monitor) ClusterParts() int {
-	if m.router == nil {
-		return 0
-	}
-	return m.parts
-}
+func (m *Monitor) ClusterParts() int { return m.parts }

@@ -11,14 +11,15 @@ import (
 
 	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/iface"
+	"fsmonitor/internal/lustre"
 	"fsmonitor/internal/telemetry"
 )
 
 // streamUnique drives count creates with a unique name prefix through the
 // cluster client and returns after the consumer delivered them all.
-func streamUnique(t *testing.T, m *Monitor, con *Consumer, prefix string, count int) {
+func streamUnique(t *testing.T, lc *lustre.Cluster, con *Consumer, prefix string, count int) {
 	t.Helper()
-	cl := m.cluster.Client()
+	cl := lc.Client()
 	for i := 0; i < count; i++ {
 		if err := cl.Create(fmt.Sprintf("/%s-f%03d.dat", prefix, i)); err != nil {
 			t.Fatal(err)
@@ -50,7 +51,8 @@ func TestIncidentSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Deploy(testCluster(1), DeployOptions{
+	lc := testCluster(1)
+	m, err := Deploy(lc, DeployOptions{
 		CacheSize:       100,
 		PollInterval:    time.Millisecond,
 		ClusterNodes:    2,
@@ -75,7 +77,7 @@ func TestIncidentSmoke(t *testing.T) {
 	reg.SetHealth(health)
 
 	// Steady state first: real events flow at the sparse trace rate.
-	streamUnique(t, m, con, "steady", 40)
+	streamUnique(t, lc, con, "steady", 40)
 	if n := reg.TraceSampleN(); n != 1024 {
 		t.Fatalf("steady-state trace rate = %d, want 1024", n)
 	}
@@ -100,7 +102,7 @@ func TestIncidentSmoke(t *testing.T) {
 	if n := reg.TraceSampleN(); n != 16 {
 		t.Fatalf("trace rate after trip = %d, want boosted 16", n)
 	}
-	streamUnique(t, m, con, "incident", 120)
+	streamUnique(t, lc, con, "incident", 120)
 
 	fr.Wait()
 	if time.Since(trippedAt) > 5*time.Second {

@@ -52,11 +52,11 @@ func TestMixedThreeMountDeploy(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	mon, err := scalable.DeployMounts([]scalable.MountSource{
+	mon, err := scalable.Deploy(nil, scalable.DeployOptions{Telemetry: reg, Mounts: []scalable.MountSource{
 		{Prefix: "/lustre", DSI: lustreDSI},
 		{Prefix: "/local", DSI: localDSI},
 		{Prefix: "/obj", DSI: objDSI},
-	}, scalable.MountDeployOptions{Telemetry: reg})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +135,30 @@ func TestMixedThreeMountDeploy(t *testing.T) {
 	}
 	var totalPublished uint64
 	for _, cs := range st.Collectors {
-		if cs.Captured == 0 || cs.Published == 0 {
-			t.Errorf("mount %s stats = %+v", cs.Name, cs)
+		if cs.RecordsRead == 0 || cs.EventsPublished == 0 {
+			t.Errorf("mount %s stats = %+v", cs.Mount, cs)
 		}
-		totalPublished += cs.Published
+		totalPublished += cs.EventsPublished
 	}
 	if st.Aggregator.Received != totalPublished {
 		t.Errorf("aggregator received %d, collectors published %d", st.Aggregator.Received, totalPublished)
+	}
+
+	// The mount collectors seal batches through the same tail as the
+	// Changelog ones, so their events are in the conservation audit: the
+	// quiesced deployment balances to zero with everything captured also
+	// published and stored.
+	aud := reg.Audit()
+	deadline = time.After(5 * time.Second)
+	for aud.Balance(1) != 0 {
+		select {
+		case <-deadline:
+			t.Fatalf("audit never balanced: %+v", aud.Snapshot())
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	if s := aud.Snapshot(); s.Captured == 0 || s.Captured != s.Published || s.Captured != s.Stored {
+		t.Errorf("audit = %+v, want captured == published == stored > 0", s)
 	}
 }
 
@@ -161,10 +178,10 @@ func TestMountDeployPartitionedRecovery(t *testing.T) {
 		localDSI.Close()
 		t.Fatal(err)
 	}
-	mon, err := scalable.DeployMounts([]scalable.MountSource{
+	mon, err := scalable.Deploy(nil, scalable.DeployOptions{StorePartitions: 2, Mounts: []scalable.MountSource{
 		{Prefix: "/local", DSI: localDSI},
 		{Prefix: "/obj", DSI: objDSI},
-	}, scalable.MountDeployOptions{StorePartitions: 2})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +213,7 @@ func TestMountDeployPartitionedRecovery(t *testing.T) {
 	waitStored(t, mon, 12)
 
 	// ...then a vector-resumed consumer recovers exactly the missed tail.
-	con2, err := scalable.NewConsumer(scalable.ConsumerOptions{
-		AggregatorEndpoint: mon.Aggregator.Endpoint(),
-		Filter:             iface.Filter{Recursive: true},
-		Recover:            mon.Aggregator,
-		SinceVector:        vec,
-	})
+	con2, err := mon.NewConsumerVector(iface.Filter{Recursive: true}, vec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +249,7 @@ func drainPaths(t *testing.T, con *scalable.Consumer, n int) map[string]bool {
 	return got
 }
 
-func waitStored(t *testing.T, mon *scalable.MountMonitor, n uint64) {
+func waitStored(t *testing.T, mon *scalable.Monitor, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for mon.Aggregator.Stats().Stored < n {

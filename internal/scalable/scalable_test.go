@@ -583,7 +583,14 @@ func TestCollectorStatsAndAccounting(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	if _, err := NewCollector(CollectorOptions{}); err == nil {
-		t.Error("collector without cluster accepted")
+		t.Error("collector with neither Cluster nor Mount.DSI accepted")
+	}
+	both := newFakeDSI()
+	if _, err := NewCollector(CollectorOptions{Cluster: testCluster(1), Mount: MountSource{Prefix: "/m", DSI: both}}); err == nil {
+		t.Error("collector with both Cluster and Mount.DSI accepted")
+	}
+	if _, err := Deploy(nil, DeployOptions{}); err == nil {
+		t.Error("Deploy with nil cluster and no mounts accepted")
 	}
 	if _, err := NewCollector(CollectorOptions{Cluster: testCluster(1), MDT: 9}); err == nil {
 		t.Error("collector with bad MDT accepted")

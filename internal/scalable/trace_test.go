@@ -45,20 +45,30 @@ func fullChain(t *testing.T, tr telemetry.Trace) {
 // sampling armed before deployment, every delivered batch completes a full
 // collect → resolve → publish → partition → store → republish → deliver
 // chain — at one partition (the MDT fast path re-decoded on the store
-// lane) and at two (partition routing plus per-partition republish
-// topics).
+// lane), at two (partition routing plus per-partition republish topics),
+// and when the chain opens at a DSI-source collector (the shared seal; the
+// aggregator's path-hash split carries it on).
 func TestTraceSpanChain(t *testing.T) {
-	for _, parts := range []int{1, 2} {
-		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-			cluster := testCluster(1)
+	for _, tc := range []struct {
+		name   string
+		parts  int
+		mounts bool
+	}{{"parts=1", 1, false}, {"parts=2", 2, false}, {"mounts", 2, true}} {
+		t.Run(tc.name, func(t *testing.T) {
 			reg := telemetry.NewRegistry()
 			reg.EnableTracing(1, 0) // before Deploy: collectors read the rate at startup
-			m, err := Deploy(cluster, DeployOptions{
+			opts := DeployOptions{
 				CacheSize:       100,
 				PollInterval:    time.Millisecond,
-				StorePartitions: parts,
+				StorePartitions: tc.parts,
 				Telemetry:       reg,
-			})
+			}
+			cluster, fake := testCluster(1), newFakeDSI()
+			if tc.mounts {
+				cluster = nil
+				opts.Mounts = []MountSource{{Prefix: "/m", DSI: fake}}
+			}
+			m, err := Deploy(cluster, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,9 +79,10 @@ func TestTraceSpanChain(t *testing.T) {
 			}
 			defer con.Close()
 
-			cl := cluster.Client()
 			for _, p := range []string{"/t1.txt", "/t2.txt", "/t3.txt"} {
-				if err := cl.Create(p); err != nil {
+				if tc.mounts {
+					fake.Emit(fakeCreate(p))
+				} else if err := cluster.Client().Create(p); err != nil {
 					t.Fatal(err)
 				}
 			}
