@@ -54,10 +54,11 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
 
 # bench-smoke runs one iteration of the fast micro-benchmarks (resolver
-# scaling, cache contention, pipeline stages, aggregator partitions) as a
-# CI regression canary; the slow paper-table benches stay out of it.
+# scaling, the resolver's miss path beside its hit path, cache contention,
+# pipeline stages, aggregator partitions) as a CI regression canary; the
+# slow paper-table benches stay out of it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'ResolveStage|GetOrLoad|AggregatorThroughput' -benchtime 1x -benchmem \
+	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|AggregatorThroughput' -benchtime 1x -benchmem \
 		./internal/resolve/ ./internal/cache/ ./internal/bench/
 
 # bench-aggregator measures aggregation-tier store throughput at 1/2/4

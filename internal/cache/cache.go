@@ -9,9 +9,10 @@
 // cache lock even when the entries they touch are unrelated. This package
 // removes the wall three ways:
 //
-//   - Sharding: N independent lru.Cache shards selected by key hash, each
-//     with its own lock, so concurrent lookups of different keys proceed
-//     in parallel. Stats aggregate across shards into one snapshot.
+//   - Sharding: N independent shards selected by key hash, each an
+//     lru.Core under the shard's own lock, so concurrent lookups of
+//     different keys proceed in parallel. Stats aggregate across shards
+//     into one snapshot.
 //   - Singleflight: concurrent misses on the same key trigger exactly one
 //     backend load; the other callers wait for that flight's result
 //     instead of stampeding the slow fid2path tool.
@@ -78,22 +79,32 @@ type negEntry struct {
 	expires time.Time
 }
 
-// flight is one in-progress load; waiters block on done.
-type flight[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
+// flight is one load in progress. Flights are recycled: one is idle, and
+// may be taken for another key, only when it is not loading and its last
+// waiter has read the result — so a reused flight can never hand a waiter
+// another key's value.
+type flight[K comparable, V any] struct {
+	key     K
+	loading bool
+	waiters int
+	val     V // the result, set at landing if anyone waits for it
+	err     error
 }
 
-// shard is one independent slice of the key space: a positive LRU, a
-// bounded negative LRU, and the singleflight registry, each under its own
-// lock (the lru.Cache locks are internal to lru).
+// shard is one independent slice of the key space under one lock: a
+// positive LRU, a bounded negative LRU and the singleflight registry. One
+// lock means a miss and the flight it starts (or joins) are one critical
+// section, and a finished load's insert and its landing another.
 type shard[K comparable, V any] struct {
-	pos *lru.Cache[K, V]
-	neg *lru.Cache[K, negEntry] // nil when negative caching is off
+	mu  sync.Mutex
+	pos *lru.Core[K, V]
+	neg *lru.Core[K, negEntry] // nil when negative caching is off
 
-	mu      sync.Mutex
-	flights map[K]*flight[V]
+	// flights holds every flight the shard ever needed at once — at most
+	// one per concurrent caller, so a scan beats a map. landed wakes
+	// waiters; it is per shard, and each waiter rechecks its own flight.
+	flights []*flight[K, V]
+	landed  sync.Cond
 }
 
 // Cache is a sharded LRU with singleflight loading and negative caching.
@@ -140,12 +151,10 @@ func New[K comparable, V any](cfg Config[K]) *Cache[K, V] {
 	perShardNeg := (negCap + shards - 1) / shards
 	c := &Cache[K, V]{cfg: cfg, mask: uint64(shards - 1), now: time.Now}
 	for i := 0; i < shards; i++ {
-		s := &shard[K, V]{
-			pos:     lru.New[K, V](perShard),
-			flights: make(map[K]*flight[V]),
-		}
+		s := &shard[K, V]{pos: lru.NewCore[K, V](perShard)}
+		s.landed.L = &s.mu
 		if cfg.NegativeTTL > 0 {
-			s.neg = lru.New[K, negEntry](perShardNeg)
+			s.neg = lru.NewCore[K, negEntry](perShardNeg)
 		}
 		c.shards = append(c.shards, s)
 	}
@@ -158,13 +167,22 @@ func (c *Cache[K, V]) shard(key K) *shard[K, V] {
 
 // Get returns the cached value for key, marking it most recently used.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
-	return c.shard(key).pos.Get(key)
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pos.Get(key)
 }
 
 // Set caches key → val and forgets any negative entry for key (the key
 // evidently resolves now).
 func (c *Cache[K, V]) Set(key K, val V) {
 	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.set(key, val)
+}
+
+func (s *shard[K, V]) set(key K, val V) {
 	if s.neg != nil {
 		s.neg.Delete(key)
 	}
@@ -175,6 +193,8 @@ func (c *Cache[K, V]) Set(key K, val V) {
 // whether a positive entry was present.
 func (c *Cache[K, V]) Delete(key K) bool {
 	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.neg != nil {
 		s.neg.Delete(key)
 	}
@@ -183,7 +203,8 @@ func (c *Cache[K, V]) Delete(key K) bool {
 
 // getNegative returns the remembered load error for key if one is present
 // and unexpired. Expired entries are dropped on observation. Peek keeps
-// negative probes out of the positive hit/miss statistics.
+// negative probes out of the positive hit/miss statistics. Caller holds
+// s.mu.
 func (c *Cache[K, V]) getNegative(s *shard[K, V], key K) (error, bool) {
 	if s.neg == nil {
 		return nil, false
@@ -205,66 +226,88 @@ func (c *Cache[K, V]) getNegative(s *shard[K, V], key K) (error, bool) {
 // A load error that Config.Negative accepts is remembered for NegativeTTL
 // and returned to subsequent callers without re-invoking load; a
 // successful load is cached positively. The load callback runs on the
-// first caller's goroutine without any cache lock held.
+// first caller's goroutine without any cache lock held, and is not
+// retained, so a caller's closure stays on its stack.
+//
+// A miss is one hash and two critical sections of its shard: probe and
+// take a flight; insert the result and land the flight. Nothing is
+// allocated once the shard has a flight to reuse.
 func (c *Cache[K, V]) GetOrLoad(key K, load func() (V, error)) (V, error) {
 	s := c.shard(key)
+	s.mu.Lock()
 	if v, ok := s.pos.Get(key); ok {
+		s.mu.Unlock()
 		return v, nil
 	}
 	if err, ok := c.getNegative(s, key); ok {
+		s.mu.Unlock()
 		var zero V
 		return zero, err
 	}
-	s.mu.Lock()
-	if f, ok := s.flights[key]; ok {
-		s.mu.Unlock()
-		c.coalesced.Add(1)
-		<-f.done
-		return f.val, f.err
+	var f *flight[K, V] // an idle flight to take, should this call be the loader
+	for _, g := range s.flights {
+		if g.loading && g.key == key {
+			c.coalesced.Add(1)
+			g.waiters++
+			for g.loading {
+				s.landed.Wait()
+			}
+			v, err := g.val, g.err
+			g.waiters--
+			s.mu.Unlock()
+			return v, err
+		}
+		if !g.loading && g.waiters == 0 {
+			f = g
+		}
 	}
-	f := &flight[V]{done: make(chan struct{})}
-	s.flights[key] = f
+	if f == nil {
+		f = new(flight[K, V])
+		s.flights = append(s.flights, f)
+	}
+	f.key, f.loading = key, true
 	s.mu.Unlock()
 
 	c.loads.Add(1)
-	f.val, f.err = load()
-	if f.err == nil {
-		c.Set(key, f.val)
+	v, err := load()
+	negative := err != nil && s.neg != nil && (c.cfg.Negative == nil || c.cfg.Negative(err))
+
+	s.mu.Lock()
+	if err == nil {
+		s.set(key, v)
 	} else {
 		c.loadErrors.Add(1)
-		if s.neg != nil && (c.cfg.Negative == nil || c.cfg.Negative(f.err)) {
-			s.neg.Set(key, negEntry{err: f.err, expires: c.now().Add(c.cfg.NegativeTTL)})
+		if negative {
+			s.neg.Set(key, negEntry{err: err, expires: c.now().Add(c.cfg.NegativeTTL)})
 		}
 	}
-	s.mu.Lock()
-	delete(s.flights, key)
+	f.loading = false
+	if f.waiters > 0 {
+		f.val, f.err = v, err
+		s.landed.Broadcast()
+	}
 	s.mu.Unlock()
-	close(f.done)
-	return f.val, f.err
+	return v, err
 }
 
 // Len returns the current number of positive entries across all shards.
-func (c *Cache[K, V]) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		n += s.pos.Len()
-	}
-	return n
-}
+func (c *Cache[K, V]) Len() int { return c.Stats().Len }
 
 // Stats returns an aggregated snapshot.
 func (c *Cache[K, V]) Stats() Stats {
 	st := Stats{Shards: len(c.shards)}
 	for _, s := range c.shards {
+		s.mu.Lock()
 		ps := s.pos.Stats()
+		if s.neg != nil {
+			st.NegLen += s.neg.Len()
+		}
+		s.mu.Unlock()
 		st.Hits += ps.Hits
 		st.Misses += ps.Misses
 		st.Evictions += ps.Evictions
 		st.Len += ps.Len
 		st.Cap += ps.Cap
-		if s.neg != nil {
-			st.NegLen += s.neg.Len()
-		}
 	}
 	st.NegHits = c.negHits.Load()
 	st.Coalesced = c.coalesced.Load()
@@ -277,10 +320,9 @@ func (c *Cache[K, V]) Stats() Stats {
 // the aggregate load counters); cached entries are kept.
 func (c *Cache[K, V]) ResetStats() {
 	for _, s := range c.shards {
+		s.mu.Lock()
 		s.pos.ResetStats()
-		if s.neg != nil {
-			s.neg.ResetStats()
-		}
+		s.mu.Unlock()
 	}
 	c.negHits.Store(0)
 	c.coalesced.Store(0)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -165,6 +166,63 @@ func TestSingleflightCollapsesMisses(t *testing.T) {
 	}
 	if st := c.Stats(); st.Coalesced != callers-1 || st.Loads != 1 {
 		t.Errorf("stats = %+v, want Coalesced=%d Loads=1", st, callers-1)
+	}
+}
+
+// A load that fails — Algorithm 1's expected outcome for a dead FID, about
+// every other record of a drained backlog — costs no allocation: the
+// flight comes off the shard's free list and there is no channel to make.
+func TestFailingLoadAllocatesNothing(t *testing.T) {
+	c := newTest(64, 4, 0)
+	errStale := errors.New("stale")
+	load := func() (string, error) { return "", errStale }
+	var k uint64
+	if avg := testing.AllocsPerRun(1000, func() { k++; c.GetOrLoad(k, load) }); avg != 0 {
+		t.Errorf("GetOrLoad with a failing load: %v allocs, want 0", avg)
+	}
+}
+
+// Flights are recycled, so the hazard is a waiter woken on — or left
+// holding — a flight that has since been reused for another key. Many
+// goroutines hammer few keys in a tiny cache (most calls miss, loads yield
+// so callers pile onto flights): every caller must get its own key's
+// result, and every call is exactly one of hit, load or coalesced wait.
+func TestRecycledFlightsKeepTheirKeys(t *testing.T) {
+	const goroutines, keys, rounds = 16, 24, 1500
+	c := newTest(4, 2, 0)
+	vals, errs := make([]string, keys), make([]error, keys)
+	for k := range vals {
+		vals[k] = fmt.Sprintf("v%d", k)
+		if k%3 != 0 {
+			errs[k] = fmt.Errorf("stale %d", k) // two keys in three never resolve
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < rounds; i++ {
+				k := rng.Intn(keys)
+				v, err := c.GetOrLoad(uint64(k), func() (string, error) {
+					runtime.Gosched()
+					return vals[k], errs[k]
+				})
+				if v != vals[k] || err != errs[k] {
+					t.Errorf("GetOrLoad(%d) = %q, %v; want %q, %v", k, v, err, vals[k], errs[k])
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	st := c.Stats()
+	if got := st.Hits + st.Loads + st.Coalesced; got != goroutines*rounds {
+		t.Errorf("Hits %d + Loads %d + Coalesced %d = %d, want %d calls", st.Hits, st.Loads, st.Coalesced, got, goroutines*rounds)
+	}
+	if st.Coalesced == 0 {
+		t.Error("no call ever joined a flight: the test did not exercise waiters")
 	}
 }
 

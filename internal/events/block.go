@@ -185,8 +185,15 @@ func (b *Block) clearSeqPos() {
 // AppendEvent appends one event, copying its strings into the arena. It
 // requires an owned arena (a freshly built or Reset block, not one decoded
 // from a payload).
-func (b *Block) AppendEvent(e Event) error {
-	if len(e.Root) > maxStr || len(e.Path) > maxStr || len(e.OldPath) > maxStr {
+func (b *Block) AppendEvent(e Event) error { return b.AppendJoined(&e, "", "") }
+
+// AppendJoined is AppendEvent for paths held as directory + final component:
+// the event's path is e.Path followed by name, its old path e.OldPath
+// followed by oldName, a non-empty name set off by exactly one slash. The
+// pieces meet in the arena, so a path the resolver reconstructs from a
+// parent directory never exists as a string of its own. e is only read.
+func (b *Block) AppendJoined(e *Event, name, oldName string) error {
+	if len(e.Root) > maxStr || joinedLen(e.Path, name) > maxStr || joinedLen(e.OldPath, oldName) > maxStr {
 		return fmt.Errorf("events: path component exceeds %d bytes", maxStr)
 	}
 	if len(e.Source) > 255 {
@@ -200,8 +207,8 @@ func (b *Block) AppendEvent(e Event) error {
 	}
 	var fs fieldSpans
 	fs.root = b.appendStr(e.Root)
-	fs.path = b.appendStr(e.Path)
-	fs.old = b.appendStr(e.OldPath)
+	fs.path = b.appendJoined(e.Path, name)
+	fs.old = b.appendJoined(e.OldPath, oldName)
 	fs.src = b.appendStr(e.Source)
 	b.spans = append(b.spans, fs)
 	b.ops = append(b.ops, e.Op)
@@ -211,6 +218,27 @@ func (b *Block) AppendEvent(e Event) error {
 	b.interned = ""
 	b.invalidateWire()
 	return nil
+}
+
+// joinedLen bounds the joined length; the slash is counted even where dir
+// already ends in one.
+func joinedLen(dir, name string) int {
+	if name == "" {
+		return len(dir)
+	}
+	return len(dir) + 1 + len(name)
+}
+
+func (b *Block) appendJoined(dir, name string) strSpan {
+	sp := b.appendStr(dir)
+	if name != "" {
+		if dir == "" || dir[len(dir)-1] != '/' {
+			b.arena = append(b.arena, '/')
+		}
+		b.arena = append(b.arena, name...)
+		sp.end = uint32(len(b.arena))
+	}
+	return sp
 }
 
 func (b *Block) appendStr(s string) strSpan {

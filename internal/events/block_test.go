@@ -389,3 +389,42 @@ func TestAppendRowsToAndBatchLen(t *testing.T) {
 		t.Fatalf("BatchLen of a stamped batch = %d, want not ok", n)
 	}
 }
+
+// AppendJoined writes a path held as directory + name exactly as AppendEvent
+// writes the joined string — same rows, same wire bytes — with one slash
+// between the pieces whatever the directory ends in, and nothing added for
+// an empty name.
+func TestAppendJoinedMatchesAppendEvent(t *testing.T) {
+	base := Event{Root: "/mnt/lustre", Op: OpMovedTo, Cookie: 9, Time: time.Unix(0, 5555), Source: "lustre"}
+	joined, whole := NewBlock(8, 256), NewBlock(8, 256)
+	for _, tc := range []struct{ dir, name, oldDir, oldName, path, old string }{
+		{"/a/b", "f", "", "", "/a/b/f", ""},
+		{"/", "f", "/a", "g", "/f", "/a/g"},
+		{"/ParentDirectoryRemoved/", "f", "/ParentDirectoryRemoved/", "", "/ParentDirectoryRemoved/f", "/ParentDirectoryRemoved/"},
+		{"/a/whole", "", "", "g", "/a/whole", "/g"},
+	} {
+		e := base
+		e.Path, e.OldPath = tc.dir, tc.oldDir
+		if err := joined.AppendJoined(&e, tc.name, tc.oldName); err != nil {
+			t.Fatal(err)
+		}
+		e.Path, e.OldPath = tc.path, tc.old
+		if err := whole.AppendEvent(e); err != nil {
+			t.Fatal(err)
+		}
+		if i := joined.Len() - 1; joined.Path(i) != tc.path || joined.OldPath(i) != tc.old {
+			t.Errorf("AppendJoined(%q+%q, %q+%q) = %q, %q; want %q, %q",
+				tc.dir, tc.name, tc.oldDir, tc.oldName, joined.Path(i), joined.OldPath(i), tc.path, tc.old)
+		}
+	}
+	if !bytes.Equal(joined.Wire(), whole.Wire()) {
+		t.Error("joined and whole blocks encode differently")
+	}
+	long := Event{Path: string(make([]byte, maxStr-1))}
+	if err := joined.AppendJoined(&long, "x", ""); err == nil {
+		t.Error("a joined path over the wire limit was accepted")
+	}
+	if err := joined.AppendEvent(Event{Path: string(make([]byte, maxStr))}); err != nil {
+		t.Errorf("a whole path of exactly the wire limit was refused: %v", err)
+	}
+}

@@ -12,21 +12,21 @@ import (
 	"sync"
 )
 
-// Cache is a fixed-capacity LRU cache mapping K to V. The zero value is not
-// usable; construct with New.
-type Cache[K comparable, V any] struct {
-	mu    sync.Mutex
+// Core is the LRU with no lock of its own: callers that already serialize
+// access hold it directly — internal/cache keeps one per shard under the
+// shard mutex, beside its singleflight registry, so a miss and the flight it
+// starts share a critical section. Cache is a Core behind a mutex.
+type Core[K comparable, V any] struct {
 	cap   int
 	items map[K]*entry[K, V]
 	// head is most recently used; tail least recently used.
 	head, tail *entry[K, V]
+	// free chains, through next, the entries Delete unlinked. Set takes from
+	// it, and at capacity reuses the entry it evicts, so a full cache —
+	// the steady state — inserts without allocating.
+	free *entry[K, V]
 
 	hits, misses, evictions uint64
-
-	// onEvict, if set, is invoked for each evicted entry. It runs after
-	// the cache lock has been released, so it may call back into the
-	// cache; by then the entry is already gone.
-	onEvict func(K, V)
 }
 
 type entry[K comparable, V any] struct {
@@ -35,16 +35,31 @@ type entry[K comparable, V any] struct {
 	prev, next *entry[K, V]
 }
 
-// New returns a cache holding at most capacity entries. Capacity must be
-// positive.
-func New[K comparable, V any](capacity int) *Cache[K, V] {
+// NewCore returns an unsynchronized LRU holding at most capacity entries.
+// Capacity must be positive.
+func NewCore[K comparable, V any](capacity int) *Core[K, V] {
 	if capacity <= 0 {
 		panic("lru: capacity must be positive")
 	}
-	return &Cache[K, V]{
-		cap:   capacity,
-		items: make(map[K]*entry[K, V], capacity),
-	}
+	return &Core[K, V]{cap: capacity, items: make(map[K]*entry[K, V], capacity)}
+}
+
+// Cache is a fixed-capacity LRU cache mapping K to V, safe for concurrent
+// use. The zero value is not usable; construct with New.
+type Cache[K comparable, V any] struct {
+	mu   sync.Mutex
+	core *Core[K, V]
+
+	// onEvict, if set, is invoked for each evicted entry. It runs after
+	// the cache lock has been released, so it may call back into the
+	// cache; by then the entry is already gone.
+	onEvict func(K, V)
+}
+
+// New returns a cache holding at most capacity entries. Capacity must be
+// positive.
+func New[K comparable, V any](capacity int) *Cache[K, V] {
+	return &Cache[K, V]{core: NewCore[K, V](capacity)}
 }
 
 // NewWithEvict is New with an eviction callback. Evicted entries are
@@ -57,9 +72,7 @@ func NewWithEvict[K comparable, V any](capacity int, onEvict func(K, V)) *Cache[
 }
 
 // Get returns the value for key and marks it most recently used.
-func (c *Cache[K, V]) Get(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Core[K, V]) Get(key K) (V, bool) {
 	e, ok := c.items[key]
 	if !ok {
 		c.misses++
@@ -72,9 +85,7 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 }
 
 // Peek returns the value for key without updating recency or statistics.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Core[K, V]) Peek(key K) (V, bool) {
 	if e, ok := c.items[key]; ok {
 		return e.val, true
 	}
@@ -82,71 +93,108 @@ func (c *Cache[K, V]) Peek(key K) (V, bool) {
 	return zero, false
 }
 
-// Contains reports whether key is cached, without updating recency.
-func (c *Cache[K, V]) Contains(key K) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
-}
-
-// Set inserts or updates key, marking it most recently used, evicting the
-// least recently used entry if the cache is over capacity. It reports
-// whether an eviction occurred.
-func (c *Cache[K, V]) Set(key K, val V) (evicted bool) {
-	c.mu.Lock()
+// Set inserts or updates key, marking it most recently used. Inserting into
+// a full cache evicts the least recently used entry and returns its pair;
+// the entry itself is reused for the new one.
+func (c *Core[K, V]) Set(key K, val V) (oldKey K, oldVal V, evicted bool) {
 	if e, ok := c.items[key]; ok {
 		e.val = val
 		c.moveToFront(e)
-		c.mu.Unlock()
-		return false
+		return oldKey, oldVal, false
 	}
-	e := &entry[K, V]{key: key, val: val}
+	var e *entry[K, V]
+	switch {
+	case len(c.items) >= c.cap:
+		e = c.evictTail()
+		oldKey, oldVal, evicted = e.key, e.val, true
+	case c.free != nil:
+		e, c.free = c.free, c.free.next
+	default:
+		e = new(entry[K, V])
+	}
+	e.key, e.val = key, val
 	c.items[key] = e
 	c.pushFront(e)
-	var victim *entry[K, V]
-	if len(c.items) > c.cap {
-		victim = c.evictTail()
-	}
-	c.mu.Unlock()
-	if victim != nil {
-		if c.onEvict != nil {
-			c.onEvict(victim.key, victim.val)
-		}
-		return true
-	}
-	return false
+	return oldKey, oldVal, evicted
 }
 
 // Delete removes key, reporting whether it was present.
-func (c *Cache[K, V]) Delete(key K) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Core[K, V]) Delete(key K) bool {
 	e, ok := c.items[key]
 	if !ok {
 		return false
 	}
 	c.unlink(e)
 	delete(c.items, key)
+	*e = entry[K, V]{next: c.free} // drop the pair so the free list pins nothing
+	c.free = e
 	return true
 }
 
 // Len returns the current number of entries.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
+func (c *Core[K, V]) Len() int { return len(c.items) }
+
+// Stats returns a snapshot of the counters.
+func (c *Core[K, V]) Stats() Stats {
+	return Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Len: len(c.items), Cap: c.cap}
 }
 
+// ResetStats zeroes the hit/miss/eviction counters.
+func (c *Core[K, V]) ResetStats() { c.hits, c.misses, c.evictions = 0, 0, 0 }
+
+// Get returns the value for key and marks it most recently used.
+func (c *Cache[K, V]) Get(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.core.Get(key)
+}
+
+// Peek returns the value for key without updating recency or statistics.
+func (c *Cache[K, V]) Peek(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.core.Peek(key)
+}
+
+// Contains reports whether key is cached, without updating recency.
+func (c *Cache[K, V]) Contains(key K) bool {
+	_, ok := c.Peek(key)
+	return ok
+}
+
+// Set inserts or updates key, marking it most recently used, evicting the
+// least recently used entry if the cache is full. It reports whether an
+// eviction occurred.
+func (c *Cache[K, V]) Set(key K, val V) (evicted bool) {
+	c.mu.Lock()
+	oldKey, oldVal, evicted := c.core.Set(key, val)
+	c.mu.Unlock()
+	if evicted && c.onEvict != nil {
+		c.onEvict(oldKey, oldVal)
+	}
+	return evicted
+}
+
+// Delete removes key, reporting whether it was present.
+func (c *Cache[K, V]) Delete(key K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.core.Delete(key)
+}
+
+// Len returns the current number of entries.
+func (c *Cache[K, V]) Len() int { return c.Stats().Len }
+
 // Cap returns the cache capacity.
-func (c *Cache[K, V]) Cap() int { return c.cap }
+func (c *Cache[K, V]) Cap() int { return c.core.cap }
 
 // Purge removes every entry without invoking the eviction callback.
 func (c *Cache[K, V]) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.items = make(map[K]*entry[K, V], c.cap)
-	c.head, c.tail = nil, nil
+	l := c.core
+	l.items = make(map[K]*entry[K, V], l.cap)
+	l.head, l.tail = nil, nil
 }
 
 // Resize changes the capacity, evicting LRU entries as needed.
@@ -155,12 +203,11 @@ func (c *Cache[K, V]) Resize(capacity int) {
 		panic("lru: capacity must be positive")
 	}
 	c.mu.Lock()
-	c.cap = capacity
+	l := c.core
+	l.cap = capacity
 	var victims []*entry[K, V]
-	for len(c.items) > c.cap {
-		if v := c.evictTail(); v != nil {
-			victims = append(victims, v)
-		}
+	for len(l.items) > l.cap {
+		victims = append(victims, l.evictTail())
 	}
 	c.mu.Unlock()
 	if c.onEvict != nil {
@@ -174,8 +221,8 @@ func (c *Cache[K, V]) Resize(capacity int) {
 func (c *Cache[K, V]) Keys() []K {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	keys := make([]K, 0, len(c.items))
-	for e := c.head; e != nil; e = e.next {
+	keys := make([]K, 0, len(c.core.items))
+	for e := c.core.head; e != nil; e = e.next {
 		keys = append(keys, e.key)
 	}
 	return keys
@@ -200,17 +247,17 @@ func (s Stats) HitRate() float64 {
 func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Len: len(c.items), Cap: c.cap}
+	return c.core.Stats()
 }
 
 // ResetStats zeroes the hit/miss/eviction counters.
 func (c *Cache[K, V]) ResetStats() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.hits, c.misses, c.evictions = 0, 0, 0
+	c.core.ResetStats()
 }
 
-func (c *Cache[K, V]) pushFront(e *entry[K, V]) {
+func (c *Core[K, V]) pushFront(e *entry[K, V]) {
 	e.prev = nil
 	e.next = c.head
 	if c.head != nil {
@@ -222,7 +269,7 @@ func (c *Cache[K, V]) pushFront(e *entry[K, V]) {
 	}
 }
 
-func (c *Cache[K, V]) unlink(e *entry[K, V]) {
+func (c *Core[K, V]) unlink(e *entry[K, V]) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -236,7 +283,7 @@ func (c *Cache[K, V]) unlink(e *entry[K, V]) {
 	e.prev, e.next = nil, nil
 }
 
-func (c *Cache[K, V]) moveToFront(e *entry[K, V]) {
+func (c *Core[K, V]) moveToFront(e *entry[K, V]) {
 	if c.head == e {
 		return
 	}
@@ -244,13 +291,9 @@ func (c *Cache[K, V]) moveToFront(e *entry[K, V]) {
 	c.pushFront(e)
 }
 
-// evictTail unlinks and returns the LRU entry (nil if empty). Caller holds
-// c.mu and is responsible for invoking onEvict after releasing it.
-func (c *Cache[K, V]) evictTail() *entry[K, V] {
+// evictTail unlinks and returns the LRU entry of a non-empty cache.
+func (c *Core[K, V]) evictTail() *entry[K, V] {
 	t := c.tail
-	if t == nil {
-		return nil
-	}
 	c.unlink(t)
 	delete(c.items, t.key)
 	c.evictions++

@@ -3,6 +3,7 @@ package lru
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -268,11 +269,17 @@ func TestInvariantsQuick(t *testing.T) {
 	}
 }
 
-// Property: the cache behaves identically to a reference model.
+// Property: the cache behaves identically to a reference model — including
+// across entry reuse: a Set at capacity recycles the entry it evicts and a
+// Set after a Delete takes the deleted entry off the free list, and in both
+// cases onEvict must be handed the pair that left the cache, never the
+// reused entry's new one.
 func TestModelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const capacity = 8
-	c := New[int, int](capacity)
+	type pair struct{ k, v int }
+	var evicted []pair
+	c := NewWithEvict[int, int](capacity, func(k, v int) { evicted = append(evicted, pair{k, v}) })
 	// Reference: slice ordered MRU->LRU plus a map.
 	var order []int
 	model := map[int]int{}
@@ -290,7 +297,7 @@ func TestModelEquivalence(t *testing.T) {
 		switch rng.Intn(3) {
 		case 0: // set
 			v := rng.Int()
-			c.Set(k, v)
+			var want []pair
 			if _, ok := model[k]; ok {
 				model[k] = v
 				touch(k)
@@ -300,8 +307,13 @@ func TestModelEquivalence(t *testing.T) {
 				if len(order) > capacity {
 					victim := order[len(order)-1]
 					order = order[:len(order)-1]
+					want = []pair{{victim, model[victim]}}
 					delete(model, victim)
 				}
+			}
+			evicted = evicted[:0]
+			if got := c.Set(k, v); got != (want != nil) || !slices.Equal(evicted, want) {
+				t.Fatalf("step %d: Set(%d) = %v, onEvict saw %v; model evicts %v", step, k, got, evicted, want)
 			}
 		case 1: // get
 			gv, gok := c.Get(k)
@@ -341,6 +353,26 @@ func TestModelEquivalence(t *testing.T) {
 		if got[i] != order[i] {
 			t.Fatalf("order mismatch at %d: %v vs %v", i, got, order)
 		}
+	}
+}
+
+// A full cache — the steady state of a cache smaller than its working set —
+// inserts a new key into the entry it evicts, and a Set after a Delete
+// reuses the deleted entry: neither allocates.
+func TestSetReusesEntries(t *testing.T) {
+	c := New[int, string](64)
+	for i := 0; i < 64; i++ {
+		c.Set(i, "v")
+	}
+	next := 64
+	if avg := testing.AllocsPerRun(1000, func() { c.Set(next, "v"); next++ }); avg != 0 {
+		t.Errorf("Set of a new key at capacity: %v allocs, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { c.Delete(next - 1); c.Set(next, "v"); next++ }); avg != 0 {
+		t.Errorf("Set after Delete: %v allocs, want 0", avg)
+	}
+	if st := c.Stats(); st.Len != 64 || st.Evictions != 1001 {
+		t.Errorf("stats = %+v, want Len 64 and one eviction per at-capacity Set", st)
 	}
 }
 

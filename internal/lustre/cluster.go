@@ -184,35 +184,45 @@ func (c *Cluster) dirMDT(fullPath string) int {
 	return int(h.Sum32()) % len(c.changelogs)
 }
 
-// pathOf builds the absolute path of n. Caller holds c.mu.
+// pathOf builds the absolute path of n in one allocation sized from a
+// first walk up the tree. Caller holds c.mu.
 func pathOf(n *node) string {
 	if n.parent == nil {
 		return "/"
 	}
-	var parts []string
+	size := 0
 	for cur := n; cur.parent != nil; cur = cur.parent {
-		parts = append(parts, cur.name)
+		size += 1 + len(cur.name)
 	}
 	var b strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(parts[i])
-	}
+	b.Grow(size)
+	writePath(&b, n)
 	return b.String()
+}
+
+func writePath(b *strings.Builder, n *node) {
+	if n.parent.parent != nil {
+		writePath(b, n.parent)
+	}
+	b.WriteByte('/')
+	b.WriteString(n.name)
 }
 
 // Fid2Path resolves a FID to its current absolute path, simulating the
 // `lfs fid2path` tool: it is deliberately expensive (Config.Fid2PathCost)
 // and fails with ErrStaleFID for FIDs whose objects have been removed
 // (§IV-2: "In the case of UNLNK and RMDIR events, resolving target FIDs
-// will give an error because that FID has already been deleted").
+// will give an error because that FID has already been deleted"). The
+// error is the bare sentinel: a dead FID is Algorithm 1's expected branch,
+// taken about once per two records of a drained backlog, and the caller
+// already holds the FID should it want it in a message.
 func (c *Cluster) Fid2Path(fid FID) (string, error) {
 	c.fid2pathCalls.Add(1)
 	c.mu.Lock()
 	n, ok := c.byFID[fid]
 	if !ok {
 		c.mu.Unlock()
-		return "", fmt.Errorf("%w: %s", ErrStaleFID, fid)
+		return "", ErrStaleFID
 	}
 	p := pathOf(n)
 	c.mu.Unlock()

@@ -1,63 +1,45 @@
 package resolve
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"fsmonitor/internal/events"
+	"fsmonitor/internal/lustre"
 )
+
+// benchTranslate times TranslateBlock of recs on a resolver one untimed
+// pass has warmed, reporting ns/record beside allocs/op (per batch).
+func benchTranslate(b *testing.B, r *Resolver, recs []lustre.Record) {
+	blk := events.NewBlock(len(recs), 64*len(recs))
+	r.TranslateBlock(blk, recs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk.Reset()
+		r.TranslateBlock(blk, recs)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+}
 
 // BenchmarkResolveHit guards the warm-cache fast path: every record's FID
 // is already cached, so translation should be a bare LRU probe per FID
 // with no loader-closure allocation and no per-record throttle traffic.
 // The accounted costs are set to 1ns so the benchmark measures the code,
-// not the simulated pacing. Watch allocs/op — the hit path regressing to
-// per-record allocations is exactly what this benchmark exists to catch.
+// not the simulated pacing. allocs/op must read 0 (TestTranslateAllocs
+// gates it).
 func BenchmarkResolveHit(b *testing.B) {
 	const nFiles = 1024
-	cluster := testCluster(0)
-	cl := cluster.Client()
-	for i := 0; i < nFiles; i++ {
-		if err := cl.Create(fmt.Sprintf("/f%d", i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	recs := readRecords(b, cluster)
-	opts := Options{
-		Backend: cluster, CacheSize: 4 * nFiles,
-		EventOverhead: time.Nanosecond, CacheLookupCost: time.Nanosecond,
-	}
+	cluster, recs := liveFiles(b, nFiles)
+	benchTranslate(b, newResolver(b, unpacedOptions(cluster, 4*nFiles)), recs)
+}
 
-	b.Run("batch", func(b *testing.B) {
-		r := newResolver(b, opts)
-		dst := r.TranslateBatch(nil, recs) // warm the cache
-		if len(dst) != len(recs) {
-			b.Fatalf("translated %d events from %d records", len(dst), len(recs))
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dst = r.TranslateBatch(dst[:0], recs)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
-	})
-
-	b.Run("block", func(b *testing.B) {
-		r := newResolver(b, opts)
-		r.TranslateBatch(nil, recs) // warm the cache
-		blk := events.NewBlock(len(recs), len(recs)*32)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			blk.Reset()
-			r.TranslateBlock(blk, recs)
-		}
-		b.StopTimer()
-		if blk.Len() != len(recs) {
-			b.Fatalf("translated %d events from %d records", blk.Len(), len(recs))
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
-	})
+// BenchmarkResolveMiss is the other side: the churn-shaped batch of
+// TestTranslateAllocs (dead target FIDs, live parents, a full cache a
+// quarter the size of the directory set), so nearly every record walks
+// Algorithm 1's failure branches.
+func BenchmarkResolveMiss(b *testing.B) {
+	const nDirs = 1024
+	cluster, recs := missBatch(b, nDirs, 2048)
+	benchTranslate(b, newResolver(b, unpacedOptions(cluster, nDirs/4)), recs)
 }

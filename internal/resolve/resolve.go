@@ -16,6 +16,7 @@ package resolve
 import (
 	"errors"
 	"path"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -62,7 +63,7 @@ type Options struct {
 	NegativeTTL time.Duration
 	// Workers is the number of pacing lanes — the parallel resolution
 	// servers the resolver models. It should match the worker count of
-	// the pipeline stage driving TranslateBatch (default
+	// the pipeline stage driving TranslateBlock (default
 	// pipeline.DefaultResolveWorkers). With more than one worker,
 	// concurrent batches race the cache-priming side effects that
 	// dead-FID reconstruction depends on (a CREAT in one batch primes
@@ -137,7 +138,7 @@ type Resolver struct {
 	cache *cache.Cache[lustre.FID, string] // nil when CacheSize == 0
 
 	// lanes is the pool of pacing throttles: each concurrent
-	// TranslateBatch call checks one out for its batch, modelling one of
+	// TranslateBlock call checks one out for its batch, modelling one of
 	// Workers parallel resolution servers. all keeps them enumerable for
 	// accounting.
 	lanes chan *pace.Throttle
@@ -169,7 +170,7 @@ func New(opts Options) (*Resolver, error) {
 			Shards:      opts.CacheShards,
 			Hash:        lustre.FID.Hash,
 			NegativeTTL: opts.NegativeTTL,
-			Negative:    func(err error) bool { return errors.Is(err, lustre.ErrStaleFID) },
+			Negative:    isStale,
 		})
 	}
 	return r, nil
@@ -201,37 +202,16 @@ func (a *laneAcc) settle() {
 	}
 }
 
-// TranslateBatch runs Algorithm 1 over recs, appending the resulting
-// events to dst. It checks one pacing lane out for the whole batch, so up
-// to Workers concurrent calls progress in parallel.
-func (r *Resolver) TranslateBatch(dst []events.Event, recs []lustre.Record) []events.Event {
-	th := <-r.lanes
-	acc := laneAcc{th: th}
-	for _, rec := range recs {
-		dst = r.appendRecord(&acc, dst, rec)
-	}
-	acc.settle()
-	r.lanes <- th
-	return dst
-}
-
 // TranslateBlock runs Algorithm 1 over recs, appending the resulting
 // events directly into blk — the zero-copy capture path: the collector
 // hands the block straight to the wire without materializing an []Event.
+// It checks one pacing lane out for the whole batch, so up to Workers
+// concurrent calls progress in parallel.
 func (r *Resolver) TranslateBlock(blk *events.Block, recs []lustre.Record) {
 	th := <-r.lanes
 	acc := laneAcc{th: th}
-	// A record yields at most two events (RENME); resolving into a
-	// stack scratch keeps appendRecord shared between both entry points.
-	var scratch [2]events.Event
-	for _, rec := range recs {
-		out := r.appendRecord(&acc, scratch[:0], rec)
-		for i := range out {
-			// AppendEvent only fails on wire-limit violations (a 64KiB
-			// path component, a 512Mi-event batch) that resolution of a
-			// Changelog batch cannot produce.
-			blk.AppendEvent(out[i])
-		}
+	for i := range recs {
+		r.appendRecord(&acc, blk, &recs[i])
 	}
 	acc.settle()
 	r.lanes <- th
@@ -277,14 +257,28 @@ func (r *Resolver) ResetAccounting() {
 	}
 }
 
-// countFailure classifies a backend failure: stale FIDs are the expected
-// deleted-FID outcome Algorithm 1 handles, anything else is a real error.
-func (r *Resolver) countFailure(err error) {
-	if errors.Is(err, lustre.ErrStaleFID) {
+// isStale reports the expected deleted-FID failure. The backend returns the
+// sentinel bare (about every other record of a drained backlog takes this
+// branch), so the comparison almost never reaches errors.Is.
+func isStale(err error) bool {
+	return err == lustre.ErrStaleFID || errors.Is(err, lustre.ErrStaleFID)
+}
+
+// invoke runs the fid2path tool once, accounting its cost on the caller's
+// lane; stale FIDs are the expected outcome Algorithm 1 handles, anything
+// else is a real error.
+func (r *Resolver) invoke(acc *laneAcc, fid lustre.FID) (string, error) {
+	acc.spend(r.opts.Backend.Fid2PathCost())
+	r.calls.Add(1)
+	p, err := r.opts.Backend.Fid2Path(fid)
+	switch {
+	case err == nil:
+	case isStale(err):
 		r.stale.Add(1)
-	} else {
+	default:
 		r.errs.Add(1)
 	}
+	return p, err
 }
 
 // fid2path resolves through the cache per Algorithm 1 (cache.get; on miss
@@ -293,11 +287,10 @@ func (r *Resolver) countFailure(err error) {
 // invocation, and stale-FID failures are negative-cached so storms of
 // records for dead FIDs stop re-invoking the tool.
 //
-// The hit path is a bare probe: on a warm cache (the paper's steady state,
-// ~90% hit rates in Table VIII) the function costs one sharded LRU Get and
-// one accumulator add. Only a miss builds the loader closure and enters
-// the singleflight machinery — the closure capture was a per-record heap
-// allocation when it was built unconditionally.
+// Hit or miss it is one probe — GetOrLoad's — and one modeled lookup: cost
+// is spent per probe, never per lock. The loader closure is not retained by
+// GetOrLoad, so it lives on this frame and a hit allocates nothing
+// (TestTranslateAllocs gates it).
 func (r *Resolver) fid2path(acc *laneAcc, fid lustre.FID) (string, error) {
 	if fid.IsZero() {
 		// The record carries no FID in this slot (e.g. MTIME records
@@ -305,28 +298,10 @@ func (r *Resolver) fid2path(acc *laneAcc, fid lustre.FID) (string, error) {
 		return "", lustre.ErrStaleFID
 	}
 	if r.cache == nil {
-		acc.spend(r.opts.Backend.Fid2PathCost())
-		r.calls.Add(1)
-		p, err := r.opts.Backend.Fid2Path(fid)
-		if err != nil {
-			r.countFailure(err)
-			return "", err
-		}
-		return p, nil
+		return r.invoke(acc, fid)
 	}
 	acc.spend(r.opts.CacheLookupCost)
-	if p, ok := r.cache.Get(fid); ok {
-		return p, nil
-	}
-	return r.cache.GetOrLoad(fid, func() (string, error) {
-		acc.spend(r.opts.Backend.Fid2PathCost())
-		r.calls.Add(1)
-		p, err := r.opts.Backend.Fid2Path(fid)
-		if err != nil {
-			r.countFailure(err)
-		}
-		return p, err
-	})
+	return r.cache.GetOrLoad(fid, func() (string, error) { return r.invoke(acc, fid) })
 }
 
 // cacheOnly consults the cache without falling back to fid2path — used for
@@ -340,53 +315,111 @@ func (r *Resolver) cacheOnly(acc *laneAcc, fid lustre.FID) (string, bool) {
 	return r.cache.Get(fid)
 }
 
+// joined is a resolved path as directory + final component, the form
+// events.Block.AppendJoined takes: a path reconstructed from a parent
+// directory is joined in the block's arena and never becomes a string. A
+// whole path (a fid2path result, a cached mapping) has an empty name.
+type joined struct{ dir, name string }
+
+// removedDir stands in for a parent that no longer resolves either.
+const removedDir = "/" + ParentDirectoryRemoved + "/"
+
+// join is the one place a parent directory meets a record's name. A plain
+// component stays apart; a name path.Join would rewrite (empty, dotted,
+// slashed) still goes through it.
+func join(parent, name string) joined {
+	if name == "" || name == "." || name == ".." || strings.Contains(name, "/") {
+		return joined{dir: path.Join(parent, name)}
+	}
+	return joined{parent, name}
+}
+
+// String builds the path with one concatenation — for the reconstructions
+// that enter the cache, the only strings the miss path allocates.
+func (j joined) String() string {
+	switch {
+	case j.name == "":
+		return j.dir
+	case strings.HasSuffix(j.dir, "/"):
+		return j.dir + j.name
+	}
+	return j.dir + "/" + j.name
+}
+
+// viaParent is Algorithm 1's fallback for a FID that does not resolve: the
+// parent's path plus the record's name, or — the parent deleted as well
+// (line 41) — ParentDirectoryRemoved, reported as !ok.
+func (r *Resolver) viaParent(acc *laneAcc, pfid lustre.FID, name string) (joined, bool) {
+	parent, err := r.fid2path(acc, pfid)
+	if err != nil {
+		return joined{removedDir, name}, false
+	}
+	return join(parent, name), true
+}
+
+// subject resolves the FID a record is about. If it vanished between the
+// operation and our processing the path is reconstructed from the parent,
+// and with remember the reconstruction is cached so later records for the
+// same (dead) FID — its MTIME, its UNLNK — resolve without further tool
+// invocations.
+func (r *Resolver) subject(acc *laneAcc, fid, pfid lustre.FID, name string, remember bool) joined {
+	if p, err := r.fid2path(acc, fid); err == nil {
+		return joined{dir: p}
+	}
+	j, ok := r.viaParent(acc, pfid, name)
+	if ok && remember && r.cache != nil && !fid.IsZero() {
+		p := j.String()
+		r.cache.Set(fid, p)
+		return joined{dir: p}
+	}
+	return j
+}
+
+// removed resolves the name an UNLNK/RMDIR took away. The target's mapping
+// may survive in the cache from its CREAT; it is trusted only if it ends in
+// the record's name — a cached path under another name is a hard link that
+// is still there, and stays cached. A cache miss means fid2path, which
+// fails for deleted FIDs (the call is still paid, though the negative cache
+// absorbs repeats); a target that does resolve has a surviving hard link
+// and fid2path reports that name, so the removed one comes via the parent.
+func (r *Resolver) removed(acc *laneAcc, rec *lustre.Record) joined {
+	target, cached := r.cacheOnly(acc, rec.TFid)
+	if cached && path.Base(target) == rec.Name {
+		r.cache.Delete(rec.TFid) // the FID is dead; keep the cache clean
+		return joined{dir: target}
+	}
+	var err error
+	if !cached {
+		target, err = r.fid2path(acc, rec.TFid)
+	}
+	p, ok := r.viaParent(acc, rec.PFid, rec.Name)
+	if !ok && err == nil {
+		return joined{dir: target}
+	}
+	return p
+}
+
 // appendRecord implements Algorithm 1: resolve the record's FIDs into
 // absolute paths, handling deleted targets (UNLNK/RMDIR resolve the
 // parent; if the parent is gone too the event reports
 // ParentDirectoryRemoved) and renames (resolve old and new paths). The
-// resulting events are appended to dst.
-func (r *Resolver) appendRecord(acc *laneAcc, dst []events.Event, rec lustre.Record) []events.Event {
+// resulting events are appended to blk. AppendJoined only fails on
+// wire-limit violations (a 64KiB path, a 512Mi-event batch) that
+// resolution of a Changelog batch cannot produce.
+func (r *Resolver) appendRecord(acc *laneAcc, blk *events.Block, rec *lustre.Record) {
 	acc.spend(r.opts.EventOverhead)
-	base := events.Event{Root: r.opts.MountPoint, Time: rec.Time, Source: r.opts.Source}
-
+	e := events.Event{Root: r.opts.MountPoint, Time: rec.Time, Source: r.opts.Source}
+	var p joined
 	switch rec.Type {
 	case lustre.RecMark:
-		return dst
+		return
 
 	case lustre.RecUnlnk, lustre.RecRmdir:
-		op := events.OpDelete
+		e.Op = events.OpDelete
 		if rec.Type == lustre.RecRmdir {
-			op |= events.OpIsDir
+			e.Op |= events.OpIsDir
 		}
-		base.Op = op
-		// Try the cache for the deleted target first: its mapping may
-		// survive from the CREAT. A cache miss means fid2path, which
-		// fails for deleted FIDs (the call is still paid, though the
-		// negative cache absorbs repeats).
-		if p, ok := r.cacheOnly(acc, rec.TFid); ok {
-			r.cache.Delete(rec.TFid) // the FID is dead; keep the cache clean
-			base.Path = p
-			return append(dst, base)
-		}
-		if p, err := r.fid2path(acc, rec.TFid); err == nil {
-			// Target still resolvable: a hard link to it remains, and
-			// fid2path reports the surviving name. Report the removed
-			// name via the parent instead.
-			if parent, perr := r.fid2path(acc, rec.PFid); perr == nil {
-				p = path.Join(parent, rec.Name)
-			}
-			base.Path = p
-			return append(dst, base)
-		}
-		// Resolve the parent and append the name.
-		parent, err := r.fid2path(acc, rec.PFid)
-		if err != nil {
-			// Parent deleted as well (Algorithm 1 line 41).
-			base.Path = "/" + ParentDirectoryRemoved + "/" + rec.Name
-			return append(dst, base)
-		}
-		base.Path = path.Join(parent, rec.Name)
-		return append(dst, base)
+		p = r.removed(acc, rec)
 
 	case lustre.RecRenme:
 		// Old path: source parent (sp=[]) + old name; new path: the
@@ -394,74 +427,31 @@ func (r *Resolver) appendRecord(acc *laneAcc, dst []events.Event, rec lustre.Rec
 		// location. Any cached mapping for the renamed FID predates the
 		// rename and must be invalidated before resolving, or the event
 		// would report the stale source path as the destination.
-		var oldPath, newPath string
-		if parent, err := r.fid2path(acc, rec.SPFid); err == nil {
-			oldPath = path.Join(parent, rec.Name)
-		} else {
-			oldPath = "/" + ParentDirectoryRemoved + "/" + rec.Name
-		}
+		old, _ := r.viaParent(acc, rec.SPFid, rec.Name)
 		if r.cache != nil {
 			r.cache.Delete(rec.SFid)
 		}
-		if p, err := r.fid2path(acc, rec.SFid); err == nil {
-			newPath = p
-		} else if parent, err := r.fid2path(acc, rec.PFid); err == nil {
-			newPath = path.Join(parent, rec.SName)
-			if r.cache != nil && !rec.SFid.IsZero() {
-				r.cache.Set(rec.SFid, newPath)
-			}
-		} else {
-			newPath = "/" + ParentDirectoryRemoved + "/" + rec.SName
-		}
-		from := base
-		from.Op = events.OpMovedFrom
-		from.Path = oldPath
-		from.Cookie = uint32(rec.Index)
-		to := base
-		to.Op = events.OpMovedTo
-		to.Path = newPath
-		to.OldPath = oldPath
-		to.Cookie = uint32(rec.Index)
-		return append(dst, from, to)
+		p = r.subject(acc, rec.SFid, rec.PFid, rec.SName, true)
+		e.Cookie = uint32(rec.Index)
+		e.Op, e.Path = events.OpMovedFrom, old.dir
+		blk.AppendJoined(&e, old.name, "")
+		e.Op, e.Path, e.OldPath = events.OpMovedTo, p.dir, old.dir
+		blk.AppendJoined(&e, p.name, old.name)
+		return
 
 	case lustre.RecRnmto:
-		p, err := r.fid2path(acc, rec.TFid)
-		if err != nil {
-			if parent, perr := r.fid2path(acc, rec.PFid); perr == nil {
-				p = path.Join(parent, rec.Name)
-			} else {
-				p = "/" + ParentDirectoryRemoved + "/" + rec.Name
-			}
-		}
-		base.Op = events.OpMovedTo
-		base.Path = p
-		return append(dst, base)
+		e.Op = events.OpMovedTo
+		p = r.subject(acc, rec.TFid, rec.PFid, rec.Name, false)
 
 	default:
 		// Creations and in-place updates: resolve the target FID.
-		base.Op = RecTypeToOp(rec.Type)
-		if base.Op == 0 {
-			return dst
+		if e.Op = RecTypeToOp(rec.Type); e.Op == 0 {
+			return
 		}
-		p, err := r.fid2path(acc, rec.TFid)
-		if err != nil {
-			// The subject vanished between the operation and our
-			// processing; reconstruct from the parent if possible and
-			// cache the reconstruction so later records for the same
-			// (dead) FID — its MTIME, its UNLNK — resolve without
-			// further tool invocations.
-			if parent, perr := r.fid2path(acc, rec.PFid); perr == nil {
-				p = path.Join(parent, rec.Name)
-				if r.cache != nil && !rec.TFid.IsZero() {
-					r.cache.Set(rec.TFid, p)
-				}
-			} else {
-				p = "/" + ParentDirectoryRemoved + "/" + rec.Name
-			}
-		}
-		base.Path = p
-		return append(dst, base)
+		p = r.subject(acc, rec.TFid, rec.PFid, rec.Name, true)
 	}
+	e.Path = p.dir
+	blk.AppendJoined(&e, p.name, "")
 }
 
 // RecTypeToOp maps Changelog record types onto the standard vocabulary.

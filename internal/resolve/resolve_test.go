@@ -3,6 +3,8 @@ package resolve
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -36,6 +38,33 @@ func newResolver(t testing.TB, opts Options) *Resolver {
 	return r
 }
 
+// translate runs recs through TranslateBlock and materializes the events —
+// what Resolver.TranslateBatch returned before the resolver wrote only
+// Blocks.
+func translate(r *Resolver, recs []lustre.Record) []events.Event {
+	blk := events.NewBlock(len(recs), 64*len(recs))
+	r.TranslateBlock(blk, recs)
+	return blk.AppendEventsTo(nil)
+}
+
+// liveFiles journals n creates whose files are still there at translation.
+func liveFiles(t testing.TB, n int) (*lustre.Cluster, []lustre.Record) {
+	t.Helper()
+	cluster := testCluster(0)
+	cl := cluster.Client()
+	for i := 0; i < n; i++ {
+		must(t, cl.Create(fmt.Sprintf("/f%d", i)))
+	}
+	return cluster, readRecords(t, cluster)
+}
+
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Translating a create/write/delete sequence after the file is gone
 // exercises the full Algorithm-1 miss path: the CREAT reconstructs the
 // path from the parent and primes the cache, MTIME and UNLNK then resolve
@@ -54,7 +83,7 @@ func TestTranslateDeadFileRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := newResolver(t, Options{Backend: cluster, CacheSize: 100})
-	got := r.TranslateBatch(nil, readRecords(t, cluster))
+	got := translate(r, readRecords(t, cluster))
 	wantOps := []events.Op{events.OpCreate, events.OpModify, events.OpDelete}
 	if len(got) != len(wantOps) {
 		t.Fatalf("events = %v", got)
@@ -70,6 +99,125 @@ func TestTranslateDeadFileRecords(t *testing.T) {
 	if st.Fid2PathCalls != 2 || st.Fid2PathStale != 1 || st.Fid2PathErrors != 0 {
 		t.Errorf("stats = %+v, want Calls=2 Stale=1 Errors=0", st)
 	}
+}
+
+// A miss is one probe: N distinct live FIDs through a cold resolver are N
+// cache misses, N loads and N tool invocations, and the same batch again is
+// N hits and nothing else. (The resolver used to probe with Get and let
+// GetOrLoad probe again, so every miss counted twice and the hit ratio read
+// low.)
+func TestMissCountedOnce(t *testing.T) {
+	const n = 64
+	cluster, recs := liveFiles(t, n)
+	r := newResolver(t, Options{Backend: cluster, CacheSize: 4 * n})
+	translate(r, recs)
+	cold := r.Stats()
+	if cold.Cache.Misses != n || cold.Cache.Hits != 0 || cold.Cache.Loads != n || cold.Fid2PathCalls != n {
+		t.Errorf("cold pass: %+v, want Misses = Loads = Fid2PathCalls = %d, Hits = 0", cold, n)
+	}
+	translate(r, recs)
+	warm := r.Stats()
+	if warm.Cache.Hits != n || warm.Cache.Misses != n || warm.Cache.Loads != n || warm.Fid2PathCalls != n {
+		t.Errorf("warm pass: %+v, want Hits = %d and nothing else moved", warm, n)
+	}
+}
+
+// Unlinking one name of a hard-linked file reports that name, cache on or
+// off: the cached mapping of the FID is the other, surviving name, and is
+// neither trusted for the event nor evicted.
+func TestUnlinkHardLinkReportsRemovedName(t *testing.T) {
+	for _, size := range []int{0, 100} {
+		cluster := testCluster(0)
+		cl := cluster.Client()
+		must(t, cl.Create("/a"))
+		must(t, cl.Link("/a", "/b"))
+		must(t, cl.Unlink("/b"))
+		r := newResolver(t, Options{Backend: cluster, CacheSize: size})
+		var got []string
+		for _, e := range translate(r, readRecords(t, cluster)) {
+			got = append(got, e.Op.String()+" "+e.Path)
+		}
+		if want := []string{"CREATE /a", "CREATE /a", "DELETE /b"}; !slices.Equal(got, want) {
+			t.Errorf("CacheSize %d: events = %v, want %v", size, got, want)
+		}
+		if size == 0 {
+			continue
+		}
+		info, err := cluster.Stat("/a")
+		must(t, err)
+		if p, ok := r.cache.Get(info.FID); !ok || p != "/a" {
+			t.Errorf("CacheSize %d: surviving name's mapping = %q, %v, want /a kept", size, p, ok)
+		}
+	}
+}
+
+// missBatch journals the miss-path shape of a drained churn backlog on one
+// MDT: files created, written and unlinked before translation — dead target
+// FID, live parent — across nDirs directories, for a resolver whose cache
+// holds a quarter of them.
+func missBatch(t testing.TB, nDirs, nFiles int) (*lustre.Cluster, []lustre.Record) {
+	t.Helper()
+	cluster := testCluster(0)
+	cl := cluster.Client()
+	for i := 0; i < nDirs; i++ {
+		must(t, cl.Mkdir(fmt.Sprintf("/d%04d", i)))
+	}
+	log, err := cluster.Changelog(0)
+	must(t, err)
+	mkdirs := log.NextIndex() - 1
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < nFiles; i++ {
+		f := fmt.Sprintf("/d%04d/c%d", rng.Intn(nDirs), i)
+		must(t, cl.Create(f))
+		must(t, cl.Write(f, 1))
+		must(t, cl.Unlink(f))
+	}
+	return cluster, log.Read(mkdirs, 1<<20)
+}
+
+// unpacedOptions sets the accounted costs to 1ns, so allocation gates and
+// micro-benchmarks measure the code and not the simulated pacing.
+func unpacedOptions(cluster *lustre.Cluster, cacheSize int) Options {
+	return Options{
+		Backend: cluster, CacheSize: cacheSize,
+		EventOverhead: time.Nanosecond, CacheLookupCost: time.Nanosecond,
+	}
+}
+
+// The allocation budget of TranslateBlock. Warm (every FID cached) it
+// allocates nothing: no loader closure, no scratch event, no per-call
+// slice. On the miss path the only allocation left is a path string
+// entering the cache — fid2path's result for a parent, the reconstruction
+// for a dead target: two per created file, under one per record — not the
+// stale error, a flight, an LRU entry or a joined path.
+func TestTranslateAllocs(t *testing.T) {
+	t.Run("warm", func(t *testing.T) {
+		cluster, recs := liveFiles(t, 256)
+		r := newResolver(t, unpacedOptions(cluster, 1024))
+		blk := events.NewBlock(len(recs), 64*len(recs))
+		if avg := testing.AllocsPerRun(20, func() {
+			blk.Reset()
+			r.TranslateBlock(blk, recs)
+		}); avg != 0 {
+			t.Errorf("warm TranslateBlock: %v allocs per %d-record batch, want 0", avg, len(recs))
+		}
+	})
+	t.Run("miss", func(t *testing.T) {
+		const nDirs = 1024
+		cluster, recs := missBatch(t, nDirs, 2048)
+		r := newResolver(t, unpacedOptions(cluster, nDirs/4))
+		blk := events.NewBlock(len(recs), 64*len(recs))
+		avg := testing.AllocsPerRun(5, func() {
+			blk.Reset()
+			r.TranslateBlock(blk, recs)
+		})
+		if st := r.Stats(); st.Cache.Evictions == 0 || st.Fid2PathStale == 0 {
+			t.Fatalf("batch did not exercise the miss path on a full cache: %+v", st)
+		}
+		if per := avg / float64(len(recs)); per > 1 {
+			t.Errorf("miss-path TranslateBlock: %.2f allocs/record, want <= 1", per)
+		}
+	})
 }
 
 // deadRecords fabricates n MTIME records for a FID that never existed:
@@ -96,7 +244,7 @@ func TestNegativeCacheAbsorbsDeadFIDStorm(t *testing.T) {
 	run := func(ttl time.Duration) Stats {
 		cluster := testCluster(0)
 		r := newResolver(t, Options{Backend: cluster, CacheSize: 100, NegativeTTL: ttl})
-		out := r.TranslateBatch(nil, deadRecords(n))
+		out := translate(r, deadRecords(n))
 		if len(out) != n {
 			t.Fatalf("events = %d, want %d", len(out), n)
 		}
@@ -124,7 +272,7 @@ func TestNegativeCacheAbsorbsDeadFIDStorm(t *testing.T) {
 	}
 }
 
-// Concurrent TranslateBatch callers each check out their own pacing lane,
+// Concurrent TranslateBlock callers each check out their own pacing lane,
 // and Busy aggregates what every lane spent.
 func TestLaneAccountingAcrossWorkers(t *testing.T) {
 	cluster := testCluster(0)
@@ -144,7 +292,7 @@ func TestLaneAccountingAcrossWorkers(t *testing.T) {
 		w := w
 		go func() {
 			defer func() { done <- struct{}{} }()
-			r.TranslateBatch(nil, recs[w*16:(w+1)*16])
+			translate(r, recs[w*16:(w+1)*16])
 		}()
 	}
 	for w := 0; w < 4; w++ {
@@ -163,7 +311,7 @@ func TestLaneAccountingAcrossWorkers(t *testing.T) {
 }
 
 // BenchmarkResolveStage measures resolve-stage throughput through the real
-// pipeline stage (MapN driving TranslateBatch) on a cold cache, where
+// pipeline stage (MapN driving TranslateBlock) on a cold cache, where
 // every record is a miss and the simulated fid2path cost dominates — the
 // configuration the worker-scaling acceptance criterion is stated for.
 // Each iteration builds a fresh resolver so no iteration benefits from a
@@ -207,12 +355,14 @@ func BenchmarkResolveStage(b *testing.B) {
 					return nil
 				})
 				resolved := pipeline.MapN(p, "resolve", 4, workers, src,
-					func(_ context.Context, batch []lustre.Record) ([]events.Event, bool) {
-						return r.TranslateBatch(nil, batch), true
+					func(_ context.Context, batch []lustre.Record) (int, bool) {
+						blk := events.NewBlock(len(batch), 64*len(batch))
+						r.TranslateBlock(blk, batch)
+						return blk.Len(), true
 					})
 				var out int
-				pipeline.Sink(p, "count", resolved, func(_ context.Context, evs []events.Event) {
-					out += len(evs)
+				pipeline.Sink(p, "count", resolved, func(_ context.Context, n int) {
+					out += n
 				})
 				p.Wait()
 				if out != len(recs) {
