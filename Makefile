@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet staticcheck loc test race fuzz-smoke bench bench-smoke bench-aggregator bench-json bench-telemetry bench-trace bench-mount bench-cluster bench-cluster-json bench-journey flame trace-sample audit-smoke incident-smoke check
+.PHONY: all build fmt vet staticcheck loc test race fuzz-smoke bench-smoke bench-aggregator bench-telemetry bench-trace bench-mount bench-cluster bench-journey trace-sample audit-smoke incident-smoke check
 
 all: check
 
@@ -50,9 +50,6 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$${fn#func }$$" -fuzztime 5s "$$(dirname $$file)" || exit 1; \
 	done
 
-bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./...
-
 # bench-smoke runs one iteration of the fast micro-benchmarks (resolver
 # scaling, the resolver's miss path beside its hit path, cache contention,
 # pipeline stages, aggregator partitions) as a CI regression canary; the
@@ -67,28 +64,6 @@ bench-smoke:
 # the pipeline's own mechanical ceiling).
 bench-aggregator:
 	$(GO) test -run '^$$' -bench 'AggregatorThroughput(Raw)?/' -benchmem ./internal/bench/
-
-# bench-json re-runs the aggregator bench with machine-readable output:
-# bench-aggregator.json carries one JSON object per line (gotestsum-style
-# `go test -json` stream), the artifact CI uploads so throughput can be
-# charted across commits without scraping logs.
-bench-json:
-	$(GO) test -json -run '^$$' -bench 'AggregatorThroughput(Raw)?/' -benchmem ./internal/bench/ \
-		> bench-aggregator.json
-
-# flame captures a CPU profile of the single-partition aggregator bench and
-# renders it: always a pprof -top table (flame.txt), and an SVG flamegraph
-# (flame.svg) when graphviz's dot is installed. The profile and binary stay
-# next to the outputs for interactive `go tool pprof` sessions.
-flame:
-	$(GO) test -run '^$$' -bench '^BenchmarkAggregatorThroughput$$/partitions=1' \
-		-benchtime 1000000x -cpuprofile cpu.prof -o bench.test ./internal/bench/
-	$(GO) tool pprof -top -nodecount 30 bench.test cpu.prof | tee flame.txt
-	@if command -v dot >/dev/null 2>&1; then \
-		$(GO) tool pprof -svg -output flame.svg bench.test cpu.prof && echo "wrote flame.svg"; \
-	else \
-		echo "flame: graphviz (dot) not installed, skipping flame.svg (flame.txt written)"; \
-	fi
 
 # bench-telemetry runs the aggregator bench with and without a live
 # registry attached; the events/s delta is the observability overhead
@@ -135,13 +110,6 @@ bench-mount:
 # the enabled-plane overhead (acceptance: < 5%).
 bench-cluster:
 	$(GO) test -run '^$$' -bench 'ClusterThroughput/' -benchmem ./internal/bench/
-
-# bench-cluster-json re-runs the cluster bench with machine-readable
-# output (one `go test -json` object per line) into bench-cluster.json,
-# the artifact CI uploads so node-scaling can be charted across commits.
-bench-cluster-json:
-	$(GO) test -json -run '^$$' -bench 'ClusterThroughput/' -benchmem ./internal/bench/ \
-		> bench-cluster.json
 
 # bench-journey runs the event-journey benchmark (BENCHMARK.json): its own
 # module's tests — which `go test ./...` at the root does not reach — then

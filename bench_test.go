@@ -466,70 +466,3 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 	}
 	b.ReportMetric(rep.EventsPerSec(), "events/s")
 }
-
-// BenchmarkAblationStoreThread quantifies the fault-tolerance cost: the
-// aggregator with and without its reliable event store.
-func BenchmarkAblationStoreThread(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "store"
-		if disable {
-			name = "nostore"
-		}
-		b.Run(name, func(b *testing.B) {
-			cluster := lustre.NewCluster(lustre.Config{NumMDS: 1, NumOSS: 1, OSTsPerOSS: 1, OSTSizeGB: 10})
-			col, err := scalable.NewCollector(scalable.CollectorOptions{
-				Cluster: cluster, MDT: 0, CacheSize: 5000,
-				PollInterval: 100 * time.Microsecond,
-				Endpoint:     fmt.Sprintf("inproc://ablation-store-%v-%d", disable, b.N),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer col.Close()
-			agg, err := scalable.NewAggregator(scalable.AggregatorOptions{
-				CollectorEndpoints: []string{col.Endpoint()},
-				Endpoint:           fmt.Sprintf("inproc://ablation-agg-%v-%d", disable, b.N),
-				DisableStore:       disable,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer agg.Close()
-			con, err := scalable.NewConsumer(scalable.ConsumerOptions{
-				AggregatorEndpoint: agg.Endpoint(),
-				Filter:             iface.Filter{Recursive: true},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer con.Close()
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				got := 0
-				for {
-					select {
-					case batch, ok := <-con.C():
-						if !ok {
-							return
-						}
-						got += len(batch)
-						if got >= b.N {
-							return
-						}
-					case <-time.After(5 * time.Second):
-						return
-					}
-				}
-			}()
-			cl := cluster.Client()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cl.Create(fmt.Sprintf("/f%d", i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			<-done
-		})
-	}
-}

@@ -215,7 +215,7 @@ func WithJournalSyncEvery(n int) Option {
 // event order. The default 1 reproduces the paper's single serial store
 // (Tables IV/VII). Lustre path only.
 func WithStorePartitions(n int) Option {
-	return func(o *core.Options) { o.StorePartitions = n }
+	return func(o *core.Options) { o.Lustre.StorePartitions = n }
 }
 
 // WithClusterNodes deploys the aggregation tier as a cluster of n routed
@@ -227,7 +227,7 @@ func WithStorePartitions(n int) Option {
 // list keeps the single-node wire format byte-identical to the classic
 // aggregator. Lustre path only.
 func WithClusterNodes(n int) Option {
-	return func(o *core.Options) { o.ClusterNodes = n }
+	return func(o *core.Options) { o.Lustre.ClusterNodes = n }
 }
 
 // WithClusterJoin points the deployed aggregator node(s) at an existing
@@ -235,7 +235,7 @@ func WithClusterNodes(n int) Option {
 // and take over their rendezvous share of its partitions. Lustre path
 // only.
 func WithClusterJoin(ctl ...string) Option {
-	return func(o *core.Options) { o.ClusterJoin = append([]string(nil), ctl...) }
+	return func(o *core.Options) { o.Lustre.ClusterJoin = append([]string(nil), ctl...) }
 }
 
 // WithClusterListen binds the first deployed node's event publisher to a
@@ -243,7 +243,7 @@ func WithClusterJoin(ctl ...string) Option {
 // other machines can reach it; the default is a loopback or in-process
 // endpoint. Lustre path only.
 func WithClusterListen(endpoint string) Option {
-	return func(o *core.Options) { o.ClusterListen = endpoint }
+	return func(o *core.Options) { o.Lustre.ClusterListen = endpoint }
 }
 
 // WithClusterNodePrefix prefixes the deployed nodes' cluster member IDs
@@ -252,7 +252,7 @@ func WithClusterListen(endpoint string) Option {
 // and a joining process derives a host+pid prefix, so two processes
 // never collide. The prefix must not contain '.'. Lustre path only.
 func WithClusterNodePrefix(prefix string) Option {
-	return func(o *core.Options) { o.ClusterNodePrefix = prefix }
+	return func(o *core.Options) { o.Lustre.ClusterNodePrefix = prefix }
 }
 
 // WithClusterAdvertise sets the externally reachable host substituted
@@ -261,7 +261,7 @@ func WithClusterNodePrefix(prefix string) Option {
 // host ("0.0.0.0") that machines elsewhere cannot dial back. Lustre
 // path only.
 func WithClusterAdvertise(host string) Option {
-	return func(o *core.Options) { o.ClusterAdvertise = host }
+	return func(o *core.Options) { o.Lustre.ClusterAdvertise = host }
 }
 
 // ClusterMember identifies one member of a clustered aggregation tier:
@@ -552,22 +552,14 @@ func WatchLustre(cluster *LustreCluster, mount string, cacheSize int, opts ...Op
 		Storage:   dsi.StorageInfo{Platform: runtime.GOOS, FSType: "lustre", Root: mount},
 		Recursive: true,
 	}
+	o.Lustre.CacheSize = size
 	for _, opt := range opts {
 		opt(&o)
 	}
 	// Options are applied before the backend is built so knobs like
 	// WithStorePartitions reach the deployment; WithBackend still wins.
 	if o.Backend == nil {
-		o.Backend = &lustredsi.Backend{
-			Cluster:           cluster,
-			CacheSize:         size,
-			StorePartitions:   o.StorePartitions,
-			ClusterNodes:      o.ClusterNodes,
-			ClusterJoin:       o.ClusterJoin,
-			ClusterListen:     o.ClusterListen,
-			ClusterNodePrefix: o.ClusterNodePrefix,
-			ClusterAdvertise:  o.ClusterAdvertise,
-		}
+		o.Backend = &lustredsi.Backend{Cluster: cluster, DeployOptions: o.Lustre}
 	}
 	return core.New(o)
 }

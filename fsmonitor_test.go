@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fsmonitor"
+	"fsmonitor/internal/core"
 	"fsmonitor/internal/lustre"
 )
 
@@ -485,6 +486,31 @@ func TestTelemetryPublicAPI(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "fsmon.consumer.e2e_us count=") {
 		t.Errorf("status dump missing e2e latency line:\n%s", sb.String())
+	}
+}
+
+// Every Lustre-tier option writes through core.Options.Lustre, the one
+// scalable.DeployOptions WatchLustre hands to the backend whole — so a knob
+// the chain dropped would show here, not as a silently ignored flag.
+func TestLustreOptionsLandInDeployOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  fsmonitor.Option
+		got  func(o *core.Options) any
+		want any
+	}{
+		{"WithStorePartitions", fsmonitor.WithStorePartitions(4), func(o *core.Options) any { return o.Lustre.StorePartitions }, 4},
+		{"WithClusterNodes", fsmonitor.WithClusterNodes(3), func(o *core.Options) any { return o.Lustre.ClusterNodes }, 3},
+		{"WithClusterJoin", fsmonitor.WithClusterJoin("tcp://a:1", "tcp://b:2"), func(o *core.Options) any { return strings.Join(o.Lustre.ClusterJoin, ",") }, "tcp://a:1,tcp://b:2"},
+		{"WithClusterListen", fsmonitor.WithClusterListen("tcp://0.0.0.0:7400"), func(o *core.Options) any { return o.Lustre.ClusterListen }, "tcp://0.0.0.0:7400"},
+		{"WithClusterNodePrefix", fsmonitor.WithClusterNodePrefix("east"), func(o *core.Options) any { return o.Lustre.ClusterNodePrefix }, "east"},
+		{"WithClusterAdvertise", fsmonitor.WithClusterAdvertise("mgs.example"), func(o *core.Options) any { return o.Lustre.ClusterAdvertise }, "mgs.example"},
+	} {
+		var o core.Options
+		tc.opt(&o)
+		if got := tc.got(&o); got != tc.want {
+			t.Errorf("%s: o.Lustre holds %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

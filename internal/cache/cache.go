@@ -40,11 +40,9 @@ type Config[K comparable] struct {
 	// Hash maps a key to the 64-bit value used for shard selection.
 	Hash func(K) uint64
 	// NegativeTTL is how long a negative (error) result is remembered;
-	// 0 disables negative caching.
+	// 0 disables negative caching. Remembered negative entries are bounded
+	// by Capacity as well.
 	NegativeTTL time.Duration
-	// NegativeCapacity bounds remembered negative entries (default
-	// Capacity).
-	NegativeCapacity int
 	// Negative reports whether a load error should be negative-cached
 	// (nil with NegativeTTL > 0 caches every error).
 	Negative func(error) bool
@@ -123,7 +121,7 @@ type Cache[K comparable, V any] struct {
 }
 
 // New builds a cache from cfg. It panics if Capacity is not positive or
-// Hash is nil, mirroring lru.New.
+// Hash is nil, mirroring lru.NewCore.
 func New[K comparable, V any](cfg Config[K]) *Cache[K, V] {
 	if cfg.Capacity <= 0 {
 		panic("cache: Capacity must be positive")
@@ -144,17 +142,12 @@ func New[K comparable, V any](cfg Config[K]) *Cache[K, V] {
 		shards &= shards - 1
 	}
 	perShard := (cfg.Capacity + shards - 1) / shards
-	negCap := cfg.NegativeCapacity
-	if negCap <= 0 {
-		negCap = cfg.Capacity
-	}
-	perShardNeg := (negCap + shards - 1) / shards
 	c := &Cache[K, V]{cfg: cfg, mask: uint64(shards - 1), now: time.Now}
 	for i := 0; i < shards; i++ {
 		s := &shard[K, V]{pos: lru.NewCore[K, V](perShard)}
 		s.landed.L = &s.mu
 		if cfg.NegativeTTL > 0 {
-			s.neg = lru.NewCore[K, negEntry](perShardNeg)
+			s.neg = lru.NewCore[K, negEntry](perShard)
 		}
 		c.shards = append(c.shards, s)
 	}

@@ -22,6 +22,7 @@ import (
 	"fsmonitor/internal/iface"
 	"fsmonitor/internal/metrics"
 	"fsmonitor/internal/resolution"
+	"fsmonitor/internal/scalable"
 	"fsmonitor/internal/telemetry"
 )
 
@@ -44,30 +45,11 @@ type Options struct {
 	Resolution resolution.Options
 	// Store configures the reliable event store.
 	Store eventstore.Options
-	// StorePartitions shards the scalable monitor's aggregation tier
-	// (Lustre path only; the local interface-layer store stays single).
-	// 0 = pipeline.DefaultStorePartitions (1, the paper's serial store).
-	StorePartitions int
-	// ClusterNodes deploys the Lustre aggregation tier as a cluster of
-	// this many routed aggregator nodes instead of the single aggregator
-	// (0 = classic). Lustre path only.
-	ClusterNodes int
-	// ClusterJoin lists ctl inboxes of an existing aggregation cluster to
-	// join instead of founding a new one. Lustre path only.
-	ClusterJoin []string
-	// ClusterListen is the first cluster node's publisher bind (e.g.
-	// "tcp://0.0.0.0:7400") so external nodes can subscribe; empty uses
-	// the transport default. Its host also becomes the bind host for the
-	// deployment's other cluster sockets. Lustre path only.
-	ClusterListen string
-	// ClusterNodePrefix prefixes the deployed cluster nodes' member IDs;
-	// empty derives a safe default (stable "n" when founding, host+pid
-	// when joining so two processes never collide). Lustre path only.
-	ClusterNodePrefix string
-	// ClusterAdvertise is the externally reachable host substituted into
-	// advertised cluster addresses when the binds use a wildcard host.
-	// Lustre path only.
-	ClusterAdvertise string
+	// Lustre is the scalable monitor's deployment (Lustre path only; the
+	// local interface-layer store above stays single): WatchLustre hands
+	// it to the lustre backend whole, so each of its knobs is declared
+	// once, in package scalable.
+	Lustre scalable.DeployOptions
 	// Buffer is the DSI event channel capacity (0 = default).
 	Buffer int
 	// Context bounds the monitor's lifetime: it is threaded through every

@@ -7,15 +7,14 @@
 package lustredsi
 
 import (
+	"errors"
 	"fmt"
-	"log/slog"
-	"time"
 
 	"fsmonitor/internal/dsi"
+	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/iface"
 	"fsmonitor/internal/lustre"
 	"fsmonitor/internal/scalable"
-	"fsmonitor/internal/telemetry"
 )
 
 // Name is the backend name in the registry.
@@ -36,50 +35,13 @@ func Register(reg *dsi.Registry) {
 }
 
 // Backend carries the Lustre connection for dsi.Config.Backend: the
-// cluster plus optional scalable-monitor tuning. The resolver knobs map
-// straight onto scalable.DeployOptions — collectors and this DSI share
-// one resolve.Resolver implementation per collector.
+// cluster plus the scalable monitor's deployment options, declared once —
+// in package scalable — and handed to Deploy whole. New fills only what the
+// DSI knows better: the mount point, the cache size, and dsi.Config's
+// context, registry and logger.
 type Backend struct {
-	Cluster   *lustre.Cluster
-	CacheSize int    // 0 = DefaultCacheSize
-	Transport string // "" = inproc, or "tcp"
-	// CacheShards is the fid2path cache shard count
-	// (0 = pipeline.DefaultCacheShards).
-	CacheShards int
-	// NegativeTTL is how long stale-FID failures are negative-cached;
-	// <= 0 disables (the default). Use pipeline.DefaultNegativeTTL when
-	// enabling.
-	NegativeTTL time.Duration
-	// ResolveWorkers is each collector's resolve-stage parallelism
-	// (0 = pipeline.DefaultResolveWorkers).
-	ResolveWorkers int
-	// StorePartitions shards the aggregation tier (reliable store, store
-	// lanes, republish topics) by MDT index
-	// (0 = pipeline.DefaultStorePartitions, the paper's single store).
-	StorePartitions int
-	// ClusterNodes deploys the aggregation tier as a cluster of this many
-	// routed aggregator nodes instead of the single aggregator
-	// (0 = classic; see scalable.DeployOptions.ClusterNodes).
-	ClusterNodes int
-	// ClusterJoin lists ctl inboxes of an existing cluster to join.
-	ClusterJoin []string
-	// ClusterListen is the first node's publisher bind for external
-	// subscribers; empty uses the transport default. Its host also
-	// becomes the bind host for the deployment's other cluster sockets.
-	ClusterListen string
-	// ClusterNodePrefix prefixes the deployed nodes' member IDs; empty
-	// derives a safe default (see scalable.DeployOptions).
-	ClusterNodePrefix string
-	// ClusterAdvertise is the externally reachable host substituted into
-	// advertised cluster addresses when the binds use a wildcard host.
-	ClusterAdvertise string
-	// Telemetry mirrors the whole deployment (collectors, aggregator,
-	// store, consumer) into the unified registry; nil falls back to
-	// dsi.Config.Telemetry.
-	Telemetry *telemetry.Registry
-	// Logger receives component-tagged structured logs; nil falls back
-	// to dsi.Config.Logger (and then to discard).
-	Logger *slog.Logger
+	Cluster *lustre.Cluster
+	scalable.DeployOptions
 }
 
 type lustreDSI struct {
@@ -103,8 +65,14 @@ func New(cfg dsi.Config) (dsi.DSI, error) {
 	if be.Cluster == nil {
 		return nil, fmt.Errorf("lustredsi: no cluster provided")
 	}
+	if be.MountPoint == "" {
+		be.MountPoint = cfg.Root
+	}
 	if be.CacheSize == 0 {
 		be.CacheSize = DefaultCacheSize
+	}
+	if be.Context == nil {
+		be.Context = cfg.Context
 	}
 	if be.Telemetry == nil {
 		be.Telemetry = cfg.Telemetry
@@ -112,27 +80,7 @@ func New(cfg dsi.Config) (dsi.DSI, error) {
 	if be.Logger == nil {
 		be.Logger = cfg.Logger
 	}
-	root := cfg.Root
-	if root == "" {
-		root = "/mnt/lustre"
-	}
-	mon, err := scalable.Deploy(be.Cluster, scalable.DeployOptions{
-		MountPoint:        root,
-		CacheSize:         be.CacheSize,
-		CacheShards:       be.CacheShards,
-		NegativeTTL:       be.NegativeTTL,
-		ResolveWorkers:    be.ResolveWorkers,
-		StorePartitions:   be.StorePartitions,
-		ClusterNodes:      be.ClusterNodes,
-		ClusterJoin:       be.ClusterJoin,
-		ClusterListen:     be.ClusterListen,
-		ClusterNodePrefix: be.ClusterNodePrefix,
-		ClusterAdvertise:  be.ClusterAdvertise,
-		Transport:         be.Transport,
-		Context:           cfg.Context,
-		Telemetry:         be.Telemetry,
-		Logger:            be.Logger,
-	})
+	mon, err := scalable.Deploy(be.Cluster, be.DeployOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -154,8 +102,17 @@ func New(cfg dsi.Config) (dsi.DSI, error) {
 	return d, nil
 }
 
+// pump forwards the consumer's batches into the DSI channel and, after each,
+// acknowledges the tier up to what was forwarded: the core pipeline has its
+// own store downstream, and an aggregation tier nobody acknowledges keeps
+// every event for the life of the process.
 func (d *lustreDSI) pump() {
 	defer d.PumpDone()
+	// emitted[p] is the highest seq of partition p handed to the DSI channel
+	// (seq % partitions names the lane) — not the consumer's LastSeqVector,
+	// which runs ahead of what this loop has passed on.
+	emitted := make([]uint64, len(d.con.LastSeqVector()))
+	parts := uint64(len(emitted))
 	for {
 		select {
 		case <-d.Done():
@@ -168,6 +125,13 @@ func (d *lustreDSI) pump() {
 				if !d.Emit(e) {
 					return
 				}
+				p := e.Seq % parts
+				emitted[p] = max(emitted[p], e.Seq)
+			}
+			// A partition store closing under a handoff or shutdown fails
+			// one round; the next batch acknowledges past it.
+			if err := d.mon.Ack(emitted); err != nil && !errors.Is(err, eventstore.ErrClosed) {
+				d.EmitError(err)
 			}
 		}
 	}

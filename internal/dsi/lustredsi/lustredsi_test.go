@@ -7,7 +7,10 @@ import (
 
 	"fsmonitor/internal/dsi"
 	"fsmonitor/internal/events"
+	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/lustre"
+	"fsmonitor/internal/pipeline"
+	"fsmonitor/internal/scalable"
 )
 
 func testCluster() *lustre.Cluster {
@@ -71,7 +74,7 @@ func TestEndToEndThroughDSI(t *testing.T) {
 func TestBackendForms(t *testing.T) {
 	cluster := testCluster()
 	// Explicit Backend struct with custom cache size.
-	d, err := New(dsi.Config{Root: "/x", Backend: &Backend{Cluster: cluster, CacheSize: 7}})
+	d, err := New(dsi.Config{Root: "/x", Backend: &Backend{Cluster: cluster, DeployOptions: scalable.DeployOptions{CacheSize: 7}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +85,85 @@ func TestBackendForms(t *testing.T) {
 	}
 	if _, err := New(dsi.Config{Backend: &Backend{}}); err == nil {
 		t.Error("accepted nil cluster")
+	}
+}
+
+// The backend hands its DeployOptions to Deploy whole: a knob set on it
+// reaches the tier and the collectors without lustredsi naming it.
+func TestBackendOptionsReachDeployment(t *testing.T) {
+	cluster := testCluster()
+	d, err := New(dsi.Config{Backend: &Backend{
+		Cluster:       cluster,
+		DeployOptions: scalable.DeployOptions{StorePartitions: 4, CacheSize: 7},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	dep := d.(*lustreDSI).Deployment()
+	if got := dep.Aggregator.Partitions(); got != 4 {
+		t.Errorf("aggregator partitions = %d, want 4", got)
+	}
+	for _, c := range dep.Collectors {
+		// The cache rounds 7 up to a whole number of entries per shard.
+		if got := c.Stats().Cache.Cap; got < 7 || got > 8 {
+			t.Errorf("collector cache capacity = %d, want 7 (8 once sharded)", got)
+		}
+	}
+}
+
+// The tier's store is acknowledged as the DSI forwards: without it the
+// default, unbounded engine keeps every event for the life of the process.
+func TestTierStoreBounded(t *testing.T) {
+	for _, nodes := range []int{0, 2} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			cluster := testCluster()
+			d, err := New(dsi.Config{Backend: &Backend{
+				Cluster:       cluster,
+				DeployOptions: scalable.DeployOptions{ClusterNodes: nodes, PollInterval: time.Millisecond},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			cl := cluster.Client()
+			const n = 3000
+			for i := 0; i < n; i++ {
+				if err := cl.Create(fmt.Sprintf("/f%d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := 0
+			for deadline := time.After(20 * time.Second); got < n; {
+				select {
+				case <-d.Events():
+					got++
+				case <-deadline:
+					t.Fatalf("forwarded %d of %d events", got, n)
+				}
+			}
+			// The ack for the last batch follows its last Emit.
+			dep := d.(*lustreDSI).Deployment()
+			var st eventstore.Stats
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				st = eventstore.Stats{}
+				ds := dep.Stats()
+				for _, a := range append(ds.Nodes, ds.Aggregator) {
+					st.Retained += a.Store.Retained
+					st.Appended += a.Store.Appended
+					st.Purged += a.Store.Purged
+				}
+				if st.Retained == 0 || time.Now().After(deadline) {
+					break
+				}
+			}
+			if st.Appended != n || st.Purged+uint64(st.Retained) != st.Appended {
+				t.Errorf("tier store %+v: want %d appended, and purged + retained equal to it", st, n)
+			}
+			if st.Retained > pipeline.DefaultChangelogBatch {
+				t.Errorf("tier store retains %d events after the stream drained, want at most one batch", st.Retained)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,9 @@ package msgq
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -231,6 +233,45 @@ func TestPubDropOnSlowSubscriber(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	sub.Close()
 	waitFor(t, func() bool { return pub.Published() == 10 || pub.Dropped() > 0 }, "publishes settle")
+}
+
+// A closed socket takes no more connections: Connect says so and leaves
+// nothing behind — no registered conn, so no connLoop.
+func TestSubConnectAfterClose(t *testing.T) {
+	sub := NewSub()
+	sub.Close()
+	if err := sub.Connect("inproc://connect-after-close"); !errors.Is(err, ErrClosed) {
+		t.Errorf("Connect on a closed socket = %v, want ErrClosed", err)
+	}
+	if n := len(sub.conns); n != 0 {
+		t.Errorf("closed socket registered %d conns", n)
+	}
+}
+
+// Membership's OnPeer connects from its sub loop while Kill closes the same
+// socket. Under -race this is the wg.Add/wg.Wait pair; in any build, every
+// connLoop a racing Connect started must be gone once Close returns.
+func TestSubConnectRacesClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for round := 0; round < 20; round++ {
+		sub := NewSub()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 16; i++ {
+					err := sub.Connect(fmt.Sprintf("inproc://connect-race-%d-%d-%d", round, g, i))
+					if err != nil && !errors.Is(err, ErrClosed) {
+						t.Errorf("Connect = %v", err)
+					}
+				}
+			}()
+		}
+		sub.Close()
+		wg.Wait()
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= before }, "connLoops exit")
 }
 
 func TestSubReconnect(t *testing.T) {

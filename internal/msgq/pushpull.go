@@ -179,7 +179,6 @@ type Push struct {
 	w         *bufio.Writer
 	closed    chan struct{}
 	closeOnce sync.Once
-	sent      atomic.Uint64
 }
 
 // NewPush creates a push socket connected to ep.
@@ -209,7 +208,6 @@ func (p *Push) Send(m Message) error {
 			if found {
 				if pull, ok := b.(*Pull); ok {
 					if pull.deliverInproc(m) {
-						p.sent.Add(1)
 						return nil
 					}
 				}
@@ -229,7 +227,6 @@ func (p *Push) Send(m Message) error {
 			}
 			continue
 		}
-		p.sent.Add(1)
 		return nil
 	}
 }
@@ -252,9 +249,6 @@ func (p *Push) sendTCP(m Message) error {
 	}
 	return nil
 }
-
-// Sent returns the number of messages successfully handed off.
-func (p *Push) Sent() uint64 { return p.sent.Load() }
 
 // Close releases the socket. Pending Send calls fail.
 func (p *Push) Close() {

@@ -83,20 +83,28 @@ func NewSub(opts ...SubOption) *Sub {
 
 // Connect attaches the socket to a publisher endpoint. Connecting before
 // the publisher binds is allowed; the connection is retried until it
-// succeeds or the socket closes.
+// succeeds or the socket closes. On a closed socket it returns ErrClosed.
 func (s *Sub) Connect(ep string) error {
 	e, err := parseEndpoint(ep)
 	if err != nil {
 		return err
 	}
 	c := &subConn{ep: e, notify: s.notifyReady}
+	// The closed check and wg.Add share the critical section that inserts
+	// the conn: Close takes s.mu after closing s.closed and before wg.Wait,
+	// so a Connect racing it either sees closed or is counted before the
+	// Wait — never an Add beside a Wait, never a loop on a closed socket.
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-s.closed:
+		return ErrClosed
+	default:
+	}
 	if _, dup := s.conns[ep]; dup {
-		s.mu.Unlock()
 		return nil
 	}
 	s.conns[ep] = c
-	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.connLoop(c)
 	return nil

@@ -98,9 +98,6 @@ func New(parent context.Context) *Pipeline {
 // Context returns the run context sources observe; it ends at Stop.
 func (p *Pipeline) Context() context.Context { return p.soft }
 
-// Stopping reports whether a graceful stop (or abort) has begun.
-func (p *Pipeline) Stopping() bool { return p.soft.Err() != nil }
-
 // Stop cancels the run context and waits for the ordered drain: sources
 // stop, each stage finishes its input and closes its output, sinks consume
 // everything that was accepted.
@@ -324,36 +321,6 @@ func Expand[In, Out any](p *Pipeline, name string, buf int, in Flow[In], fn func
 		}
 	})
 	return Flow[Out]{p: p, ch: ch}
-}
-
-// Merge fans several flows into one. Items from the same upstream flow
-// keep their relative order; interleaving between flows is arbitrary.
-func Merge[T any](p *Pipeline, name string, buf int, ins ...Flow[T]) Flow[T] {
-	st := p.newStage(name)
-	ch := make(chan T, bufOr(buf))
-	var fanIn sync.WaitGroup
-	for _, in := range ins {
-		in := in
-		fanIn.Add(1)
-		p.spawn(func() {
-			defer fanIn.Done()
-			for {
-				v, ok := recv(p, in.ch)
-				if !ok {
-					return
-				}
-				st.in.Add(1)
-				if !send(p, st, ch, v) {
-					return
-				}
-			}
-		})
-	}
-	p.spawn(func() {
-		fanIn.Wait()
-		close(ch)
-	})
-	return Flow[T]{p: p, ch: ch}
 }
 
 // Batch groups items into slices bounded by size and age: a batch is

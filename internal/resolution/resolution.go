@@ -8,13 +8,12 @@
 //
 // The processor is a composition of internal/pipeline stages:
 //
-//	intake → normalize → pair-renames → [dedupe] → batch
+//	intake → normalize → pair-renames → batch
 //
 // intake is the paper's processing queue (bounded, backpressuring the
 // DSI); normalize resolves paths against the watch root; pair-renames
 // fills MOVED_TO events' OldPath from the matching MOVED_FROM by cookie;
-// dedupe (optional) suppresses consecutive duplicate events; batch emits
-// count- and latency-bounded slices recycled through a pool.
+// batch emits count- and latency-bounded slices recycled through a pool.
 package resolution
 
 import (
@@ -39,10 +38,6 @@ type Options struct {
 	// PairRenames fills MOVED_TO events' OldPath from the matching
 	// MOVED_FROM (by cookie). Default on via New.
 	PairRenames bool
-	// Dedupe suppresses an event identical to its immediate predecessor
-	// (same op, path, old path, and cookie) — bursty writers often emit
-	// runs of identical MODIFY records. Default off.
-	Dedupe bool
 	// RenameCacheSize bounds the cookie→source-path cache (default
 	// pipeline.DefaultRenameCache).
 	RenameCacheSize int
@@ -72,7 +67,6 @@ type Stats struct {
 	Processed     uint64
 	Batches       uint64
 	RenamesPaired uint64
-	Deduped       uint64
 	QueuePeak     int
 	// Stages is the underlying per-stage pipeline view (in/out counts,
 	// queue high-water marks, blocked time).
@@ -81,15 +75,16 @@ type Stats struct {
 
 // Processor consumes a DSI event stream and emits processed batches.
 type Processor struct {
-	opts    Options
-	pipe    *pipeline.Pipeline
-	queue   pipeline.Flow[events.Event]
-	out     pipeline.Flow[[]events.Event]
-	pool    *pipeline.SlicePool[events.Event]
-	renames *lru.Cache[uint32, string]
+	opts  Options
+	pipe  *pipeline.Pipeline
+	queue pipeline.Flow[events.Event]
+	out   pipeline.Flow[[]events.Event]
+	pool  *pipeline.SlicePool[events.Event]
+	// renames is touched by the pair-renames stage's goroutine only.
+	renames *lru.Core[uint32, string]
 
-	paired, deduped atomic.Uint64
-	closeOnce       sync.Once
+	paired    atomic.Uint64
+	closeOnce sync.Once
 }
 
 // New starts a processor over src. The processor stops when src closes or
@@ -120,7 +115,7 @@ func newWith(ctx context.Context, src <-chan events.Event, opts Options) *Proces
 		opts:    opts,
 		pipe:    pipeline.New(ctx),
 		pool:    pipeline.NewSlicePool[events.Event](opts.BatchSize, 0),
-		renames: lru.New[uint32, string](opts.RenameCacheSize),
+		renames: lru.NewCore[uint32, string](opts.RenameCacheSize),
 	}
 
 	p.queue = pipeline.From(p.pipe, "intake", opts.QueueSize, src)
@@ -130,9 +125,6 @@ func newWith(ctx context.Context, src <-chan events.Event, opts Options) *Proces
 		})
 	if opts.PairRenames {
 		stream = pipeline.Map(p.pipe, "pair-renames", pipeline.DefaultStageBuffer, stream, p.pairRename)
-	}
-	if opts.Dedupe {
-		stream = pipeline.Map(p.pipe, "dedupe", pipeline.DefaultStageBuffer, stream, p.newDeduper())
 	}
 	p.out = pipeline.Batch(p.pipe, "batch", pipeline.DefaultBatchDepth, stream,
 		opts.BatchSize, opts.BatchInterval, p.pool)
@@ -161,22 +153,6 @@ func (p *Processor) pairRename(_ context.Context, e events.Event) (events.Event,
 	return e, true
 }
 
-// newDeduper returns the dedupe stage function: it drops an event that is
-// identical to its immediate predecessor. Single-goroutine stage, so the
-// closure state needs no locking.
-func (p *Processor) newDeduper() func(context.Context, events.Event) (events.Event, bool) {
-	var prev events.Event
-	var have bool
-	return func(_ context.Context, e events.Event) (events.Event, bool) {
-		if have && e.Op == prev.Op && e.Path == prev.Path && e.OldPath == prev.OldPath && e.Cookie == prev.Cookie {
-			p.deduped.Add(1)
-			return e, false
-		}
-		prev, have = e, true
-		return e, true
-	}
-}
-
 // Batches returns the output stream of processed event batches. Consumers
 // that do not retain a batch past handling it may return its backing
 // slice with Recycle.
@@ -194,14 +170,10 @@ func (p *Processor) Stats() Stats {
 		Processed:     p.pipe.StageStats("normalize").Out,
 		Batches:       p.pipe.StageStats("batch").Out,
 		RenamesPaired: p.paired.Load(),
-		Deduped:       p.deduped.Load(),
 		QueuePeak:     p.pipe.StageStats("intake").QueuePeak,
 		Stages:        p.pipe.Stats(),
 	}
 }
-
-// QueueDepth reports the current processing-queue backlog.
-func (p *Processor) QueueDepth() int { return p.queue.Depth() }
 
 // Close stops the processor without waiting for the source to end: the
 // pipeline drains whatever was accepted (bounded by

@@ -14,7 +14,6 @@ package robinhood
 import (
 	"errors"
 	"log/slog"
-	"path"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,7 +101,12 @@ type Server struct {
 	cluster  *lustre.Cluster
 	store    *eventstore.Store
 	ownStore bool
-	cache    *lru.Cache[lustre.FID, string]
+	// res is Algorithm 1, the implementation the collectors run: §V-D5
+	// compares architectures, so both sides translate a record the same
+	// way. One lane — the server is a single client-side process.
+	res *resolve.Resolver
+	// throttle accounts the poll RPCs; translation is accounted on the
+	// resolver's lane.
 	throttle *pace.Throttle
 	slog     *slog.Logger
 
@@ -110,7 +114,6 @@ type Server struct {
 	rules []Rule
 
 	processed  atomic.Uint64
-	fidCalls   atomic.Uint64
 	rulesFired atomic.Uint64
 
 	done      chan struct{}
@@ -124,10 +127,22 @@ func New(opts Options) (*Server, error) {
 	if opts.Cluster == nil {
 		return nil, errors.New("robinhood: Options.Cluster is required")
 	}
+	res, err := resolve.New(resolve.Options{
+		Backend:       opts.Cluster,
+		MountPoint:    opts.MountPoint,
+		Source:        "robinhood",
+		CacheSize:     opts.CacheSize,
+		Workers:       1,
+		EventOverhead: opts.EventOverhead,
+		// A client-side probe, flat in the table size.
+		CacheLookupCost: 500 * time.Nanosecond,
+	})
+	if err != nil {
+		return nil, err
+	}
 	store := opts.Store
 	own := false
 	if store == nil {
-		var err error
 		store, err = eventstore.New(eventstore.Options{})
 		if err != nil {
 			return nil, err
@@ -139,11 +154,9 @@ func New(opts Options) (*Server, error) {
 		cluster:  opts.Cluster,
 		store:    store,
 		ownStore: own,
+		res:      res,
 		throttle: pace.NewThrottle(),
 		done:     make(chan struct{}),
-	}
-	if opts.CacheSize > 0 {
-		s.cache = lru.New[lustre.FID, string](opts.CacheSize)
 	}
 	s.slog = telemetry.ComponentLogger(opts.Logger, "robinhood")
 	s.registerTelemetry(opts.Telemetry)
@@ -160,15 +173,15 @@ func (s *Server) registerTelemetry(reg *telemetry.Registry) {
 	}
 	const prefix = "fsmon.robinhood"
 	reg.GaugeFunc(prefix+".processed", func() float64 { return float64(s.processed.Load()) })
-	reg.GaugeFunc(prefix+".fid2path_calls", func() float64 { return float64(s.fidCalls.Load()) })
+	reg.GaugeFunc(prefix+".fid2path_calls", func() float64 { return float64(s.res.Stats().Fid2PathCalls) })
 	reg.GaugeFunc(prefix+".rules_fired", func() float64 { return float64(s.rulesFired.Load()) })
-	reg.GaugeFunc(prefix+".utilization", func() float64 { return s.throttle.Utilization() })
+	reg.GaugeFunc(prefix+".utilization", s.utilization)
 	s.store.RegisterTelemetry(reg, prefix+".store")
-	if s.cache == nil {
+	if s.opts.CacheSize <= 0 {
 		return
 	}
-	reg.GaugeFunc(prefix+".cache.hit_rate", func() float64 { return s.cache.Stats().HitRate() })
-	reg.GaugeFunc(prefix+".cache.len", func() float64 { return float64(s.cache.Stats().Len) })
+	reg.GaugeFunc(prefix+".cache.hit_rate", func() float64 { return s.res.Stats().Cache.HitRate() })
+	reg.GaugeFunc(prefix+".cache.len", func() float64 { return float64(s.res.Stats().Cache.Len) })
 }
 
 // AddRule installs a policy rule.
@@ -201,6 +214,7 @@ func (s *Server) run() {
 			_ = log.Deregister(readers[i])
 		}
 	}()
+	blk := events.NewBlock(s.opts.BatchSize, 0)
 	for {
 		sawAny := false
 		for i := 0; i < n; i++ {
@@ -216,19 +230,15 @@ func (s *Server) run() {
 				continue
 			}
 			sawAny = true
-			for _, r := range recs {
-				for _, e := range s.processRecord(r) {
-					seq, err := s.store.Append(e)
-					if err != nil {
-						s.slog.Error("store append failed, server stopping", "mdt", i, "err", err)
-						return
-					}
-					e.Seq = seq
-					s.applyRules(e)
-					s.processed.Add(1)
-				}
-				since[i] = r.Index
+			blk.Reset()
+			s.res.TranslateBlock(blk, recs)
+			if _, err := s.store.AppendBlock(blk); err != nil {
+				s.slog.Error("store append failed, server stopping", "mdt", i, "err", err)
+				return
 			}
+			s.applyRules(blk)
+			s.processed.Add(uint64(blk.Len()))
+			since[i] = recs[len(recs)-1].Index
 			_ = logs[i].Clear(readers[i], since[i])
 		}
 		if !sawAny {
@@ -241,102 +251,25 @@ func (s *Server) run() {
 	}
 }
 
-func (s *Server) applyRules(e events.Event) {
+// applyRules runs the policies over a stored batch; a server with no rules
+// materializes nothing.
+func (s *Server) applyRules(blk *events.Block) {
 	s.mu.Lock()
 	rules := s.rules
 	s.mu.Unlock()
-	for _, r := range rules {
-		if r.Filter.Match(e) {
-			r.Action(e)
-			s.rulesFired.Add(1)
-		}
+	if len(rules) == 0 {
+		return
 	}
-}
-
-// fid2path resolves with the client-side cache.
-func (s *Server) fid2path(fid lustre.FID) (string, error) {
-	if fid.IsZero() {
-		return "", lustre.ErrStaleFID
-	}
-	if s.cache != nil {
-		s.throttle.Spend(500 * time.Nanosecond)
-		if p, ok := s.cache.Get(fid); ok {
-			return p, nil
-		}
-	}
-	s.throttle.Spend(s.cluster.Fid2PathCost())
-	s.fidCalls.Add(1)
-	p, err := s.cluster.Fid2Path(fid)
-	if err != nil {
-		return "", err
-	}
-	if s.cache != nil {
-		s.cache.Set(fid, p)
-	}
-	return p, nil
-}
-
-// processRecord mirrors the collector's Algorithm 1 processing, executed
-// at the client as Robinhood does.
-func (s *Server) processRecord(r lustre.Record) []events.Event {
-	s.throttle.Spend(s.opts.EventOverhead)
-	base := events.Event{Root: s.opts.MountPoint, Time: r.Time, Source: "robinhood"}
-	resolveVia := func(target, parent lustre.FID, name string) string {
-		if p, err := s.fid2path(target); err == nil {
-			return p
-		}
-		if p, err := s.fid2path(parent); err == nil {
-			full := path.Join(p, name)
-			if s.cache != nil && !target.IsZero() {
-				// Cache the reconstruction so later records for the
-				// same FID resolve without tool invocations.
-				s.cache.Set(target, full)
+	for i := 0; i < blk.Len(); i++ {
+		e := blk.Event(i)
+		for _, r := range rules {
+			if r.Filter.Match(e) {
+				r.Action(e)
+				s.rulesFired.Add(1)
 			}
-			return full
 		}
-		return "/ParentDirectoryRemoved/" + name
-	}
-	switch r.Type {
-	case lustre.RecMark:
-		return nil
-	case lustre.RecUnlnk, lustre.RecRmdir:
-		op := events.OpDelete
-		if r.Type == lustre.RecRmdir {
-			op |= events.OpIsDir
-		}
-		base.Op = op
-		base.Path = resolveVia(r.TFid, r.PFid, r.Name)
-		return []events.Event{base}
-	case lustre.RecRenme:
-		old := resolveVia(r.SPFid, lustre.FID{}, "")
-		oldPath := path.Join(old, r.Name)
-		// The renamed FID's cached mapping predates the rename.
-		if s.cache != nil {
-			s.cache.Delete(r.SFid)
-		}
-		newPath := resolveVia(r.SFid, r.PFid, r.SName)
-		from := base
-		from.Op = events.OpMovedFrom
-		from.Path = oldPath
-		to := base
-		to.Op = events.OpMovedTo
-		to.Path = newPath
-		to.OldPath = oldPath
-		return []events.Event{from, to}
-	default:
-		op := recTypeToOp(r.Type)
-		if op == 0 {
-			return nil
-		}
-		base.Op = op
-		base.Path = resolveVia(r.TFid, r.PFid, r.Name)
-		return []events.Event{base}
 	}
 }
-
-// recTypeToOp delegates to the shared resolver layer's mapping so the
-// comparison system reports the same event vocabulary.
-func recTypeToOp(t lustre.RecType) events.Op { return resolve.RecTypeToOp(t) }
 
 // Since queries the local database.
 func (s *Server) Since(seq uint64, max int) ([]events.Event, error) {
@@ -345,21 +278,25 @@ func (s *Server) Since(seq uint64, max int) ([]events.Event, error) {
 
 // Stats returns a snapshot.
 func (s *Server) Stats() Stats {
-	st := Stats{
+	rs := s.res.Stats()
+	return Stats{
 		Processed:     s.processed.Load(),
-		Fid2PathCalls: s.fidCalls.Load(),
+		Fid2PathCalls: rs.Fid2PathCalls,
 		RulesFired:    s.rulesFired.Load(),
-		BusyTime:      s.throttle.Busy(),
-		Utilization:   s.throttle.Utilization(),
+		Cache:         rs.Cache.Stats,
+		BusyTime:      s.throttle.Busy() + s.res.Busy(),
+		Utilization:   s.utilization(),
 	}
-	if s.cache != nil {
-		st.Cache = s.cache.Stats()
-	}
-	return st
 }
 
+// utilization is the one server process's: polling plus translation.
+func (s *Server) utilization() float64 { return s.throttle.Utilization() + s.res.Utilization() }
+
 // ResetAccounting restarts the utilization window.
-func (s *Server) ResetAccounting() { s.throttle.Reset() }
+func (s *Server) ResetAccounting() {
+	s.throttle.Reset()
+	s.res.ResetAccounting()
+}
 
 // Close stops the server.
 func (s *Server) Close() {

@@ -9,6 +9,7 @@ import (
 	"fsmonitor/internal/events"
 	"fsmonitor/internal/iface"
 	"fsmonitor/internal/lustre"
+	"fsmonitor/internal/resolve"
 )
 
 func testCluster(mds int) *lustre.Cluster {
@@ -201,5 +202,96 @@ func TestCloseStopsPromptly(t *testing.T) {
 	s.Close()
 	if time.Since(start) > 2*time.Second {
 		t.Error("Close too slow")
+	}
+}
+
+// §V-D5 compares architectures, so the baseline and the collectors must
+// translate a record the same way: a backlog covering Algorithm 1's branches
+// goes through a Server and, read from the same Changelogs, through the
+// resolver a collector runs. Both drain it after the last operation, MDT by
+// MDT, so the streams must agree event for event.
+func TestRobinhoodMatchesCollector(t *testing.T) {
+	for _, cacheSize := range []int{0, 100} {
+		t.Run(fmt.Sprintf("cache%d", cacheSize), func(t *testing.T) {
+			cluster := testCluster(2)
+			cl := cluster.Client()
+			// One directory per MDT, so the rename below crosses MDTs.
+			var dirs [2]string
+			for i := 0; dirs[0] == "" || dirs[1] == ""; i++ {
+				d := fmt.Sprintf("/d%d", i)
+				dirs[cluster.DirMDT(d)] = d
+			}
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			must(cl.Mkdir(dirs[0]))
+			must(cl.Mkdir(dirs[1]))
+			must(cl.Create(dirs[0] + "/f"))
+			must(cl.Write(dirs[0]+"/f", 1))
+			must(cl.Rename(dirs[0]+"/f", dirs[1]+"/g"))
+			// A hard link whose second name goes: the FID still resolves,
+			// to the name that stayed.
+			must(cl.Create(dirs[1] + "/a"))
+			must(cl.Link(dirs[1]+"/a", dirs[1]+"/b"))
+			must(cl.Unlink(dirs[1] + "/b"))
+			must(cl.Create(dirs[0] + "/u"))
+			must(cl.Unlink(dirs[0] + "/u"))
+			// Records under a directory that is gone by the time they are read.
+			must(cl.Mkdir("/gone"))
+			must(cl.Create("/gone/orphan"))
+			must(cl.Write("/gone/orphan", 1))
+			must(cl.Unlink("/gone/orphan"))
+			must(cl.Rmdir("/gone"))
+
+			res, err := resolve.New(resolve.Options{
+				Backend: cluster, Source: "robinhood", CacheSize: cacheSize, Workers: 1,
+			})
+			must(err)
+			want := events.NewBlock(0, 0)
+			for mdt := 0; mdt < cluster.NumMDS(); mdt++ {
+				log, err := cluster.Changelog(mdt)
+				must(err)
+				recs := log.Read(0, 1<<20)
+				if len(recs) == 0 {
+					t.Fatalf("MDT %d saw no records", mdt)
+				}
+				// The simulator never writes a MARK, so the Server cannot be
+				// fed one; on this side it must add nothing.
+				recs = append(recs, lustre.Record{Type: lustre.RecMark, Name: "mark"})
+				res.TranslateBlock(want, recs)
+			}
+
+			s := newServer(t, cluster, cacheSize)
+			// The Changelogs are cleared behind the poller: empty means
+			// every record has been translated and stored.
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				left := 0
+				for mdt := 0; mdt < cluster.NumMDS(); mdt++ {
+					log, _ := cluster.Changelog(mdt)
+					left += log.Len()
+				}
+				if left == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("server left %d records unread", left)
+				}
+			}
+			got, err := s.Since(0, 0)
+			must(err)
+			if len(got) != want.Len() {
+				t.Errorf("server stored %d events, resolver translated %d", len(got), want.Len())
+			}
+			for i := 0; i < min(len(got), want.Len()); i++ {
+				g, w := got[i], want.Event(i)
+				if g.Op != w.Op || g.Path != w.Path || g.OldPath != w.OldPath || g.Cookie != w.Cookie {
+					t.Errorf("event %d: server %v %s (old %q, cookie %d), collector %v %s (old %q, cookie %d)",
+						i, g.Op, g.Path, g.OldPath, g.Cookie, w.Op, w.Path, w.OldPath, w.Cookie)
+				}
+			}
+		})
 	}
 }

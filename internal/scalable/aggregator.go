@@ -59,13 +59,13 @@ type AggregatorOptions struct {
 	// member's publisher also carries its membership broadcasts, and peers
 	// subscribe to it for batches forwarded to a partition's new owner.
 	Endpoint string
-	// Engine is the reliable event store engine. Nil (and the store not
-	// disabled) creates an unbounded in-memory engine with StorePartitions
-	// shards (the paper uses MySQL here). A cluster member opens and closes
-	// the engine's partitions as ownership moves and closes the rest on
-	// shutdown; its Options.JournalPath is the base every partition derives
-	// its "<path>.p<i>" segment from, which is the handoff medium — shared
-	// or replicated storage in a real deployment, one directory in tests.
+	// Engine is the reliable event store engine. Nil creates an unbounded
+	// in-memory engine with StorePartitions shards (the paper uses MySQL
+	// here). A cluster member opens and closes the engine's partitions as
+	// ownership moves and closes the rest on shutdown; its
+	// Options.JournalPath is the base every partition derives its
+	// "<path>.p<i>" segment from, which is the handoff medium — shared or
+	// replicated storage in a real deployment, one directory in tests.
 	Engine *eventstore.Sharded
 	// StorePartitions is the partition count for the default engine and
 	// for the aggregation pipeline's store lanes (default
@@ -76,11 +76,6 @@ type AggregatorOptions struct {
 	// EventOverhead is the accounted aggregation cost per event
 	// (default 500ns), spent on the owning partition's lane.
 	EventOverhead time.Duration
-	// DisableStore skips the reliable event store entirely (sequence
-	// numbers still flow, from per-partition counters). Consumers cannot
-	// fault-recover; exists to quantify the fault-tolerance cost
-	// (DESIGN.md ablations). Not available to a cluster member.
-	DisableStore bool
 	// QueueSize is the subscription buffer capacity in messages (default
 	// pipeline.DefaultAggregatorQueue).
 	QueueSize int
@@ -191,12 +186,11 @@ type Aggregator struct {
 	opts      AggregatorOptions
 	sub       *msgq.Sub
 	pub       *msgq.Pub
-	engine    *eventstore.Sharded // nil when the store is disabled
+	engine    *eventstore.Sharded
 	mem       *cluster.Membership // nil for a classic aggregator
 	parts     int
 	ownStore  bool
 	throttles []*pace.Throttle // one per store lane
-	counters  []uint64         // DisableStore seq counters, one per lane (lane-affine, unsynchronized)
 
 	pipe *pipeline.Pipeline
 	pool *pipeline.Pool[events.Block] // blocks cycling through decode → store → republish
@@ -228,13 +222,11 @@ func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 	switch {
 	case clustered && !cluster.ValidID(opts.ID):
 		return nil, fmt.Errorf("scalable: invalid aggregator ID %q", opts.ID)
-	case clustered && opts.DisableStore:
-		return nil, errors.New("scalable: a cluster member cannot run with DisableStore (handoff replays the store)")
 	case !clustered && len(opts.CollectorEndpoints) == 0:
 		return nil, errors.New("scalable: AggregatorOptions.CollectorEndpoints is required")
 	}
 	engine, ownStore := opts.Engine, false
-	if engine == nil && !opts.DisableStore {
+	if engine == nil {
 		mk := eventstore.NewSharded
 		if clustered {
 			mk = eventstore.NewShardedClosed
@@ -245,10 +237,7 @@ func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 		}
 		ownStore = true
 	}
-	parts := opts.StorePartitions
-	if engine != nil {
-		parts = engine.Partitions()
-	}
+	parts := engine.Partitions()
 	pub := msgq.NewPub(msgq.WithBlockOnFull())
 	if err := pub.Bind(opts.Endpoint); err != nil {
 		if ownStore {
@@ -264,7 +253,6 @@ func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 		parts:     parts,
 		ownStore:  ownStore,
 		throttles: make([]*pace.Throttle, parts),
-		counters:  make([]uint64, parts),
 		pool:      pipeline.NewPool(0, newTargetBlock, (*events.Block).Reset),
 	}
 	for i := range a.throttles {
@@ -348,9 +336,7 @@ func (a *Aggregator) initTelemetry(reg *telemetry.Registry) {
 	// and hands it to the engine's append path (an idempotent attach —
 	// in-process members share one).
 	a.aud = reg.EnableAudit(a.parts)
-	if a.engine != nil {
-		a.engine.SetAudit(a.aud)
-	}
+	a.engine.SetAudit(a.aud)
 	if a.mem != nil {
 		return
 	}
@@ -408,9 +394,7 @@ func (a *Aggregator) registerTelemetry(reg *telemetry.Registry) {
 	a.pipe.RegisterTelemetry(reg, prefix+".pipeline")
 	msgq.RegisterPubTelemetry(reg, prefix+".pub", a.pub)
 	msgq.RegisterSubTelemetry(reg, prefix+".sub", a.sub)
-	if a.engine != nil {
-		a.engine.RegisterTelemetry(reg, "fsmon.store")
-	}
+	a.engine.RegisterTelemetry(reg, "fsmon.store")
 }
 
 // Endpoint returns the aggregator's publisher endpoint — for a cluster
@@ -578,10 +562,10 @@ func splitByPath(pool *pipeline.Pool[events.Block], src *events.Block, parts int
 // shard — sequence numbers are assigned directly into the seq column, so
 // the republish image is a clone+patch of the received bytes, never a
 // re-marshal. ShardN guarantees one lane owns each partition, so
-// within-partition order is preserved through the store and the
-// DisableStore counters need no locking. Spans carry the member ID (empty
-// for a classic aggregator), so a traced event that crossed a handoff or a
-// stray-forward renders as one chain with each hop attributed to its node.
+// within-partition order is preserved through the store. Spans carry the
+// member ID (empty for a classic aggregator), so a traced event that crossed
+// a handoff or a stray-forward renders as one chain with each hop attributed
+// to its node.
 func (a *Aggregator) storeLane(ctx context.Context, pb partBatch) (repBatch, bool) {
 	var start time.Time
 	if a.storeUS != nil {
@@ -614,22 +598,7 @@ func (a *Aggregator) storeLane(ctx context.Context, pb partBatch) (repBatch, boo
 		return repBatch{}, false
 	}
 	a.received.Add(uint64(n))
-	if a.engine == nil {
-		a.throttles[pb.part].Spend(time.Duration(n) * a.opts.EventOverhead)
-		// Counter-only stamping mirrors the sharded lanes: partition
-		// p assigns p+P, p+2P, ... (1,2,3,... when P == 1). Intern so
-		// consumers materialize delivered events from one string copy.
-		blk.Intern()
-		stride := uint64(a.parts)
-		for i := 0; i < n; i++ {
-			a.counters[pb.part]++
-			blk.SetSeq(i, uint64(pb.part)+a.counters[pb.part]*stride)
-		}
-		// No engine to report the audit's stored boundary, so the
-		// counter lane reports it directly.
-		a.aud.Stored(pb.part, n)
-		a.aud.StoreSeq(pb.part, uint64(pb.part)+(a.counters[pb.part]-uint64(n)+1)*stride, n, stride)
-	} else if !a.persist(ctx, pb.part, blk, n) {
+	if !a.persist(ctx, pb.part, blk, n) {
 		return repBatch{}, false
 	}
 	a.stored.Add(uint64(n))
@@ -736,56 +705,31 @@ func (a *Aggregator) republishBatch(ctx context.Context, rb repBatch) {
 // numbers greater than seq, from the reliable store (the partitions held
 // here, for a cluster member), in global order.
 func (a *Aggregator) Since(seq uint64, max int) ([]events.Event, error) {
-	if a.engine == nil {
-		return nil, errors.New("scalable: aggregator store disabled")
-	}
 	return a.engine.Since(seq, max)
 }
 
 // SinceVector serves partition-aware fault recovery: events not covered by
 // the per-partition cursor vector (len must equal Partitions()).
 func (a *Aggregator) SinceVector(cursors []uint64, max int) ([]events.Event, error) {
-	if a.engine == nil {
-		return nil, errors.New("scalable: aggregator store disabled")
-	}
 	return a.engine.SinceVector(cursors, max)
 }
 
 // Ack flags events up to seq as reported; Purge removes flagged events.
-func (a *Aggregator) Ack(seq uint64) error {
-	if a.engine == nil {
-		return nil
-	}
-	return a.engine.MarkReported(seq)
-}
+func (a *Aggregator) Ack(seq uint64) error { return a.engine.MarkReported(seq) }
 
 // AckVector flags, per partition i, events up to cursors[i] as reported —
 // the partition-aware Ack, safe when partitions drain at different rates.
 func (a *Aggregator) AckVector(cursors []uint64) error {
-	if a.engine == nil {
-		return nil
-	}
 	return a.engine.MarkReportedVector(cursors)
 }
 
-// LastSeqVector returns the highest stored seq per partition (nil when the
-// store is disabled).
-func (a *Aggregator) LastSeqVector() []uint64 {
-	if a.engine == nil {
-		return nil
-	}
-	return a.engine.LastSeqVector()
-}
+// LastSeqVector returns the highest stored seq per partition.
+func (a *Aggregator) LastSeqVector() []uint64 { return a.engine.LastSeqVector() }
 
 // Purge removes reported events from the store ("they are flagged as
 // having been reported and can be removed from the data store when next
 // data purge cycle is initiated").
-func (a *Aggregator) Purge() (int, error) {
-	if a.engine == nil {
-		return 0, nil
-	}
-	return a.engine.Purge()
-}
+func (a *Aggregator) Purge() (int, error) { return a.engine.Purge() }
 
 // Stats returns a snapshot of the aggregator's counters.
 func (a *Aggregator) Stats() AggregatorStats {
@@ -804,10 +748,8 @@ func (a *Aggregator) Stats() AggregatorStats {
 		st.BusyTime += t.Busy()
 		st.Utilization += t.Utilization()
 	}
-	if a.engine != nil {
-		st.Store = a.engine.Stats()
-		st.PartitionsOwned = len(a.engine.OwnedPartitions())
-	}
+	st.Store = a.engine.Stats()
+	st.PartitionsOwned = len(a.engine.OwnedPartitions())
 	if a.mem != nil {
 		st.Members = a.mem.Members()
 		st.Epoch = a.mem.Epoch()

@@ -30,7 +30,7 @@ func TestClusterDeployEndToEnd(t *testing.T) {
 		PollInterval:    time.Millisecond,
 		ClusterNodes:    2,
 		StorePartitions: 4,
-		ClusterStore:    eventstore.Options{JournalPath: filepath.Join(t.TempDir(), "journal")},
+		Store:           eventstore.Options{JournalPath: filepath.Join(t.TempDir(), "journal")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -471,7 +471,7 @@ func TestClusterNodePrefixAndMembers(t *testing.T) {
 		ClusterNodes:      2,
 		StorePartitions:   4,
 		ClusterNodePrefix: "agg-",
-		ClusterStore:      eventstore.Options{JournalPath: filepath.Join(t.TempDir(), "journal")},
+		Store:             eventstore.Options{JournalPath: filepath.Join(t.TempDir(), "journal")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +505,7 @@ func TestClusterJoinIDConflictRejected(t *testing.T) {
 		PollInterval:    time.Millisecond,
 		ClusterNodes:    1,
 		StorePartitions: 2,
-		ClusterStore:    eventstore.Options{JournalPath: filepath.Join(dir, "journal-a")},
+		Store:           eventstore.Options{JournalPath: filepath.Join(dir, "journal-a")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +519,7 @@ func TestClusterJoinIDConflictRejected(t *testing.T) {
 		StorePartitions:   2,
 		ClusterJoin:       []string{a.Nodes[0].CtlEndpoint()},
 		ClusterNodePrefix: "n", // collides with the founder's n0
-		ClusterStore:      eventstore.Options{JournalPath: filepath.Join(dir, "journal-b")},
+		Store:             eventstore.Options{JournalPath: filepath.Join(dir, "journal-b")},
 	})
 	if err == nil {
 		t.Fatal("joining with a colliding member ID must fail")

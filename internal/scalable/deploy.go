@@ -13,6 +13,7 @@ import (
 	"fsmonitor/internal/iface"
 	"fsmonitor/internal/lustre"
 	"fsmonitor/internal/metrics"
+	"fsmonitor/internal/pipeline"
 	"fsmonitor/internal/telemetry"
 )
 
@@ -45,15 +46,19 @@ type DeployOptions struct {
 	// Transport selects endpoints: "inproc" (default) or "tcp"
 	// (127.0.0.1 with kernel-assigned ports).
 	Transport string
-	// Engine is the aggregator's reliable store engine (nil = in-memory
-	// with StorePartitions shards).
-	Engine *eventstore.Sharded
+	// Store configures the tier's reliable store engine, which Deploy
+	// builds in both shapes; the zero value is in-memory and unbounded.
+	// JournalPath is the engine-wide base every partition derives its
+	// "<path>.p<i>" segment from (the unmodified path with one partition):
+	// the single aggregator reopens it, so a redeploy on the same path
+	// continues every lane's sequence numbers, and cluster members open
+	// and close its segments as ownership moves — it is the handoff medium.
+	Store eventstore.Options
 	// StorePartitions shards the aggregation tier: the reliable store,
 	// the aggregator's store lanes, and the republish topics all split
 	// into this many partitions keyed by MDT index (default
 	// pipeline.DefaultStorePartitions = 1, the paper's single serial
-	// store — Tables IV/VII re-runs stay calibrated). Ignored when
-	// Engine supplies its own partition count.
+	// store — Tables IV/VII re-runs stay calibrated).
 	StorePartitions int
 	// ClusterNodes deploys the aggregation tier as a cluster of this many
 	// aggregators (members of one internal/cluster membership) instead of
@@ -61,8 +66,7 @@ type DeployOptions struct {
 	// owner's inbox topic, every node stores and republishes the
 	// partitions it owns, and consumers recover through a fan-out across
 	// all nodes' recovery servers. 0 (the default) keeps the classic
-	// single-aggregator deployment; Engine is ignored when clustered (use
-	// ClusterStore). StorePartitions is raised to at least
+	// single-aggregator deployment. StorePartitions is raised to at least
 	// ClusterNodes so every node owns work.
 	ClusterNodes int
 	// ClusterJoin lists ctl inboxes of an existing cluster's members:
@@ -86,10 +90,6 @@ type DeployOptions struct {
 	// servers). Required when ClusterListen binds a wildcard host
 	// ("0.0.0.0") that peers on other machines cannot dial back.
 	ClusterAdvertise string
-	// ClusterStore is the nodes' base store configuration: JournalPath is
-	// the engine-wide base every partition derives its "<path>.p<i>"
-	// segment from (the handoff medium). The zero value is in-memory.
-	ClusterStore eventstore.Options
 	// BatchSize overrides the collectors' batch bound (Changelog records
 	// per read; events per batch of a mounted backend).
 	BatchSize int
@@ -117,6 +117,7 @@ type Monitor struct {
 	// (DeployOptions.ClusterNodes > 0).
 	Nodes      []*Aggregator
 	opts       DeployOptions
+	engine     *eventstore.Sharded // the single aggregator's store, opened by Deploy (classic only)
 	router     *cluster.Membership // collector-side observer view (clustered only)
 	recoveries []*RecoveryServer   // one per in-process node (clustered only)
 	parts      int                 // cluster partition count (clustered only)
@@ -153,6 +154,9 @@ func (m *Monitor) tier() []*Aggregator {
 func Deploy(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 	if opts.MountPoint == "" {
 		opts.MountPoint = "/mnt/lustre"
+	}
+	if opts.StorePartitions <= 0 {
+		opts.StorePartitions = pipeline.DefaultStorePartitions
 	}
 	if lc == nil && len(opts.Mounts) == 0 {
 		return nil, errors.New("scalable: Deploy needs a cluster or at least one DeployOptions.Mounts entry")
@@ -228,11 +232,20 @@ func Deploy(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 			}
 		}
 	} else {
+		// Open, not New, on a journal: a second deployment on the same path
+		// replays it and continues each lane where the first stopped.
+		mk := eventstore.NewSharded
+		if opts.Store.JournalPath != "" {
+			mk = eventstore.OpenSharded
+		}
+		var err error
+		if m.engine, err = mk(opts.StorePartitions, opts.Store); err != nil {
+			return fail(err)
+		}
 		agg, err := NewAggregator(AggregatorOptions{
 			CollectorEndpoints: endpoints,
 			Endpoint:           m.endpoint("aggregator"),
-			Engine:             opts.Engine,
-			StorePartitions:    opts.StorePartitions,
+			Engine:             m.engine,
 			Context:            opts.Context,
 			Telemetry:          opts.Telemetry,
 			Logger:             opts.Logger,
@@ -286,6 +299,22 @@ func (m *Monitor) newConsumer(filter iface.Filter, sinceSeq uint64, sinceVector 
 	return NewConsumer(opts)
 }
 
+// Ack records that a consumer has delivered everything up to cursors[i] on
+// each partition i (len = the tier's partition count) and purges what that
+// covers from the tier's store; a cluster member skips the partitions it
+// does not hold. Without it the default, unbounded store keeps every event.
+func (m *Monitor) Ack(cursors []uint64) error {
+	for _, a := range m.tier() {
+		if err := a.AckVector(cursors); err != nil {
+			return err
+		}
+		if _, err := a.Purge(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ResetAccounting restarts every component's utilization window.
 func (m *Monitor) ResetAccounting() {
 	for _, c := range m.Collectors {
@@ -321,8 +350,8 @@ func (m *Monitor) Stats() Stats {
 }
 
 // Close stops every component upstream-first: collectors (and with them
-// the mounted DSIs), then the routing observer, the recovery servers, and
-// the aggregation tier.
+// the mounted DSIs), then the routing observer, the recovery servers, the
+// aggregation tier, and last the store Deploy opened under it.
 func (m *Monitor) Close() {
 	for _, c := range m.Collectors {
 		c.Close()
@@ -335,5 +364,8 @@ func (m *Monitor) Close() {
 	}
 	for _, a := range m.tier() {
 		a.Close()
+	}
+	if m.engine != nil {
+		m.engine.Close()
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"fsmonitor/internal/cluster"
 	"fsmonitor/internal/eventstore"
-	"fsmonitor/internal/pipeline"
 	"fsmonitor/internal/telemetry"
 )
 
@@ -93,14 +92,8 @@ func (m *Monitor) startMembers() error {
 	if nodes <= 0 {
 		nodes = 1
 	}
-	parts := opts.StorePartitions
-	if parts <= 0 {
-		parts = pipeline.DefaultStorePartitions
-	}
-	if parts < nodes {
-		// Every node must own at least one partition to contribute.
-		parts = nodes
-	}
+	// Every node must own at least one partition to contribute.
+	parts := max(opts.StorePartitions, nodes)
 	m.parts = parts
 	dlog := telemetry.ComponentLogger(opts.Logger, "deploy")
 
@@ -129,7 +122,7 @@ func (m *Monitor) startMembers() error {
 		if i > 0 {
 			join = append([]string{m.Nodes[0].CtlEndpoint()}, opts.ClusterJoin...)
 		}
-		engine, err := eventstore.NewShardedClosed(parts, opts.ClusterStore)
+		engine, err := eventstore.NewShardedClosed(parts, opts.Store)
 		if err != nil {
 			return err
 		}

@@ -57,7 +57,7 @@ func TestIncidentSmoke(t *testing.T) {
 		PollInterval:    time.Millisecond,
 		ClusterNodes:    2,
 		StorePartitions: 4,
-		ClusterStore:    eventstore.Options{JournalPath: filepath.Join(t.TempDir(), "journal")},
+		Store:           eventstore.Options{JournalPath: filepath.Join(t.TempDir(), "journal")},
 		Telemetry:       reg,
 	})
 	if err != nil {

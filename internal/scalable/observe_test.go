@@ -140,7 +140,7 @@ func TestAuditSmoke(t *testing.T) {
 		PollInterval:    time.Millisecond,
 		ClusterNodes:    2,
 		StorePartitions: 4,
-		ClusterStore:    eventstore.Options{JournalPath: filepath.Join(t.TempDir(), "journal")},
+		Store:           eventstore.Options{JournalPath: filepath.Join(t.TempDir(), "journal")},
 		Telemetry:       reg,
 	})
 	if err != nil {
@@ -271,7 +271,7 @@ func TestClusterTraceStitching(t *testing.T) {
 		PollInterval:    time.Millisecond,
 		ClusterNodes:    2,
 		StorePartitions: 4,
-		ClusterStore:    eventstore.Options{JournalPath: filepath.Join(t.TempDir(), "journal")},
+		Store:           eventstore.Options{JournalPath: filepath.Join(t.TempDir(), "journal")},
 		Telemetry:       reg,
 	})
 	if err != nil {

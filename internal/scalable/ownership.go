@@ -272,11 +272,8 @@ func (a *Aggregator) store(part int) *eventstore.Store {
 }
 
 // OwnedPartitions returns the sorted partitions this aggregator currently
-// holds (every one, for a classic aggregator with a store).
+// holds (every one, for a classic aggregator).
 func (a *Aggregator) OwnedPartitions() []int {
-	if a.engine == nil {
-		return nil
-	}
 	a.advanceFences()
 	return a.engine.OwnedPartitions()
 }

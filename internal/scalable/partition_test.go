@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -283,19 +285,15 @@ func TestRecoveryClientAllocations(t *testing.T) {
 // partition-aware recovery — both direct RecoveryClient.SinceVector calls
 // from several concurrent clients and a consumer resuming via
 // NewConsumerVector — replays exactly the missed suffix with no
-// duplicates.
+// duplicates, and that the redeployed tier continues every lane's seqs.
 func TestPartitionedCrashRestartRecovery(t *testing.T) {
-	jp := t.TempDir() + "/agg.journal"
-	storeOpts := eventstore.Options{JournalPath: jp, Sync: eventstore.SyncAlways}
-	eng1, err := eventstore.OpenSharded(2, storeOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jp := filepath.Join(t.TempDir(), "agg.journal")
 	cluster := testCluster(4)
 	m, err := Deploy(cluster, DeployOptions{
-		CacheSize:    100,
-		PollInterval: time.Millisecond,
-		Engine:       eng1,
+		CacheSize:       100,
+		PollInterval:    time.Millisecond,
+		Store:           eventstore.Options{JournalPath: jp, Sync: eventstore.SyncAlways},
+		StorePartitions: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,10 +340,23 @@ func TestPartitionedCrashRestartRecovery(t *testing.T) {
 		t.Fatalf("aggregator stored %d, want %d", st, total)
 	}
 
-	// Crash: tear down the deployment without closing the engine —
-	// SyncAlways means every stored event already reached the journal
-	// segments, so reopening them must recover the full history.
+	// Crash: the journal segments are copied while the deployment still
+	// runs — SyncAlways means every stored event already reached them — and
+	// everything from here on works on the copies, never on files a clean
+	// Close flushed. Reopening them must recover the full history.
+	crashed := filepath.Join(t.TempDir(), "agg.journal")
+	for p := 0; p < 2; p++ {
+		seg, err := os.ReadFile(fmt.Sprintf("%s.p%d", jp, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fmt.Sprintf("%s.p%d", crashed, p), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := m.Aggregator.LastSeqVector()
 	m.Close()
+	storeOpts := eventstore.Options{JournalPath: crashed, Sync: eventstore.SyncAlways}
 	eng2, err := eventstore.OpenSharded(2, storeOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -398,14 +409,18 @@ func TestPartitionedCrashRestartRecovery(t *testing.T) {
 		}
 	}
 
-	// Finally the full restart path: redeploy on the recovered engine and
-	// resume a consumer from the saved cursor vector. It replays the
-	// missed suffix once and nothing else (delivered Changelog records
-	// were purged, so collectors do not re-emit them).
+	// Finally the full restart path: redeploy on the crashed journal —
+	// Deploy reopens it itself — and resume a consumer from the saved
+	// cursor vector. It replays the missed suffix once and nothing else
+	// (delivered Changelog records were purged, so collectors do not
+	// re-emit them).
+	srv.Close()
+	eng2.Close()
 	m2, err := Deploy(cluster, DeployOptions{
-		CacheSize:    100,
-		PollInterval: time.Millisecond,
-		Engine:       eng2,
+		CacheSize:       100,
+		PollInterval:    time.Millisecond,
+		Store:           storeOpts,
+		StorePartitions: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -426,5 +441,25 @@ func TestPartitionedCrashRestartRecovery(t *testing.T) {
 			t.Errorf("resumed consumer: unexpected or duplicate %s", e.Path)
 		}
 		seen[e.Path] = true
+	}
+
+	// New events after the restart continue each lane one stride past what
+	// the first deployment stored last; a store that restarted its lanes
+	// would reissue seqs the consumer already holds.
+	for i := 16; i < 24; i++ {
+		if err := cl.Create(fmt.Sprintf("/d%d/h%d", i%dirs, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := make([]uint64, 2)
+	for _, e := range drainUntil(con2, 8, 15*time.Second) {
+		if p := e.Seq % 2; first[p] == 0 {
+			first[p] = e.Seq
+		}
+	}
+	for p := range first {
+		if first[p] != last[p]+2 {
+			t.Errorf("lane %d: first seq after the restart = %d, want %d (first deployment ended at %d)", p, first[p], last[p]+2, last[p])
+		}
 	}
 }

@@ -283,8 +283,10 @@ func TestConsumerFilterClientSide(t *testing.T) {
 		t.Errorf("missing /keep/a in %v", got)
 	}
 	// The unfiltered stream reached the consumer on the wire; only the
-	// filtered part was delivered (client-side filtering, §IV-2).
-	if st := con.Stats(); st.Received <= st.Delivered || st.Delivered != uint64(len(got)) {
+	// filtered part was delivered (client-side filtering, §IV-2). The two
+	// mkdirs may instead arrive through recovery, which Delivered counts and
+	// Received does not.
+	if st := con.Stats(); st.Received <= st.Delivered-st.Recovered || st.Delivered != uint64(len(got)) {
 		t.Errorf("stats = %+v, delivered %d", st, len(got))
 	}
 }
@@ -676,61 +678,6 @@ func TestRenameInvalidatesCachedMapping(t *testing.T) {
 	}
 	if deleted != "/okdir/hi.txt" {
 		t.Errorf("DELETE path = %q, want /okdir/hi.txt (stale cache?)", deleted)
-	}
-}
-
-func TestAggregatorDisableStore(t *testing.T) {
-	cluster := testCluster(1)
-	col, err := NewCollector(CollectorOptions{
-		Cluster: cluster, MDT: 0, CacheSize: 100,
-		Endpoint: "inproc://nostore-col",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	agg, err := NewAggregator(AggregatorOptions{
-		CollectorEndpoints: []string{col.Endpoint()},
-		Endpoint:           "inproc://nostore-agg",
-		DisableStore:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
-	con, err := NewConsumer(ConsumerOptions{
-		AggregatorEndpoint: agg.Endpoint(),
-		Filter:             iface.Filter{Recursive: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer con.Close()
-	cl := cluster.Client()
-	for i := 0; i < 10; i++ {
-		if err := cl.Create(fmt.Sprintf("/f%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := drainConsumer(con, 300*time.Millisecond)
-	if len(got) != 10 {
-		t.Fatalf("events = %d", len(got))
-	}
-	// Sequence numbers still flow (from the counter), but recovery is
-	// unavailable.
-	for i, e := range got {
-		if e.Seq != uint64(i+1) {
-			t.Errorf("seq %d = %d", i, e.Seq)
-		}
-	}
-	if _, err := agg.Since(0, 0); err == nil {
-		t.Error("Since succeeded with store disabled")
-	}
-	if err := agg.Ack(5); err != nil {
-		t.Errorf("Ack = %v", err)
-	}
-	if n, err := agg.Purge(); err != nil || n != 0 {
-		t.Errorf("Purge = %d, %v", n, err)
 	}
 }
 

@@ -106,7 +106,7 @@ func TestMountsClusterRouted(t *testing.T) {
 		Mounts:          []MountSource{{Prefix: "/a", DSI: a}, {Prefix: "/b", DSI: b}},
 		ClusterNodes:    2,
 		StorePartitions: parts,
-		ClusterStore:    eventstore.Options{JournalPath: filepath.Join(t.TempDir(), "journal")},
+		Store:           eventstore.Options{JournalPath: filepath.Join(t.TempDir(), "journal")},
 		Telemetry:       reg,
 	})
 	if err != nil {
