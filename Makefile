@@ -52,11 +52,14 @@ fuzz-smoke:
 
 # bench-smoke runs one iteration of the fast micro-benchmarks (resolver
 # scaling, the resolver's miss path beside its hit path, cache contention,
-# pipeline stages, aggregator partitions) as a CI regression canary; the
-# slow paper-table benches stay out of it.
+# pipeline stages, aggregator partitions, and the three per-batch contracts
+# of the journey: a Changelog read is a view (0 B/op), a fresh block's wire
+# image is one allocation, the consumer's deliver stage reads no clock per
+# event) as a CI regression canary; the slow paper-table benches stay out
+# of it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|AggregatorThroughput' -benchtime 1x -benchmem \
-		./internal/resolve/ ./internal/cache/ ./internal/bench/
+	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|AggregatorThroughput|ChangelogRead|BlockWireFresh|ConsumerDeliver' -benchtime 1x -benchmem \
+		./internal/resolve/ ./internal/cache/ ./internal/bench/ ./internal/lustre/ ./internal/events/ ./internal/scalable/
 
 # bench-aggregator measures aggregation-tier store throughput at 1/2/4
 # partitions, paced (AggregatorThroughput, 1µs accounted cost per event)
@@ -118,7 +121,11 @@ bench-cluster:
 # oracle finds a lost, duplicated, reordered or mis-resolved event. The
 # result lines land in bench-journey.json, one object per workload — the
 # artifact CI uploads so the end-to-end numbers can be followed across
-# commits.
+# commits. With BENCH=<n> they are also written to BENCH_<n>.json — the
+# committed trajectory (ROADMAP item 4a) — with the commit, core count and
+# Go version; PARENT=<checkout of the parent commit in which `make
+# bench-journey` has run> adds that checkout's results as the "parent"
+# section, so each file carries the pair it was judged on.
 bench-journey:
 	cd benchmark && $(GO) test ./...
 	@rm -f bench-journey.json
@@ -126,6 +133,13 @@ bench-journey:
 		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 10 --trace 0) || { echo "$$out"; exit 1; }; \
 		printf '{"workload":"%s","result":%s}\n' $$w "$$(printf '%s\n' "$$out" | tail -n 1)" | tee -a bench-journey.json; \
 	done
+	@if [ -n "$(BENCH)" ]; then { \
+		section() { printf '"commit":"%s","results":[\n' "$$(git -C "$$1" describe --always --dirty --abbrev=40)"; sed '$$!s/$$/,/' "$$1/bench-journey.json"; printf ']'; }; \
+		printf '{"bench":%s,"nproc":%s,"go":"%s",\n' "$(BENCH)" "$$(nproc)" "$$($(GO) env GOVERSION)"; \
+		section .; \
+		if [ -n "$(PARENT)" ]; then printf ',\n"parent":{'; section "$(PARENT)"; printf '}'; fi; \
+		printf '}\n'; \
+	} > BENCH_$(BENCH).json; echo "wrote BENCH_$(BENCH).json"; fi
 
 # audit-smoke is the delivery-conservation gate: deploy a 2-node
 # cluster, stream a batch of events through capture → store → deliver,

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fsmonitor/internal/scalable"
 )
 
 func quickOpts() Options {
@@ -257,22 +259,32 @@ func TestTable8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second measurement")
 	}
-	tab, err := Table8(quickOpts())
+	tab, runs, err := table8(quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 6 {
-		t.Fatalf("rows = %d", len(tab.Rows))
+	if len(tab.Rows) != 6 || len(runs) != 6 {
+		t.Fatalf("rows = %d, runs = %d", len(tab.Rows), len(runs))
 	}
-	// The largest caches beat the smallest on both CPU and reported rate.
-	smallCPU := atofOrZero(tab.Rows[0][1])
-	bigCPU := atofOrZero(tab.Rows[4][1])
-	smallRate := atofOrZero(tab.Rows[0][3])
-	bigRate := atofOrZero(tab.Rows[4][3])
-	if bigCPU >= smallCPU {
-		t.Errorf("cache 5000 CPU %v not below cache 200 CPU %v", bigCPU, smallCPU)
+	// What the table is about, in numbers that repeat: the 5000-entry cache
+	// makes strictly fewer fid2path calls per record than the 200-entry one
+	// and so spends less collector busy time over the same window.
+	small, big := runs[0].collectors[0], runs[4].collectors[0]
+	perRecord := func(c scalable.CollectorStats) float64 {
+		return float64(c.Fid2PathCalls) / float64(c.RecordsRead)
 	}
-	if bigRate <= smallRate {
-		t.Errorf("cache 5000 rate %v not above cache 200 rate %v", bigRate, smallRate)
+	if perRecord(big) >= perRecord(small) {
+		t.Errorf("cache 5000 makes %.3f fid2path calls per record, not fewer than cache 200's %.3f", perRecord(big), perRecord(small))
+	}
+	if big.BusyTime >= small.BusyTime {
+		t.Errorf("cache 5000 busy time %v not below cache 200 busy time %v", big.BusyTime, small.BusyTime)
+	}
+	// The two reported rates are ~1 s wall-clock measurements that can both
+	// sit on the table's plateau, and a paced generator a neighbour starves
+	// lowers the rate of whichever run it hits; so each is taken as a share
+	// of its own run's generation rate, and only a real inversion fails.
+	smallShare, bigShare := runs[0].reportedRate/runs[0].genRate, runs[4].reportedRate/runs[4].genRate
+	if bigShare < 0.9*smallShare {
+		t.Errorf("cache 5000 reports %.2f of what is generated, more than 10%% below cache 200's %.2f", bigShare, smallShare)
 	}
 }

@@ -404,6 +404,12 @@ func Table7(opts Options) (Table, error) {
 // Table8 regenerates Table VIII: FSMonitor performance vs cache size on
 // Iota.
 func Table8(opts Options) (Table, error) {
+	t, _, err := table8(opts)
+	return t, err
+}
+
+// table8 also returns the sweep's runs, one per row, for the shape test.
+func table8(opts Options) (Table, []scalableRun, error) {
 	opts = opts.withDefaults()
 	t := Table{
 		ID:     "Table VIII",
@@ -417,6 +423,7 @@ func Table8(opts Options) (Table, error) {
 	// processing capacity (otherwise every size keeps up and the sweep is
 	// flat).
 	const lag = 500
+	var runs []scalableRun
 	for _, size := range []int{200, 500, 1000, 2000, 5000, 7500} {
 		r, err := runScalable(runOpts{
 			cfg: lustre.IotaConfig(), mdsUsed: 1, cacheSize: size,
@@ -424,8 +431,9 @@ func Table8(opts Options) (Table, error) {
 			workersPerMDS: 7,
 		})
 		if err != nil {
-			return t, err
+			return t, runs, err
 		}
+		runs = append(runs, r)
 		cs := r.collectors[0]
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", size),
@@ -437,7 +445,7 @@ func Table8(opts Options) (Table, error) {
 	t.Notes = append(t.Notes,
 		"paper: 200 -> 4.8% / 88.7MB / 8644 ev/s rising to 5000 -> 2.89% / 55.4MB / 9487 ev/s, then 7500 slightly worse",
 		"expected shape: reporting rate rises with cache size to a plateau; undersized caches cost CPU (more fid2path) and memory (backlog)")
-	return t, nil
+	return t, runs, nil
 }
 
 // RobinhoodComparison regenerates §V-D5: FSMonitor's parallel per-MDS

@@ -614,10 +614,32 @@ func (b *Block) Wire() []byte {
 	if b.ownWire {
 		buf = b.wire[:0]
 	}
+	if need := b.encodedLen(); cap(buf) < need {
+		buf = make([]byte, 0, need) // sized once: a full encode never regrows
+	}
 	b.wire = b.EncodeTo(buf, &b.seqPos)
 	b.ownWire = true
 	b.seqDirty = false
 	return b.wire
+}
+
+// encodedLen is the exact length of EncodeTo's output.
+func (b *Block) encodedLen() int {
+	n := 4 + len(b.ops)*minEntry
+	if b.stamp != 0 {
+		n += 8
+	}
+	if tr := b.trace; tr != nil {
+		n += 8 + 1
+		for _, sp := range tr.Spans {
+			n += 1 + 8 + 1 + min(len(sp.Node), maxNode)
+		}
+	}
+	for _, fs := range b.spans {
+		n += int(fs.root.end-fs.root.off) + int(fs.path.end-fs.path.off) +
+			int(fs.old.end-fs.old.off) + int(fs.src.end-fs.src.off)
+	}
+	return n
 }
 
 // minEntry is the smallest wire entry: the 24-byte fixed header, three

@@ -2,7 +2,9 @@ package events
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -426,5 +428,96 @@ func TestAppendJoinedMatchesAppendEvent(t *testing.T) {
 	}
 	if err := joined.AppendEvent(Event{Path: string(make([]byte, maxStr))}); err != nil {
 		t.Errorf("a whole path of exactly the wire limit was refused: %v", err)
+	}
+}
+
+// hotBlock builds n rows shaped like the collector's hot path: one root,
+// short paths, the MDT as source — about 110 wire bytes each.
+func hotBlock(t testing.TB, n int) *Block {
+	evs := make([]Event, n)
+	for i := range evs {
+		evs[i] = Event{Root: "/mnt/lustre", Op: OpCreate, Path: fmt.Sprintf("/bench/d%03d/file-%06d.dat", i%100, i),
+			Time: time.Unix(0, int64(1000+i)), Source: "lustre-mdt0"}
+	}
+	return buildBlock(t, evs)
+}
+
+// TestWireSizedOnce pins the full-encode contract: Wire sizes its buffer
+// from encodedLen — exact for built, decoded and view blocks, with or
+// without stamp and trace — so the image is one allocation that never
+// regrows, and its bytes are the reference codec's.
+func TestWireSizedOnce(t *testing.T) {
+	evs := blockEvents()
+	tr := &BatchTrace{ID: 99, Spans: []Span{
+		{Tier: TierCollect, TS: 10, Node: "mds0"}, {Tier: TierResolve, TS: 20}, {Tier: TierStore, TS: 30, Node: strings.Repeat("n", maxNode+40)},
+	}}
+	payload, _ := MarshalBatchStamped(evs, 555)
+	decoded := func() *Block {
+		b, err := DecodeBlock(payload)
+		if err != nil {
+			t.Fatalf("DecodeBlock: %v", err)
+		}
+		return b
+	}
+	view := NewBlock(0, 0)
+	src := decoded()
+	view.AppendFrom(src, 1)
+	view.AppendFrom(src, 3)
+
+	mutated := decoded() // a structural change drops the aliased payload: full encode
+	mutated.SetStamp(556)
+	mutated.SetTrace(tr)
+
+	plain, stamped, traced := buildBlock(t, evs), buildBlock(t, evs), buildBlock(t, evs)
+	stamped.SetStamp(123456789)
+	traced.SetStamp(123456789)
+	traced.SetTrace(tr)
+	for _, tc := range []struct {
+		name  string
+		b     *Block
+		evs   []Event
+		stamp int64
+		tr    *BatchTrace
+	}{
+		{"plain", plain, evs, 0, nil},
+		{"stamped", stamped, evs, 123456789, nil},
+		{"traced", traced, evs, 123456789, tr},
+		{"decoded-then-mutated", mutated, evs, 556, tr},
+		{"view", view, []Event{evs[1], evs[3]}, 0, nil},
+		{"empty", NewBlock(0, 0), nil, 0, nil},
+	} {
+		want, err := MarshalBatchTraced(tc.evs, tc.stamp, tc.tr)
+		if err != nil {
+			t.Fatalf("%s: MarshalBatchTraced: %v", tc.name, err)
+		}
+		need := tc.b.encodedLen()
+		got := tc.b.Wire()
+		if len(got) != need || cap(got) != len(got) {
+			t.Errorf("%s: first Wire has len %d cap %d, encodedLen %d; want all equal", tc.name, len(got), cap(got), need)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: wire mismatch:\n got %x\nwant %x", tc.name, got, want)
+		}
+	}
+
+	b := hotBlock(t, 512)
+	if allocs := testing.AllocsPerRun(20, func() {
+		b.wire = nil // as NewBlock leaves it
+		_ = b.Wire()
+	}); allocs > 2 {
+		t.Errorf("a fresh 512-row block's first Wire allocates %v times, want <= 2 (image, seq positions)", allocs)
+	}
+}
+
+// BenchmarkBlockWireFresh is the collector's publish over TCP: the first
+// Wire of a freshly filled 512-row block that owns no image buffer yet.
+func BenchmarkBlockWireFresh(b *testing.B) {
+	blk := hotBlock(b, 512)
+	b.ReportAllocs()
+	b.SetBytes(int64(blk.encodedLen()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk.wire = nil
+		_ = blk.Wire()
 	}
 }

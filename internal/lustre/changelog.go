@@ -69,6 +69,13 @@ func (c *Changelog) Deregister(id string) error {
 
 // Read returns up to max records with Index > since, in index order.
 // max <= 0 means no limit.
+//
+// The result is a read-only view of the journal's own array, not a copy:
+// records are immutable once appended, an append writes only past every
+// view's end (the view's capacity is clipped to its length, so appending to
+// one reallocates) and Clear only moves the journal's start. A view stays
+// valid for as long as the caller holds it, across any later append, Clear
+// or Deregister, and pins the array behind it until dropped.
 func (c *Changelog) Read(since uint64, max int) []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -83,9 +90,7 @@ func (c *Changelog) Read(since uint64, max int) []Record {
 	if max > 0 && len(out) > max {
 		out = out[:max]
 	}
-	res := make([]Record, len(out))
-	copy(res, out)
-	return res
+	return out[:len(out):len(out)]
 }
 
 // Clear marks records up to and including index upTo as consumed by reader

@@ -213,8 +213,11 @@ func (p *Pub) subWriter(sub *pubSubscriber) {
 			if err := writeMessage(w, m); err != nil {
 				return
 			}
-			// Batch any queued messages before the next flush-causing
-			// write, amortizing syscalls at high event rates.
+			// Drain whatever else is queued before blocking in the select
+			// again. writeMessage flushes every frame, so this saves
+			// wake-ups, not syscalls; holding the flush until the queue is
+			// empty was measured as no gain on the TCP journey
+			// (EXPERIMENTS.md, PR 20), so each frame goes out at once.
 			for {
 				select {
 				case m = <-sub.queue:

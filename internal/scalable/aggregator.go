@@ -32,7 +32,10 @@ const (
 )
 
 // newPoolBlock sizes the blocks collectors fill for a full Changelog read
-// with a typical path footprint.
+// with a typical path footprint. A block handed to an in-process peer is
+// frozen and never comes back to the pool: a ref-counted lease was measured
+// (EXPERIMENTS.md, PR 20) to recycle about a third of them — the subscriber
+// buffers keep half a drain in flight — and left out as an aliasing hazard.
 func newPoolBlock() *events.Block {
 	return events.NewBlock(pipeline.DefaultChangelogBatch, 32<<10)
 }

@@ -221,6 +221,7 @@ func NewConsumer(opts ConsumerOptions) (*Consumer, error) {
 			history = nil
 		}
 		replay := history[:0] // filtered in place: the source handed the slice over
+		fresh := 0            // events surviving cursor dedup, paced in one spend
 		for _, e := range history {
 			if e.Seq != 0 {
 				p := e.Seq % uint64(c.parts)
@@ -229,10 +230,12 @@ func NewConsumer(opts ConsumerOptions) (*Consumer, error) {
 				}
 				c.cursors[p] = e.Seq
 			}
-			if c.filterEvent(e) {
+			fresh++
+			if opts.Filter.Match(e) {
 				replay = append(replay, e)
 			}
 		}
+		c.throttle.Spend(time.Duration(fresh) * opts.EventOverhead)
 		if len(replay) > 0 {
 			c.out <- replay
 			c.recovered.Add(uint64(len(replay)))
@@ -321,11 +324,6 @@ func (c *Consumer) recoverHistory() ([]events.Event, error) {
 	return c.opts.Recover.Since(low, 0)
 }
 
-func (c *Consumer) filterEvent(e events.Event) bool {
-	c.throttle.Spend(c.opts.EventOverhead)
-	return c.opts.Filter.Match(e)
-}
-
 // conBatch is one batch in flight to the application as an event block.
 // owned marks a block the consumer decoded itself (recyclable); a shared
 // block arrived by pointer from an in-process aggregator and is frozen.
@@ -368,9 +366,9 @@ func (c *Consumer) deliverBatch(ctx context.Context, cb conBatch) {
 	blk := cb.blk
 	n := blk.Len()
 	keep := c.idx[:0]
+	c.received.Add(uint64(n))
 	c.mu.Lock()
 	for i := 0; i < n; i++ {
-		c.received.Add(1)
 		if seq := blk.Seq(i); seq != 0 {
 			p := seq % uint64(c.parts)
 			if seq <= c.cursors[p] {
@@ -393,16 +391,19 @@ func (c *Consumer) deliverBatch(ctx context.Context, cb conBatch) {
 		c.recycle(cb)
 		return
 	}
-	// Materialize and filter outside the cursor lock: Spend sleeps, and
-	// Stats/LastSeq readers should not wait on pacing. An owned block is
-	// interned first so the survivors' strings come from one copy; a
-	// shared block was interned by the aggregator's store lane.
+	// Pace, materialize and filter outside the cursor lock: Spend sleeps, and
+	// Stats/LastSeq readers should not wait on pacing. The accounted filter
+	// cost of every dedup survivor is spent once for the batch, like the
+	// aggregator's and the resolver's. An owned block is interned first so
+	// the survivors' strings come from one copy; a shared block was interned
+	// by the aggregator's store lane.
+	c.throttle.Spend(time.Duration(len(keep)) * c.opts.EventOverhead)
 	if cb.owned {
 		blk.Intern()
 	}
 	pass := make([]events.Event, 0, len(keep))
 	for _, i := range keep {
-		if e := blk.Event(i); c.filterEvent(e) {
+		if e := blk.Event(i); c.opts.Filter.Match(e) {
 			pass = append(pass, e)
 		}
 	}
