@@ -35,12 +35,22 @@ import (
 //     it: every receiver must treat it — including its BatchTrace — as
 //     immutable. Read accessors (Len, Op, Seq, Root, Event, EventKey,
 //     Wire's cached buffer) are safe to use concurrently on a frozen Block.
+//   - Nothing touches a block after an accepted publish — the publisher
+//     least of all, not even to read Len. Published on lease
+//     (msgq.Pub.PublishLeasedCtx) the block is Reset and refilled as soon
+//     as the last receiver says Done, so a late Len or Stamp is another
+//     batch's; whatever a stage still needs (the event count, the capture
+//     stamp) it reads before publishing and carries beside the block. The
+//     Block itself holds no reference count: the lease lives in msgq, and
+//     a receiver's right to read ends at its Message.Done.
 //   - A Block decoded from a received payload aliases that payload as its
 //     arena; the payload must not be modified afterwards (msgq payloads
 //     never are).
 //   - A CloneFrom clone shares every column of its frozen source except
 //     seqs: it is seq-mutable only (SetSeq, SetTrace, Wire), never
-//     appendable.
+//     appendable. The source must outlive it: whoever publishes a clone
+//     names the message the source arrived in as the lease's parent, which
+//     is Done only after the clone has been Reset.
 type Block struct {
 	ops     []Op
 	cookies []uint32
@@ -79,7 +89,9 @@ type strSpan struct{ off, end uint32 }
 type fieldSpans struct{ root, path, old, src strSpan }
 
 // NewBlock returns an empty Block with room for evCap events and arenaCap
-// arena bytes before growing.
+// arena bytes before growing. The seq positions are not among the columns
+// sized here: only a block that is encoded needs them (a store segment never
+// is), so Wire and the decoder size them when they first fill them.
 func NewBlock(evCap, arenaCap int) *Block {
 	return &Block{
 		ops:     make([]Op, 0, evCap),
@@ -87,7 +99,6 @@ func NewBlock(evCap, arenaCap int) *Block {
 		seqs:    make([]uint64, 0, evCap),
 		times:   make([]int64, 0, evCap),
 		spans:   make([]fieldSpans, 0, evCap),
-		seqPos:  make([]int, 0, evCap),
 		arena:   make([]byte, 0, arenaCap),
 
 		ownArena: true,
@@ -614,8 +625,12 @@ func (b *Block) Wire() []byte {
 	if b.ownWire {
 		buf = b.wire[:0]
 	}
+	// Both sized once: a full encode never regrows the image or the positions.
 	if need := b.encodedLen(); cap(buf) < need {
-		buf = make([]byte, 0, need) // sized once: a full encode never regrows
+		buf = make([]byte, 0, need)
+	}
+	if cap(b.seqPos) < len(b.ops) {
+		b.seqPos = make([]int, 0, len(b.ops))
 	}
 	b.wire = b.EncodeTo(buf, &b.seqPos)
 	b.ownWire = true

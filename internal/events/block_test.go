@@ -501,11 +501,17 @@ func TestWireSizedOnce(t *testing.T) {
 	}
 
 	b := hotBlock(t, 512)
+	if b.seqPos != nil {
+		t.Errorf("a filled block that was never encoded holds %d seq positions (cap %d), want none", len(b.seqPos), cap(b.seqPos))
+	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		b.wire = nil // as NewBlock leaves it
+		b.wire, b.seqPos = nil, nil // as NewBlock leaves them
 		_ = b.Wire()
 	}); allocs > 2 {
 		t.Errorf("a fresh 512-row block's first Wire allocates %v times, want <= 2 (image, seq positions)", allocs)
+	}
+	if len(b.seqPos) != b.Len() || cap(b.seqPos) != b.Len() {
+		t.Errorf("seq positions after the first Wire: len %d cap %d, want both %d (sized once, not regrown)", len(b.seqPos), cap(b.seqPos), b.Len())
 	}
 }
 

@@ -32,11 +32,14 @@ import (
 // decoding entirely. A Block never crosses TCP: the wire carries Payload
 // only, and a message read from a TCP connection always has a nil Block.
 // A received Block is frozen: the receiver must treat it (and its trace)
-// as immutable shared state.
+// as immutable shared state, and — when the publisher lent it out
+// (Pub.PublishLeasedCtx) — only until it calls Done.
 type Message struct {
 	Topic   string
 	Payload []byte
 	Block   *events.Block
+
+	lease *lease // the publisher's claim on Block/Payload; nil when unleased
 }
 
 // maxFrame bounds a frame component to keep a malformed peer from forcing

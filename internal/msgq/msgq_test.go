@@ -30,7 +30,7 @@ func recvN(t *testing.T, ch <-chan Message, n int) []Message {
 	return out
 }
 
-func waitFor(t *testing.T, cond func() bool, what string) {
+func waitFor(t testing.TB, cond func() bool, what string) {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {

@@ -37,11 +37,20 @@ type Pub struct {
 	subs        map[*pubSubscriber]struct{}
 	inproc      map[*inprocPeer]struct{}
 	subChange   chan struct{} // closed+replaced on every attach/detach
-	closed      chan struct{}
-	closeOnce   sync.Once
-	dropped     atomic.Uint64
-	published   atomic.Uint64
-	wg          sync.WaitGroup
+	// attached is what a publish fans out to: an immutable copy of subs and
+	// inproc, rebuilt on every attach/detach so the publish path neither
+	// locks p.mu nor allocates.
+	attached  atomic.Pointer[attachedSet]
+	closed    chan struct{}
+	closeOnce sync.Once
+	dropped   atomic.Uint64
+	published atomic.Uint64
+	wg        sync.WaitGroup
+}
+
+type attachedSet struct {
+	tcp   []*pubSubscriber
+	peers []*inprocPeer
 }
 
 type pubSubscriber struct {
@@ -98,6 +107,7 @@ func NewPub(opts ...PubOption) *Pub {
 		subChange: make(chan struct{}),
 		closed:    make(chan struct{}),
 	}
+	p.attached.Store(&attachedSet{})
 	for _, o := range opts {
 		o(p)
 	}
@@ -200,7 +210,10 @@ func (p *Pub) subReader(sub *pubSubscriber) {
 	}
 }
 
-// subWriter drains the subscriber queue onto the wire.
+// subWriter drains the subscriber queue onto the wire. A leased frame's
+// payload is the block's own wire image, so the queue's reference is dropped
+// only once the frame has been written (or has failed to be): frames still
+// queued when the subscriber goes away are never Done and fall to the GC.
 func (p *Pub) subWriter(sub *pubSubscriber) {
 	defer p.wg.Done()
 	defer p.detach(sub)
@@ -210,24 +223,22 @@ func (p *Pub) subWriter(sub *pubSubscriber) {
 		case <-sub.done:
 			return
 		case m := <-sub.queue:
-			if err := writeMessage(w, m); err != nil {
-				return
-			}
 			// Drain whatever else is queued before blocking in the select
 			// again. writeMessage flushes every frame, so this saves
 			// wake-ups, not syscalls; holding the flush until the queue is
 			// empty was measured as no gain on the TCP journey
 			// (EXPERIMENTS.md, PR 20), so each frame goes out at once.
-			for {
+			for more := true; more; {
+				err := writeMessage(w, m)
+				m.Done()
+				if err != nil {
+					return
+				}
 				select {
 				case m = <-sub.queue:
-					if err := writeMessage(w, m); err != nil {
-						return
-					}
-					continue
 				default:
+					more = false
 				}
-				break
 			}
 		}
 	}
@@ -257,8 +268,20 @@ func (p *Pub) detachInproc(peer *inprocPeer) {
 	p.notifySubChangeLocked()
 }
 
-// notifySubChangeLocked wakes WaitSubscribed callers. Caller holds p.mu.
+// notifySubChangeLocked publishes the new attached set and wakes
+// WaitSubscribed callers. Caller holds p.mu.
 func (p *Pub) notifySubChangeLocked() {
+	set := &attachedSet{
+		tcp:   make([]*pubSubscriber, 0, len(p.subs)),
+		peers: make([]*inprocPeer, 0, len(p.inproc)),
+	}
+	for s := range p.subs {
+		set.tcp = append(set.tcp, s)
+	}
+	for q := range p.inproc {
+		set.peers = append(set.peers, q)
+	}
+	p.attached.Store(set)
 	close(p.subChange)
 	p.subChange = make(chan struct{})
 }
@@ -297,51 +320,7 @@ func (p *Pub) Publish(topic string, payload []byte) {
 // send (that subscriber simply misses the message, reflected in the
 // count).
 func (p *Pub) PublishCtx(ctx context.Context, topic string, payload []byte) int {
-	p.published.Add(1)
-	m := Message{Topic: topic, Payload: payload}
-	p.mu.Lock()
-	tcpSubs := make([]*pubSubscriber, 0, len(p.subs))
-	for s := range p.subs {
-		tcpSubs = append(tcpSubs, s)
-	}
-	peers := make([]*inprocPeer, 0, len(p.inproc))
-	for q := range p.inproc {
-		peers = append(peers, q)
-	}
-	p.mu.Unlock()
-	delivered := 0
-	for _, s := range tcpSubs {
-		if !s.matches(topic) {
-			continue
-		}
-		if p.blockOnFull {
-			select {
-			case s.queue <- m:
-				delivered++
-			case <-s.done:
-			case <-p.closed:
-			case <-ctx.Done():
-			}
-		} else {
-			select {
-			case s.queue <- m:
-				delivered++
-			default:
-				p.dropped.Add(1)
-			}
-		}
-	}
-	for _, q := range peers {
-		if !q.matches(topic) {
-			continue
-		}
-		if q.deliver(m) {
-			delivered++
-		} else {
-			p.dropped.Add(1)
-		}
-	}
-	return delivered
+	return p.fanout(ctx, Message{Topic: topic, Payload: payload})
 }
 
 // PublishBlockCtx distributes an event block to all matching subscribers.
@@ -354,64 +333,111 @@ func (p *Pub) PublishCtx(ctx context.Context, topic string, payload []byte) int 
 // It returns how many queues accepted the message and whether any
 // subscriber now shares the block's memory — the pointer itself for
 // in-process peers, the wire image's backing array for queued TCP sends.
-// Once shared is true the block is frozen: the caller must not mutate or
-// recycle it. When shared is false the caller retains exclusive
-// ownership and may return the block to its pool (the common case on a
-// republish topic nobody subscribes to, which this makes free).
+// Once shared is true the block is frozen for good: nothing reports when
+// the receivers are finished, so the caller must never mutate or recycle
+// it (PublishLeasedCtx is the form that gets the block back). When shared
+// is false the caller retains exclusive ownership.
 func (p *Pub) PublishBlockCtx(ctx context.Context, topic string, blk *events.Block) (delivered int, shared bool) {
+	delivered = p.PublishLeasedCtx(ctx, topic, blk, nil, Message{})
+	return delivered, delivered > 0
+}
+
+// PublishLeasedCtx is PublishBlockCtx with the block on loan: every queue
+// that accepts the frame holds one reference, each receiver drops its own
+// with Message.Done (a TCP subscriber's is dropped once its writer has put
+// the wire image on the connection), and when the last one goes release is
+// called with blk — the publisher's Reset-and-pool hook, which must be
+// safe to call from any goroutine. parent is the received message whose
+// memory blk aliases (a seq-only clone of its Block, a decode of its
+// Payload), or the zero Message: it is Done right after release has run,
+// never before, so an upstream publisher cannot refill bytes blk still
+// points into. A nil release lends nothing: the block (and parent) is
+// shared for good, as PublishBlockCtx documents.
+//
+// A zero result means no queue accepted the frame and nothing changed
+// hands: the caller still owns blk and still owes parent its Done.
+// Otherwise both now belong to the transport and the caller must not touch
+// blk again — not even to read its length.
+func (p *Pub) PublishLeasedCtx(ctx context.Context, topic string, blk *events.Block, release func(*events.Block), parent Message) int {
+	if release == nil {
+		return p.fanout(ctx, Message{Topic: topic, Block: blk})
+	}
+	ls := newLease(blk, release, parent.lease)
+	delivered := p.fanout(ctx, Message{Topic: topic, Block: blk, lease: ls})
+	if delivered == 0 {
+		ls.retire()
+		return 0
+	}
+	ls.done() // the publisher's own reference
+	return delivered
+}
+
+// fanout is the one delivery loop behind every publish: offer m to each
+// attached queue whose subscription matches and count the ones that took
+// it. A block message reaches TCP subscribers as its wire image and
+// in-process peers as the pointer alone. A leased message gains one
+// reference per accepting queue, taken before the offer (the receiver may
+// be done with it before the offer returns) and given back if it is
+// refused.
+func (p *Pub) fanout(ctx context.Context, m Message) (delivered int) {
 	p.published.Add(1)
-	p.mu.Lock()
-	tcpSubs := make([]*pubSubscriber, 0, len(p.subs))
-	for s := range p.subs {
-		tcpSubs = append(tcpSubs, s)
-	}
-	peers := make([]*inprocPeer, 0, len(p.inproc))
-	for q := range p.inproc {
-		peers = append(peers, q)
-	}
-	p.mu.Unlock()
+	set := p.attached.Load()
 	// TCP first: Wire caches the image inside the block, which must happen
 	// before any in-process peer shares (and so freezes) it.
-	var m Message
-	for _, s := range tcpSubs {
-		if !s.matches(topic) {
+	blk := m.Block
+	m.Block = nil
+	for _, s := range set.tcp {
+		if !s.matches(m.Topic) {
 			continue
 		}
-		if m.Payload == nil {
-			m = Message{Topic: topic, Payload: blk.Wire()}
+		if blk != nil && m.Payload == nil {
+			m.Payload = blk.Wire()
 		}
-		if p.blockOnFull {
-			select {
-			case s.queue <- m:
-				delivered++
-				shared = true
-			case <-s.done:
-			case <-p.closed:
-			case <-ctx.Done():
-			}
-		} else {
-			select {
-			case s.queue <- m:
-				delivered++
-				shared = true
-			default:
-				p.dropped.Add(1)
-			}
+		if p.offer(ctx, s, m) {
+			delivered++
 		}
 	}
-	m = Message{Topic: topic, Block: blk}
-	for _, q := range peers {
-		if !q.matches(topic) {
+	if blk != nil {
+		m.Payload, m.Block = nil, blk
+	}
+	for _, q := range set.peers {
+		if !q.matches(m.Topic) {
 			continue
 		}
+		m.lease.retain()
 		if q.deliver(m) {
 			delivered++
-			shared = true
 		} else {
+			m.lease.unretain()
 			p.dropped.Add(1)
 		}
 	}
-	return delivered, shared
+	return delivered
+}
+
+// offer queues m for one TCP subscriber: blocking under blockOnFull until
+// the subscriber, the socket or ctx goes away, dropping on a full queue
+// otherwise.
+func (p *Pub) offer(ctx context.Context, s *pubSubscriber, m Message) bool {
+	m.lease.retain()
+	if p.blockOnFull {
+		select {
+		case s.queue <- m:
+			return true
+		case <-s.done:
+		case <-p.closed:
+		case <-ctx.Done():
+		}
+	} else {
+		select {
+		case s.queue <- m:
+			return true
+		default:
+			p.dropped.Add(1)
+		}
+	}
+	m.lease.unretain()
+	return false
 }
 
 // Subscribers returns the number of attached subscribers (both transports).
@@ -443,6 +469,7 @@ func (p *Pub) Close() {
 			subs = append(subs, s)
 		}
 		p.inproc = map[*inprocPeer]struct{}{}
+		p.notifySubChangeLocked()
 		p.mu.Unlock()
 		for _, s := range subs {
 			s.stop()

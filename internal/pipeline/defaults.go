@@ -25,10 +25,16 @@ const (
 	// overrides it per backend and per mount.
 	DefaultDSIBuffer = 8192
 
-	// DefaultAggregatorQueue bounds the aggregator's subscription buffer
-	// (messages) — it must absorb a full burst from every MDS collector
-	// while the store thread catches up.
-	DefaultAggregatorQueue = 65536
+	// DefaultAggregatorQueue bounds a tier's subscription buffer — the
+	// aggregator's intake from its collectors, a scalable consumer's intake
+	// from the aggregator — counted in what it holds: blocks of up to
+	// DefaultChangelogBatch events, each on loan from the publisher's pool
+	// until the subscriber is done with it. It is the paper's small
+	// processing queue (§IV-2), not a burst absorber: behind a full one the
+	// publisher blocks and the backlog waits in the Changelog, where it
+	// survives a crash. Keep it <= DefaultPoolSlots, or a steady drain keeps
+	// more blocks in flight than the pools can take back.
+	DefaultAggregatorQueue = 64
 
 	// DefaultSubscriberBuffer bounds per-subscriber delivery queues
 	// (interface-layer subscriptions and scalable consumers alike).
@@ -46,8 +52,9 @@ const (
 	// DefaultRenameCache is the rename-pairing cookie cache capacity.
 	DefaultRenameCache = 1024
 
-	// DefaultPoolSlots is how many recycled batch slices a SlicePool
-	// retains.
+	// DefaultPoolSlots is how many recycled objects a SlicePool or Pool
+	// retains (>= DefaultAggregatorQueue, so every block a full
+	// subscription queue gives back finds a slot).
 	DefaultPoolSlots = 64
 
 	// DefaultResolveWorkers is the collector resolve-stage parallelism.

@@ -1,5 +1,7 @@
 package pipeline
 
+import "sync/atomic"
+
 // SlicePool recycles []T batch buffers between pipeline stages so the
 // steady-state hot path allocates nothing per batch: the batcher Gets an
 // empty slice, fills it, the downstream consumer Puts it back once the
@@ -60,6 +62,7 @@ type Pool[T any] struct {
 	free  chan *T
 	fresh func() *T
 	reset func(*T)
+	built atomic.Uint64
 }
 
 // NewPool creates a pool retaining at most slots objects
@@ -80,14 +83,21 @@ func (p *Pool[T]) Get() *T {
 	case x := <-p.free:
 		return x
 	default:
+		p.built.Add(1)
 		return p.fresh()
 	}
 }
 
+// Built returns how many objects Get had to construct because nothing had
+// come back yet: in steady state it stops growing at the number of objects
+// the stages and queues downstream keep in flight.
+func (p *Pool[T]) Built() uint64 { return p.built.Load() }
+
 // Put resets the object and returns it for reuse. Never blocks: when the
 // pool is full the object is dropped for the GC. Callers must not touch
-// the object after Put — in particular, a block published by pointer must
-// not be Put until the transport reports no receiver holds it.
+// the object after Put — in particular, a block published by pointer is
+// Put by the transport's release hook (msgq.Pub.PublishLeasedCtx) once
+// every receiver has called Done, never by the publisher itself.
 func (p *Pool[T]) Put(x *T) {
 	if x == nil {
 		return

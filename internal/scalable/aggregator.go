@@ -31,11 +31,17 @@ const (
 	AggTopic = "agg.events"
 )
 
+// resetBlock is the reset hook of every block pool in this package. It is a
+// variable for one reason: the poisoning test swaps in a hook that first
+// overwrites the block with a sentinel, so a reader that outlives its lease
+// delivers garbage the test can see instead of stale bytes it cannot.
+var resetBlock = (*events.Block).Reset
+
 // newPoolBlock sizes the blocks collectors fill for a full Changelog read
-// with a typical path footprint. A block handed to an in-process peer is
-// frozen and never comes back to the pool: a ref-counted lease was measured
-// (EXPERIMENTS.md, PR 20) to recycle about a third of them — the subscriber
-// buffers keep half a drain in flight — and left out as an aliasing hazard.
+// with a typical path footprint. They are published on lease
+// (msgq.Pub.PublishLeasedCtx) and come back to the pool when the last
+// receiver is done, so a steady drain builds about as many as the queues
+// downstream hold (pipeline.DefaultAggregatorQueue) and then stops.
 func newPoolBlock() *events.Block {
 	return events.NewBlock(pipeline.DefaultChangelogBatch, 32<<10)
 }
@@ -44,8 +50,9 @@ func newPoolBlock() *events.Block {
 // clone and view targets. They start bare because everything they hold
 // arrives with the batch — a decode aliases the payload as its arena and
 // sizes its columns from the header, a clone shares its source's columns
-// and copies only seqs, a view adopts its source's arena — and a block
-// published to a subscriber never comes back to be reused.
+// and copies only seqs, a view adopts its source's arena. What they grow of
+// their own (a decode's columns, a clone's seq column, a re-encoded wire
+// image) is kept across the lease that brings them back.
 func newTargetBlock() *events.Block { return events.NewBlock(0, 0) }
 
 // AggregatorOptions configures the aggregator service (which the paper
@@ -79,8 +86,10 @@ type AggregatorOptions struct {
 	// EventOverhead is the accounted aggregation cost per event
 	// (default 500ns), spent on the owning partition's lane.
 	EventOverhead time.Duration
-	// QueueSize is the subscription buffer capacity in messages (default
-	// pipeline.DefaultAggregatorQueue).
+	// QueueSize is the subscription buffer capacity in blocks — one message
+	// carries one collector batch (default pipeline.DefaultAggregatorQueue).
+	// It is the processing queue of §IV-2, not the backlog: once it is full
+	// the collectors block and unread records wait in the Changelog.
 	QueueSize int
 	// Context aborts the aggregator when canceled (Close remains the
 	// graceful path). Nil means Background.
@@ -197,6 +206,9 @@ type Aggregator struct {
 
 	pipe *pipeline.Pipeline
 	pool *pipeline.Pool[events.Block] // blocks cycling through decode → store → republish
+	// recycle is pool.Put as the release hook of a leased publish, bound
+	// once: a method value built per batch would allocate.
+	recycle func(*events.Block)
 
 	own ownership // partition acquire/release state (cluster members only)
 
@@ -256,8 +268,9 @@ func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 		parts:     parts,
 		ownStore:  ownStore,
 		throttles: make([]*pace.Throttle, parts),
-		pool:      pipeline.NewPool(0, newTargetBlock, (*events.Block).Reset),
+		pool:      pipeline.NewPool(0, newTargetBlock, resetBlock),
 	}
+	a.recycle = a.pool.Put
 	for i := range a.throttles {
 		a.throttles[i] = pace.NewThrottle()
 	}
@@ -413,39 +426,47 @@ func (a *Aggregator) Endpoint() string {
 // Partitions returns the store-lane / engine partition count.
 func (a *Aggregator) Partitions() int { return a.parts }
 
-// rawBatch is an unrouted collector message: the wire payload, the shared
-// block pointer when the message arrived on the in-process fast path (nil
-// over TCP), and the partition its topic names (-1 when the topic names
-// none).
+// rawBatch is an unrouted collector message — the wire payload over TCP, the
+// block on loan over the in-process fast path — and the partition its topic
+// names (-1 when the topic names none).
 type rawBatch struct {
-	payload []byte
-	blk     *events.Block
-	part    int
+	m    msgq.Message
+	part int
 }
 
 // partBatch is a batch routed to one partition. Three shapes flow through:
-// still encoded (blk nil — the owning lane decodes the payload into a
-// pooled block), a shared frozen block (blk set, owned false — the
-// in-process pointer fast path; the lane clones it before assigning seqs),
-// or an owned view block (owned true — the path-hash split). Stamp and
-// trace ride inside the block or the payload's wire header.
+// still encoded (m.Payload — the owning lane decodes it into a pooled
+// block), a borrowed frozen block (m.Block — the in-process pointer fast
+// path; the lane clones it before assigning seqs), or an owned view block
+// (view, the path-hash split; m is then zero). Stamp and trace ride inside
+// the block or the payload's wire header. The lane's block aliases m's
+// memory either way, so m travels with it and is Done only after the block
+// has been Reset.
 type partBatch struct {
-	part    int
-	payload []byte
-	blk     *events.Block
-	owned   bool
+	part int
+	m    msgq.Message
+	view *events.Block
 }
 
 // repBatch is a sequenced batch ready to republish: the block is always
 // exclusively owned by the pipeline at this point (decoded, cloned, or a
-// split view), so the republish stage may recycle it when no subscriber
-// retains it. stamp is the batch's capture mark, carried so the stage can
-// record cumulative latency without touching the block after publish.
+// split view), so the republish stage lends it out and takes it back when
+// the last subscriber is done. up is the collector message it aliases. n
+// and stamp are carried because nothing touches a block after an accepted
+// publish — not even to count it.
 type repBatch struct {
 	part  int
 	blk   *events.Block
+	up    msgq.Message
 	n     int
 	stamp int64
+}
+
+// drop returns a block the pipeline will not publish to the pool and then
+// lets go of the upstream message it aliased — in that order.
+func (a *Aggregator) drop(blk *events.Block, up msgq.Message) {
+	a.pool.Put(blk)
+	up.Done()
 }
 
 // intakeLoop is the subscribe source stage ("When an event arrives to the
@@ -472,7 +493,7 @@ func (a *Aggregator) intakeLoop(ctx context.Context, emit func(rawBatch) bool) e
 		} else if mdt := mdtFromTopic(m.Topic); mdt >= 0 {
 			part = mdt % a.parts
 		}
-		if !emit(rawBatch{payload: m.Payload, blk: m.Block, part: part}) {
+		if !emit(rawBatch{m: m, part: part}) {
 			return nil
 		}
 	}
@@ -499,19 +520,22 @@ func mdtFromTopic(topic string) int {
 // forwards the payload undecoded.
 func (a *Aggregator) partitionBatch(_ context.Context, rb rawBatch, emit func(partBatch) bool) {
 	if rb.part >= 0 || a.parts == 1 {
-		emit(partBatch{part: max(rb.part, 0), payload: rb.payload, blk: rb.blk})
+		emit(partBatch{part: max(rb.part, 0), m: rb.m})
 		return
 	}
 	// Path-hash split: decode the payload as a zero-copy block (or adopt
-	// the shared block as-is) and build one pooled view block per non-empty
+	// the borrowed block as-is) and build one pooled view block per non-empty
 	// partition over the same arena — no event structs, no string copies.
-	src, owned := rb.blk, false
+	// Several views over one arena are more than a lease's single parent
+	// link expresses, so a borrowed block split here is never Done: it falls
+	// to the GC once its views have, which is always safe.
+	src, scratch := rb.m.Block, false
 	if src == nil {
 		src = a.pool.Get()
-		owned = true
-		if err := events.DecodeBlockInto(src, rb.payload); err != nil {
+		scratch = true
+		if err := events.DecodeBlockInto(src, rb.m.Payload); err != nil {
 			a.pool.Put(src)
-			a.slog.Warn("dropping undecodable batch", "bytes", len(rb.payload), "err", err)
+			a.slog.Warn("dropping undecodable batch", "bytes", len(rb.m.Payload), "err", err)
 			return
 		}
 	}
@@ -521,11 +545,11 @@ func (a *Aggregator) partitionBatch(_ context.Context, rb rawBatch, emit func(pa
 		if v == nil {
 			continue
 		}
-		if !emit(partBatch{part: p, blk: v, owned: true}) {
+		if !emit(partBatch{part: p, view: v}) {
 			return
 		}
 	}
-	if owned {
+	if scratch {
 		// The views reference the payload arena directly, not src's
 		// columns, so the scratch block recycles immediately.
 		a.pool.Put(src)
@@ -574,34 +598,34 @@ func (a *Aggregator) storeLane(ctx context.Context, pb partBatch) (repBatch, boo
 	if a.storeUS != nil {
 		start = time.Now()
 	}
-	blk := pb.blk
+	blk := pb.view
 	switch {
-	case blk == nil:
+	case blk != nil:
+	case pb.m.Block != nil:
+		// In-process pointer fast path: the received block is frozen,
+		// so sequence assignment works on a clone — seqs copied, every
+		// other column, the arena and the wire image shared.
 		blk = a.pool.Get()
-		if err := events.DecodeBlockInto(blk, pb.payload); err != nil {
-			a.pool.Put(blk)
-			a.slog.Warn("dropping undecodable batch", "partition", pb.part, "bytes", len(pb.payload), "err", err)
+		blk.CloneFrom(pb.m.Block)
+		a.span(blk, events.TierPartition)
+	default:
+		blk = a.pool.Get()
+		if err := events.DecodeBlockInto(blk, pb.m.Payload); err != nil {
+			a.slog.Warn("dropping undecodable batch", "partition", pb.part, "bytes", len(pb.m.Payload), "err", err)
+			a.drop(blk, pb.m)
 			return repBatch{}, false
 		}
 		// The wire fast path forwards payloads undecoded, so the
 		// partition hop is only observable here, at lane entry.
 		a.span(blk, events.TierPartition)
-	case !pb.owned:
-		// In-process pointer fast path: the received block is frozen,
-		// so sequence assignment works on a clone — seqs copied, every
-		// other column, the arena and the wire image shared.
-		c := a.pool.Get()
-		c.CloneFrom(blk)
-		blk = c
-		a.span(blk, events.TierPartition)
 	}
 	n := blk.Len()
 	if n == 0 {
-		a.pool.Put(blk)
+		a.drop(blk, pb.m)
 		return repBatch{}, false
 	}
 	a.received.Add(uint64(n))
-	if !a.persist(ctx, pb.part, blk, n) {
+	if !a.persist(ctx, pb.part, blk, pb.m, n) {
 		return repBatch{}, false
 	}
 	a.stored.Add(uint64(n))
@@ -612,7 +636,7 @@ func (a *Aggregator) storeLane(ctx context.Context, pb partBatch) (repBatch, boo
 		}
 	}
 	a.span(blk, events.TierStore)
-	return repBatch{part: pb.part, blk: blk, n: n, stamp: blk.Stamp()}, true
+	return repBatch{part: pb.part, blk: blk, up: pb.m, n: n, stamp: blk.Stamp()}, true
 }
 
 // span appends a tier span under this aggregator's identity to a traced
@@ -628,8 +652,9 @@ func (a *Aggregator) span(blk *events.Block, tier uint8) {
 // aggregation overhead on the lane's throttle, or — a cluster member that
 // does not (or no longer does) hold the partition — forwards it to the
 // current owner. It reports whether the block was stored here; when it was
-// not, the block has been recycled or handed on.
-func (a *Aggregator) persist(ctx context.Context, part int, blk *events.Block, n int) bool {
+// not, the block (and up, the message it aliases) has been dropped or
+// handed on.
+func (a *Aggregator) persist(ctx context.Context, part int, blk *events.Block, up msgq.Message, n int) bool {
 	for {
 		if st := a.store(part); st != nil {
 			a.throttles[part].Spend(time.Duration(n) * a.opts.EventOverhead)
@@ -642,14 +667,14 @@ func (a *Aggregator) persist(ctx context.Context, part int, blk *events.Block, n
 				// a handoff race. Drop the batch but keep the service alive
 				// for subsequent ones.
 				a.slog.Error("store append failed, dropping batch", "partition", part, "events", n, "err", err)
-				a.pool.Put(blk)
+				a.drop(blk, up)
 				return false
 			}
 			continue // lost the partition mid-append: re-route
 		}
 		if a.mem == nil {
 			a.slog.Error("engine does not hold partition, dropping batch", "partition", part, "events", n)
-			a.pool.Put(blk)
+			a.drop(blk, up)
 			return false
 		}
 		// Not the owner: forward to whoever is. The routed topic goes out
@@ -657,11 +682,8 @@ func (a *Aggregator) persist(ctx context.Context, part int, blk *events.Block, n
 		// inbox on every peer pub, so the forward is one hop (the lane-entry
 		// partition span already records it under this member's identity).
 		if topic, ok := a.mem.OwnerTopic(part); ok && topic != msgq.NodeTopic(a.opts.ID, part) {
-			if delivered, shared := a.pub.PublishBlockCtx(ctx, topic, blk); delivered > 0 {
+			if a.pub.PublishLeasedCtx(ctx, topic, blk, a.recycle, up) > 0 {
 				a.strays.Add(uint64(n))
-				if !shared {
-					a.pool.Put(blk)
-				}
 				return false
 			}
 		}
@@ -669,7 +691,7 @@ func (a *Aggregator) persist(ctx context.Context, part int, blk *events.Block, n
 		// has not opened yet (assignment in flight): wait and re-check.
 		select {
 		case <-ctx.Done():
-			a.pool.Put(blk)
+			a.drop(blk, up)
 			return false
 		case <-time.After(time.Millisecond):
 		}
@@ -681,7 +703,9 @@ func (a *Aggregator) persist(ctx context.Context, part int, blk *events.Block, n
 // With one partition the batch goes out on the classic AggTopic — byte
 // identical to the unpartitioned aggregator — otherwise on the
 // partition's own topic (a prefix of which is still AggTopic, so plain
-// subscribers see everything).
+// subscribers see everything). The block goes out on lease: it returns to
+// the pool, and the collector message it aliases is Done, when the last
+// subscriber has finished with it — at once when there is none.
 func (a *Aggregator) republishBatch(ctx context.Context, rb repBatch) {
 	topic := AggTopic
 	if a.parts > 1 {
@@ -691,16 +715,15 @@ func (a *Aggregator) republishBatch(ctx context.Context, rb repBatch) {
 	// the payload (traced batches re-encode; untraced ones go out as a
 	// clone+patch of the received bytes).
 	a.span(rb.blk, events.TierRepublish)
-	_, shared := a.pub.PublishBlockCtx(ctx, topic, rb.blk)
+	if a.pub.PublishLeasedCtx(ctx, topic, rb.blk, a.recycle, rb.up) == 0 {
+		a.drop(rb.blk, rb.up)
+	}
 	a.published.Add(uint64(rb.n))
 	a.aud.Republished(rb.part, rb.n)
 	if a.republishUS != nil {
 		if us := telemetry.SinceStampUS(rb.stamp); us >= 0 {
 			a.republishUS.Observe(us)
 		}
-	}
-	if !shared {
-		a.pool.Put(rb.blk)
 	}
 }
 

@@ -210,6 +210,9 @@ type Collector struct {
 
 	pipe *pipeline.Pipeline
 	pool *pipeline.Pool[events.Block]
+	// recycle is pool.Put as the release hook of a leased publish, bound
+	// once: a method value built per batch would allocate.
+	recycle func(*events.Block)
 
 	read      atomic.Uint64
 	published atomic.Uint64
@@ -225,7 +228,8 @@ func NewCollector(opts CollectorOptions) (*Collector, error) {
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = pipeline.DefaultPollInterval
 	}
-	c := &Collector{opts: opts, pool: pipeline.NewPool(0, newPoolBlock, (*events.Block).Reset)}
+	c := &Collector{opts: opts, pool: pipeline.NewPool(0, newPoolBlock, resetBlock)}
+	c.recycle = c.pool.Put
 	var err error
 	switch hasLog, hasDSI := opts.Cluster != nil, opts.Mount.DSI != nil; {
 	case hasLog == hasDSI:
@@ -352,20 +356,21 @@ func (c *Collector) publish(ctx context.Context, pb pubBatch) {
 // batch — all detached between the wait and the send, or a fresh TCP link
 // has not registered its topics yet — so pause and re-wait rather than
 // losing the batch; the block's wire image is encoded at most once across
-// the retries. Reports delivery and whether an in-process subscriber now
-// shares the block (a failed delivery never shares).
-func (c *Collector) routeDeliver(ctx context.Context, part int, blk *events.Block) (ok, shared bool) {
+// the retries. An accepted publish takes the block away — it comes back
+// through release when the last receiver is done, or with a nil release (a
+// split view) is shared for good — so the event count is read before the
+// publish, never after. On failure the caller still owns blk.
+func (c *Collector) routeDeliver(ctx context.Context, part int, blk *events.Block, release func(*events.Block)) bool {
+	n := blk.Len()
 	for {
 		if topic, assigned := c.route.OwnerTopic(part); assigned {
 			if err := c.pub.WaitSubscribed(ctx); err != nil {
-				return false, shared
+				return false
 			}
-			n, sh := c.pub.PublishBlockCtx(ctx, topic, blk)
-			shared = shared || sh
-			if n > 0 {
-				c.published.Add(uint64(blk.Len()))
-				c.audit().Published(blk.Len())
-				return true, shared
+			if c.pub.PublishLeasedCtx(ctx, topic, blk, release, msgq.Message{}) > 0 {
+				c.published.Add(uint64(n))
+				c.audit().Published(n)
+				return true
 			}
 		}
 		select {
@@ -373,7 +378,7 @@ func (c *Collector) routeDeliver(ctx context.Context, part int, blk *events.Bloc
 		case <-time.After(c.opts.PollInterval):
 		}
 		if ctx.Err() != nil {
-			return false, shared
+			return false
 		}
 	}
 }
@@ -382,40 +387,39 @@ func (c *Collector) routeDeliver(ctx context.Context, part int, blk *events.Bloc
 // its owning node's inbox topic, reporting whether every slice was
 // delivered (the batch's cursor may be acknowledged only then). A single
 // partition — every un-clustered collector — routes the whole block
-// unsplit: the owner receives the identical batch a classic aggregator
-// would.
+// unsplit and on lease: the owner receives the identical batch a classic
+// aggregator would, and the block returns to the pool once every receiver
+// has called Done.
 func (c *Collector) publishRouted(ctx context.Context, blk *events.Block) bool {
 	parts := c.route.Parts()
 	if parts <= 1 {
-		ok, shared := c.routeDeliver(ctx, 0, blk)
-		if !shared {
+		ok := c.routeDeliver(ctx, 0, blk, c.recycle)
+		if !ok {
 			c.pool.Put(blk)
 		}
 		return ok
 	}
 	// The aggregator's own partitioner, run at the source. The views adopt
-	// blk's arena by reference, so blk must outlive every view: it recycles
-	// only below, and never once any view is shared with an in-process
-	// subscriber.
+	// blk's arena by reference, so blk must outlive every view: several
+	// views over one arena are more than a lease's single parent link
+	// expresses, so they go out unleased — once any view is delivered, blk
+	// and the delivered views are left to the GC.
 	views, _ := splitByPath(c.pool, blk, parts)
-	all, anyShared := true, false
+	all, delivered := true, false
 	for p, v := range views {
 		if v == nil {
 			continue
 		}
 		// Once a slice has failed (context canceled) the rest are released
 		// undelivered.
-		ok, shared := false, false
-		if all {
-			ok, shared = c.routeDeliver(ctx, p, v)
-		}
+		ok := all && c.routeDeliver(ctx, p, v, nil)
 		all = all && ok
-		anyShared = anyShared || shared
-		if !shared {
+		delivered = delivered || ok
+		if !ok {
 			c.pool.Put(v) // Reset drops the view's arena alias safely
 		}
 	}
-	if !anyShared {
+	if !delivered {
 		c.pool.Put(blk)
 	}
 	return all

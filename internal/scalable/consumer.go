@@ -52,8 +52,11 @@ type ConsumerOptions struct {
 	// deduplication. Defaults to the Recover source's partition count
 	// when it exposes one, else 1. Must match the aggregator.
 	StorePartitions int
-	// Buffer is the delivery channel capacity in batches (default
-	// pipeline.DefaultSubscriberBuffer).
+	// Buffer is the application-facing delivery channel's capacity in
+	// batches (default pipeline.DefaultSubscriberBuffer). The subscription
+	// buffer in front of it is not configurable: it holds
+	// pipeline.DefaultAggregatorQueue blocks, each on loan from the
+	// aggregator until this consumer has delivered it.
 	Buffer int
 	// EventOverhead is the accounted per-event filtering cost
 	// (default 200ns).
@@ -166,7 +169,7 @@ func NewConsumer(opts ConsumerOptions) (*Consumer, error) {
 		throttle: pace.NewThrottle(),
 		parts:    parts,
 		cursors:  make([]uint64, parts),
-		pool:     pipeline.NewPool(0, newTargetBlock, (*events.Block).Reset),
+		pool:     pipeline.NewPool(0, newTargetBlock, resetBlock),
 	}
 	if opts.SinceVector != nil {
 		copy(c.cursors, opts.SinceVector)
@@ -187,7 +190,7 @@ func NewConsumer(opts ConsumerOptions) (*Consumer, error) {
 	// paths. The subscription only buffers until the pipeline starts, so
 	// replayed events still precede live ones; any overlap is
 	// deduplicated by sequence number in the filter-deliver stage.
-	c.sub = msgq.NewSub(msgq.WithRecvBuffer(opts.Buffer))
+	c.sub = msgq.NewSub(msgq.WithRecvBuffer(pipeline.DefaultAggregatorQueue))
 	// Prefix subscription: AggTopic also matches the per-partition
 	// topics "agg.events.p<N>" a partitioned aggregator publishes on.
 	c.sub.Subscribe(AggTopic)
@@ -324,13 +327,17 @@ func (c *Consumer) recoverHistory() ([]events.Event, error) {
 	return c.opts.Recover.Since(low, 0)
 }
 
-// conBatch is one batch in flight to the application as an event block.
-// owned marks a block the consumer decoded itself (recyclable); a shared
-// block arrived by pointer from an in-process aggregator and is frozen.
+// conBatch is one batch in flight to the application as an event block:
+// either m.Block itself — borrowed by pointer from an in-process aggregator,
+// frozen, and given back by m.Done — or a pooled block the consumer decoded
+// m.Payload into.
 type conBatch struct {
-	blk   *events.Block
-	owned bool
+	m   msgq.Message
+	blk *events.Block
 }
+
+// owned reports whether the consumer decoded the block itself.
+func (cb conBatch) owned() bool { return cb.m.Block == nil }
 
 // intakeLoop is the subscribe source stage: adopt the shared block when
 // the aggregator handed one over in process (decode-never), otherwise
@@ -341,17 +348,16 @@ func (c *Consumer) intakeLoop(ctx context.Context, emit func(conBatch) bool) err
 		if !ok {
 			return nil
 		}
-		blk, owned := m.Block, false
-		if blk == nil {
-			blk = c.pool.Get()
-			owned = true
-			if err := events.DecodeBlockInto(blk, m.Payload); err != nil {
-				c.pool.Put(blk)
+		cb := conBatch{m: m, blk: m.Block}
+		if cb.owned() {
+			cb.blk = c.pool.Get()
+			if err := events.DecodeBlockInto(cb.blk, m.Payload); err != nil {
 				c.slog.Warn("dropping undecodable batch", "topic", m.Topic, "bytes", len(m.Payload), "err", err)
+				c.recycle(cb)
 				continue
 			}
 		}
-		if !emit(conBatch{blk: blk, owned: owned}) {
+		if !emit(cb) {
 			return nil
 		}
 	}
@@ -398,7 +404,7 @@ func (c *Consumer) deliverBatch(ctx context.Context, cb conBatch) {
 	// the survivors' strings come from one copy; a shared block was interned
 	// by the aggregator's store lane.
 	c.throttle.Spend(time.Duration(len(keep)) * c.opts.EventOverhead)
-	if cb.owned {
+	if cb.owned() {
 		blk.Intern()
 	}
 	pass := make([]events.Event, 0, len(keep))
@@ -421,13 +427,15 @@ func (c *Consumer) deliverBatch(ctx context.Context, cb conBatch) {
 	c.recycle(cb)
 }
 
-// recycle returns a consumer-decoded block to the pool. Shared blocks
-// belong to the publishing aggregator's pipeline and are never recycled
-// here.
+// recycle ends the consumer's use of a batch: a block it decoded itself
+// returns to the pool, a borrowed one goes back to the aggregator that lent
+// it. The delivered events hold no reference to either — their strings are
+// copies (Intern, or one per field).
 func (c *Consumer) recycle(cb conBatch) {
-	if cb.owned {
+	if cb.owned() {
 		c.pool.Put(cb.blk)
 	}
+	cb.m.Done()
 }
 
 // completeTrace closes a batch's span chain at the deliver hop and files

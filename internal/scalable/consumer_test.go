@@ -128,7 +128,7 @@ func BenchmarkConsumerDeliver(b *testing.B) {
 		con.mu.Lock()
 		con.cursors[0] = 0 // the same block again is new, not a duplicate
 		con.mu.Unlock()
-		con.deliverBatch(ctx, conBatch{blk: blk})
+		con.deliverBatch(ctx, conBatch{m: msgq.Message{Block: blk}, blk: blk})
 	}
 	deliver() // grows the stage's index scratch, so -benchtime 1x reads steady state
 	b.ReportAllocs()
