@@ -25,9 +25,10 @@ const (
 	// overrides it per backend and per mount.
 	DefaultDSIBuffer = 8192
 
-	// DefaultAggregatorQueue bounds a tier's subscription buffer — the
-	// aggregator's intake from its collectors, a scalable consumer's intake
-	// from the aggregator — counted in what it holds: blocks of up to
+	// DefaultAggregatorQueue bounds each queue between the scalable tiers —
+	// the aggregator's subscription buffer, a scalable consumer's, and a
+	// publisher's send queue per TCP subscriber (msgq.WithHWM) — counted in
+	// what it holds: blocks of up to
 	// DefaultChangelogBatch events, each on loan from the publisher's pool
 	// until the subscriber is done with it. It is the paper's small
 	// processing queue (§IV-2), not a burst absorber: behind a full one the

@@ -253,7 +253,9 @@ func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 		ownStore = true
 	}
 	parts := engine.Partitions()
-	pub := msgq.NewPub(msgq.WithBlockOnFull())
+	// Like the collector's: blocking, and a TCP subscriber's send queue no
+	// deeper than the subscription queues.
+	pub := msgq.NewPub(msgq.WithBlockOnFull(), msgq.WithHWM(pipeline.DefaultAggregatorQueue))
 	if err := pub.Bind(opts.Endpoint); err != nil {
 		if ownStore {
 			engine.Close()

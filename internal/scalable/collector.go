@@ -242,7 +242,10 @@ func NewCollector(opts CollectorOptions) (*Collector, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.pub = msgq.NewPub(msgq.WithBlockOnFull()) // §V-D2: no event loss — queue, don't drop
+	// §V-D2: no event loss — queue, don't drop. A TCP subscriber's send
+	// queue is one more queue of blocks on loan, so it is as deep as the
+	// subscription queues, not msgq's 10 000-frame default.
+	c.pub = msgq.NewPub(msgq.WithBlockOnFull(), msgq.WithHWM(pipeline.DefaultAggregatorQueue))
 	if err := c.pub.Bind(c.opts.Endpoint); err != nil {
 		return nil, err
 	}

@@ -37,8 +37,9 @@ type leaseRig struct {
 }
 
 // newLeaseRig writes a backlog of batches×batchSize create records and
-// builds the held pipeline over it; aggEndpoint "" is in-process.
-func newLeaseRig(t *testing.T, batches, batchSize int, aggEndpoint string) *leaseRig {
+// builds the held pipeline over it; each publisher binds a loopback TCP
+// port when its flag is set and an in-process name otherwise.
+func newLeaseRig(t *testing.T, batches, batchSize int, colTCP, aggTCP bool) *leaseRig {
 	t.Helper()
 	r := &leaseRig{cluster: testCluster(1)}
 	cl := r.cluster.Client()
@@ -50,11 +51,16 @@ func newLeaseRig(t *testing.T, batches, batchSize int, aggEndpoint string) *leas
 	r.log, _ = r.cluster.Changelog(0)
 	released := new(atomic.Bool)
 	r.release = func() { released.Store(true) }
-	name := fmt.Sprintf("%p", r)
+	endpoint := func(role string, tcp bool) string {
+		if tcp {
+			return "tcp://127.0.0.1:0"
+		}
+		return fmt.Sprintf("inproc://lease-%s-%p", role, r)
+	}
 	var err error
 	r.col, err = NewCollector(CollectorOptions{
 		Cluster: r.cluster, MountPoint: "/mnt/lustre", CacheSize: 1000, BatchSize: batchSize,
-		Endpoint:      "inproc://lease-col-" + name,
+		Endpoint:      endpoint("col", colTCP),
 		Router:        heldRoute{topic: TopicPrefix + "mdt0", released: released},
 		EventOverhead: time.Nanosecond, CacheLookupCost: time.Nanosecond,
 	})
@@ -62,11 +68,8 @@ func newLeaseRig(t *testing.T, batches, batchSize int, aggEndpoint string) *leas
 		t.Fatal(err)
 	}
 	t.Cleanup(r.col.Close)
-	if aggEndpoint == "" {
-		aggEndpoint = "inproc://lease-agg-" + name
-	}
 	r.agg, err = NewAggregator(AggregatorOptions{
-		CollectorEndpoints: []string{r.col.Endpoint()}, Endpoint: aggEndpoint, EventOverhead: time.Nanosecond,
+		CollectorEndpoints: []string{r.col.Endpoint()}, Endpoint: endpoint("agg", aggTCP), EventOverhead: time.Nanosecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,9 +123,9 @@ func TestRecycledBlocksPoisoned(t *testing.T) {
 		b.Reset()
 	}
 
-	const batches, batchSize = 96, 64 // more than the queues and pools hold, so blocks come round again
-	r := newLeaseRig(t, batches, batchSize, "tcp://127.0.0.1:0")
-	local := "inproc://lease-agg-local-" + fmt.Sprintf("%p", r)
+	const batches, batchSize = 96, 64                    // more than the queues and pools hold, so blocks come round again
+	r := newLeaseRig(t, batches, batchSize, false, true) // the clone path in, both transports out
+	local := fmt.Sprintf("inproc://lease-agg-local-%p", r)
 	if err := r.agg.pub.Bind(local); err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +169,10 @@ func TestRecycledBlocksPoisoned(t *testing.T) {
 // drainRig lets batches blocks of a held backlog through to a consumer
 // that reads as fast as it is handed events, and returns the rig once the
 // Changelog is empty.
-func drainRig(t *testing.T, batches int) *leaseRig {
+func drainRig(t *testing.T, batches int, tcp bool) *leaseRig {
 	t.Helper()
 	const batchSize = 64
-	r := newLeaseRig(t, batches, batchSize, "")
+	r := newLeaseRig(t, batches, batchSize, tcp, tcp)
 	con := r.consumer(t, r.agg.Endpoint(), 0)
 	r.release()
 	collect(t, con, batches*batchSize)
@@ -189,27 +192,29 @@ const (
 )
 
 // A collector block comes back when the aggregator and every consumer of
-// its clone are done: a 200-batch drain builds no more blocks than are ever
-// in flight, where without the lease it built one per batch.
-func TestCollectorBlocksRecycle(t *testing.T) {
-	const batches = 200
-	r := drainRig(t, batches)
-	built := r.col.pool.Built()
-	if built >= batches || built > collectorBlocksInFlight {
-		t.Errorf("draining %d batches built %d collector blocks, want at most the %d in flight", batches, built, collectorBlocksInFlight)
-	}
-	t.Logf("%d batches, %d collector blocks built", batches, built)
-}
+// its clone are done — over TCP, when its wire image has been written: a
+// 200-batch drain builds no more blocks than are ever in flight, where
+// without the lease it built one per batch. The aggregator's seq-only
+// clones (over TCP, its decode targets) come back when the consumers are
+// done with them.
+func TestCollectorBlocksRecycle(t *testing.T)  { testBlocksRecycle(t, collectorBlocksInFlight) }
+func TestAggregatorClonesRecycle(t *testing.T) { testBlocksRecycle(t, aggregatorBlocksInFlight) }
 
-// The aggregator's seq-only clones come back when the consumers are done.
-func TestAggregatorClonesRecycle(t *testing.T) {
+func testBlocksRecycle(t *testing.T, inFlight uint64) {
 	const batches = 200
-	r := drainRig(t, batches)
-	built := r.agg.pool.Built()
-	if built >= batches || built > aggregatorBlocksInFlight {
-		t.Errorf("draining %d batches built %d clone blocks, want at most the %d in flight", batches, built, aggregatorBlocksInFlight)
+	for _, transport := range []string{"inproc", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			r := drainRig(t, batches, transport == "tcp")
+			built := r.col.pool.Built()
+			if inFlight == aggregatorBlocksInFlight {
+				built = r.agg.pool.Built()
+			}
+			if built >= batches || built > inFlight {
+				t.Errorf("draining %d batches built %d blocks, want at most the %d in flight", batches, built, inFlight)
+			}
+			t.Logf("%d batches, %d blocks built", batches, built)
+		})
 	}
-	t.Logf("%d batches, %d clone blocks built", batches, built)
 }
 
 // The subscription queues are counted in blocks and are small: with the
@@ -218,7 +223,7 @@ func TestAggregatorClonesRecycle(t *testing.T) {
 // Releasing the consumer drains everything.
 func TestFullQueueLeavesBacklogInChangelog(t *testing.T) {
 	const batches, batchSize = 400, 64
-	r := newLeaseRig(t, batches, batchSize, "")
+	r := newLeaseRig(t, batches, batchSize, false, false)
 	con := r.consumer(t, r.agg.Endpoint(), 1) // one batch of delivery buffer, and nobody reading it
 	r.release()
 
