@@ -22,7 +22,8 @@ import (
 // (three allocations and ~500 B per event). A decoded Block allocates
 // nothing per event — columns come from a pooled Block, the arena is the
 // received payload itself — and re-encoding after sequence assignment is a
-// single buffer clone with 8-byte seq patches instead of a full marshal.
+// copy of the image into the block's own buffer with 8-byte seq patches
+// instead of a full marshal.
 //
 // Ownership and mutation rules (the aliasing contract the pipeline relies
 // on):
@@ -44,8 +45,13 @@ import (
 //     Block itself holds no reference count: the lease lives in msgq, and
 //     a receiver's right to read ends at its Message.Done.
 //   - A Block decoded from a received payload aliases that payload as its
-//     arena; the payload must not be modified afterwards (msgq payloads
-//     never are).
+//     arena and cached wire image, and never writes to it. The arena is on
+//     loan for exactly as long as the payload is: a frame read from a msgq
+//     TCP connection belongs to the receiver only until its Message.Done,
+//     after which the connection refills the buffer. Reset the block (or
+//     decode something else into it) before that Done, and take strings
+//     that must outlive it out as copies (AppendPickedTo, AppendEventsTo,
+//     Event).
 //   - A CloneFrom clone shares every column of its frozen source except
 //     seqs: it is seq-mutable only (SetSeq, SetTrace, Wire), never
 //     appendable. The source must outlive it: whoever publishes a clone
@@ -73,11 +79,14 @@ type Block struct {
 	trace *BatchTrace
 
 	// wire is the cached wire image; nil when the columns have diverged
-	// structurally (append, stamp/trace change). seqPos records the byte
-	// offset of each event's seq field inside wire, so a seq-only change
-	// re-encodes as clone+patch instead of a full marshal.
+	// structurally (append, stamp/trace change). It is either wireBuf or
+	// foreign bytes (the payload a decode aliases, a clone source's image),
+	// which are never written to. wireBuf is the block's own image memory,
+	// kept across Reset: the full encode and the seq patch both fill it.
+	// seqPos records the byte offset of each event's seq field inside wire,
+	// so a seq-only change re-encodes as copy+patch instead of a full marshal.
 	wire     []byte
-	ownWire  bool
+	wireBuf  []byte
 	seqPos   []int
 	seqDirty bool
 }
@@ -103,12 +112,12 @@ func NewBlock(evCap, arenaCap int) *Block {
 
 		ownArena: true,
 		packed:   true,
-		ownWire:  true,
 	}
 }
 
 // Reset empties the Block for reuse, dropping any foreign backing (aliased
-// arena or wire, a clone's shared columns) and retaining owned capacity.
+// arena or wire, a clone's shared columns) and retaining owned capacity —
+// the image buffer's too, whatever wire pointed at.
 func (b *Block) Reset() {
 	if b.sharedCols {
 		b.ops, b.cookies, b.times, b.spans, b.seqPos = nil, nil, nil, nil, nil
@@ -128,12 +137,7 @@ func (b *Block) Reset() {
 		b.ownArena = true
 	}
 	b.packed = true
-	if b.ownWire {
-		b.wire = b.wire[:0]
-	} else {
-		b.wire = nil
-		b.ownWire = true
-	}
+	b.wire = nil
 	b.interned = ""
 	b.stamp = 0
 	b.trace = nil
@@ -173,12 +177,7 @@ func (b *Block) SetTrace(tr *BatchTrace) {
 func (b *Block) MarkTraceDirty() { b.invalidateWire() }
 
 func (b *Block) invalidateWire() {
-	if b.ownWire {
-		b.wire = b.wire[:0]
-	} else {
-		b.wire = nil
-		b.ownWire = true
-	}
+	b.wire = nil
 	b.clearSeqPos()
 	b.seqDirty = false
 }
@@ -266,9 +265,10 @@ func (b *Block) copySpan(arena []byte, sp strSpan) strSpan {
 }
 
 // Intern makes one string copy of the whole arena so that per-event
-// accessors return substrings of it instead of allocating. Call it once,
-// while the block is still exclusively owned (e.g. on the store lane),
-// before sharing the block with readers.
+// accessors return substrings of it instead of allocating. It mutates the
+// block: call it only while the block is exclusively owned, by the reader
+// that is about to walk every row (a frozen block's readers use
+// AppendPickedTo, which stores nothing).
 func (b *Block) Intern() {
 	if b.interned == "" && len(b.arena) > 0 {
 		b.interned = string(b.arena)
@@ -373,19 +373,54 @@ func (b *Block) AppendRangeTo(dst []Event, lo, hi int) []Event {
 		page = string(b.arena[base:b.spans[hi-1].src.end])
 	}
 	for i := lo; i < hi; i++ {
-		fs := b.spans[i]
-		dst = append(dst, Event{
-			Root:    page[fs.root.off-base : fs.root.end-base],
-			Op:      b.ops[i],
-			Path:    page[fs.path.off-base : fs.path.end-base],
-			OldPath: page[fs.old.off-base : fs.old.end-base],
-			Cookie:  b.cookies[i],
-			Time:    time.Unix(0, b.times[i]),
-			Seq:     b.seqs[i],
-			Source:  page[fs.src.off-base : fs.src.end-base],
-		})
+		dst = append(dst, b.eventIn(page, base, i))
 	}
 	return dst
+}
+
+// AppendPickedTo materializes the events at the given row indexes onto dst,
+// in that order, and returns the extended slice. Their strings are
+// substrings of one copy of the arena bytes those rows span, made in the
+// call and kept by nobody but the result (an interned block's rows share
+// the interned copy instead). The block is only read: concurrent readers of
+// one frozen block may each call it, and what they get holds nothing of the
+// block's memory — nor of the payload a decoded block's arena is on loan
+// from. This is how a reader that keeps events past its Message.Done takes
+// them out.
+func (b *Block) AppendPickedTo(dst []Event, rows []int) []Event {
+	if len(rows) == 0 {
+		return dst
+	}
+	page, base := b.interned, uint32(0)
+	if page == "" {
+		// Every way of filling a block lays a row's strings out in field
+		// order, so a row spans [root.off, src.end).
+		lo, hi := b.spans[rows[0]].root.off, b.spans[rows[0]].src.end
+		for _, i := range rows[1:] {
+			lo, hi = min(lo, b.spans[i].root.off), max(hi, b.spans[i].src.end)
+		}
+		base, page = lo, string(b.arena[lo:hi])
+	}
+	for _, i := range rows {
+		dst = append(dst, b.eventIn(page, base, i))
+	}
+	return dst
+}
+
+// eventIn is event i with its strings cut from page, a string copy of the
+// arena from offset base on.
+func (b *Block) eventIn(page string, base uint32, i int) Event {
+	fs := b.spans[i]
+	return Event{
+		Root:    page[fs.root.off-base : fs.root.end-base],
+		Op:      b.ops[i],
+		Path:    page[fs.path.off-base : fs.path.end-base],
+		OldPath: page[fs.old.off-base : fs.old.end-base],
+		Cookie:  b.cookies[i],
+		Time:    time.Unix(0, b.times[i]),
+		Seq:     b.seqs[i],
+		Source:  page[fs.src.off-base : fs.src.end-base],
+	}
 }
 
 // EventKey hashes event i's wire-stable identity, byte-identical to
@@ -520,7 +555,6 @@ func (b *Block) CloneFrom(src *Block) {
 	b.interned = src.interned
 	b.stamp = src.stamp
 	b.wire = src.wire
-	b.ownWire = false
 	b.seqDirty = src.seqDirty
 	if src.trace != nil {
 		b.trace = &BatchTrace{ID: src.trace.ID, Spans: append([]Span(nil), src.trace.Spans...)}
@@ -597,10 +631,13 @@ func (b *Block) appendRows(buf []byte, lo, hi int, seqPos *[]int) []byte {
 //   - clean cached image (a decoded block republished verbatim, or a
 //     repeated publish): returned as-is, zero copies;
 //   - seq-only divergence (the store assigned sequence numbers): the
-//     cached image is cloned once and the 8-byte seq fields patched at
-//     their recorded offsets — no per-event re-marshal;
+//     cached image is copied into the block's own image buffer and the
+//     8-byte seq fields patched there at their recorded offsets — no
+//     per-event re-marshal, and from a pooled block's second use no
+//     allocation; the bytes copied from (a received payload, a clone
+//     source's image) are only read;
 //   - structural divergence (fresh build, appended trace spans, views):
-//     full EncodeTo.
+//     full EncodeTo, into the same buffer.
 //
 // The returned buffer is owned by the block; callers must not modify it.
 func (b *Block) Wire() []byte {
@@ -610,30 +647,28 @@ func (b *Block) Wire() []byte {
 			return b.wire
 		}
 		if len(b.seqPos) == len(b.ops) {
-			patched := append([]byte(nil), b.wire...)
+			// The cached image may be a payload or a clone source's image:
+			// copy it into the block's own buffer and patch there.
+			b.wireBuf = append(b.wireBuf[:0], b.wire...)
 			for i, pos := range b.seqPos {
-				binary.LittleEndian.PutUint64(patched[pos:], b.seqs[i])
+				binary.LittleEndian.PutUint64(b.wireBuf[pos:], b.seqs[i])
 			}
-			b.wire = patched
-			b.ownWire = true
+			b.wire = b.wireBuf
 			b.seqDirty = false
 			return b.wire
 		}
 	}
 	b.clearSeqPos()
-	var buf []byte
-	if b.ownWire {
-		buf = b.wire[:0]
-	}
 	// Both sized once: a full encode never regrows the image or the positions.
+	buf := b.wireBuf[:0]
 	if need := b.encodedLen(); cap(buf) < need {
 		buf = make([]byte, 0, need)
 	}
 	if cap(b.seqPos) < len(b.ops) {
 		b.seqPos = make([]int, 0, len(b.ops))
 	}
-	b.wire = b.EncodeTo(buf, &b.seqPos)
-	b.ownWire = true
+	b.wireBuf = b.EncodeTo(buf, &b.seqPos)
+	b.wire = b.wireBuf
 	b.seqDirty = false
 	return b.wire
 }
@@ -676,7 +711,7 @@ func (b *Block) reserve(n int) {
 
 // DecodeBlock decodes a wire batch into a fresh Block. See DecodeBlockInto.
 func DecodeBlock(payload []byte) (*Block, error) {
-	b := &Block{ownArena: true, ownWire: true}
+	b := &Block{ownArena: true}
 	if err := DecodeBlockInto(b, payload); err != nil {
 		return nil, err
 	}
@@ -783,7 +818,6 @@ func DecodeBlockInto(b *Block, payload []byte) error {
 	b.ownArena = false
 	b.packed = false
 	b.wire = payload
-	b.ownWire = false
 	return nil
 }
 

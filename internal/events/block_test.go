@@ -505,7 +505,7 @@ func TestWireSizedOnce(t *testing.T) {
 		t.Errorf("a filled block that was never encoded holds %d seq positions (cap %d), want none", len(b.seqPos), cap(b.seqPos))
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		b.wire, b.seqPos = nil, nil // as NewBlock leaves them
+		b.wire, b.wireBuf, b.seqPos = nil, nil, nil // as NewBlock leaves them
 		_ = b.Wire()
 	}); allocs > 2 {
 		t.Errorf("a fresh 512-row block's first Wire allocates %v times, want <= 2 (image, seq positions)", allocs)
@@ -524,7 +524,118 @@ func BenchmarkBlockWireFresh(b *testing.B) {
 	b.SetBytes(int64(blk.encodedLen()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blk.wire = nil
+		blk.wire, blk.wireBuf = nil, nil
 		_ = blk.Wire()
+	}
+}
+
+// A pooled block's own image buffer survives being pointed at foreign bytes:
+// decode → SetSeq → Wire → Reset on one block allocates nothing from the
+// second cycle on, never writes to the payload, and yields the bytes a fresh
+// encode of the same rows does.
+func TestWirePatchReusesOwnBuffer(t *testing.T) {
+	src := hotBlock(t, 512)
+	payload := append([]byte(nil), src.Wire()...)
+	orig := append([]byte(nil), payload...)
+	for i := 0; i < src.Len(); i++ {
+		src.SetSeq(i, uint64(7000+i))
+	}
+	want := append([]byte(nil), src.Wire()...)
+
+	b := NewBlock(0, 0)
+	var got []byte
+	cycle := func() {
+		if err := DecodeBlockInto(b, payload); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < b.Len(); i++ {
+			b.SetSeq(i, uint64(7000+i))
+		}
+		got = b.Wire()
+		b.Reset()
+	}
+	cycle() // sizes the columns and the image buffer
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("decode, SetSeq, Wire, Reset on a block that has its buffers allocates %v times a cycle, want 0", allocs)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("the patched image differs from a fresh encode of the same rows")
+	}
+	if !bytes.Equal(payload, orig) {
+		t.Error("the seq patch wrote to the received payload")
+	}
+	if len(payload) > 0 && &got[0] == &payload[0] {
+		t.Error("the patched image is the payload itself")
+	}
+
+	// A clone's image is its source's until it is patched, and then its own.
+	clone := NewBlock(0, 0)
+	cloneCycle := func() {
+		clone.CloneFrom(src)
+		clone.SetSeq(0, 1)
+		got = clone.Wire()
+		clone.Reset()
+	}
+	cloneCycle()
+	if allocs := testing.AllocsPerRun(50, cloneCycle); allocs != 0 {
+		t.Errorf("clone, SetSeq, Wire, Reset allocates %v times a cycle, want 0", allocs)
+	}
+	if !bytes.Equal(src.Wire(), want) {
+		t.Error("patching a clone's image wrote to its source's")
+	}
+}
+
+// AppendPickedTo is Event(i) row for row, whatever the block's arena is — its
+// own, a payload's, an interned copy — and only reads the block: two readers
+// of one frozen block may run it at once (the race detector watches), and
+// the block encodes and materializes the same afterwards.
+func TestAppendPickedTo(t *testing.T) {
+	built := hotBlock(t, 64)
+	decoded, err := DecodeBlock(append([]byte(nil), built.Wire()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	interned := hotBlock(t, 64)
+	interned.Intern()
+	view := NewBlock(0, 0)
+	for _, i := range []int{3, 9, 40} {
+		view.AppendFrom(decoded, i)
+	}
+	for name, b := range map[string]*Block{"built": built, "decoded": decoded, "interned": interned, "view": view, "rows with no strings": buildBlock(t, make([]Event, 3))} {
+		wire := append([]byte(nil), b.Wire()...)
+		rows := make([]int, 0, b.Len())
+		for i := b.Len() - 1; i >= 0; i -= 2 { // a subset, out of order
+			rows = append(rows, i)
+		}
+		done := make(chan []Event)
+		for range 2 {
+			go func() { done <- b.AppendPickedTo(make([]Event, 1, 8), rows) }()
+		}
+		for range 2 {
+			got := <-done
+			if len(got) != 1+len(rows) {
+				t.Fatalf("%s: %d events appended after the one dst held, want %d", name, len(got)-1, len(rows))
+			}
+			for k, i := range rows {
+				if got[1+k] != b.Event(i) {
+					t.Errorf("%s: picked row %d = %+v, Event(%d) = %+v", name, i, got[1+k], i, b.Event(i))
+				}
+			}
+		}
+		if name != "interned" && b.interned != "" {
+			t.Errorf("%s: AppendPickedTo left an interned copy on the block", name)
+		}
+		if !bytes.Equal(b.Wire(), wire) {
+			t.Errorf("%s: the block encodes differently after AppendPickedTo", name)
+		}
+		if got := b.AppendPickedTo(nil, nil); got != nil {
+			t.Errorf("%s: no rows picked, yet %d events", name, len(got))
+		}
+	}
+	// One copy for the batch, not one per string.
+	rows := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	dst := make([]Event, 0, len(rows))
+	if allocs := testing.AllocsPerRun(20, func() { dst = decoded.AppendPickedTo(dst[:0], rows) }); allocs != 1 {
+		t.Errorf("materializing %d rows of a decoded block allocates %v times, want 1", len(rows), allocs)
 	}
 }

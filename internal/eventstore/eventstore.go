@@ -277,9 +277,10 @@ func (s *Store) appendedLocked(last uint64, n int) {
 // acquisition, assigning sequence numbers directly into the block's seq
 // column, and returns the last one. The store copies the block's columns
 // and string bytes into its own tail segment and keeps no reference to the
-// block: the caller may Reset, refill or recycle it at once. The block's
-// arena is interned on the way (one string allocation for the whole batch,
-// which in-process consumers materialize deliveries out of), and the
+// block: the caller may Reset, refill or recycle it at once. Beyond the
+// seqs the block is only read — its strings are not interned here: the
+// store has its own copy, and a reader that wants them as Go strings makes
+// the one copy it needs where it reads them (Block.AppendPickedTo). The
 // journal receives the batch as one record, encoded once into the store's
 // scratch buffer.
 func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
@@ -290,7 +291,6 @@ func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
 	if h := s.tel.appendUS; h != nil {
 		defer h.ObserveSince(time.Now())
 	}
-	blk.Intern()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

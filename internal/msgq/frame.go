@@ -17,8 +17,11 @@ package msgq
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"fsmonitor/internal/events"
 )
@@ -29,17 +32,20 @@ import (
 // when non-nil, is an event block shared by pointer over the in-process
 // transport (see Pub.PublishBlockCtx): Payload is nil — the wire image is
 // not built for a peer that would not read it — and the receiver skips
-// decoding entirely. A Block never crosses TCP: the wire carries Payload
-// only, and a message read from a TCP connection always has a nil Block.
-// A received Block is frozen: the receiver must treat it (and its trace)
-// as immutable shared state, and — when the publisher lent it out
-// (Pub.PublishLeasedCtx) — only until it calls Done.
+// decoding entirely. Neither a Block nor a publisher's lease crosses TCP:
+// the wire carries Payload only, and a message read from a TCP connection
+// always has a nil Block. A received Block is frozen: the receiver must
+// treat it (and its trace) as immutable shared state, and — when the
+// publisher lent it out (Pub.PublishLeasedCtx) — only until it calls Done.
+// A Payload a Sub read from a TCP connection is on loan the same way, from
+// the connection: it, and any block decoded over it, is the receiver's only
+// until Done, after which the bytes are a later frame's.
 type Message struct {
 	Topic   string
 	Payload []byte
 	Block   *events.Block
 
-	lease *lease // the publisher's claim on Block/Payload; nil when unleased
+	lease *lease // the owner's claim on Block/Payload: the publisher's in process, the connection's over TCP; nil when unleased
 }
 
 // maxFrame bounds a frame component to keep a malformed peer from forcing
@@ -54,16 +60,15 @@ const (
 
 // writeMessage writes one frame: u32 len(topic) | topic | u32 len(payload) | payload.
 func writeMessage(w *bufio.Writer, m Message) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(m.Topic)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	// The lengths are built in the writer's own spare room: a local array
+	// would escape through Write, once per length per frame.
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(len(m.Topic)))); err != nil {
 		return err
 	}
 	if _, err := w.WriteString(m.Topic); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(m.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(len(m.Payload)))); err != nil {
 		return err
 	}
 	if _, err := w.Write(m.Payload); err != nil {
@@ -72,34 +77,164 @@ func writeMessage(w *bufio.Writer, m Message) error {
 	return w.Flush()
 }
 
-// readMessage reads one frame written by writeMessage.
+// readMessage reads one frame written by writeMessage; its payload is a
+// plain allocation.
 func readMessage(r *bufio.Reader) (Message, error) {
-	topic, err := readChunk(r)
-	if err != nil {
-		return Message{}, err
-	}
-	payload, err := readChunk(r)
-	if err != nil {
-		return Message{}, err
-	}
-	return Message{Topic: string(topic), Payload: payload}, nil
+	fr := frameReader{r: r}
+	return fr.next()
 }
 
-func readChunk(r *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("msgq: frame of %d bytes exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+// frameReader reads the frames of one connection. With bufs set, payload
+// buffers come from that free list and every frame is handed out with a
+// lease of its own: the receiver's Message.Done returns the buffer, and the
+// bytes are the receiver's only until then. With bufs nil a payload is a
+// plain allocation left to the GC. topic is the previous frame's: one
+// subscription repeats one topic, so its bytes are compared inside the
+// reader's window and the string reused.
+type frameReader struct {
+	r     *bufio.Reader
+	bufs  *bufList
+	topic string
 }
+
+func (fr *frameReader) next() (Message, error) {
+	n, err := fr.chunkLen()
+	if err != nil {
+		return Message{}, err
+	}
+	if err := fr.readTopic(n); err != nil {
+		return Message{}, err
+	}
+	if n, err = fr.chunkLen(); err != nil {
+		return Message{}, err
+	}
+	m := Message{Topic: fr.topic}
+	// An empty payload (a probe, a bare control frame) borrows nothing.
+	leased := fr.bufs != nil && n > 0
+	if leased {
+		m.Payload = fr.bufs.get(n)
+	} else {
+		m.Payload = make([]byte, n)
+	}
+	if _, err := io.ReadFull(fr.r, m.Payload); err != nil {
+		return Message{}, err // the connection is finished, and its free list with it
+	}
+	if leased {
+		m.lease = newFrameLease(m.Payload, fr.bufs)
+	}
+	return m, nil
+}
+
+// chunkLen reads the u32 length that precedes the topic and the payload, in
+// the reader's window (a local array would escape through io.ReadFull).
+func (fr *frameReader) chunkLen() (int, error) {
+	hdr, err := fr.r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // cut inside the length
+		}
+		return 0, err
+	}
+	n := binary.LittleEndian.Uint32(hdr)
+	if n > maxFrame {
+		return 0, fmt.Errorf("msgq: frame of %d bytes exceeds limit", n)
+	}
+	_, err = fr.r.Discard(4)
+	return int(n), err
+}
+
+// readTopic consumes the n topic bytes into fr.topic, allocating only when
+// they differ from the previous frame's.
+func (fr *frameReader) readTopic(n int) error {
+	b, err := fr.r.Peek(n)
+	switch {
+	case err == nil:
+		if string(b) != fr.topic {
+			fr.topic = string(b)
+		}
+		_, err = fr.r.Discard(n)
+		return err
+	case errors.Is(err, bufio.ErrBufferFull):
+		// Longer than the reader's window: read it the plain way.
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(fr.r, buf); err != nil {
+			return err
+		}
+		fr.topic = string(buf)
+		return nil
+	case err == io.EOF:
+		return io.ErrUnexpectedEOF // cut inside the topic
+	default:
+		return err
+	}
+}
+
+// maxKeptBuf is the largest receive buffer a connection keeps for reuse: a
+// rare huge frame is not worth holding memory for.
+const maxKeptBuf = 1 << 20
+
+// bufList is one TCP connection's free list of receive buffers. Its reader
+// takes a buffer per frame; the frame's lease puts it back when the receiver
+// says Done, from whatever goroutine that happens on. A reconnect starts a
+// fresh list, so a buffer still held from the old connection goes back to a
+// list nobody reads from and is never refilled under its holder. What the
+// list bounds is idle memory: at most keep buffers, none above maxKeptBuf;
+// a receiver that has more than that in flight and returns them all at once
+// has the excess dropped and made again when next needed.
+type bufList struct {
+	mu   sync.Mutex
+	free [][]byte
+	keep int // idle buffers kept: the subscription queue's depth
+	made int // buffers allocated (tests count them)
+}
+
+// get returns a buffer of length n: the most recently returned one when it
+// is large enough, else a new one (a too-small buffer is dropped, so the
+// list converges on buffers that fit the connection's frames).
+func (l *bufList) get(n int) []byte {
+	l.mu.Lock()
+	var buf []byte
+	if k := len(l.free) - 1; k >= 0 {
+		buf, l.free[k] = l.free[k], nil
+		l.free = l.free[:k]
+	}
+	grow := cap(buf) < n
+	if grow {
+		l.made++
+	}
+	l.mu.Unlock()
+	if grow {
+		buf = make([]byte, n)
+	}
+	return buf[:n]
+}
+
+func (l *bufList) put(buf []byte) {
+	if cap(buf) > maxKeptBuf {
+		return
+	}
+	if p := payloadPoison.Load(); p != 0 {
+		buf = buf[:cap(buf)]
+		for i := range buf {
+			buf[i] = byte(p)
+		}
+	}
+	l.mu.Lock()
+	if len(l.free) < l.keep {
+		l.free = append(l.free, buf)
+	}
+	l.mu.Unlock()
+}
+
+// payloadPoison, when non-zero, is written over every receive buffer as it
+// returns to its free list.
+var payloadPoison atomic.Int32
+
+// PoisonReturnedPayloads is a test seam for the packages that receive frames
+// (0 turns it off): with it on, a receiver that said Done while anything
+// still read the payload — a decoded block, a delivered string that was not
+// copied — shows the byte instead of silently reading a later frame.
+func PoisonReturnedPayloads(b byte) { payloadPoison.Store(int32(b)) }
 
 // WriteFrame writes one frame to w and flushes. Exposed for protocols that
 // reuse the msgq wire format outside a socket (e.g. the scalable monitor's

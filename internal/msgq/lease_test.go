@@ -102,13 +102,16 @@ func TestLeaseExactCount(t *testing.T) {
 		t.Fatalf("delivered to %d queues, want 4", n)
 	}
 	got := recvN(t, remote.C(), 1)[0]
-	if got.Block != nil || got.lease != nil {
-		t.Fatal("a block pointer or a lease crossed TCP")
+	if got.Block != nil || got.lease == nil || got.lease.blk != nil || got.lease.release != nil {
+		t.Fatal("a block pointer or the publisher's lease crossed TCP: a received frame carries its connection's, on the payload alone")
 	}
 	if dec, err := events.DecodeBlock(got.Payload); err != nil || dec.Len() != blk.Len() {
 		t.Fatalf("TCP subscriber decoded %v, %v", dec, err)
 	}
-	got.Done() // unleased on this side of the wire: nothing happens
+	got.Done() // returns the payload to the connection; the publisher's count is not this side's to touch
+	if n := released.Load(); n != 0 {
+		t.Fatalf("released %d times by the TCP receiver's Done with every in-process peer still holding the block", n)
+	}
 	for i, p := range peers {
 		m := recvN(t, p.C(), 1)[0]
 		if m.Block != blk {

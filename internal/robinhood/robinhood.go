@@ -260,6 +260,7 @@ func (s *Server) applyRules(blk *events.Block) {
 	if len(rules) == 0 {
 		return
 	}
+	blk.Intern() // every row's strings are read below: one copy for all of them
 	for i := 0; i < blk.Len(); i++ {
 		e := blk.Event(i)
 		for _, r := range rules {

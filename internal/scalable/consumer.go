@@ -400,19 +400,23 @@ func (c *Consumer) deliverBatch(ctx context.Context, cb conBatch) {
 	// Pace, materialize and filter outside the cursor lock: Spend sleeps, and
 	// Stats/LastSeq readers should not wait on pacing. The accounted filter
 	// cost of every dedup survivor is spent once for the batch, like the
-	// aggregator's and the resolver's. An owned block is interned first so
-	// the survivors' strings come from one copy; a shared block was interned
-	// by the aggregator's store lane.
+	// aggregator's and the resolver's. The survivors' strings are one copy
+	// made here, by the tier that hands them to the application: nobody
+	// upstream interns on a consumer's account, and the block — borrowed and
+	// frozen, or decoded over a payload that goes back to its connection at
+	// Done — is only read.
 	c.throttle.Spend(time.Duration(len(keep)) * c.opts.EventOverhead)
-	if cb.owned() {
-		blk.Intern()
-	}
-	pass := make([]events.Event, 0, len(keep))
-	for _, i := range keep {
-		if e := blk.Event(i); c.opts.Filter.Match(e) {
-			pass = append(pass, e)
+	pass := blk.AppendPickedTo(make([]events.Event, 0, len(keep)), keep)
+	n = 0
+	for i := range pass {
+		if c.opts.Filter.Match(pass[i]) {
+			if n != i {
+				pass[n] = pass[i]
+			}
+			n++
 		}
 	}
+	pass = pass[:n]
 	if len(pass) == 0 {
 		c.recycle(cb)
 		return
@@ -430,7 +434,8 @@ func (c *Consumer) deliverBatch(ctx context.Context, cb conBatch) {
 // recycle ends the consumer's use of a batch: a block it decoded itself
 // returns to the pool, a borrowed one goes back to the aggregator that lent
 // it. The delivered events hold no reference to either — their strings are
-// copies (Intern, or one per field).
+// a copy (AppendPickedTo) — which is what lets the payload a decoded block
+// aliased return to its connection here.
 func (c *Consumer) recycle(cb conBatch) {
 	if cb.owned() {
 		c.pool.Put(cb.blk)

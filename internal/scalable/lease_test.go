@@ -11,6 +11,7 @@ import (
 	"fsmonitor/internal/events/eventstest"
 	"fsmonitor/internal/iface"
 	"fsmonitor/internal/lustre"
+	"fsmonitor/internal/msgq"
 	"fsmonitor/internal/pipeline"
 )
 
@@ -105,14 +106,30 @@ func collect(t *testing.T, con *Consumer, want int) []events.Event {
 }
 
 // TestRecycledBlocksPoisoned runs a backlog through collector → aggregator →
-// two consumers, one in process and one over TCP, with every pool
-// overwriting a block with a sentinel before taking it back. A block that
-// returned to its pool while anything downstream could still read it — the
-// aggregator's clone sharing the collector's arena, the store copying it,
-// the TCP writer holding the clone's wire image, a consumer walking its seq
-// column — would deliver the sentinel, a foreign batch or nothing; every
+// two consumers with every pool overwriting a block with a sentinel before
+// taking it back, and — where a hop is TCP — every connection doing the same
+// to a payload buffer its receiver said Done for. Memory that went back
+// while anything downstream could still read it — the aggregator's clone
+// sharing the collector's arena, its decoded block reading a received
+// payload, the store copying either, the TCP writer holding the clone's wire
+// image, a consumer walking its seq column or cutting strings out of a
+// payload — would deliver the sentinel, a foreign batch or nothing; every
 // consumer must instead see exactly the events written, once, in order.
 func TestRecycledBlocksPoisoned(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		colTCP       bool
+		inproc, tcps int // consumers of each kind
+	}{
+		{"clone in, in-process and TCP out", false, 1, 1},
+		{"TCP in, in-process and TCP out", true, 1, 1},
+		{"clone in, two in-process consumers of one block", false, 2, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testRecycledBlocksPoisoned(t, tc.colTCP, tc.inproc, tc.tcps) })
+	}
+}
+
+func testRecycledBlocksPoisoned(t *testing.T, colTCP bool, inproc, tcps int) {
 	defer func(reset func(*events.Block)) { resetBlock = reset }(resetBlock)
 	var poisoned atomic.Int64
 	resetBlock = func(b *events.Block) {
@@ -122,28 +139,33 @@ func TestRecycledBlocksPoisoned(t *testing.T) {
 		eventstest.Poison(b)
 		b.Reset()
 	}
+	msgq.PoisonReturnedPayloads(eventstest.PoisonByte)
+	defer msgq.PoisonReturnedPayloads(0)
 
-	const batches, batchSize = 96, 64                    // more than the queues and pools hold, so blocks come round again
-	r := newLeaseRig(t, batches, batchSize, false, true) // the clone path in, both transports out
+	const batches, batchSize = 96, 64 // more than the queues and pools hold, so blocks come round again
+	r := newLeaseRig(t, batches, batchSize, colTCP, true)
 	local := fmt.Sprintf("inproc://lease-agg-local-%p", r)
 	if err := r.agg.pub.Bind(local); err != nil {
 		t.Fatal(err)
 	}
-	consumers := map[string]*Consumer{
-		"inproc": r.consumer(t, local, 0),
-		"tcp":    r.consumer(t, r.agg.Endpoint(), 0),
+	consumers := map[string]*Consumer{}
+	for i := 0; i < inproc; i++ {
+		consumers[fmt.Sprintf("inproc %d", i)] = r.consumer(t, local, 0)
+	}
+	for i := 0; i < tcps; i++ {
+		consumers[fmt.Sprintf("tcp %d", i)] = r.consumer(t, r.agg.Endpoint(), 0)
 	}
 	// A TCP subscription is live only once the publisher has read the SUB
 	// frame, which WaitReady does not wait for: probe with an empty block
-	// until both consumers' queues accept it.
+	// until every consumer's queue accepts it.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	for probe := events.NewBlock(0, 0); ; time.Sleep(time.Millisecond) {
-		if n, _ := r.agg.pub.PublishBlockCtx(ctx, AggTopic, probe); n == 2 {
+		if n, _ := r.agg.pub.PublishBlockCtx(ctx, AggTopic, probe); n == len(consumers) {
 			break
 		}
 		if ctx.Err() != nil {
-			t.Fatal("the two consumers never both subscribed")
+			t.Fatal("the consumers never all subscribed")
 		}
 	}
 	r.release()
