@@ -407,16 +407,16 @@ func (c *Consumer) deliverBatch(ctx context.Context, cb conBatch) {
 	// Done — is only read.
 	c.throttle.Spend(time.Duration(len(keep)) * c.opts.EventOverhead)
 	pass := blk.AppendPickedTo(make([]events.Event, 0, len(keep)), keep)
-	n = 0
+	kept := 0 // filter in place; an event moves only once one before it was dropped
 	for i := range pass {
 		if c.opts.Filter.Match(pass[i]) {
-			if n != i {
-				pass[n] = pass[i]
+			if kept != i {
+				pass[kept] = pass[i]
 			}
-			n++
+			kept++
 		}
 	}
-	pass = pass[:n]
+	pass = pass[:kept]
 	if len(pass) == 0 {
 		c.recycle(cb)
 		return
