@@ -39,21 +39,24 @@ loc:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# soak is the gate on block and payload recycling (msgq's lease): SOAK
-# repeats, under the race detector, of the lease and receive-buffer unit
-# tests and of the poisoning test — every pool overwrites a block, and every
-# TCP connection a payload buffer, with a sentinel before taking it back, and
-# two consumers (in-process and TCP behind a clone or a TCP hop in, or both in
-# process on one block) must be delivered exactly what was written — then
-# SOAK quick runs of the event-journey benchmark, cycling the
-# three streaming workloads with a fresh seed each, every one of which must
-# report failed = 0 (its oracle checks loss, duplication, order and paths).
+# soak is the gate on block, payload and cache-buffer recycling: SOAK
+# repeats, under the race detector, of msgq's lease and receive-buffer unit
+# tests, of the resolver cache's aliasing tests (entry and flight buffers
+# handed from key to key while readers copy out) and of the poisoning test —
+# every pool overwrites a block, and every TCP connection a payload buffer,
+# with a sentinel before taking it back, and two consumers (in-process and
+# TCP behind a clone or a TCP hop in, or both in process on one block) must
+# be delivered exactly what was written — then SOAK quick runs of the
+# event-journey benchmark, cycling the three streaming workloads with a
+# fresh seed each, every one of which must report failed = 0 (its oracle
+# checks loss, duplication, order and paths).
 # A block handed back while something still reads it is a race the detector
 # may miss and a seed may dodge; two hundred of each has not missed one yet.
 # CI runs SOAK=20.
 SOAK ?= 200
 soak:
 	$(GO) test -race -count=$(SOAK) -run 'TestLease|TestDoneUnleased|TestPublishLeased|TestPayload' ./internal/msgq/
+	$(GO) test -race -count=$(SOAK) -run 'TestRecycledFlightsKeepTheirKeys|TestReadersNeverSeeAnotherKeysBytes|TestValuesAreCopies' ./internal/cache/
 	$(GO) test -race -count=$(SOAK) -run 'TestRecycledBlocksPoisoned' ./internal/scalable/
 	@i=0; while [ $$i -lt $(SOAK) ]; do \
 		for w in hot_inproc hot_tcp_journal churn_cold_4part; do \
@@ -78,14 +81,15 @@ fuzz-smoke:
 
 # bench-smoke runs one iteration of the fast micro-benchmarks (resolver
 # scaling, the resolver's miss path beside its hit path, cache contention,
-# pipeline stages, aggregator partitions, and the five per-batch contracts
-# of the journey: a Changelog read is a view (0 B/op), a fresh block's wire
+# pipeline stages, aggregator partitions, fid2path appending into a reused
+# buffer (0 allocs/op), and the five per-batch contracts of the journey: a
+# Changelog read is a view (0 B/op), a fresh block's wire
 # image is one allocation, the consumer's deliver stage reads no clock per
 # event, a leased publish allocates nothing, a frame over loopback TCP that
 # is received and Done allocates nothing either) as a CI regression canary;
 # the slow paper-table benches stay out of it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|AggregatorThroughput|ChangelogRead|BlockWireFresh|ConsumerDeliver|PublishLeased|TCPHopLeased' -benchtime 1x -benchmem \
+	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|AggregatorThroughput|AppendFid2Path|ChangelogRead|BlockWireFresh|ConsumerDeliver|PublishLeased|TCPHopLeased' -benchtime 1x -benchmem \
 		./internal/resolve/ ./internal/cache/ ./internal/bench/ ./internal/lustre/ ./internal/events/ ./internal/scalable/ ./internal/msgq/
 
 # bench-aggregator measures aggregation-tier store throughput at 1/2/4

@@ -542,17 +542,11 @@ func WatchSim(fs *SimFS, platform, path string, opts ...Option) (*Monitor, error
 // reported under. cacheSize 0 selects the paper's best value (5000);
 // pass a negative cacheSize to disable the cache.
 func WatchLustre(cluster *LustreCluster, mount string, cacheSize int, opts ...Option) (*Monitor, error) {
-	size := cacheSize
-	if size < 0 {
-		size = 0
-	} else if size == 0 {
-		size = lustredsi.DefaultCacheSize
-	}
 	o := core.Options{
 		Storage:   dsi.StorageInfo{Platform: runtime.GOOS, FSType: "lustre", Root: mount},
 		Recursive: true,
 	}
-	o.Lustre.CacheSize = size
+	o.Lustre.CacheSize = cacheSize // lustredsi reads 0 as its default, < 0 as off
 	for _, opt := range opts {
 		opt(&o)
 	}

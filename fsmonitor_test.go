@@ -120,23 +120,36 @@ func TestWatchLustreEndToEnd(t *testing.T) {
 	}
 }
 
+// A negative cacheSize disables the fid2path cache: every record pays one
+// fid2path call for its FID, where the default cache pays one per FID.
 func TestWatchLustreNoCache(t *testing.T) {
-	cluster := fsmonitor.NewLustreCluster(fsmonitor.LustreConfig{NumMDS: 1})
-	m, err := fsmonitor.WatchLustre(cluster, "/mnt/lustre", -1) // cache disabled
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	sub, err := m.Subscribe(fsmonitor.Filter{Recursive: true}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := cluster.Client()
-	if err := cl.Create("/f"); err != nil {
-		t.Fatal(err)
-	}
-	if got := recvAll(t, sub, 1, 2*time.Second); len(got) != 1 {
-		t.Fatalf("events = %v", got)
+	const writes = 3
+	for _, tc := range []struct{ cacheSize, wantCalls int }{{-1, 1 + writes}, {0, 1}} {
+		cluster := fsmonitor.NewLustreCluster(fsmonitor.LustreConfig{NumMDS: 1})
+		m, err := fsmonitor.WatchLustre(cluster, "/mnt/lustre", tc.cacheSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := m.Subscribe(fsmonitor.Filter{Recursive: true}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := cluster.Client()
+		if err := cl.Create("/f"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < writes; i++ {
+			if err := cl.Write("/f", 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := recvAll(t, sub, 1+writes, 2*time.Second); len(got) != 1+writes {
+			t.Fatalf("cacheSize %d: events = %v", tc.cacheSize, got)
+		}
+		m.Close()
+		if got := cluster.Fid2PathCalls(); got != uint64(tc.wantCalls) {
+			t.Errorf("cacheSize %d: %d fid2path calls for %d records of one FID, want %d", tc.cacheSize, got, 1+writes, tc.wantCalls)
+		}
 	}
 }
 

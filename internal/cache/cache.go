@@ -1,6 +1,6 @@
-// Package cache provides the concurrent resolver cache: a sharded LRU
-// with singleflight miss coalescing and TTL'd negative caching, composed
-// from internal/lru single-shard building blocks.
+// Package cache provides the concurrent resolver cache: a sharded LRU of
+// path bytes it owns, with singleflight miss coalescing and TTL'd negative
+// caching, composed from internal/lru single-shard building blocks.
 //
 // The paper's scalability story rests on making fid→path resolution cheap
 // (§IV-2, Algorithm 1; Tables VI and VIII show fid2path dominating
@@ -81,11 +81,11 @@ type negEntry struct {
 // may be taken for another key, only when it is not loading and its last
 // waiter has read the result — so a reused flight can never hand a waiter
 // another key's value.
-type flight[K comparable, V any] struct {
+type flight[K comparable] struct {
 	key     K
 	loading bool
 	waiters int
-	val     V // the result, set at landing if anyone waits for it
+	val     []byte // the flight's own copy of the result, filled at landing if anyone waits
 	err     error
 }
 
@@ -93,23 +93,28 @@ type flight[K comparable, V any] struct {
 // positive LRU, a bounded negative LRU and the singleflight registry. One
 // lock means a miss and the flight it starts (or joins) are one critical
 // section, and a finished load's insert and its landing another.
-type shard[K comparable, V any] struct {
+type shard[K comparable] struct {
 	mu  sync.Mutex
-	pos *lru.Core[K, V]
+	pos *lru.Core[K, []byte]
 	neg *lru.Core[K, negEntry] // nil when negative caching is off
 
 	// flights holds every flight the shard ever needed at once — at most
 	// one per concurrent caller, so a scan beats a map. landed wakes
 	// waiters; it is per shard, and each waiter rechecks its own flight.
-	flights []*flight[K, V]
+	flights []*flight[K]
 	landed  sync.Cond
 }
 
-// Cache is a sharded LRU with singleflight loading and negative caching.
-// All methods are safe for concurrent use.
-type Cache[K comparable, V any] struct {
+// Cache is a sharded LRU of byte values (paths) with singleflight loading
+// and negative caching. It owns its values: Set and a landed load copy into
+// the entry's own buffer, which the LRU hands to the next key when it
+// evicts or deletes the entry, and every read copies out into a buffer the
+// caller supplies while the shard lock is held — no memory of the cache is
+// ever visible outside that lock, and a full cache inserts without
+// allocating. All methods are safe for concurrent use.
+type Cache[K comparable] struct {
 	cfg    Config[K]
-	shards []*shard[K, V]
+	shards []*shard[K]
 	mask   uint64 // len(shards) is a power of two
 
 	negHits    atomic.Uint64
@@ -122,7 +127,7 @@ type Cache[K comparable, V any] struct {
 
 // New builds a cache from cfg. It panics if Capacity is not positive or
 // Hash is nil, mirroring lru.NewCore.
-func New[K comparable, V any](cfg Config[K]) *Cache[K, V] {
+func New[K comparable](cfg Config[K]) *Cache[K] {
 	if cfg.Capacity <= 0 {
 		panic("cache: Capacity must be positive")
 	}
@@ -142,9 +147,9 @@ func New[K comparable, V any](cfg Config[K]) *Cache[K, V] {
 		shards &= shards - 1
 	}
 	perShard := (cfg.Capacity + shards - 1) / shards
-	c := &Cache[K, V]{cfg: cfg, mask: uint64(shards - 1), now: time.Now}
+	c := &Cache[K]{cfg: cfg, mask: uint64(shards - 1), now: time.Now}
 	for i := 0; i < shards; i++ {
-		s := &shard[K, V]{pos: lru.NewCore[K, V](perShard)}
+		s := &shard[K]{pos: lru.NewCore[K, []byte](perShard)}
 		s.landed.L = &s.mu
 		if cfg.NegativeTTL > 0 {
 			s.neg = lru.NewCore[K, negEntry](perShard)
@@ -154,37 +159,42 @@ func New[K comparable, V any](cfg Config[K]) *Cache[K, V] {
 	return c
 }
 
-func (c *Cache[K, V]) shard(key K) *shard[K, V] {
+func (c *Cache[K]) shard(key K) *shard[K] {
 	return c.shards[c.cfg.Hash(key)&c.mask]
 }
 
-// Get returns the cached value for key, marking it most recently used.
-func (c *Cache[K, V]) Get(key K) (V, bool) {
+// Get appends the cached value for key to dst, marking it most recently
+// used.
+func (c *Cache[K]) Get(key K, dst []byte) ([]byte, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pos.Get(key)
+	v, ok := s.pos.Get(key)
+	return append(dst, v...), ok
 }
 
-// Set caches key → val and forgets any negative entry for key (the key
-// evidently resolves now).
-func (c *Cache[K, V]) Set(key K, val V) {
+// Set caches a copy of val under key and forgets any negative entry for key
+// (the key evidently resolves now).
+func (c *Cache[K]) Set(key K, val []byte) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.set(key, val)
 }
 
-func (s *shard[K, V]) set(key K, val V) {
+// set copies val into key's entry, reusing the buffer the entry already
+// has. Caller holds s.mu.
+func (s *shard[K]) set(key K, val []byte) {
 	if s.neg != nil {
 		s.neg.Delete(key)
 	}
-	s.pos.Set(key, val)
+	v := s.pos.Slot(key)
+	*v = append((*v)[:0], val...)
 }
 
 // Delete removes key from both the positive and negative sides, reporting
 // whether a positive entry was present.
-func (c *Cache[K, V]) Delete(key K) bool {
+func (c *Cache[K]) Delete(key K) bool {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -198,7 +208,7 @@ func (c *Cache[K, V]) Delete(key K) bool {
 // and unexpired. Expired entries are dropped on observation. Peek keeps
 // negative probes out of the positive hit/miss statistics. Caller holds
 // s.mu.
-func (c *Cache[K, V]) getNegative(s *shard[K, V], key K) (error, bool) {
+func (c *Cache[K]) getNegative(s *shard[K], key K) (error, bool) {
 	if s.neg == nil {
 		return nil, false
 	}
@@ -214,30 +224,32 @@ func (c *Cache[K, V]) getNegative(s *shard[K, V], key K) (error, bool) {
 	return e.err, true
 }
 
-// GetOrLoad returns the cached value for key, or loads it with load —
-// coalescing concurrent loads of the same key into a single backend call.
-// A load error that Config.Negative accepts is remembered for NegativeTTL
-// and returned to subsequent callers without re-invoking load; a
-// successful load is cached positively. The load callback runs on the
-// first caller's goroutine without any cache lock held, and is not
-// retained, so a caller's closure stays on its stack.
+// GetOrLoad appends the value for key to dst: the cached one, or what load
+// appends to the dst it is given — coalescing concurrent loads of the same
+// key into a single backend call. A load error that Config.Negative accepts
+// is remembered for NegativeTTL and returned to subsequent callers without
+// re-invoking load; a successful load is cached positively. On an error dst
+// comes back as it went in. The load callback runs on the first caller's
+// goroutine without any cache lock held, and is not retained, so a caller's
+// closure stays on its stack.
 //
 // A miss is one hash and two critical sections of its shard: probe and
 // take a flight; insert the result and land the flight. Nothing is
-// allocated once the shard has a flight to reuse.
-func (c *Cache[K, V]) GetOrLoad(key K, load func() (V, error)) (V, error) {
+// allocated once the shard has a flight to reuse and the entries and
+// flights have buffers as long as the values.
+func (c *Cache[K]) GetOrLoad(key K, dst []byte, load func(dst []byte) ([]byte, error)) ([]byte, error) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if v, ok := s.pos.Get(key); ok {
+		dst = append(dst, v...)
 		s.mu.Unlock()
-		return v, nil
+		return dst, nil
 	}
 	if err, ok := c.getNegative(s, key); ok {
 		s.mu.Unlock()
-		var zero V
-		return zero, err
+		return dst, err
 	}
-	var f *flight[K, V] // an idle flight to take, should this call be the loader
+	var f *flight[K] // an idle flight to take, should this call be the loader
 	for _, g := range s.flights {
 		if g.loading && g.key == key {
 			c.coalesced.Add(1)
@@ -245,29 +257,34 @@ func (c *Cache[K, V]) GetOrLoad(key K, load func() (V, error)) (V, error) {
 			for g.loading {
 				s.landed.Wait()
 			}
-			v, err := g.val, g.err
+			dst = append(dst, g.val...) // empty after a failed load
+			err := g.err
 			g.waiters--
 			s.mu.Unlock()
-			return v, err
+			return dst, err
 		}
 		if !g.loading && g.waiters == 0 {
 			f = g
 		}
 	}
 	if f == nil {
-		f = new(flight[K, V])
+		f = new(flight[K])
 		s.flights = append(s.flights, f)
 	}
 	f.key, f.loading = key, true
 	s.mu.Unlock()
 
 	c.loads.Add(1)
-	v, err := load()
+	n := len(dst)
+	dst, err := load(dst)
+	if err != nil {
+		dst = dst[:n]
+	}
 	negative := err != nil && s.neg != nil && (c.cfg.Negative == nil || c.cfg.Negative(err))
 
 	s.mu.Lock()
 	if err == nil {
-		s.set(key, v)
+		s.set(key, dst[n:])
 	} else {
 		c.loadErrors.Add(1)
 		if negative {
@@ -276,18 +293,18 @@ func (c *Cache[K, V]) GetOrLoad(key K, load func() (V, error)) (V, error) {
 	}
 	f.loading = false
 	if f.waiters > 0 {
-		f.val, f.err = v, err
+		f.val, f.err = append(f.val[:0], dst[n:]...), err
 		s.landed.Broadcast()
 	}
 	s.mu.Unlock()
-	return v, err
+	return dst, err
 }
 
 // Len returns the current number of positive entries across all shards.
-func (c *Cache[K, V]) Len() int { return c.Stats().Len }
+func (c *Cache[K]) Len() int { return c.Stats().Len }
 
 // Stats returns an aggregated snapshot.
-func (c *Cache[K, V]) Stats() Stats {
+func (c *Cache[K]) Stats() Stats {
 	st := Stats{Shards: len(c.shards)}
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -311,7 +328,7 @@ func (c *Cache[K, V]) Stats() Stats {
 
 // ResetStats zeroes every counter (shard hit/miss/eviction counters and
 // the aggregate load counters); cached entries are kept.
-func (c *Cache[K, V]) ResetStats() {
+func (c *Cache[K]) ResetStats() {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		s.pos.ResetStats()

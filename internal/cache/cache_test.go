@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,8 +22,8 @@ func mix(k uint64) uint64 {
 	return k
 }
 
-func newTest(capacity, shards int, ttl time.Duration) *Cache[uint64, string] {
-	return New[uint64, string](Config[uint64]{
+func newTest(capacity, shards int, ttl time.Duration) *Cache[uint64] {
+	return New[uint64](Config[uint64]{
 		Capacity:    capacity,
 		Shards:      shards,
 		Hash:        mix,
@@ -30,13 +31,29 @@ func newTest(capacity, shards int, ttl time.Duration) *Cache[uint64, string] {
 	})
 }
 
+// get is Get into a fresh buffer, as a string.
+func get(c *Cache[uint64], k uint64) (string, bool) {
+	v, ok := c.Get(k, nil)
+	return string(v), ok
+}
+
+// getOrLoad is GetOrLoad into a fresh buffer with a loader that returns a
+// string.
+func getOrLoad(c *Cache[uint64], k uint64, load func() (string, error)) (string, error) {
+	v, err := c.GetOrLoad(k, nil, func(dst []byte) ([]byte, error) {
+		s, err := load()
+		return append(dst, s...), err
+	})
+	return string(v), err
+}
+
 func TestBasicSetGetDelete(t *testing.T) {
 	c := newTest(128, 4, 0)
-	c.Set(1, "one")
-	if v, ok := c.Get(1); !ok || v != "one" {
+	c.Set(1, []byte("one"))
+	if v, ok := get(c, 1); !ok || v != "one" {
 		t.Fatalf("Get(1) = %q, %v", v, ok)
 	}
-	if _, ok := c.Get(2); ok {
+	if _, ok := get(c, 2); ok {
 		t.Fatal("Get(2) unexpectedly present")
 	}
 	if !c.Delete(1) || c.Delete(1) {
@@ -55,7 +72,7 @@ func TestShardCountNormalization(t *testing.T) {
 		{3, 16, 2}, // no more shards than capacity
 		{1, 16, 1},
 	} {
-		c := New[uint64, string](Config[uint64]{Capacity: tc.capacity, Shards: tc.shards, Hash: ident})
+		c := New[uint64](Config[uint64]{Capacity: tc.capacity, Shards: tc.shards, Hash: ident})
 		if got := c.Stats().Shards; got != tc.want {
 			t.Errorf("Capacity=%d Shards=%d: got %d shards, want %d", tc.capacity, tc.shards, got, tc.want)
 		}
@@ -73,7 +90,7 @@ func TestNewPanics(t *testing.T) {
 					t.Errorf("%s: New did not panic", name)
 				}
 			}()
-			New[uint64, string](cfg)
+			New[uint64](cfg)
 		}()
 	}
 }
@@ -93,15 +110,15 @@ func TestConcurrentAccess(t *testing.T) {
 				k := uint64(rng.Intn(512))
 				switch rng.Intn(4) {
 				case 0:
-					c.Set(k, fmt.Sprintf("v%d", k))
+					c.Set(k, fmt.Appendf(nil, "v%d", k))
 				case 1:
-					if v, ok := c.Get(k); ok && v != fmt.Sprintf("v%d", k) {
+					if v, ok := get(c, k); ok && v != fmt.Sprintf("v%d", k) {
 						t.Errorf("Get(%d) = %q", k, v)
 					}
 				case 2:
 					c.Delete(k)
 				case 3:
-					v, err := c.GetOrLoad(k, func() (string, error) {
+					v, err := getOrLoad(c, k, func() (string, error) {
 						if k%7 == 0 {
 							return "", errStale
 						}
@@ -137,7 +154,7 @@ func TestSingleflightCollapsesMisses(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := c.GetOrLoad(42, func() (string, error) {
+			v, err := getOrLoad(c, 42, func() (string, error) {
 				backendCalls.Add(1)
 				release.Wait() // hold the flight open until all callers queue up
 				return "resolved", nil
@@ -175,24 +192,27 @@ func TestSingleflightCollapsesMisses(t *testing.T) {
 func TestFailingLoadAllocatesNothing(t *testing.T) {
 	c := newTest(64, 4, 0)
 	errStale := errors.New("stale")
-	load := func() (string, error) { return "", errStale }
+	load := func(dst []byte) ([]byte, error) { return dst, errStale }
 	var k uint64
-	if avg := testing.AllocsPerRun(1000, func() { k++; c.GetOrLoad(k, load) }); avg != 0 {
+	if avg := testing.AllocsPerRun(1000, func() { k++; c.GetOrLoad(k, nil, load) }); avg != 0 {
 		t.Errorf("GetOrLoad with a failing load: %v allocs, want 0", avg)
 	}
 }
 
 // Flights are recycled, so the hazard is a waiter woken on — or left
-// holding — a flight that has since been reused for another key. Many
-// goroutines hammer few keys in a tiny cache (most calls miss, loads yield
-// so callers pile onto flights): every caller must get its own key's
-// result, and every call is exactly one of hit, load or coalesced wait.
+// holding — a flight that has since been reused for another key, or reading
+// the flight's buffer after a later landing refilled it. Many goroutines
+// hammer few keys in a tiny cache (most calls miss, loads yield so callers
+// pile onto flights): every caller must get exactly its own key's result
+// appended to what its buffer already held — values differ in length, so a
+// longer value left in a recycled buffer would show — and every call is
+// exactly one of hit, load or coalesced wait.
 func TestRecycledFlightsKeepTheirKeys(t *testing.T) {
 	const goroutines, keys, rounds = 16, 24, 1500
 	c := newTest(4, 2, 0)
 	vals, errs := make([]string, keys), make([]error, keys)
 	for k := range vals {
-		vals[k] = fmt.Sprintf("v%d", k)
+		vals[k] = fmt.Sprintf("v%d%s", k, strings.Repeat("/x", k%5))
 		if k%3 != 0 {
 			errs[k] = fmt.Errorf("stale %d", k) // two keys in three never resolve
 		}
@@ -203,16 +223,25 @@ func TestRecycledFlightsKeepTheirKeys(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			buf := make([]byte, 0, 64)
 			for i := 0; i < rounds; i++ {
 				k := rng.Intn(keys)
-				v, err := c.GetOrLoad(uint64(k), func() (string, error) {
+				v, err := c.GetOrLoad(uint64(k), append(buf[:0], "dst:"...), func(dst []byte) ([]byte, error) {
 					runtime.Gosched()
-					return vals[k], errs[k]
+					if errs[k] != nil {
+						return append(dst, "partial"...), errs[k]
+					}
+					return append(dst, vals[k]...), nil
 				})
-				if v != vals[k] || err != errs[k] {
-					t.Errorf("GetOrLoad(%d) = %q, %v; want %q, %v", k, v, err, vals[k], errs[k])
+				want := "dst:"
+				if errs[k] == nil {
+					want += vals[k]
+				}
+				if string(v) != want || err != errs[k] {
+					t.Errorf("GetOrLoad(%d) = %q, %v; want %q, %v", k, v, err, want, errs[k])
 					return
 				}
+				buf = v
 			}
 		}(int64(g))
 	}
@@ -226,6 +255,102 @@ func TestRecycledFlightsKeepTheirKeys(t *testing.T) {
 	}
 }
 
+// The cache owns its bytes: Set and a load are copied in, a read is copied
+// out, so neither the caller's later writes to its buffers nor another key
+// reusing an evicted or deleted entry's buffer changes what anyone reads.
+func TestValuesAreCopies(t *testing.T) {
+	c := newTest(1, 1, 0)
+	in := []byte("/a/long/path")
+	c.Set(1, in)
+	copy(in, "XXXXXXXXXXXX")
+	out, _ := c.Get(1, nil)
+	copy(out, "YYYYYYYYYYYY")
+	if v, _ := get(c, 1); v != "/a/long/path" {
+		t.Fatalf("Get(1) = %q after the caller wrote to its buffers", v)
+	}
+	c.Set(2, []byte("/b")) // evicts 1: its entry's buffer now holds key 2
+	if v, ok := get(c, 2); !ok || v != "/b" {
+		t.Fatalf("Get(2) = %q, %v", v, ok)
+	}
+	c.Delete(2)
+	loaded, err := c.GetOrLoad(3, []byte("dst:"), func(dst []byte) ([]byte, error) { return append(dst, "/c/d"...), nil })
+	copy(loaded[4:], "ZZZZ")
+	if err != nil || string(loaded) != "dst:ZZZZ" {
+		t.Fatalf("GetOrLoad(3) = %q, %v", loaded, err)
+	}
+	if v, _ := get(c, 3); v != "/c/d" {
+		t.Fatalf("Get(3) = %q: the cache kept the loader's buffer, not a copy", v)
+	}
+}
+
+// A full cache — the resolver's steady state — recycles the buffers of the
+// entries it evicts and deletes, and a read into a buffer with room copies
+// out without allocating.
+func TestFullCacheAllocatesNothing(t *testing.T) {
+	c := newTest(64, 4, 0)
+	val := []byte("/d0123/c45678")
+	var k uint64
+	for ; k < 256; k++ {
+		c.Set(k, val)
+	}
+	buf := make([]byte, 0, 64)
+	if avg := testing.AllocsPerRun(1000, func() {
+		k++
+		c.Set(k, val)
+		c.Delete(k - 1)
+		buf, _ = c.Get(k, buf[:0])
+		buf, _ = c.GetOrLoad(k+1, buf[:0], func(dst []byte) ([]byte, error) { return append(dst, val...), nil })
+	}); avg != 0 {
+		t.Errorf("Set, Delete, Get and a loading GetOrLoad on a full cache: %v allocs, want 0", avg)
+	}
+}
+
+// Readers copy out while other goroutines Set, evict and Delete in the same
+// shard, so entry buffers are handed from key to key under the readers'
+// feet: every read must be exactly its key's value. Values differ in length
+// and content per key, and writers scribble over their own buffer after
+// each Set. Under -race (make soak) it also shows that no cache memory is
+// read outside the shard lock.
+func TestReadersNeverSeeAnotherKeysBytes(t *testing.T) {
+	const keys, rounds = 48, 3000
+	c := newTest(8, 1, 0) // one shard: every key shares its lock and its buffers
+	val := func(k int) string { return fmt.Sprintf("/k%d%s", k, strings.Repeat("/abc", k%7)) }
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			buf := make([]byte, 0, 64)
+			for i := 0; i < rounds; i++ {
+				k := rng.Intn(keys)
+				switch {
+				case g%2 == 0 && i%3 == 0:
+					buf = append(buf[:0], val(k)...)
+					c.Set(uint64(k), buf)
+					copy(buf, "################")
+				case g%2 == 0 && i%3 == 1:
+					c.Delete(uint64(k))
+				case i%2 == 0:
+					var ok bool
+					if buf, ok = c.Get(uint64(k), buf[:0]); ok && string(buf) != val(k) {
+						t.Errorf("Get(%d) = %q, want %q", k, buf, val(k))
+						return
+					}
+				default:
+					var err error
+					buf, err = c.GetOrLoad(uint64(k), buf[:0], func(dst []byte) ([]byte, error) { return append(dst, val(k)...), nil })
+					if err != nil || string(buf) != val(k) {
+						t.Errorf("GetOrLoad(%d) = %q, %v, want %q", k, buf, err, val(k))
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 func TestNegativeCacheTTL(t *testing.T) {
 	c := newTest(64, 4, time.Hour)
 	now := time.Unix(1000, 0)
@@ -237,12 +362,12 @@ func TestNegativeCacheTTL(t *testing.T) {
 		return "", errStale
 	}
 	// First call invokes the backend and remembers the failure.
-	if _, err := c.GetOrLoad(7, load); !errors.Is(err, errStale) {
+	if _, err := getOrLoad(c, 7, load); !errors.Is(err, errStale) {
 		t.Fatalf("err = %v", err)
 	}
 	// Within the TTL the error is served from the negative cache.
 	for i := 0; i < 10; i++ {
-		if _, err := c.GetOrLoad(7, load); !errors.Is(err, errStale) {
+		if _, err := getOrLoad(c, 7, load); !errors.Is(err, errStale) {
 			t.Fatalf("negative hit err = %v", err)
 		}
 	}
@@ -254,7 +379,7 @@ func TestNegativeCacheTTL(t *testing.T) {
 	}
 	// After expiry the backend is consulted again.
 	now = now.Add(time.Hour + time.Second)
-	if _, err := c.GetOrLoad(7, load); !errors.Is(err, errStale) {
+	if _, err := getOrLoad(c, 7, load); !errors.Is(err, errStale) {
 		t.Fatalf("post-expiry err = %v", err)
 	}
 	if backendCalls != 2 {
@@ -267,11 +392,11 @@ func TestNegativeCacheTTL(t *testing.T) {
 func TestNegativeEntryClearedOnSet(t *testing.T) {
 	c := newTest(64, 4, time.Hour)
 	errStale := errors.New("stale fid")
-	if _, err := c.GetOrLoad(7, func() (string, error) { return "", errStale }); !errors.Is(err, errStale) {
+	if _, err := getOrLoad(c, 7, func() (string, error) { return "", errStale }); !errors.Is(err, errStale) {
 		t.Fatalf("err = %v", err)
 	}
-	c.Set(7, "reborn")
-	v, err := c.GetOrLoad(7, func() (string, error) {
+	c.Set(7, []byte("reborn"))
+	v, err := getOrLoad(c, 7, func() (string, error) {
 		t.Error("backend consulted despite positive entry")
 		return "", nil
 	})
@@ -287,7 +412,7 @@ func TestNegativeEntryClearedOnSet(t *testing.T) {
 func TestNegativePredicate(t *testing.T) {
 	errStale := errors.New("stale")
 	errIO := errors.New("io")
-	c := New[uint64, string](Config[uint64]{
+	c := New[uint64](Config[uint64]{
 		Capacity:    64,
 		Shards:      4,
 		Hash:        ident,
@@ -296,14 +421,14 @@ func TestNegativePredicate(t *testing.T) {
 	})
 	calls := 0
 	for i := 0; i < 3; i++ {
-		c.GetOrLoad(1, func() (string, error) { calls++; return "", errIO })
+		getOrLoad(c, 1, func() (string, error) { calls++; return "", errIO })
 	}
 	if calls != 3 {
 		t.Errorf("transient error cached: %d backend calls, want 3", calls)
 	}
 	calls = 0
 	for i := 0; i < 3; i++ {
-		c.GetOrLoad(2, func() (string, error) { calls++; return "", errStale })
+		getOrLoad(c, 2, func() (string, error) { calls++; return "", errStale })
 	}
 	if calls != 1 {
 		t.Errorf("stale error not cached: %d backend calls, want 1", calls)
@@ -313,14 +438,14 @@ func TestNegativePredicate(t *testing.T) {
 func TestStatsAggregateAcrossShards(t *testing.T) {
 	// Identity hash + sequential keys spread perfectly round-robin, so no
 	// shard overflows its slice of the capacity.
-	c := New[uint64, string](Config[uint64]{Capacity: 64, Shards: 8, Hash: ident})
+	c := New[uint64](Config[uint64]{Capacity: 64, Shards: 8, Hash: ident})
 	for i := uint64(0); i < 64; i++ {
-		c.Set(i, "v")
+		c.Set(i, []byte("v"))
 	}
 	for i := uint64(0); i < 64; i++ {
-		c.Get(i)
+		c.Get(i, nil)
 	}
-	c.Get(999)
+	c.Get(999, nil)
 	st := c.Stats()
 	if st.Len != 64 || st.Cap < 64 {
 		t.Errorf("Len/Cap = %d/%d", st.Len, st.Cap)
@@ -340,16 +465,17 @@ func TestStatsAggregateAcrossShards(t *testing.T) {
 func BenchmarkGetOrLoadParallel(b *testing.B) {
 	for _, shards := range []int{1, 16} {
 		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			c := New[uint64, string](Config[uint64]{Capacity: 8192, Shards: shards, Hash: mix})
+			c := New[uint64](Config[uint64]{Capacity: 8192, Shards: shards, Hash: mix})
 			for i := uint64(0); i < 8192; i++ {
-				c.Set(i, "v")
+				c.Set(i, []byte("v"))
 			}
 			b.ReportAllocs()
 			b.RunParallel(func(pb *testing.PB) {
 				rng := rand.New(rand.NewSource(1))
+				buf := make([]byte, 0, 64)
 				for pb.Next() {
 					k := uint64(rng.Intn(8192))
-					c.GetOrLoad(k, func() (string, error) { return "v", nil })
+					buf, _ = c.GetOrLoad(k, buf[:0], func(dst []byte) ([]byte, error) { return append(dst, 'v'), nil })
 				}
 			})
 		})

@@ -22,6 +22,7 @@ const Name = "lustre"
 
 // DefaultCacheSize is the fid2path cache capacity used when the config
 // does not specify one — the paper's empirically best value (Table VIII).
+// A negative CacheSize disables the cache.
 const DefaultCacheSize = 5000
 
 // Register adds the backend; it matches FSType "lustre" exclusively.
@@ -38,7 +39,8 @@ func Register(reg *dsi.Registry) {
 // cluster plus the scalable monitor's deployment options, declared once —
 // in package scalable — and handed to Deploy whole. New fills only what the
 // DSI knows better: the mount point, the cache size, and dsi.Config's
-// context, registry and logger.
+// context, registry and logger. CacheSize 0 means DefaultCacheSize and a
+// negative one no cache.
 type Backend struct {
 	Cluster *lustre.Cluster
 	scalable.DeployOptions

@@ -112,6 +112,42 @@ func TestBackendOptionsReachDeployment(t *testing.T) {
 	}
 }
 
+// A negative CacheSize reaches the collectors as "no cache" (0 would mean
+// DefaultCacheSize): nothing is loaded through a cache, and every record
+// resolves its FID with one fid2path call.
+func TestNegativeCacheSizeDisablesCache(t *testing.T) {
+	cluster := testCluster()
+	d, err := New(dsi.Config{Backend: &Backend{Cluster: cluster, DeployOptions: scalable.DeployOptions{CacheSize: -1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	cl := cluster.Client()
+	const writes = 3
+	if err := cl.Create("/f"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < writes; i++ {
+		if err := cl.Write("/f", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if evs := drain(d, 300*time.Millisecond); len(evs) != 1+writes {
+		t.Fatalf("events = %d, want %d", len(evs), 1+writes)
+	}
+	var calls uint64
+	for _, c := range d.(*lustreDSI).Deployment().Collectors {
+		st := c.Stats()
+		if st.Cache.Cap != 0 || st.Cache.Loads != 0 {
+			t.Errorf("collector cache = %+v, want none", st.Cache)
+		}
+		calls += st.Fid2PathCalls
+	}
+	if calls != 1+writes {
+		t.Errorf("fid2path calls = %d, want one per record (%d)", calls, 1+writes)
+	}
+}
+
 // The tier's store is acknowledged as the DSI forwards: without it the
 // default, unbounded engine keeps every event for the life of the process.
 func TestTierStoreBounded(t *testing.T) {

@@ -195,18 +195,26 @@ func (b *Block) clearSeqPos() {
 // AppendEvent appends one event, copying its strings into the arena. It
 // requires an owned arena (a freshly built or Reset block, not one decoded
 // from a payload).
-func (b *Block) AppendEvent(e Event) error { return b.AppendJoined(&e, "", "") }
+func (b *Block) AppendEvent(e Event) error {
+	return appendRow(b, e.Op, e.Cookie, e.Seq, e.Time, e.Root, e.Source, e.Path, "", e.OldPath, "")
+}
 
-// AppendJoined is AppendEvent for paths held as directory + final component:
-// the event's path is e.Path followed by name, its old path e.OldPath
-// followed by oldName, a non-empty name set off by exactly one slash. The
-// pieces meet in the arena, so a path the resolver reconstructs from a
-// parent directory never exists as a string of its own. e is only read.
-func (b *Block) AppendJoined(e *Event, name, oldName string) error {
-	if len(e.Root) > maxStr || joinedLen(e.Path, name) > maxStr || joinedLen(e.OldPath, oldName) > maxStr {
+// AppendJoinedBytes is AppendEvent for paths held as directory + final
+// component, in a buffer the writer reuses: the event is op, cookie and t
+// (seq 0) under root and source, its path dir followed by name and its old
+// path oldDir followed by oldName, a non-empty name set off by exactly one
+// slash. The pieces meet in the arena, so a path the resolver reconstructs
+// from a parent directory never exists as a string of its own, and the
+// bytes are copied, not retained.
+func (b *Block) AppendJoinedBytes(op Op, cookie uint32, t time.Time, root, source string, dir []byte, name string, oldDir []byte, oldName string) error {
+	return appendRow(b, op, cookie, 0, t, root, source, dir, name, oldDir, oldName)
+}
+
+func appendRow[S string | []byte](b *Block, op Op, cookie uint32, seq uint64, t time.Time, root, source string, dir S, name string, oldDir S, oldName string) error {
+	if len(root) > maxStr || joinedLen(dir, name) > maxStr || joinedLen(oldDir, oldName) > maxStr {
 		return fmt.Errorf("events: path component exceeds %d bytes", maxStr)
 	}
-	if len(e.Source) > 255 {
+	if len(source) > 255 {
 		return fmt.Errorf("events: source exceeds 255 bytes")
 	}
 	if uint64(len(b.ops))+1 >= uint64(batchTraced) {
@@ -216,15 +224,15 @@ func (b *Block) AppendJoined(e *Event, name, oldName string) error {
 		return fmt.Errorf("events: append into a decoded block")
 	}
 	var fs fieldSpans
-	fs.root = b.appendStr(e.Root)
-	fs.path = b.appendJoined(e.Path, name)
-	fs.old = b.appendJoined(e.OldPath, oldName)
-	fs.src = b.appendStr(e.Source)
+	fs.root = b.appendStr(root)
+	fs.path = appendJoined(b, dir, name)
+	fs.old = appendJoined(b, oldDir, oldName)
+	fs.src = b.appendStr(source)
 	b.spans = append(b.spans, fs)
-	b.ops = append(b.ops, e.Op)
-	b.cookies = append(b.cookies, e.Cookie)
-	b.seqs = append(b.seqs, e.Seq)
-	b.times = append(b.times, e.Time.UnixNano())
+	b.ops = append(b.ops, op)
+	b.cookies = append(b.cookies, cookie)
+	b.seqs = append(b.seqs, seq)
+	b.times = append(b.times, t.UnixNano())
 	b.interned = ""
 	b.invalidateWire()
 	return nil
@@ -232,23 +240,23 @@ func (b *Block) AppendJoined(e *Event, name, oldName string) error {
 
 // joinedLen bounds the joined length; the slash is counted even where dir
 // already ends in one.
-func joinedLen(dir, name string) int {
+func joinedLen[S string | []byte](dir S, name string) int {
 	if name == "" {
 		return len(dir)
 	}
 	return len(dir) + 1 + len(name)
 }
 
-func (b *Block) appendJoined(dir, name string) strSpan {
-	sp := b.appendStr(dir)
+func appendJoined[S string | []byte](b *Block, dir S, name string) strSpan {
+	off := uint32(len(b.arena))
+	b.arena = append(b.arena, dir...)
 	if name != "" {
-		if dir == "" || dir[len(dir)-1] != '/' {
+		if len(dir) == 0 || dir[len(dir)-1] != '/' {
 			b.arena = append(b.arena, '/')
 		}
 		b.arena = append(b.arena, name...)
-		sp.end = uint32(len(b.arena))
 	}
-	return sp
+	return strSpan{off: off, end: uint32(len(b.arena))}
 }
 
 func (b *Block) appendStr(s string) strSpan {

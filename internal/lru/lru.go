@@ -67,28 +67,52 @@ func (c *Core[K, V]) Peek(key K) (V, bool) {
 // a full cache evicts the least recently used entry and returns its pair;
 // the entry itself is reused for the new one.
 func (c *Core[K, V]) Set(key K, val V) (oldKey K, oldVal V, evicted bool) {
-	if e, ok := c.items[key]; ok {
-		e.val = val
+	e, ok := c.items[key]
+	if ok {
 		c.moveToFront(e)
-		return oldKey, oldVal, false
+	} else if e, oldKey, evicted = c.insert(key); evicted {
+		oldVal = e.val
 	}
-	var e *entry[K, V]
+	e.val = val
+	return oldKey, oldVal, evicted
+}
+
+// Slot is Set for a caller that fills the value in place: it returns key's
+// value slot, inserting key as most recently used if it is absent. A new
+// key's slot still holds the value of the entry it recycled — the one an
+// eviction or a Delete let go of — so a cache of buffers refills them
+// instead of allocating.
+func (c *Core[K, V]) Slot(key K) *V {
+	e, ok := c.items[key]
+	if ok {
+		c.moveToFront(e)
+	} else {
+		e, _, _ = c.insert(key)
+	}
+	return &e.val
+}
+
+// insert links key as most recently used in an entry whose value it leaves
+// as it was: the entry it evicts at capacity, else a deleted one, else a
+// new one.
+func (c *Core[K, V]) insert(key K) (e *entry[K, V], oldKey K, evicted bool) {
 	switch {
 	case len(c.items) >= c.cap:
 		e = c.evictTail()
-		oldKey, oldVal, evicted = e.key, e.val, true
+		oldKey, evicted = e.key, true
 	case c.free != nil:
 		e, c.free = c.free, c.free.next
 	default:
 		e = new(entry[K, V])
 	}
-	e.key, e.val = key, val
+	e.key = key
 	c.items[key] = e
 	c.pushFront(e)
-	return oldKey, oldVal, evicted
+	return e, oldKey, evicted
 }
 
-// Delete removes key, reporting whether it was present.
+// Delete removes key, reporting whether it was present. The entry keeps its
+// value on the free list for Slot to reuse (Set overwrites it).
 func (c *Core[K, V]) Delete(key K) bool {
 	e, ok := c.items[key]
 	if !ok {
@@ -96,7 +120,7 @@ func (c *Core[K, V]) Delete(key K) bool {
 	}
 	c.unlink(e)
 	delete(c.items, key)
-	*e = entry[K, V]{next: c.free} // drop the pair so the free list pins nothing
+	*e = entry[K, V]{val: e.val, next: c.free}
 	c.free = e
 	return true
 }

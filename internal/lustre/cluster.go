@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -184,49 +185,56 @@ func (c *Cluster) dirMDT(fullPath string) int {
 	return int(h.Sum32()) % len(c.changelogs)
 }
 
-// pathOf builds the absolute path of n in one allocation sized from a
-// first walk up the tree. Caller holds c.mu.
-func pathOf(n *node) string {
+// appendPath appends the absolute path of n to dst, growing dst once to the
+// size a first walk up the tree measures and filling it leaf first on a
+// second. Caller holds c.mu.
+func appendPath(dst []byte, n *node) []byte {
 	if n.parent == nil {
-		return "/"
+		return append(dst, '/')
 	}
 	size := 0
 	for cur := n; cur.parent != nil; cur = cur.parent {
 		size += 1 + len(cur.name)
 	}
-	var b strings.Builder
-	b.Grow(size)
-	writePath(&b, n)
-	return b.String()
-}
-
-func writePath(b *strings.Builder, n *node) {
-	if n.parent.parent != nil {
-		writePath(b, n.parent)
+	dst = slices.Grow(dst, size)
+	end := len(dst) + size
+	dst = dst[:end]
+	for cur := n; cur.parent != nil; cur = cur.parent {
+		end -= len(cur.name)
+		copy(dst[end:], cur.name)
+		end--
+		dst[end] = '/'
 	}
-	b.WriteByte('/')
-	b.WriteString(n.name)
+	return dst
 }
 
-// Fid2Path resolves a FID to its current absolute path, simulating the
-// `lfs fid2path` tool: it is deliberately expensive (Config.Fid2PathCost)
-// and fails with ErrStaleFID for FIDs whose objects have been removed
-// (§IV-2: "In the case of UNLNK and RMDIR events, resolving target FIDs
-// will give an error because that FID has already been deleted"). The
-// error is the bare sentinel: a dead FID is Algorithm 1's expected branch,
-// taken about once per two records of a drained backlog, and the caller
-// already holds the FID should it want it in a message.
-func (c *Cluster) Fid2Path(fid FID) (string, error) {
+// AppendFid2Path appends the current absolute path of fid to dst,
+// simulating the `lfs fid2path` tool: it is deliberately expensive
+// (Config.Fid2PathCost) and fails with ErrStaleFID for FIDs whose objects
+// have been removed (§IV-2: "In the case of UNLNK and RMDIR events,
+// resolving target FIDs will give an error because that FID has already
+// been deleted"), leaving dst as it was. The error is the bare sentinel: a
+// dead FID is Algorithm 1's expected branch, taken about once per two
+// records of a drained backlog, and the caller already holds the FID should
+// it want it in a message. Into a buffer with room it allocates nothing.
+func (c *Cluster) AppendFid2Path(dst []byte, fid FID) ([]byte, error) {
 	c.fid2pathCalls.Add(1)
 	c.mu.Lock()
 	n, ok := c.byFID[fid]
-	if !ok {
-		c.mu.Unlock()
-		return "", ErrStaleFID
+	if ok {
+		dst = appendPath(dst, n)
 	}
-	p := pathOf(n)
 	c.mu.Unlock()
-	return p, nil
+	if !ok {
+		return dst, ErrStaleFID
+	}
+	return dst, nil
+}
+
+// Fid2Path is AppendFid2Path returning a string.
+func (c *Cluster) Fid2Path(fid FID) (string, error) {
+	p, err := c.AppendFid2Path(nil, fid)
+	return string(p), err
 }
 
 // Fid2PathCost returns the configured per-invocation service time.

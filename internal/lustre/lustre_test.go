@@ -206,6 +206,57 @@ func TestFid2Path(t *testing.T) {
 	}
 }
 
+// AppendFid2Path appends after what dst holds, leaves dst as it was for a
+// stale FID, and into a buffer with room allocates nothing — the resolver's
+// miss path calls it once per parent directory that is not cached.
+func TestAppendFid2PathAllocs(t *testing.T) {
+	c := newTestCluster(1)
+	cl := c.Client()
+	if err := cl.MkdirAll("/dir/sub"); err != nil {
+		t.Fatal(err)
+	}
+	root, _ := c.Stat("/")
+	sub, err := c.Stat("/dir/sub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		fid  FID
+		want string
+		err  error
+	}{
+		{root.FID, "dst:/", nil},
+		{sub.FID, "dst:/dir/sub", nil},
+		{FID{Seq: 0xdead, Oid: 1}, "dst:", ErrStaleFID},
+	} {
+		if got, err := c.AppendFid2Path([]byte("dst:"), tc.fid); string(got) != tc.want || err != tc.err {
+			t.Errorf("AppendFid2Path(%v) = %q, %v; want %q, %v", tc.fid, got, err, tc.want, tc.err)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if avg := testing.AllocsPerRun(100, func() { buf, _ = c.AppendFid2Path(buf[:0], sub.FID) }); avg != 0 {
+		t.Errorf("AppendFid2Path into a buffer with room: %v allocs, want 0", avg)
+	}
+}
+
+// BenchmarkAppendFid2Path resolves a FID four directories deep into a
+// reused buffer; allocs/op must read 0.
+func BenchmarkAppendFid2Path(b *testing.B) {
+	c := newTestCluster(1)
+	if err := c.Client().MkdirAll("/a/bb/ccc/dddd"); err != nil {
+		b.Fatal(err)
+	}
+	info, err := c.Stat("/a/bb/ccc/dddd")
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 0, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf, _ = c.AppendFid2Path(buf[:0], info.FID)
+	}
+}
+
 func TestDNEDirectoryDistribution(t *testing.T) {
 	c := newTestCluster(4)
 	cl := c.Client()

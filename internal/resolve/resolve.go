@@ -14,6 +14,7 @@
 package resolve
 
 import (
+	"bytes"
 	"errors"
 	"path"
 	"strings"
@@ -31,10 +32,11 @@ import (
 // target and its parent FID fail to resolve (Algorithm 1 line 41).
 const ParentDirectoryRemoved = "ParentDirectoryRemoved"
 
-// Backend is the slice of the cluster a resolver needs: the fid2path tool
-// and its simulated per-invocation cost. *lustre.Cluster implements it.
+// Backend is the slice of the cluster a resolver needs: the fid2path tool,
+// appending into the caller's buffer, and its simulated per-invocation
+// cost. *lustre.Cluster implements it.
 type Backend interface {
-	Fid2Path(lustre.FID) (string, error)
+	AppendFid2Path(dst []byte, fid lustre.FID) ([]byte, error)
 	Fid2PathCost() time.Duration
 }
 
@@ -47,8 +49,8 @@ type Options struct {
 	MountPoint string
 	// Source tags emitted events (default "lustre").
 	Source string
-	// CacheSize is the fid2path cache capacity; 0 disables caching (the
-	// paper's "without cache" configuration — no coalescing or negative
+	// CacheSize is the fid2path cache capacity; 0 or less disables caching
+	// (the paper's "without cache" configuration — no coalescing or negative
 	// caching either, so the baseline stays a pure tool-per-miss path).
 	CacheSize int
 	// CacheShards is the cache shard count (default
@@ -86,6 +88,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Source == "" {
 		o.Source = "lustre"
+	}
+	if o.CacheSize < 0 {
+		o.CacheSize = 0
 	}
 	if o.CacheShards <= 0 {
 		o.CacheShards = pipeline.DefaultCacheShards
@@ -135,14 +140,13 @@ type Stats struct {
 // (pipeline.MapN preserves it).
 type Resolver struct {
 	opts  Options
-	cache *cache.Cache[lustre.FID, string] // nil when CacheSize == 0
+	cache *cache.Cache[lustre.FID] // nil when CacheSize == 0
 
-	// lanes is the pool of pacing throttles: each concurrent
-	// TranslateBlock call checks one out for its batch, modelling one of
-	// Workers parallel resolution servers. all keeps them enumerable for
-	// accounting.
-	lanes chan *pace.Throttle
-	all   []*pace.Throttle
+	// lanes is the pool of pacing lanes: each concurrent TranslateBlock
+	// call checks one out for its batch, modelling one of Workers parallel
+	// resolution servers. all keeps them enumerable for accounting.
+	lanes chan *laneAcc
+	all   []*laneAcc
 
 	calls atomic.Uint64
 	stale atomic.Uint64
@@ -157,15 +161,15 @@ func New(opts Options) (*Resolver, error) {
 	}
 	r := &Resolver{
 		opts:  opts,
-		lanes: make(chan *pace.Throttle, opts.Workers),
+		lanes: make(chan *laneAcc, opts.Workers),
 	}
 	for i := 0; i < opts.Workers; i++ {
-		th := pace.NewThrottle()
-		r.all = append(r.all, th)
-		r.lanes <- th
+		a := &laneAcc{th: pace.NewThrottle()}
+		r.all = append(r.all, a)
+		r.lanes <- a
 	}
 	if opts.CacheSize > 0 {
-		r.cache = cache.New[lustre.FID, string](cache.Config[lustre.FID]{
+		r.cache = cache.New[lustre.FID](cache.Config[lustre.FID]{
 			Capacity:    opts.CacheSize,
 			Shards:      opts.CacheShards,
 			Hash:        lustre.FID.Hash,
@@ -182,15 +186,20 @@ func (r *Resolver) Workers() int { return r.opts.Workers }
 // MountPoint returns the event root paths are reported under.
 func (r *Resolver) MountPoint() string { return r.opts.MountPoint }
 
-// laneAcc accumulates one batch's simulated costs against a pacing lane
-// and settles them in a single Throttle.Spend. Per-record accounting paid
-// the throttle's mutex (and a possible timer sleep) up to four times per
+// laneAcc is one pacing lane. It accumulates a batch's simulated costs and
+// settles them in a single Throttle.Spend. Per-record accounting paid the
+// throttle's mutex (and a possible timer sleep) up to four times per
 // record; the accumulator spends the identical total once per batch, so
 // the modeled rate is unchanged while the bookkeeping overhead drops from
 // O(records) to O(batches).
 type laneAcc struct {
 	th   *pace.Throttle
 	owed time.Duration
+	// buf holds the paths of the record being translated: fid2path and
+	// the cache append into it, and a reconstruction is joined in it
+	// before it enters the cache. The lane keeps it across batches, so
+	// once it has grown nothing on the capture path allocates.
+	buf []byte
 }
 
 func (a *laneAcc) spend(d time.Duration) { a.owed += d }
@@ -208,13 +217,12 @@ func (a *laneAcc) settle() {
 // It checks one pacing lane out for the whole batch, so up to Workers
 // concurrent calls progress in parallel.
 func (r *Resolver) TranslateBlock(blk *events.Block, recs []lustre.Record) {
-	th := <-r.lanes
-	acc := laneAcc{th: th}
+	acc := <-r.lanes
 	for i := range recs {
-		r.appendRecord(&acc, blk, &recs[i])
+		r.appendRecord(acc, blk, &recs[i])
 	}
 	acc.settle()
-	r.lanes <- th
+	r.lanes <- acc
 }
 
 // Stats returns a snapshot of the resolver's counters.
@@ -233,8 +241,8 @@ func (r *Resolver) Stats() Stats {
 // Busy returns total service time spent across every lane.
 func (r *Resolver) Busy() time.Duration {
 	var total time.Duration
-	for _, th := range r.all {
-		total += th.Busy()
+	for _, a := range r.all {
+		total += a.th.Busy()
 	}
 	return total
 }
@@ -244,16 +252,16 @@ func (r *Resolver) Busy() time.Duration {
 // worker is saturated.
 func (r *Resolver) Utilization() float64 {
 	var total float64
-	for _, th := range r.all {
-		total += th.Utilization()
+	for _, a := range r.all {
+		total += a.th.Utilization()
 	}
 	return total
 }
 
 // ResetAccounting restarts every lane's utilization window.
 func (r *Resolver) ResetAccounting() {
-	for _, th := range r.all {
-		th.Reset()
+	for _, a := range r.all {
+		a.th.Reset()
 	}
 }
 
@@ -264,13 +272,13 @@ func isStale(err error) bool {
 	return err == lustre.ErrStaleFID || errors.Is(err, lustre.ErrStaleFID)
 }
 
-// invoke runs the fid2path tool once, accounting its cost on the caller's
-// lane; stale FIDs are the expected outcome Algorithm 1 handles, anything
-// else is a real error.
-func (r *Resolver) invoke(acc *laneAcc, fid lustre.FID) (string, error) {
+// invoke runs the fid2path tool once, appending the path to dst and
+// accounting its cost on the caller's lane; stale FIDs are the expected
+// outcome Algorithm 1 handles, anything else is a real error.
+func (r *Resolver) invoke(acc *laneAcc, dst []byte, fid lustre.FID) ([]byte, error) {
 	acc.spend(r.opts.Backend.Fid2PathCost())
 	r.calls.Add(1)
-	p, err := r.opts.Backend.Fid2Path(fid)
+	dst, err := r.opts.Backend.AppendFid2Path(dst, fid)
 	switch {
 	case err == nil:
 	case isStale(err):
@@ -278,48 +286,66 @@ func (r *Resolver) invoke(acc *laneAcc, fid lustre.FID) (string, error) {
 	default:
 		r.errs.Add(1)
 	}
-	return p, err
+	return dst, err
 }
 
+// span is a path as a range of the lane's buffer.
+type span struct{ off, end int }
+
+func (a *laneAcc) bytes(sp span) []byte { return a.buf[sp.off:sp.end] }
+
 // fid2path resolves through the cache per Algorithm 1 (cache.get; on miss
-// invoke the tool and cache the mapping), accounting the costs on the
-// caller's lane. Concurrent misses on one FID coalesce into a single tool
-// invocation, and stale-FID failures are negative-cached so storms of
-// records for dead FIDs stop re-invoking the tool.
+// invoke the tool and cache the mapping), appending the path to the lane's
+// buffer and accounting the costs on the lane. Concurrent misses on one FID
+// coalesce into a single tool invocation, and stale-FID failures are
+// negative-cached so storms of records for dead FIDs stop re-invoking the
+// tool.
 //
 // Hit or miss it is one probe — GetOrLoad's — and one modeled lookup: cost
 // is spent per probe, never per lock. The loader closure is not retained by
-// GetOrLoad, so it lives on this frame and a hit allocates nothing
+// GetOrLoad, so it lives on this frame, and the cache copies its value into
+// and out of buffers that are already there: hit or miss allocates nothing
 // (TestTranslateAllocs gates it).
-func (r *Resolver) fid2path(acc *laneAcc, fid lustre.FID) (string, error) {
+func (r *Resolver) fid2path(acc *laneAcc, fid lustre.FID) (span, error) {
+	off := len(acc.buf)
 	if fid.IsZero() {
 		// The record carries no FID in this slot (e.g. MTIME records
 		// have no parent FID); there is nothing to invoke the tool on.
-		return "", lustre.ErrStaleFID
+		return span{off, off}, lustre.ErrStaleFID
 	}
+	var err error
 	if r.cache == nil {
-		return r.invoke(acc, fid)
+		acc.buf, err = r.invoke(acc, acc.buf, fid)
+	} else {
+		acc.spend(r.opts.CacheLookupCost)
+		acc.buf, err = r.cache.GetOrLoad(fid, acc.buf, func(dst []byte) ([]byte, error) { return r.invoke(acc, dst, fid) })
 	}
-	acc.spend(r.opts.CacheLookupCost)
-	return r.cache.GetOrLoad(fid, func() (string, error) { return r.invoke(acc, fid) })
+	return span{off, len(acc.buf)}, err
 }
 
 // cacheOnly consults the cache without falling back to fid2path — used for
 // deleted FIDs whose resolution is known to fail but whose mapping may
 // still be cached from the create.
-func (r *Resolver) cacheOnly(acc *laneAcc, fid lustre.FID) (string, bool) {
+func (r *Resolver) cacheOnly(acc *laneAcc, fid lustre.FID) (span, bool) {
+	off := len(acc.buf)
 	if r.cache == nil {
-		return "", false
+		return span{off, off}, false
 	}
 	acc.spend(r.opts.CacheLookupCost)
-	return r.cache.Get(fid)
+	var ok bool
+	acc.buf, ok = r.cache.Get(fid, acc.buf)
+	return span{off, len(acc.buf)}, ok
 }
 
 // joined is a resolved path as directory + final component, the form
-// events.Block.AppendJoined takes: a path reconstructed from a parent
-// directory is joined in the block's arena and never becomes a string. A
-// whole path (a fid2path result, a cached mapping) has an empty name.
-type joined struct{ dir, name string }
+// events.Block.AppendJoinedBytes takes: a path reconstructed from a parent
+// directory is joined in the block's arena, and in the lane's buffer only
+// when it enters the cache. A whole path (a fid2path result, a cached
+// mapping) has an empty name.
+type joined struct {
+	dir  span
+	name string
+}
 
 // removedDir stands in for a parent that no longer resolves either.
 const removedDir = "/" + ParentDirectoryRemoved + "/"
@@ -327,23 +353,39 @@ const removedDir = "/" + ParentDirectoryRemoved + "/"
 // join is the one place a parent directory meets a record's name. A plain
 // component stays apart; a name path.Join would rewrite (empty, dotted,
 // slashed) still goes through it.
-func join(parent, name string) joined {
+func (a *laneAcc) join(parent span, name string) joined {
 	if name == "" || name == "." || name == ".." || strings.Contains(name, "/") {
-		return joined{dir: path.Join(parent, name)}
+		off := len(a.buf)
+		a.buf = append(a.buf, path.Join(string(a.bytes(parent)), name)...)
+		return joined{dir: span{off, len(a.buf)}}
 	}
 	return joined{parent, name}
 }
 
-// String builds the path with one concatenation — for the reconstructions
-// that enter the cache, the only strings the miss path allocates.
-func (j joined) String() string {
-	switch {
-	case j.name == "":
+// flatten writes j as one path at the end of the lane's buffer — the form
+// a reconstruction enters the cache in.
+func (a *laneAcc) flatten(j joined) span {
+	if j.name == "" {
 		return j.dir
-	case strings.HasSuffix(j.dir, "/"):
-		return j.dir + j.name
 	}
-	return j.dir + "/" + j.name
+	off := len(a.buf)
+	a.buf = append(a.buf, a.bytes(j.dir)...)
+	if j.dir.off == j.dir.end || a.buf[len(a.buf)-1] != '/' {
+		a.buf = append(a.buf, '/')
+	}
+	a.buf = append(a.buf, j.name...)
+	return span{off, len(a.buf)}
+}
+
+// baseIs reports whether path.Base(string(p)) == name, without the string.
+func baseIs(p []byte, name string) bool {
+	if len(p) == 0 {
+		return name == "."
+	}
+	if p = bytes.TrimRight(p, "/"); len(p) == 0 {
+		return name == "/"
+	}
+	return string(p[bytes.LastIndexByte(p, '/')+1:]) == name
 }
 
 // viaParent is Algorithm 1's fallback for a FID that does not resolve: the
@@ -352,9 +394,11 @@ func (j joined) String() string {
 func (r *Resolver) viaParent(acc *laneAcc, pfid lustre.FID, name string) (joined, bool) {
 	parent, err := r.fid2path(acc, pfid)
 	if err != nil {
-		return joined{removedDir, name}, false
+		off := len(acc.buf)
+		acc.buf = append(acc.buf, removedDir...)
+		return joined{span{off, len(acc.buf)}, name}, false
 	}
-	return join(parent, name), true
+	return acc.join(parent, name), true
 }
 
 // subject resolves the FID a record is about. If it vanished between the
@@ -368,8 +412,8 @@ func (r *Resolver) subject(acc *laneAcc, fid, pfid lustre.FID, name string, reme
 	}
 	j, ok := r.viaParent(acc, pfid, name)
 	if ok && remember && r.cache != nil && !fid.IsZero() {
-		p := j.String()
-		r.cache.Set(fid, p)
+		p := acc.flatten(j)
+		r.cache.Set(fid, acc.bytes(p))
 		return joined{dir: p}
 	}
 	return j
@@ -384,7 +428,7 @@ func (r *Resolver) subject(acc *laneAcc, fid, pfid lustre.FID, name string, reme
 // and fid2path reports that name, so the removed one comes via the parent.
 func (r *Resolver) removed(acc *laneAcc, rec *lustre.Record) joined {
 	target, cached := r.cacheOnly(acc, rec.TFid)
-	if cached && path.Base(target) == rec.Name {
+	if cached && baseIs(acc.bytes(target), rec.Name) {
 		r.cache.Delete(rec.TFid) // the FID is dead; keep the cache clean
 		return joined{dir: target}
 	}
@@ -403,21 +447,22 @@ func (r *Resolver) removed(acc *laneAcc, rec *lustre.Record) joined {
 // absolute paths, handling deleted targets (UNLNK/RMDIR resolve the
 // parent; if the parent is gone too the event reports
 // ParentDirectoryRemoved) and renames (resolve old and new paths). The
-// resulting events are appended to blk. AppendJoined only fails on
-// wire-limit violations (a 64KiB path, a 512Mi-event batch) that
-// resolution of a Changelog batch cannot produce.
+// resulting events are appended to blk, their columns straight from the
+// record and their paths from the lane's buffer, which the record starts
+// empty.
 func (r *Resolver) appendRecord(acc *laneAcc, blk *events.Block, rec *lustre.Record) {
 	acc.spend(r.opts.EventOverhead)
-	e := events.Event{Root: r.opts.MountPoint, Time: rec.Time, Source: r.opts.Source}
+	acc.buf = acc.buf[:0]
+	var op events.Op
 	var p joined
 	switch rec.Type {
 	case lustre.RecMark:
 		return
 
 	case lustre.RecUnlnk, lustre.RecRmdir:
-		e.Op = events.OpDelete
+		op = events.OpDelete
 		if rec.Type == lustre.RecRmdir {
-			e.Op |= events.OpIsDir
+			op |= events.OpIsDir
 		}
 		p = r.removed(acc, rec)
 
@@ -432,26 +477,30 @@ func (r *Resolver) appendRecord(acc *laneAcc, blk *events.Block, rec *lustre.Rec
 			r.cache.Delete(rec.SFid)
 		}
 		p = r.subject(acc, rec.SFid, rec.PFid, rec.SName, true)
-		e.Cookie = uint32(rec.Index)
-		e.Op, e.Path = events.OpMovedFrom, old.dir
-		blk.AppendJoined(&e, old.name, "")
-		e.Op, e.Path, e.OldPath = events.OpMovedTo, p.dir, old.dir
-		blk.AppendJoined(&e, p.name, old.name)
+		cookie := uint32(rec.Index)
+		r.emit(acc, blk, events.OpMovedFrom, cookie, rec, old, joined{})
+		r.emit(acc, blk, events.OpMovedTo, cookie, rec, p, old)
 		return
 
 	case lustre.RecRnmto:
-		e.Op = events.OpMovedTo
+		op = events.OpMovedTo
 		p = r.subject(acc, rec.TFid, rec.PFid, rec.Name, false)
 
 	default:
 		// Creations and in-place updates: resolve the target FID.
-		if e.Op = RecTypeToOp(rec.Type); e.Op == 0 {
+		if op = RecTypeToOp(rec.Type); op == 0 {
 			return
 		}
 		p = r.subject(acc, rec.TFid, rec.PFid, rec.Name, true)
 	}
-	e.Path = p.dir
-	blk.AppendJoined(&e, p.name, "")
+	r.emit(acc, blk, op, 0, rec, p, joined{})
+}
+
+// emit appends one event of rec to blk with path p and old path old.
+// AppendJoinedBytes only fails on wire-limit violations (a 64KiB path, a
+// 512Mi-event batch) that resolution of a Changelog batch cannot produce.
+func (r *Resolver) emit(acc *laneAcc, blk *events.Block, op events.Op, cookie uint32, rec *lustre.Record, p, old joined) {
+	blk.AppendJoinedBytes(op, cookie, rec.Time, r.opts.MountPoint, r.opts.Source, acc.bytes(p.dir), p.name, acc.bytes(old.dir), old.name)
 }
 
 // RecTypeToOp maps Changelog record types onto the standard vocabulary.

@@ -99,7 +99,7 @@ type CollectorOptions struct {
 	// (pipeline.DefaultBatchInterval). The fields from MDT to
 	// ResolveWorkers, and the two modeled costs, do not apply to it.
 	Mount MountSource
-	// CacheSize is the fid2path LRU capacity; 0 disables caching
+	// CacheSize is the fid2path LRU capacity; 0 or less disables caching
 	// (the paper's "without cache" configuration).
 	CacheSize int
 	// CacheShards is the fid2path cache shard count (default

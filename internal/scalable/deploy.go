@@ -29,8 +29,8 @@ type DeployOptions struct {
 	Mounts []MountSource
 	// MountPoint is the client mount path events are reported under.
 	MountPoint string
-	// CacheSize is each collector's fid2path cache capacity (0 = no
-	// cache).
+	// CacheSize is each collector's fid2path cache capacity (0 or less =
+	// no cache).
 	CacheSize int
 	// CacheShards is each collector's fid2path cache shard count
 	// (0 = pipeline.DefaultCacheShards).

@@ -203,6 +203,7 @@ type dsiSource struct {
 	dsi    dsi.DSI
 	prefix string // cleaned mount prefix
 	name   string
+	eof    chan struct{} // closed when collect returns
 }
 
 func (c *Collector) openDSI() error {
@@ -221,7 +222,7 @@ func (c *Collector) openDSI() error {
 	if o.Endpoint == "" {
 		o.Endpoint = "inproc://collector-mount-" + name
 	}
-	c.src = &dsiSource{c: c, dsi: o.Mount.DSI, prefix: cp, name: name}
+	c.src = &dsiSource{c: c, dsi: o.Mount.DSI, prefix: cp, name: name, eof: make(chan struct{})}
 	c.topic = TopicPrefix + "mount." + name
 	c.metrics = "fsmon.mount." + name
 	c.slog = telemetry.ComponentLogger(o.Logger, "mount-collector", "mount", name, "backend", o.Mount.DSI.Name())
@@ -242,6 +243,7 @@ func (s *dsiSource) capture() pipeline.Flow[pubBatch] {
 // collect is the collect source stage: drain the DSI, rewrite each event
 // into the unified namespace, and emit size- or age-bounded batches.
 func (s *dsiSource) collect(ctx context.Context, emit func(pubBatch) bool) error {
+	defer close(s.eof)
 	c := s.c
 	flush := time.NewTimer(pipeline.DefaultBatchInterval)
 	defer flush.Stop()
@@ -296,10 +298,16 @@ func (s *dsiSource) collect(ctx context.Context, emit func(pubBatch) bool) error
 
 func (s *dsiSource) ack(uint64) {}
 
-// close closes the DSI first, so nothing new arrives while the stages
-// drain what collect had already batched.
+// close closes the DSI first, so nothing new arrives, and lets collect read
+// the DSI's channel to its end before the stages drain: the drain cancels
+// collect, which would drop whatever the DSI still held in its buffer. The
+// wait is bounded by the same grace as the drain.
 func (s *dsiSource) close(drain func()) {
 	_ = s.dsi.Close()
+	select {
+	case <-s.eof:
+	case <-time.After(pipeline.DefaultDrainGrace):
+	}
 	drain()
 }
 

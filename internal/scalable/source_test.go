@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,6 +44,27 @@ func (f *fakeDSI) closed() bool {
 	default:
 		return false
 	}
+}
+
+// heldDSI holds what it captures until Close — a backend that flushes a
+// coalescing buffer as it detaches — so its channel is full at Close and
+// nothing in it was readable before.
+type heldDSI struct {
+	*dsi.Base
+	closed atomic.Bool
+}
+
+func (h *heldDSI) Events() <-chan events.Event {
+	if !h.closed.Load() {
+		return nil
+	}
+	return h.Base.Events()
+}
+
+func (h *heldDSI) Close() error {
+	h.CloseBase()
+	h.closed.Store(true)
+	return nil
 }
 
 func fakeCreate(path string) events.Event {
@@ -90,6 +112,27 @@ func TestMountCollectorGoldenBytes(t *testing.T) {
 	}
 	if st := col.Stats(); st.Mount != "gold" || st.RecordsRead != 3 || st.EventsPublished != 3 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestDSICloseDrainsToEOF: closing a DSI-source collector reads the DSI's
+// channel to its end before the stages drain, so every event the backend
+// still buffered at Close is published — the audit's captured and
+// published counts both equal what the DSI held.
+func TestDSICloseDrainsToEOF(t *testing.T) {
+	const n = 64
+	h := &heldDSI{Base: dsi.NewBase("held", n)}
+	for i := 0; i < n; i++ {
+		h.Emit(fakeCreate(fmt.Sprintf("/f%02d", i)))
+	}
+	reg := telemetry.NewRegistry()
+	m, err := Deploy(nil, DeployOptions{Mounts: []MountSource{{Prefix: "/held", DSI: h}}, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	if s := reg.Audit().Snapshot(); s.Captured != n || s.Published != n {
+		t.Errorf("audit = %+v, want %d captured and published", s, n)
 	}
 }
 
