@@ -46,10 +46,12 @@ race:
 # every pool overwrites a block, and every TCP connection a payload buffer,
 # with a sentinel before taking it back, and two consumers (in-process and
 # TCP behind a clone or a TCP hop in, or both in process on one block) must
-# be delivered exactly what was written — then SOAK quick runs of the
-# event-journey benchmark, cycling the three streaming workloads with a
-# fresh seed each, every one of which must report failed = 0 (its oracle
-# checks loss, duplication, order and paths).
+# be delivered exactly what was written — and of the recovery pager's test
+# (a live engine paged to the wire while a writer appends and purges and the
+# retention bound drop, and Reset in place, the segments it reads), then
+# SOAK quick runs of the event-journey benchmark, cycling the four workloads
+# with a fresh seed each, every one of which must report failed = 0 (its
+# oracle checks loss, duplication, order and paths).
 # A block handed back while something still reads it is a race the detector
 # may miss and a seed may dodge; two hundred of each has not missed one yet.
 # CI runs SOAK=20.
@@ -57,9 +59,9 @@ SOAK ?= 200
 soak:
 	$(GO) test -race -count=$(SOAK) -run 'TestLease|TestDoneUnleased|TestPublishLeased|TestPayload' ./internal/msgq/
 	$(GO) test -race -count=$(SOAK) -run 'TestRecycledFlightsKeepTheirKeys|TestReadersNeverSeeAnotherKeysBytes|TestValuesAreCopies' ./internal/cache/
-	$(GO) test -race -count=$(SOAK) -run 'TestRecycledBlocksPoisoned' ./internal/scalable/
+	$(GO) test -race -count=$(SOAK) -run 'TestRecycledBlocksPoisoned|TestRecoveryPagingUnderDrops' ./internal/scalable/
 	@i=0; while [ $$i -lt $(SOAK) ]; do \
-		for w in hot_inproc hot_tcp_journal churn_cold_4part; do \
+		for w in hot_inproc hot_tcp_journal churn_cold_4part crash_recovery; do \
 			[ $$i -lt $(SOAK) ] || break; i=$$((i+1)); \
 			out=$$(bash benchmark/run.sh --workload $$w --seed $$i --quick --trace 0 2>&1) || { echo "$$out"; echo "soak: $$w seed $$i failed"; exit 1; }; \
 			line=$$(printf '%s\n' "$$out" | tail -n 1); \
@@ -86,12 +88,15 @@ fuzz-smoke:
 # Changelog read is a view (0 B/op), a fresh block's wire
 # image is one allocation, the consumer's deliver stage reads no clock per
 # event, a leased publish allocates nothing, a frame over loopback TCP that
-# is received and Done allocates nothing either), and one watchdog
+# is received and Done allocates nothing either), one recovery replay served
+# to a discarding reader (RecoveryServe: a fixed handful of allocations per
+# request, not per page) and one journal reopen (StoreOpen: B/op is the
+# segments kept, not the file), and one watchdog
 # evaluation over a full 300-series x 256-sample window, as a CI regression
 # canary; the slow paper-table benches stay out of it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|AggregatorThroughput|AppendFid2Path|ChangelogRead|BlockWireFresh|ConsumerDeliver|PublishLeased|TCPHopLeased|HealthEvaluate' -benchtime 1x -benchmem \
-		./internal/resolve/ ./internal/cache/ ./internal/bench/ ./internal/lustre/ ./internal/events/ ./internal/scalable/ ./internal/msgq/ ./internal/telemetry/
+	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|AggregatorThroughput|AppendFid2Path|ChangelogRead|BlockWireFresh|ConsumerDeliver|PublishLeased|TCPHopLeased|RecoveryServe|StoreOpen|HealthEvaluate' -benchtime 1x -benchmem \
+		./internal/resolve/ ./internal/cache/ ./internal/bench/ ./internal/lustre/ ./internal/events/ ./internal/scalable/ ./internal/msgq/ ./internal/telemetry/ ./internal/eventstore/
 
 # bench-aggregator measures aggregation-tier store throughput at 1/2/4
 # partitions, paced (AggregatorThroughput, 1µs accounted cost per event)

@@ -508,27 +508,36 @@ func (b *Block) aliases(arena []byte) bool {
 // memmove per column plus a span rebase; a source aliasing a payload is
 // copied span by span. b must own its arena (built or Reset, not decoded
 // or cloned).
-func (b *Block) AppendBlock(src *Block) {
+func (b *Block) AppendBlock(src *Block) { b.AppendRowsFrom(src, 0, src.Len()) }
+
+// AppendRowsFrom is AppendBlock for rows [lo, hi) of src: of a packed
+// source it copies the one byte range those rows' strings occupy.
+func (b *Block) AppendRowsFrom(src *Block, lo, hi int) {
 	if !b.ownArena {
 		panic("events: Block.AppendBlock into a decoded or cloned block")
 	}
+	if lo >= hi {
+		return
+	}
 	first := len(b.spans)
-	b.ops = append(b.ops, src.ops...)
-	b.cookies = append(b.cookies, src.cookies...)
-	b.seqs = append(b.seqs, src.seqs...)
-	b.times = append(b.times, src.times...)
-	b.spans = append(b.spans, src.spans...)
+	b.ops = append(b.ops, src.ops[lo:hi]...)
+	b.cookies = append(b.cookies, src.cookies[lo:hi]...)
+	b.seqs = append(b.seqs, src.seqs[lo:hi]...)
+	b.times = append(b.times, src.times[lo:hi]...)
+	b.spans = append(b.spans, src.spans[lo:hi]...)
 	rows := b.spans[first:]
 	if src.packed {
-		base := uint32(len(b.arena))
-		b.arena = append(b.arena, src.arena...)
-		if base != 0 {
+		from := src.spans[lo].root.off
+		// The shift may be negative; uint32 arithmetic wraps it right.
+		shift := uint32(len(b.arena)) - from
+		b.arena = append(b.arena, src.arena[from:src.spans[hi-1].src.end]...)
+		if shift != 0 {
 			for i := range rows {
 				fs := &rows[i]
-				fs.root.off, fs.root.end = fs.root.off+base, fs.root.end+base
-				fs.path.off, fs.path.end = fs.path.off+base, fs.path.end+base
-				fs.old.off, fs.old.end = fs.old.off+base, fs.old.end+base
-				fs.src.off, fs.src.end = fs.src.off+base, fs.src.end+base
+				fs.root.off, fs.root.end = fs.root.off+shift, fs.root.end+shift
+				fs.path.off, fs.path.end = fs.path.off+shift, fs.path.end+shift
+				fs.old.off, fs.old.end = fs.old.off+shift, fs.old.end+shift
+				fs.src.off, fs.src.end = fs.src.off+shift, fs.src.end+shift
 			}
 		}
 	} else {
@@ -610,6 +619,13 @@ func (b *Block) EncodeTo(buf []byte, seqPos *[]int) []byte {
 // rows alone, which is what the event journal stores.
 func (b *Block) AppendRowsTo(buf []byte, lo, hi int) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(hi-lo))
+	return b.appendRows(buf, lo, hi, nil)
+}
+
+// AppendEntriesTo appends the wire entries of rows [lo, hi) to buf with no
+// count in front: the pieces of a batch merged from several blocks, whose
+// writer puts the count in front itself (eventstore.Pager).
+func (b *Block) AppendEntriesTo(buf []byte, lo, hi int) []byte {
 	return b.appendRows(buf, lo, hi, nil)
 }
 

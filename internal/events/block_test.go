@@ -271,9 +271,9 @@ func TestBlockReset(t *testing.T) {
 	}
 }
 
-// AppendBlock copies: the destination's events survive the source being
-// Reset and refilled, whether the source was packed (bulk arena copy and
-// span rebase) or decoded (span-by-span copy out of the payload).
+// AppendBlock and AppendRowsFrom copy: the destination's events survive the
+// source being Reset and refilled, whether the source was packed (bulk arena
+// copy and span rebase) or decoded (span-by-span copy out of the payload).
 func TestBlockAppendBlockCopies(t *testing.T) {
 	evs := blockEvents()
 	payload, _ := MarshalBatch(evs)
@@ -292,7 +292,8 @@ func TestBlockAppendBlockCopies(t *testing.T) {
 	want := []Event{dst.Event(0)}
 	for _, src := range []*Block{packed, decoded, &clone} {
 		dst.AppendBlock(src)
-		want = append(want, evs...)
+		dst.AppendRowsFrom(src, 1, 3)
+		want = append(append(want, evs...), evs[1:3]...)
 	}
 	// Destroy every source.
 	clone.Reset()
@@ -376,6 +377,9 @@ func TestAppendRowsToAndBatchLen(t *testing.T) {
 			got := b.AppendRowsTo([]byte("front"), lo, hi)[len("front"):]
 			if !bytes.Equal(got, want) {
 				t.Fatalf("rows [%d,%d):\n got %x\nwant %x", lo, hi, got, want)
+			}
+			if entries := b.AppendEntriesTo(nil, lo, hi); !bytes.Equal(entries, want[4:]) {
+				t.Fatalf("rows [%d,%d): AppendEntriesTo is not the batch without its count", lo, hi)
 			}
 			if n, ok := BatchLen(append(bytes.Clone(got), "behind"...)); !ok || n != len(got) {
 				t.Fatalf("rows [%d,%d): BatchLen = %d, %v, want %d", lo, hi, n, ok, len(got))

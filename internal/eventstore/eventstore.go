@@ -12,9 +12,10 @@
 //
 // The retained window is columnar: a list of events.Block segments the
 // store owns, filled by copying — the store never keeps a reference to
-// caller memory — and read by materializing exactly the page a query asks
-// for. Segments hold no pointers, so the garbage collector does not scan
-// retained history.
+// caller memory — and read either by materializing exactly the page a query
+// asks for or, for the recovery wire, by a Pager that copies rows out under
+// the lock and encodes them straight into wire batches. Segments hold no
+// pointers, so the garbage collector does not scan retained history.
 package eventstore
 
 import (
@@ -386,6 +387,25 @@ func (s *Store) throughLocked(seq uint64) int {
 	return s.searchLocked(func(seg *events.Block, row int) bool { return seg.Seq(row) > seq })
 }
 
+// rowsLocked hands fn the retained rows [skip, skip+n), segment by segment,
+// as row ranges of the segments they sit in.
+func (s *Store) rowsLocked(skip, n int, fn func(seg *events.Block, lo, hi int)) {
+	skip += s.head
+	for _, seg := range s.segs {
+		if n <= 0 {
+			return
+		}
+		if skip >= seg.Len() {
+			skip -= seg.Len()
+			continue
+		}
+		hi := min(seg.Len(), skip+n)
+		fn(seg, skip, hi)
+		n -= hi - skip
+		skip = 0
+	}
+}
+
 // pageLocked materializes up to max retained events after skipping the
 // first skip (max <= 0 = all).
 func (s *Store) pageLocked(skip, max int) []events.Event {
@@ -397,18 +417,7 @@ func (s *Store) pageLocked(skip, max int) []events.Event {
 		n = max
 	}
 	out := make([]events.Event, 0, n)
-	skip += s.head
-	for _, seg := range s.segs {
-		if skip >= seg.Len() {
-			skip -= seg.Len()
-			continue
-		}
-		out = seg.AppendRangeTo(out, skip, min(seg.Len(), skip+n-len(out)))
-		skip = 0
-		if len(out) == n {
-			break
-		}
-	}
+	s.rowsLocked(skip, n, func(seg *events.Block, lo, hi int) { out = seg.AppendRangeTo(out, lo, hi) })
 	return out
 }
 
@@ -572,13 +581,9 @@ func (s *Store) CompactJournal() error {
 	if err != nil {
 		return err
 	}
-	lo := s.head
-	for _, seg := range s.segs {
-		if lo < seg.Len() {
-			tmp.write(seg.AppendRowsTo(newRecord(tmp.buf, kindEvents), lo, seg.Len()))
-		}
-		lo = 0
-	}
+	s.rowsLocked(0, s.retained, func(seg *events.Block, lo, hi int) {
+		tmp.write(seg.AppendRowsTo(newRecord(tmp.buf, kindEvents), lo, hi))
+	})
 	if s.throughLocked(s.ackedThrough) > 0 {
 		tmp.write(binary.LittleEndian.AppendUint64(newRecord(tmp.buf, kindReported), s.ackedThrough))
 	}

@@ -132,36 +132,50 @@ func lenDamaged(b []byte) bool {
 	return n < len(b)-recHeader && crc32.Checksum(b[recHeader:recHeader+n], castagnoli) == binary.LittleEndian.Uint32(b[4:])
 }
 
-// ReadJournal reads the journal at path in one read of the file. It is the
-// only parser of the format: Open, fsmon -dump-journal and the fuzzer sit on
-// it. fn sees each 'E' record as a decoded block (aliasing the file's bytes)
-// and each 'R' record as a nil blk with the seq reported through; an error
-// from fn ends the read and comes back with the record's offset. A last
-// record that runs past the end of the file, or fails its checksum and ends
-// at it, is the torn tail and its offset is returned (-1: file is whole); a
-// record that fails its checksum earlier, or whose length field alone is
-// damaged, is an error naming its offset.
+// ReadJournal streams the journal at path through one record buffer, reused
+// from record to record and grown to the largest. It is the only parser of
+// the format: Open, fsmon -dump-journal and the fuzzer sit on it. fn sees
+// each 'E' record as a decoded block that is valid only during fn — it
+// aliases the record buffer, which the next record overwrites — and each
+// 'R' record as a nil blk with the seq reported through; an error from fn
+// ends the read and comes back with the record's offset. Records are judged
+// against the file's size when the read starts: a last record that runs
+// past it, or fails its checksum and ends at it, is the torn tail and its
+// offset is returned (-1: file is whole); a record that fails its checksum
+// earlier, or whose length field alone is damaged, is an error naming its
+// offset. Telling those two apart is the one time the rest of the file is
+// read at once.
 func ReadJournal(path string, fn func(blk *events.Block, reported uint64) error) (torn int64, err error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return -1, err
 	}
-	switch n := min(len(data), len(journalMagic)); {
-	case string(data[:n]) != journalMagic[:n]:
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return -1, err
+	}
+	size := info.Size()
+	r := bufio.NewReader(f)
+	buf := make([]byte, len(journalMagic)) // the record buffer; the magic is read into it first
+	head := buf[:min(size, int64(len(journalMagic)))]
+	if _, err := io.ReadFull(r, head); err != nil {
+		return -1, fmt.Errorf("eventstore: journal %s: %w", path, err)
+	}
+	switch {
+	case string(head) != journalMagic[:len(head)]:
 		return -1, fmt.Errorf("eventstore: journal %s: %w", path, ErrNotJournal)
-	case n < len(journalMagic):
+	case len(head) < len(journalMagic):
 		return -1, nil // empty, or the torn magic of a writer that died creating the file
 	}
 	blk := events.NewBlock(0, 0)
-	for off := len(journalMagic); off < len(data); {
-		rec, ok := recordAt(data[off:])
+	for off := int64(len(journalMagic)); off < size; {
+		rec, ok, err := readRecord(r, &buf, size-off)
+		if err != nil {
+			return -1, fmt.Errorf("eventstore: journal %s: record at byte offset %d: %w", path, off, err)
+		}
 		if !ok {
-			// A writer that died leaves a last record that stops at the end
-			// of the file or would run past it; other damage is corruption.
-			if end := off + recHeader + len(rec); rec != nil && end < len(data) || lenDamaged(data[off:]) {
-				return -1, fmt.Errorf("eventstore: journal %s: record at byte offset %d fails its checksum and is not a torn tail", path, off)
-			}
-			return int64(off), nil
+			return failedRecord(f, path, off, size)
 		}
 		switch kind, body := rec[0], rec[1:]; {
 		case kind == kindEvents:
@@ -176,7 +190,51 @@ func ReadJournal(path string, fn func(blk *events.Block, reported uint64) error)
 		if err != nil {
 			return -1, fmt.Errorf("eventstore: journal %s: record at byte offset %d: %w", path, off, err)
 		}
-		off += recHeader + len(rec)
+		off += recHeader + int64(len(rec))
 	}
 	return -1, nil
+}
+
+// readRecord reads the record at r's position into *buf, grown to fit, and
+// returns its kind‖body and whether the record is whole and passes its
+// checksum. left is what the file holds from the record on: a length field
+// is checked against it before it sizes anything.
+func readRecord(r *bufio.Reader, buf *[]byte, left int64) (rec []byte, ok bool, err error) {
+	if left <= recHeader {
+		return nil, false, nil
+	}
+	hdr := (*buf)[:recHeader]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, false, err
+	}
+	n, sum := int64(binary.LittleEndian.Uint32(hdr)), binary.LittleEndian.Uint32(hdr[4:])
+	if n == 0 || n > left-recHeader {
+		return nil, false, nil
+	}
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	rec = (*buf)[:n]
+	if _, err := io.ReadFull(r, rec); err != nil {
+		return nil, false, err
+	}
+	return rec, crc32.Checksum(rec, castagnoli) == sum, nil
+}
+
+// failedRecord tells the torn tail from corruption for the record at off,
+// which is not whole or fails its checksum, judging the rest of the file
+// exactly as a reader holding all of it would.
+func failedRecord(f *os.File, path string, off, size int64) (torn int64, err error) {
+	rest := make([]byte, size-off)
+	n, err := f.ReadAt(rest, off)
+	if err != nil && err != io.EOF {
+		return -1, fmt.Errorf("eventstore: journal %s: %w", path, err)
+	}
+	rest = rest[:n]
+	// A writer that died leaves a last record that stops at the end of the
+	// file or would run past it; other damage is corruption.
+	if rec, _ := recordAt(rest); rec != nil && recHeader+len(rec) < len(rest) || lenDamaged(rest) {
+		return -1, fmt.Errorf("eventstore: journal %s: record at byte offset %d fails its checksum and is not a torn tail", path, off)
+	}
+	return off, nil
 }

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -505,7 +506,11 @@ func bigJournal(t testing.TB, n int) string {
 	return jp
 }
 
-// Reloading a journal allocates segments and buffers, nothing per event.
+// Reloading a journal allocates segments and buffers, nothing per event; and
+// it streams the file through one record buffer instead of reading it
+// whole, so what it allocates beyond the segments it keeps — that buffer,
+// the decode block, the first segment's growth — is under half the file
+// (reading the file whole, it was more than the file).
 func TestOpenAllocations(t *testing.T) {
 	const n = 100_000
 	jp := bigJournal(t, n)
@@ -518,6 +523,26 @@ func TestOpenAllocations(t *testing.T) {
 	})
 	if perEvent := got / n; perEvent > 0.01 {
 		t.Fatalf("Open of a %d-event journal: %v allocs (%.4f/event), want <= 0.01/event", n, got, perEvent)
+	}
+
+	size, err := osStatSize(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, opened, kept runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := Open(Options{JournalPath: jp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&opened)
+	runtime.GC()
+	runtime.ReadMemStats(&kept)
+	transient := int64(opened.TotalAlloc-before.TotalAlloc) - (int64(kept.HeapAlloc) - int64(before.HeapAlloc))
+	s.Close()
+	if transient > size/2 {
+		t.Fatalf("Open of a %d-byte journal allocated %d bytes it did not keep, want under half the file", size, transient)
 	}
 }
 

@@ -307,38 +307,27 @@ func (s *Sharded) AppendBlockPartition(part int, blk *events.Block) (uint64, err
 	return sh.AppendBlock(blk)
 }
 
-// collect runs one per-shard query over the held set and merges the results
-// in global Seq order.
-func (s *Sharded) collect(max int, query func(i int, sh *Store) ([]events.Event, error)) ([]events.Event, error) {
-	shards := s.held()
-	lists := make([][]events.Event, len(shards))
-	for i, sh := range shards {
-		if sh == nil {
-			continue
-		}
-		l, err := query(i, sh)
-		if err != nil {
-			return nil, err
-		}
-		lists[i] = l
-	}
-	return MergeBySeq(lists, max), nil
-}
-
 // Since returns up to max events with Seq > seq merged from the held shards
-// in global Seq order.
+// in global Seq order (max <= 0 = all): SinceVector with a uniform vector.
 func (s *Sharded) Since(seq uint64, max int) ([]events.Event, error) {
-	return s.collect(max, func(_ int, sh *Store) ([]events.Event, error) { return sh.Since(seq, max) })
+	cursors := make([]uint64, s.parts)
+	for i := range cursors {
+		cursors[i] = seq
+	}
+	return s.SinceVector(cursors, max)
 }
 
 // SinceVector returns up to max events not covered by the cursor vector —
-// event e qualifies when e.Seq > cursors[e.Seq % P] — in global Seq order.
-// len(cursors) must equal Partitions().
+// event e qualifies when e.Seq > cursors[e.Seq % P] — in global Seq order
+// (max <= 0 = all): the Pager's merge, materialized. len(cursors) must
+// equal Partitions().
 func (s *Sharded) SinceVector(cursors []uint64, max int) ([]events.Event, error) {
 	if len(cursors) != s.parts {
 		return nil, errPartitions(len(cursors), s.parts)
 	}
-	return s.collect(max, func(i int, sh *Store) ([]events.Event, error) { return sh.Since(cursors[i], max) })
+	p := NewPager()
+	p.Start(cursors)
+	return p.appendEvents(nil, s.held(), max)
 }
 
 // MergeBySeq k-way merges per-partition slices (each already ordered by

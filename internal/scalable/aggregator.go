@@ -742,6 +742,12 @@ func (a *Aggregator) SinceVector(cursors []uint64, max int) ([]events.Event, err
 	return a.engine.SinceVector(cursors, max)
 }
 
+// NextPage serves the recovery server: the next wire page of p's request
+// out of the held partitions (eventstore.Pager).
+func (a *Aggregator) NextPage(p *eventstore.Pager, max int) ([]byte, error) {
+	return a.engine.NextPage(p, max)
+}
+
 // Ack flags events up to seq as reported; Purge removes flagged events.
 func (a *Aggregator) Ack(seq uint64) error { return a.engine.MarkReported(seq) }
 

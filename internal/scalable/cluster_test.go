@@ -534,42 +534,34 @@ func TestClusterJoinIDConflictRejected(t *testing.T) {
 // coverage frame and the events, or a partition released between the two
 // reads would be claimed as covered with its history silently missing.
 type snapTestSource struct {
-	evs []events.Event // all on partition 1 of 2
+	*eventstore.Sharded // two partitions, every event on partition 1
 }
 
-func (s snapTestSource) Since(seq uint64, max int) ([]events.Event, error) { return nil, nil }
-func (s snapTestSource) OwnedPartitions() []int                            { return []int{0, 1} }
+func (s snapTestSource) OwnedPartitions() []int { return []int{0, 1} }
 func (s snapTestSource) RecoverySnapshot() RecoverySourceSnapshot {
-	return snapTestSnapshot{evs: s.evs}
+	return snapTestSnapshot{s.Snapshot()}
 }
 
 type snapTestSnapshot struct {
-	evs []events.Event
+	*eventstore.Sharded
 }
 
 func (f snapTestSnapshot) OwnedPartitions() []int { return []int{1} }
-func (f snapTestSnapshot) Since(seq uint64, max int) ([]events.Event, error) {
-	return f.SinceVector([]uint64{seq, seq}, max)
-}
-func (f snapTestSnapshot) SinceVector(cursors []uint64, max int) ([]events.Event, error) {
-	var out []events.Event
-	for _, e := range f.evs {
-		if e.Seq > cursors[e.Seq%2] {
-			out = append(out, e)
-		}
-		if max > 0 && len(out) >= max {
-			break
-		}
-	}
-	return out, nil
-}
 
 func TestRecoveryServerSnapshotCoverage(t *testing.T) {
-	src := snapTestSource{evs: []events.Event{
-		{Seq: 1, Path: "/a", Op: events.OpCreate},
-		{Seq: 3, Path: "/b", Op: events.OpCreate},
-	}}
-	srv, err := NewRecoveryServer(src, "127.0.0.1:0")
+	eng, err := eventstore.NewSharded(2, eventstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	blk, err := events.DecodeBlock(eventstest.WireBatch(t, []events.Event{{Path: "/a", Op: events.OpCreate}, {Path: "/b", Op: events.OpCreate}}, 0, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.AppendBlockPartition(1, blk); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewRecoveryServer(snapTestSource{eng}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

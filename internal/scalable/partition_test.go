@@ -244,26 +244,8 @@ func TestRecoveryStreamGoldenDigest(t *testing.T) {
 // A recovery round trip allocates per page — frame payload, interned
 // strings, the server's page — and one result slice, not per event.
 func TestRecoveryClientAllocations(t *testing.T) {
-	const n, perBlock = 100_000, 500
-	eng, err := eventstore.NewSharded(2, eventstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	blk := events.NewBlock(perBlock, 0)
-	for at := 0; at < n; at += perBlock {
-		blk.Reset()
-		for i := at; i < at+perBlock; i++ {
-			e := events.Event{Root: "/mnt/lustre", Op: events.OpModify, Path: fmt.Sprintf("/dir%02d/file%04d", i%64, i%4096), Time: time.Unix(0, int64(i)), Source: "mdt0"}
-			if err := blk.AppendEvent(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := eng.AppendBlockPartition(at/perBlock%2, blk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv, err := NewRecoveryServer(eng, "127.0.0.1:0")
+	const n = 100_000
+	srv, err := NewRecoveryServer(bulkEngine(t, n), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

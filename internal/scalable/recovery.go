@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"fsmonitor/internal/events"
+	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/msgq"
 )
 
@@ -50,19 +51,29 @@ type RecoverySnapshotter interface {
 // the fan-out client retries against the new owner.
 type RecoverySourceSnapshot interface {
 	OwnedPartitions() []int
-	VectorRecoverySource
+	RecoveryPager
+}
+
+// RecoveryPager is what a RecoveryServer serves: a store that pages the
+// rows a cursor vector of Partitions() entries does not cover as wire
+// batches, through the eventstore.Pager a connection keeps.
+// *eventstore.Store, *eventstore.Sharded (and its snapshots) and
+// *Aggregator implement it.
+type RecoveryPager interface {
+	Partitions() int
+	NextPage(p *eventstore.Pager, max int) ([]byte, error)
 }
 
 // RecoveryServer serves the recovery API over TCP.
 type RecoveryServer struct {
-	src       RecoverySource
+	src       RecoveryPager
 	ln        net.Listener
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 }
 
 // NewRecoveryServer starts serving src at addr (e.g. "127.0.0.1:0").
-func NewRecoveryServer(src RecoverySource, addr string) (*RecoveryServer, error) {
+func NewRecoveryServer(src RecoveryPager, addr string) (*RecoveryServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -93,20 +104,22 @@ func (s *RecoveryServer) serve(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	page := events.NewBlock(recoveryBatchMax, 0) // every page of this connection is encoded through it
+	pg := eventstore.NewPager() // every page of this connection is built in it
 	for {
 		req, err := msgq.ReadFrame(r)
 		if err != nil {
 			return
 		}
-		var next func() ([]events.Event, error)
+		src, cursors := s.src, []uint64(nil)
 		switch req.Topic {
 		case recoveryReqTopic:
-			seq := decodeSeq(req.Payload)
-			next = s.scalarQuery(seq)
+			// A scalar cutoff is a uniform cursor vector.
+			cursors = make([]uint64, src.Partitions())
+			for i := range cursors {
+				cursors[i] = decodeSeq(req.Payload)
+			}
 		case recoveryVecReqTopic:
-			cursors := decodeSeqVector(req.Payload)
-			if cursors == nil {
+			if cursors = decodeSeqVector(req.Payload); cursors == nil {
 				_ = msgq.WriteFrame(w, msgq.Message{Topic: recoveryErrTopic, Payload: []byte("bad cursor vector")})
 				return
 			}
@@ -114,84 +127,48 @@ func (s *RecoveryServer) serve(conn net.Conn) {
 			// classic aggregator's response stream is unchanged. The
 			// snapshot freezes coverage and query together — the frame and
 			// the events describe the same store set even mid-rebalance.
-			var snap RecoverySourceSnapshot
-			if ss, ok := s.src.(RecoverySnapshotter); ok {
-				snap = ss.RecoverySnapshot()
-			}
-			if snap != nil {
-				if err := msgq.WriteFrame(w, msgq.Message{Topic: recoveryOwnedTopic, Payload: encodeParts(snap.OwnedPartitions())}); err != nil {
-					return
+			if ss, ok := src.(RecoverySnapshotter); ok {
+				if snap := ss.RecoverySnapshot(); snap != nil {
+					if err := msgq.WriteFrame(w, msgq.Message{Topic: recoveryOwnedTopic, Payload: encodeParts(snap.OwnedPartitions())}); err != nil {
+						return
+					}
+					src = snap
 				}
-				next = vectorQuery(snap, cursors)
-			} else if vsrc, ok := s.src.(VectorRecoverySource); ok {
-				next = vectorQuery(vsrc, cursors)
-			} else if len(cursors) == 1 {
-				// Single-cursor vector against a scalar source degrades
-				// cleanly to the classic query.
-				next = s.scalarQuery(cursors[0])
-			} else {
-				_ = msgq.WriteFrame(w, msgq.Message{Topic: recoveryErrTopic, Payload: []byte("recovery source is not partition-aware")})
-				return
 			}
 		default:
 			_ = msgq.WriteFrame(w, msgq.Message{Topic: recoveryErrTopic, Payload: []byte("bad request")})
 			return
 		}
-		if !stream(w, page, next) {
+		if !stream(w, pg, src, cursors) {
 			return
 		}
 	}
 }
 
-// scalarQuery pages through the store from a single global cursor.
-func (s *RecoveryServer) scalarQuery(seq uint64) func() ([]events.Event, error) {
-	return func() ([]events.Event, error) {
-		batch, err := s.src.Since(seq, recoveryBatchMax)
-		if len(batch) > 0 {
-			seq = batch[len(batch)-1].Seq
-		}
-		return batch, err
+// stream pages src from cursors until it is used up, one batch frame per
+// page, then ends the response; reports whether the connection is still
+// usable for another request. Each cursor advances past the rows of its own
+// partition, so paging makes progress however unevenly partitions drain.
+func stream(w *bufio.Writer, pg *eventstore.Pager, src RecoveryPager, cursors []uint64) bool {
+	if len(cursors) != src.Partitions() {
+		msg := fmt.Sprintf("cursor vector has %d entries, store has %d partitions", len(cursors), src.Partitions())
+		_ = msgq.WriteFrame(w, msgq.Message{Topic: recoveryErrTopic, Payload: []byte(msg)})
+		return false
 	}
-}
-
-// vectorQuery pages through the store advancing one cursor per partition:
-// each returned event raises the cursor of the partition its Seq maps to
-// (Seq % P), so paging makes progress even when partitions drain unevenly.
-func vectorQuery(src VectorRecoverySource, cursors []uint64) func() ([]events.Event, error) {
-	parts := uint64(len(cursors))
-	return func() ([]events.Event, error) {
-		batch, err := src.SinceVector(cursors, recoveryBatchMax)
-		for _, e := range batch {
-			cursors[e.Seq%parts] = e.Seq
-		}
-		return batch, err
-	}
-}
-
-// stream pages next() until empty, framing each page as the wire image of
-// the reused block; reports whether the connection is still usable for
-// another request.
-func stream(w *bufio.Writer, page *events.Block, next func() ([]events.Event, error)) bool {
+	pg.Start(cursors)
 	for {
-		batch, err := next()
+		page, err := src.NextPage(pg, recoveryBatchMax)
 		if err != nil {
 			_ = msgq.WriteFrame(w, msgq.Message{Topic: recoveryErrTopic, Payload: []byte(err.Error())})
 			return false
 		}
-		if len(batch) == 0 {
-			break
+		if page == nil {
+			return msgq.WriteFrame(w, msgq.Message{Topic: recoveryEndTopic, Payload: nil}) == nil
 		}
-		page.Reset()
-		for _, e := range batch {
-			if err := page.AppendEvent(e); err != nil {
-				return false
-			}
-		}
-		if err := msgq.WriteFrame(w, msgq.Message{Topic: recoveryBatchTopic, Payload: page.Wire()}); err != nil {
+		if err := msgq.WriteFrame(w, msgq.Message{Topic: recoveryBatchTopic, Payload: page}); err != nil {
 			return false
 		}
 	}
-	return msgq.WriteFrame(w, msgq.Message{Topic: recoveryEndTopic, Payload: nil}) == nil
 }
 
 // Close stops the server.
