@@ -114,9 +114,10 @@ func (s *RecoveryServer) serve(conn net.Conn) {
 		switch req.Topic {
 		case recoveryReqTopic:
 			// A scalar cutoff is a uniform cursor vector.
+			seq := decodeSeq(req.Payload)
 			cursors = make([]uint64, src.Partitions())
 			for i := range cursors {
-				cursors[i] = decodeSeq(req.Payload)
+				cursors[i] = seq
 			}
 		case recoveryVecReqTopic:
 			if cursors = decodeSeqVector(req.Payload); cursors == nil {
