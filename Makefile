@@ -90,12 +90,13 @@ fuzz-smoke:
 # event, a leased publish allocates nothing, a frame over loopback TCP that
 # is received and Done allocates nothing either), one recovery replay served
 # to a discarding reader (RecoveryServe: a fixed handful of allocations per
-# request, not per page) and one journal reopen (StoreOpen: B/op is the
-# segments kept, not the file), and one watchdog
+# request, not per page), the same replay materialized in process
+# (ShardedSinceVector: the result slice is sized once), one journal reopen
+# (StoreOpen: B/op is the segments kept, not the file), and one watchdog
 # evaluation over a full 300-series x 256-sample window, as a CI regression
 # canary; the slow paper-table benches stay out of it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|AggregatorThroughput|AppendFid2Path|ChangelogRead|BlockWireFresh|ConsumerDeliver|PublishLeased|TCPHopLeased|RecoveryServe|StoreOpen|HealthEvaluate' -benchtime 1x -benchmem \
+	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|AggregatorThroughput|AppendFid2Path|ChangelogRead|BlockWireFresh|ConsumerDeliver|PublishLeased|TCPHopLeased|RecoveryServe|ShardedSinceVector|StoreOpen|HealthEvaluate' -benchtime 1x -benchmem \
 		./internal/resolve/ ./internal/cache/ ./internal/bench/ ./internal/lustre/ ./internal/events/ ./internal/scalable/ ./internal/msgq/ ./internal/telemetry/ ./internal/eventstore/
 
 # bench-aggregator measures aggregation-tier store throughput at 1/2/4

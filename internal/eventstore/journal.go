@@ -195,30 +195,29 @@ func ReadJournal(path string, fn func(blk *events.Block, reported uint64) error)
 	return -1, nil
 }
 
-// readRecord reads the record at r's position into *buf, grown to fit, and
-// returns its kind‖body and whether the record is whole and passes its
-// checksum. left is what the file holds from the record on: a length field
-// is checked against it before it sizes anything.
+// readRecord reads the record at r's position into *buf, grown to fit —
+// header, then as much of kind‖body as the length field claims, but never
+// more than the left bytes the file holds from the record on — and returns
+// recordAt's verdict on it.
 func readRecord(r *bufio.Reader, buf *[]byte, left int64) (rec []byte, ok bool, err error) {
 	if left <= recHeader {
 		return nil, false, nil
 	}
-	hdr := (*buf)[:recHeader]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	if _, err := io.ReadFull(r, (*buf)[:recHeader]); err != nil {
 		return nil, false, err
 	}
-	n, sum := int64(binary.LittleEndian.Uint32(hdr)), binary.LittleEndian.Uint32(hdr[4:])
-	if n == 0 || n > left-recHeader {
-		return nil, false, nil
-	}
+	n := min(recHeader+int64(binary.LittleEndian.Uint32(*buf)), left)
 	if int64(cap(*buf)) < n {
-		*buf = make([]byte, n)
+		grown := make([]byte, n)
+		copy(grown, (*buf)[:recHeader])
+		*buf = grown
 	}
-	rec = (*buf)[:n]
-	if _, err := io.ReadFull(r, rec); err != nil {
+	b := (*buf)[:n]
+	if _, err := io.ReadFull(r, b[recHeader:]); err != nil {
 		return nil, false, err
 	}
-	return rec, crc32.Checksum(rec, castagnoli) == sum, nil
+	rec, ok = recordAt(b)
+	return rec, ok, nil
 }
 
 // failedRecord tells the torn tail from corruption for the record at off,

@@ -3,6 +3,7 @@ package eventstore
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"fsmonitor/internal/events"
 )
@@ -83,13 +84,22 @@ func (p *Pager) page(shards []*Store, max int) ([]byte, error) {
 }
 
 // appendEvents materializes up to max rows of the merge (max <= 0: all)
-// onto dst. Each fill is interned once, so its events share one string copy
-// of its bytes.
+// onto dst, grown once to the rows the shards hold past the cursors. Each
+// fill is interned once, so its events share one string copy of its bytes.
 func (p *Pager) appendEvents(dst []events.Event, shards []*Store, max int) ([]events.Event, error) {
+	want := 0
+	for i, sh := range shards {
+		if sh != nil && i < len(p.lanes) {
+			want += sh.countAfter(p.lanes[i].cursor)
+		}
+	}
 	fill := max
-	if fill <= 0 {
+	if max > 0 {
+		want = min(want, max)
+	} else {
 		fill = segEvents
 	}
+	dst = slices.Grow(dst, want)
 	for n := 0; max <= 0 || n < max; {
 		limit := fill
 		if max > 0 {
@@ -145,6 +155,14 @@ func (p *Pager) run(shards []*Store, fill, limit int) (blk *events.Block, lo, hi
 	}
 	l.pos = hi
 	return l.blk, lo, hi, nil
+}
+
+// countAfter counts the retained rows with Seq > cursor: a size hint, stale
+// once the lock is released.
+func (s *Store) countAfter(cursor uint64) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.retained - s.throughLocked(cursor)
 }
 
 // fill replaces l's rows with up to max of the retained rows past l.cursor,

@@ -124,3 +124,38 @@ func checkPagerAgainstMerge(t *testing.T, parts int, seed int64) {
 		sameEvents(t, what+", paged", paged, want)
 	}
 }
+
+var benchSince []events.Event
+
+// BenchmarkShardedSinceVector is the in-process recovery read: 100 k events
+// over 2 partitions (3:1, so the merge interleaves runs of unequal length),
+// materialized whole from zero cursors and as one 1 024-event page.
+func BenchmarkShardedSinceVector(b *testing.B) {
+	eng, err := NewSharded(2, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	const stored = 200 * 512
+	blk := pipelineBlock(b, 512, 0)
+	for i := 0; i < stored/512; i++ {
+		if _, err := eng.AppendBlockPartition(min(i%4, 1), blk); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, max := range []int{0, 1024} {
+		n := stored
+		if max > 0 {
+			n = max
+		}
+		b.Run(fmt.Sprintf("max=%d", max), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if benchSince, err = eng.SinceVector([]uint64{0, 0}, max); err != nil || len(benchSince) != n {
+					b.Fatalf("%d events, %v; want %d", len(benchSince), err, n)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/event")
+		})
+	}
+}

@@ -534,12 +534,13 @@ func TestClusterJoinIDConflictRejected(t *testing.T) {
 // coverage frame and the events, or a partition released between the two
 // reads would be claimed as covered with its history silently missing.
 type snapTestSource struct {
-	*eventstore.Sharded // two partitions, every event on partition 1
+	*eventstore.Sharded                     // two partitions, empty: paging it recovers nothing
+	snap                *eventstore.Sharded // two partitions, every event on partition 1
 }
 
 func (s snapTestSource) OwnedPartitions() []int { return []int{0, 1} }
 func (s snapTestSource) RecoverySnapshot() RecoverySourceSnapshot {
-	return snapTestSnapshot{s.Snapshot()}
+	return snapTestSnapshot{s.snap}
 }
 
 type snapTestSnapshot struct {
@@ -561,7 +562,12 @@ func TestRecoveryServerSnapshotCoverage(t *testing.T) {
 	if _, err := eng.AppendBlockPartition(1, blk); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewRecoveryServer(snapTestSource{eng}, "127.0.0.1:0")
+	live, err := eventstore.NewSharded(2, eventstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	srv, err := NewRecoveryServer(snapTestSource{live, eng}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
