@@ -462,9 +462,12 @@ func (b *Block) EventKey(i int) uint64 {
 }
 
 // AppendFrom appends event i of src to b. When b is empty (or already
-// aliased to src's arena) the string bytes are shared, not copied — this
-// is the path-hash split: P view blocks over one received payload. A block
-// with its own arena copies the bytes instead.
+// aliased to src's arena) the string bytes are shared, not copied: b is a
+// view over src's arena, which must outlive it, and since a lease names one
+// parent, a view cannot be published on lease. A block with its own arena
+// copies the bytes instead. The pipeline's one split, the collector's,
+// copies whole rows with AppendRowsFrom; the view mode is for readers that
+// regroup a batch they hold (the benchmark's traced pass).
 func (b *Block) AppendFrom(src *Block, i int) {
 	if b.sharedCols {
 		panic("events: Block.AppendFrom into a seq-only clone")

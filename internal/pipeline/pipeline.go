@@ -303,26 +303,6 @@ func Map[In, Out any](p *Pipeline, name string, buf int, in Flow[In], fn func(co
 	return Flow[Out]{p: p, ch: ch}
 }
 
-// Expand starts a transform stage mapping each input to zero or more
-// outputs via emit (which reports false on abort).
-func Expand[In, Out any](p *Pipeline, name string, buf int, in Flow[In], fn func(ctx context.Context, v In, emit func(Out) bool)) Flow[Out] {
-	st := p.newStage(name)
-	ch := make(chan Out, bufOr(buf))
-	p.spawn(func() {
-		defer close(ch)
-		emit := func(v Out) bool { return send(p, st, ch, v) }
-		for {
-			v, ok := recv(p, in.ch)
-			if !ok {
-				return
-			}
-			st.in.Add(1)
-			fn(p.hard, v, emit)
-		}
-	})
-	return Flow[Out]{p: p, ch: ch}
-}
-
 // Batch groups items into slices bounded by size and age: a batch is
 // emitted when it reaches size items or when interval elapses with a
 // non-empty partial batch (bounding added latency). Slices come from pool

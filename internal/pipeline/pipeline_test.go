@@ -86,31 +86,6 @@ func TestMapDropsFilteredItems(t *testing.T) {
 	}
 }
 
-func TestExpandFansOut(t *testing.T) {
-	p := New(context.Background())
-	src := Source(p, "gen", 8, func(_ context.Context, emit func(int) bool) error {
-		for i := 0; i < 10; i++ {
-			if !emit(i) {
-				return nil
-			}
-		}
-		return nil
-	})
-	tripled := Expand(p, "triple", 8, src, func(_ context.Context, v int, emit func(int) bool) {
-		for k := 0; k < 3; k++ {
-			if !emit(v) {
-				return
-			}
-		}
-	})
-	var n atomic.Int64
-	Sink(p, "count", tripled, func(_ context.Context, _ int) { n.Add(1) })
-	p.Wait()
-	if n.Load() != 30 {
-		t.Fatalf("sink saw %d items, want 30", n.Load())
-	}
-}
-
 func TestBatchFlushesPartialOnInterval(t *testing.T) {
 	p := New(context.Background())
 	in := make(chan int)

@@ -46,13 +46,20 @@ func newPoolBlock() *events.Block {
 	return events.NewBlock(pipeline.DefaultChangelogBatch, 32<<10)
 }
 
-// newTargetBlock is what the aggregator and consumer pools hand out: decode,
-// clone and view targets. They start bare because everything they hold
-// arrives with the batch — a decode aliases the payload as its arena and
-// sizes its columns from the header, a clone shares its source's columns
-// and copies only seqs, a view adopts its source's arena. What they grow of
-// their own (a decode's columns, a clone's seq column, a re-encoded wire
-// image) is kept across the lease that brings them back.
+// intakeDepth is the aggregator's subscribe queue, in blocks: two stage
+// queues deep, the slack that sat between intake and the store lanes while
+// a partition stage stood between them. At one stage's depth the
+// event-journey benchmark's hot_inproc cell ran about 6 % fewer events/s
+// (2-core Xeon, five pairs).
+const intakeDepth = 2 * pipeline.DefaultBatchDepth
+
+// newTargetBlock is what the aggregator and consumer pools hand out: decode
+// and clone targets. They start bare because everything they hold arrives
+// with the batch — a decode aliases the payload as its arena and sizes its
+// columns from the header, a clone shares its source's columns and copies
+// only seqs. What they grow of their own (a decode's columns, a clone's seq
+// column, a re-encoded wire image) is kept across the lease that brings
+// them back.
 func newTargetBlock() *events.Block { return events.NewBlock(0, 0) }
 
 // AggregatorOptions configures the aggregator service (which the paper
@@ -162,8 +169,7 @@ type AggregatorStats struct {
 	BusyTime    time.Duration
 	Utilization float64
 	Store       eventstore.Stats
-	// Pipeline is the per-stage view (subscribe → partition → store →
-	// republish).
+	// Pipeline is the per-stage view (subscribe → store → republish).
 	Pipeline []pipeline.Stats
 
 	// PartitionsOwned is how many partitions the aggregator stores right
@@ -177,14 +183,15 @@ type AggregatorStats struct {
 }
 
 // Aggregator merges every collector's stream, persists it, and republishes
-// it to consumers. Per §IV-2 it is multi-threaded, as a subscribe →
-// partition → store → republish pipeline: batches are routed to a
-// partition by their collector's MDT index (falling back to a path hash),
-// each partition's store lane persists into its shard of the reliable
-// engine (assigning the shard-tagged sequence numbers consumers use for
-// recovery), and the republish stage publishes stamped batches on the
-// partition's topic. Order is preserved within a partition — one lane owns
-// each partition — while partitions proceed in parallel.
+// it to consumers. Per §IV-2 it is multi-threaded, as a subscribe → store →
+// republish pipeline: the intake reads each batch's partition off the topic
+// it arrived on (topicPartition) and never splits a batch — the collector
+// is the one place a batch is cut — each partition's store lane persists
+// into its shard of the reliable engine (assigning the shard-tagged
+// sequence numbers consumers use for recovery), and the republish stage
+// publishes stamped batches on the partition's topic. Order is preserved
+// within a partition — one lane owns each partition — while partitions
+// proceed in parallel.
 //
 // The paper has one aggregator; a clustered deployment runs several of
 // this same type, and what differs is only who stores a partition right
@@ -319,9 +326,8 @@ func (a *Aggregator) Start() error {
 		a.mem.Start()
 	}
 	a.pipe = pipeline.New(a.opts.Context)
-	intake := pipeline.Source(a.pipe, "subscribe", pipeline.DefaultBatchDepth, a.intakeLoop)
-	parted := pipeline.Expand(a.pipe, "partition", pipeline.DefaultBatchDepth, intake, a.partitionBatch)
-	stamped := pipeline.ShardN(a.pipe, "store", pipeline.DefaultBatchDepth, a.parts, parted,
+	intake := pipeline.Source(a.pipe, "subscribe", intakeDepth, a.intakeLoop)
+	stamped := pipeline.ShardN(a.pipe, "store", pipeline.DefaultBatchDepth, a.parts, intake,
 		func(pb partBatch) int { return pb.part }, a.storeLane)
 	pipeline.Sink(a.pipe, "republish", stamped, a.republishBatch)
 	a.registerTelemetry(a.opts.Telemetry)
@@ -344,8 +350,10 @@ func (a *Aggregator) ConnectCollectors(endpoints ...string) error {
 // initTelemetry attaches the conservation audit and, for a classic
 // aggregator, creates the latency histograms on the store/republish hot
 // path (both local lane time and cumulative time since the collector's
-// capture stamp). It must run before the pipeline is built: lane goroutines
-// read these fields without synchronization. No-op when reg is nil.
+// capture stamp) and mirrors the engine, whose append path reads its
+// histograms unlocked. It must run before the pipeline is built: lane
+// goroutines read these fields without synchronization. No-op when reg is
+// nil.
 func (a *Aggregator) initTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -362,11 +370,12 @@ func (a *Aggregator) initTelemetry(reg *telemetry.Registry) {
 	a.storeUS = reg.Histogram(prefix+".store_us", nil)
 	a.captureToStoreUS = reg.Histogram(prefix+".capture_to_store_us", nil)
 	a.republishUS = reg.Histogram(prefix+".capture_to_republish_us", nil)
+	a.engine.RegisterTelemetry(reg, "fsmon.store")
 }
 
 // registerTelemetry mirrors the aggregator into reg. A classic aggregator
 // registers "fsmon.aggregator.*" — counters, pipeline stages, both sockets
-// — and the engine's per-partition surface under "fsmon.store". A cluster
+// (initTelemetry has mirrored the engine under "fsmon.store"). A cluster
 // member registers "fsmon.cluster.<id>.*" instead: several members can
 // share one process and one registry, so their names carry the member ID,
 // and that prefix is the slice of the registry the member publishes to the
@@ -412,7 +421,6 @@ func (a *Aggregator) registerTelemetry(reg *telemetry.Registry) {
 	a.pipe.RegisterTelemetry(reg, prefix+".pipeline")
 	msgq.RegisterPubTelemetry(reg, prefix+".pub", a.pub)
 	msgq.RegisterSubTelemetry(reg, prefix+".sub", a.sub)
-	a.engine.RegisterTelemetry(reg, "fsmon.store")
 }
 
 // Endpoint returns the aggregator's publisher endpoint — for a cluster
@@ -428,32 +436,22 @@ func (a *Aggregator) Endpoint() string {
 // Partitions returns the store-lane / engine partition count.
 func (a *Aggregator) Partitions() int { return a.parts }
 
-// rawBatch is an unrouted collector message — the wire payload over TCP, the
-// block on loan over the in-process fast path — and the partition its topic
-// names (-1 when the topic names none).
-type rawBatch struct {
-	m    msgq.Message
-	part int
-}
-
-// partBatch is a batch routed to one partition. Three shapes flow through:
-// still encoded (m.Payload — the owning lane decodes it into a pooled
-// block), a borrowed frozen block (m.Block — the in-process pointer fast
-// path; the lane clones it before assigning seqs), or an owned view block
-// (view, the path-hash split; m is then zero). Stamp and trace ride inside
-// the block or the payload's wire header. The lane's block aliases m's
-// memory either way, so m travels with it and is Done only after the block
-// has been Reset.
+// partBatch is a collector message and the partition its topic names: still
+// encoded (m.Payload — the owning lane decodes it into a pooled block) or a
+// borrowed frozen block (m.Block — the in-process pointer fast path; the
+// lane clones it before assigning seqs). Stamp and trace ride inside the
+// block or the payload's wire header. The lane's block aliases m's memory
+// either way, so m travels with it and is Done only after the block has
+// been Reset.
 type partBatch struct {
 	part int
 	m    msgq.Message
-	view *events.Block
 }
 
 // repBatch is a sequenced batch ready to republish: the block is always
-// exclusively owned by the pipeline at this point (decoded, cloned, or a
-// split view), so the republish stage lends it out and takes it back when
-// the last subscriber is done. up is the collector message it aliases. n
+// exclusively owned by the pipeline at this point (decoded or cloned), so
+// the republish stage lends it out and takes it back when the last
+// subscriber is done. up is the collector message it aliases. n
 // and stamp are carried because nothing touches a block after an accepted
 // publish — not even to count it.
 type repBatch struct {
@@ -475,30 +473,35 @@ func (a *Aggregator) drop(blk *events.Block, up msgq.Message) {
 // aggregator it is placed in a processing queue"). It does not decode:
 // decoding happens on the owning partition's lane so the work parallelizes
 // — and when the collector shares its block pointer in process, decoding
-// never happens at all. The partition comes from the topic: a collector's
-// MDT index for "events.mdt<N>", the routed partition itself for a cluster
-// member's "events.node.<id>.p<part>" inbox.
-func (a *Aggregator) intakeLoop(ctx context.Context, emit func(rawBatch) bool) error {
+// never happens at all.
+func (a *Aggregator) intakeLoop(ctx context.Context, emit func(partBatch) bool) error {
 	for {
 		m, ok := a.sub.Recv(ctx)
 		if !ok {
 			return nil
 		}
-		part := -1
-		if a.mem != nil {
-			id, p, ok := msgq.ParseNodeTopic(m.Topic)
-			if !ok || id != a.opts.ID || p >= a.parts {
-				a.slog.Warn("dropping misaddressed batch", "topic", m.Topic)
-				continue
-			}
-			part = p
-		} else if mdt := mdtFromTopic(m.Topic); mdt >= 0 {
-			part = mdt % a.parts
-		}
-		if !emit(rawBatch{m: m, part: part}) {
+		if !emit(partBatch{part: topicPartition(m.Topic, a.parts), m: m}) {
 			return nil
 		}
 	}
+}
+
+// topicPartition is the aggregator's one partition rule: the topic a batch
+// arrived on names its partition, and the batch stays whole. A
+// per-partition topic names it outright — a cluster member's inbox
+// "events.node.<id>.p<k>", or "<topic>.p<k>" of a collector that splits at
+// the source (msgq.PartitionTopic) — and a per-MDT topic "events.mdt<N>" is
+// partition N mod P, so one MDT's Changelog order holds in one lane. Any
+// other topic, a named index of P or more included, is one source and goes
+// whole to the partition its name hashes to. Every topic maps into [0, P).
+func topicPartition(topic string, parts int) int {
+	if mdt := mdtFromTopic(topic); mdt >= 0 {
+		return mdt % parts
+	}
+	if _, p, ok := msgq.SplitPartition(topic); ok && p < parts {
+		return p
+	}
+	return eventstore.PartitionForPath(topic, parts)
 }
 
 // mdtFromTopic parses the collector topic "events.mdt<N>" back to N,
@@ -513,76 +516,6 @@ func mdtFromTopic(topic string) int {
 		return -1
 	}
 	return n
-}
-
-// partitionBatch is the partition router stage: the stable partition
-// function is the one the batch's topic named (all of one MDT's events
-// share a partition, keeping their Changelog order), falling back to a
-// per-path hash split for batches whose origin is unknown. The fast path
-// forwards the payload undecoded.
-func (a *Aggregator) partitionBatch(_ context.Context, rb rawBatch, emit func(partBatch) bool) {
-	if rb.part >= 0 || a.parts == 1 {
-		emit(partBatch{part: max(rb.part, 0), m: rb.m})
-		return
-	}
-	// Path-hash split: decode the payload as a zero-copy block (or adopt
-	// the borrowed block as-is) and build one pooled view block per non-empty
-	// partition over the same arena — no event structs, no string copies.
-	// Several views over one arena are more than a lease's single parent
-	// link expresses, so a borrowed block split here is never Done: it falls
-	// to the GC once its views have, which is always safe.
-	src, scratch := rb.m.Block, false
-	if src == nil {
-		src = a.pool.Get()
-		scratch = true
-		if err := events.DecodeBlockInto(src, rb.m.Payload); err != nil {
-			a.pool.Put(src)
-			a.slog.Warn("dropping undecodable batch", "bytes", len(rb.m.Payload), "err", err)
-			return
-		}
-	}
-	views, traced := splitByPath(a.pool, src, a.parts)
-	traced.AppendNode(events.TierPartition, time.Now().UnixNano(), a.opts.ID)
-	for p, v := range views {
-		if v == nil {
-			continue
-		}
-		if !emit(partBatch{part: p, view: v}) {
-			return
-		}
-	}
-	if scratch {
-		// The views reference the payload arena directly, not src's
-		// columns, so the scratch block recycles immediately.
-		a.pool.Put(src)
-	}
-}
-
-// splitByPath is the path-hash partitioner, shared by the aggregator's
-// router stage and a routing collector: one pooled view block per non-empty
-// partition (nil elsewhere) over src's arena — no event structs, no string
-// copies. The views alias src's bytes, which must outlive them. The trace
-// follows its sampled event, not the batch: only the view that carries the
-// event whose key is the trace ID keeps the span chain, as a copy (src may
-// be a shared frozen block), returned so the caller can append its own hop.
-func splitByPath(pool *pipeline.Pool[events.Block], src *events.Block, parts int) (views []*events.Block, traced *events.BatchTrace) {
-	views = make([]*events.Block, parts)
-	trace := src.Trace()
-	for i, n := 0, src.Len(); i < n; i++ {
-		p := eventstore.PartitionForPathBytes(src.PathBytes(i), parts)
-		v := views[p]
-		if v == nil {
-			v = pool.Get()
-			v.SetStamp(src.Stamp())
-			views[p] = v
-		}
-		v.AppendFrom(src, i)
-		if trace != nil && traced == nil && src.EventKey(i) == trace.ID {
-			traced = &events.BatchTrace{ID: trace.ID, Spans: append([]events.Span(nil), trace.Spans...)}
-			v.SetTrace(traced)
-		}
-	}
-	return views, traced
 }
 
 // storeLane is the per-partition store stage: take exclusive ownership of
@@ -600,27 +533,20 @@ func (a *Aggregator) storeLane(ctx context.Context, pb partBatch) (repBatch, boo
 	if a.storeUS != nil {
 		start = time.Now()
 	}
-	blk := pb.view
-	switch {
-	case blk != nil:
-	case pb.m.Block != nil:
+	blk := a.pool.Get()
+	if pb.m.Block != nil {
 		// In-process pointer fast path: the received block is frozen,
 		// so sequence assignment works on a clone — seqs copied, every
 		// other column, the arena and the wire image shared.
-		blk = a.pool.Get()
 		blk.CloneFrom(pb.m.Block)
-		a.span(blk, events.TierPartition)
-	default:
-		blk = a.pool.Get()
-		if err := events.DecodeBlockInto(blk, pb.m.Payload); err != nil {
-			a.slog.Warn("dropping undecodable batch", "partition", pb.part, "bytes", len(pb.m.Payload), "err", err)
-			a.drop(blk, pb.m)
-			return repBatch{}, false
-		}
-		// The wire fast path forwards payloads undecoded, so the
-		// partition hop is only observable here, at lane entry.
-		a.span(blk, events.TierPartition)
+	} else if err := events.DecodeBlockInto(blk, pb.m.Payload); err != nil {
+		a.slog.Warn("dropping undecodable batch", "partition", pb.part, "bytes", len(pb.m.Payload), "err", err)
+		a.drop(blk, pb.m)
+		return repBatch{}, false
 	}
+	// The intake forwards batches undecoded, so the partition hop is only
+	// observable here, at lane entry.
+	a.span(blk, events.TierPartition)
 	n := blk.Len()
 	if n == 0 {
 		a.drop(blk, pb.m)

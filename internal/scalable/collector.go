@@ -29,6 +29,7 @@ import (
 	"fsmonitor/internal/cache"
 	"fsmonitor/internal/dsi"
 	"fsmonitor/internal/events"
+	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/lustre"
 	"fsmonitor/internal/msgq"
 	"fsmonitor/internal/pipeline"
@@ -38,7 +39,8 @@ import (
 
 // TopicPrefix is the message-queue topic prefix for collector event
 // batches; the per-MDT topic is TopicPrefix + "mdt<N>", a mounted
-// backend's TopicPrefix + "mount.<name>". Sharing the prefix is what lets
+// backend's TopicPrefix + "mount.<name>" (with ".p<k>" for partition k when
+// it splits at the source). Sharing the prefix is what lets
 // both kinds of collector feed one aggregation tier through one
 // subscription.
 const TopicPrefix = "events."
@@ -61,13 +63,30 @@ type Router interface {
 	OwnerTopic(part int) (string, bool)
 }
 
-// fixedRoute is the Router of a collector that was given none: a single
-// partition whose owner is always the collector's own topic, so the whole
-// batch goes out unsplit on "events.mdt<N>" / "events.mount.<name>".
-type fixedRoute string
+// topicRoute routes every partition to a topic of the collector's own,
+// built once so routing a batch allocates nothing. A collector given no
+// Router gets one entry, its own topic, so the whole batch goes out unsplit
+// on "events.mdt<N>" / "events.mount.<name>"; Deploy gives a mounted
+// backend in front of a partitioned aggregator one topic per partition
+// (partitionRoute).
+type topicRoute []string
 
-func (r fixedRoute) Parts() int                    { return 1 }
-func (r fixedRoute) OwnerTopic(int) (string, bool) { return string(r), true }
+func (r topicRoute) Parts() int                      { return len(r) }
+func (r topicRoute) OwnerTopic(p int) (string, bool) { return r[p], true }
+
+// partitionRoute routes partition p of a collector's batches to
+// msgq.PartitionTopic(topic, p), which a classic aggregator's intake reads
+// back as partition p; one partition is the plain topic.
+func partitionRoute(topic string, parts int) topicRoute {
+	if parts <= 1 {
+		return topicRoute{topic}
+	}
+	r := make(topicRoute, parts)
+	for p := range r {
+		r[p] = msgq.PartitionTopic(topic, p)
+	}
+	return r
+}
 
 // MountSource names one mounted backend: the capture side of a collector
 // that drains an arbitrary DSI instead of a Changelog. The DSI is typically
@@ -131,10 +150,13 @@ type CollectorOptions struct {
 	// Endpoint is the msgq endpoint the collector's publisher binds
 	// (default "inproc://collector-mdt<N>" / "inproc://collector-mount-<name>").
 	Endpoint string
-	// Router, when non-nil, switches the collector to clustered routing:
-	// each sealed batch is split by the store partition function and
-	// every slice is published to the partition owner's inbox topic. Nil
-	// (the default) publishes whole batches on the collector's own topic.
+	// Router, when non-nil, switches the collector to routed publishing:
+	// with Parts() > 1 each sealed batch is split by the store partition
+	// function (path hash) and every slice is published to the partition
+	// owner's topic — a cluster member's inbox, or a per-partition topic of
+	// the collector's own (Deploy's mounts in front of a partitioned
+	// aggregator). Nil (the default) publishes whole batches on the
+	// collector's own topic.
 	// With Parts() == 1 the whole batch routes to the single owner
 	// unsplit, so a one-node cluster receives the exact bytes a classic
 	// aggregator would.
@@ -213,6 +235,8 @@ type Collector struct {
 	// recycle is pool.Put as the release hook of a leased publish, bound
 	// once: a method value built per batch would allocate.
 	recycle func(*events.Block)
+	// slices is the publish stage's per-partition scratch for split.
+	slices []*events.Block
 
 	read      atomic.Uint64
 	published atomic.Uint64
@@ -251,7 +275,7 @@ func NewCollector(opts CollectorOptions) (*Collector, error) {
 	}
 	// Stored once: a per-batch conversion would allocate on the hot path.
 	if c.route = opts.Router; c.route == nil {
-		c.route = fixedRoute(c.topic)
+		c.route = topicRoute{c.topic}
 	}
 	// The hot-path instruments must exist before the pipeline is built:
 	// stage goroutines read them without synchronization. Untraced
@@ -359,18 +383,18 @@ func (c *Collector) publish(ctx context.Context, pb pubBatch) {
 // batch — all detached between the wait and the send, or a fresh TCP link
 // has not registered its topics yet — so pause and re-wait rather than
 // losing the batch; the block's wire image is encoded at most once across
-// the retries. An accepted publish takes the block away — it comes back
-// through release when the last receiver is done, or with a nil release (a
-// split view) is shared for good — so the event count is read before the
-// publish, never after. On failure the caller still owns blk.
-func (c *Collector) routeDeliver(ctx context.Context, part int, blk *events.Block, release func(*events.Block)) bool {
+// the retries. An accepted publish takes the block away on lease — it comes
+// back to the pool when the last receiver is done — so the event count is
+// read before the publish, never after. On failure the caller still owns
+// blk.
+func (c *Collector) routeDeliver(ctx context.Context, part int, blk *events.Block) bool {
 	n := blk.Len()
 	for {
 		if topic, assigned := c.route.OwnerTopic(part); assigned {
 			if err := c.pub.WaitSubscribed(ctx); err != nil {
 				return false
 			}
-			if c.pub.PublishLeasedCtx(ctx, topic, blk, release, msgq.Message{}) > 0 {
+			if c.pub.PublishLeasedCtx(ctx, topic, blk, c.recycle, msgq.Message{}) > 0 {
 				c.published.Add(uint64(n))
 				c.audit().Published(n)
 				return true
@@ -386,46 +410,66 @@ func (c *Collector) routeDeliver(ctx context.Context, part int, blk *events.Bloc
 	}
 }
 
-// publishRouted splits blk by store partition and delivers each slice to
-// its owning node's inbox topic, reporting whether every slice was
-// delivered (the batch's cursor may be acknowledged only then). A single
-// partition — every un-clustered collector — routes the whole block
-// unsplit and on lease: the owner receives the identical batch a classic
-// aggregator would, and the block returns to the pool once every receiver
-// has called Done.
+// publishRouted delivers blk to its partitions' owners, reporting whether
+// every slice was delivered (the batch's cursor may be acknowledged only
+// then). A single partition — a Changelog collector outside a cluster —
+// routes the whole block unsplit: the owner receives the identical batch a
+// classic aggregator would. Otherwise the block is cut into whole slices
+// (split) and goes back to the pool at once. Every block published here is
+// leased and returns to the pool once every receiver has called Done.
 func (c *Collector) publishRouted(ctx context.Context, blk *events.Block) bool {
 	parts := c.route.Parts()
 	if parts <= 1 {
-		ok := c.routeDeliver(ctx, 0, blk, c.recycle)
+		ok := c.routeDeliver(ctx, 0, blk)
 		if !ok {
 			c.pool.Put(blk)
 		}
 		return ok
 	}
-	// The aggregator's own partitioner, run at the source. The views adopt
-	// blk's arena by reference, so blk must outlive every view: several
-	// views over one arena are more than a lease's single parent link
-	// expresses, so they go out unleased — once any view is delivered, blk
-	// and the delivered views are left to the GC.
-	views, _ := splitByPath(c.pool, blk, parts)
-	all, delivered := true, false
-	for p, v := range views {
-		if v == nil {
+	slices := c.split(blk, parts)
+	c.pool.Put(blk)
+	all := true
+	for p, s := range slices {
+		if s == nil {
 			continue
 		}
-		// Once a slice has failed (context canceled) the rest are released
+		// Once a slice has failed (context canceled) the rest go back
 		// undelivered.
-		ok := all && c.routeDeliver(ctx, p, v, nil)
-		all = all && ok
-		delivered = delivered || ok
-		if !ok {
-			c.pool.Put(v) // Reset drops the view's arena alias safely
+		if !all || !c.routeDeliver(ctx, p, s) {
+			all = false
+			c.pool.Put(s)
 		}
 	}
-	if !delivered {
-		c.pool.Put(blk)
-	}
 	return all
+}
+
+// split is the pipeline's one batch split: it copies each row of blk into a
+// pooled block of its path-hash partition's own (nil where a partition has
+// no rows), so a slice shares no memory with blk or with another slice. The
+// trace follows its sampled event, not the batch: only the slice holding
+// the event whose key is the trace ID carries the span chain.
+func (c *Collector) split(blk *events.Block, parts int) []*events.Block {
+	if cap(c.slices) < parts {
+		c.slices = make([]*events.Block, parts)
+	}
+	slices := c.slices[:parts]
+	clear(slices)
+	tr := blk.Trace()
+	for i, n := 0, blk.Len(); i < n; i++ {
+		p := eventstore.PartitionForPathBytes(blk.PathBytes(i), parts)
+		s := slices[p]
+		if s == nil {
+			s = c.pool.Get()
+			s.SetStamp(blk.Stamp())
+			slices[p] = s
+		}
+		s.AppendRowsFrom(blk, i, i+1)
+		if tr != nil && blk.EventKey(i) == tr.ID {
+			s.SetTrace(tr)
+			tr = nil
+		}
+	}
+	return slices
 }
 
 // Stats returns a snapshot of the collector's counters.

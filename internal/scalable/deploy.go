@@ -56,9 +56,11 @@ type DeployOptions struct {
 	Store eventstore.Options
 	// StorePartitions shards the aggregation tier: the reliable store,
 	// the aggregator's store lanes, and the republish topics all split
-	// into this many partitions keyed by MDT index (default
-	// pipeline.DefaultStorePartitions = 1, the paper's single serial
-	// store — Tables IV/VII re-runs stay calibrated).
+	// into this many partitions (default pipeline.DefaultStorePartitions
+	// = 1, the paper's single serial store — Tables IV/VII re-runs stay
+	// calibrated). A Changelog collector's batches go to the partition of
+	// its MDT index; a mounted backend's collector splits each batch by
+	// path hash at the source and publishes one per-partition topic each.
 	StorePartitions int
 	// ClusterNodes deploys the aggregation tier as a cluster of this many
 	// aggregators (members of one internal/cluster membership) instead of
@@ -180,29 +182,37 @@ func Deploy(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		}
 		return nil, err
 	}
-	seen := make(map[string]bool, len(opts.Mounts))
-	for _, ms := range opts.Mounts {
-		cp, err := mount.CleanPrefix(ms.Prefix)
+	clustered := opts.ClusterNodes > 0 || len(opts.ClusterJoin) > 0 || opts.ClusterListen != ""
+	// Two mounts may share neither a prefix nor a name: the name is their
+	// topic and their telemetry prefix ("/a/b" and "/a_b" are both a_b).
+	prefixes, names := map[string]bool{}, map[string]bool{}
+	for i := len(cols) - len(opts.Mounts); i < len(cols); i++ {
+		cp, name, err := mountName(cols[i].Mount)
 		if err != nil {
 			return fail(err)
 		}
-		if seen[cp] {
-			return fail(fmt.Errorf("%w: %s", mount.ErrMounted, cp))
+		if prefixes[cp] || names[name] {
+			return fail(fmt.Errorf("%w: %s (name %s)", mount.ErrMounted, cp, name))
 		}
-		seen[cp] = true
+		prefixes[cp], names[name] = true, true
+		if !clustered {
+			// A mount has no MDT to key its partition on: its collector
+			// splits at the source, as a clustered one does.
+			cols[i].Router = partitionRoute(mountTopic(name), opts.StorePartitions)
+		}
 	}
 
 	// Clustered, the order matters: members first, then the routing
 	// observer (which needs a live member to join), then the collectors
 	// (whose Router is the observer's view), and finally the member-side
 	// subscriptions to the collectors.
-	clustered := opts.ClusterNodes > 0 || len(opts.ClusterJoin) > 0 || opts.ClusterListen != ""
-	var router Router
 	if clustered {
 		if err := m.startMembers(); err != nil {
 			return fail(err)
 		}
-		router = m.router
+		for i := range cols {
+			cols[i].Router = m.router
+		}
 	}
 	endpoints := make([]string, 0, len(cols))
 	for i, co := range cols {
@@ -212,7 +222,6 @@ func Deploy(lc *lustre.Cluster, opts DeployOptions) (*Monitor, error) {
 		co.NegativeTTL = opts.NegativeTTL
 		co.ResolveWorkers = opts.ResolveWorkers
 		co.Endpoint = m.endpoint(fmt.Sprintf("collector%d", i))
-		co.Router = router
 		co.BatchSize = opts.BatchSize
 		co.PollInterval = opts.PollInterval
 		co.Context = opts.Context

@@ -3,6 +3,8 @@ package scalable
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,17 +17,38 @@ import (
 	"fsmonitor/internal/pipeline"
 )
 
-// heldRoute is a single-partition Router whose owner stays unassigned until
-// released: the collector holds its sealed batches and purges nothing, as
-// during a cluster handoff, so a test can attach every consumer to an idle
-// pipeline and then let a Changelog backlog through in full blocks.
+// heldRoute is a Router whose owners stay unassigned until released: the
+// collector holds its sealed batches and purges nothing, as during a
+// cluster handoff, so a test can attach every consumer to an idle pipeline
+// and then let a Changelog backlog through in full blocks. Past the
+// release it is the collector's own route.
 type heldRoute struct {
-	topic    string
+	topics   topicRoute
 	released *atomic.Bool
 }
 
-func (r heldRoute) Parts() int                    { return 1 }
-func (r heldRoute) OwnerTopic(int) (string, bool) { return r.topic, r.released.Load() }
+func (r heldRoute) Parts() int { return r.topics.Parts() }
+func (r heldRoute) OwnerTopic(p int) (string, bool) {
+	return r.topics[p], r.released.Load()
+}
+
+// leaseShape is how the rig's batches cross from collector to aggregator.
+type leaseShape struct {
+	name  string
+	topic string // the collector's own topic
+	// route is the collector's partition count, parts the aggregator's.
+	route, parts int
+}
+
+// leaseShapes are the ways a batch reaches the store lanes: whole on its
+// MDT's topic; cut by path hash at the collector into per-partition
+// topics; and whole on a topic naming neither, into a partitioned
+// aggregator — a source that goes whole to one partition.
+var leaseShapes = []leaseShape{
+	{"P=1", TopicPrefix + "mdt0", 1, 1},
+	{"P=2", TopicPrefix + "mdt0", 2, 2},
+	{"foreign topic", TopicPrefix + "mount.lease", 1, 2},
+}
 
 // leaseRig is one MDT's collector → a classic aggregator, composed by hand
 // so the tests reach the pools, with the collector held until release.
@@ -40,7 +63,7 @@ type leaseRig struct {
 // newLeaseRig writes a backlog of batches×batchSize create records and
 // builds the held pipeline over it; each publisher binds a loopback TCP
 // port when its flag is set and an in-process name otherwise.
-func newLeaseRig(t *testing.T, batches, batchSize int, colTCP, aggTCP bool) *leaseRig {
+func newLeaseRig(t *testing.T, shape leaseShape, batches, batchSize int, colTCP, aggTCP bool) *leaseRig {
 	t.Helper()
 	r := &leaseRig{cluster: testCluster(1)}
 	cl := r.cluster.Client()
@@ -62,7 +85,7 @@ func newLeaseRig(t *testing.T, batches, batchSize int, colTCP, aggTCP bool) *lea
 	r.col, err = NewCollector(CollectorOptions{
 		Cluster: r.cluster, MountPoint: "/mnt/lustre", CacheSize: 1000, BatchSize: batchSize,
 		Endpoint:      endpoint("col", colTCP),
-		Router:        heldRoute{topic: TopicPrefix + "mdt0", released: released},
+		Router:        heldRoute{topics: partitionRoute(shape.topic, shape.route), released: released},
 		EventOverhead: time.Nanosecond, CacheLookupCost: time.Nanosecond,
 	})
 	if err != nil {
@@ -71,6 +94,7 @@ func newLeaseRig(t *testing.T, batches, batchSize int, colTCP, aggTCP bool) *lea
 	t.Cleanup(r.col.Close)
 	r.agg, err = NewAggregator(AggregatorOptions{
 		CollectorEndpoints: []string{r.col.Endpoint()}, Endpoint: endpoint("agg", aggTCP), EventOverhead: time.Nanosecond,
+		StorePartitions: shape.parts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +129,35 @@ func collect(t *testing.T, con *Consumer, want int) []events.Event {
 	return got
 }
 
+// checkBacklog asserts got is the rig's backlog of "/f%06d" creates, each
+// exactly once and none of them recycled memory, in Changelog order and
+// with rising seqs within each of the parts store partitions (Seq % parts)
+// — the order a partitioned tier keeps.
+func checkBacklog(t *testing.T, name string, got []events.Event, parts int) {
+	t.Helper()
+	seen := make([]bool, len(got))
+	lastSeq, lastFile := make([]uint64, parts), make([]int, parts)
+	for i := range lastFile {
+		lastFile[i] = -1
+	}
+	for i, e := range got {
+		if eventstest.Poisoned(e) {
+			t.Fatalf("%s consumer: event %d is recycled memory: %+v", name, i, e)
+		}
+		file, err := strconv.Atoi(strings.TrimPrefix(e.Path, "/f"))
+		if err != nil || file < 0 || file >= len(got) || seen[file] {
+			t.Fatalf("%s consumer: event %d is %q, not one of the backlog's files delivered once", name, i, e.Path)
+		}
+		seen[file] = true
+		lane := e.Seq % uint64(parts)
+		if file <= lastFile[lane] || e.Seq <= lastSeq[lane] {
+			t.Fatalf("%s consumer: event %d is %q seq %d after %s seq %d in partition %d, want a later file and seq",
+				name, i, e.Path, e.Seq, fmt.Sprintf("/f%06d", lastFile[lane]), lastSeq[lane], lane)
+		}
+		lastSeq[lane], lastFile[lane] = e.Seq, file
+	}
+}
+
 // TestRecycledBlocksPoisoned runs a backlog through collector → aggregator →
 // two consumers with every pool overwriting a block with a sentinel before
 // taking it back, and — where a hop is TCP — every connection doing the same
@@ -114,7 +167,9 @@ func collect(t *testing.T, con *Consumer, want int) []events.Event {
 // payload, the store copying either, the TCP writer holding the clone's wire
 // image, a consumer walking its seq column or cutting strings out of a
 // payload — would deliver the sentinel, a foreign batch or nothing; every
-// consumer must instead see exactly the events written, once, in order.
+// consumer must instead see exactly the events written, once, in order
+// within each partition. Each case runs in every leaseShape: the blocks a
+// collector cuts at the source are leased and poisoned like the rest.
 func TestRecycledBlocksPoisoned(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -125,11 +180,17 @@ func TestRecycledBlocksPoisoned(t *testing.T) {
 		{"TCP in, in-process and TCP out", true, 1, 1},
 		{"clone in, two in-process consumers of one block", false, 2, 0},
 	} {
-		t.Run(tc.name, func(t *testing.T) { testRecycledBlocksPoisoned(t, tc.colTCP, tc.inproc, tc.tcps) })
+		t.Run(tc.name, func(t *testing.T) {
+			for _, shape := range leaseShapes {
+				t.Run(shape.name, func(t *testing.T) {
+					testRecycledBlocksPoisoned(t, shape, tc.colTCP, tc.inproc, tc.tcps)
+				})
+			}
+		})
 	}
 }
 
-func testRecycledBlocksPoisoned(t *testing.T, colTCP bool, inproc, tcps int) {
+func testRecycledBlocksPoisoned(t *testing.T, shape leaseShape, colTCP bool, inproc, tcps int) {
 	defer func(reset func(*events.Block)) { resetBlock = reset }(resetBlock)
 	var poisoned atomic.Int64
 	resetBlock = func(b *events.Block) {
@@ -143,7 +204,7 @@ func testRecycledBlocksPoisoned(t *testing.T, colTCP bool, inproc, tcps int) {
 	defer msgq.PoisonReturnedPayloads(0)
 
 	const batches, batchSize = 96, 64 // more than the queues and pools hold, so blocks come round again
-	r := newLeaseRig(t, batches, batchSize, colTCP, true)
+	r := newLeaseRig(t, shape, batches, batchSize, colTCP, true)
 	local := fmt.Sprintf("inproc://lease-agg-local-%p", r)
 	if err := r.agg.pub.Bind(local); err != nil {
 		t.Fatal(err)
@@ -172,16 +233,7 @@ func testRecycledBlocksPoisoned(t *testing.T, colTCP bool, inproc, tcps int) {
 
 	const want = batches * batchSize
 	for name, con := range consumers {
-		var last uint64
-		for i, e := range collect(t, con, want) {
-			if eventstest.Poisoned(e) {
-				t.Fatalf("%s consumer: event %d is recycled memory: %+v", name, i, e)
-			}
-			if wantPath := fmt.Sprintf("/f%06d", i); e.Path != wantPath || e.Seq <= last {
-				t.Fatalf("%s consumer: event %d is %q seq %d after seq %d, want %q and a later seq", name, i, e.Path, e.Seq, last, wantPath)
-			}
-			last = e.Seq
-		}
+		checkBacklog(t, name, collect(t, con, want), shape.parts)
 	}
 	if poisoned.Load() < batches {
 		t.Errorf("%d filled blocks went back through a pool, want at least the %d collector blocks", poisoned.Load(), batches)
@@ -191,10 +243,10 @@ func testRecycledBlocksPoisoned(t *testing.T, colTCP bool, inproc, tcps int) {
 // drainRig lets batches blocks of a held backlog through to a consumer
 // that reads as fast as it is handed events, and returns the rig once the
 // Changelog is empty.
-func drainRig(t *testing.T, batches int, tcp bool) *leaseRig {
+func drainRig(t *testing.T, shape leaseShape, batches int, tcp bool) *leaseRig {
 	t.Helper()
 	const batchSize = 64
-	r := newLeaseRig(t, batches, batchSize, tcp, tcp)
+	r := newLeaseRig(t, shape, batches, batchSize, tcp, tcp)
 	con := r.consumer(t, r.agg.Endpoint(), 0)
 	r.release()
 	collect(t, con, batches*batchSize)
@@ -202,10 +254,11 @@ func drainRig(t *testing.T, batches int, tcp bool) *leaseRig {
 }
 
 // The stages and queues between a pool's Get and the lease's release can
-// hold this many blocks at once at most; a drain that never lets them fill
-// builds far fewer.
+// hold this many blocks at once at most — the collector's two stage
+// queues, the aggregator's subscribe and store queues, the consumer's one
+// — and a drain that never lets them fill builds far fewer.
 const (
-	stageDepth = 6 * pipeline.DefaultBatchDepth
+	stageDepth = 4*pipeline.DefaultBatchDepth + intakeDepth
 	// A collector block is out until the consumer is done with the clone of
 	// it: both subscription queues and every stage between them.
 	collectorBlocksInFlight = 2*pipeline.DefaultAggregatorQueue + stageDepth
@@ -218,7 +271,8 @@ const (
 // 200-batch drain builds no more blocks than are ever in flight, where
 // without the lease it built one per batch. The aggregator's seq-only
 // clones (over TCP, its decode targets) come back when the consumers are
-// done with them.
+// done with them. Both hold in every leaseShape: a batch cut at the
+// source is whole leased blocks, and the source block goes back at once.
 func TestCollectorBlocksRecycle(t *testing.T)  { testBlocksRecycle(t, collectorBlocksInFlight) }
 func TestAggregatorClonesRecycle(t *testing.T) { testBlocksRecycle(t, aggregatorBlocksInFlight) }
 
@@ -226,15 +280,19 @@ func testBlocksRecycle(t *testing.T, inFlight uint64) {
 	const batches = 200
 	for _, transport := range []string{"inproc", "tcp"} {
 		t.Run(transport, func(t *testing.T) {
-			r := drainRig(t, batches, transport == "tcp")
-			built := r.col.pool.Built()
-			if inFlight == aggregatorBlocksInFlight {
-				built = r.agg.pool.Built()
+			for _, shape := range leaseShapes {
+				t.Run(shape.name, func(t *testing.T) {
+					r := drainRig(t, shape, batches, transport == "tcp")
+					built := r.col.pool.Built()
+					if inFlight == aggregatorBlocksInFlight {
+						built = r.agg.pool.Built()
+					}
+					if built >= batches || built > inFlight {
+						t.Errorf("draining %d batches built %d blocks, want at most the %d in flight", batches, built, inFlight)
+					}
+					t.Logf("%d batches, %d blocks built", batches, built)
+				})
 			}
-			if built >= batches || built > inFlight {
-				t.Errorf("draining %d batches built %d blocks, want at most the %d in flight", batches, built, inFlight)
-			}
-			t.Logf("%d batches, %d blocks built", batches, built)
 		})
 	}
 }
@@ -245,7 +303,7 @@ func testBlocksRecycle(t *testing.T, inFlight uint64) {
 // Releasing the consumer drains everything.
 func TestFullQueueLeavesBacklogInChangelog(t *testing.T) {
 	const batches, batchSize = 400, 64
-	r := newLeaseRig(t, batches, batchSize, false, false)
+	r := newLeaseRig(t, leaseShapes[0], batches, batchSize, false, false)
 	con := r.consumer(t, r.agg.Endpoint(), 1) // one batch of delivery buffer, and nobody reading it
 	r.release()
 

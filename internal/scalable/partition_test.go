@@ -445,3 +445,53 @@ func TestPartitionedCrashRestartRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestTopicPartition pins the aggregator's one partition rule — the topic
+// names the partition, the batch stays whole — and that every topic a
+// collector can publish maps into [0, P): the intake has no other outcome,
+// so no batch is dropped for its topic.
+func TestTopicPartition(t *testing.T) {
+	hashed := func(topic string, parts int) int { return eventstore.PartitionForPath(topic, parts) }
+	for _, tc := range []struct {
+		why   string
+		topic string
+		parts int
+		want  int
+	}{
+		{"member inbox", msgq.NodeTopic("n1", 3), 4, 3},
+		{"per-MDT topic", TopicPrefix + "mdt5", 4, 1},
+		{"per-MDT topic, one partition", TopicPrefix + "mdt5", 1, 0},
+		{"mount cut at the source", msgq.PartitionTopic(mountTopic("logs"), 2), 4, 2},
+		{"MDT cut at the source", msgq.PartitionTopic(TopicPrefix+"mdt0", 1), 2, 1},
+		{"mount named like a suffix, in range", mountTopic("p3"), 4, 3},
+		{"mount named with a suffix, in range", mountTopic("x.p1"), 2, 1},
+		{"mount named like a suffix, out of range", mountTopic("p3"), 2, hashed(mountTopic("p3"), 2)},
+		{"inbox index past P", msgq.NodeTopic("n0", 7), 4, hashed(msgq.NodeTopic("n0", 7), 4)},
+		{"foreign topic", TopicPrefix + "external", 4, hashed(TopicPrefix+"external", 4)},
+		{"foreign topic, one partition", TopicPrefix + "external", 1, 0},
+	} {
+		if got := topicPartition(tc.topic, tc.parts); got != tc.want {
+			t.Errorf("%s: topicPartition(%q, %d) = %d, want %d", tc.why, tc.topic, tc.parts, got, tc.want)
+		}
+	}
+
+	var topics []string
+	for route := 1; route <= 6; route++ {
+		for mdt := 0; mdt < 9; mdt++ {
+			topics = append(topics, partitionRoute(fmt.Sprintf("%smdt%d", TopicPrefix, mdt), route)...)
+		}
+		for _, name := range []string{"root", "logs", "a_b", "p", "p3", "p-1", "x.p1", ".p", "mdt2"} {
+			topics = append(topics, partitionRoute(mountTopic(name), route)...)
+		}
+		for p := 0; p < route; p++ {
+			topics = append(topics, msgq.NodeTopic("n0", p))
+		}
+	}
+	for parts := 1; parts <= 5; parts++ {
+		for _, topic := range topics {
+			if got := topicPartition(topic, parts); got < 0 || got >= parts {
+				t.Errorf("topicPartition(%q, %d) = %d, outside [0, %d)", topic, parts, got, parts)
+			}
+		}
+	}
+}

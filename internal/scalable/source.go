@@ -206,15 +206,26 @@ type dsiSource struct {
 	eof    chan struct{} // closed when collect returns
 }
 
+// mountName returns a mounted backend's cleaned prefix and its name — the
+// one its topic (mountTopic) and its fsmon.mount.<name>.* telemetry carry.
+func mountName(ms MountSource) (prefix, name string, err error) {
+	if prefix, err = mount.CleanPrefix(ms.Prefix); err != nil {
+		return "", "", err
+	}
+	if name = ms.Name; name == "" {
+		name = mount.PointName(prefix)
+	}
+	return prefix, name, nil
+}
+
+// mountTopic is the topic a mounted backend's collector publishes on.
+func mountTopic(name string) string { return TopicPrefix + "mount." + name }
+
 func (c *Collector) openDSI() error {
 	o := &c.opts
-	cp, err := mount.CleanPrefix(o.Mount.Prefix)
+	cp, name, err := mountName(o.Mount)
 	if err != nil {
 		return err
-	}
-	name := o.Mount.Name
-	if name == "" {
-		name = mount.PointName(cp)
 	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = pipeline.DefaultLocalBatch
@@ -223,7 +234,7 @@ func (c *Collector) openDSI() error {
 		o.Endpoint = "inproc://collector-mount-" + name
 	}
 	c.src = &dsiSource{c: c, dsi: o.Mount.DSI, prefix: cp, name: name, eof: make(chan struct{})}
-	c.topic = TopicPrefix + "mount." + name
+	c.topic = mountTopic(name)
 	c.metrics = "fsmon.mount." + name
 	c.slog = telemetry.ComponentLogger(o.Logger, "mount-collector", "mount", name, "backend", o.Mount.DSI.Name())
 	return nil

@@ -141,13 +141,21 @@ func TestDSICloseDrainsToEOF(t *testing.T) {
 // DSI sources are path-hash-routed to the partition owners, a consumer sees
 // every event exactly once with gap-free sequence lanes, and the
 // conservation audit balances to zero.
-func TestMountsClusterRouted(t *testing.T) {
+func TestMountsClusterRouted(t *testing.T) { testMountsRouted(t, 2) }
+
+// TestMountsSplitAtSource is the same deployment in front of a classic
+// 4-partition aggregator: a mount has no MDT to key a partition on, so its
+// collector cuts each batch by path hash at the source, as a clustered one
+// does, and the lanes come out the same.
+func TestMountsSplitAtSource(t *testing.T) { testMountsRouted(t, 0) }
+
+func testMountsRouted(t *testing.T, nodes int) {
 	const parts, perMount = 4, 30
 	reg := telemetry.NewRegistry()
 	a, b := newFakeDSI(), newFakeDSI()
 	m, err := Deploy(nil, DeployOptions{
 		Mounts:          []MountSource{{Prefix: "/a", DSI: a}, {Prefix: "/b", DSI: b}},
-		ClusterNodes:    2,
+		ClusterNodes:    nodes,
 		StorePartitions: parts,
 		Store:           eventstore.Options{JournalPath: filepath.Join(t.TempDir(), "journal")},
 		Telemetry:       reg,
@@ -156,8 +164,13 @@ func TestMountsClusterRouted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if len(m.Nodes) != 2 || len(m.Collectors) != 2 {
+	if len(m.Nodes) != nodes || len(m.Collectors) != 2 {
 		t.Fatalf("deploy shape: %d nodes, %d collectors", len(m.Nodes), len(m.Collectors))
+	}
+	for i, c := range m.Collectors {
+		if c.route.Parts() != parts {
+			t.Fatalf("collector %d routes %d partitions, want %d", i, c.route.Parts(), parts)
+		}
 	}
 	con, err := m.NewConsumer(iface.Filter{Recursive: true}, 0)
 	if err != nil {
@@ -242,7 +255,11 @@ func TestFailedDeployClosesEveryDSI(t *testing.T) {
 		opts   DeployOptions
 		want   func(error) bool
 	}{
-		{"duplicate prefix", MountSource{Prefix: "/a/"}, false, DeployOptions{},
+		{"duplicate prefix", MountSource{Prefix: "/a/b/"}, false, DeployOptions{},
+			func(err error) bool { return errors.Is(err, mount.ErrMounted) }},
+		// Another prefix with the same name, a_b: one topic and one set of
+		// fsmon.mount.a_b.* gauges, the second silently replacing the first.
+		{"colliding names", MountSource{Prefix: "/a_b"}, false, DeployOptions{},
 			func(err error) bool { return errors.Is(err, mount.ErrMounted) }},
 		{"bad prefix", MountSource{Prefix: "relative"}, false, DeployOptions{},
 			func(err error) bool { return errors.Is(err, mount.ErrBadPrefix) }},
@@ -256,7 +273,7 @@ func TestFailedDeployClosesEveryDSI(t *testing.T) {
 			if !tc.noDSI {
 				tc.second.DSI = fakes[1]
 			}
-			tc.opts.Mounts = []MountSource{{Prefix: "/a", DSI: fakes[0]}, tc.second, {Prefix: "/c", DSI: fakes[2]}}
+			tc.opts.Mounts = []MountSource{{Prefix: "/a/b", DSI: fakes[0]}, tc.second, {Prefix: "/c", DSI: fakes[2]}}
 			m, err := Deploy(nil, tc.opts)
 			if err == nil {
 				m.Close()

@@ -2,6 +2,7 @@ package scalable
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,7 +48,7 @@ func fullChain(t *testing.T, tr telemetry.Trace) {
 // chain — at one partition (the MDT fast path re-decoded on the store
 // lane), at two (partition routing plus per-partition republish topics),
 // and when the chain opens at a DSI-source collector (the shared seal; the
-// aggregator's path-hash split carries it on).
+// collector's path-hash split carries it on).
 func TestTraceSpanChain(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -101,46 +102,84 @@ func TestTraceSpanChain(t *testing.T) {
 	}
 }
 
-// TestTraceFollowsEventAcrossSplit exercises the aggregator's path-hash
-// split (a batch arriving on a topic that names no MDT): the trace must
-// follow the sub-batch carrying its sampled event — identified by
+// TestTraceFollowsEventAcrossSplit exercises the collector's path-hash
+// split (a 2-part route in front of a 2-partition aggregator): the trace
+// must follow the slice carrying its sampled event — identified by
 // EventKey, not batch identity — and still complete the full chain at the
 // consumer.
 func TestTraceFollowsEventAcrossSplit(t *testing.T) {
 	reg := telemetry.NewRegistry()
+	reg.EnableTracing(1, 0) // the first event of each batch opens its chain
+
+	// Written before the collector starts, so its first Changelog read
+	// takes them as one batch; enough distinct paths that both partitions
+	// receive events, so the trace's slice is a strict subset of it. The
+	// route is held until the consumer is attached: events it recovered
+	// from the store instead would complete no trace.
+	cluster := testCluster(1)
+	const files = 8
+	for i := 0; i < files; i++ {
+		if err := cluster.Client().Create(fmt.Sprintf("/f%d.txt", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	released := new(atomic.Bool)
+	col, err := NewCollector(CollectorOptions{
+		Cluster: cluster, MountPoint: "/mnt/lustre", CacheSize: 100,
+		Endpoint:     fmt.Sprintf("inproc://trace-split-col-%p", reg),
+		Router:       heldRoute{topics: partitionRoute(TopicPrefix+"mdt0", 2), released: released},
+		PollInterval: time.Millisecond,
+		Telemetry:    reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	con := tracedTier(t, reg, col.Endpoint())
+	released.Store(true)
+
+	got := drainUntil(con, files, 10*time.Second)
+	if len(got) != files {
+		t.Fatalf("delivered %d events, want %d", len(got), files)
+	}
+	if v := con.Stats().LastSeqVector; v[0] == 0 || v[1] == 0 {
+		t.Fatalf("partition cursors %v: the batch was not split across both partitions", v)
+	}
+	var sampled events.Event
+	for _, e := range got {
+		if e.Path == "/f0.txt" {
+			sampled = e
+		}
+	}
+	traces := reg.Traces().Snapshot()
+	if len(traces) != 1 {
+		t.Fatalf("completed traces = %d, want exactly 1 (the chain follows one slice)", len(traces))
+	}
+	if traces[0].ID != events.EventKey(sampled) {
+		t.Errorf("trace ID %#x, want the sampled event's key %#x", traces[0].ID, events.EventKey(sampled))
+	}
+	fullChain(t, traces[0])
+}
+
+// TestForeignTopicDeliveredWhole: a batch on a topic that names neither an
+// MDT nor a partition — a source the aggregator knows nothing about — is
+// not split: a 2-partition aggregator stores it whole in one partition and
+// delivers it from there, its trace intact.
+func TestForeignTopicDeliveredWhole(t *testing.T) {
+	reg := telemetry.NewRegistry()
 	reg.EnableTracing(1, 0)
 
 	// A stand-in collector: a bare publisher on a topic outside the
-	// "events.mdt<N>" scheme, forcing the aggregator's split path.
+	// "events.mdt<N>" and "<topic>.p<k>" schemes.
 	pub := msgq.NewPub(msgq.WithBlockOnFull())
-	if err := pub.Bind("inproc://trace-split-test"); err != nil {
+	if err := pub.Bind(fmt.Sprintf("inproc://foreign-topic-%p", reg)); err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
+	con := tracedTier(t, reg, pub.Addr())
 
-	agg, err := NewAggregator(AggregatorOptions{
-		CollectorEndpoints: []string{pub.Addr()},
-		Endpoint:           "inproc://trace-split-agg",
-		StorePartitions:    2,
-		Telemetry:          reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
-	con, err := NewConsumer(ConsumerOptions{
-		AggregatorEndpoint: agg.Endpoint(),
-		Filter:             iface.Filter{Recursive: true},
-		Recover:            agg,
-		Telemetry:          reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer con.Close()
-
-	// Enough distinct paths that both partitions receive events, so the
-	// trace's sub-batch is a strict subset of the original.
+	// Distinct paths that a path-hash split would spread over both
+	// partitions.
 	now := time.Now()
 	var evs []events.Event
 	for i := 0; i < 8; i++ {
@@ -157,19 +196,52 @@ func TestTraceFollowsEventAcrossSplit(t *testing.T) {
 	tr.Append(events.TierCollect, now.UnixNano())
 	tr.Append(events.TierResolve, now.UnixNano())
 	tr.Append(events.TierPublish, now.UnixNano())
-	pub.Publish(TopicPrefix+"external", eventstest.WireBatch(t, evs, now.UnixNano(), tr))
+	const topic = TopicPrefix + "external"
+	pub.Publish(topic, eventstest.WireBatch(t, evs, now.UnixNano(), tr))
 
-	if got := drainConsumer(con, 300*time.Millisecond); len(got) != len(evs) {
+	got := drainUntil(con, len(evs), 10*time.Second)
+	if len(got) != len(evs) {
 		t.Fatalf("delivered %d events, want %d", len(got), len(evs))
 	}
-	traces := reg.Traces().Snapshot()
-	if len(traces) != 1 {
-		t.Fatalf("completed traces = %d, want exactly 1 (the chain follows one sub-batch)", len(traces))
+	want := uint64(topicPartition(topic, 2))
+	for i, e := range got {
+		if e.Path != evs[i].Path || e.Seq%2 != want {
+			t.Fatalf("event %d is %q from partition %d, want %q from partition %d: the batch was split or reordered",
+				i, e.Path, e.Seq%2, evs[i].Path, want)
+		}
 	}
-	if traces[0].ID != events.EventKey(sampled) {
-		t.Errorf("trace ID %#x, want the sampled event's key %#x", traces[0].ID, events.EventKey(sampled))
+	traces := reg.Traces().Snapshot()
+	if len(traces) != 1 || traces[0].ID != events.EventKey(sampled) {
+		t.Fatalf("completed traces %v, want the one sampled chain %#x", traces, events.EventKey(sampled))
 	}
 	fullChain(t, traces[0])
+}
+
+// tracedTier starts a traced 2-partition aggregator over one collector
+// endpoint and returns a consumer of it; both close at the end of the test.
+func tracedTier(t *testing.T, reg *telemetry.Registry, collector string) *Consumer {
+	t.Helper()
+	agg, err := NewAggregator(AggregatorOptions{
+		CollectorEndpoints: []string{collector},
+		Endpoint:           fmt.Sprintf("inproc://traced-tier-%p", reg),
+		StorePartitions:    2,
+		Telemetry:          reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(agg.Close)
+	con, err := NewConsumer(ConsumerOptions{
+		AggregatorEndpoint: agg.Endpoint(),
+		Filter:             iface.Filter{Recursive: true},
+		Recover:            agg,
+		Telemetry:          reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(con.Close)
+	return con
 }
 
 // TestUntracedDeploymentAddsNoTraces: telemetry on but sampling off — the
