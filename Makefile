@@ -48,7 +48,9 @@ race:
 # TCP behind a clone or a TCP hop in, or both in process on one block) must
 # be delivered exactly what was written — and of the recovery pager's test
 # (a live engine paged to the wire while a writer appends and purges and the
-# retention bound drop, and Reset in place, the segments it reads), then
+# retention bound drop, and Reset in place, the segments it reads) and of the
+# consumer's paged replay (one store through the wire client, the in-process
+# aggregator and a fan-out, receive buffers poisoned as they return), then
 # SOAK quick runs of the event-journey benchmark, cycling the four workloads
 # with a fresh seed each, every one of which must report failed = 0 (its
 # oracle checks loss, duplication, order and paths).
@@ -59,7 +61,7 @@ SOAK ?= 200
 soak:
 	$(GO) test -race -count=$(SOAK) -run 'TestLease|TestDoneUnleased|TestPublishLeased|TestPayload' ./internal/msgq/
 	$(GO) test -race -count=$(SOAK) -run 'TestRecycledFlightsKeepTheirKeys|TestReadersNeverSeeAnotherKeysBytes|TestValuesAreCopies' ./internal/cache/
-	$(GO) test -race -count=$(SOAK) -run 'TestRecycledBlocksPoisoned|TestRecoveryPagingUnderDrops' ./internal/scalable/
+	$(GO) test -race -count=$(SOAK) -run 'TestRecycledBlocksPoisoned|TestRecoveryPagingUnderDrops|TestConsumerReplayPages' ./internal/scalable/
 	@i=0; while [ $$i -lt $(SOAK) ]; do \
 		for w in hot_inproc hot_tcp_journal churn_cold_4part crash_recovery; do \
 			[ $$i -lt $(SOAK) ] || break; i=$$((i+1)); \
@@ -90,13 +92,15 @@ fuzz-smoke:
 # event, a leased publish allocates nothing, a frame over loopback TCP that
 # is received and Done allocates nothing either), one recovery replay served
 # to a discarding reader (RecoveryServe: a fixed handful of allocations per
-# request, not per page), the same replay materialized in process
-# (ShardedSinceVector: the result slice is sized once), one journal reopen
+# request, not per page), the same replay through a restarted consumer
+# (ConsumerRecover: ns and B per event, pages taken as they land), the same
+# replay materialized in process (ShardedSinceVector: the result slice is
+# sized once), one journal reopen
 # (StoreOpen: B/op is the segments kept, not the file), and one watchdog
 # evaluation over a full 300-series x 256-sample window, as a CI regression
 # canary; the slow paper-table benches stay out of it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|AggregatorThroughput|AppendFid2Path|ChangelogRead|BlockWireFresh|ConsumerDeliver|PublishLeased|TCPHopLeased|RecoveryServe|ShardedSinceVector|StoreOpen|HealthEvaluate' -benchtime 1x -benchmem \
+	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|AggregatorThroughput|AppendFid2Path|ChangelogRead|BlockWireFresh|ConsumerDeliver|PublishLeased|TCPHopLeased|RecoveryServe|ConsumerRecover|ShardedSinceVector|StoreOpen|HealthEvaluate' -benchtime 1x -benchmem \
 		./internal/resolve/ ./internal/cache/ ./internal/bench/ ./internal/lustre/ ./internal/events/ ./internal/scalable/ ./internal/msgq/ ./internal/telemetry/ ./internal/eventstore/
 
 # bench-aggregator measures aggregation-tier store throughput at 1/2/4

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -310,6 +311,101 @@ func TestOpenShardedRejectsInteriorDamage(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "journal.p1") || !strings.Contains(err.Error(), "byte offset 8 ") {
 		t.Fatalf("OpenSharded over a damaged segment = %v, want an error naming journal.p1 and byte offset 8", err)
 	}
+}
+
+// OpenSharded opens its partitions side by side. Damage in any of them fails
+// the open with an error that names every damaged segment and its offset,
+// and every partition that did open is closed again: no journal stays open,
+// and once the files are repaired the same path reopens and every lane
+// continues its seqs.
+func TestOpenShardedConcurrentFailure(t *testing.T) {
+	jp := filepath.Join(t.TempDir(), "journal")
+	eng, err := NewSharded(2, Options{JournalPath: jp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		for part := 0; part < 2; part++ {
+			if _, err := eng.AppendBlockPartition(part, blockOf(t, sampleEvents(5))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := func(part int) string { return fmt.Sprintf("%s.p%d", jp, part) }
+	var pristine [2][]byte
+	for part := range pristine {
+		if pristine[part], err = os.ReadFile(seg(part)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, damaged := range [][]int{{0}, {1}, {0, 1}} {
+		t.Run(fmt.Sprint(damaged), func(t *testing.T) {
+			for part, data := range pristine {
+				if slices.Contains(damaged, part) {
+					data = bytes.Clone(data)
+					data[len(journalMagic)+recHeader+20] ^= 0x04 // inside the first record's body
+				}
+				if err := os.WriteFile(seg(part), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := OpenSharded(2, Options{JournalPath: jp})
+			if err == nil {
+				t.Fatal("OpenSharded over damaged segments succeeded")
+			}
+			for part := 0; part < 2; part++ {
+				named := strings.Contains(err.Error(), filepath.Base(seg(part))+": ")
+				if want := slices.Contains(damaged, part); named != want {
+					t.Errorf("error names journal.p%d: %v, want %v: %v", part, named, want, err)
+				}
+			}
+			if got := strings.Count(err.Error(), "byte offset 8 "); got != len(damaged) {
+				t.Errorf("error names byte offset 8 %d times, want %d: %v", got, len(damaged), err)
+			}
+			if open := openFiles(t, filepath.Dir(jp)); len(open) > 0 {
+				t.Fatalf("a failed OpenSharded left %v open", open)
+			}
+			for part, data := range pristine {
+				if err := os.WriteFile(seg(part), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng, err := OpenSharded(2, Options{JournalPath: jp})
+			if err != nil {
+				t.Fatalf("reopening the repaired journal: %v", err)
+			}
+			defer eng.Close()
+			for part := 0; part < 2; part++ {
+				if _, err := eng.AppendBlockPartition(part, blockOf(t, sampleEvents(1))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := eng.LastSeqVector(); !slices.Equal(got, []uint64{22, 23}) {
+				t.Fatalf("lanes after reopen and one append each: %v, want [22 23]", got)
+			}
+		})
+	}
+}
+
+// openFiles lists the files under dir the process holds open (nil where
+// /proc/self/fd cannot be read).
+func openFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Logf("open files not checked: %v", err)
+		return nil
+	}
+	var open []string
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			open = append(open, target)
+		}
+	}
+	return open
 }
 
 // A file without the magic — a JSONL journal of an earlier version, or

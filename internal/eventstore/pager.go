@@ -3,14 +3,13 @@ package eventstore
 import (
 	"encoding/binary"
 	"math"
-	"slices"
 
 	"fsmonitor/internal/events"
 )
 
 // Pager reads the rows a cursor vector does not cover out of a Store or a
 // Sharded engine in global seq order: the one merge behind the recovery
-// server's pages and Sharded.Since/SinceVector. For each shard it keeps a
+// server's pages and Sharded.SinceVector. For each shard it keeps a
 // scratch block, filled under that shard's lock and refilled only once the
 // merge has used it up; the merge itself runs outside every lock, so shard
 // locks never nest (see flushGroup) and a writer waits for one copy at most.
@@ -81,42 +80,6 @@ func (p *Pager) page(shards []*Store, max int) ([]byte, error) {
 	}
 	binary.LittleEndian.PutUint32(buf, uint32(n))
 	return buf, nil
-}
-
-// appendEvents materializes up to max rows of the merge (max <= 0: all)
-// onto dst, grown once to the rows the shards hold past the cursors. Each
-// fill is interned once, so its events share one string copy of its bytes.
-func (p *Pager) appendEvents(dst []events.Event, shards []*Store, max int) ([]events.Event, error) {
-	want := 0
-	for i, sh := range shards {
-		if sh != nil && i < len(p.lanes) {
-			want += sh.countAfter(p.lanes[i].cursor)
-		}
-	}
-	fill := max
-	if max > 0 {
-		want = min(want, max)
-	} else {
-		fill = segEvents
-	}
-	dst = slices.Grow(dst, want)
-	for n := 0; max <= 0 || n < max; {
-		limit := fill
-		if max > 0 {
-			limit = max - n
-		}
-		blk, lo, hi, err := p.run(shards, fill, limit)
-		if err != nil {
-			return nil, err
-		}
-		if blk == nil {
-			break
-		}
-		blk.Intern()
-		dst = blk.AppendRangeTo(dst, lo, hi)
-		n += hi - lo
-	}
-	return dst, nil
 }
 
 // run returns the merge's next run: rows [lo, hi) of one lane's block, at

@@ -79,7 +79,7 @@ func checkPagerAgainstMerge(t *testing.T, parts int, seed int64) {
 				t.Fatal(err)
 			}
 		}
-		want := MergeBySeq(lists, 0)
+		want := MergeBySeq(lists)
 		what := fmt.Sprintf("step %d, cursors %v", step, cursors)
 		got, err := eng.SinceVector(cursors, 0)
 		if err != nil {

@@ -106,13 +106,13 @@ func TestPartitionStoreHandoffContinuity(t *testing.T) {
 	if owned := next.OwnedPartitions(); len(owned) != 0 {
 		t.Fatalf("OwnedPartitions after release = %v, want none", owned)
 	}
-	if got, err := next.Since(0, 0); err != nil || len(got) != 0 {
+	if got, err := next.SinceVector(make([]uint64, parts), 0); err != nil || len(got) != 0 {
 		t.Fatalf("query after release = %d events, %v; want none", len(got), err)
 	}
 	if owned := snap.OwnedPartitions(); len(owned) != 1 || owned[0] != 2 {
 		t.Fatalf("snapshot OwnedPartitions = %v, want [2]", owned)
 	}
-	if _, err := snap.Since(0, 0); !errors.Is(err, ErrClosed) {
+	if _, err := snap.SinceVector(make([]uint64, parts), 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("snapshot query after release: err = %v, want ErrClosed", err)
 	}
 }

@@ -127,16 +127,24 @@ func buildSharded(parts int, opts Options, mk func(Options) (*Store, error)) (*S
 	if parts < 1 {
 		return nil, errors.New("eventstore: partitions must be >= 1")
 	}
+	// Partitions are separate journal segments and separate Stores, so they
+	// open side by side: a restart reads its P segments in the time of the
+	// largest, not of their sum.
 	shards := make([]*Store, parts)
+	errs := make([]error, parts)
+	var wg sync.WaitGroup
 	for i := range shards {
-		st, err := mk(shardOptions(opts, parts, i))
-		if err != nil {
-			for _, done := range shards[:i] {
-				done.Close()
+		wg.Add(1)
+		go func() { defer wg.Done(); shards[i], errs[i] = mk(shardOptions(opts, parts, i)) }()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		for _, st := range shards {
+			if st != nil {
+				st.Close()
 			}
-			return nil, err
 		}
-		shards[i] = st
+		return nil, err
 	}
 	s := &Sharded{parts: parts, opts: opts}
 	s.shards.Store(&shards)
@@ -307,43 +315,54 @@ func (s *Sharded) AppendBlockPartition(part int, blk *events.Block) (uint64, err
 	return sh.AppendBlock(blk)
 }
 
-// Since returns up to max events with Seq > seq merged from the held shards
-// in global Seq order (max <= 0 = all): SinceVector with a uniform vector.
-func (s *Sharded) Since(seq uint64, max int) ([]events.Event, error) {
-	cursors := make([]uint64, s.parts)
-	for i := range cursors {
-		cursors[i] = seq
-	}
-	return s.SinceVector(cursors, max)
-}
-
 // SinceVector returns up to max events not covered by the cursor vector —
 // event e qualifies when e.Seq > cursors[e.Seq % P] — in global Seq order
-// (max <= 0 = all): the Pager's merge, materialized. len(cursors) must
-// equal Partitions().
+// (max <= 0 = all): the Pager's merge, materialized, one string copy per
+// fill. len(cursors) must equal Partitions().
 func (s *Sharded) SinceVector(cursors []uint64, max int) ([]events.Event, error) {
 	if len(cursors) != s.parts {
 		return nil, errPartitions(len(cursors), s.parts)
 	}
+	held, want := s.held(), 0 // the result is sized once, to the rows held past the cursors
+	for i, sh := range held {
+		if sh != nil {
+			want += sh.countAfter(cursors[i])
+		}
+	}
+	if max > 0 {
+		want = min(want, max)
+	}
 	p := NewPager()
 	p.Start(cursors)
-	return p.appendEvents(nil, s.held(), max)
+	out := make([]events.Event, 0, want)
+	for max <= 0 || len(out) < max {
+		limit := segEvents
+		if max > 0 {
+			limit = max - len(out)
+		}
+		blk, lo, hi, err := p.run(held, limit, limit)
+		if err != nil {
+			return nil, err
+		}
+		if blk == nil {
+			break
+		}
+		blk.Intern()
+		out = blk.AppendRangeTo(out, lo, hi)
+	}
+	return out, nil
 }
 
 // MergeBySeq k-way merges per-partition slices (each already ordered by
-// Seq) into global Seq order, capped at max (<= 0 = all). Exported for the
-// cluster recovery fan-in, which merges partition streams served by
-// different members.
-func MergeBySeq(lists [][]events.Event, max int) []events.Event {
+// Seq) into global Seq order. Exported for the cluster recovery fan-in,
+// which merges partition streams served by different members.
+func MergeBySeq(lists [][]events.Event) []events.Event {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
 	}
 	if total == 0 {
 		return nil
-	}
-	if max > 0 && total > max {
-		total = max
 	}
 	out := make([]events.Event, 0, total)
 	idx := make([]int, len(lists))

@@ -64,12 +64,12 @@ func TestShardedSinceMergesGlobalOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all, err := s.Since(0, 0)
+	all, err := s.SinceVector([]uint64{0, 0, 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 12 {
-		t.Fatalf("Since(0) = %d events", len(all))
+		t.Fatalf("SinceVector(0) = %d events", len(all))
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i].Seq <= all[i-1].Seq {
@@ -77,13 +77,14 @@ func TestShardedSinceMergesGlobalOrder(t *testing.T) {
 		}
 	}
 	// Global cutoff and max truncation.
-	tail, err := s.Since(all[7].Seq, 0)
+	cut := all[7].Seq
+	tail, err := s.SinceVector([]uint64{cut, cut, cut}, 0)
 	if err != nil || len(tail) != 4 {
-		t.Fatalf("Since(%d) = %d events, %v", all[7].Seq, len(tail), err)
+		t.Fatalf("SinceVector(%d) = %d events, %v", cut, len(tail), err)
 	}
-	capped, err := s.Since(0, 5)
+	capped, err := s.SinceVector([]uint64{0, 0, 0}, 5)
 	if err != nil || len(capped) != 5 {
-		t.Fatalf("Since(0,5) = %d events, %v", len(capped), err)
+		t.Fatalf("SinceVector(0, 5) = %d events, %v", len(capped), err)
 	}
 	for i := range capped {
 		if capped[i].Seq != all[i].Seq {
@@ -161,7 +162,7 @@ func TestShardedJournalSegmentsAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	all, err := s2.Since(0, 0)
+	all, err := s2.SinceVector([]uint64{0, 0}, 0)
 	if err != nil || len(all) != 8 {
 		t.Fatalf("recovered %d events, %v", len(all), err)
 	}

@@ -243,3 +243,12 @@ func WriteFrame(w *bufio.Writer, m Message) error { return writeMessage(w, m) }
 
 // ReadFrame reads one frame written by WriteFrame.
 func ReadFrame(r *bufio.Reader) (Message, error) { return readMessage(r) }
+
+// FrameReader returns a reader of the frames WriteFrame wrote to r that
+// works the way a Sub reads a TCP connection: each payload comes from a
+// free list of keep buffers and is the caller's only until its
+// Message.Done, which hands the buffer back for a later frame.
+func FrameReader(r *bufio.Reader, keep int) func() (Message, error) {
+	fr := &frameReader{r: r, bufs: &bufList{keep: keep}}
+	return fr.next
+}

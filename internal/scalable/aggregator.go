@@ -655,17 +655,31 @@ func (a *Aggregator) republishBatch(ctx context.Context, rb repBatch) {
 	}
 }
 
-// Since serves the consumer fault-recovery API: events with sequence
-// numbers greater than seq, from the reliable store (the partitions held
-// here, for a cluster member), in global order.
-func (a *Aggregator) Since(seq uint64, max int) ([]events.Event, error) {
-	return a.engine.Since(seq, max)
-}
-
-// SinceVector serves partition-aware fault recovery: events not covered by
-// the per-partition cursor vector (len must equal Partitions()).
-func (a *Aggregator) SinceVector(cursors []uint64, max int) ([]events.Event, error) {
-	return a.engine.SinceVector(cursors, max)
+// RecoverPages implements RecoverySource in process: the held partitions'
+// rows the cursors do not cover, paged through an eventstore.Pager as the
+// recovery server pages them. A single cursor is a uniform cutoff.
+func (a *Aggregator) RecoverPages(cursors []uint64, page func(*events.Block) error) error {
+	if len(cursors) == 1 {
+		cursors = uniform(cursors[0], a.parts)
+	}
+	if len(cursors) != a.parts {
+		return fmt.Errorf("scalable: cursor vector has %d entries, aggregator has %d partitions", len(cursors), a.parts)
+	}
+	pg := eventstore.NewPager()
+	pg.Start(cursors)
+	blk := events.NewBlock(0, 0)
+	for {
+		wire, err := a.NextPage(pg, recoveryBatchMax)
+		if err != nil || wire == nil {
+			return err
+		}
+		if err = events.DecodeBlockInto(blk, wire); err == nil {
+			err = page(blk)
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // NextPage serves the recovery server: the next wire page of p's request
@@ -758,6 +772,15 @@ func (a *Aggregator) Close() { a.shutdown(true) }
 // partitions' durability is whatever the journal Sync policy guaranteed
 // at the moment of death.
 func (a *Aggregator) Kill() { a.shutdown(false) }
+
+// uniform is the cursor vector of a scalar cutoff over parts partitions.
+func uniform(seq uint64, parts int) []uint64 {
+	cursors := make([]uint64, parts)
+	for i := range cursors {
+		cursors[i] = seq
+	}
+	return cursors
+}
 
 // encodeSeq/decodeSeq frame a sequence number for the recovery protocol.
 func encodeSeq(seq uint64) []byte {

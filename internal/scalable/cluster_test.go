@@ -573,7 +573,7 @@ func TestRecoveryServerSnapshotCoverage(t *testing.T) {
 	}
 	defer srv.Close()
 	cli := NewRecoveryClient(srv.Addr())
-	evs, owned, err := cli.SinceVectorOwned([]uint64{0, 0}, 0)
+	evs, owned, err := cli.collect([]uint64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}

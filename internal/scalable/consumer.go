@@ -33,8 +33,10 @@ type ConsumerOptions struct {
 	// potential overheads if a large number of consumers were to ask to
 	// monitor different files and directories" (§IV-2 Consumption).
 	Filter iface.Filter
-	// Recover is the fault-recovery source (usually the Aggregator);
-	// nil disables recovery.
+	// Recover is the fault-recovery source (the Aggregator in process, a
+	// RecoveryClient or RecoveryFanout over the wire); nil disables
+	// recovery. NewConsumer takes the replay from it page by page and queues
+	// each page for C() as a batch of its own.
 	Recover RecoverySource
 	// SinceSeq resumes delivery after this sequence number, replaying
 	// history from Recover first (consumer restart). With a partitioned
@@ -75,17 +77,14 @@ type ConsumerOptions struct {
 	Logger *slog.Logger
 }
 
-// RecoverySource serves historic events after a sequence number.
+// RecoverySource serves historic events: RecoverPages hands page, in global
+// seq order and in pages of at most recoveryBatchMax rows, every stored event
+// the cursors do not cover (e.Seq > cursors[e.Seq % P]; a single cursor is a
+// uniform cutoff over every partition), and returns once the last page was
+// taken. The block is page's only during the call; an error from page ends
+// the replay. *Aggregator, *RecoveryClient and *RecoveryFanout implement it.
 type RecoverySource interface {
-	Since(seq uint64, max int) ([]events.Event, error)
-}
-
-// VectorRecoverySource additionally serves partition-aware recovery:
-// events not covered by a per-partition cursor vector. The Aggregator and
-// RecoveryClient both implement it.
-type VectorRecoverySource interface {
-	RecoverySource
-	SinceVector(cursors []uint64, max int) ([]events.Event, error)
+	RecoverPages(cursors []uint64, page func(*events.Block) error) error
 }
 
 // ConsumerStats is a snapshot of a consumer's counters.
@@ -118,9 +117,10 @@ type Consumer struct {
 	mu      sync.Mutex
 	cursors []uint64 // per-partition high-water marks
 
-	pipe *pipeline.Pipeline
-	pool *pipeline.Pool[events.Block] // blocks the consumer decoded itself
-	idx  []int                        // deliverBatch's surviving-index scratch (sink-goroutine owned)
+	pipe   *pipeline.Pipeline
+	pool   *pipeline.Pool[events.Block] // blocks the consumer decoded itself
+	idx    []int                        // take's surviving-index scratch (NewConsumer's, then the sink goroutine's)
+	replay [][]events.Event             // recovered pages, filtered, awaiting C() ahead of live batches
 
 	received  atomic.Uint64
 	delivered atomic.Uint64
@@ -135,9 +135,12 @@ type Consumer struct {
 	closeOnce sync.Once
 }
 
-// NewConsumer creates and starts a consumer. If a resume point
-// (SinceSeq/SinceVector) is given and a recovery source is configured,
-// missed events are replayed before live delivery begins.
+// NewConsumer creates and starts a consumer. If a recovery source is
+// configured, missed events are replayed before live delivery begins: each
+// page is deduplicated, materialized and filtered as it lands, while the
+// source is still producing the next, and reaches C() as a batch of its own,
+// every one ahead of the first live batch. NewConsumer returns once the last
+// page is taken, so Stats().Recovered is final by then.
 func NewConsumer(opts ConsumerOptions) (*Consumer, error) {
 	if opts.AggregatorEndpoint == "" && len(opts.AggregatorEndpoints) == 0 {
 		return nil, errors.New("scalable: ConsumerOptions.AggregatorEndpoint is required")
@@ -213,36 +216,12 @@ func NewConsumer(opts ConsumerOptions) (*Consumer, error) {
 	// already republished are only reachable through the reliable store —
 	// exactly its purpose (§IV-2). A replay failure is fatal only when
 	// the caller asked to resume from a specific point; best-effort
-	// otherwise (e.g. the store is disabled).
+	// otherwise (e.g. the store is disabled), keeping the pages taken.
 	if opts.Recover != nil {
-		history, err := c.recoverHistory()
-		if err != nil {
-			if resume {
-				c.sub.Close()
-				return nil, err
-			}
-			history = nil
-		}
-		replay := history[:0] // filtered in place: the source handed the slice over
-		fresh := 0            // events surviving cursor dedup, paced in one spend
-		for _, e := range history {
-			if e.Seq != 0 {
-				p := e.Seq % uint64(c.parts)
-				if e.Seq <= c.cursors[p] {
-					continue // already seen (scalar replay against a partitioned store)
-				}
-				c.cursors[p] = e.Seq
-			}
-			fresh++
-			if opts.Filter.Match(e) {
-				replay = append(replay, e)
-			}
-		}
-		c.throttle.Spend(time.Duration(fresh) * opts.EventOverhead)
-		if len(replay) > 0 {
-			c.out <- replay
-			c.recovered.Add(uint64(len(replay)))
-			c.delivered.Add(uint64(len(replay)))
+		cursors := append([]uint64(nil), c.cursors...) // the source's own: dedup moves c.cursors
+		if err := opts.Recover.RecoverPages(cursors, c.replayPage); err != nil && resume {
+			c.sub.Close()
+			return nil, err
 		}
 	}
 
@@ -310,21 +289,17 @@ func (c *Consumer) registerTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// recoverHistory replays missed events, preferring the partition-aware
-// query when the source supports it. The scalar fallback asks from the
-// lowest cursor; the replay loop's per-partition dedup discards whatever
-// the faster partitions already saw.
-func (c *Consumer) recoverHistory() ([]events.Event, error) {
-	if vs, ok := c.opts.Recover.(VectorRecoverySource); ok && c.parts > 1 {
-		return vs.SinceVector(append([]uint64(nil), c.cursors...), 0)
+// replayPage takes one recovery page as it lands: the rows past the
+// cursors, materialized and filtered into a batch queued for C(). Replay is
+// history, not delivery: it is counted as Recovered, and neither the audit
+// nor the latency signals see it.
+func (c *Consumer) replayPage(blk *events.Block) error {
+	if pass := c.take(blk, nil); len(pass) > 0 {
+		c.replay = append(c.replay, pass)
+		c.recovered.Add(uint64(len(pass)))
+		c.delivered.Add(uint64(len(pass)))
 	}
-	low := c.cursors[0]
-	for _, cur := range c.cursors[1:] {
-		if cur < low {
-			low = cur
-		}
-	}
-	return c.opts.Recover.Since(low, 0)
+	return nil
 }
 
 // conBatch is one batch in flight to the application as an event block:
@@ -339,10 +314,21 @@ type conBatch struct {
 // owned reports whether the consumer decoded the block itself.
 func (cb conBatch) owned() bool { return cb.m.Block == nil }
 
-// intakeLoop is the subscribe source stage: adopt the shared block when
-// the aggregator handed one over in process (decode-never), otherwise
-// zero-copy-decode the wire payload into a pooled block.
+// intakeLoop is the subscribe source stage. It first hands the recovered
+// pages to C() itself, in order — it has emitted no live batch yet, so none
+// can overtake them; the subscription buffers live batches meanwhile. Then it
+// adopts the shared block when the aggregator handed one over in process
+// (decode-never), otherwise zero-copy-decodes the wire payload into a pooled
+// block.
 func (c *Consumer) intakeLoop(ctx context.Context, emit func(conBatch) bool) error {
+	for _, page := range c.replay {
+		select {
+		case c.out <- page:
+		case <-ctx.Done():
+			return nil
+		}
+	}
+	c.replay = nil
 	for {
 		m, ok := c.sub.Recv(ctx)
 		if !ok {
@@ -364,59 +350,12 @@ func (c *Consumer) intakeLoop(ctx context.Context, emit func(conBatch) bool) err
 }
 
 // deliverBatch is the filter-deliver sink stage: deduplicate the
-// recovery/live overlap window against the owning partition's cursor —
-// touching only the block's seq column, no event materialization under the
-// lock — then materialize and filter the survivors, and hand them to the
-// application.
+// recovery/live overlap window against the owning partition's cursors, then
+// materialize and filter the survivors, and hand them to the application.
 func (c *Consumer) deliverBatch(ctx context.Context, cb conBatch) {
 	blk := cb.blk
-	n := blk.Len()
-	keep := c.idx[:0]
-	c.received.Add(uint64(n))
-	c.mu.Lock()
-	for i := 0; i < n; i++ {
-		if seq := blk.Seq(i); seq != 0 {
-			p := seq % uint64(c.parts)
-			if seq <= c.cursors[p] {
-				continue
-			}
-			c.cursors[p] = seq
-			// The delivery boundary of the conservation audit, counted at
-			// the dedup keep point — before subscription filtering — so the
-			// republished↔delivered balance holds for any filter. The lane
-			// detector flags forward jumps: seqs the store assigned but
-			// this consumer never saw.
-			c.aud.Delivered(int(p), 1)
-			c.aud.DeliverSeq(int(p), seq, uint64(c.parts))
-		}
-		keep = append(keep, i)
-	}
-	c.mu.Unlock()
-	c.idx = keep
-	if len(keep) == 0 {
-		c.recycle(cb)
-		return
-	}
-	// Pace, materialize and filter outside the cursor lock: Spend sleeps, and
-	// Stats/LastSeq readers should not wait on pacing. The accounted filter
-	// cost of every dedup survivor is spent once for the batch, like the
-	// aggregator's and the resolver's. The survivors' strings are one copy
-	// made here, by the tier that hands them to the application: nobody
-	// upstream interns on a consumer's account, and the block — borrowed and
-	// frozen, or decoded over a payload that goes back to its connection at
-	// Done — is only read.
-	c.throttle.Spend(time.Duration(len(keep)) * c.opts.EventOverhead)
-	pass := blk.AppendPickedTo(make([]events.Event, 0, len(keep)), keep)
-	kept := 0 // filter in place; an event moves only once one before it was dropped
-	for i := range pass {
-		if c.opts.Filter.Match(pass[i]) {
-			if kept != i {
-				pass[kept] = pass[i]
-			}
-			kept++
-		}
-	}
-	pass = pass[:kept]
+	c.received.Add(uint64(blk.Len()))
+	pass := c.take(blk, c.aud)
 	if len(pass) == 0 {
 		c.recycle(cb)
 		return
@@ -429,6 +368,57 @@ func (c *Consumer) deliverBatch(ctx context.Context, cb conBatch) {
 	case <-ctx.Done():
 	}
 	c.recycle(cb)
+}
+
+// take deduplicates blk against the owning partition's cursors — touching
+// only the block's seq column, no event materialization under the lock —
+// then materializes and filters the survivors. aud, when non-nil, counts
+// each survivor at the conservation audit's delivery boundary.
+func (c *Consumer) take(blk *events.Block, aud *telemetry.Audit) []events.Event {
+	keep := c.idx[:0]
+	c.mu.Lock()
+	for i, n := 0, blk.Len(); i < n; i++ {
+		if seq := blk.Seq(i); seq != 0 {
+			p := seq % uint64(c.parts)
+			if seq <= c.cursors[p] {
+				continue
+			}
+			c.cursors[p] = seq
+			// The delivery boundary of the conservation audit, counted at
+			// the dedup keep point — before subscription filtering — so the
+			// republished↔delivered balance holds for any filter. The lane
+			// detector flags forward jumps: seqs the store assigned but
+			// this consumer never saw.
+			aud.Delivered(int(p), 1)
+			aud.DeliverSeq(int(p), seq, uint64(c.parts))
+		}
+		keep = append(keep, i)
+	}
+	c.mu.Unlock()
+	c.idx = keep
+	if len(keep) == 0 {
+		return nil
+	}
+	// Pace, materialize and filter outside the cursor lock: Spend sleeps, and
+	// Stats/LastSeq readers should not wait on pacing. The accounted filter
+	// cost of every dedup survivor is spent once for the batch, like the
+	// aggregator's and the resolver's. The survivors' strings are one copy
+	// made here, by the tier that hands them to the application: nobody
+	// upstream interns on a consumer's account, and the block — borrowed and
+	// frozen, decoded over a payload that goes back to its connection at
+	// Done, or a recovery page — is only read.
+	c.throttle.Spend(time.Duration(len(keep)) * c.opts.EventOverhead)
+	pass := blk.AppendPickedTo(make([]events.Event, 0, len(keep)), keep)
+	kept := 0 // filter in place; an event moves only once one before it was dropped
+	for i := range pass {
+		if c.opts.Filter.Match(pass[i]) {
+			if kept != i {
+				pass[kept] = pass[i]
+			}
+			kept++
+		}
+	}
+	return pass[:kept]
 }
 
 // recycle ends the consumer's use of a batch: a block it decoded itself
@@ -466,8 +456,8 @@ func (c *Consumer) completeTrace(tr *events.BatchTrace) {
 // per delivered event, so the histogram weighs latency by event volume),
 // and the delivery lag (now - record time) of the batch's newest event —
 // the Robinhood-style "how far behind the storage system is the consumer"
-// gauge. Recovery replay bypasses deliverBatch, so replayed history with
-// stale stamps never pollutes the histogram.
+// gauge. Recovered pages skip it, so replayed history with stale stamps
+// never pollutes the histogram.
 func (c *Consumer) observeDelivery(pass []events.Event, stamp int64) {
 	if c.e2eUS == nil {
 		return
@@ -485,7 +475,9 @@ func (c *Consumer) observeDelivery(pass []events.Event, stamp int64) {
 	}
 }
 
-// C returns the application-facing batch channel.
+// C returns the application-facing batch channel. A replay arrives first,
+// as page-sized batches of at most recoveryBatchMax events, then the live
+// batches.
 func (c *Consumer) C() <-chan []events.Event { return c.out }
 
 // LastSeq returns the highest sequence number observed in any partition —

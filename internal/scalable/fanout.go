@@ -10,7 +10,7 @@ import (
 )
 
 // RecoveryFanout is the clustered consumer's recovery source: one logical
-// VectorRecoverySource over every aggregator node's recovery server. A
+// RecoverySource over every aggregator node's recovery server. A
 // consumer cursor vector spans all partitions, but each node's store holds
 // only the partitions it owns, so a single-server query cannot answer it;
 // the fanout queries every node, reads each response's "owned" coverage
@@ -44,39 +44,41 @@ func NewRecoveryFanout(parts int, addrs ...string) *RecoveryFanout {
 // its cursor-vector width from the fanout.
 func (f *RecoveryFanout) Partitions() int { return f.parts }
 
-// Since implements RecoverySource: a scalar cutoff is a uniform cursor
-// vector.
-func (f *RecoveryFanout) Since(seq uint64, max int) ([]events.Event, error) {
-	cursors := make([]uint64, f.parts)
-	for i := range cursors {
-		cursors[i] = seq
+// RecoverPages implements RecoverySource across the cluster: query every
+// node, verify the coverage union spans all partitions, merge the per-node
+// streams back into global Seq order — a duplicate seq (a dying owner and
+// its successor both answering mid-handoff) collapses to one event — and
+// hand the result over in pages. A single cursor is a uniform cutoff.
+func (f *RecoveryFanout) RecoverPages(cursors []uint64, page func(*events.Block) error) error {
+	if len(cursors) == 1 {
+		cursors = uniform(cursors[0], f.parts)
 	}
-	return f.SinceVector(cursors, max)
-}
-
-// SinceVector implements VectorRecoverySource across the cluster: query
-// every node, verify the coverage union spans all partitions, and merge
-// the per-node streams back into global Seq order. Duplicate sequence
-// numbers (a dying owner and its successor both answering for a partition
-// mid-handoff) collapse to one event.
-func (f *RecoveryFanout) SinceVector(cursors []uint64, max int) ([]events.Event, error) {
 	if len(cursors) != f.parts {
-		return nil, fmt.Errorf("scalable: cursor vector has %d entries, fanout serves %d partitions", len(cursors), f.parts)
+		return fmt.Errorf("scalable: cursor vector has %d entries, fanout serves %d partitions", len(cursors), f.parts)
 	}
 	deadline := time.Now().Add(f.Deadline)
-	var lastErr error
-	for {
-		lists, err := f.queryAll(cursors)
-		if err == nil {
-			return mergeDedup(lists, max), nil
-		}
-		lastErr = err
-		if time.Now().After(deadline) {
-			break
-		}
+	lists, err := f.queryAll(cursors)
+	for err != nil && time.Now().Before(deadline) {
 		time.Sleep(25 * time.Millisecond)
+		lists, err = f.queryAll(cursors)
 	}
-	return nil, lastErr
+	if err != nil {
+		return err
+	}
+	merged := mergeDedup(lists)
+	blk := events.NewBlock(min(len(merged), recoveryBatchMax), 0)
+	for at := 0; at < len(merged); at += recoveryBatchMax {
+		blk.Reset()
+		for _, e := range merged[at:min(len(merged), at+recoveryBatchMax)] {
+			if err := blk.AppendEvent(e); err != nil {
+				return err
+			}
+		}
+		if err := page(blk); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // queryAll runs one fan-out round. It returns an error when any partition
@@ -86,7 +88,7 @@ func (f *RecoveryFanout) queryAll(cursors []uint64) ([][]events.Event, error) {
 	var lists [][]events.Event
 	var dialErrs []string
 	for _, c := range f.clients {
-		evs, owned, err := c.SinceVectorOwned(append([]uint64(nil), cursors...), 0)
+		evs, owned, err := c.collect(cursors)
 		if err != nil {
 			// A dead node is expected during handoff; its partitions must
 			// show up in a survivor's coverage before the round succeeds.
@@ -127,8 +129,8 @@ func (f *RecoveryFanout) queryAll(cursors []uint64) ([][]events.Event, error) {
 // sequence numbers. Unsequenced events (Seq 0, store disabled) never
 // collapse. Each node's stream arrives Seq-ordered (its store merges its
 // own partitions), which MergeBySeq requires.
-func mergeDedup(lists [][]events.Event, max int) []events.Event {
-	merged := eventstore.MergeBySeq(lists, 0)
+func mergeDedup(lists [][]events.Event) []events.Event {
+	merged := eventstore.MergeBySeq(lists)
 	out := merged[:0]
 	var prev uint64
 	for _, e := range merged {
@@ -137,9 +139,6 @@ func mergeDedup(lists [][]events.Event, max int) []events.Event {
 		}
 		out = append(out, e)
 		prev = e.Seq
-		if max > 0 && len(out) >= max {
-			break
-		}
 	}
 	return out
 }

@@ -158,10 +158,7 @@ func TestNodeHandoffContinuity(t *testing.T) {
 	phase2 := publish("two", 40)
 	waitStored(80)
 
-	got, err := n0.Since(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := recoverAll(t, n0)
 	if len(got) != 80 {
 		t.Fatalf("recovered %d events, want 80", len(got))
 	}
@@ -269,13 +266,9 @@ func TestNodeJoinFencedHandoff(t *testing.T) {
 
 	var lists [][]events.Event
 	for _, n := range live {
-		l, err := n.Since(0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lists = append(lists, l)
+		lists = append(lists, recoverAll(t, n))
 	}
-	got := eventstore.MergeBySeq(lists, 0)
+	got := eventstore.MergeBySeq(lists)
 	if len(got) != total {
 		t.Fatalf("recovered %d events, want %d", len(got), total)
 	}

@@ -241,27 +241,6 @@ func TestRecoveryStreamGoldenDigest(t *testing.T) {
 	}
 }
 
-// A recovery round trip allocates per page — frame payload, interned
-// strings, the server's page — and one result slice, not per event.
-func TestRecoveryClientAllocations(t *testing.T) {
-	const n = 100_000
-	srv, err := NewRecoveryServer(bulkEngine(t, n), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli := NewRecoveryClient(srv.Addr())
-	got := testing.AllocsPerRun(2, func() {
-		evs, err := cli.SinceVector([]uint64{0, 0}, 0)
-		if err != nil || len(evs) != n {
-			t.Fatalf("SinceVector = %d events, %v", len(evs), err)
-		}
-	})
-	if perEvent := got / n; perEvent > 0.05 {
-		t.Fatalf("SinceVector over %d events: %v allocs (%.4f/event), want <= 0.05/event", n, got, perEvent)
-	}
-}
-
 // TestPartitionedCrashRestartRecovery kills a partitioned store
 // mid-stream, reopens it from its journal segments, and verifies that
 // partition-aware recovery — both direct RecoveryClient.SinceVector calls
@@ -344,7 +323,7 @@ func TestPartitionedCrashRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng2.Close()
-	if all, err := eng2.Since(0, 0); err != nil || len(all) != total {
+	if all, err := eng2.SinceVector([]uint64{0, 0}, 0); err != nil || len(all) != total {
 		t.Fatalf("reopened store holds %d events, %v; want %d", len(all), err, total)
 	}
 

@@ -180,101 +180,96 @@ func (s *RecoveryServer) Close() {
 	})
 }
 
-// RecoveryClient implements RecoverySource (and VectorRecoverySource)
-// against a RecoveryServer, so a remote consumer can pass it as
-// ConsumerOptions.Recover.
-type RecoveryClient struct {
-	addr string
-}
+// RecoveryClient implements RecoverySource against a RecoveryServer, so a
+// remote consumer can pass it as ConsumerOptions.Recover.
+type RecoveryClient struct{ addr string }
 
 // NewRecoveryClient targets the server at addr.
 func NewRecoveryClient(addr string) *RecoveryClient {
 	return &RecoveryClient{addr: addr}
 }
 
-// Since implements RecoverySource over the wire.
-func (c *RecoveryClient) Since(seq uint64, max int) ([]events.Event, error) {
-	evs, _, err := c.request(msgq.Message{Topic: recoveryReqTopic, Payload: encodeSeq(seq)}, max)
-	return evs, err
+// RecoverPages implements RecoverySource over the wire. One cursor is sent
+// as the classic scalar request ("since"), a vector as "sincev".
+func (c *RecoveryClient) RecoverPages(cursors []uint64, page func(*events.Block) error) error {
+	req := msgq.Message{Topic: recoveryVecReqTopic, Payload: encodeSeqVector(cursors)}
+	if len(cursors) == 1 {
+		req = msgq.Message{Topic: recoveryReqTopic, Payload: encodeSeq(cursors[0])}
+	}
+	_, err := c.request(req, page)
+	return err
 }
 
-// SinceVector implements VectorRecoverySource over the wire. Remote
-// consumers pass their per-partition cursors (ConsumerOptions.SinceVector
-// feeds them automatically).
+// SinceVector returns the events the cursor vector does not cover, in
+// global seq order, in one slice (max <= 0: all of them).
 func (c *RecoveryClient) SinceVector(cursors []uint64, max int) ([]events.Event, error) {
-	evs, _, err := c.SinceVectorOwned(cursors, max)
+	evs, _, err := c.collect(cursors)
+	if max > 0 && len(evs) > max {
+		evs = evs[:max]
+	}
 	return evs, err
 }
 
-// SinceVectorOwned is the fan-out form of SinceVector: alongside the
-// events it returns the partitions the server's store actually covers —
-// the "owned" frame a cluster node sends. owned is nil when the server is
-// a classic single store serving every partition.
-func (c *RecoveryClient) SinceVectorOwned(cursors []uint64, max int) ([]events.Event, []int, error) {
-	return c.request(msgq.Message{Topic: recoveryVecReqTopic, Payload: encodeSeqVector(cursors)}, max)
-}
-
-// request sends req and collects the answer. Batch frames are decoded as
-// they arrive only to be checked and counted; their payloads are held until
-// the stream ends and then materialized into a result sized once — one
-// string per page, no slice regrown on the way to half a million events.
-func (c *RecoveryClient) request(req msgq.Message, max int) ([]events.Event, []int, error) {
-	conn, err := net.Dial("tcp", c.addr)
+// collect sends cursors as a "sincev" request and gathers the answer's
+// events, each page interned once, with the partitions the server's "owned"
+// frame says it covers (nil when the server is a classic single store
+// serving every partition).
+func (c *RecoveryClient) collect(cursors []uint64) ([]events.Event, []int, error) {
+	var evs []events.Event
+	owned, err := c.request(msgq.Message{Topic: recoveryVecReqTopic, Payload: encodeSeqVector(cursors)}, func(blk *events.Block) error {
+		blk.Intern()
+		evs = blk.AppendEventsTo(evs)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	if err := msgq.WriteFrame(w, req); err != nil {
-		return nil, nil, err
+	return evs, owned, nil
+}
+
+// request sends req and hands each batch frame of the answer to page as it
+// lands, decoded into one reused block over the frame's payload; the frame
+// goes back to the reader's one-buffer free list once page returns, so the
+// block is page's only during the call. It returns the coverage frame's
+// partitions, if the server sent one.
+func (c *RecoveryClient) request(req msgq.Message, page func(*events.Block) error) ([]int, error) {
+	conn, err := net.Dial("tcp", c.addr)
+	if err != nil {
+		return nil, err
 	}
-	var (
-		pages [][]byte
-		total int
-		owned []int
-		blk   = events.NewBlock(recoveryBatchMax, 0)
-	)
-	for done := false; !done; {
-		f, err := msgq.ReadFrame(r)
+	defer conn.Close()
+	if err := msgq.WriteFrame(bufio.NewWriter(conn), req); err != nil {
+		return nil, err
+	}
+	next := msgq.FrameReader(bufio.NewReader(conn), 1)
+	blk := events.NewBlock(0, 0)
+	var owned []int
+	for {
+		f, err := next()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		switch f.Topic {
 		case recoveryOwnedTopic:
 			if owned = decodeParts(f.Payload); owned == nil {
-				return nil, nil, fmt.Errorf("scalable: recovery server: bad coverage frame")
+				err = fmt.Errorf("scalable: recovery server: bad coverage frame")
 			}
 		case recoveryBatchTopic:
-			if err := events.DecodeBlockInto(blk, f.Payload); err != nil {
-				return nil, nil, err
+			if err = events.DecodeBlockInto(blk, f.Payload); err == nil {
+				err = page(blk)
 			}
-			pages = append(pages, f.Payload)
-			total += blk.Len()
-			done = max > 0 && total >= max
 		case recoveryEndTopic:
-			done = true
+			return owned, nil
 		case recoveryErrTopic:
-			return nil, nil, fmt.Errorf("scalable: recovery server: %s", f.Payload)
+			err = fmt.Errorf("scalable: recovery server: %s", f.Payload)
 		default:
-			return nil, nil, fmt.Errorf("scalable: unexpected recovery frame %q", f.Topic)
+			err = fmt.Errorf("scalable: unexpected recovery frame %q", f.Topic)
+		}
+		f.Done()
+		if err != nil {
+			return nil, err
 		}
 	}
-	if total == 0 {
-		return nil, owned, nil
-	}
-	out := make([]events.Event, 0, total)
-	for _, p := range pages {
-		if err := events.DecodeBlockInto(blk, p); err != nil {
-			return nil, nil, err
-		}
-		blk.Intern()
-		out = blk.AppendEventsTo(out)
-	}
-	if max > 0 && len(out) > max {
-		out = out[:max]
-	}
-	return out, owned, nil
 }
 
 // encodeParts/decodeParts frame a partition list for the "owned" coverage

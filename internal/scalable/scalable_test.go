@@ -361,21 +361,17 @@ func TestRecoveryOverTCP(t *testing.T) {
 	defer srv.Close()
 	client := NewRecoveryClient(srv.Addr())
 	// Full replay spans multiple protocol batches (recoveryBatchMax=1024).
-	got, err := client.Since(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2500 {
+	if got := recoverAll(t, client); len(got) != 2500 {
 		t.Fatalf("recovered %d over TCP", len(got))
 	}
-	got, err = client.Since(2490, 0)
+	got, err := client.SinceVector([]uint64{2490}, 0)
 	if err != nil || len(got) != 10 {
-		t.Fatalf("Since(2490) = %d, %v", len(got), err)
+		t.Fatalf("SinceVector([2490]) = %d, %v", len(got), err)
 	}
 	// max truncation
-	got, err = client.Since(0, 7)
+	got, err = client.SinceVector([]uint64{0}, 7)
 	if err != nil || len(got) != 7 {
-		t.Fatalf("Since(0,7) = %d, %v", len(got), err)
+		t.Fatalf("SinceVector([0], 7) = %d, %v", len(got), err)
 	}
 	// A consumer can use the TCP client as its recovery source.
 	con, err := NewConsumer(ConsumerOptions{
@@ -741,12 +737,8 @@ func TestCollectorRestartNoLoss(t *testing.T) {
 		t.Fatalf("aggregator stored %d events, want 40 (collector restart lost events)", got)
 	}
 	// Nothing duplicated either.
-	all, err := agg.Since(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seen := map[string]int{}
-	for _, e := range all {
+	for _, e := range recoverAll(t, agg) {
 		seen[e.Path]++
 		if seen[e.Path] > 1 {
 			t.Fatalf("duplicate event for %s", e.Path)
@@ -817,8 +809,7 @@ func TestAggregatorRestartNoLoss(t *testing.T) {
 	if got := agg2.Stats().Stored; got != 15 {
 		t.Fatalf("replacement aggregator stored %d outage events, want 15", got)
 	}
-	all, _ := agg2.Since(0, 0)
-	for _, e := range all {
+	for _, e := range recoverAll(t, agg2) {
 		if !strings.HasPrefix(e.Path, "/b") {
 			t.Errorf("unexpected replayed event %v (pre-crash events were already consumed)", e.Path)
 		}
