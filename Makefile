@@ -50,7 +50,10 @@ race:
 # (a live engine paged to the wire while a writer appends and purges and the
 # retention bound drop, and Reset in place, the segments it reads) and of the
 # consumer's paged replay (one store through the wire client, the in-process
-# aggregator and a fan-out, receive buffers poisoned as they return), then
+# aggregator and a fan-out, receive buffers poisoned as they return), and of
+# the stall tests (a subscriber evicted past the stall bound over either
+# transport, a blocking publish unwound by its context, a never-read
+# consumer beside a drained one, and the aggregator's Close behind one), then
 # SOAK quick runs of the event-journey benchmark, cycling the four workloads
 # with a fresh seed each, every one of which must report failed = 0 (its
 # oracle checks loss, duplication, order and paths).
@@ -59,9 +62,9 @@ race:
 # CI runs SOAK=20.
 SOAK ?= 200
 soak:
-	$(GO) test -race -count=$(SOAK) -run 'TestLease|TestDoneUnleased|TestPublishLeased|TestPayload' ./internal/msgq/
+	$(GO) test -race -count=$(SOAK) -run 'TestLease|TestDoneUnleased|TestPublishLeased|TestPayload|TestPubEvictsSlowSubscriber|TestPublishCtxUnwindsOnFullQueue' ./internal/msgq/
 	$(GO) test -race -count=$(SOAK) -run 'TestRecycledFlightsKeepTheirKeys|TestReadersNeverSeeAnotherKeysBytes|TestValuesAreCopies' ./internal/cache/
-	$(GO) test -race -count=$(SOAK) -run 'TestRecycledBlocksPoisoned|TestRecoveryPagingUnderDrops|TestConsumerReplayPages' ./internal/scalable/
+	$(GO) test -race -count=$(SOAK) -run 'TestRecycledBlocksPoisoned|TestRecoveryPagingUnderDrops|TestConsumerReplayPages|TestStalledConsumerStallsNothing|TestAggregatorCloseWithStalledConsumer' ./internal/scalable/
 	@i=0; while [ $$i -lt $(SOAK) ]; do \
 		for w in hot_inproc hot_tcp_journal churn_cold_4part crash_recovery; do \
 			[ $$i -lt $(SOAK) ] || break; i=$$((i+1)); \

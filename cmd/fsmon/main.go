@@ -351,25 +351,45 @@ func main() {
 			srv.Addr(), srv.Addr())
 	}
 
-	sub, err := m.Subscribe(fsmonitor.Filter{Recursive: *recursive || *lustreBed != "" || len(mounts) > 0, Ops: mask}, 0)
+	filter := fsmonitor.Filter{Recursive: *recursive || *lustreBed != "" || len(mounts) > 0, Ops: mask}
+	sub, err := m.Subscribe(filter, 0)
 	if err != nil {
 		fatal(err)
 	}
 
-	done := make(chan struct{})
-	go func() {
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func(sub *fsmonitor.Subscription, stop <-chan struct{}) {
 		defer close(done)
-		for batch := range sub.C() {
-			for _, e := range batch {
-				line, err := fsmonitor.Transform(e, outFormat)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "fsmon: %v\n", err)
+		for {
+			select {
+			case batch, ok := <-sub.C():
+				if ok {
+					for _, e := range batch {
+						line, err := fsmonitor.Transform(e, outFormat)
+						if err != nil {
+							fmt.Fprintf(os.Stderr, "fsmon: %v\n", err)
+							continue
+						}
+						fmt.Println(line)
+					}
 					continue
 				}
-				fmt.Println(line)
+				seq, evicted := sub.Evicted()
+				if !evicted || stop == nil {
+					return
+				}
+				fmt.Fprintf(os.Stderr, "fsmon: subscription evicted for lagging, resuming after seq %d\n", seq)
+				var err error
+				if sub, err = m.Subscribe(filter, seq); err != nil {
+					fmt.Fprintf(os.Stderr, "fsmon: resubscribe: %v\n", err)
+					return
+				}
+			case <-stop:
+				sub.Close() // print what it holds, then end
+				stop = nil
 			}
 		}
-	}()
+	}(sub, stop)
 
 	if *demo && cluster != nil {
 		cl := cluster.Client()
@@ -386,7 +406,7 @@ func main() {
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 	}
-	sub.Close()
+	close(stop)
 	<-done
 	if *traceOut != "" {
 		traces := fsmonitor.Traces(reg)

@@ -163,6 +163,9 @@ func main() {
 					fmt.Printf("flow %-12s <- %s\n", tr.Flow.Name, js)
 				}
 			}
+			if seq, evicted := sub.Evicted(); evicted {
+				logger.Warn("subscription evicted for lagging", "component", "automation", "flow", tr.Flow.Name, "through_seq", seq)
+			}
 		}(tr, sub)
 	}
 

@@ -191,6 +191,9 @@ func main() {
 				}
 			}
 		}
+		if seq, evicted := sub.Evicted(); evicted {
+			log.Printf("catalog subscription evicted for lagging; complete through seq %d", seq)
+		}
 	}()
 
 	// Users populate the store.

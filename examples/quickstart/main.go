@@ -46,6 +46,9 @@ func main() {
 				fmt.Println(" ", e) // e.g. "/tmp/xyz CREATE /hello.txt"
 			}
 		}
+		if seq, evicted := sub.Evicted(); evicted {
+			log.Printf("evicted for lagging; complete through seq %d", seq)
+		}
 	}()
 
 	// Drive some file activity: create, modify, rename, remove. The

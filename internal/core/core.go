@@ -321,6 +321,7 @@ func (m *Monitor) registerTelemetry(reg *telemetry.Registry) {
 	m.proc.RegisterTelemetry(reg, "fsmon.core.resolution")
 	m.store.RegisterTelemetry(reg, "fsmon.core.store")
 	reg.GaugeFunc("fsmon.core.iface.delivered", func() float64 { return float64(m.api.Stats().Delivered) })
+	reg.GaugeFunc("fsmon.core.iface.evicted", func() float64 { return float64(m.api.Stats().Evicted) })
 	reg.GaugeFunc("fsmon.core.iface.subscribers", func() float64 { return float64(m.api.Stats().Subscribers) })
 	metrics.Register(reg)
 }

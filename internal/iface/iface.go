@@ -79,7 +79,7 @@ type Interface struct {
 	lastSeq atomic.Uint64
 
 	delivered atomic.Uint64
-	reported  atomic.Uint64
+	evicted   atomic.Uint64
 }
 
 // New creates the interface layer over the given store.
@@ -99,52 +99,67 @@ func New(opts Options) (*Interface, error) {
 
 // Subscription is one client's event feed.
 type Subscription struct {
-	iface   *Interface
-	filter  Filter
-	ch      chan []events.Event
-	dropped atomic.Uint64
-	once    sync.Once
+	iface  *Interface
+	filter Filter
+	ch     chan []events.Event
+	// Guarded by iface.mu, like every send on ch.
+	seq     uint64 // the feed is complete through this seq
+	evicted bool
 }
 
-// C returns the subscription's batch channel. It closes on Close.
+// C returns the subscription's batch channel. It closes on Close, and when
+// the subscription is evicted for lagging (Evicted).
 func (s *Subscription) C() <-chan []events.Event { return s.ch }
 
-// Dropped returns batches lost because this subscriber lagged.
-func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
+// Evicted reports whether a batch found this subscription's channel full,
+// and the seq its feed is complete through: Subscribe(filter, seq) resumes
+// exactly there while the store still holds what followed.
+func (s *Subscription) Evicted() (seq uint64, evicted bool) {
+	s.iface.mu.Lock()
+	defer s.iface.mu.Unlock()
+	return s.seq, s.evicted
+}
 
 // Close cancels the subscription.
 func (s *Subscription) Close() {
-	s.once.Do(func() {
-		s.iface.mu.Lock()
+	s.iface.mu.Lock()
+	defer s.iface.mu.Unlock()
+	s.closeLocked()
+}
+
+func (s *Subscription) closeLocked() {
+	if _, open := s.iface.subs[s]; open {
 		delete(s.iface.subs, s)
-		s.iface.mu.Unlock()
 		close(s.ch)
-	})
+	}
 }
 
 // Subscribe attaches a client. If sinceSeq > 0, events after that sequence
-// number are replayed from the store first (consumer fault recovery);
-// live delivery follows.
+// number are replayed from the store first (fault recovery, resume after an
+// eviction); live delivery follows from the first event the replay lacked.
 func (i *Interface) Subscribe(filter Filter, sinceSeq uint64) (*Subscription, error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	if i.closed {
 		return nil, errors.New("iface: closed")
 	}
-	s := &Subscription{iface: i, filter: filter, ch: make(chan []events.Event, i.opts.SubscriberBuffer)}
+	s := &Subscription{iface: i, filter: filter, ch: make(chan []events.Event, i.opts.SubscriberBuffer), seq: i.lastSeq.Load()}
 	if sinceSeq > 0 {
 		history, err := i.store.Since(sinceSeq, 0)
 		if err != nil {
 			return nil, err
 		}
+		s.seq = sinceSeq
 		var replay []events.Event
 		for _, e := range history {
+			s.seq = e.Seq
 			if filter.Match(e) {
 				replay = append(replay, e)
 			}
 		}
 		if len(replay) > 0 {
 			s.ch <- replay
+			i.delivered.Add(uint64(len(replay)))
 		}
 	}
 	i.subs[s] = struct{}{}
@@ -167,36 +182,32 @@ func (i *Interface) Ingest(batch []events.Event) error {
 		stored = append(stored, e)
 		i.lastSeq.Store(seq)
 	}
+	// Every send on a subscription's channel is made under i.mu. One without
+	// room is evicted at once: behind this layer is the DSI channel, not a
+	// durable Changelog, so waiting on one reader would stall capture.
 	i.mu.Lock()
-	subs := make([]*Subscription, 0, len(i.subs))
 	for s := range i.subs {
-		subs = append(subs, s)
-	}
-	i.mu.Unlock()
-	for _, s := range subs {
-		var filtered []events.Event
+		var pass []events.Event
 		for _, e := range stored {
-			if s.filter.Match(e) {
-				filtered = append(filtered, e)
+			if e.Seq > s.seq && s.filter.Match(e) {
+				pass = append(pass, e)
 			}
 		}
-		if len(filtered) == 0 {
-			continue
+		if len(pass) > 0 {
+			if len(s.ch) == cap(s.ch) {
+				s.evicted = true
+				s.closeLocked()
+				i.evicted.Add(1)
+				continue
+			}
+			s.ch <- pass
+			i.delivered.Add(uint64(len(pass)))
 		}
-		select {
-		case s.ch <- filtered:
-			i.delivered.Add(uint64(len(filtered)))
-		default:
-			// A stalled consumer loses the batch from its live feed
-			// but can recover it from the store via Since.
-			s.dropped.Add(1)
-		}
+		s.seq = max(s.seq, stored[len(stored)-1].Seq)
 	}
+	i.mu.Unlock()
 	if i.opts.AutoAck {
-		if err := i.store.MarkReported(i.lastSeq.Load()); err != nil {
-			return err
-		}
-		i.reported.Store(i.lastSeq.Load())
+		return i.store.MarkReported(i.lastSeq.Load())
 	}
 	return nil
 }
@@ -208,13 +219,7 @@ func (i *Interface) Since(seq uint64, max int) ([]events.Event, error) {
 
 // Ack flags events up to seq as reported; they become eligible for the
 // next purge cycle.
-func (i *Interface) Ack(seq uint64) error {
-	if err := i.store.MarkReported(seq); err != nil {
-		return err
-	}
-	i.reported.Store(seq)
-	return nil
-}
+func (i *Interface) Ack(seq uint64) error { return i.store.MarkReported(seq) }
 
 // Purge removes reported events from the store, returning the count.
 func (i *Interface) Purge() (int, error) { return i.store.Purge() }
@@ -225,6 +230,7 @@ func (i *Interface) LastSeq() uint64 { return i.lastSeq.Load() }
 // Stats summarizes interface-layer activity.
 type Stats struct {
 	Delivered   uint64
+	Evicted     uint64 // subscriptions evicted for lagging
 	Subscribers int
 	Store       eventstore.Stats
 }
@@ -234,23 +240,15 @@ func (i *Interface) Stats() Stats {
 	i.mu.Lock()
 	n := len(i.subs)
 	i.mu.Unlock()
-	return Stats{Delivered: i.delivered.Load(), Subscribers: n, Store: i.store.Stats()}
+	return Stats{Delivered: i.delivered.Load(), Evicted: i.evicted.Load(), Subscribers: n, Store: i.store.Stats()}
 }
 
 // Close cancels every subscription.
 func (i *Interface) Close() {
 	i.mu.Lock()
-	if i.closed {
-		i.mu.Unlock()
-		return
-	}
+	defer i.mu.Unlock()
 	i.closed = true
-	subs := make([]*Subscription, 0, len(i.subs))
 	for s := range i.subs {
-		subs = append(subs, s)
-	}
-	i.mu.Unlock()
-	for _, s := range subs {
-		s.Close()
+		s.closeLocked()
 	}
 }

@@ -1,6 +1,7 @@
 package iface
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -150,25 +151,146 @@ func TestAckAndPurge(t *testing.T) {
 	}
 }
 
-func TestSlowSubscriberDropsButStoreKeeps(t *testing.T) {
+// A subscription with no room is evicted, not skipped: its channel closes
+// after what it holds, the eviction names the seq its feed is complete
+// through, and a resubscription from that seq yields exactly the rest. A
+// subscription that kept reading loses nothing.
+func TestSlowSubscriberEvictedResumesBySeq(t *testing.T) {
 	i := newIface(t, Options{SubscriberBuffer: 1})
-	sub, err := i.Subscribe(Filter{Recursive: true}, 0)
+	all := Filter{Recursive: true}
+	slow, err := i.Subscribe(all, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fast, err := i.Subscribe(all, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fastGot []events.Event
 	for k := 0; k < 5; k++ {
-		if err := i.Ingest([]events.Event{ev("/f", events.OpCreate)}); err != nil {
+		if err := i.Ingest([]events.Event{ev(fmt.Sprintf("/f%d", k), events.OpCreate)}); err != nil {
 			t.Fatal(err)
 		}
+		fastGot = append(fastGot, recvBatch(t, fast)...)
 	}
-	if sub.Dropped() == 0 {
-		t.Error("expected live-feed drops")
+	if first := recvBatch(t, slow); len(first) != 1 || first[0].Seq != 1 {
+		t.Fatalf("the slow subscription's one batch = %+v, want seq 1", first)
 	}
-	// Everything is still recoverable from the store.
-	all, _ := i.Since(0, 0)
-	if len(all) != 5 {
-		t.Errorf("store kept %d", len(all))
+	if b, ok := <-slow.C(); ok {
+		t.Fatalf("the slow subscription's channel still open, holding %+v", b)
 	}
+	if seq, evicted := slow.Evicted(); !evicted || seq != 1 {
+		t.Fatalf("Evicted() = %d, %v; want 1, true", seq, evicted)
+	}
+	if seq, evicted := fast.Evicted(); evicted {
+		t.Errorf("the reading subscription was evicted at seq %d", seq)
+	}
+	resumed, err := i.Subscribe(all, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recvBatch(t, resumed); !risingFrom(got, 2, 5) {
+		t.Errorf("resumed subscription got %+v, want seqs 2..5 once each", got)
+	}
+	if !risingFrom(fastGot, 1, 5) {
+		t.Errorf("the reading subscription got %+v, want seqs 1..5 once each", fastGot)
+	}
+	if st := i.Stats(); st.Evicted != 1 {
+		t.Errorf("Stats().Evicted = %d, want 1", st.Evicted)
+	}
+}
+
+// risingFrom reports whether got holds exactly seqs from..to, in order.
+func risingFrom(got []events.Event, from, to uint64) bool {
+	if len(got) != int(to-from+1) {
+		return false
+	}
+	for k, e := range got {
+		if e.Seq != from+uint64(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// Closing subscriptions, or the layer, while Ingest delivers never sends on
+// a closed channel.
+func TestIngestRacesClose(t *testing.T) {
+	i := newIface(t, Options{})
+	var subs []*Subscription
+	for k := 0; k < 8; k++ {
+		s, err := i.Subscribe(Filter{Recursive: true}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, s)
+	}
+	started, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := 0; k < 500; k++ {
+			if err := i.Ingest([]events.Event{ev("/a", events.OpCreate)}); err != nil {
+				t.Error(err)
+				return
+			}
+			if k == 0 {
+				close(started)
+			}
+		}
+	}()
+	<-started
+	for _, s := range subs[:7] {
+		s.Close()
+		time.Sleep(20 * time.Microsecond)
+	}
+	i.Close()
+	<-done
+}
+
+// A subscription that resumes from a seq while Ingest runs gets every later
+// event exactly once: the replay and the first live batch never overlap.
+func TestReplayLiveBoundaryExactlyOnce(t *testing.T) {
+	i := newIface(t, Options{})
+	const batches, per = 300, 4
+	ingested := make(chan struct{})
+	go func() {
+		defer close(ingested)
+		for k := 0; k < batches; k++ {
+			batch := make([]events.Event, per)
+			for j := range batch {
+				batch[j] = ev("/f", events.OpCreate)
+			}
+			if err := i.Ingest(batch); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	type resume struct {
+		sub   *Subscription
+		since uint64
+	}
+	var resumes []resume
+	for last := uint64(0); last < batches*per-per; last = i.LastSeq() {
+		since := last/2 + 1
+		s, err := i.Subscribe(Filter{Recursive: true}, since)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumes = append(resumes, resume{s, since})
+		time.Sleep(50 * time.Microsecond)
+	}
+	<-ingested
+	for _, r := range resumes {
+		var got []events.Event
+		for len(r.sub.C()) > 0 {
+			got = append(got, <-r.sub.C()...)
+		}
+		if !risingFrom(got, r.since+1, batches*per) {
+			t.Fatalf("resumed after seq %d: got %d events, want each of seqs %d..%d once and in order", r.since, len(got), r.since+1, batches*per)
+		}
+	}
+	t.Logf("%d resumes checked", len(resumes))
 }
 
 func TestSubscriptionClose(t *testing.T) {

@@ -43,27 +43,38 @@ type inprocBindable interface {
 	attachInproc(peer *inprocPeer)
 }
 
-// inprocPeer is the in-process analogue of one connected socket: a
-// subscription set and a delivery function.
-type inprocPeer struct {
-	mu       sync.Mutex
-	prefixes map[string]bool
-	deliver  func(Message) bool // returns false when the peer is gone
+// subscriber is what a publisher's offer needs of a subscriber.
+type subscriber interface {
+	done() <-chan struct{}
+	evict(p *Pub)
 }
 
-func (p *inprocPeer) subscribe(prefix string) {
+// peer is what a publisher keeps of one subscriber, whatever its transport:
+// its topic prefixes, and gone, closed once it is detached or evicted.
+type peer struct {
+	mu       sync.Mutex
+	prefixes map[string]bool
+	gone     chan struct{}
+	once     sync.Once
+}
+
+func (p *peer) done() <-chan struct{} { return p.gone }
+
+func (p *peer) stop() { p.once.Do(func() { close(p.gone) }) }
+
+func (p *peer) subscribe(prefix string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.prefixes[prefix] = true
 }
 
-func (p *inprocPeer) unsubscribe(prefix string) {
+func (p *peer) unsubscribe(prefix string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	delete(p.prefixes, prefix)
 }
 
-func (p *inprocPeer) matches(topic string) bool {
+func (p *peer) matches(topic string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for prefix := range p.prefixes {
@@ -72,6 +83,18 @@ func (p *inprocPeer) matches(topic string) bool {
 		}
 	}
 	return false
+}
+
+// inprocPeer is the in-process analogue of one connected socket: a
+// publisher offers straight into sub's receive queue.
+type inprocPeer struct {
+	peer
+	sub *Sub
+}
+
+func (p *inprocPeer) evict(pub *Pub) {
+	pub.detachInproc(p)
+	p.stop()
 }
 
 // inprocRegistry maps names to bound sockets within the process.

@@ -3,6 +3,7 @@ package msgq
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"fsmonitor/internal/pipeline"
 )
 
 func recvN(t *testing.T, ch <-chan Message, n int) []Message {
@@ -210,29 +213,129 @@ func TestSubPrefixFiltering(t *testing.T) {
 	}
 }
 
-func TestPubDropOnSlowSubscriber(t *testing.T) {
-	pub := NewPub(WithHWM(4))
-	if err := pub.Bind("inproc://slow-sub"); err != nil {
-		t.Fatal(err)
+// stallPub binds a publisher with a one-frame queue per subscriber over the
+// transport and attaches one subscriber with a one-frame receive queue that
+// nobody reads.
+func stallPub(t *testing.T, tcp bool, opts ...PubOption) (*Pub, *Sub) {
+	pub, inproc, tcpAddr := leasePub(t, tcp, append(opts, WithHWM(1))...)
+	addr := inproc
+	if tcp {
+		addr = tcpAddr
 	}
-	defer pub.Close()
-	sub := NewSub(WithRecvBuffer(2))
-	sub.Subscribe("")
-	if err := sub.Connect("inproc://slow-sub"); err != nil {
-		t.Fatal(err)
+	return pub, leaseSub(t, pub, addr, "", WithRecvBuffer(1))
+}
+
+// stallPayload is big enough that a few frames fill a loopback connection.
+var stallPayload = bytes.Repeat([]byte{1}, 256<<10)
+
+func transportName(tcp bool) string {
+	if tcp {
+		return "tcp"
 	}
-	waitFor(t, func() bool { return pub.Subscribers() == 1 }, "attach")
-	// In-process delivery blocks rather than drops (the sub channel is
-	// the HWM); TCP is where ZMQ-style dropping occurs. Close the sub so
-	// pending deliveries abort and count as drops.
-	go func() {
-		for i := 0; i < 10; i++ {
-			pub.Publish("t", []byte{byte(i)})
-		}
-	}()
-	time.Sleep(50 * time.Millisecond)
-	sub.Close()
-	waitFor(t, func() bool { return pub.Published() == 10 || pub.Dropped() > 0 }, "publishes settle")
+	return "inproc"
+}
+
+// A subscriber that makes no room for one stall bound is evicted, over
+// either transport: the publish that waited the bound out reaches nobody,
+// and the publisher moves on. The subscriber finds what reached it before
+// the eviction, then the link-loss report — which waits for room, so the
+// stalled subscriber is not linked again meanwhile — and, once it reads
+// again, a fresh link.
+func TestPubEvictsSlowSubscriber(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(transportName(tcp), func(t *testing.T) {
+			pub, sub := stallPub(t, tcp)
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			sent := 0
+			var took time.Duration
+			for {
+				began := time.Now()
+				n := pub.PublishCtx(ctx, "t", stallPayload)
+				took = time.Since(began)
+				if n == 0 {
+					break
+				}
+				sent++
+			}
+			if ctx.Err() != nil {
+				t.Fatalf("no eviction after %d publishes", sent)
+			}
+			if took < pipeline.StallBound {
+				t.Errorf("the evicting publish waited %v, want at least the %v stall bound", took, pipeline.StallBound)
+			}
+			if n := pub.Evicted(); n != 1 {
+				t.Errorf("Evicted = %d, want 1", n)
+			}
+			waitFor(t, func() bool { return pub.Subscribers() == 0 }, "the evicted subscriber to detach")
+			time.Sleep(50 * time.Millisecond)
+			if n := pub.Subscribers(); n != 0 {
+				t.Fatalf("a subscriber that still reads nothing was linked again (%d attached)", n)
+			}
+			got := 0
+			for m := range sub.C() {
+				if m.LinkLost() {
+					break
+				}
+				if !bytes.Equal(m.Payload, stallPayload) {
+					t.Fatalf("frame %d is not a published one", got)
+				}
+				got++
+			}
+			// In process every accepted frame is in the receive queue; over TCP
+			// the ones still in the publisher's send queue went with the link.
+			if got == 0 || got > sent || !tcp && got != sent {
+				t.Errorf("received %d of %d accepted frames before the report", got, sent)
+			}
+			if err := sub.WaitReady(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				if pub.PublishCtx(ctx, "after", nil) == 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the subscriber was never linked again")
+				}
+			}
+			if m := recvN(t, sub.C(), 1)[0]; m.Topic != "after" {
+				t.Errorf("after the re-link got %q", m.Topic)
+			}
+		})
+	}
+}
+
+// Under WithBlockOnFull nobody is evicted, however long the wait — and a
+// canceled context unwinds it, over either transport.
+func TestPublishCtxUnwindsOnFullQueue(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(transportName(tcp), func(t *testing.T) {
+			pub, _ := stallPub(t, tcp, WithBlockOnFull())
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for pub.PublishCtx(ctx, "t", stallPayload) == 1 {
+				}
+			}()
+			time.Sleep(2 * pipeline.StallBound)
+			select {
+			case <-done:
+				t.Fatal("a publish into a full queue returned before its context ended")
+			default:
+			}
+			cancel()
+			select {
+			case <-done:
+			case <-time.After(time.Second):
+				t.Fatal("the publish was still blocked 1s after its context was canceled")
+			}
+			if n, subs := pub.Evicted(), pub.Subscribers(); n != 0 || subs != 1 {
+				t.Errorf("blocking publisher evicted %d and has %d subscribers, want 0 and 1", n, subs)
+			}
+		})
+	}
 }
 
 // A closed socket takes no more connections: Connect says so and leaves
@@ -289,9 +392,12 @@ func TestSubReconnect(t *testing.T) {
 	waitFor(t, func() bool { return pub.Subscribers() == 1 }, "attach")
 	pub.Publish("t", []byte("one"))
 	recvN(t, sub.C(), 1)
-	// Kill the publisher and bring up a new one on the same port.
+	// Kill the publisher: the subscriber is told in band. Bring up a new
+	// one on the same port.
 	pub.Close()
-	time.Sleep(50 * time.Millisecond)
+	if m := recvN(t, sub.C(), 1)[0]; !m.LinkLost() {
+		t.Errorf("after the publisher closed got %q, want the link-loss report", m.Topic)
+	}
 	pub2 := NewPub()
 	if err := pub2.Bind(addr); err != nil {
 		t.Fatal(err)
@@ -494,8 +600,8 @@ func TestPubSubHighVolume(t *testing.T) {
 		}
 	}()
 	recvN(t, sub.C(), n)
-	if pub.Dropped() != 0 {
-		t.Errorf("dropped %d with blocking pub", pub.Dropped())
+	if pub.Evicted() != 0 {
+		t.Errorf("evicted %d with blocking pub", pub.Evicted())
 	}
 }
 

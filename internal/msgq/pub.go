@@ -6,11 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"fsmonitor/internal/events"
+	"fsmonitor/internal/pipeline"
 )
 
 // ErrClosed is returned by context-aware waits when the socket closes.
@@ -22,11 +23,11 @@ const DefaultHWM = 10000
 
 // Pub is a publish socket: every message is distributed to all connected
 // subscribers whose subscription prefixes match the topic. Each subscriber
-// has its own queue bounded by the high-water mark; when a subscriber
-// cannot keep up the publisher either drops messages for that subscriber
-// (ZeroMQ semantics, the default) or blocks (lossless backpressure, used
-// by the collector→aggregator path where the paper requires "no overall
-// loss of events").
+// has its own queue bounded by the high-water mark. A publisher waits on a
+// full queue for at most pipeline.StallBound, then evicts the subscriber,
+// which resumes from its own cursor (Message.LinkLost). WithBlockOnFull
+// makes the wait unbounded, for the collector→aggregator path where the
+// paper requires "no overall loss of events".
 type Pub struct {
 	mu          sync.Mutex
 	hwm         int
@@ -43,7 +44,7 @@ type Pub struct {
 	attached  atomic.Pointer[attachedSet]
 	closed    chan struct{}
 	closeOnce sync.Once
-	dropped   atomic.Uint64
+	evicted   atomic.Uint64
 	published atomic.Uint64
 	wg        sync.WaitGroup
 }
@@ -54,31 +55,17 @@ type attachedSet struct {
 }
 
 type pubSubscriber struct {
-	conn     net.Conn
-	queue    chan Message
-	prefixes map[string]bool
-	mu       sync.Mutex
-	done     chan struct{}
-	once     sync.Once
-}
-
-func (s *pubSubscriber) matches(topic string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for p := range s.prefixes {
-		if strings.HasPrefix(topic, p) {
-			return true
-		}
-	}
-	return false
+	peer
+	conn  net.Conn
+	queue chan Message
 }
 
 func (s *pubSubscriber) stop() {
-	s.once.Do(func() {
-		close(s.done)
-		s.conn.Close()
-	})
+	s.peer.stop()
+	s.conn.Close()
 }
+
+func (s *pubSubscriber) evict(*Pub) { s.stop() } // its reader and writer detach it
 
 // PubOption configures a Pub socket.
 type PubOption func(*Pub)
@@ -92,8 +79,9 @@ func WithHWM(n int) PubOption {
 	}
 }
 
-// WithBlockOnFull makes Publish block instead of dropping when a
-// subscriber queue is full.
+// WithBlockOnFull makes a full subscriber queue hold the publisher until
+// there is room, the subscriber goes, the socket closes or ctx ends: never
+// evict, for a subscriber that could not recover what it missed.
 func WithBlockOnFull() PubOption {
 	return func(p *Pub) { p.blockOnFull = true }
 }
@@ -164,12 +152,7 @@ func (p *Pub) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return
 		}
-		sub := &pubSubscriber{
-			conn:     conn,
-			queue:    make(chan Message, p.hwm),
-			prefixes: make(map[string]bool),
-			done:     make(chan struct{}),
-		}
+		sub := &pubSubscriber{peer: peer{prefixes: map[string]bool{}, gone: make(chan struct{})}, conn: conn, queue: make(chan Message, p.hwm)}
 		p.mu.Lock()
 		select {
 		case <-p.closed:
@@ -199,13 +182,9 @@ func (p *Pub) subReader(sub *pubSubscriber) {
 		}
 		switch m.Topic {
 		case ctlSubscribe:
-			sub.mu.Lock()
-			sub.prefixes[string(m.Payload)] = true
-			sub.mu.Unlock()
+			sub.subscribe(string(m.Payload))
 		case ctlUnsubscribe:
-			sub.mu.Lock()
-			delete(sub.prefixes, string(m.Payload))
-			sub.mu.Unlock()
+			sub.unsubscribe(string(m.Payload))
 		}
 	}
 }
@@ -220,7 +199,7 @@ func (p *Pub) subWriter(sub *pubSubscriber) {
 	w := bufio.NewWriterSize(sub.conn, 64<<10)
 	for {
 		select {
-		case <-sub.done:
+		case <-sub.gone:
 			return
 		case m := <-sub.queue:
 			// Drain whatever else is queued before blocking in the select
@@ -315,10 +294,10 @@ func (p *Pub) Publish(topic string, payload []byte) {
 }
 
 // PublishCtx distributes the message to all matching subscribers and
-// returns how many queues accepted it. Under blockOnFull a full
-// subscriber queue exerts backpressure; canceling ctx unwinds the blocked
-// send (that subscriber simply misses the message, reflected in the
-// count).
+// returns how many queues accepted it. A full subscriber queue exerts
+// backpressure (offer); canceling ctx unwinds the wait, over either
+// transport — that subscriber simply misses the message, reflected in the
+// count.
 func (p *Pub) PublishCtx(ctx context.Context, topic string, payload []byte) int {
 	return p.fanout(ctx, Message{Topic: topic, Payload: payload})
 }
@@ -375,10 +354,7 @@ func (p *Pub) PublishLeasedCtx(ctx context.Context, topic string, blk *events.Bl
 // fanout is the one delivery loop behind every publish: offer m to each
 // attached queue whose subscription matches and count the ones that took
 // it. A block message reaches TCP subscribers as its wire image and
-// in-process peers as the pointer alone. A leased message gains one
-// reference per accepting queue, taken before the offer (the receiver may
-// be done with it before the offer returns) and given back if it is
-// refused.
+// in-process peers as the pointer alone.
 func (p *Pub) fanout(ctx context.Context, m Message) (delivered int) {
 	p.published.Add(1)
 	set := p.attached.Load()
@@ -393,7 +369,7 @@ func (p *Pub) fanout(ctx context.Context, m Message) (delivered int) {
 		if blk != nil && m.Payload == nil {
 			m.Payload = blk.Wire()
 		}
-		if p.offer(ctx, s, m) {
+		if p.offer(ctx, s.queue, s, m) {
 			delivered++
 		}
 	}
@@ -404,40 +380,69 @@ func (p *Pub) fanout(ctx context.Context, m Message) (delivered int) {
 		if !q.matches(m.Topic) {
 			continue
 		}
-		m.lease.retain()
-		if q.deliver(m) {
+		// The read lock orders the send before the Sub's close(out); Close
+		// stops its peers first, so an offer waiting on one lets go.
+		s := q.sub
+		s.outMu.RLock()
+		if !s.outClosed && p.offer(ctx, s.out, q, m) {
 			delivered++
-		} else {
-			m.lease.unretain()
-			p.dropped.Add(1)
 		}
+		s.outMu.RUnlock()
 	}
 	return delivered
 }
 
-// offer queues m for one TCP subscriber: blocking under blockOnFull until
-// the subscriber, the socket or ctx goes away, dropping on a full queue
-// otherwise.
-func (p *Pub) offer(ctx context.Context, s *pubSubscriber, m Message) bool {
+// stallTimers pool the offers' stall-bound timers: a wait allocates nothing.
+var stallTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
+// offer puts m in one subscriber's queue, over either transport, and reports
+// whether it went in. A full queue holds the publisher until the subscriber
+// or the socket goes or ctx ends — unless the socket blocks on full, for at
+// most pipeline.StallBound, and then the subscriber is evicted. A leased m
+// gains a reference first (the receiver may be done with it before the
+// offer returns), given back if refused.
+func (p *Pub) offer(ctx context.Context, queue chan<- Message, to subscriber, m Message) bool {
 	m.lease.retain()
-	if p.blockOnFull {
-		select {
-		case s.queue <- m:
-			return true
-		case <-s.done:
-		case <-p.closed:
-		case <-ctx.Done():
-		}
-	} else {
-		select {
-		case s.queue <- m:
-			return true
-		default:
-			p.dropped.Add(1)
-		}
+	select {
+	case queue <- m:
+		return true
+	default:
 	}
-	m.lease.unretain()
-	return false
+	var t *time.Timer
+	var bound <-chan time.Time
+	if !p.blockOnFull {
+		t = stallTimers.Get().(*time.Timer)
+		t.Reset(pipeline.StallBound)
+		bound = t.C
+	}
+	ok := false
+	select {
+	case queue <- m:
+		ok = true
+	case <-bound:
+		p.evicted.Add(1)
+		to.evict(p)
+	case <-to.done():
+	case <-p.closed:
+	case <-ctx.Done():
+	}
+	if t != nil {
+		if !t.Stop() {
+			select { // a fire that lost the race: drain it before reuse
+			case <-t.C:
+			default:
+			}
+		}
+		stallTimers.Put(t)
+	}
+	if !ok {
+		m.lease.unretain()
+	}
+	return ok
 }
 
 // Subscribers returns the number of attached subscribers (both transports).
@@ -447,8 +452,9 @@ func (p *Pub) Subscribers() int {
 	return len(p.subs) + len(p.inproc)
 }
 
-// Dropped returns messages dropped due to full subscriber queues.
-func (p *Pub) Dropped() uint64 { return p.dropped.Load() }
+// Evicted returns how many subscribers were evicted for outstaying the
+// stall bound on a full queue.
+func (p *Pub) Evicted() uint64 { return p.evicted.Load() }
 
 // Published returns the number of Publish calls.
 func (p *Pub) Published() uint64 { return p.published.Load() }

@@ -12,11 +12,11 @@ import (
 
 // Sub is a subscribe socket. It connects to one or more publishers,
 // registers topic-prefix subscriptions, and fans all matching messages
-// into a single receive channel. Lost TCP connections are re-established
-// with backoff, and subscriptions are replayed on reconnect. A payload read
-// from a TCP connection is on loan from it until the receiver's
-// Message.Done (see Message); a receiver that never says Done costs an
-// allocation per frame and nothing else.
+// into a single receive channel. A link that ends other than by Close is
+// reported in band (Message.LinkLost), then re-established with backoff and
+// its subscriptions replayed. A payload read from a TCP connection is on
+// loan from it until the receiver's Message.Done (see Message); a receiver
+// that never says Done costs an allocation per frame and nothing else.
 type Sub struct {
 	mu        sync.Mutex
 	prefixes  map[string]bool
@@ -186,38 +186,57 @@ func (s *Sub) notifyReady() {
 	s.mu.Unlock()
 }
 
+// linkLost is the topic of a Sub's link-loss report; it never crosses the
+// wire.
+const linkLost = "\x02LINK-LOST"
+
+// LinkLost reports whether m is a Sub's report that a link ended other than
+// by Close (evicted for lagging, publisher closed, connection broken). It
+// comes behind the link's last frame, before the re-link: a receiver that
+// must not miss what was published in between resumes from its cursor.
+func (m Message) LinkLost() bool { return m.Topic == linkLost }
+
+// reportLinkLost queues the report unless the socket is closing. It waits for
+// room, so a receiver that stays stalled is never re-linked to stall again.
+func (s *Sub) reportLinkLost() {
+	select {
+	case <-s.closed:
+		return
+	default:
+	}
+	select {
+	case s.out <- Message{Topic: linkLost}:
+	case <-s.closed:
+	}
+}
+
 // connLoop maintains one endpoint connection across failures. Retries
 // use capped exponential backoff with jitter so a flock of subscribers
 // chasing one restarting publisher (cluster join, node replacement)
-// doesn't redial in lockstep.
+// doesn't redial in lockstep; a link that was up starts the backoff over.
 func (s *Sub) connLoop(c *subConn) {
 	defer s.wg.Done()
 	retry := newBackoff(10*time.Millisecond, time.Second)
 	for {
+		var linked bool
+		if c.ep.kind == epInproc {
+			linked = s.runInproc(c)
+		} else {
+			linked = s.runTCP(c)
+		}
+		if linked {
+			retry.reset()
+		}
 		select {
 		case <-s.closed:
 			return
-		default:
+		case <-time.After(retry.next()):
 		}
-		ok := false
-		if c.ep.kind == epInproc {
-			ok = s.runInproc(c)
-		} else {
-			ok = s.runTCP(c)
-		}
-		if !ok {
-			select {
-			case <-s.closed:
-				return
-			case <-time.After(retry.next()):
-			}
-			continue
-		}
-		retry.reset()
 	}
 }
 
-// runInproc attaches to an in-process publisher; returns false to retry.
+// runInproc attaches to an in-process publisher until the link ends and
+// reports whether it was ever up.
 func (s *Sub) runInproc(c *subConn) bool {
 	b, found := inprocLookup(c.ep.addr)
 	if !found {
@@ -227,46 +246,29 @@ func (s *Sub) runInproc(c *subConn) bool {
 	if !isPub {
 		return false
 	}
-	peer := &inprocPeer{prefixes: map[string]bool{}}
-	peer.deliver = func(m Message) bool {
-		// A publisher may call deliver from its own goroutine after this
-		// peer detached (it snapshots peers before sending); the read
-		// lock keeps such stragglers ordered before close(s.out).
-		s.outMu.RLock()
-		defer s.outMu.RUnlock()
-		if s.outClosed {
-			return false
-		}
-		select {
-		case s.out <- m:
-			return true
-		case <-s.closed:
-			return false
-		}
-	}
+	q := &inprocPeer{peer: peer{prefixes: map[string]bool{}, gone: make(chan struct{})}, sub: s}
 	s.mu.Lock()
 	for p := range s.prefixes {
-		peer.prefixes[p] = true
+		q.prefixes[p] = true
 	}
-	c.peer = peer
+	c.peer = q
 	c.pub = pub
 	s.mu.Unlock()
-	pub.attachInproc(peer)
+	pub.attachInproc(q)
 	c.setReady(true)
-	// Stay attached until the socket or the publisher closes.
+	// Stay attached until the socket or the publisher closes, or evicts us.
 	select {
 	case <-s.closed:
-		c.setReady(false)
-		pub.detachInproc(peer)
-		return true
 	case <-pub.closed:
-		c.setReady(false)
-		pub.detachInproc(peer)
-		s.mu.Lock()
-		c.peer, c.pub = nil, nil
-		s.mu.Unlock()
-		return false
+	case <-q.gone:
 	}
+	c.setReady(false)
+	q.evict(pub)
+	s.mu.Lock()
+	c.peer, c.pub = nil, nil
+	s.mu.Unlock()
+	s.reportLinkLost()
+	return true
 }
 
 // WaitReady blocks until every connected endpoint has an established,
@@ -274,22 +276,27 @@ func (s *Sub) runInproc(c *subConn) bool {
 // PUB/SUB has no delivery guarantee for messages published before a
 // subscriber attaches (the ZeroMQ "slow joiner"); callers that must not
 // miss the first messages wait for readiness before triggering them.
-func (s *Sub) WaitReady(timeout time.Duration) error {
+func (s *Sub) WaitReady(timeout time.Duration) error { return s.waitReady(timeout, true) }
+
+// WaitAnyReady blocks until at least one connected endpoint is ready, or
+// the timeout elapses. Used when some publishers may come up later (e.g.
+// an aggregator whose collectors restart independently).
+func (s *Sub) WaitAnyReady(timeout time.Duration) error { return s.waitReady(timeout, false) }
+
+func (s *Sub) waitReady(timeout time.Duration, all bool) error {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
 		s.mu.Lock()
-		allReady := true
-		n := 0
+		ready := 0
 		for _, c := range s.conns {
-			n++
-			if !c.isReady() {
-				allReady = false
+			if c.isReady() {
+				ready++
 			}
 		}
-		change := s.readyCh
+		n, change := len(s.conns), s.readyCh
 		s.mu.Unlock()
-		if n > 0 && allReady {
+		if ready > 0 && (ready == n || !all) {
 			return nil
 		}
 		select {
@@ -302,37 +309,8 @@ func (s *Sub) WaitReady(timeout time.Duration) error {
 	}
 }
 
-// WaitAnyReady blocks until at least one connected endpoint is ready, or
-// the timeout elapses. Used when some publishers may come up later (e.g.
-// an aggregator whose collectors restart independently).
-func (s *Sub) WaitAnyReady(timeout time.Duration) error {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		s.mu.Lock()
-		any := false
-		for _, c := range s.conns {
-			if c.isReady() {
-				any = true
-				break
-			}
-		}
-		change := s.readyCh
-		s.mu.Unlock()
-		if any {
-			return nil
-		}
-		select {
-		case <-change:
-		case <-deadline.C:
-			return fmt.Errorf("msgq: no endpoint ready after %v", timeout)
-		case <-s.closed:
-			return fmt.Errorf("msgq: sub closed")
-		}
-	}
-}
-
-// runTCP serves one TCP connection lifetime; returns false to reconnect.
+// runTCP serves one TCP connection lifetime and reports whether the link
+// was ever up.
 func (s *Sub) runTCP(c *subConn) bool {
 	conn, err := net.DialTimeout("tcp", c.ep.addr, 2*time.Second)
 	if err != nil {
@@ -342,9 +320,16 @@ func (s *Sub) runTCP(c *subConn) bool {
 	// still holds from the previous one is never refilled under it. Idle
 	// buffers are bounded by the queue the frames wait in.
 	fr := frameReader{r: bufio.NewReaderSize(conn, 64<<10), bufs: &bufList{keep: cap(s.out)}}
+	// Close closes the conn it finds here; one it would miss sees closed.
 	c.mu.Lock()
 	c.raw, c.bufs = conn, fr.bufs
 	c.mu.Unlock()
+	select {
+	case <-s.closed:
+		conn.Close()
+		return false
+	default:
+	}
 	// Replay subscriptions.
 	w := bufio.NewWriter(conn)
 	s.mu.Lock()
@@ -364,40 +349,26 @@ func (s *Sub) runTCP(c *subConn) bool {
 	// publisher-side at publish time.
 	time.Sleep(5 * time.Millisecond)
 	c.setReady(true)
-	defer c.setReady(false)
-	// Close the conn when the socket closes so the read loop unblocks.
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-s.closed:
-			conn.Close()
-		case <-done:
-		}
-	}()
 	for {
 		m, err := fr.next()
 		if err != nil {
-			close(done)
-			conn.Close()
-			c.mu.Lock()
-			c.raw = nil
-			c.mu.Unlock()
-			select {
-			case <-s.closed:
-				return true
-			default:
-				return false
-			}
+			break
 		}
 		s.received.Add(1)
 		select {
 		case s.out <- m:
+			continue
 		case <-s.closed:
-			close(done)
-			conn.Close()
-			return true
 		}
+		break
 	}
+	conn.Close()
+	c.mu.Lock()
+	c.raw = nil
+	c.mu.Unlock()
+	c.setReady(false)
+	s.reportLinkLost()
+	return true
 }
 
 // Depth returns the current receive-channel backlog — the queue-depth
@@ -423,6 +394,7 @@ func (s *Sub) Close() {
 			c.mu.Unlock()
 			if c.pub != nil {
 				c.pub.detachInproc(c.peer)
+				c.peer.stop() // a publisher waiting on this peer's room lets go
 			}
 		}
 		s.mu.Unlock()

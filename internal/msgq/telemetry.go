@@ -5,8 +5,8 @@ import (
 )
 
 // RegisterPubTelemetry mirrors a publish socket into reg under prefix:
-// fan-out (attached subscribers), publish count, and messages dropped at
-// full subscriber queues. All GaugeFuncs over existing counters — nothing
+// fan-out (attached subscribers), publish count, and subscribers evicted
+// past the stall bound. All GaugeFuncs over existing counters — nothing
 // added to the publish path. No-op when reg is nil.
 func RegisterPubTelemetry(reg *telemetry.Registry, prefix string, p *Pub) {
 	if reg == nil || p == nil {
@@ -14,7 +14,7 @@ func RegisterPubTelemetry(reg *telemetry.Registry, prefix string, p *Pub) {
 	}
 	reg.GaugeFunc(prefix+".subscribers", func() float64 { return float64(p.Subscribers()) })
 	reg.GaugeFunc(prefix+".published", func() float64 { return float64(p.Published()) })
-	reg.GaugeFunc(prefix+".dropped", func() float64 { return float64(p.Dropped()) })
+	reg.GaugeFunc(prefix+".evicted", func() float64 { return float64(p.Evicted()) })
 }
 
 // RegisterSubTelemetry mirrors a subscribe socket into reg under prefix:

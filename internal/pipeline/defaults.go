@@ -92,6 +92,10 @@ const (
 	// Abort if the ordered drain takes longer than this.
 	DefaultDrainGrace = 5 * time.Second
 
+	// StallBound is how long a publisher waits on a subscriber's full queue
+	// before it evicts it (msgq.Pub); a constant (DESIGN.md, "Slow subscribers").
+	StallBound = 250 * time.Millisecond
+
 	// DefaultNegativeTTL is the recommended retention for negative-cached
 	// stale-FID failures when negative caching is enabled. It is long
 	// enough to absorb a burst of records for a just-deleted FID but

@@ -260,9 +260,10 @@ func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 		ownStore = true
 	}
 	parts := engine.Partitions()
-	// Like the collector's: blocking, and a TCP subscriber's send queue no
-	// deeper than the subscription queues.
-	pub := msgq.NewPub(msgq.WithBlockOnFull(), msgq.WithHWM(pipeline.DefaultAggregatorQueue))
+	// A TCP subscriber's send queue no deeper than the subscription queues.
+	// Unlike the collector's, it evicts a stalled subscriber (DESIGN.md,
+	// "Slow subscribers").
+	pub := msgq.NewPub(msgq.WithHWM(pipeline.DefaultAggregatorQueue))
 	if err := pub.Bind(opts.Endpoint); err != nil {
 		if ownStore {
 			engine.Close()
@@ -479,6 +480,9 @@ func (a *Aggregator) intakeLoop(ctx context.Context, emit func(partBatch) bool) 
 		m, ok := a.sub.Recv(ctx)
 		if !ok {
 			return nil
+		}
+		if m.LinkLost() {
+			continue // a collector or peer link ended; it re-links by itself
 		}
 		if !emit(partBatch{part: topicPartition(m.Topic, a.parts), m: m}) {
 			return nil

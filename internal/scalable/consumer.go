@@ -307,8 +307,9 @@ func (c *Consumer) replayPage(blk *events.Block) error {
 // frozen, and given back by m.Done — or a pooled block the consumer decoded
 // m.Payload into.
 type conBatch struct {
-	m   msgq.Message
-	blk *events.Block
+	m      msgq.Message
+	blk    *events.Block
+	healed bool // a copy of a recovery page (heal), not a live batch
 }
 
 // owned reports whether the consumer decoded the block itself.
@@ -319,7 +320,7 @@ func (cb conBatch) owned() bool { return cb.m.Block == nil }
 // can overtake them; the subscription buffers live batches meanwhile. Then it
 // adopts the shared block when the aggregator handed one over in process
 // (decode-never), otherwise zero-copy-decodes the wire payload into a pooled
-// block.
+// block. A lost link is healed in line (heal).
 func (c *Consumer) intakeLoop(ctx context.Context, emit func(conBatch) bool) error {
 	for _, page := range c.replay {
 		select {
@@ -334,6 +335,12 @@ func (c *Consumer) intakeLoop(ctx context.Context, emit func(conBatch) bool) err
 		if !ok {
 			return nil
 		}
+		if m.LinkLost() {
+			if !c.heal(emit) {
+				return nil
+			}
+			continue
+		}
 		cb := conBatch{m: m, blk: m.Block}
 		if cb.owned() {
 			cb.blk = c.pool.Get()
@@ -343,10 +350,38 @@ func (c *Consumer) intakeLoop(ctx context.Context, emit func(conBatch) bool) err
 				continue
 			}
 		}
+		c.received.Add(uint64(cb.blk.Len()))
 		if !emit(cb) {
 			return nil
 		}
 	}
+}
+
+// heal resumes after a lost link (evicted, or the aggregator went away) from
+// the consumer's cursors: once the links are back, or StallBound passed,
+// Recover's pages are copied into pooled blocks and sent down the pipeline
+// behind the batches in it, so take delivers each event once, in order. It
+// reports false once the pipeline stops.
+func (c *Consumer) heal(emit func(conBatch) bool) bool {
+	if c.opts.Recover == nil {
+		c.slog.Error("aggregator link lost without a recovery source: events published meanwhile are lost")
+		return true
+	}
+	_ = c.sub.WaitReady(pipeline.StallBound)
+	running := true
+	err := c.opts.Recover.RecoverPages(c.LastSeqVector(), func(page *events.Block) error {
+		blk := c.pool.Get()
+		blk.AppendBlock(page)
+		if running = emit(conBatch{blk: blk, healed: true}); !running {
+			c.pool.Put(blk)
+			return context.Canceled
+		}
+		return nil
+	})
+	if err != nil && running {
+		c.slog.Error("replay after a lost aggregator link failed: events published meanwhile are lost", "err", err)
+	}
+	return running
 }
 
 // deliverBatch is the filter-deliver sink stage: deduplicate the
@@ -354,18 +389,23 @@ func (c *Consumer) intakeLoop(ctx context.Context, emit func(conBatch) bool) err
 // materialize and filter the survivors, and hand them to the application.
 func (c *Consumer) deliverBatch(ctx context.Context, cb conBatch) {
 	blk := cb.blk
-	c.received.Add(uint64(blk.Len()))
 	pass := c.take(blk, c.aud)
 	if len(pass) == 0 {
 		c.recycle(cb)
 		return
 	}
+	// Counted before the hand-off, so whoever holds the batch sees it counted.
+	n := uint64(len(pass))
+	c.delivered.Add(n)
 	select {
 	case c.out <- pass:
-		c.delivered.Add(uint64(len(pass)))
-		c.observeDelivery(pass, blk.Stamp())
+		if cb.healed {
+			c.recovered.Add(n)
+		}
+		c.observeDelivery(pass, blk.Stamp()) // a healed copy has no stamp or trace
 		c.completeTrace(blk.Trace())
 	case <-ctx.Done():
+		c.delivered.Add(^(n - 1)) // not handed over after all
 	}
 	c.recycle(cb)
 }

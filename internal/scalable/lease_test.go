@@ -297,17 +297,27 @@ func testBlocksRecycle(t *testing.T, inFlight uint64) {
 	}
 }
 
-// The subscription queues are counted in blocks and are small: with the
-// consumer stalled they fill, the collector blocks in its publish, and what
-// it has not handed over stays — unpurged — in the Changelog, not in RAM.
-// Releasing the consumer drains everything.
+// The subscription queues are counted in blocks and are small, and the
+// collector's is the one hop that blocks rather than evicts: with a
+// subscriber of the collector stalled, its queue fills, the collector blocks
+// in its publish, and what it has not handed over stays — unpurged — in the
+// Changelog, not in RAM. Releasing the subscriber drains everything.
 func TestFullQueueLeavesBacklogInChangelog(t *testing.T) {
 	const batches, batchSize = 400, 64
 	r := newLeaseRig(t, leaseShapes[0], batches, batchSize, false, false)
-	con := r.consumer(t, r.agg.Endpoint(), 1) // one batch of delivery buffer, and nobody reading it
+	stalled := msgq.NewSub(msgq.WithRecvBuffer(pipeline.DefaultAggregatorQueue)) // nobody reads it
+	defer stalled.Close()
+	stalled.Subscribe(TopicPrefix)
+	if err := stalled.Connect(r.col.Endpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if err := stalled.WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	con := r.consumer(t, r.agg.Endpoint(), 0)
 	r.release()
 
-	// The pipeline runs until every queue is full, then stops.
+	// The pipeline runs until the stalled queue is full, then stops.
 	var published uint64
 	for stable := 0; stable < 20; time.Sleep(10 * time.Millisecond) {
 		if now := r.col.Stats().EventsPublished; now != published {
@@ -317,18 +327,18 @@ func TestFullQueueLeavesBacklogInChangelog(t *testing.T) {
 		}
 	}
 	st := r.col.Stats()
-	inFlight := int(st.EventsPublished) / batchSize
-	if limit := collectorBlocksInFlight + 1; inFlight > limit {
-		t.Errorf("the stalled pipeline accepted %d blocks, want at most the %d its queues and stages hold", inFlight, limit)
+	if inFlight, limit := int(st.EventsPublished)/batchSize, pipeline.DefaultAggregatorQueue; inFlight > limit {
+		t.Errorf("the stalled subscriber's queue accepted %d blocks, want at most its %d", inFlight, limit)
 	}
 	if st.ChangelogLag == 0 || st.ChangelogLag != batches*batchSize-int(st.EventsPublished) {
 		t.Errorf("Changelog retains %d records with %d of %d events accepted downstream; want exactly the rest", st.ChangelogLag, st.EventsPublished, batches*batchSize)
 	}
-	if depth, capacity := r.agg.sub.Depth(), r.agg.sub.Cap(); depth != capacity || capacity != pipeline.DefaultAggregatorQueue {
-		t.Errorf("aggregator subscription queue holds %d of %d blocks, want a full queue of %d", depth, capacity, pipeline.DefaultAggregatorQueue)
+	if depth, capacity := stalled.Depth(), stalled.Cap(); depth != capacity {
+		t.Errorf("the stalled subscription queue holds %d of %d blocks, want it full", depth, capacity)
 	}
 
-	collect(t, con, batches*batchSize)
+	stalled.Close()
+	checkBacklog(t, "consumer", collect(t, con, batches*batchSize), 1)
 	deadline := time.Now().Add(20 * time.Second)
 	for r.log.Len() != 0 {
 		if time.Now().After(deadline) {
