@@ -62,9 +62,9 @@ race:
 # CI runs SOAK=20.
 SOAK ?= 200
 soak:
-	$(GO) test -race -count=$(SOAK) -run 'TestLease|TestDoneUnleased|TestPublishLeased|TestPayload|TestPubEvictsSlowSubscriber|TestPublishCtxUnwindsOnFullQueue' ./internal/msgq/
+	$(GO) test -race -count=$(SOAK) -run 'TestLease|TestDoneUnleased|TestPublishLeased|TestPayload|TestPubEvictsSlowSubscriber|TestPublishCtxUnwindsOnFullQueue|TestPubHoldsRoutedInbox' ./internal/msgq/
 	$(GO) test -race -count=$(SOAK) -run 'TestRecycledFlightsKeepTheirKeys|TestReadersNeverSeeAnotherKeysBytes|TestValuesAreCopies' ./internal/cache/
-	$(GO) test -race -count=$(SOAK) -run 'TestRecycledBlocksPoisoned|TestRecoveryPagingUnderDrops|TestConsumerReplayPages|TestStalledConsumerStallsNothing|TestAggregatorCloseWithStalledConsumer' ./internal/scalable/
+	$(GO) test -race -count=$(SOAK) -run 'TestRecycledBlocksPoisoned|TestRecoveryPagingUnderDrops|TestConsumerReplayPages|TestStalledConsumerStallsNothing|TestAggregatorCloseWithStalledConsumer|TestEvictedConsumerHealsUnderLiveTraffic|TestForwardToStalledOwnerLosesNothing' ./internal/scalable/
 	@i=0; while [ $$i -lt $(SOAK) ]; do \
 		for w in hot_inproc hot_tcp_journal churn_cold_4part crash_recovery; do \
 			[ $$i -lt $(SOAK) ] || break; i=$$((i+1)); \

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // endpoint kinds.
@@ -46,6 +47,7 @@ type inprocBindable interface {
 // subscriber is what a publisher's offer needs of a subscriber.
 type subscriber interface {
 	done() <-chan struct{}
+	evictable() bool
 	evict(p *Pub)
 }
 
@@ -56,22 +58,37 @@ type peer struct {
 	prefixes map[string]bool
 	gone     chan struct{}
 	once     sync.Once
+	inbox    atomic.Bool // subscribed to a routed inbox: never evicted
 }
 
 func (p *peer) done() <-chan struct{} { return p.gone }
 
 func (p *peer) stop() { p.once.Do(func() { close(p.gone) }) }
 
-func (p *peer) subscribe(prefix string) {
+// evictable is false for a routed inbox (NodeTopicPrefix): a member's intake,
+// with no cursor to fetch a batch forwarded to it again.
+func (p *peer) evictable() bool { return !p.inbox.Load() }
+
+// control applies a SUB or UNSUB control frame; other frames are ignored.
+func (p *peer) control(ctl, prefix string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.prefixes[prefix] = true
+	if setPrefix(p.prefixes, ctl, prefix) && strings.HasPrefix(prefix, NodeTopicPrefix) {
+		p.inbox.Store(true)
+	}
 }
 
-func (p *peer) unsubscribe(prefix string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.prefixes, prefix)
+// setPrefix adds prefix to set for a SUB and removes it for an UNSUB, and
+// reports whether it was a SUB.
+func setPrefix(set map[string]bool, ctl, prefix string) bool {
+	switch ctl {
+	case ctlSubscribe:
+		set[prefix] = true
+		return true
+	case ctlUnsubscribe:
+		delete(set, prefix)
+	}
+	return false
 }
 
 func (p *peer) matches(topic string) bool {

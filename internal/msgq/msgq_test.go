@@ -290,6 +290,22 @@ func TestPubEvictsSlowSubscriber(t *testing.T) {
 			if err := sub.WaitReady(10 * time.Second); err != nil {
 				t.Fatal(err)
 			}
+			if tcp { // the re-link's report waits for a frame to prove the link
+				select {
+				case m := <-sub.C():
+					t.Fatalf("before anything was published on the re-link got %q", m.Topic)
+				case <-time.After(50 * time.Millisecond):
+				}
+			}
+			next := make(chan Message, 2)
+			go func() {
+				for m := range sub.C() {
+					next <- m
+					if !m.LinkLost() {
+						return
+					}
+				}
+			}()
 			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 				if pub.PublishCtx(ctx, "after", nil) == 1 {
 					break
@@ -298,8 +314,56 @@ func TestPubEvictsSlowSubscriber(t *testing.T) {
 					t.Fatal("the subscriber was never linked again")
 				}
 			}
-			if m := recvN(t, sub.C(), 1)[0]; m.Topic != "after" {
-				t.Errorf("after the re-link got %q", m.Topic)
+			// The re-link is reported too, ahead of what it carries: in
+			// process before the attach, over TCP once its first frame came.
+			for i, want := range []string{linkLost, "after"} {
+				select {
+				case m := <-next:
+					if m.Topic != want {
+						t.Fatalf("message %d after the re-link is %q, want %q", i, m.Topic, want)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("message %d after the re-link never came, want %q", i, want)
+				}
+			}
+		})
+	}
+}
+
+// A routed inbox is never evicted, however long it makes no room, over
+// either transport: a cluster member's intake has no cursor to fetch a
+// forwarded batch again. The wait ends with ctx instead, and every accepted
+// frame arrives, once, with no link report.
+func TestPubHoldsRoutedInbox(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(transportName(tcp), func(t *testing.T) {
+			pub, inproc, tcpAddr := leasePub(t, tcp, WithHWM(1))
+			addr := inproc
+			if tcp {
+				addr = tcpAddr
+			}
+			sub := leaseSub(t, pub, addr, NodeSubscription("n1"), WithRecvBuffer(1))
+			ctx, cancel := context.WithTimeout(context.Background(), 4*pipeline.StallBound)
+			defer cancel()
+			sent := 0
+			for pub.PublishCtx(ctx, NodeTopic("n1", 0), stallPayload) == 1 {
+				sent++
+			}
+			if ctx.Err() == nil {
+				t.Fatalf("a publish reached nobody before ctx ended (%d accepted)", sent)
+			}
+			if n := pub.Evicted(); n != 0 {
+				t.Fatalf("Evicted = %d, want 0: a routed inbox is held", n)
+			}
+			for i, m := range recvN(t, sub.C(), sent) {
+				if m.LinkLost() || !bytes.Equal(m.Payload, stallPayload) {
+					t.Fatalf("message %d is %q, want accepted frame %d", i, m.Topic, i)
+				}
+			}
+			select {
+			case m := <-sub.C():
+				t.Fatalf("after the %d accepted frames got %q", sent, m.Topic)
+			case <-time.After(50 * time.Millisecond):
 			}
 		})
 	}
@@ -410,6 +474,9 @@ func TestSubReconnect(t *testing.T) {
 	got := make(chan Message, 1)
 	go func() {
 		for m := range sub.C() {
+			if m.LinkLost() { // the re-link, reported ahead of its first frame
+				continue
+			}
 			select {
 			case got <- m:
 			default:

@@ -196,7 +196,7 @@ func TestPayloadReconnectFreshList(t *testing.T) {
 	go publishFrames(pub, 1, 201)
 	for i := 1; i <= 200; {
 		m := recvN(t, sub.C(), 1)[0]
-		if m.Topic == "probe" { // one still on its way when the first arrived
+		if m.Topic == "probe" || m.LinkLost() { // a probe still on its way, or a link report
 			continue
 		}
 		checkFrame(t, m, i)

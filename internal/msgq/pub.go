@@ -25,9 +25,10 @@ const DefaultHWM = 10000
 // subscribers whose subscription prefixes match the topic. Each subscriber
 // has its own queue bounded by the high-water mark. A publisher waits on a
 // full queue for at most pipeline.StallBound, then evicts the subscriber,
-// which resumes from its own cursor (Message.LinkLost). WithBlockOnFull
-// makes the wait unbounded, for the collector→aggregator path where the
-// paper requires "no overall loss of events".
+// which resumes from its own cursor (Message.LinkLost). The wait is
+// unbounded for a subscriber with no cursor to resume from: every one under
+// WithBlockOnFull (the collector→aggregator path, where the paper requires
+// "no overall loss of events"), and a routed inbox (peer.evictable).
 type Pub struct {
 	mu          sync.Mutex
 	hwm         int
@@ -180,19 +181,14 @@ func (p *Pub) subReader(sub *pubSubscriber) {
 		if err != nil {
 			return
 		}
-		switch m.Topic {
-		case ctlSubscribe:
-			sub.subscribe(string(m.Payload))
-		case ctlUnsubscribe:
-			sub.unsubscribe(string(m.Payload))
-		}
+		sub.control(m.Topic, string(m.Payload))
 	}
 }
 
 // subWriter drains the subscriber queue onto the wire. A leased frame's
 // payload is the block's own wire image, so the queue's reference is dropped
-// only once the frame has been written (or has failed to be): frames still
-// queued when the subscriber goes away are never Done and fall to the GC.
+// only once the frame has been written (or has failed to be), or — still
+// queued when the subscriber goes — by detach.
 func (p *Pub) subWriter(sub *pubSubscriber) {
 	defer p.wg.Done()
 	defer p.detach(sub)
@@ -229,6 +225,14 @@ func (p *Pub) detach(sub *pubSubscriber) {
 	delete(p.subs, sub)
 	p.notifySubChangeLocked()
 	p.mu.Unlock()
+	for { // frames it will never write go back to their leases
+		select {
+		case m := <-sub.queue:
+			m.Done()
+		default:
+			return
+		}
+	}
 }
 
 // attachInproc implements inprocBindable.
@@ -401,10 +405,10 @@ var stallTimers = sync.Pool{New: func() any {
 
 // offer puts m in one subscriber's queue, over either transport, and reports
 // whether it went in. A full queue holds the publisher until the subscriber
-// or the socket goes or ctx ends — unless the socket blocks on full, for at
-// most pipeline.StallBound, and then the subscriber is evicted. A leased m
-// gains a reference first (the receiver may be done with it before the
-// offer returns), given back if refused.
+// or the socket goes or ctx ends, and for at most pipeline.StallBound (unless
+// blockOnFull, or to is not evictable), then evicts it. A leased m gains a
+// reference first (the receiver may be done with it before the offer
+// returns), given back if refused.
 func (p *Pub) offer(ctx context.Context, queue chan<- Message, to subscriber, m Message) bool {
 	m.lease.retain()
 	select {
@@ -414,7 +418,7 @@ func (p *Pub) offer(ctx context.Context, queue chan<- Message, to subscriber, m 
 	}
 	var t *time.Timer
 	var bound <-chan time.Time
-	if !p.blockOnFull {
+	if !p.blockOnFull && to.evictable() {
 		t = stallTimers.Get().(*time.Timer)
 		t.Reset(pipeline.StallBound)
 		bound = t.C
@@ -470,16 +474,12 @@ func (p *Pub) Close() {
 		for _, name := range p.inprocName {
 			inprocUnbind(name)
 		}
-		subs := make([]*pubSubscriber, 0, len(p.subs))
 		for s := range p.subs {
-			subs = append(subs, s)
+			s.stop() // its reader and writer detach once the lock is free
 		}
 		p.inproc = map[*inprocPeer]struct{}{}
 		p.notifySubChangeLocked()
 		p.mu.Unlock()
-		for _, s := range subs {
-			s.stop()
-		}
 		p.wg.Wait()
 	})
 }

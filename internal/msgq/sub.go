@@ -40,6 +40,7 @@ type subConn struct {
 	pub    *Pub        // inproc only
 	bufs   *bufList    // tcp only: the current connection's receive buffers
 	ready  bool
+	lost   bool // a link ended and none has come back since (connLoop's own)
 }
 
 func (c *subConn) setReady(v bool) {
@@ -117,39 +118,26 @@ func (s *Sub) Connect(ep string) error {
 
 // Subscribe registers interest in topics beginning with prefix. The empty
 // prefix matches everything.
-func (s *Sub) Subscribe(prefix string) {
-	s.mu.Lock()
-	s.prefixes[prefix] = true
-	conns := s.snapshotConns()
-	s.mu.Unlock()
-	for _, c := range conns {
-		c.sendCtl(ctlSubscribe, prefix)
-		if c.peer != nil {
-			c.peer.subscribe(prefix)
-		}
-	}
-}
+func (s *Sub) Subscribe(prefix string) { s.control(ctlSubscribe, prefix) }
 
 // Unsubscribe removes a prefix subscription.
-func (s *Sub) Unsubscribe(prefix string) {
+func (s *Sub) Unsubscribe(prefix string) { s.control(ctlUnsubscribe, prefix) }
+
+// control applies a SUB or UNSUB to the socket and each of its links.
+func (s *Sub) control(ctl, prefix string) {
 	s.mu.Lock()
-	delete(s.prefixes, prefix)
-	conns := s.snapshotConns()
+	setPrefix(s.prefixes, ctl, prefix)
+	conns := make([]*subConn, 0, len(s.conns))
+	for _, c := range s.conns {
+		conns = append(conns, c)
+	}
 	s.mu.Unlock()
 	for _, c := range conns {
-		c.sendCtl(ctlUnsubscribe, prefix)
+		c.sendCtl(ctl, prefix)
 		if c.peer != nil {
-			c.peer.unsubscribe(prefix)
+			c.peer.control(ctl, prefix)
 		}
 	}
-}
-
-func (s *Sub) snapshotConns() []*subConn {
-	out := make([]*subConn, 0, len(s.conns))
-	for _, c := range s.conns {
-		out = append(out, c)
-	}
-	return out
 }
 
 func (c *subConn) sendCtl(topic, prefix string) {
@@ -191,14 +179,18 @@ func (s *Sub) notifyReady() {
 const linkLost = "\x02LINK-LOST"
 
 // LinkLost reports whether m is a Sub's report that a link ended other than
-// by Close (evicted for lagging, publisher closed, connection broken). It
-// comes behind the link's last frame, before the re-link: a receiver that
-// must not miss what was published in between resumes from its cursor.
+// by Close (evicted for lagging, publisher closed, connection broken) — it
+// comes behind the link's last frame — or that the link is back: ahead of
+// what it carries, over TCP with the first frame, which proves the publisher
+// took the subscriptions. A receiver that must miss nothing resumes from
+// its cursor on each.
 func (m Message) LinkLost() bool { return m.Topic == linkLost }
 
-// reportLinkLost queues the report unless the socket is closing. It waits for
-// room, so a receiver that stays stalled is never re-linked to stall again.
-func (s *Sub) reportLinkLost() {
+// report queues a link report unless the socket is closing, and records
+// whether c is lost. It waits for room, so a receiver that stays stalled is
+// never re-linked to stall again.
+func (s *Sub) report(c *subConn, lost bool) {
+	c.lost = lost
 	select {
 	case <-s.closed:
 		return
@@ -249,11 +241,14 @@ func (s *Sub) runInproc(c *subConn) bool {
 	q := &inprocPeer{peer: peer{prefixes: map[string]bool{}, gone: make(chan struct{})}, sub: s}
 	s.mu.Lock()
 	for p := range s.prefixes {
-		q.prefixes[p] = true
+		q.control(ctlSubscribe, p)
 	}
 	c.peer = q
 	c.pub = pub
 	s.mu.Unlock()
+	if c.lost { // ahead of the attach, which is synchronous: ready is proof
+		s.report(c, false)
+	}
 	pub.attachInproc(q)
 	c.setReady(true)
 	// Stay attached until the socket or the publisher closes, or evicts us.
@@ -267,7 +262,7 @@ func (s *Sub) runInproc(c *subConn) bool {
 	s.mu.Lock()
 	c.peer, c.pub = nil, nil
 	s.mu.Unlock()
-	s.reportLinkLost()
+	s.report(c, true)
 	return true
 }
 
@@ -354,6 +349,9 @@ func (s *Sub) runTCP(c *subConn) bool {
 		if err != nil {
 			break
 		}
+		if c.lost { // a frame proves the publisher took the subscriptions
+			s.report(c, false)
+		}
 		s.received.Add(1)
 		select {
 		case s.out <- m:
@@ -367,7 +365,7 @@ func (s *Sub) runTCP(c *subConn) bool {
 	c.raw = nil
 	c.mu.Unlock()
 	c.setReady(false)
-	s.reportLinkLost()
+	s.report(c, true)
 	return true
 }
 

@@ -357,17 +357,19 @@ func (c *Consumer) intakeLoop(ctx context.Context, emit func(conBatch) bool) err
 	}
 }
 
-// heal resumes after a lost link (evicted, or the aggregator went away) from
-// the consumer's cursors: once the links are back, or StallBound passed,
-// Recover's pages are copied into pooled blocks and sent down the pipeline
-// behind the batches in it, so take delivers each event once, in order. It
-// reports false once the pipeline stops.
+// heal resumes from the consumer's cursors on a link report (lost, or back):
+// once the links are ready, or StallBound passed, Recover's pages are copied
+// into pooled blocks and sent down the pipeline behind the batches in it, so
+// take delivers each event once, in order. It reports false once the
+// pipeline stops.
 func (c *Consumer) heal(emit func(conBatch) bool) bool {
 	if c.opts.Recover == nil {
 		c.slog.Error("aggregator link lost without a recovery source: events published meanwhile are lost")
 		return true
 	}
-	_ = c.sub.WaitReady(pipeline.StallBound)
+	if err := c.sub.WaitReady(pipeline.StallBound); err != nil {
+		c.slog.Warn("aggregator link not back: replaying what the store holds now, again once it is", "err", err)
+	}
 	running := true
 	err := c.opts.Recover.RecoverPages(c.LastSeqVector(), func(page *events.Block) error {
 		blk := c.pool.Get()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"fsmonitor/internal/events/eventstest"
 	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/msgq"
+	"fsmonitor/internal/pipeline"
 )
 
 // memberOptions are the options of one cluster member over a partition
@@ -287,5 +289,94 @@ func TestNodeJoinFencedHandoff(t *testing.T) {
 			t.Fatalf("lane %d: seq %d after %d (gap or overlap across join handoff)", part, e.Seq, prev)
 		}
 		lastByPart[part] = e.Seq
+	}
+}
+
+// A member whose intake stalls for several stall bounds while batches are
+// forwarded to it loses none of them, over TCP: the forwarding member counts
+// a forward handed on once it is queued, and the collector behind it has
+// moved on, so its publisher holds the owner's routed inbox instead of
+// evicting it and discarding the queue. Every forwarded event is stored
+// once, by the owner.
+func TestForwardToStalledOwnerLosesNothing(t *testing.T) {
+	const parts, batches, batchSize = 4, 240, 512
+	stall := 4 * pipeline.StallBound
+	journal := filepath.Join(t.TempDir(), "journal")
+	col := msgq.NewPub(msgq.WithBlockOnFull())
+	colEP := fmt.Sprintf("inproc://forwardstall-%p-col", t)
+	if err := col.Bind(colEP); err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	member := func(id string, join ...string) *Aggregator {
+		opts := memberOptions(t, id, parts, journal, join...)
+		opts.Endpoint = "tcp://127.0.0.1:0"
+		opts.CollectorEndpoints = []string{colEP}
+		opts.EventOverhead = time.Nanosecond
+		opts.QueueSize = 4
+		// No failover in this test: a loaded host must not fake a death.
+		opts.HeartbeatInterval, opts.FailAfter = 50*time.Millisecond, 10*time.Second
+		return startMember(t, opts)
+	}
+	n0 := member("n0")
+	defer n0.Close()
+	n1 := member("n1", n0.CtlEndpoint())
+	defer n1.Close()
+	part := -1
+	for deadline := time.Now().Add(5 * time.Second); part < 0; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no partition settled on n1: n0=%v n1=%v", n0.OwnedPartitions(), n1.OwnedPartitions())
+		}
+		if len(n0.OwnedPartitions())+len(n1.OwnedPartitions()) != parts {
+			continue
+		}
+		for _, p := range n1.OwnedPartitions() {
+			if n0.Membership().Assignment().OwnerOf(p) == "n1" {
+				part = p
+			}
+		}
+	}
+
+	// Every batch goes to n0's inbox for a partition n1 owns: n0 forwards it.
+	pad := strings.Repeat("x", 160) // big frames outgrow the loopback buffers
+	payloads := make([][]byte, batches)
+	for b := range payloads {
+		evs := make([]events.Event, batchSize)
+		for i := range evs {
+			evs[i] = events.Event{Path: fmt.Sprintf("/fwd/%s%06d", pad, b*batchSize+i), Op: events.OpCreate, Root: "/mnt", Source: "test"}
+		}
+		payloads[b] = eventstest.WireBatch(t, evs, 0, nil)
+	}
+	go n1.throttles[part].Spend(stall) // n1's lane, and so its intake, stops
+	began := time.Now()
+	for _, payload := range payloads {
+		if col.PublishCtx(context.Background(), msgq.NodeTopic("n0", part), payload) != 1 {
+			t.Fatal("n0's intake is not subscribed")
+		}
+	}
+	if took := time.Since(began); took < pipeline.StallBound {
+		t.Fatalf("the forwards took %v: the owner's stall never reached the forwarding member", took.Round(time.Millisecond))
+	}
+	want := uint64(batches * batchSize)
+	for deadline := time.Now().Add(20 * time.Second); n1.Stats().Stored < want; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			break
+		}
+	}
+	if got := n1.Stats().Stored; got != want || n0.Stats().Stored != 0 {
+		t.Fatalf("stored n0=%d n1=%d, want n1=%d", n0.Stats().Stored, got, want)
+	}
+	if n := n0.pub.Evicted(); n != 0 {
+		t.Errorf("n0 evicted %d subscribers", n)
+	}
+	seen := map[string]bool{}
+	for _, e := range recoverAll(t, n1) {
+		if seen[e.Path] {
+			t.Fatalf("event %q stored twice", e.Path)
+		}
+		seen[e.Path] = true
+	}
+	if len(seen) != int(want) {
+		t.Fatalf("n1 holds %d distinct events, want %d", len(seen), want)
 	}
 }

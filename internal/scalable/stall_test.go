@@ -1,6 +1,7 @@
 package scalable
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -99,6 +100,53 @@ func TestAggregatorCloseWithStalledConsumer(t *testing.T) {
 				for range con.C() {
 				}
 			}()
+		})
+	}
+}
+
+// A consumer evicted while events keep coming heals from its cursors while
+// they still come, and receives every event exactly once, in per-partition
+// order: the catch-up repeated once the re-link carries its first frame
+// misses nothing the aggregator published before it took the new link's
+// subscription, however the first catch-up raced that. In process and over
+// TCP.
+func TestEvictedConsumerHealsUnderLiveTraffic(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(transportName(tcp), func(t *testing.T) {
+			const batchSize, liveBatches = 512, 100
+			shape := leaseShapes[1]
+			backlog := stallBatches(tcp)
+			want := (backlog + liveBatches) * batchSize
+			r := newLeaseRig(t, shape, backlog, batchSize, tcp, tcp)
+			con := r.consumer(t, r.agg.Endpoint(), 1)
+			r.release()
+			for deadline := time.Now().Add(raceSlowdown * 10 * time.Second); r.agg.pub.Evicted() == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the consumer that reads nothing was never evicted")
+				}
+			}
+			written := make(chan error, 1)
+			go func() { // the live traffic: more creates, paced over the heal
+				cl := r.cluster.Client()
+				for i := backlog * batchSize; i < want; i++ {
+					if err := cl.Create(fmt.Sprintf("/f%06d", i)); err != nil {
+						written <- err
+						return
+					}
+					if i%batchSize == 0 {
+						time.Sleep(time.Millisecond)
+					}
+				}
+				written <- nil
+			}()
+			got := collect(t, con, want)
+			if err := <-written; err != nil {
+				t.Fatal(err)
+			}
+			checkBacklog(t, "evicted", got, shape.parts)
+			if con.Stats().Recovered == 0 {
+				t.Error("the evicted consumer never healed")
+			}
 		})
 	}
 }
