@@ -131,9 +131,9 @@ bench-trace:
 # absolute per-event cost, ~200ns) and the end-to-end monitor pair
 # (MonitorThroughputDirect/Mounted: full capture→resolve→store path).
 # Acceptance: < 5% end-to-end events/s delta on multi-core hosts, where
-# the mount pump pipelines with the resolution stages; on a single-core
-# host the pump serializes and the delta degrades toward the raw pair's
-# ratio, so judge the gate by the multi-core number.
+# the mount pump runs beside the resolution loop; on a single-core host
+# the pump serializes and the delta degrades toward the raw pair's ratio,
+# so judge the gate by the multi-core number.
 bench-mount:
 	$(GO) test -run '^$$' -bench 'DirectAttach|MountAttach$$|MountAttachNested|Route$$' -benchtime 1s -benchmem \
 		./internal/dsi/mount/

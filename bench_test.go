@@ -360,48 +360,26 @@ func BenchmarkAblationConsumerFiltering(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRenamePairing measures the resolution layer's rename
-// pairing cost on the local pipeline.
+// BenchmarkAblationRenamePairing measures the resolution layer on a
+// rename stream: normalization, pairing by cookie and batching of one
+// MOVED_FROM/MOVED_TO pair per op.
 func BenchmarkAblationRenamePairing(b *testing.B) {
-	for _, pairing := range []bool{true, false} {
-		name := "paired"
-		if !pairing {
-			name = "unpaired"
-		}
-		b.Run(name, func(b *testing.B) {
-			src := make(chan events.Event, 1024)
-			proc := resolution.NewWithOptions(src, resolution.Options{
-				BatchSize: 256, BatchInterval: time.Millisecond, PairRenames: pairing,
-			})
-			defer proc.Close()
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				n := 0
-				for {
-					select {
-					case batch, ok := <-proc.Batches():
-						if !ok {
-							return
-						}
-						n += len(batch)
-						if n >= b.N*2 {
-							return
-						}
-					case <-time.After(5 * time.Second):
-						return
-					}
-				}
-			}()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ck := uint32(i + 1)
-				src <- events.Event{Root: "/r", Op: events.OpMovedFrom, Path: "/a", Cookie: ck}
-				src <- events.Event{Root: "/r", Op: events.OpMovedTo, Path: "/b", Cookie: ck}
-			}
-			close(src)
-			<-done
-		})
+	src := make(chan events.Event, 1024)
+	proc := resolution.New(src, 256)
+	done := make(chan error, 1)
+	go func() { done <- proc.Run(func([]events.Event) error { return nil }) }()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ck := uint32(i + 1)
+		src <- events.Event{Root: "/r", Op: events.OpMovedFrom, Path: "/a", Cookie: ck}
+		src <- events.Event{Root: "/r", Op: events.OpMovedTo, Path: "/b", Cookie: ck}
+	}
+	close(src)
+	if err := <-done; err != nil {
+		b.Fatal(err)
+	}
+	if got := proc.Stats().RenamesPaired; got != uint64(b.N) {
+		b.Fatalf("paired %d renames, want %d", got, b.N)
 	}
 }
 

@@ -50,7 +50,6 @@ import (
 	"fsmonitor/internal/eventstore"
 	"fsmonitor/internal/iface"
 	"fsmonitor/internal/lustre"
-	"fsmonitor/internal/resolution"
 	"fsmonitor/internal/spectrum"
 	"fsmonitor/internal/telemetry"
 	"fsmonitor/internal/vfs"
@@ -140,11 +139,11 @@ func WithRecursive() Option {
 	return func(o *core.Options) { o.Recursive = true }
 }
 
-// WithContext bounds the monitor's lifetime: the context is threaded
-// through every layer (DSI capture, resolution pipeline, interface), and
-// canceling it shuts the monitor down — sources stop first, in-flight
-// events drain downstream in stage order, then blocked operations unwind.
-// Close remains the explicit, graceful path.
+// WithContext bounds the monitor's lifetime: canceling the context closes
+// the monitor as Close does. Capture stops first, every event the DSI had
+// accepted is still resolved and stored, then the interface layer shuts.
+// The scalable tiers behind a Lustre DSI abort on cancel instead: events
+// they had not yet handed to the DSI are not delivered.
 func WithContext(ctx context.Context) Option {
 	return func(o *core.Options) { o.Context = ctx }
 }
@@ -272,7 +271,7 @@ type ClusterMember = dsi.ClusterMember
 // WithBatch tunes resolution-layer batching (§III-A2's batching
 // optimization).
 func WithBatch(size int) Option {
-	return func(o *core.Options) { o.Resolution.BatchSize = size }
+	return func(o *core.Options) { o.BatchSize = size }
 }
 
 // Telemetry is the unified metrics registry: every layer of a monitor
@@ -685,6 +684,3 @@ func Registry() *dsi.Registry { return core.DefaultRegistry() }
 
 // StoreOptions configures a standalone reliable event store.
 type StoreOptions = eventstore.Options
-
-// ResolutionOptions tunes the resolution layer.
-type ResolutionOptions = resolution.Options

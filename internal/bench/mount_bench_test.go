@@ -72,7 +72,7 @@ func (d *emitDSI) Close() error {
 }
 
 // BenchmarkMonitorThroughputDirect is the bench-mount baseline: the
-// synthetic backend feeds the resolution pipeline with no table between.
+// synthetic backend feeds the resolution layer with no table between.
 func BenchmarkMonitorThroughputDirect(b *testing.B) {
 	benchMonitor(b, false)
 }

@@ -41,8 +41,8 @@ type Options struct {
 	Backend any
 	// Registry supplies the DSI backends (default: DefaultRegistry()).
 	Registry *dsi.Registry
-	// Resolution tunes the middle layer.
-	Resolution resolution.Options
+	// BatchSize is the resolution layer's batch size (0 = default).
+	BatchSize int
 	// Store configures the reliable event store.
 	Store eventstore.Options
 	// Lustre is the scalable monitor's deployment (Lustre path only; the
@@ -52,9 +52,10 @@ type Options struct {
 	Lustre scalable.DeployOptions
 	// Buffer is the DSI event channel capacity (0 = default).
 	Buffer int
-	// Context bounds the monitor's lifetime: it is threaded through every
-	// layer (DSI, resolution pipeline, interface) and canceling it closes
-	// the monitor. Nil means Background; Close remains the graceful path.
+	// Context bounds the monitor's lifetime: canceling it closes the DSI
+	// and then the monitor, and the resolution layer stores every event
+	// the DSI had accepted before the interface layer shuts. Nil means
+	// Background.
 	Context context.Context
 	// Telemetry, when non-nil, mirrors every layer into the unified
 	// registry (fsmon.core.* for the local three layers, fsmon.process.*
@@ -77,7 +78,7 @@ type Options struct {
 	// Mounts composes multiple backends into one namespace. When non-empty
 	// the monitor's capture layer is a mount table: each spec's backend is
 	// opened through the registry and attached at its prefix, and events
-	// flow into the shared resolution pipeline with prefixed paths. Empty
+	// flow into the shared resolution layer with prefixed paths. Empty
 	// (the default) preserves the single-backend path exactly.
 	Mounts []MountSpec
 }
@@ -126,7 +127,7 @@ type Monitor struct {
 	api       *iface.Interface
 	store     *eventstore.Store
 	closeOnce sync.Once
-	pumpDone  chan struct{}
+	runDone   chan struct{}
 }
 
 // New starts a monitor per opts.
@@ -195,21 +196,28 @@ func New(opts Options) (*Monitor, error) {
 		return nil, err
 	}
 	m := &Monitor{
-		dsi:      d,
-		table:    table,
-		reg:      reg,
-		opts:     opts,
-		proc:     resolution.NewContext(opts.Context, d.Events(), opts.Resolution),
-		api:      api,
-		store:    store,
-		pumpDone: make(chan struct{}),
+		dsi:     d,
+		table:   table,
+		reg:     reg,
+		opts:    opts,
+		proc:    resolution.New(d.Events(), opts.BatchSize),
+		api:     api,
+		store:   store,
+		runDone: make(chan struct{}),
 	}
 	m.registerTelemetry(opts.Telemetry)
-	go m.pump()
+	go func() {
+		defer close(m.runDone)
+		// Run stops at the first batch the store refuses, and capture
+		// then backs up until Close: say why.
+		if err := m.proc.Run(m.api.Ingest); err != nil {
+			telemetry.ComponentLogger(opts.Logger, "core").Error("resolution layer stopped", "err", err)
+		}
+	}()
 	if opts.Context != nil {
-		// The DSI and resolution pipeline already honor the context
-		// themselves; this hook completes the shutdown (interface layer,
-		// store) when the caller cancels instead of calling Close.
+		// A cancel closes the monitor as Close does: the DSI first, then,
+		// once Run has drained the DSI channel, the interface layer and
+		// the store.
 		context.AfterFunc(opts.Context, func() { _ = m.Close() })
 	}
 	return m, nil
@@ -294,19 +302,6 @@ func (m *Monitor) Mounts() []string {
 		return nil
 	}
 	return m.table.Mounts()
-}
-
-// pump feeds resolution-layer batches into the interface layer. Ingest
-// copies events into its own slices, so each batch can be recycled into
-// the resolution layer's pool immediately afterwards.
-func (m *Monitor) pump() {
-	defer close(m.pumpDone)
-	for batch := range m.proc.Batches() {
-		if err := m.api.Ingest(batch); err != nil {
-			return
-		}
-		m.proc.Recycle(batch)
-	}
 }
 
 // registerTelemetry mirrors the local three layers into the unified
@@ -405,8 +400,7 @@ func (m *Monitor) Close() error {
 	var err error
 	m.closeOnce.Do(func() {
 		err = m.dsi.Close()
-		<-m.pumpDone // resolution output drains when the DSI channel closes
-		m.proc.Close()
+		<-m.runDone // Run drains the DSI channel once it closes
 		m.api.Close()
 		m.store.Close()
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -317,3 +318,42 @@ func TestCloseIsIdempotentAndDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestContextCancelStoresAccepted cancels a monitor's context right after
+// its backend accepted a burst and requires every accepted event in the
+// store: the DSI channel closes on cancel, and the resolution layer reads
+// it to its end before the monitor shuts down.
+func TestContextCancelStoresAccepted(t *testing.T) {
+	const n = 20000
+	var base *dsi.Base
+	reg := dsi.NewRegistry()
+	reg.Register("synthetic", func(dsi.StorageInfo) int { return 1 }, func(cfg dsi.Config) (dsi.DSI, error) {
+		base = dsi.NewBase("synthetic", cfg.Buffer)
+		return syntheticDSI{base}, nil
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m, err := New(Options{DSIName: "synthetic", Registry: reg, Context: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.AddPump()
+	for i := 0; i < n; i++ {
+		if !base.Emit(events.Event{Root: "/r", Op: events.OpCreate, Path: "/f"}) {
+			t.Fatalf("emit %d refused before cancel", i)
+		}
+	}
+	base.PumpDone()
+	cancel()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Stats().Interface.Store.Appended; got != n {
+		t.Fatalf("stored %d of %d accepted events after cancel", got, n)
+	}
+}
+
+// syntheticDSI is a backend whose events the test emits itself.
+type syntheticDSI struct{ *dsi.Base }
+
+func (d syntheticDSI) Close() error { d.CloseBase(); return nil }

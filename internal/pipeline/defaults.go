@@ -3,7 +3,7 @@ package pipeline
 import "time"
 
 // Centralized tuning defaults shared by both event paths. Before this
-// package existed these drifted between resolution.Options,
+// package existed these drifted between the resolution layer,
 // scalable.CollectorOptions, and the msgq/iface buffer literals; every
 // value below is the single source of truth both paths now consume.
 const (
@@ -16,14 +16,13 @@ const (
 	// (§IV-B, Table VIII uses 512-record reads).
 	DefaultChangelogBatch = 512
 
-	// DefaultQueueSize bounds the resolution intake queue (events).
-	DefaultQueueSize = 16384
-
 	// DefaultDSIBuffer is the DSI event channel capacity (dsi.NewBase and
-	// the mount table's merged channel) — large enough to absorb a native
-	// watcher's burst between resolution-layer reads. Config.Buffer
-	// overrides it per backend and per mount.
-	DefaultDSIBuffer = 8192
+	// the mount table's merged channel). That channel is the resolution
+	// layer's processing queue (§III-A2): nothing reads it while the store
+	// ingests a batch, so it alone absorbs a native watcher's burst
+	// (TestBurstWhileSinkStalls). Config.Buffer overrides it per backend
+	// and per mount.
+	DefaultDSIBuffer = 32768
 
 	// DefaultAggregatorQueue bounds each queue between the scalable tiers —
 	// the aggregator's subscription buffer, a scalable consumer's, and a
@@ -53,9 +52,9 @@ const (
 	// DefaultRenameCache is the rename-pairing cookie cache capacity.
 	DefaultRenameCache = 1024
 
-	// DefaultPoolSlots is how many recycled objects a SlicePool or Pool
-	// retains (>= DefaultAggregatorQueue, so every block a full
-	// subscription queue gives back finds a slot).
+	// DefaultPoolSlots is how many recycled objects a Pool retains (>=
+	// DefaultAggregatorQueue, so every block a full subscription queue
+	// gives back finds a slot).
 	DefaultPoolSlots = 64
 
 	// DefaultResolveWorkers is the collector resolve-stage parallelism.
@@ -89,7 +88,7 @@ const (
 	DefaultPollInterval = time.Millisecond
 
 	// DefaultDrainGrace bounds graceful shutdown: Drain escalates to
-	// Abort if the ordered drain takes longer than this.
+	// an abort if the ordered drain takes longer than this.
 	DefaultDrainGrace = 5 * time.Second
 
 	// StallBound is how long a publisher waits on a subscriber's full queue

@@ -13,7 +13,7 @@ import "context"
 //
 // Per-worker queues hold one item, so the stage reads at most 2×workers
 // items ahead of the slowest call (bounded memory, real backpressure).
-// Like Map, the stage drains its input to completion on Stop and exits
+// Like Map, the stage drains its input to completion on Drain and exits
 // early only on abort; its output closes when it exits. Stats fold into
 // the pipeline's per-stage surface under the stage name.
 //
@@ -101,5 +101,5 @@ func MapN[In, Out any](p *Pipeline, name string, buf, workers int, in Flow[In], 
 			}
 		}
 	})
-	return Flow[Out]{p: p, ch: out}
+	return Flow[Out]{ch: out}
 }

@@ -43,9 +43,8 @@ func TestMapNPreservesOrder(t *testing.T) {
 				}
 				return v * 10, true
 			})
-			batches := Batch(p, "batch", 8, mapped, 64, time.Millisecond, nil)
-			got := collectInts(p, batches)
-			p.Wait()
+			got := collectInts(p, mapped)
+			wait(p)
 
 			out := got()
 			want := 0
@@ -64,7 +63,7 @@ func TestMapNPreservesOrder(t *testing.T) {
 			if workers > 1 && maxInFlight.Load() < 2 {
 				t.Errorf("fn calls never overlapped with %d workers", workers)
 			}
-			st := p.StageStats("work")
+			st := stageStats(p, "work")
 			if st.In != n || st.Out != uint64(len(out)) {
 				t.Errorf("stage stats in=%d out=%d, want %d/%d", st.In, st.Out, n, len(out))
 			}
@@ -73,7 +72,7 @@ func TestMapNPreservesOrder(t *testing.T) {
 }
 
 // Property: under random worker counts, buffer sizes, and stop timing, a
-// graceful Stop loses nothing — every item accepted by the source comes
+// graceful Drain loses nothing — every item accepted by the source comes
 // out the other end, still in order.
 func TestQuickMapNStopNeverLosesAccepted(t *testing.T) {
 	f := func(nEvents, stopAfterUS uint16, workerSeed, stageBuf uint8) bool {
@@ -83,26 +82,14 @@ func TestQuickMapNStopNeverLosesAccepted(t *testing.T) {
 
 		p := New(context.Background())
 		var accepted atomic.Int64
-		src := Source(p, "gen", buf, func(_ context.Context, emit func(int) bool) error {
-			for i := 0; i < n; i++ {
-				if !emit(i) {
-					return nil
-				}
-				accepted.Add(1)
-			}
-			return nil
-		})
+		src := Source(p, "gen", buf, count(n, &accepted))
 		mapped := MapN(p, "id", buf, workers, src, func(_ context.Context, v int) (int, bool) {
 			return v, true
 		})
-		batches := Batch(p, "batch", buf, mapped, 32, time.Millisecond, nil)
-		got := collectInts(p, batches)
+		got := collectInts(p, mapped)
 
-		stopDelay := time.Duration(stopAfterUS%500) * time.Microsecond
-		timer := time.AfterFunc(stopDelay, p.Stop)
-		defer timer.Stop()
-		p.Wait()
-		p.Stop()
+		time.Sleep(time.Duration(stopAfterUS%500) * time.Microsecond)
+		p.Drain(0)
 
 		out := got()
 		if int64(len(out)) != accepted.Load() {
@@ -122,11 +109,13 @@ func TestQuickMapNStopNeverLosesAccepted(t *testing.T) {
 	}
 }
 
-// Abort unwinds MapN's dispatcher, workers, and resequencer even when
-// they are blocked mid-handoff; the delivered prefix stays ordered and
+// Canceling the parent context unwinds MapN's dispatcher, workers, and
+// resequencer even when they are blocked mid-handoff (a slower stage
+// downstream keeps them backed up); the delivered prefix stays ordered and
 // duplicate-free.
 func TestMapNAbortUnwinds(t *testing.T) {
-	p := New(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
+	p := New(ctx)
 	src := Source(p, "gen", 4, func(ctx context.Context, emit func(int) bool) error {
 		for i := 0; ; i++ {
 			if !emit(i) {
@@ -141,12 +130,15 @@ func TestMapNAbortUnwinds(t *testing.T) {
 		}
 		return v, true
 	})
-	batches := Batch(p, "batch", 4, mapped, 16, time.Millisecond, nil)
-	got := collectInts(p, batches)
+	backlog := Map(p, "backlog", 1, mapped, func(_ context.Context, v int) (int, bool) {
+		time.Sleep(time.Millisecond)
+		return v, true
+	})
+	got := collectInts(p, backlog)
 
-	time.AfterFunc(10*time.Millisecond, p.Abort)
+	time.AfterFunc(10*time.Millisecond, cancel)
 	done := make(chan struct{})
-	go func() { p.Wait(); close(done) }()
+	go func() { wait(p); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):

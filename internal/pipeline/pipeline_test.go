@@ -9,14 +9,14 @@ import (
 	"time"
 )
 
-// collectInts attaches a sink that appends every batched element to a
-// shared slice and returns an accessor for it.
-func collectInts(p *Pipeline, in Flow[[]int]) func() []int {
+// collectInts attaches a sink that appends every element to a shared slice
+// and returns an accessor for it.
+func collectInts(p *Pipeline, in Flow[int]) func() []int {
 	var mu sync.Mutex
 	var got []int
-	Sink(p, "collect", in, func(_ context.Context, b []int) {
+	Sink(p, "collect", in, func(_ context.Context, v int) {
 		mu.Lock()
-		got = append(got, b...)
+		got = append(got, v)
 		mu.Unlock()
 	})
 	return func() []int {
@@ -26,23 +26,45 @@ func collectInts(p *Pipeline, in Flow[[]int]) func() []int {
 	}
 }
 
-func TestPipelineDeliversAllInOrder(t *testing.T) {
-	const n = 10000
-	p := New(context.Background())
-	src := Source(p, "gen", 32, func(_ context.Context, emit func(int) bool) error {
+// wait blocks until every stage of p has exited on its own (its source
+// exhausted and the stages drained).
+func wait(p *Pipeline) { p.wg.Wait() }
+
+// stageStats returns the named stage's snapshot (zero Stats if absent).
+func stageStats(p *Pipeline, name string) Stats {
+	for _, st := range p.Stats() {
+		if st.Name == name {
+			return st
+		}
+	}
+	return Stats{}
+}
+
+// count emits 0..n-1, stopping early once the pipeline drains; accepted,
+// when non-nil, counts the items emit took.
+func count(n int, accepted *atomic.Int64) func(context.Context, func(int) bool) error {
+	return func(_ context.Context, emit func(int) bool) error {
 		for i := 0; i < n; i++ {
 			if !emit(i) {
 				return nil
 			}
+			if accepted != nil {
+				accepted.Add(1)
+			}
 		}
 		return nil
-	})
+	}
+}
+
+func TestPipelineDeliversAllInOrder(t *testing.T) {
+	const n = 10000
+	p := New(context.Background())
+	src := Source(p, "gen", 32, count(n, nil))
 	doubled := Map(p, "double", 32, src, func(_ context.Context, v int) (int, bool) {
 		return v * 2, true
 	})
-	batches := Batch(p, "batch", 8, doubled, 64, time.Millisecond, nil)
-	got := collectInts(p, batches)
-	p.Wait()
+	got := collectInts(p, doubled)
+	wait(p)
 
 	out := got()
 	if len(out) != n {
@@ -53,12 +75,12 @@ func TestPipelineDeliversAllInOrder(t *testing.T) {
 			t.Fatalf("out[%d] = %d, want %d", i, v, i*2)
 		}
 	}
-	st := p.StageStats("double")
+	st := stageStats(p, "double")
 	if st.In != n || st.Out != n {
 		t.Fatalf("double stage stats in=%d out=%d, want %d/%d", st.In, st.Out, n, n)
 	}
-	if bs := p.StageStats("batch"); bs.In != n {
-		t.Fatalf("batch stage saw %d events, want %d", bs.In, n)
+	if cs := stageStats(p, "collect"); cs.In != n {
+		t.Fatalf("sink saw %d events, want %d", cs.In, n)
 	}
 }
 
@@ -77,60 +99,43 @@ func TestMapDropsFilteredItems(t *testing.T) {
 	})
 	var n atomic.Int64
 	Sink(p, "count", evens, func(_ context.Context, _ int) { n.Add(1) })
-	p.Wait()
+	wait(p)
 	if n.Load() != 50 {
 		t.Fatalf("sink saw %d items, want 50", n.Load())
 	}
-	if st := p.StageStats("evens"); st.In != 100 || st.Out != 50 {
+	if st := stageStats(p, "evens"); st.In != 100 || st.Out != 50 {
 		t.Fatalf("stage stats in=%d out=%d, want 100/50", st.In, st.Out)
 	}
 }
 
-func TestBatchFlushesPartialOnInterval(t *testing.T) {
-	p := New(context.Background())
-	in := make(chan int)
-	src := From(p, "feed", 8, in)
-	batches := Batch(p, "batch", 8, src, 1000, 5*time.Millisecond, nil)
-	got := make(chan []int, 1)
-	Sink(p, "collect", batches, func(_ context.Context, b []int) {
-		select {
-		case got <- b:
-		default:
-		}
-	})
-	in <- 1
-	in <- 2
-	select {
-	case b := <-got:
-		if len(b) != 2 {
-			t.Fatalf("interval flush delivered %d events, want 2", len(b))
-		}
-	case <-time.After(time.Second):
-		t.Fatal("partial batch never flushed on interval")
-	}
-	close(in)
-	p.Wait()
-}
-
+// TestStopDrainsAcceptedItems: Drain stops a source that would run on, and
+// everything it had accepted still reaches the sink.
 func TestStopDrainsAcceptedItems(t *testing.T) {
 	p := New(context.Background())
-	in := make(chan int, 16)
-	for i := 0; i < 16; i++ {
-		in <- i
-	}
-	src := From(p, "feed", 16, in)
-	batches := Batch(p, "batch", 8, src, 4, time.Hour, nil)
-	got := collectInts(p, batches)
+	src := Source(p, "feed", 16, func(ctx context.Context, emit func(int) bool) error {
+		for i := 0; i < 16; i++ {
+			if !emit(i) {
+				return nil
+			}
+		}
+		<-ctx.Done() // a feed that never ends on its own
+		return nil
+	})
+	slow := Map(p, "slow", 1, src, func(_ context.Context, v int) (int, bool) {
+		time.Sleep(time.Millisecond)
+		return v, true
+	})
+	got := collectInts(p, slow)
 
-	// Give the source time to accept the backlog, then stop without
-	// closing the feed: everything accepted must still reach the sink.
+	// Wait until the source has accepted the backlog, then drain while
+	// most of it is still queued: all of it must reach the sink.
 	deadline := time.Now().Add(time.Second)
-	for p.StageStats("feed").Out < 16 && time.Now().Before(deadline) {
+	for stageStats(p, "feed").Out < 16 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	p.Stop()
+	p.Drain(0)
 	if out := got(); len(out) != 16 {
-		t.Fatalf("drained %d events after Stop, want 16", len(out))
+		t.Fatalf("drained %d events, want 16", len(out))
 	}
 }
 
@@ -172,7 +177,7 @@ func TestParentCancelAborts(t *testing.T) {
 	cancel()
 	done := make(chan struct{})
 	go func() {
-		p.Wait()
+		p.Drain(0)
 		close(done)
 	}()
 	select {
@@ -182,58 +187,25 @@ func TestParentCancelAborts(t *testing.T) {
 	}
 }
 
-func TestSlicePoolRecycles(t *testing.T) {
-	sp := NewSlicePool[int](8, 4)
-	s := sp.Get()
-	if cap(s) != 8 || len(s) != 0 {
-		t.Fatalf("Get: len=%d cap=%d, want 0/8", len(s), cap(s))
-	}
-	s = append(s, 1, 2, 3)
-	sp.Put(s)
-	r := sp.Get()
-	if len(r) != 0 {
-		t.Fatalf("recycled slice has len %d, want 0", len(r))
-	}
-	if cap(r) != 8 {
-		t.Fatalf("recycled slice has cap %d, want 8", cap(r))
-	}
-	if &r[:1][0] != &s[:1][0] {
-		t.Fatal("Get did not return the recycled backing array")
-	}
-}
-
 // TestQuickStopNeverLosesAcceptedEvents is the core pipeline invariant
-// under random cancellation: every event accepted into stage 1 (emit
+// under random shutdown timing: every event accepted into stage 1 (emit
 // returned true) is delivered exactly once, in order — no loss, no
-// duplication — regardless of when Stop lands.
+// duplication — regardless of when Drain lands.
 func TestQuickStopNeverLosesAcceptedEvents(t *testing.T) {
-	f := func(nEvents, stopAfterUS uint16, batchSize, stageBuf uint8) bool {
+	f := func(nEvents, stopAfterUS uint16, stageBuf uint8) bool {
 		n := int(nEvents)%2000 + 1
-		size := int(batchSize)%32 + 1
 		buf := int(stageBuf)%16 + 1
 
 		p := New(context.Background())
 		var accepted atomic.Int64
-		src := Source(p, "gen", buf, func(_ context.Context, emit func(int) bool) error {
-			for i := 0; i < n; i++ {
-				if !emit(i) {
-					return nil
-				}
-				accepted.Add(1)
-			}
-			return nil
-		})
+		src := Source(p, "gen", buf, count(n, &accepted))
 		mapped := Map(p, "id", buf, src, func(_ context.Context, v int) (int, bool) {
 			return v, true
 		})
-		batches := Batch(p, "batch", buf, mapped, size, time.Millisecond, nil)
-		got := collectInts(p, batches)
+		got := collectInts(p, mapped)
 
-		stopDelay := time.Duration(stopAfterUS%500) * time.Microsecond
-		timer := time.AfterFunc(stopDelay, p.Stop)
-		defer timer.Stop()
-		p.Wait()
-		p.Stop() // idempotent; ensures the drain finished before we read
+		time.Sleep(time.Duration(stopAfterUS%500) * time.Microsecond)
+		p.Drain(0)
 
 		out := got()
 		if int64(len(out)) != accepted.Load() {
@@ -253,30 +225,24 @@ func TestQuickStopNeverLosesAcceptedEvents(t *testing.T) {
 	}
 }
 
-// TestQuickAbortNeverDuplicates: an abort may drop in-flight events, but
-// must never deliver one twice or out of order, and must terminate.
+// TestQuickAbortNeverDuplicates: canceling the parent context may drop
+// in-flight events, but must never deliver one twice or out of order, and
+// must terminate.
 func TestQuickAbortNeverDuplicates(t *testing.T) {
-	f := func(nEvents, abortAfterUS uint16, batchSize uint8) bool {
+	f := func(nEvents, abortAfterUS uint16) bool {
 		n := int(nEvents)%2000 + 1
-		size := int(batchSize)%32 + 1
 
-		p := New(context.Background())
-		src := Source(p, "gen", 4, func(_ context.Context, emit func(int) bool) error {
-			for i := 0; i < n; i++ {
-				if !emit(i) {
-					return nil
-				}
-			}
-			return nil
+		ctx, cancel := context.WithCancel(context.Background())
+		p := New(ctx)
+		src := Source(p, "gen", 4, count(n, nil))
+		mapped := Map(p, "id", 4, src, func(_ context.Context, v int) (int, bool) {
+			return v, true
 		})
-		batches := Batch(p, "batch", 4, src, size, time.Millisecond, nil)
-		got := collectInts(p, batches)
+		got := collectInts(p, mapped)
 
-		abortDelay := time.Duration(abortAfterUS%300) * time.Microsecond
-		timer := time.AfterFunc(abortDelay, p.Abort)
-		defer timer.Stop()
-		p.Wait()
-		p.Abort()
+		time.Sleep(time.Duration(abortAfterUS%300) * time.Microsecond)
+		cancel()
+		p.Drain(0)
 
 		prev := -1
 		for _, v := range got() {
@@ -306,8 +272,8 @@ func TestStatsTrackBackpressure(t *testing.T) {
 	Sink(p, "slow", src, func(_ context.Context, _ int) {
 		time.Sleep(100 * time.Microsecond)
 	})
-	p.Wait()
-	st := p.StageStats("gen")
+	wait(p)
+	st := stageStats(p, "gen")
 	if st.Out != 64 {
 		t.Fatalf("gen emitted %d, want 64", st.Out)
 	}
@@ -334,7 +300,7 @@ func TestDuplicateStageNamesGetSuffixed(t *testing.T) {
 	a := Map(p, "work", 8, src, func(_ context.Context, v int) (int, bool) { return v, true })
 	b := Map(p, "work", 8, a, func(_ context.Context, v int) (int, bool) { return v, v%2 == 0 })
 	Sink(p, "sink", b, func(_ context.Context, _ int) {})
-	p.Wait()
+	wait(p)
 
 	names := make([]string, 0, 4)
 	for _, st := range p.Stats() {
@@ -349,10 +315,10 @@ func TestDuplicateStageNamesGetSuffixed(t *testing.T) {
 			t.Fatalf("stages = %v, want %v", names, want)
 		}
 	}
-	if st := p.StageStats("work"); st.Out != 10 {
+	if st := stageStats(p, "work"); st.Out != 10 {
 		t.Errorf("work out = %d, want 10", st.Out)
 	}
-	if st := p.StageStats("work#2"); st.In != 10 || st.Out != 5 {
+	if st := stageStats(p, "work#2"); st.In != 10 || st.Out != 5 {
 		t.Errorf("work#2 in/out = %d/%d, want 10/5", st.In, st.Out)
 	}
 }

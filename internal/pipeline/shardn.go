@@ -13,7 +13,7 @@ import "context"
 // Per-lane queues hold one item (bounded memory, real backpressure): the
 // dispatcher blocks when a lane is behind rather than buffering without
 // bound or reordering across lanes. Like Map/MapN, the stage drains its
-// input to completion on Stop and exits early only on abort; its output
+// input to completion on Drain and exits early only on abort; its output
 // closes when every lane has finished. key must return a non-negative int.
 //
 // workers <= 1 degenerates to Map (same semantics, no dispatch overhead).
@@ -77,5 +77,5 @@ func ShardN[In, Out any](p *Pipeline, name string, buf, workers int, in Flow[In]
 			<-done
 		}
 	})
-	return Flow[Out]{p: p, ch: out}
+	return Flow[Out]{ch: out}
 }

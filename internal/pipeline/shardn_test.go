@@ -36,7 +36,7 @@ func TestShardNPreservesPerKeyOrder(t *testing.T) {
 	Sink(p, "collect", out, func(ctx context.Context, v keyed) {
 		got[v.key] = append(got[v.key], v.n)
 	})
-	p.Wait()
+	wait(p)
 	total := 0
 	for k := 0; k < keys; k++ {
 		seq := got[k]
@@ -79,7 +79,7 @@ func TestShardNSingleWorkerDegeneratesToMap(t *testing.T) {
 	Sink(p, "collect", out, func(ctx context.Context, v int) {
 		got = append(got, v)
 	})
-	p.Wait()
+	wait(p)
 	if len(got) != 90 {
 		t.Fatalf("got %d items, want 90", len(got))
 	}
@@ -114,7 +114,7 @@ func TestShardNDropAndFanIn(t *testing.T) {
 		}
 		seen[v] = true
 	})
-	p.Wait()
+	wait(p)
 	if len(seen) != n/2 {
 		t.Fatalf("got %d items, want %d", len(seen), n/2)
 	}

@@ -6,19 +6,16 @@
 // representations." It also provides the layer's performance
 // optimizations: batching and caching.
 //
-// The processor is a composition of internal/pipeline stages:
-//
-//	intake → normalize → pair-renames → batch
-//
-// intake is the paper's processing queue (bounded, backpressuring the
-// DSI); normalize resolves paths against the watch root; pair-renames
-// fills MOVED_TO events' OldPath from the matching MOVED_FROM by cookie;
-// batch emits count- and latency-bounded slices recycled through a pool.
+// The processing queue is the DSI's event channel itself (bounded,
+// backpressuring the DSI). Processor.Run is one loop over it: it
+// normalizes each event against the watch root, fills a MOVED_TO event's
+// OldPath from the matching MOVED_FROM by cookie, and hands count- and
+// latency-bounded batches to a sink. When the channel closes, Run hands
+// over the final partial batch and returns, so everything the DSI accepted
+// reaches the sink.
 package resolution
 
 import (
-	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,114 +24,95 @@ import (
 	"fsmonitor/internal/pipeline"
 )
 
-// Options configures a Processor.
-type Options struct {
-	// BatchSize is the maximum events per emitted batch (default
-	// pipeline.DefaultLocalBatch).
-	BatchSize int
-	// BatchInterval flushes a non-empty partial batch after this delay
-	// (default pipeline.DefaultBatchInterval), bounding added latency.
-	BatchInterval time.Duration
-	// PairRenames fills MOVED_TO events' OldPath from the matching
-	// MOVED_FROM (by cookie). Default on via New.
-	PairRenames bool
-	// RenameCacheSize bounds the cookie→source-path cache (default
-	// pipeline.DefaultRenameCache).
-	RenameCacheSize int
-	// QueueSize is the processing queue capacity (default
-	// pipeline.DefaultQueueSize).
-	QueueSize int
-}
-
-func (o Options) withDefaults() Options {
-	if o.BatchSize <= 0 {
-		o.BatchSize = pipeline.DefaultLocalBatch
-	}
-	if o.BatchInterval <= 0 {
-		o.BatchInterval = pipeline.DefaultBatchInterval
-	}
-	if o.RenameCacheSize <= 0 {
-		o.RenameCacheSize = pipeline.DefaultRenameCache
-	}
-	if o.QueueSize <= 0 {
-		o.QueueSize = pipeline.DefaultQueueSize
-	}
-	return o
-}
-
 // Stats counts processor activity.
 type Stats struct {
 	Processed     uint64
 	Batches       uint64
 	RenamesPaired uint64
-	QueuePeak     int
-	// Stages is the underlying per-stage pipeline view (in/out counts,
-	// queue high-water marks, blocked time).
-	Stages []pipeline.Stats
 }
 
-// Processor consumes a DSI event stream and emits processed batches.
+// Processor turns a DSI event stream into processed batches.
 type Processor struct {
-	opts  Options
-	pipe  *pipeline.Pipeline
-	queue pipeline.Flow[events.Event]
-	out   pipeline.Flow[[]events.Event]
-	pool  *pipeline.SlicePool[events.Event]
-	// renames is touched by the pair-renames stage's goroutine only.
+	src  <-chan events.Event
+	size int
+	// renames is touched by Run's goroutine only.
 	renames *lru.Core[uint32, string]
 
-	paired    atomic.Uint64
-	closeOnce sync.Once
+	processed, batches, paired atomic.Uint64
 }
 
-// New starts a processor over src. The processor stops when src closes or
-// Close is called; either way the output channel closes after the final
-// batch.
-func New(src <-chan events.Event, opts Options) *Processor {
-	opts = opts.withDefaults()
-	opts.PairRenames = true
-	return newWith(context.Background(), src, opts)
-}
-
-// NewWithOptions starts a processor honouring opts exactly (PairRenames
-// as given).
-func NewWithOptions(src <-chan events.Event, opts Options) *Processor {
-	return newWith(context.Background(), src, opts.withDefaults())
-}
-
-// NewContext is New bound to ctx: canceling ctx aborts the processor (the
-// graceful path is still Close, which drains).
-func NewContext(ctx context.Context, src <-chan events.Event, opts Options) *Processor {
-	opts = opts.withDefaults()
-	opts.PairRenames = true
-	return newWith(ctx, src, opts)
-}
-
-func newWith(ctx context.Context, src <-chan events.Event, opts Options) *Processor {
-	p := &Processor{
-		opts:    opts,
-		pipe:    pipeline.New(ctx),
-		pool:    pipeline.NewSlicePool[events.Event](opts.BatchSize, 0),
-		renames: lru.NewCore[uint32, string](opts.RenameCacheSize),
+// New returns a processor over src emitting batches of at most batchSize
+// events (pipeline.DefaultLocalBatch when batchSize <= 0). Nothing runs
+// until Run.
+func New(src <-chan events.Event, batchSize int) *Processor {
+	if batchSize <= 0 {
+		batchSize = pipeline.DefaultLocalBatch
 	}
-
-	p.queue = pipeline.From(p.pipe, "intake", opts.QueueSize, src)
-	stream := pipeline.Map(p.pipe, "normalize", pipeline.DefaultStageBuffer, p.queue,
-		func(_ context.Context, e events.Event) (events.Event, bool) {
-			return events.Normalize(e), true
-		})
-	if opts.PairRenames {
-		stream = pipeline.Map(p.pipe, "pair-renames", pipeline.DefaultStageBuffer, stream, p.pairRename)
+	return &Processor{
+		src:     src,
+		size:    batchSize,
+		renames: lru.NewCore[uint32, string](pipeline.DefaultRenameCache),
 	}
-	p.out = pipeline.Batch(p.pipe, "batch", pipeline.DefaultBatchDepth, stream,
-		opts.BatchSize, opts.BatchInterval, p.pool)
-	return p
 }
 
-// pairRename resolves rename pairs by cookie (the pair-renames stage).
-func (p *Processor) pairRename(_ context.Context, e events.Event) (events.Event, bool) {
+// Run reads src until it closes, calling sink with each batch: when it
+// reaches the batch size, when pipeline.DefaultBatchInterval has passed
+// since its first event, and once more for the partial batch left when src
+// closes. The batch slice is reused after sink returns, so sink must copy
+// what it keeps. Run returns sink's first error without reading further,
+// and nil once src is drained.
+func (p *Processor) Run(sink func([]events.Event) error) error {
+	batch := make([]events.Event, 0, p.size)
+	timer := time.NewTimer(pipeline.DefaultBatchInterval)
+	if !timer.Stop() {
+		<-timer.C
+	}
+	defer timer.Stop()
+	flush := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
+		p.processed.Add(uint64(len(batch)))
+		p.batches.Add(1)
+		err := sink(batch)
+		// Zeroed so the reused slice does not pin paths past their batch.
+		clear(batch)
+		batch = batch[:0]
+		return err
+	}
+	for {
+		select {
+		case e, ok := <-p.src:
+			if !ok {
+				return flush()
+			}
+			batch = append(batch, p.pairRename(events.Normalize(e)))
+			if len(batch) == 1 {
+				timer.Reset(pipeline.DefaultBatchInterval)
+			}
+			if len(batch) < p.size {
+				continue
+			}
+			// A size flush stops the interval timer, draining a tick that
+			// already fired so it cannot flush the next batch early.
+			if !timer.Stop() {
+				<-timer.C
+			}
+			if err := flush(); err != nil {
+				return err
+			}
+		case <-timer.C:
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// pairRename resolves rename pairs by cookie.
+func (p *Processor) pairRename(e events.Event) events.Event {
 	if e.Cookie == 0 {
-		return e, true
+		return e
 	}
 	switch {
 	case e.Op.HasAny(events.OpMovedFrom):
@@ -150,39 +128,16 @@ func (p *Processor) pairRename(_ context.Context, e events.Event) (events.Event,
 			p.paired.Add(1)
 		}
 	}
-	return e, true
+	return e
 }
-
-// Batches returns the output stream of processed event batches. Consumers
-// that do not retain a batch past handling it may return its backing
-// slice with Recycle.
-func (p *Processor) Batches() <-chan []events.Event { return p.out.C() }
-
-// Recycle returns a delivered batch's backing slice to the processor's
-// pool, making the steady-state batch path allocation-free. The caller
-// must not touch the slice afterwards; callers that retain batches simply
-// never call it.
-func (p *Processor) Recycle(batch []events.Event) { p.pool.Put(batch) }
 
 // Stats returns a snapshot of the counters.
 func (p *Processor) Stats() Stats {
 	return Stats{
-		Processed:     p.pipe.StageStats("normalize").Out,
-		Batches:       p.pipe.StageStats("batch").Out,
+		Processed:     p.processed.Load(),
+		Batches:       p.batches.Load(),
 		RenamesPaired: p.paired.Load(),
-		QueuePeak:     p.pipe.StageStats("intake").QueuePeak,
-		Stages:        p.pipe.Stats(),
 	}
-}
-
-// Close stops the processor without waiting for the source to end: the
-// pipeline drains whatever was accepted (bounded by
-// pipeline.DefaultDrainGrace if the consumer is gone) and the output
-// channel closes after the final batch.
-func (p *Processor) Close() {
-	p.closeOnce.Do(func() {
-		p.pipe.Drain(pipeline.DefaultDrainGrace)
-	})
 }
 
 // Transform renders a processed event into the requested representation by

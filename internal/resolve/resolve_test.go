@@ -362,7 +362,9 @@ func BenchmarkResolveStage(b *testing.B) {
 					b.Fatal(err)
 				}
 				p := pipeline.New(context.Background())
+				fed := make(chan struct{})
 				src := pipeline.Source(p, "gen", 4, func(_ context.Context, emit func([]lustre.Record) bool) error {
+					defer close(fed)
 					for _, batch := range batches {
 						if !emit(batch) {
 							return nil
@@ -380,7 +382,10 @@ func BenchmarkResolveStage(b *testing.B) {
 				pipeline.Sink(p, "count", resolved, func(_ context.Context, n int) {
 					out += n
 				})
-				p.Wait()
+				// Every batch is accepted once the source returns; Drain
+				// then waits for the stages to pass them all on.
+				<-fed
+				p.Drain(0)
 				if out != len(recs) {
 					b.Fatalf("resolved %d events, want %d", out, len(recs))
 				}
