@@ -278,8 +278,12 @@ func WithBatch(size int) Option {
 // built with WithTelemetry mirrors its counters, gauges, and latency
 // histograms into one namespace (fsmon.core.*, fsmon.collector.mdt<N>.*,
 // fsmon.aggregator.*, fsmon.store.p<i>.*, fsmon.consumer.*,
-// fsmon.process.*). Snapshot/WriteText read it on demand; ServeTelemetry
-// exposes it over HTTP.
+// fsmon.process.*). A clustered aggregation tier (WithClusterNodes)
+// registers the same aggregator and store names under each member's root,
+// fsmon.cluster.<id>.aggregator.* and fsmon.cluster.<id>.store.*, beside
+// its membership gauges; the federated /cluster/metrics/prom view turns
+// the ID into a node label. Snapshot/WriteText read it on demand;
+// ServeTelemetry exposes it over HTTP.
 type Telemetry = telemetry.Registry
 
 // HistogramSnapshot is a latency histogram's point-in-time quantile view

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"fsmonitor/internal/events"
-	"fsmonitor/internal/telemetry"
 )
 
 // ErrNotHeld is returned by a partition-addressed append to a partition
@@ -44,7 +43,7 @@ type Sharded struct {
 	// set, OpenPartition and ClosePartition swap in a new slice under mu.
 	shards atomic.Pointer[[]*Store]
 	mu     sync.Mutex
-	aud    *telemetry.Audit // attached to partitions opened later
+	tels   []storeTel // per-partition telemetry handles, nil when off
 }
 
 // held returns the current held set.
@@ -202,7 +201,9 @@ func (s *Sharded) OpenPartition(part int) error {
 	if err != nil {
 		return err
 	}
-	st.SetAudit(s.aud, part)
+	if s.tels != nil {
+		st.tel = s.tels[part] // not yet published: no lock needed
+	}
 	s.swapLocked(part, st)
 	return nil
 }

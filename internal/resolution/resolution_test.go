@@ -12,6 +12,7 @@ import (
 	"fsmonitor/internal/dsi/simdsi"
 	"fsmonitor/internal/events"
 	"fsmonitor/internal/pipeline"
+	"fsmonitor/internal/telemetry"
 	"fsmonitor/internal/vfs"
 )
 
@@ -317,5 +318,44 @@ func TestTransformDelegates(t *testing.T) {
 	s, err := Transform(events.Event{Root: "/r", Op: events.OpCreate, Path: "/f"}, events.FormatFSW)
 	if err != nil || s == "" {
 		t.Errorf("Transform = %q, %v", s, err)
+	}
+}
+
+// TestSaturatedDSIChannelDegradesCore: the DSI channel is the public path's
+// one queue, and its capacity is mirrored beside its depth, so a channel
+// held at least 90 % full for K samples degrades the core tier.
+func TestSaturatedDSIChannelDegradesCore(t *testing.T) {
+	const k = 3
+	src := make(chan events.Event, 10)
+	p := New(src, 4) // never run: nothing drains the channel
+	reg := telemetry.NewRegistry()
+	p.RegisterTelemetry(reg, "fsmon.core.resolution")
+	s := reg.StartSampler(time.Hour, 16) // driven by SampleNow below
+	defer s.Close()
+	h := telemetry.NewHealth(s, telemetry.HealthOptions{Windows: k})
+	defer h.Close()
+	core := func() telemetry.Status {
+		for _, v := range h.Evaluate().Tiers {
+			if v.Tier == "core" {
+				return v.Status
+			}
+		}
+		t.Fatal("no core tier verdict")
+		return 0
+	}
+
+	for i := 0; i < 9; i++ {
+		src <- events.Event{Path: fmt.Sprintf("/f%d", i)}
+	}
+	for i := 0; i < k; i++ {
+		s.SampleNow()
+	}
+	if st := core(); st != telemetry.StatusDegraded {
+		t.Fatalf("channel at 90%% for %d samples: core = %v, want degraded", k, st)
+	}
+	<-src
+	s.SampleNow()
+	if st := core(); st != telemetry.StatusOK {
+		t.Fatalf("channel below 90%%: core = %v, want ok", st)
 	}
 }

@@ -101,10 +101,10 @@ type AggregatorOptions struct {
 	// Context aborts the aggregator when canceled (Close remains the
 	// graceful path). Nil means Background.
 	Context context.Context
-	// Telemetry, when non-nil, mirrors a classic aggregator into the
-	// unified registry under "fsmon.aggregator" (and the engine under
-	// "fsmon.store.p<i>"), a cluster member under "fsmon.cluster.<ID>".
-	// Nil (the default) costs nothing.
+	// Telemetry, when non-nil, mirrors the aggregator into the unified
+	// registry under its root — "fsmon" for a classic aggregator,
+	// "fsmon.cluster.<ID>" for a member: "<root>.aggregator.*" and the
+	// engine under "<root>.store.*". Nil (the default) costs nothing.
 	Telemetry *telemetry.Registry
 	// Logger receives component-tagged structured logs; nil discards.
 	Logger *slog.Logger
@@ -210,6 +210,7 @@ type Aggregator struct {
 	parts     int
 	ownStore  bool
 	throttles []*pace.Throttle // one per store lane
+	metrics   string           // telemetry root: "fsmon", "fsmon.cluster.<ID>" for a member
 
 	pipe *pipeline.Pipeline
 	pool *pipeline.Pool[events.Block] // blocks cycling through decode → store → republish
@@ -279,6 +280,7 @@ func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 		ownStore:  ownStore,
 		throttles: make([]*pace.Throttle, parts),
 		pool:      pipeline.NewPool(0, newTargetBlock, resetBlock),
+		metrics:   "fsmon",
 	}
 	a.recycle = a.pool.Put
 	for i := range a.throttles {
@@ -287,6 +289,7 @@ func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 	var err error
 	if clustered {
 		a.slog = telemetry.ComponentLogger(opts.Logger, "node."+opts.ID)
+		a.metrics = "fsmon.cluster." + opts.ID
 		a.sub.Subscribe(msgq.NodeSubscription(opts.ID))
 		err = a.joinCluster()
 	} else {
@@ -331,7 +334,7 @@ func (a *Aggregator) Start() error {
 	stamped := pipeline.ShardN(a.pipe, "store", pipeline.DefaultBatchDepth, a.parts, intake,
 		func(pb partBatch) int { return pb.part }, a.storeLane)
 	pipeline.Sink(a.pipe, "republish", stamped, a.republishBatch)
-	a.registerTelemetry(a.opts.Telemetry)
+	a.pipe.RegisterTelemetry(a.opts.Telemetry, a.metrics+".aggregator.pipeline")
 	a.slog.Debug("aggregator started", "endpoint", a.pub.Addr(), "partitions", a.parts)
 	return nil
 }
@@ -348,70 +351,27 @@ func (a *Aggregator) ConnectCollectors(endpoints ...string) error {
 	return nil
 }
 
-// initTelemetry attaches the conservation audit and, for a classic
-// aggregator, creates the latency histograms on the store/republish hot
-// path (both local lane time and cumulative time since the collector's
-// capture stamp) and mirrors the engine, whose append path reads its
-// histograms unlocked. It must run before the pipeline is built: lane
-// goroutines read these fields without synchronization. No-op when reg is
-// nil.
+// initTelemetry mirrors the aggregator under its root (a.metrics), the same
+// names for a classic aggregator and a member: the conservation audit, the
+// engine under "<root>.store", and under "<root>.aggregator" the hot-path
+// latency histograms (lane time, and time since the capture stamp), the
+// counters and both sockets; a member adds its membership gauges under the
+// root. It runs once, before the aggregator's goroutines start: they read
+// these fields unsynchronized. No-op when reg is nil.
 func (a *Aggregator) initTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	// The aggregator knows the partition count, so it attaches the auditor
-	// and hands it to the engine's append path (an idempotent attach —
-	// in-process members share one).
+	// An idempotent attach: in-process members share one auditor.
 	a.aud = reg.EnableAudit(a.parts)
-	a.engine.SetAudit(a.aud)
-	if a.mem != nil {
-		return
-	}
-	const prefix = "fsmon.aggregator"
+	a.engine.RegisterTelemetry(reg, a.metrics+".store", a.aud)
+	prefix := a.metrics + ".aggregator"
 	a.storeUS = reg.Histogram(prefix+".store_us", nil)
 	a.captureToStoreUS = reg.Histogram(prefix+".capture_to_store_us", nil)
 	a.republishUS = reg.Histogram(prefix+".capture_to_republish_us", nil)
-	a.engine.RegisterTelemetry(reg, "fsmon.store")
-}
-
-// registerTelemetry mirrors the aggregator into reg. A classic aggregator
-// registers "fsmon.aggregator.*" — counters, pipeline stages, both sockets
-// (initTelemetry has mirrored the engine under "fsmon.store"). A cluster
-// member registers "fsmon.cluster.<id>.*" instead: several members can
-// share one process and one registry, so their names carry the member ID,
-// and that prefix is the slice of the registry the member publishes to the
-// federation and the watchdog's cluster rules read. Runs after the pipeline
-// is built so the mirrors can close over live stages. No-op when reg is nil.
-func (a *Aggregator) registerTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	prefix := "fsmon.aggregator"
-	if a.mem != nil {
-		prefix = "fsmon.cluster." + a.opts.ID
-	}
 	reg.GaugeFunc(prefix+".received", func() float64 { return float64(a.received.Load()) })
 	reg.GaugeFunc(prefix+".stored", func() float64 { return float64(a.stored.Load()) })
-	if a.mem != nil {
-		reg.GaugeFunc(prefix+".members", func() float64 { return float64(a.mem.Members()) })
-		reg.GaugeFunc(prefix+".epoch", func() float64 { return float64(a.mem.Epoch()) })
-		reg.GaugeFunc(prefix+".partitions_owned", func() float64 { return float64(len(a.engine.OwnedPartitions())) })
-		reg.GaugeFunc(prefix+".handoffs_total", func() float64 { return float64(a.handoffs.Load()) })
-		reg.GaugeFunc(prefix+".heartbeat_age_ms", func() float64 {
-			return float64(a.mem.HeartbeatAge()) / float64(time.Millisecond)
-		})
-		reg.GaugeFunc(prefix+".strays_forwarded", func() float64 { return float64(a.strays.Load()) })
-		// The flight recorder's cluster hook: incidents this process declares
-		// are broadcast through this member. In-process members share one
-		// recorder and any member's pub reaches the mesh, so the last-started
-		// member winning the hook is harmless.
-		if fr := reg.Flight(); fr != nil {
-			fr.SetBroadcast(a.mem.BroadcastIncident)
-		}
-		return
-	}
 	reg.GaugeFunc(prefix+".published", func() float64 { return float64(a.published.Load()) })
-	reg.GaugeFunc(prefix+".partitions", func() float64 { return float64(a.parts) })
 	reg.GaugeFunc(prefix+".utilization", func() float64 {
 		var total float64
 		for _, t := range a.throttles {
@@ -419,9 +379,26 @@ func (a *Aggregator) registerTelemetry(reg *telemetry.Registry) {
 		}
 		return total
 	})
-	a.pipe.RegisterTelemetry(reg, prefix+".pipeline")
 	msgq.RegisterPubTelemetry(reg, prefix+".pub", a.pub)
 	msgq.RegisterSubTelemetry(reg, prefix+".sub", a.sub)
+	if a.mem == nil {
+		return
+	}
+	reg.GaugeFunc(a.metrics+".members", func() float64 { return float64(a.mem.Members()) })
+	reg.GaugeFunc(a.metrics+".epoch", func() float64 { return float64(a.mem.Epoch()) })
+	reg.GaugeFunc(a.metrics+".partitions_owned", func() float64 { return float64(len(a.engine.OwnedPartitions())) })
+	reg.GaugeFunc(a.metrics+".handoffs_total", func() float64 { return float64(a.handoffs.Load()) })
+	reg.GaugeFunc(a.metrics+".heartbeat_age_ms", func() float64 {
+		return float64(a.mem.HeartbeatAge()) / float64(time.Millisecond)
+	})
+	reg.GaugeFunc(a.metrics+".strays_forwarded", func() float64 { return float64(a.strays.Load()) })
+	// The flight recorder's cluster hook: incidents this process declares
+	// are broadcast through this member. In-process members share one
+	// recorder and any member's pub reaches the mesh, so the last-started
+	// member winning the hook is harmless.
+	if fr := reg.Flight(); fr != nil {
+		fr.SetBroadcast(a.mem.BroadcastIncident)
+	}
 }
 
 // Endpoint returns the aggregator's publisher endpoint — for a cluster
@@ -557,8 +534,14 @@ func (a *Aggregator) storeLane(ctx context.Context, pb partBatch) (repBatch, boo
 		return repBatch{}, false
 	}
 	a.received.Add(uint64(n))
-	if !a.persist(ctx, pb.part, blk, pb.m, n) {
+	switch fwd, ok := a.persist(ctx, pb.part, blk, pb.m, n); {
+	case !ok:
 		return repBatch{}, false
+	case fwd:
+		// A forwarded batch leaves the lane as an empty item that
+		// republish skips, so a member that only forwards reads as
+		// flowing to the watchdog's stall rule; a dropped batch does not.
+		return repBatch{}, true
 	}
 	a.stored.Add(uint64(n))
 	if a.storeUS != nil {
@@ -583,16 +566,16 @@ func (a *Aggregator) span(blk *events.Block, tier uint8) {
 // persist appends the block to the partition's store, spending the
 // aggregation overhead on the lane's throttle, or — a cluster member that
 // does not (or no longer does) hold the partition — forwards it to the
-// current owner. It reports whether the block was stored here; when it was
-// not, the block (and up, the message it aliases) has been dropped or
-// handed on.
-func (a *Aggregator) persist(ctx context.Context, part int, blk *events.Block, up msgq.Message, n int) bool {
+// current owner. ok reports whether the block was stored here (fwd false)
+// or handed on to the owner (fwd true); when ok is false the block (and up,
+// the message it aliases) has been dropped.
+func (a *Aggregator) persist(ctx context.Context, part int, blk *events.Block, up msgq.Message, n int) (fwd, ok bool) {
 	for {
 		if st := a.store(part); st != nil {
 			a.throttles[part].Spend(time.Duration(n) * a.opts.EventOverhead)
 			_, err := st.AppendBlock(blk)
 			if err == nil {
-				return true
+				return false, true
 			}
 			if a.store(part) == st {
 				// Still the holder: a real store failure (e.g. capacity), not
@@ -600,23 +583,23 @@ func (a *Aggregator) persist(ctx context.Context, part int, blk *events.Block, u
 				// for subsequent ones.
 				a.slog.Error("store append failed, dropping batch", "partition", part, "events", n, "err", err)
 				a.drop(blk, up)
-				return false
+				return false, false
 			}
 			continue // lost the partition mid-append: re-route
 		}
 		if a.mem == nil {
 			a.slog.Error("engine does not hold partition, dropping batch", "partition", part, "events", n)
 			a.drop(blk, up)
-			return false
+			return false, false
 		}
 		// Not the owner: forward to whoever is. The routed topic goes out
 		// on our own pub — every member's intake is subscribed to its
 		// inbox on every peer pub, so the forward is one hop (the lane-entry
 		// partition span already records it under this member's identity).
-		if topic, ok := a.mem.OwnerTopic(part); ok && topic != msgq.NodeTopic(a.opts.ID, part) {
+		if topic, known := a.mem.OwnerTopic(part); known && topic != msgq.NodeTopic(a.opts.ID, part) {
 			if a.pub.PublishLeasedCtx(ctx, topic, blk, a.recycle, up) > 0 {
 				a.strays.Add(uint64(n))
-				return false
+				return true, true
 			}
 		}
 		// Owner unknown, not yet subscribed, or it is us but the store
@@ -624,7 +607,7 @@ func (a *Aggregator) persist(ctx context.Context, part int, blk *events.Block, u
 		select {
 		case <-ctx.Done():
 			a.drop(blk, up)
-			return false
+			return false, false
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -639,6 +622,9 @@ func (a *Aggregator) persist(ctx context.Context, part int, blk *events.Block, u
 // the pool, and the collector message it aliases is Done, when the last
 // subscriber has finished with it — at once when there is none.
 func (a *Aggregator) republishBatch(ctx context.Context, rb repBatch) {
+	if rb.blk == nil {
+		return // forwarded to the partition's owner (storeLane)
+	}
 	topic := AggTopic
 	if a.parts > 1 {
 		topic = msgq.PartitionTopic(AggTopic, rb.part)

@@ -280,17 +280,13 @@ func NewCollector(opts CollectorOptions) (*Collector, error) {
 	// The hot-path instruments must exist before the pipeline is built:
 	// stage goroutines read them without synchronization. Untraced
 	// collectors have none, publish unstamped batches and pay no wire or
-	// clock cost.
-	if reg := opts.Telemetry; reg != nil {
-		c.publishUS = reg.Histogram(c.metrics+".publish_us", nil)
-	}
+	// clock cost. The stage mirrors follow the build, so they close over
+	// live stages.
+	c.publishUS = opts.Telemetry.Histogram(c.metrics+".publish_us", nil)
+	msgq.RegisterPubTelemetry(opts.Telemetry, c.metrics+".pub", c.pub)
 	c.pipe = pipeline.New(opts.Context)
 	pipeline.Sink(c.pipe, "publish", c.src.capture(), c.publish)
-	if reg := opts.Telemetry; reg != nil {
-		// After the pipeline is built, so the mirrors close over live stages.
-		c.pipe.RegisterTelemetry(reg, c.metrics+".pipeline")
-		msgq.RegisterPubTelemetry(reg, c.metrics+".pub", c.pub)
-	}
+	c.pipe.RegisterTelemetry(opts.Telemetry, c.metrics+".pipeline")
 	c.slog.Debug("collector started", "topic", c.topic, "endpoint", c.pub.Addr())
 	return c, nil
 }

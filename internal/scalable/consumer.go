@@ -230,14 +230,18 @@ func NewConsumer(opts ConsumerOptions) (*Consumer, error) {
 	c.pipe = pipeline.New(opts.Context)
 	intake := pipeline.Source(c.pipe, "subscribe", pipeline.DefaultBatchDepth, c.intakeLoop)
 	pipeline.Sink(c.pipe, "filter-deliver", intake, c.deliverBatch)
-	c.registerTelemetry(opts.Telemetry)
+	c.pipe.RegisterTelemetry(opts.Telemetry, "fsmon.consumer.pipeline")
 	return c, nil
 }
 
-// initTelemetry creates the end-to-end latency histogram and delivery-lag
-// gauge recorded at deliverBatch. It must run before the pipeline is
-// built: the sink goroutine reads these fields without synchronization.
-// No-op when reg is nil.
+// initTelemetry mirrors the consumer into reg under "fsmon.consumer": the
+// end-to-end latency histogram and delivery-lag gauge recorded at
+// deliverBatch, GaugeFunc mirrors of the existing counters, the socket,
+// and — when the recovery source exposes its per-partition head —
+// cursor-vs-head distance gauges ("how many events behind is this
+// consumer in partition i"). It must run before the pipeline is built: the
+// sink goroutine reads these fields without synchronization. NewConsumer
+// mirrors the pipeline once it is built. No-op when reg is nil.
 func (c *Consumer) initTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -247,23 +251,10 @@ func (c *Consumer) initTelemetry(reg *telemetry.Registry) {
 	c.lagUS = reg.Gauge(prefix + ".lag_us")
 	c.traces = reg.Traces()
 	c.aud = reg.Audit()
-}
-
-// registerTelemetry mirrors the consumer into reg under "fsmon.consumer":
-// GaugeFunc mirrors of the existing counters, and — when the recovery
-// source exposes its per-partition head — cursor-vs-head distance gauges
-// ("how many events behind is this consumer in partition i"). Runs after
-// the pipeline is built. No-op when reg is nil.
-func (c *Consumer) registerTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	const prefix = "fsmon.consumer"
 	reg.GaugeFunc(prefix+".received", func() float64 { return float64(c.received.Load()) })
 	reg.GaugeFunc(prefix+".delivered", func() float64 { return float64(c.delivered.Load()) })
 	reg.GaugeFunc(prefix+".recovered", func() float64 { return float64(c.recovered.Load()) })
 	reg.GaugeFunc(prefix+".last_seq", func() float64 { return float64(c.LastSeq()) })
-	c.pipe.RegisterTelemetry(reg, prefix+".pipeline")
 	msgq.RegisterSubTelemetry(reg, prefix+".sub", c.sub)
 	head, ok := c.opts.Recover.(interface{ LastSeqVector() []uint64 })
 	if !ok {

@@ -125,11 +125,28 @@ type auditSmokeDoc struct {
 
 var smokePromLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{node="[^"]+"\})? [0-9.eE+-]+$`)
 
+// promFamilySum sums the node-labeled samples of one family in a
+// Prometheus exposition and counts them.
+func promFamilySum(text, family string) (sum float64, n int) {
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, family+"{node=")
+		if !ok {
+			continue
+		}
+		var v float64
+		if _, err := fmt.Sscan(rest[strings.LastIndexByte(rest, ' ')+1:], &v); err == nil {
+			sum, n = sum+v, n+1
+		}
+	}
+	return sum, n
+}
+
 // TestAuditSmoke is the make audit-smoke gate: a two-node clustered
 // deployment with the observability plane served over HTTP, a streamed
 // workload, and three assertions — the delivery-conservation audit
 // balances to zero, /cluster/metrics reflects every member, and the
-// node-labeled Prometheus exposition parses. With FSMON_AUDIT_SMOKE_OUT
+// node-labeled Prometheus exposition parses, its members' stored counts
+// summing to the audit's. With FSMON_AUDIT_SMOKE_OUT
 // set, the merged /cluster/metrics document is written there as the CI
 // artifact.
 func TestAuditSmoke(t *testing.T) {
@@ -220,14 +237,27 @@ func TestAuditSmoke(t *testing.T) {
 		t.Fatalf("/cluster/metrics audit = %+v", doc.Audit)
 	}
 
-	// The Prometheus exposition parses and labels every sample by node.
-	resp, err = http.Get(base + "/cluster/metrics/prom")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The Prometheus exposition parses and labels every sample by node, and
+	// the members' stored counts are one family whose samples sum to the
+	// audit's: snapshots travel at heartbeat cadence, so poll.
 	var prom bytes.Buffer
-	prom.ReadFrom(resp.Body)
-	resp.Body.Close()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err = http.Get(base + "/cluster/metrics/prom")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prom.Reset()
+		prom.ReadFrom(resp.Body)
+		resp.Body.Close()
+		stored, members := promFamilySum(prom.String(), "fsmon_cluster_aggregator_stored")
+		if members == 2 && stored == float64(s.Stored) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fsmon_cluster_aggregator_stored sums to %v over %d members, audit stored %d:\n%s",
+				stored, members, s.Stored, prom.String())
+		}
+	}
 	labeled := 0
 	for _, line := range strings.Split(strings.TrimSpace(prom.String()), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {

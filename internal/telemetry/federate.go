@@ -198,7 +198,7 @@ func (f *Federation) WriteClusterMetrics(w io.Writer, aud *Audit) error {
 }
 
 // WritePrometheus renders every member's metric slice in the Prometheus
-// text exposition format with a "node" label, plus per-member
+// text exposition format, the member as each sample's "node" label, plus per-member
 // fsmon_cluster_member_* meta gauges (heartbeat age, snapshot age,
 // up/dead, status) so a scrape stack sees the whole cluster through one
 // endpoint. Safe on nil (renders nothing).
@@ -236,21 +236,22 @@ func (f *Federation) WritePrometheus(w io.Writer) error {
 			}
 		}
 	}
-	// Then each member's metric slice, node-labeled, in sorted name order
-	// per member (members are already sorted).
+	// Then every member's slice, its ID moved into the node label
+	// (fsmon.cluster.<id>.X → fsmon_cluster_X{node="<id>"}). Sorted lines
+	// keep each family's samples adjacent, as the text format requires.
+	var lines []string
 	for _, s := range snaps {
-		names := make([]string, 0, len(s.Values))
-		for n := range s.Values {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			if _, err := fmt.Fprintf(w, "%s{node=%q} %s\n", MangleName(n), s.Node, promFloat(s.Values[n])); err != nil {
-				return err
+		prefix := "fsmon.cluster." + s.Node + "."
+		for n, v := range s.Values {
+			if rest, ok := strings.CutPrefix(n, prefix); ok {
+				n = "fsmon.cluster." + rest
 			}
+			lines = append(lines, fmt.Sprintf("%s{node=%q} %s\n", MangleName(n), s.Node, promFloat(v)))
 		}
 	}
-	return nil
+	sort.Strings(lines)
+	_, err := io.WriteString(w, strings.Join(lines, ""))
+	return err
 }
 
 // BuildNodeSnapshot assembles one member's publishable frame: membership

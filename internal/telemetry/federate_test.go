@@ -124,7 +124,7 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*\{node="[^"]+"\} [0-
 // sample carries the node label, and both members' slices appear.
 func TestWritePrometheus(t *testing.T) {
 	f := NewFederation(time.Minute)
-	f.Update(NodeSnapshot{Node: "n0", Values: map[string]float64{"fsmon.cluster.n0.stored": 42}})
+	f.Update(NodeSnapshot{Node: "n0", Values: map[string]float64{"fsmon.cluster.n0.aggregator.stored": 42}})
 	f.Update(NodeSnapshot{Node: "n1", Partitions: []int{0, 1}})
 
 	var buf bytes.Buffer
@@ -148,10 +148,54 @@ func TestWritePrometheus(t *testing.T) {
 	for _, want := range []string{
 		`fsmon_cluster_member_up{node="n0"} 1`,
 		`fsmon_cluster_member_partitions_owned{node="n1"} 2`,
-		`fsmon_cluster_n0_stored{node="n0"} 42`,
+		`fsmon_cluster_aggregator_stored{node="n0"} 42`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition lacks %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestWritePrometheusNodeFamilies: the member ID leaves the metric name for
+// the node label, so two members' values of one name are one family, and
+// that family's samples sit on adjacent lines.
+func TestWritePrometheusNodeFamilies(t *testing.T) {
+	f := NewFederation(time.Minute)
+	f.Update(NodeSnapshot{Node: "n0", Values: map[string]float64{
+		"fsmon.cluster.n0.aggregator.stored": 40,
+		"fsmon.cluster.n0.epoch":             2,
+	}})
+	f.Update(NodeSnapshot{Node: "n1", Values: map[string]float64{
+		"fsmon.cluster.n1.aggregator.stored": 41,
+		"fsmon.cluster.n1.epoch":             2,
+	}})
+	var buf bytes.Buffer
+	if err := f.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	const fam = "fsmon_cluster_aggregator_stored{"
+	first, last, n := -1, -1, 0
+	for i, l := range lines {
+		if strings.HasPrefix(l, "fsmon_cluster_n") {
+			t.Errorf("member ID left in a family name: %q", l)
+		}
+		if strings.HasPrefix(l, fam) {
+			if first < 0 {
+				first = i
+			}
+			last, n = i, n+1
+		}
+	}
+	if n != 2 || last-first != 1 {
+		t.Fatalf("family %s has %d samples on lines %d..%d, want 2 adjacent:\n%s", fam, n, first, last, buf.String())
+	}
+	for _, want := range []string{
+		`fsmon_cluster_aggregator_stored{node="n0"} 40`,
+		`fsmon_cluster_aggregator_stored{node="n1"} 41`,
+	} {
+		if lines[first] != want && lines[last] != want {
+			t.Errorf("family lacks %q:\n%s", want, buf.String())
 		}
 	}
 }

@@ -158,6 +158,8 @@ type Health struct {
 //     growing for K windows
 //   - stale-FID / resolution error spike: fid2path real-error rate above
 //     ErrorRatePerSec over the last window
+//   - subscriber eviction: ".pub.evicted" or ".iface.evicted" moved in
+//     the last window
 //   - cluster heartbeat lapse: an aggregator node's peer-heartbeat age
 //     above HeartbeatLapseMS in the newest sample — a member is late and
 //     handoff may be imminent
@@ -301,7 +303,10 @@ var rules = []func(view, HealthOptions, verdicts){
 	saturationRule,
 	growthRule(".cursor_lag.", "consumer cursor lag growing"),
 	growthRule(".changelog_lag", "changelog backlog growing"),
-	errorSpikeRule,
+	rateRule(".fid2path_errors", "errors", func(o HealthOptions) float64 { return o.ErrorRatePerSec }),
+	// Any subscriber eviction; a store's ".p<i>.evicted" is retention's work.
+	rateRule(".pub.evicted", "evictions", nil),
+	rateRule(".iface.evicted", "evictions", nil),
 	heartbeatLapseRule,
 	conservationRule,
 }
@@ -376,22 +381,29 @@ func growthRule(match, what string) func(view, HealthOptions, verdicts) {
 	}
 }
 
-// errorSpikeRule (resolution-error-spike): fid2path real-error rate
-// (stale-FID churn that Algorithm 1 cannot absorb surfaces here) above the
-// threshold over the last window.
-func errorSpikeRule(v view, o HealthOptions, vs verdicts) {
-	for _, name := range v.names {
-		if !strings.HasSuffix(name, ".fid2path_errors") {
-			continue
+// rateRule builds a rule (resolution-error-spike, subscriber-eviction)
+// that fires when a counter ending in suffix rose faster than limit per
+// second (nil: 0) over the last window. Stale-FID churn that Algorithm 1
+// cannot absorb surfaces as fid2path real errors.
+func rateRule(suffix, what string, limit func(HealthOptions) float64) func(view, HealthOptions, verdicts) {
+	return func(v view, o HealthOptions, vs verdicts) {
+		var bound float64
+		if limit != nil {
+			bound = limit(o)
 		}
-		pts := v.recent(name, 2)
-		if len(pts) < 2 {
-			continue
-		}
-		dt := pts[0].t.Sub(pts[1].t).Seconds()
-		if rate := (pts[0].v - pts[1].v) / dt; dt > 0 && rate > o.ErrorRatePerSec {
-			vs.flag(name, StatusDegraded,
-				fmt.Sprintf("%s: %.1f errors/s (threshold %.1f)", name, rate, o.ErrorRatePerSec))
+		for _, name := range v.names {
+			if !strings.HasSuffix(name, suffix) {
+				continue
+			}
+			pts := v.recent(name, 2)
+			if len(pts) < 2 {
+				continue
+			}
+			dt := pts[0].t.Sub(pts[1].t).Seconds()
+			if rate := (pts[0].v - pts[1].v) / dt; dt > 0 && rate > bound {
+				vs.flag(name, StatusDegraded,
+					fmt.Sprintf("%s: %.1f %s/s (threshold %.1f)", name, rate, what, bound))
+			}
 		}
 	}
 }

@@ -345,6 +345,52 @@ func TestHealthHeartbeatLapse(t *testing.T) {
 	}
 }
 
+// TestHealthEvictionRule: a publisher's or the interface layer's eviction
+// of a lagging subscriber degrades its tier for the window it happened in;
+// a store partition's retention evictions are not subscriber evictions.
+func TestHealthEvictionRule(t *testing.T) {
+	reg := NewRegistry()
+	counters := map[string]*atomic.Int64{}
+	for _, name := range []string{
+		"fsmon.aggregator.pub.evicted",
+		"fsmon.core.iface.evicted",
+		"fsmon.store.p0.evicted",
+	} {
+		n := new(atomic.Int64)
+		counters[name] = n
+		reg.GaugeFunc(name, func() float64 { return float64(n.Load()) })
+	}
+	s := startStoppedSampler(t, reg, 16)
+	h := NewHealth(s, HealthOptions{Windows: 3})
+	defer h.Close()
+	status := func() map[string]Status {
+		out := map[string]Status{}
+		for _, v := range h.Evaluate().Tiers {
+			out[v.Tier] = v.Status
+		}
+		return out
+	}
+
+	s.SampleNow()
+	for _, n := range counters {
+		n.Add(1)
+	}
+	time.Sleep(2 * time.Millisecond)
+	s.SampleNow()
+	got := status()
+	for tier, want := range map[string]Status{"aggregator": StatusDegraded, "core": StatusDegraded, "store": StatusOK} {
+		if got[tier] != want {
+			t.Errorf("%s = %v after one eviction each, want %v", tier, got[tier], want)
+		}
+	}
+	// No eviction in the next window: the verdicts clear.
+	time.Sleep(2 * time.Millisecond)
+	s.SampleNow()
+	if rep := h.Evaluate(); rep.Status != StatusOK {
+		t.Errorf("quiet window still %v: %+v", rep.Status, rep.Tiers)
+	}
+}
+
 // BenchmarkHealthEvaluate is one watchdog evaluation over a full window:
 // 300 series × 256 samples, with metrics for every built-in rule to read
 // (stage in/out pairs, queue depth and capacity, cursor and changelog
