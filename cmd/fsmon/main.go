@@ -453,7 +453,6 @@ func dumpJournal(w io.Writer, path string, format fsmonitor.Format) error {
 			_, err := fmt.Fprintf(out, "reported %d\n", reported)
 			return err
 		}
-		blk.Intern()
 		evs = blk.AppendEventsTo(evs[:0])
 		for _, e := range evs {
 			line, err := fsmonitor.Transform(e, format)

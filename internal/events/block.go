@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 )
 
@@ -362,36 +363,22 @@ func (b *Block) AppendEventsTo(dst []Event) []Event {
 
 // AppendRangeTo materializes events [lo, hi) onto dst and returns the
 // extended slice. Strings are substrings of the interned copy when there
-// is one; otherwise a packed block makes one string copy of exactly the
-// range's bytes and every event shares it — a page read costs what the
-// page holds, and the block retains no second copy of its arena.
+// is one; otherwise they share one string copy of exactly the range's
+// string bytes (appendPage) — a page read costs what the page holds, and
+// the block retains no second copy of its arena.
 func (b *Block) AppendRangeTo(dst []Event, lo, hi int) []Event {
 	if lo >= hi {
 		return dst
 	}
-	page, base := b.interned, uint32(0)
-	if page == "" {
-		if !b.packed {
-			for i := lo; i < hi; i++ {
-				dst = append(dst, b.Event(i))
-			}
-			return dst
-		}
-		base = b.spans[lo].root.off
-		page = string(b.arena[base:b.spans[hi-1].src.end])
-	}
-	for i := lo; i < hi; i++ {
-		dst = append(dst, b.eventIn(page, base, i))
-	}
-	return dst
+	return b.appendPage(dst, hi-lo, func(k int) int { return lo + k })
 }
 
 // AppendPickedTo materializes the events at the given row indexes onto dst,
 // in that order, and returns the extended slice. Their strings are
-// substrings of one copy of the arena bytes those rows span, made in the
-// call and kept by nobody but the result (an interned block's rows share
-// the interned copy instead). The block is only read: concurrent readers of
-// one frozen block may each call it, and what they get holds nothing of the
+// substrings of one copy of those rows' string bytes, made in the call and
+// kept by nobody but the result (an interned block's rows share the
+// interned copy instead). The block is only read: concurrent readers of one
+// frozen block may each call it, and what they get holds nothing of the
 // block's memory — nor of the payload a decoded block's arena is on loan
 // from. This is how a reader that keeps events past its Message.Done takes
 // them out.
@@ -399,20 +386,67 @@ func (b *Block) AppendPickedTo(dst []Event, rows []int) []Event {
 	if len(rows) == 0 {
 		return dst
 	}
-	page, base := b.interned, uint32(0)
-	if page == "" {
-		// Every way of filling a block lays a row's strings out in field
-		// order, so a row spans [root.off, src.end).
-		lo, hi := b.spans[rows[0]].root.off, b.spans[rows[0]].src.end
-		for _, i := range rows[1:] {
-			lo, hi = min(lo, b.spans[i].root.off), max(hi, b.spans[i].src.end)
+	return b.appendPage(dst, len(rows), func(k int) int { return rows[k] })
+}
+
+// appendPage materializes rows row(0), ..., row(n-1) onto dst, their
+// strings cut from one page. A packed block's page is the one arena range
+// the rows span — every way of filling a block lays a row's strings out in
+// field order, so a row spans [root.off, src.end). Any other arena (a
+// received payload) also holds each row's wire framing, so its page is the
+// rows' strings alone, gathered into one allocation of exactly their length.
+func (b *Block) appendPage(dst []Event, n int, row func(k int) int) []Event {
+	if b.interned != "" || b.packed {
+		page, base := b.interned, uint32(0)
+		if page == "" {
+			lo, hi := b.spans[row(0)].root.off, b.spans[row(0)].src.end
+			for k := 1; k < n; k++ {
+				fs := b.spans[row(k)]
+				lo, hi = min(lo, fs.root.off), max(hi, fs.src.end)
+			}
+			base, page = lo, string(b.arena[lo:hi])
 		}
-		base, page = lo, string(b.arena[lo:hi])
+		for k := 0; k < n; k++ {
+			dst = append(dst, b.eventIn(page, base, row(k)))
+		}
+		return dst
 	}
-	for _, i := range rows {
-		dst = append(dst, b.eventIn(page, base, i))
+	size := 0
+	for k := 0; k < n; k++ {
+		size += b.rowBytes(row(k))
+	}
+	var sb strings.Builder
+	sb.Grow(size) // not zeroed: every byte is written below
+	for k := 0; k < n; k++ {
+		fs := b.spans[row(k)]
+		for _, sp := range [...]strSpan{fs.root, fs.path, fs.old, fs.src} {
+			sb.Write(b.arena[sp.off:sp.end])
+		}
+	}
+	page, off := sb.String(), 0
+	cut := func(sp strSpan) string {
+		s := page[off : off+int(sp.end-sp.off)]
+		off += len(s)
+		return s
+	}
+	for k := 0; k < n; k++ {
+		i := row(k)
+		fs := b.spans[i]
+		e := Event{Op: b.ops[i], Cookie: b.cookies[i], Time: time.Unix(0, b.times[i]), Seq: b.seqs[i]}
+		e.Root = cut(fs.root)
+		e.Path = cut(fs.path)
+		e.OldPath = cut(fs.old)
+		e.Source = cut(fs.src)
+		dst = append(dst, e)
 	}
 	return dst
+}
+
+// rowBytes is the length of row i's four strings.
+func (b *Block) rowBytes(i int) int {
+	fs := b.spans[i]
+	return int(fs.root.end-fs.root.off) + int(fs.path.end-fs.path.off) +
+		int(fs.old.end-fs.old.off) + int(fs.src.end-fs.src.off)
 }
 
 // eventIn is event i with its strings cut from page, a string copy of the
@@ -554,9 +588,25 @@ func (b *Block) AppendRowsFrom(src *Block, lo, hi int) {
 	b.invalidateWire()
 }
 
-// ArenaLen returns the number of string bytes the block holds (for a
-// decoded block, the length of the payload it aliases).
-func (b *Block) ArenaLen() int { return len(b.arena) }
+// StringBytes returns the number of string bytes rows [lo, hi) hold: what
+// AppendRowsFrom copies of them into another block's arena.
+func (b *Block) StringBytes(lo, hi int) int {
+	if lo >= hi {
+		return 0
+	}
+	if b.packed {
+		return int(b.spans[hi-1].src.end - b.spans[lo].root.off)
+	}
+	n := 0
+	for i := lo; i < hi; i++ {
+		n += b.rowBytes(i)
+	}
+	return n
+}
+
+// Cap returns how many rows the block's columns and how many string bytes
+// its arena hold before either grows.
+func (b *Block) Cap() (rows, bytes int) { return cap(b.ops), cap(b.arena) }
 
 // CloneFrom makes b a seq-mutable clone of a frozen src: only the seq
 // column is copied (so SetSeq and clone+patch re-encoding work without
@@ -712,28 +762,25 @@ func (b *Block) encodedLen() int {
 			n += 1 + 8 + 1 + min(len(sp.Node), maxNode)
 		}
 	}
-	for _, fs := range b.spans {
-		n += int(fs.root.end-fs.root.off) + int(fs.path.end-fs.path.off) +
-			int(fs.old.end-fs.old.off) + int(fs.src.end-fs.src.off)
-	}
-	return n
+	return n + b.StringBytes(0, len(b.ops))
 }
 
 // minEntry is the smallest wire entry: the 24-byte fixed header, three
 // empty u16-prefixed strings and an empty u8-prefixed source.
 const minEntry = 24 + 3*2 + 1
 
-// reserve makes room for n more rows in the columns a decode fills.
-func (b *Block) reserve(n int) {
-	if cap(b.ops)-len(b.ops) >= n {
-		return
+// Grow makes room for rows more rows and bytes more string bytes, so that
+// appending that much allocates nothing. b must own its columns and arena
+// (built or Reset, not decoded or cloned).
+func (b *Block) Grow(rows, bytes int) {
+	if cap(b.ops)-len(b.ops) < rows {
+		b.ops = slices.Grow(b.ops, rows)
+		b.cookies = slices.Grow(b.cookies, rows)
+		b.seqs = slices.Grow(b.seqs, rows)
+		b.times = slices.Grow(b.times, rows)
+		b.spans = slices.Grow(b.spans, rows)
 	}
-	b.ops = slices.Grow(b.ops, n)
-	b.cookies = slices.Grow(b.cookies, n)
-	b.seqs = slices.Grow(b.seqs, n)
-	b.times = slices.Grow(b.times, n)
-	b.spans = slices.Grow(b.spans, n)
-	b.seqPos = slices.Grow(b.seqPos, n)
+	b.arena = slices.Grow(b.arena, bytes)
 }
 
 // DecodeBlock decodes a wire batch into a fresh Block. See DecodeBlockInto.
@@ -790,7 +837,9 @@ func DecodeBlockInto(b *Block, payload []byte) error {
 	}
 	// Size the columns once for the announced count, capped by what the
 	// payload could hold so a hostile header cannot force the allocation.
-	b.reserve(min(int(n), (len(payload)-pos)/minEntry))
+	rows := min(int(n), (len(payload)-pos)/minEntry)
+	b.Grow(rows, 0)
+	b.seqPos = slices.Grow(b.seqPos, rows)
 	for i := uint32(0); i < n; i++ {
 		if len(payload)-pos < 24 {
 			return fmt.Errorf("events: batch entry %d: short buffer (%d bytes) decoding header", i, len(payload)-pos)

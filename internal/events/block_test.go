@@ -3,10 +3,14 @@ package events
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func blockEvents() []Event {
@@ -640,4 +644,97 @@ func TestAppendPickedTo(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { dst = decoded.AppendPickedTo(dst[:0], rows) }); allocs != 1 {
 		t.Errorf("materializing %d rows of a decoded block allocates %v times, want 1", len(rows), allocs)
 	}
+}
+
+// A decoded block's pages hold its picked rows' strings and nothing else:
+// over random blocks and picks, AppendPickedTo and AppendRangeTo return the
+// events the same rows of a packed block do, with every string cut back to
+// back from one page outside the payload, that page allocated at exactly
+// the size a packed block of just those rows copies.
+func TestDecodedPageIsStringsOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	str := func(max int) string { return strings.Repeat("p", rng.Intn(max+1)) }
+	for round := 0; round < 200; round++ {
+		evs := make([]Event, 1+rng.Intn(40))
+		for i := range evs {
+			evs[i] = Event{Root: str(12), Op: Op(1 << rng.Intn(8)), Path: str(60), OldPath: str(60), Cookie: rng.Uint32(),
+				Time: time.Unix(0, rng.Int63()), Seq: rng.Uint64(), Source: str(8)}
+		}
+		packed := buildBlock(t, evs)
+		payload := append([]byte(nil), packed.Wire()...)
+		decoded, err := DecodeBlock(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := rng.Perm(len(evs))[:rng.Intn(len(evs)+1)]
+		lo := rng.Intn(len(evs))
+		hi := lo + rng.Intn(len(evs)-lo+1)
+		rangeRows := make([]int, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			rangeRows = append(rangeRows, i)
+		}
+		for _, c := range []struct {
+			name string
+			rows []int
+			page func(dst []Event) []Event
+		}{
+			{"AppendPickedTo", rows, func(dst []Event) []Event { return decoded.AppendPickedTo(dst, rows) }},
+			{"AppendRangeTo", rangeRows, func(dst []Event) []Event { return decoded.AppendRangeTo(dst, lo, hi) }},
+		} {
+			what := fmt.Sprintf("round %d: %s of %d rows", round, c.name, len(c.rows))
+			got := c.page(nil)
+			if want := packed.AppendPickedTo(nil, c.rows); !slices.Equal(got, want) {
+				t.Fatalf("%s: %+v, the packed block's rows are %+v", what, got, want)
+			}
+			checkBackToBack(t, what, got, payload)
+			only := make([]Event, len(c.rows))
+			for k, i := range c.rows {
+				only[k] = evs[i]
+			}
+			exact := buildBlock(t, only)
+			dst := make([]Event, 0, len(c.rows))
+			if gotB, wantB := allocBytes(func() { c.page(dst) }), allocBytes(func() { exact.AppendRangeTo(dst, 0, len(only)) }); gotB != wantB {
+				t.Fatalf("%s: the page is %d bytes, the rows' strings take %d", what, gotB, wantB)
+			}
+		}
+	}
+}
+
+// checkBackToBack fails unless evs' non-empty strings lie in field order,
+// one after another, in memory that is not payload's.
+func checkBackToBack(t *testing.T, what string, evs []Event, payload []byte) {
+	t.Helper()
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(payload)))
+	hi := lo + uintptr(len(payload))
+	var next uintptr
+	for _, e := range evs {
+		for _, s := range [...]string{e.Root, e.Path, e.OldPath, e.Source} {
+			if s == "" {
+				continue
+			}
+			p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+			if p >= lo && p < hi {
+				t.Fatalf("%s: a string aliases the payload", what)
+			}
+			if next != 0 && p != next {
+				t.Fatalf("%s: a string starts %d bytes from where the one before it ended", what, int64(p-next))
+			}
+			next = p + uintptr(len(s))
+		}
+	}
+}
+
+// allocBytes is the heap bytes one call of f allocates: the least of four
+// calls, as anything else that allocates meanwhile (the race runtime does)
+// only adds.
+func allocBytes(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 4 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -187,7 +187,7 @@ func Open(opts Options) (*Store, error) {
 			}
 			last = blk.Seq(i)
 		}
-		s.tailLocked(n).AppendBlock(blk)
+		s.tailLocked(n, blk.StringBytes(0, n)).AppendBlock(blk)
 		s.retained += n
 		s.appended += uint64(n)
 		if last >= s.nextSeq {
@@ -212,24 +212,31 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// tailLocked returns the segment the next n rows go into: the current tail
-// while they fit below segEvents, a new segment otherwise. A new segment is
-// allocated whole, its arena as large as the one's before it, so a steady
-// stream appends without allocating; a store's first segment has nothing to
-// be sized from and grows on demand, as most stores stay small. What either
-// half buys is measured in EXPERIMENTS.md ("Segment sizing").
-func (s *Store) tailLocked(n int) *events.Block {
-	var prev *events.Block
-	if len(s.segs) > 0 {
-		prev = s.segs[len(s.segs)-1]
-		if prev.Len()+n <= segEvents || prev.Len() == 0 {
-			return prev
+// tailLocked returns the segment the next n rows, holding bytes string
+// bytes, go into: the tail while both fit in what it was made with, a new
+// segment otherwise. A segment is allocated once, whole, and never regrows.
+// Its row capacity is twice the one's before it, from the first batch's size
+// up to segEvents (never below n), so a store that stays small stays small;
+// its arena holds that many rows at the bytes per row of the one before, so
+// a steady stream appends without allocating. EXPERIMENTS.md ("Allocate
+// once, at final size") measures what it saves.
+func (s *Store) tailLocked(n, bytes int) *events.Block {
+	rows, size := n, bytes
+	if k := len(s.segs) - 1; k >= 0 {
+		tail := s.segs[k]
+		capRows, capBytes := tail.Cap()
+		used := tail.StringBytes(0, tail.Len())
+		if tail.Len()+n <= capRows && used+bytes <= capBytes {
+			return tail
+		}
+		if tail.Len() == 0 {
+			s.segs = s.segs[:k] // emptied by a purge, and too small for this batch
+		} else {
+			rows = max(n, min(2*capRows, segEvents))
+			size = max(bytes, (rows*used+tail.Len()-1)/tail.Len())
 		}
 	}
-	seg := events.NewBlock(0, 0)
-	if prev != nil {
-		seg = events.NewBlock(max(segEvents, n), prev.ArenaLen())
-	}
+	seg := events.NewBlock(rows, size)
 	s.segs = append(s.segs, seg)
 	return seg
 }
@@ -247,7 +254,7 @@ func (s *Store) Append(e events.Event) (uint64, error) {
 		return 0, ErrClosed
 	}
 	e.Seq = s.nextSeq
-	tail := s.tailLocked(1)
+	tail := s.tailLocked(1, len(e.Root)+len(e.Path)+len(e.OldPath)+len(e.Source))
 	if err := tail.AppendEvent(e); err != nil {
 		s.mu.Unlock()
 		return 0, err
@@ -302,7 +309,7 @@ func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
 		s.nextSeq += s.opts.seqStride
 	}
 	last := s.nextSeq - s.opts.seqStride
-	s.tailLocked(n).AppendBlock(blk)
+	s.tailLocked(n, blk.StringBytes(0, n)).AppendBlock(blk)
 	s.retained += n
 	s.appended += uint64(n)
 	if s.jw != nil {

@@ -139,7 +139,10 @@ func (s *Store) fill(l *lane, max int) error {
 	l.blk.Reset()
 	l.pos = 0
 	skip := s.throughLocked(l.cursor)
-	s.rowsLocked(skip, min(max, s.retained-skip), l.blk.AppendRowsFrom)
+	n, bytes := min(max, s.retained-skip), 0
+	s.rowsLocked(skip, n, func(seg *events.Block, lo, hi int) { bytes += seg.StringBytes(lo, hi) })
+	l.blk.Grow(n, bytes) // the rows may span segments: one allocation, not one per append
+	s.rowsLocked(skip, n, l.blk.AppendRowsFrom)
 	if n := l.blk.Len(); n > 0 {
 		l.cursor = l.blk.Seq(n - 1)
 	} else {

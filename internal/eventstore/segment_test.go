@@ -2,8 +2,11 @@ package eventstore
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,6 +93,85 @@ func TestSincePageAllocations(t *testing.T) {
 	}
 }
 
+// Store segments are made once, whole: across random batch sizes, string
+// lengths and single Appends, every segment keeps the row and byte capacity
+// it was made with, the first holds the first batch and each next one twice
+// the rows of the one before, up to segEvents — or the batch that opened it,
+// when that is longer. A reopen from the journal lays the same segments out.
+func TestSegmentsMadeOnce(t *testing.T) {
+	defer func(n int) { segEvents = n }(segEvents)
+	segEvents = 64
+	rng := rand.New(rand.NewSource(1))
+	path := filepath.Join(t.TempDir(), "j.journal")
+	s := mustNew(t, Options{JournalPath: path})
+	type size struct{ rows, bytes int }
+	made := map[*events.Block]size{}
+	nextEvent := func(i int) events.Event {
+		e := ev(fmt.Sprintf("/d%d/%s", i, strings.Repeat("f", rng.Intn(40))))
+		if rng.Intn(8) == 0 {
+			e.OldPath = strings.Repeat("o", rng.Intn(600))
+		}
+		return e
+	}
+	for step := 0; step < 300; step++ {
+		n := 1
+		if rng.Intn(3) == 0 {
+			if _, err := s.Append(nextEvent(step)); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			n = 1 + rng.Intn(segEvents*3/2)
+			blk := events.NewBlock(n, 0)
+			for i := 0; i < n; i++ {
+				if err := blk.AppendEvent(nextEvent(step)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := s.AppendBlock(blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k, seg := range s.segs {
+			rows, bytes := seg.Cap()
+			was, seen := made[seg]
+			if !seen {
+				want := n
+				if k > 0 {
+					want = max(n, min(2*made[s.segs[k-1]].rows, segEvents))
+				}
+				if rows != want {
+					t.Fatalf("step %d: segment %d made for %d rows, want %d", step, k, rows, want)
+				}
+				made[seg] = size{rows, bytes}
+			} else if was != (size{rows, bytes}) {
+				t.Fatalf("step %d: segment %d made for %d rows and %d bytes now holds %d and %d", step, k, was.rows, was.bytes, rows, bytes)
+			}
+		}
+	}
+	want, _ := s.Since(0, 0)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(Options{JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, _ := r.Since(0, 0); !slices.Equal(got, want) {
+		t.Fatalf("reopened store holds %d events, want %d", len(got), len(want))
+	}
+	if len(r.segs) != len(s.segs) {
+		t.Fatalf("reopened store has %d segments, the store had %d", len(r.segs), len(s.segs))
+	}
+	for k, seg := range r.segs {
+		rows, bytes := seg.Cap()
+		if was := made[s.segs[k]]; was != (size{rows, bytes}) || seg.Len() != s.segs[k].Len() {
+			t.Fatalf("reopened segment %d: %d of %d rows, %d bytes; the store's: %d of %d rows, %d bytes",
+				k, seg.Len(), rows, bytes, s.segs[k].Len(), was.rows, was.bytes)
+		}
+	}
+}
+
 func BenchmarkStoreAppendBlock(b *testing.B) {
 	for _, journal := range []bool{false, true} {
 		name := "journal=off"
@@ -118,8 +200,8 @@ func BenchmarkStoreAppendBlock(b *testing.B) {
 }
 
 // BenchmarkStoreSmall is the cost of a store that stays tiny — iface,
-// robinhood and an idle shard each hold one — and the reason a store's
-// first segment grows on demand instead of being allocated whole.
+// robinhood and an idle shard each hold one — and the reason segment rows
+// start at the first batch's size and double, instead of 8 192 at once.
 func BenchmarkStoreSmall(b *testing.B) {
 	evs := sampleEvents(10)
 	b.ReportAllocs()

@@ -177,14 +177,13 @@ const maxKeptBuf = 1 << 20
 // takes a buffer per frame; the frame's lease puts it back when the receiver
 // says Done, from whatever goroutine that happens on. A reconnect starts a
 // fresh list, so a buffer still held from the old connection goes back to a
-// list nobody reads from and is never refilled under its holder. What the
-// list bounds is idle memory: at most keep buffers, none above maxKeptBuf;
-// a receiver that has more than that in flight and returns them all at once
-// has the excess dropped and made again when next needed.
+// list nobody reads from and is never refilled under its holder. The list
+// keeps every buffer that comes back, except one above maxKeptBuf, and makes
+// one only when it has none to hand out: it never holds more buffers than
+// the receiver ever had in flight at once.
 type bufList struct {
 	mu   sync.Mutex
 	free [][]byte
-	keep int // idle buffers kept: the subscription queue's depth
 	made int // buffers allocated (tests count them)
 }
 
@@ -220,9 +219,7 @@ func (l *bufList) put(buf []byte) {
 		}
 	}
 	l.mu.Lock()
-	if len(l.free) < l.keep {
-		l.free = append(l.free, buf)
-	}
+	l.free = append(l.free, buf)
 	l.mu.Unlock()
 }
 
@@ -246,9 +243,9 @@ func ReadFrame(r *bufio.Reader) (Message, error) { return readMessage(r) }
 
 // FrameReader returns a reader of the frames WriteFrame wrote to r that
 // works the way a Sub reads a TCP connection: each payload comes from a
-// free list of keep buffers and is the caller's only until its
+// free list of receive buffers and is the caller's only until its
 // Message.Done, which hands the buffer back for a later frame.
-func FrameReader(r *bufio.Reader, keep int) func() (Message, error) {
-	fr := &frameReader{r: r, bufs: &bufList{keep: keep}}
+func FrameReader(r *bufio.Reader) func() (Message, error) {
+	fr := &frameReader{r: r, bufs: &bufList{}}
 	return fr.next
 }

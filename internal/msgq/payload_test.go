@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -122,6 +123,48 @@ func TestPayloadNeverDone(t *testing.T) {
 	}
 	if made, idle := connBufs(sub, addr).stats(); made != frames || idle != 0 {
 		t.Errorf("%d frames nobody said Done for: %d buffers made, %d idle; want one each and none back", frames, made, idle)
+	}
+}
+
+// The free list keeps every buffer that comes back, bar one above
+// maxKeptBuf, and makes one only when it has none to hand out: over random
+// bursts of frames, each followed by most of their buffers coming back in
+// random order, it holds exactly the buffers that came back and were not
+// taken again, and never more than it made.
+func TestBufListKeepsWhatComesBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	l := &bufList{}
+	var out [][]byte
+	idle := 0
+	check := func(what string) {
+		t.Helper()
+		if made, got := l.stats(); got != idle || got > made {
+			t.Fatalf("%s: %d buffers idle, want %d; %d made", what, got, idle, made)
+		}
+	}
+	for round := 0; round < 20; round++ {
+		for n := rng.Intn(300); len(out) < n; {
+			size := 1 + rng.Intn(4096)
+			if rng.Intn(100) == 0 {
+				size = maxKeptBuf + 1
+			}
+			out = append(out, l.get(size))
+			idle = max(idle-1, 0)
+			check("after a get")
+		}
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		for keep := rng.Intn(len(out)/8 + 1); len(out) > keep; {
+			buf := out[len(out)-1]
+			out = out[:len(out)-1]
+			l.put(buf)
+			if cap(buf) <= maxKeptBuf {
+				idle++
+				if !l.holds(buf) {
+					t.Fatalf("round %d: a returned %d-byte buffer was dropped", round, cap(buf))
+				}
+			}
+			check("after a put")
+		}
 	}
 }
 
@@ -266,7 +309,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add(append(frameBytes("", nil), frameBytes("", nil)...)) // empty topic, empty payload
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		plain := bufio.NewReader(bytes.NewReader(stream))
-		leased := frameReader{r: bufio.NewReaderSize(bytes.NewReader(stream), 16), bufs: &bufList{keep: 2}}
+		leased := frameReader{r: bufio.NewReaderSize(bytes.NewReader(stream), 16), bufs: &bufList{}}
 		for {
 			want, werr := ReadFrame(plain)
 			got, gerr := leased.next()

@@ -312,9 +312,8 @@ func (s *Sub) runTCP(c *subConn) bool {
 		return false
 	}
 	// Every connection starts a free list of its own: a buffer a receiver
-	// still holds from the previous one is never refilled under it. Idle
-	// buffers are bounded by the queue the frames wait in.
-	fr := frameReader{r: bufio.NewReaderSize(conn, 64<<10), bufs: &bufList{keep: cap(s.out)}}
+	// still holds from the previous one is never refilled under it.
+	fr := frameReader{r: bufio.NewReaderSize(conn, 64<<10), bufs: &bufList{}}
 	// Close closes the conn it finds here; one it would miss sees closed.
 	c.mu.Lock()
 	c.raw, c.bufs = conn, fr.bufs

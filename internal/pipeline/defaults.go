@@ -32,8 +32,7 @@ const (
 	// until the subscriber is done with it. It is the paper's small
 	// processing queue (§IV-2), not a burst absorber: behind a full one the
 	// publisher blocks and the backlog waits in the Changelog, where it
-	// survives a crash. Keep it <= DefaultPoolSlots, or a steady drain keeps
-	// more blocks in flight than the pools can take back.
+	// survives a crash.
 	DefaultAggregatorQueue = 64
 
 	// DefaultSubscriberBuffer bounds per-subscriber delivery queues
@@ -51,11 +50,6 @@ const (
 
 	// DefaultRenameCache is the rename-pairing cookie cache capacity.
 	DefaultRenameCache = 1024
-
-	// DefaultPoolSlots is how many recycled objects a Pool retains (>=
-	// DefaultAggregatorQueue, so every block a full subscription queue
-	// gives back finds a slot).
-	DefaultPoolSlots = 64
 
 	// DefaultResolveWorkers is the collector resolve-stage parallelism.
 	// 1 keeps the paper's serial collector — Tables V–VIII are calibrated

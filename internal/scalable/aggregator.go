@@ -279,7 +279,7 @@ func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 		parts:     parts,
 		ownStore:  ownStore,
 		throttles: make([]*pace.Throttle, parts),
-		pool:      pipeline.NewPool(0, newTargetBlock, resetBlock),
+		pool:      pipeline.NewPool(newTargetBlock, resetBlock),
 		metrics:   "fsmon",
 	}
 	a.recycle = a.pool.Put

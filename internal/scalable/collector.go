@@ -252,7 +252,7 @@ func NewCollector(opts CollectorOptions) (*Collector, error) {
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = pipeline.DefaultPollInterval
 	}
-	c := &Collector{opts: opts, pool: pipeline.NewPool(0, newPoolBlock, resetBlock)}
+	c := &Collector{opts: opts, pool: pipeline.NewPool(newPoolBlock, resetBlock)}
 	c.recycle = c.pool.Put
 	var err error
 	switch hasLog, hasDSI := opts.Cluster != nil, opts.Mount.DSI != nil; {

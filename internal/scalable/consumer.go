@@ -172,7 +172,7 @@ func NewConsumer(opts ConsumerOptions) (*Consumer, error) {
 		throttle: pace.NewThrottle(),
 		parts:    parts,
 		cursors:  make([]uint64, parts),
-		pool:     pipeline.NewPool(0, newTargetBlock, resetBlock),
+		pool:     pipeline.NewPool(newTargetBlock, resetBlock),
 	}
 	if opts.SinceVector != nil {
 		copy(c.cursors, opts.SinceVector)

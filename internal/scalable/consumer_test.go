@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fsmonitor/internal/events"
 	"fsmonitor/internal/events/eventstest"
@@ -140,37 +141,59 @@ func TestConsumerPacesPerBatch(t *testing.T) {
 	})
 }
 
-// BenchmarkConsumerDeliver is the filter-deliver stage on the pointer path:
-// one shared 512-row block through deliverBatch, pacing dialed to 1ns so the
-// figure is the stage's own cost, the one string copy per block included. A
-// per-event clock read shows here.
+// BenchmarkConsumerDeliver is the filter-deliver stage: one 512-row block
+// through deliverBatch, pacing dialed to 1ns so the figure is the stage's own
+// cost, the one string copy per block included. "pointer" is the block an
+// aggregator shares in process, "decoded" the same rows decoded over a
+// received payload, as the TCP path has them. Either way the copy holds the
+// rows' strings alone, none of the payload's framing: the case fails above
+// the []Event it hands over plus those bytes, plus 5 %. A per-event clock
+// read shows here.
 func BenchmarkConsumerDeliver(b *testing.B) {
-	_, con := attachConsumer(b, ConsumerOptions{Filter: iface.Filter{Recursive: true}, EventOverhead: time.Nanosecond})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range con.C() {
-		}
-	}()
-	blk := seqBlock(b, 1, 512)
-	ctx := context.Background()
-	deliver := func() {
-		con.mu.Lock()
-		con.cursors[0] = 0 // the same block again is new, not a duplicate
-		con.mu.Unlock()
-		con.deliverBatch(ctx, conBatch{m: msgq.Message{Block: blk}, blk: blk})
+	built := seqBlock(b, 1, 512)
+	decoded, err := events.DecodeBlock(built.Wire())
+	if err != nil {
+		b.Fatal(err)
 	}
-	deliver() // grows the stage's index scratch, so -benchtime 1x reads steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		deliver()
-	}
-	b.StopTimer()
-	con.Close()
-	<-done
-	if got, want := con.Stats().Delivered, uint64(b.N+1)*512; got != want {
-		b.Fatalf("delivered %d events, want %d", got, want)
+	bound := 1.05 * float64(built.Len()*int(unsafe.Sizeof(events.Event{}))+built.StringBytes(0, built.Len()))
+	for _, c := range []struct {
+		name string
+		blk  *events.Block
+	}{{"pointer", built}, {"decoded", decoded}} {
+		b.Run(c.name, func(b *testing.B) {
+			_, con := attachConsumer(b, ConsumerOptions{Filter: iface.Filter{Recursive: true}, EventOverhead: time.Nanosecond})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for range con.C() {
+				}
+			}()
+			ctx := context.Background()
+			deliver := func() {
+				con.mu.Lock()
+				con.cursors[0] = 0 // the same block again is new, not a duplicate
+				con.mu.Unlock()
+				con.deliverBatch(ctx, conBatch{m: msgq.Message{Block: c.blk}, blk: c.blk})
+			}
+			deliver() // grows the stage's index scratch, so -benchtime 1x reads steady state
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				deliver()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			con.Close()
+			<-done
+			if got, want := con.Stats().Delivered, uint64(b.N+1)*512; got != want {
+				b.Fatalf("delivered %d events, want %d", got, want)
+			}
+			if perOp := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N); perOp > bound {
+				b.Fatalf("%.0f B per block, want at most %.0f: the []Event and the rows' strings, plus 5 %%", perOp, bound)
+			}
+		})
 	}
 }
 

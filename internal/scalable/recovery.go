@@ -211,13 +211,12 @@ func (c *RecoveryClient) SinceVector(cursors []uint64, max int) ([]events.Event,
 }
 
 // collect sends cursors as a "sincev" request and gathers the answer's
-// events, each page interned once, with the partitions the server's "owned"
-// frame says it covers (nil when the server is a classic single store
-// serving every partition).
+// events, each page's strings copied once, with the partitions the server's
+// "owned" frame says it covers (nil when the server is a classic single
+// store serving every partition).
 func (c *RecoveryClient) collect(cursors []uint64) ([]events.Event, []int, error) {
 	var evs []events.Event
 	owned, err := c.request(msgq.Message{Topic: recoveryVecReqTopic, Payload: encodeSeqVector(cursors)}, func(blk *events.Block) error {
-		blk.Intern()
 		evs = blk.AppendEventsTo(evs)
 		return nil
 	})
@@ -241,7 +240,7 @@ func (c *RecoveryClient) request(req msgq.Message, page func(*events.Block) erro
 	if err := msgq.WriteFrame(bufio.NewWriter(conn), req); err != nil {
 		return nil, err
 	}
-	next := msgq.FrameReader(bufio.NewReader(conn), 1)
+	next := msgq.FrameReader(bufio.NewReader(conn))
 	blk := events.NewBlock(0, 0)
 	var owned []int
 	for {
