@@ -59,12 +59,14 @@ race:
 # oracle checks loss, duplication, order and paths).
 # A block handed back while something still reads it is a race the detector
 # may miss and a seed may dodge; two hundred of each has not missed one yet.
-# CI runs SOAK=20.
+# CI runs SOAK=20. The internal/scalable line takes ≈ 76 s per count under
+# -race on 2 vCPUs, so its timeout is 90 s per count plus 10 min, not go
+# test's fixed 10 min.
 SOAK ?= 200
 soak:
 	$(GO) test -race -count=$(SOAK) -run 'TestLease|TestDoneUnleased|TestPublishLeased|TestPayload|TestPubEvictsSlowSubscriber|TestPublishCtxUnwindsOnFullQueue|TestPubHoldsRoutedInbox' ./internal/msgq/
 	$(GO) test -race -count=$(SOAK) -run 'TestRecycledFlightsKeepTheirKeys|TestReadersNeverSeeAnotherKeysBytes|TestValuesAreCopies' ./internal/cache/
-	$(GO) test -race -count=$(SOAK) -run 'TestRecycledBlocksPoisoned|TestRecoveryPagingUnderDrops|TestConsumerReplayPages|TestStalledConsumerStallsNothing|TestAggregatorCloseWithStalledConsumer|TestEvictedConsumerHealsUnderLiveTraffic|TestForwardToStalledOwnerLosesNothing' ./internal/scalable/
+	$(GO) test -race -count=$(SOAK) -timeout $$(($(SOAK) * 90 + 600))s -run 'TestRecycledBlocksPoisoned|TestRecoveryPagingUnderDrops|TestConsumerReplayPages|TestStalledConsumerStallsNothing|TestAggregatorCloseWithStalledConsumer|TestEvictedConsumerHealsUnderLiveTraffic|TestForwardToStalledOwnerLosesNothing' ./internal/scalable/
 	@i=0; while [ $$i -lt $(SOAK) ]; do \
 		for w in hot_inproc hot_tcp_journal churn_cold_4part crash_recovery; do \
 			[ $$i -lt $(SOAK) ] || break; i=$$((i+1)); \
@@ -88,6 +90,7 @@ fuzz-smoke:
 
 # bench-smoke runs one iteration of the fast micro-benchmarks (resolver
 # scaling, the resolver's miss path beside its hit path, cache contention,
+# filling an empty cache (a few allocations per shard, not two per entry),
 # pipeline stages, aggregator partitions, fid2path appending into a reused
 # buffer (0 allocs/op), and the five per-batch contracts of the journey: a
 # Changelog read is a view (0 B/op), a fresh block's wire
@@ -103,7 +106,7 @@ fuzz-smoke:
 # evaluation over a full 300-series x 256-sample window, as a CI regression
 # canary; the slow paper-table benches stay out of it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|AggregatorThroughput|AppendFid2Path|ChangelogRead|BlockWireFresh|ConsumerDeliver|PublishLeased|TCPHopLeased|RecoveryServe|ConsumerRecover|ShardedSinceVector|StoreOpen|HealthEvaluate' -benchtime 1x -benchmem \
+	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|CacheFill|AggregatorThroughput|AppendFid2Path|ChangelogRead|BlockWireFresh|ConsumerDeliver|PublishLeased|TCPHopLeased|RecoveryServe|ConsumerRecover|ShardedSinceVector|StoreOpen|HealthEvaluate' -benchtime 1x -benchmem \
 		./internal/resolve/ ./internal/cache/ ./internal/bench/ ./internal/lustre/ ./internal/events/ ./internal/scalable/ ./internal/msgq/ ./internal/telemetry/ ./internal/eventstore/
 
 # bench-aggregator measures aggregation-tier store throughput at 1/2/4

@@ -23,6 +23,8 @@
 package cache
 
 import (
+	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,7 +39,8 @@ type Config[K comparable] struct {
 	// Shards is the shard count (default DefaultShards, clamped so every
 	// shard holds at least one entry).
 	Shards int
-	// Hash maps a key to the 64-bit value used for shard selection.
+	// Hash maps a key to 64 bits: the low ones pick its shard, the high
+	// ones its slot in the shard's index, so both must be well mixed.
 	Hash func(K) uint64
 	// NegativeTTL is how long a negative (error) result is remembered;
 	// 0 disables negative caching. Remembered negative entries are bounded
@@ -89,14 +92,23 @@ type flight[K comparable] struct {
 	err     error
 }
 
+// span is a positive value: len bytes at arena[off:], in a cap-byte slot.
+type span struct{ off, len, cap uint32 }
+
 // shard is one independent slice of the key space under one lock: a
 // positive LRU, a bounded negative LRU and the singleflight registry. One
 // lock means a miss and the flight it starts (or joins) are one critical
 // section, and a finished load's insert and its landing another.
 type shard[K comparable] struct {
 	mu  sync.Mutex
-	pos *lru.Core[K, []byte]
+	pos *lru.Core[K, span]
 	neg *lru.Core[K, negEntry] // nil when negative caching is off
+	// arena holds the positive values, each in its entry's slot: a power of
+	// two of bytes that the entry keeps when it is evicted or deleted. A
+	// value that outgrows its slot takes one twice as large or more, and
+	// the old one is dead for good; an entry's dead slots thus sum to less
+	// than its live one, so the arena is under twice the live slots.
+	arena []byte
 
 	// flights holds every flight the shard ever needed at once — at most
 	// one per concurrent caller, so a scan beats a map. landed wakes
@@ -107,11 +119,11 @@ type shard[K comparable] struct {
 
 // Cache is a sharded LRU of byte values (paths) with singleflight loading
 // and negative caching. It owns its values: Set and a landed load copy into
-// the entry's own buffer, which the LRU hands to the next key when it
-// evicts or deletes the entry, and every read copies out into a buffer the
-// caller supplies while the shard lock is held — no memory of the cache is
-// ever visible outside that lock, and a full cache inserts without
-// allocating. All methods are safe for concurrent use.
+// the entry's slot of its shard's arena, which the LRU hands to the next
+// key when it evicts or deletes the entry, and every read copies out into a
+// buffer the caller supplies while the shard lock is held — no memory of
+// the cache is ever visible outside that lock, and a full cache inserts
+// without allocating. All methods are safe for concurrent use.
 type Cache[K comparable] struct {
 	cfg    Config[K]
 	shards []*shard[K]
@@ -149,10 +161,10 @@ func New[K comparable](cfg Config[K]) *Cache[K] {
 	perShard := (cfg.Capacity + shards - 1) / shards
 	c := &Cache[K]{cfg: cfg, mask: uint64(shards - 1), now: time.Now}
 	for i := 0; i < shards; i++ {
-		s := &shard[K]{pos: lru.NewCore[K, []byte](perShard)}
+		s := &shard[K]{pos: lru.NewCore[K, span](perShard, cfg.Hash)}
 		s.landed.L = &s.mu
 		if cfg.NegativeTTL > 0 {
-			s.neg = lru.NewCore[K, negEntry](perShard)
+			s.neg = lru.NewCore[K, negEntry](perShard, cfg.Hash)
 		}
 		c.shards = append(c.shards, s)
 	}
@@ -170,7 +182,7 @@ func (c *Cache[K]) Get(key K, dst []byte) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v, ok := s.pos.Get(key)
-	return append(dst, v...), ok
+	return append(dst, s.arena[v.off:v.off+v.len]...), ok
 }
 
 // Set caches a copy of val under key and forgets any negative entry for key
@@ -182,14 +194,26 @@ func (c *Cache[K]) Set(key K, val []byte) {
 	s.set(key, val)
 }
 
-// set copies val into key's entry, reusing the buffer the entry already
-// has. Caller holds s.mu.
+// set copies val into key's slot. A value the entry's slot cannot hold
+// takes a new one at the arena's end, the least power of two ≥ its length;
+// the arena doubles when it has no room. Caller holds s.mu.
 func (s *shard[K]) set(key K, val []byte) {
 	if s.neg != nil {
 		s.neg.Delete(key)
 	}
 	v := s.pos.Slot(key)
-	*v = append((*v)[:0], val...)
+	if n := len(val); n > int(v.cap) {
+		size, off := 1<<bits.Len(uint(n-1)), len(s.arena)
+		if off+size > math.MaxUint32 {
+			panic("cache: shard arena exceeds 4 GiB")
+		}
+		if off+size > cap(s.arena) {
+			s.arena = append(make([]byte, 0, max(2*cap(s.arena), off+size, 4<<10)), s.arena...)
+		}
+		s.arena = s.arena[:off+size]
+		*v = span{off: uint32(off), cap: uint32(size)}
+	}
+	v.len = uint32(copy(s.arena[v.off:v.off+v.cap], val))
 }
 
 // Delete removes key from both the positive and negative sides, reporting
@@ -241,7 +265,7 @@ func (c *Cache[K]) GetOrLoad(key K, dst []byte, load func(dst []byte) ([]byte, e
 	s := c.shard(key)
 	s.mu.Lock()
 	if v, ok := s.pos.Get(key); ok {
-		dst = append(dst, v...)
+		dst = append(dst, s.arena[v.off:v.off+v.len]...)
 		s.mu.Unlock()
 		return dst, nil
 	}
@@ -300,9 +324,6 @@ func (c *Cache[K]) GetOrLoad(key K, dst []byte, load func(dst []byte) ([]byte, e
 	return dst, err
 }
 
-// Len returns the current number of positive entries across all shards.
-func (c *Cache[K]) Len() int { return c.Stats().Len }
-
 // Stats returns an aggregated snapshot.
 func (c *Cache[K]) Stats() Stats {
 	st := Stats{Shards: len(c.shards)}
@@ -324,18 +345,4 @@ func (c *Cache[K]) Stats() Stats {
 	st.Loads = c.loads.Load()
 	st.LoadErrors = c.loadErrors.Load()
 	return st
-}
-
-// ResetStats zeroes every counter (shard hit/miss/eviction counters and
-// the aggregate load counters); cached entries are kept.
-func (c *Cache[K]) ResetStats() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		s.pos.ResetStats()
-		s.mu.Unlock()
-	}
-	c.negHits.Store(0)
-	c.coalesced.Store(0)
-	c.loads.Store(0)
-	c.loadErrors.Store(0)
 }

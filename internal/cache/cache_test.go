@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -59,8 +60,8 @@ func TestBasicSetGetDelete(t *testing.T) {
 	if !c.Delete(1) || c.Delete(1) {
 		t.Fatal("Delete semantics wrong")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d", c.Len())
+	if n := c.Stats().Len; n != 0 {
+		t.Fatalf("Len = %d", n)
 	}
 }
 
@@ -305,6 +306,105 @@ func TestFullCacheAllocatesNothing(t *testing.T) {
 	}
 }
 
+// fillPaths is n resolver-like paths of mixed length.
+func fillPaths(n int) [][]byte {
+	vals := make([][]byte, n)
+	for i := range vals {
+		vals[i] = fmt.Appendf(nil, "/proj%03d/run%d/%s/out%06d.dat", i%97, i%13, strings.Repeat("d", i%23), i)
+	}
+	return vals
+}
+
+// Filling an empty cache costs per shard a handful of slab and arena
+// doublings, not a heap object per entry and per value: 5 000 Sets into an
+// empty 16-shard cache stay within 200 allocations (an entry and a buffer
+// per key made that ≈ 10 000).
+func TestFillAllocates(t *testing.T) {
+	const capacity = 5000
+	vals := fillPaths(capacity)
+	caches := make([]*Cache[uint64], 4) // AllocsPerRun's warm-up call fills one too
+	for i := range caches {
+		caches[i] = newTest(capacity, 16, 0)
+	}
+	next := 0
+	avg := testing.AllocsPerRun(len(caches)-1, func() {
+		for k, v := range vals {
+			caches[next].Set(uint64(k), v)
+		}
+		next++
+	})
+	if avg > 200 {
+		t.Errorf("%d Sets into an empty cache: %v allocs, want ≤ 200", capacity, avg)
+	}
+	if st := caches[0].Stats(); st.Len < capacity*9/10 {
+		t.Errorf("Len = %d after %d Sets: the fill evicted most of itself", st.Len, capacity)
+	}
+}
+
+// The arena keeps the bound the shard documents while values grow and
+// shrink across entries that are evicted, deleted and recycled: under 4 ×
+// capacity × the longest value's slot at every step, and under twice the
+// live slots once every entry is live again. Every read is still its key's
+// last value.
+func TestArenaStaysBounded(t *testing.T) {
+	const capacity, keys = 64, 200
+	c := newTest(capacity, 4, 0)
+	rng := rand.New(rand.NewSource(7))
+	last := map[uint64]string{}
+	longest := 0
+	for i := 0; i < 20000; i++ {
+		k := uint64(rng.Intn(keys))
+		switch r := rng.Intn(10); {
+		case r == 0:
+			c.Delete(k)
+			delete(last, k)
+		case r < 4:
+			if v, ok := get(c, k); ok && v != last[k] {
+				t.Fatalf("step %d: Get(%d) = %q, want %q", i, k, v, last[k])
+			}
+		default:
+			n := 1 + rng.Intn(40) // mostly short, now and then long
+			if rng.Intn(20) == 0 {
+				n = 1 + rng.Intn(700)
+			}
+			v := strings.Repeat(string(rune('a'+k%26)), n)
+			c.Set(k, []byte(v))
+			last[k] = v
+			longest = max(longest, n)
+		}
+		bound := 4 * (capacity / 4) * (1 << bits.Len(uint(longest-1)))
+		for j, s := range c.shards {
+			if len(s.arena) > bound {
+				t.Fatalf("step %d: shard %d arena is %d bytes, bound %d", i, j, len(s.arena), bound)
+			}
+		}
+	}
+	// Every entry live again: fresh keys evict until each shard is full,
+	// so no slot waits on a free list.
+	for k := uint64(keys); k < 2*keys; k++ {
+		c.Set(k, []byte("/x"))
+	}
+	grown := false
+	for j, s := range c.shards {
+		if s.pos.Len() != s.pos.Stats().Cap {
+			t.Fatalf("shard %d holds %d of %d", j, s.pos.Len(), s.pos.Stats().Cap)
+		}
+		live := 0
+		for k := uint64(0); k < 2*keys; k++ {
+			if v, ok := s.pos.Peek(k); ok {
+				live += int(v.cap)
+			}
+		}
+		if len(s.arena) > 2*live {
+			t.Errorf("shard %d: arena %d bytes, live slots %d: dead bytes exceed live ones", j, len(s.arena), live)
+		}
+		grown = grown || len(s.arena) > live
+	}
+	if !grown {
+		t.Error("no slot was ever outgrown: the test did not exercise dead bytes")
+	}
+}
+
 // Readers copy out while other goroutines Set, evict and Delete in the same
 // shard, so entry buffers are handed from key to key under the readers'
 // feet: every read must be exactly its key's value. Values differ in length
@@ -456,10 +556,6 @@ func TestStatsAggregateAcrossShards(t *testing.T) {
 	if hr := st.HitRate(); hr <= 0.9 {
 		t.Errorf("HitRate = %f", hr)
 	}
-	c.ResetStats()
-	if st := c.Stats(); st.Hits+st.Misses+st.Loads != 0 {
-		t.Errorf("after reset: %+v", st)
-	}
 }
 
 func BenchmarkGetOrLoadParallel(b *testing.B) {
@@ -479,5 +575,22 @@ func BenchmarkGetOrLoadParallel(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkCacheFill fills an empty 5 000-entry, 16-shard cache: allocs/op
+// is TestFillAllocates' figure (bench-smoke); building the cache is not
+// counted.
+func BenchmarkCacheFill(b *testing.B) {
+	vals := fillPaths(5000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := newTest(len(vals), 16, 0)
+		b.StartTimer()
+		for k, v := range vals {
+			c.Set(uint64(k), v)
+		}
 	}
 }

@@ -33,8 +33,17 @@ type Filter struct {
 	Recursive bool
 }
 
+// All reports whether the filter passes every event: recursive, every op,
+// under the root.
+func (f Filter) All() bool {
+	return f.Recursive && f.Ops == 0 && (f.Under == "" || f.Under == "/" || f.Under == ".")
+}
+
 // Match reports whether the filter passes e.
 func (f Filter) Match(e events.Event) bool {
+	if f.All() {
+		return true
+	}
 	if f.Ops != 0 && !e.Op.HasAny(f.Ops) && !e.Op.HasAny(events.OpOverflow) {
 		return false
 	}

@@ -67,6 +67,51 @@ func TestFilterMatch(t *testing.T) {
 	}
 }
 
+// Match at the root, pinned: a recursive filter with no op mask under "",
+// "/" or "." passes everything (All, which the consumer uses to skip its
+// filter loop), and every other combination keeps its old answers — down
+// to the non-recursive "." passing depth 2 where "/" stops at depth 1.
+func TestFilterMatchRoots(t *testing.T) {
+	evs := []events.Event{
+		ev("/a", events.OpCreate),
+		ev("/a/b", events.OpCreate),
+		ev("/a/b/c", events.OpCreate),
+		ev("/a/b", events.OpDelete),
+		ev("/", events.OpOverflow),
+	}
+	for _, c := range []struct {
+		under     string
+		ops       events.Op
+		recursive bool
+		want      string // Match per event of evs, T or F
+	}{
+		{"", 0, true, "TTTTT"},
+		{"/", 0, true, "TTTTT"},
+		{".", 0, true, "TTTTT"},
+		{"", 0, false, "TFFFT"},
+		{"/", 0, false, "TFFFT"},
+		{".", 0, false, "TTFTT"},
+		{"", events.OpDelete, true, "FFFTT"},
+		{"/", events.OpDelete, true, "FFFTT"},
+		{".", events.OpDelete, true, "FFFTT"},
+		{"", events.OpDelete, false, "FFFFT"},
+		{"/", events.OpDelete, false, "FFFFT"},
+		{".", events.OpDelete, false, "FFFTT"},
+	} {
+		f := Filter{Under: c.under, Ops: c.ops, Recursive: c.recursive}
+		got := ""
+		for _, e := range evs {
+			got += map[bool]string{true: "T", false: "F"}[f.Match(e)]
+		}
+		if got != c.want {
+			t.Errorf("%+v: Match = %s, want %s", f, got, c.want)
+		}
+		if all := c.recursive && c.ops == 0; f.All() != all {
+			t.Errorf("%+v: All = %v, want %v", f, f.All(), all)
+		}
+	}
+}
+
 func TestIngestDeliversToSubscribers(t *testing.T) {
 	i := newIface(t, Options{AutoAck: true})
 	sub, err := i.Subscribe(Filter{Recursive: true}, 0)

@@ -49,9 +49,10 @@ func New(src <-chan events.Event, batchSize int) *Processor {
 		batchSize = pipeline.DefaultLocalBatch
 	}
 	return &Processor{
-		src:     src,
-		size:    batchSize,
-		renames: lru.NewCore[uint32, string](pipeline.DefaultRenameCache),
+		src:  src,
+		size: batchSize,
+		// Fibonacci hashing mixes a cookie into the high bits lru indexes by.
+		renames: lru.NewCore[uint32, string](pipeline.DefaultRenameCache, func(c uint32) uint64 { return uint64(c) * 0x9e3779b97f4a7c15 }),
 	}
 }
 

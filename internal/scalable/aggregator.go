@@ -208,6 +208,7 @@ type Aggregator struct {
 	engine    *eventstore.Sharded
 	mem       *cluster.Membership // nil for a classic aggregator
 	parts     int
+	topics    topicRoute // republish topic per partition, built once
 	ownStore  bool
 	throttles []*pace.Throttle // one per store lane
 	metrics   string           // telemetry root: "fsmon", "fsmon.cluster.<ID>" for a member
@@ -277,6 +278,7 @@ func NewAggregator(opts AggregatorOptions) (*Aggregator, error) {
 		pub:       pub,
 		engine:    engine,
 		parts:     parts,
+		topics:    partitionRoute(AggTopic, parts),
 		ownStore:  ownStore,
 		throttles: make([]*pace.Throttle, parts),
 		pool:      pipeline.NewPool(newTargetBlock, resetBlock),
@@ -625,10 +627,7 @@ func (a *Aggregator) republishBatch(ctx context.Context, rb repBatch) {
 	if rb.blk == nil {
 		return // forwarded to the partition's owner (storeLane)
 	}
-	topic := AggTopic
-	if a.parts > 1 {
-		topic = msgq.PartitionTopic(AggTopic, rb.part)
-	}
+	topic := a.topics[rb.part]
 	// The republish span is stamped before encoding so it rides inside
 	// the payload (traced batches re-encode; untraced ones go out as a
 	// clone+patch of the received bytes).

@@ -76,7 +76,8 @@ func (r topicRoute) OwnerTopic(p int) (string, bool) { return r[p], true }
 
 // partitionRoute routes partition p of a collector's batches to
 // msgq.PartitionTopic(topic, p), which a classic aggregator's intake reads
-// back as partition p; one partition is the plain topic.
+// back as partition p; one partition is the plain topic. The aggregator
+// republishes on partitionRoute(AggTopic, parts).
 func partitionRoute(topic string, parts int) topicRoute {
 	if parts <= 1 {
 		return topicRoute{topic}

@@ -442,6 +442,9 @@ func (c *Consumer) take(blk *events.Block, aud *telemetry.Audit) []events.Event 
 	// Done, or a recovery page — is only read.
 	c.throttle.Spend(time.Duration(len(keep)) * c.opts.EventOverhead)
 	pass := blk.AppendPickedTo(make([]events.Event, 0, len(keep)), keep)
+	if c.opts.Filter.All() {
+		return pass
+	}
 	kept := 0 // filter in place; an event moves only once one before it was dropped
 	for i := range pass {
 		if c.opts.Filter.Match(pass[i]) {
