@@ -110,12 +110,15 @@ func main() {
 		st := log.Stats()
 		fmt.Printf("MDT%d changelog: %d records appended, %d retained\n", i, st.Appended, st.Retained)
 		if *dump {
-			recs := log.Read(0, *maxDump)
-			for _, r := range recs {
-				fmt.Printf("  %s\n", r)
+			shown := 0 // a read stops where a Changelog chunk does
+			for recs := log.Read(0, *maxDump); len(recs) > 0 && (*maxDump <= 0 || shown < *maxDump); recs = log.Read(recs[len(recs)-1].Index, *maxDump-shown) {
+				for _, r := range recs {
+					fmt.Printf("  %s\n", r)
+				}
+				shown += len(recs)
 			}
-			if st.Retained > len(recs) {
-				fmt.Printf("  ... %d more\n", st.Retained-len(recs))
+			if st.Retained > shown {
+				fmt.Printf("  ... %d more\n", st.Retained-shown)
 			}
 		}
 	}

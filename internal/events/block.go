@@ -9,9 +9,12 @@ import (
 )
 
 // Block is the zero-copy batch representation the hot path runs on: one
-// event batch held as parallel columns (op, cookie, seq, record time) plus
-// a single contiguous byte arena for every string field, with per-event
-// span offsets into that arena. It is the *only* shape a batch takes from
+// event batch held as parallel columns (the rows' 4-byte fields, seq,
+// record time) plus a single contiguous byte arena for every string field,
+// with per-event span offsets into that arena. Root and source repeat
+// across a batch, so they are a per-block dictionary of (root, source)
+// pairs, each held once, and a row keeps spans for its path and old path
+// and its pair's index. It is the *only* shape a batch takes from
 // capture to delivery — the collector fills one directly from resolution,
 // the wire carries its encoded image, the aggregator decodes it as views
 // into the received payload (no string materialization), the store appends
@@ -59,20 +62,26 @@ import (
 //     names the message the source arrived in as the lease's parent, which
 //     is Done only after the clone has been Reset.
 type Block struct {
-	ops     []Op
-	cookies []uint32
-	seqs    []uint64
-	times   []int64 // record time, unix nanoseconds
-	spans   []fieldSpans
-	// sharedCols marks ops/cookies/times/spans/seqPos as a frozen source's
+	rows  []row
+	seqs  []uint64
+	times []int64 // record time, unix nanoseconds
+	// dict holds the block's distinct (root, source) pairs; a row names its
+	// pair by index. Its spans point into the arena, like the rows'. dict0
+	// backs it until a second pair, so a block naming one pair — nearly all
+	// do — costs no allocation for it.
+	dict  []pairSpans
+	dict0 [1]pairSpans
+	arena []byte
+
+	// sharedCols marks rows/times/dict/seqPos as a frozen source's
 	// columns (CloneFrom): they are dropped, never truncated or appended to.
 	sharedCols bool
-
-	arena    []byte
-	ownArena bool // arena backing is this Block's own buffer (appendable)
-	// packed: the arena is exactly the rows' strings, row after row
-	// (root, path, old, src), so a row range is one contiguous byte range.
-	// True for every block built by appending, and for clones of one.
+	ownArena   bool // arena backing is this Block's own buffer (appendable)
+	// packed: the arena is exactly the rows' own strings, row after row
+	// (path, old), each dictionary entry's (root, src) just before the
+	// first row that names it. A row range of a block with one entry is then
+	// one contiguous byte range. True for every block built by appending,
+	// and for clones of one.
 	packed   bool
 	interned string // string copy of arena; "" until Intern
 
@@ -95,25 +104,37 @@ type Block struct {
 // strSpan is one string field as a [off, end) range into the arena.
 type strSpan struct{ off, end uint32 }
 
-// fieldSpans locates one event's four string fields in the arena.
-type fieldSpans struct{ root, path, old, src strSpan }
+// len is the span's length in bytes.
+func (sp strSpan) len() int { return int(sp.end - sp.off) }
+
+// row is one event's 4-byte fields: op, cookie, the spans of its own strings
+// and the index of the dictionary entry holding its root and source.
+type row struct {
+	op        Op
+	cookie    uint32
+	path, old strSpan
+	pair      uint32
+}
+
+// pairSpans is one dictionary entry: a (root, source) pair in the arena.
+type pairSpans struct{ root, src strSpan }
 
 // NewBlock returns an empty Block with room for evCap events and arenaCap
 // arena bytes before growing. The seq positions are not among the columns
 // sized here: only a block that is encoded needs them (a store segment never
 // is), so Wire and the decoder size them when they first fill them.
 func NewBlock(evCap, arenaCap int) *Block {
-	return &Block{
-		ops:     make([]Op, 0, evCap),
-		cookies: make([]uint32, 0, evCap),
-		seqs:    make([]uint64, 0, evCap),
-		times:   make([]int64, 0, evCap),
-		spans:   make([]fieldSpans, 0, evCap),
-		arena:   make([]byte, 0, arenaCap),
+	b := &Block{
+		rows:  make([]row, 0, evCap),
+		seqs:  make([]uint64, 0, evCap),
+		times: make([]int64, 0, evCap),
+		arena: make([]byte, 0, arenaCap),
 
 		ownArena: true,
 		packed:   true,
 	}
+	b.dict = b.dict0[:0]
+	return b
 }
 
 // Reset empties the Block for reuse, dropping any foreign backing (aliased
@@ -121,13 +142,13 @@ func NewBlock(evCap, arenaCap int) *Block {
 // the image buffer's too, whatever wire pointed at.
 func (b *Block) Reset() {
 	if b.sharedCols {
-		b.ops, b.cookies, b.times, b.spans, b.seqPos = nil, nil, nil, nil, nil
+		b.rows, b.times, b.seqPos = nil, nil, nil
+		b.dict = b.dict0[:0]
 		b.sharedCols = false
 	} else {
-		b.ops = b.ops[:0]
-		b.cookies = b.cookies[:0]
+		b.rows = b.rows[:0]
 		b.times = b.times[:0]
-		b.spans = b.spans[:0]
+		b.dict = b.dict[:0]
 		b.seqPos = b.seqPos[:0]
 	}
 	b.seqs = b.seqs[:0]
@@ -146,7 +167,7 @@ func (b *Block) Reset() {
 }
 
 // Len returns the number of events in the block.
-func (b *Block) Len() int { return len(b.ops) }
+func (b *Block) Len() int { return len(b.rows) }
 
 // Stamp returns the batch capture stamp (0 = unstamped).
 func (b *Block) Stamp() int64 { return b.stamp }
@@ -218,20 +239,14 @@ func appendRow[S string | []byte](b *Block, op Op, cookie uint32, seq uint64, t 
 	if len(source) > 255 {
 		return fmt.Errorf("events: source exceeds 255 bytes")
 	}
-	if uint64(len(b.ops))+1 >= uint64(batchTraced) {
-		return fmt.Errorf("events: batch of %d events exceeds wire limit", len(b.ops)+1)
+	if uint64(len(b.rows))+1 >= uint64(batchTraced) {
+		return fmt.Errorf("events: batch of %d events exceeds wire limit", len(b.rows)+1)
 	}
 	if !b.ownArena {
 		return fmt.Errorf("events: append into a decoded block")
 	}
-	var fs fieldSpans
-	fs.root = b.appendStr(root)
-	fs.path = appendJoined(b, dir, name)
-	fs.old = appendJoined(b, oldDir, oldName)
-	fs.src = b.appendStr(source)
-	b.spans = append(b.spans, fs)
-	b.ops = append(b.ops, op)
-	b.cookies = append(b.cookies, cookie)
+	// Calls run left to right: a new entry's bytes go in before the row's.
+	b.rows = append(b.rows, row{op: op, cookie: cookie, pair: pairOf(b, root, source), path: appendJoined(b, dir, name), old: appendJoined(b, oldDir, oldName)})
 	b.seqs = append(b.seqs, seq)
 	b.times = append(b.times, t.UnixNano())
 	b.interned = ""
@@ -260,17 +275,43 @@ func appendJoined[S string | []byte](b *Block, dir S, name string) strSpan {
 	return strSpan{off: off, end: uint32(len(b.arena))}
 }
 
-func (b *Block) appendStr(s string) strSpan {
-	off := uint32(len(b.arena))
-	b.arena = append(b.arena, s...)
-	return strSpan{off: off, end: uint32(len(b.arena))}
+// bytes returns the arena bytes sp names.
+func (b *Block) bytes(sp strSpan) []byte { return b.arena[sp.off:sp.end] }
+
+// findPair returns the index of a dictionary entry holding root and src, or
+// -1. It compares against the last entry first and looks back over eight at
+// most, so a lookup costs the same however many pairs a block holds (rows
+// cycling through more add entries, costing what repeating them in each row did).
+func findPair[S string | []byte](b *Block, root, src S) int {
+	for k := len(b.dict) - 1; k >= 0 && k >= len(b.dict)-8; k-- {
+		e := b.dict[k]
+		if string(b.bytes(e.root)) == string(root) && string(b.bytes(e.src)) == string(src) {
+			return k
+		}
+	}
+	return -1
 }
 
-// copySpan appends the bytes sp names in a foreign arena to b's own.
-func (b *Block) copySpan(arena []byte, sp strSpan) strSpan {
-	off := uint32(len(b.arena))
-	b.arena = append(b.arena, arena[sp.off:sp.end]...)
-	return strSpan{off: off, end: uint32(len(b.arena))}
+// pairOf returns the index of b's dictionary entry for (root, src), adding
+// one — its bytes appended to b's own arena — when findPair finds none.
+func pairOf[S string | []byte](b *Block, root, src S) uint32 {
+	if k := findPair(b, root, src); k >= 0 {
+		return uint32(k)
+	}
+	b.dict = append(b.dict, pairSpans{root: appendJoined(b, root, ""), src: appendJoined(b, src, "")})
+	return uint32(len(b.dict) - 1)
+}
+
+// pairFrom returns the index of b's entry for src's entry k, adding one.
+func (b *Block) pairFrom(src *Block, k uint32) uint32 {
+	e := src.dict[k]
+	return pairOf(b, src.bytes(e.root), src.bytes(e.src))
+}
+
+// pairLen is the length of entry k's two strings.
+func (b *Block) pairLen(k uint32) int {
+	e := b.dict[k]
+	return e.root.len() + e.src.len()
 }
 
 // Intern makes one string copy of the whole arena so that per-event
@@ -299,10 +340,10 @@ func (b *Block) str(sp strSpan) string {
 // Per-event column accessors. i must be in [0, Len()).
 
 // Op returns event i's operation mask.
-func (b *Block) Op(i int) Op { return b.ops[i] }
+func (b *Block) Op(i int) Op { return b.rows[i].op }
 
 // Cookie returns event i's rename-correlation cookie.
-func (b *Block) Cookie(i int) uint32 { return b.cookies[i] }
+func (b *Block) Cookie(i int) uint32 { return b.rows[i].cookie }
 
 // Seq returns event i's store sequence number.
 func (b *Block) Seq(i int) uint64 { return b.seqs[i] }
@@ -311,21 +352,21 @@ func (b *Block) Seq(i int) uint64 { return b.seqs[i] }
 func (b *Block) TimeNano(i int) int64 { return b.times[i] }
 
 // Root returns event i's watch root.
-func (b *Block) Root(i int) string { return b.str(b.spans[i].root) }
+func (b *Block) Root(i int) string { return b.str(b.dict[b.rows[i].pair].root) }
 
 // Path returns event i's subject path.
-func (b *Block) Path(i int) string { return b.str(b.spans[i].path) }
+func (b *Block) Path(i int) string { return b.str(b.rows[i].path) }
 
 // OldPath returns event i's pre-rename path ("" when not a tracked move).
-func (b *Block) OldPath(i int) string { return b.str(b.spans[i].old) }
+func (b *Block) OldPath(i int) string { return b.str(b.rows[i].old) }
 
 // Source returns event i's producing DSI name.
-func (b *Block) Source(i int) string { return b.str(b.spans[i].src) }
+func (b *Block) Source(i int) string { return b.str(b.dict[b.rows[i].pair].src) }
 
 // PathBytes returns event i's subject path as raw arena bytes — the
 // allocation-free view partition routing hashes.
 func (b *Block) PathBytes(i int) []byte {
-	sp := b.spans[i].path
+	sp := b.rows[i].path
 	return b.arena[sp.off:sp.end]
 }
 
@@ -344,10 +385,10 @@ func (b *Block) SetSeq(i int, seq uint64) {
 func (b *Block) Event(i int) Event {
 	return Event{
 		Root:    b.Root(i),
-		Op:      b.ops[i],
+		Op:      b.rows[i].op,
 		Path:    b.Path(i),
 		OldPath: b.OldPath(i),
-		Cookie:  b.cookies[i],
+		Cookie:  b.rows[i].cookie,
 		Time:    time.Unix(0, b.times[i]),
 		Seq:     b.seqs[i],
 		Source:  b.Source(i),
@@ -358,7 +399,7 @@ func (b *Block) Event(i int) Event {
 // extended slice. With an interned arena this allocates only dst growth:
 // all strings are substrings of the single interned copy.
 func (b *Block) AppendEventsTo(dst []Event) []Event {
-	return b.AppendRangeTo(dst, 0, len(b.ops))
+	return b.AppendRangeTo(dst, 0, len(b.rows))
 }
 
 // AppendRangeTo materializes events [lo, hi) onto dst and returns the
@@ -390,79 +431,79 @@ func (b *Block) AppendPickedTo(dst []Event, rows []int) []Event {
 }
 
 // appendPage materializes rows row(0), ..., row(n-1) onto dst, their
-// strings cut from one page. A packed block's page is the one arena range
-// the rows span — every way of filling a block lays a row's strings out in
-// field order, so a row spans [root.off, src.end). Any other arena (a
-// received payload) also holds each row's wire framing, so its page is the
-// rows' strings alone, gathered into one allocation of exactly their length.
+// strings cut from one page: first each dictionary entry the rows name, its
+// root and source once for the page, then the rows' own strings. A packed
+// block's rows are the one arena range they span; any other arena (a
+// received payload) also holds each row's wire framing and its repeated
+// root and source, so its rows' paths are gathered one by one. Either way
+// the page is one allocation of exactly what the events hold.
 func (b *Block) appendPage(dst []Event, n int, row func(k int) int) []Event {
-	if b.interned != "" || b.packed {
-		page, base := b.interned, uint32(0)
-		if page == "" {
-			lo, hi := b.spans[row(0)].root.off, b.spans[row(0)].src.end
-			for k := 1; k < n; k++ {
-				fs := b.spans[row(k)]
-				lo, hi = min(lo, fs.root.off), max(hi, fs.src.end)
-			}
-			base, page = lo, string(b.arena[lo:hi])
-		}
+	if b.interned != "" {
 		for k := 0; k < n; k++ {
-			dst = append(dst, b.eventIn(page, base, row(k)))
+			dst = append(dst, b.Event(row(k))) // substrings of the interned copy
 		}
 		return dst
 	}
-	size := 0
+	// The entries the rows name lie in [first, last].
+	first, last := b.rows[row(0)].pair, b.rows[row(0)].pair
+	lo, hi, size := b.rows[row(0)].path.off, b.rows[row(0)].old.end, 0
 	for k := 0; k < n; k++ {
-		size += b.rowBytes(row(k))
+		fs := b.rows[row(k)]
+		first, last = min(first, fs.pair), max(last, fs.pair)
+		lo, hi = min(lo, fs.path.off), max(hi, fs.old.end)
+		size += fs.path.len() + fs.old.len()
+	}
+	if b.packed {
+		size = int(hi - lo)
+	}
+	// at[j] is entry first+j's offset in the page; 0 while no row names it.
+	var inline [64]uint32
+	at := slices.Grow(inline[:0], int(last-first)+1)[:last-first+1]
+	for k := 0; k < n; k++ {
+		if p := b.rows[row(k)].pair; at[p-first] == 0 {
+			at[p-first] = 1
+			size += b.pairLen(p)
+		}
 	}
 	var sb strings.Builder
 	sb.Grow(size) // not zeroed: every byte is written below
-	for k := 0; k < n; k++ {
-		fs := b.spans[row(k)]
-		for _, sp := range [...]strSpan{fs.root, fs.path, fs.old, fs.src} {
-			sb.Write(b.arena[sp.off:sp.end])
+	for j := range at {
+		if at[j] != 0 {
+			e := b.dict[first+uint32(j)]
+			at[j] = uint32(sb.Len())
+			sb.Write(b.bytes(e.root))
+			sb.Write(b.bytes(e.src))
 		}
 	}
-	page, off := sb.String(), 0
-	cut := func(sp strSpan) string {
-		s := page[off : off+int(sp.end-sp.off)]
-		off += len(s)
-		return s
+	off := sb.Len()
+	if b.packed {
+		sb.Write(b.arena[lo:hi])
+	} else {
+		for k := 0; k < n; k++ {
+			fs := b.rows[row(k)]
+			sb.Write(b.bytes(fs.path))
+			sb.Write(b.bytes(fs.old))
+		}
 	}
+	page := sb.String()
+	// page[x-base] is arena[x] for a packed block; the subtraction may wrap.
+	base := lo - uint32(off)
 	for k := 0; k < n; k++ {
 		i := row(k)
-		fs := b.spans[i]
-		e := Event{Op: b.ops[i], Cookie: b.cookies[i], Time: time.Unix(0, b.times[i]), Seq: b.seqs[i]}
-		e.Root = cut(fs.root)
-		e.Path = cut(fs.path)
-		e.OldPath = cut(fs.old)
-		e.Source = cut(fs.src)
-		dst = append(dst, e)
+		fs := b.rows[i]
+		e, from := b.dict[fs.pair], at[fs.pair-first]
+		mid := from + uint32(e.root.len())
+		ev := Event{Root: page[from:mid], Op: fs.op, Cookie: fs.cookie, Time: time.Unix(0, b.times[i]), Seq: b.seqs[i],
+			Source: page[mid : mid+uint32(e.src.len())]}
+		if b.packed {
+			ev.Path, ev.OldPath = page[fs.path.off-base:fs.path.end-base], page[fs.old.off-base:fs.old.end-base]
+		} else {
+			ev.Path, ev.OldPath = page[off:off+fs.path.len()], page[off+fs.path.len():off+fs.path.len()+fs.old.len()]
+			off += fs.path.len() + fs.old.len()
+		}
+		dst = append(dst, ev)
 	}
 	return dst
-}
-
-// rowBytes is the length of row i's four strings.
-func (b *Block) rowBytes(i int) int {
-	fs := b.spans[i]
-	return int(fs.root.end-fs.root.off) + int(fs.path.end-fs.path.off) +
-		int(fs.old.end-fs.old.off) + int(fs.src.end-fs.src.off)
-}
-
-// eventIn is event i with its strings cut from page, a string copy of the
-// arena from offset base on.
-func (b *Block) eventIn(page string, base uint32, i int) Event {
-	fs := b.spans[i]
-	return Event{
-		Root:    page[fs.root.off-base : fs.root.end-base],
-		Op:      b.ops[i],
-		Path:    page[fs.path.off-base : fs.path.end-base],
-		OldPath: page[fs.old.off-base : fs.old.end-base],
-		Cookie:  b.cookies[i],
-		Time:    time.Unix(0, b.times[i]),
-		Seq:     b.seqs[i],
-		Source:  page[fs.src.off-base : fs.src.end-base],
-	}
 }
 
 // EventKey hashes event i's wire-stable identity, byte-identical to
@@ -481,12 +522,12 @@ func (b *Block) EventKey(i int) uint64 {
 		h ^= 0xff // field separator
 		h *= prime64
 	}
-	fs := b.spans[i]
-	mix(fs.root)
+	fs, e := b.rows[i], b.dict[b.rows[i].pair]
+	mix(e.root)
 	mix(fs.path)
 	mix(fs.old)
-	mix(fs.src)
-	for _, v := range [...]uint64{uint64(b.ops[i]), uint64(b.cookies[i]), uint64(b.times[i])} {
+	mix(e.src)
+	for _, v := range [...]uint64{uint64(b.rows[i].op), uint64(b.rows[i].cookie), uint64(b.times[i])} {
 		for j := 0; j < 8; j++ {
 			h ^= (v >> (8 * j)) & 0xff
 			h *= prime64
@@ -506,29 +547,28 @@ func (b *Block) AppendFrom(src *Block, i int) {
 	if b.sharedCols {
 		panic("events: Block.AppendFrom into a seq-only clone")
 	}
-	if len(b.ops) == 0 && len(b.arena) == 0 {
-		// Adopt src's arena wholesale; span offsets stay valid.
+	if len(b.rows) == 0 && len(b.arena) == 0 {
+		// Adopt src's arena and dictionary wholesale: spans and pairs stay valid.
 		b.arena = src.arena
+		b.dict = append(b.dict[:0], src.dict...)
 		b.ownArena = false
 		b.packed = false
 		b.interned = src.interned
 	}
 	if b.aliases(src.arena) {
-		b.spans = append(b.spans, src.spans[i])
+		b.rows = append(b.rows, src.rows[i])
 	} else {
 		if !b.ownArena {
 			// Aliased to a different arena: views are built over exactly
 			// one source block, so this is a misuse, not a data shape.
 			panic("events: Block.AppendFrom across different source arenas")
 		}
-		s, a := src.spans[i], src.arena
-		b.spans = append(b.spans, fieldSpans{
-			root: b.copySpan(a, s.root), path: b.copySpan(a, s.path), old: b.copySpan(a, s.old), src: b.copySpan(a, s.src),
-		})
+		s := src.rows[i]
+		s.pair = b.pairFrom(src, s.pair) // the entry's bytes go in before the row's
+		s.path, s.old = appendJoined(b, src.bytes(s.path), ""), appendJoined(b, src.bytes(s.old), "")
+		b.rows = append(b.rows, s)
 		b.interned = ""
 	}
-	b.ops = append(b.ops, src.ops[i])
-	b.cookies = append(b.cookies, src.cookies[i])
 	b.seqs = append(b.seqs, src.seqs[i])
 	b.times = append(b.times, src.times[i])
 	b.invalidateWire()
@@ -547,8 +587,9 @@ func (b *Block) aliases(arena []byte) bool {
 // or cloned).
 func (b *Block) AppendBlock(src *Block) { b.AppendRowsFrom(src, 0, src.Len()) }
 
-// AppendRowsFrom is AppendBlock for rows [lo, hi) of src: of a packed
-// source it copies the one byte range those rows' strings occupy.
+// AppendRowsFrom is AppendBlock for rows [lo, hi) of src. src's dictionary
+// entries map onto b's, added where b has none; of a packed source with
+// one entry it copies the one byte range those rows' own strings occupy.
 func (b *Block) AppendRowsFrom(src *Block, lo, hi int) {
 	if !b.ownArena {
 		panic("events: Block.AppendBlock into a decoded or cloned block")
@@ -556,57 +597,65 @@ func (b *Block) AppendRowsFrom(src *Block, lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	first := len(b.spans)
-	b.ops = append(b.ops, src.ops[lo:hi]...)
-	b.cookies = append(b.cookies, src.cookies[lo:hi]...)
+	first := len(b.rows)
 	b.seqs = append(b.seqs, src.seqs[lo:hi]...)
 	b.times = append(b.times, src.times[lo:hi]...)
-	b.spans = append(b.spans, src.spans[lo:hi]...)
-	rows := b.spans[first:]
-	if src.packed {
-		from := src.spans[lo].root.off
+	b.rows = append(b.rows, src.rows[lo:hi]...)
+	rows := b.rows[first:]
+	if src.packed && len(src.dict) == 1 {
+		// The entry goes in before the rows, which then need no lookup.
+		pair := b.pairFrom(src, 0)
+		from := src.rows[lo].path.off
 		// The shift may be negative; uint32 arithmetic wraps it right.
 		shift := uint32(len(b.arena)) - from
-		b.arena = append(b.arena, src.arena[from:src.spans[hi-1].src.end]...)
-		if shift != 0 {
-			for i := range rows {
-				fs := &rows[i]
-				fs.root.off, fs.root.end = fs.root.off+shift, fs.root.end+shift
-				fs.path.off, fs.path.end = fs.path.off+shift, fs.path.end+shift
-				fs.old.off, fs.old.end = fs.old.off+shift, fs.old.end+shift
-				fs.src.off, fs.src.end = fs.src.off+shift, fs.src.end+shift
-			}
-		}
-	} else {
-		a := src.arena
+		b.arena = append(b.arena, src.arena[from:src.rows[hi-1].old.end]...)
 		for i := range rows {
 			fs := &rows[i]
-			fs.root, fs.path, fs.old, fs.src = b.copySpan(a, fs.root), b.copySpan(a, fs.path), b.copySpan(a, fs.old), b.copySpan(a, fs.src)
+			fs.path.off, fs.path.end = fs.path.off+shift, fs.path.end+shift
+			fs.old.off, fs.old.end = fs.old.off+shift, fs.old.end+shift
+			fs.pair = pair
+		}
+	} else {
+		from, pair := ^uint32(0), uint32(0)
+		for i := range rows {
+			fs := &rows[i]
+			if fs.pair != from { // rows mostly name the entry the row before did
+				from, pair = fs.pair, b.pairFrom(src, fs.pair)
+			}
+			fs.path, fs.old, fs.pair = appendJoined(b, src.bytes(fs.path), ""), appendJoined(b, src.bytes(fs.old), ""), pair
 		}
 	}
 	b.interned = ""
 	b.invalidateWire()
 }
 
-// StringBytes returns the number of string bytes rows [lo, hi) hold: what
-// AppendRowsFrom copies of them into another block's arena.
+// StringBytes returns the number of string bytes rows [lo, hi) hold, each
+// dictionary entry they name counted once per run of rows naming it (in a
+// packed block's whole arena, once): what AppendRowsFrom copies of them
+// into an empty block's arena, or more.
 func (b *Block) StringBytes(lo, hi int) int {
-	if lo >= hi {
+	switch {
+	case lo >= hi:
 		return 0
+	case b.packed && lo == 0 && hi == len(b.rows):
+		return len(b.arena)
+	case b.packed && len(b.dict) == 1:
+		return int(b.rows[hi-1].old.end-b.rows[lo].path.off) + b.pairLen(0)
 	}
-	if b.packed {
-		return int(b.spans[hi-1].src.end - b.spans[lo].root.off)
-	}
-	n := 0
-	for i := lo; i < hi; i++ {
-		n += b.rowBytes(i)
+	n, run := 0, ^uint32(0)
+	for _, r := range b.rows[lo:hi] {
+		n += r.path.len() + r.old.len()
+		if r.pair != run {
+			run = r.pair
+			n += b.pairLen(run)
+		}
 	}
 	return n
 }
 
 // Cap returns how many rows the block's columns and how many string bytes
 // its arena hold before either grows.
-func (b *Block) Cap() (rows, bytes int) { return cap(b.ops), cap(b.arena) }
+func (b *Block) Cap() (rows, bytes int) { return cap(b.rows), cap(b.arena) }
 
 // CloneFrom makes b a seq-mutable clone of a frozen src: only the seq
 // column is copied (so SetSeq and clone+patch re-encoding work without
@@ -616,7 +665,7 @@ func (b *Block) Cap() (rows, bytes int) { return cap(b.ops), cap(b.arena) }
 // empty (freshly built or Reset); whatever column capacity it owned is
 // let go.
 func (b *Block) CloneFrom(src *Block) {
-	b.ops, b.cookies, b.times, b.spans, b.seqPos = src.ops, src.cookies, src.times, src.spans, src.seqPos
+	b.rows, b.times, b.dict, b.seqPos = src.rows, src.times, src.dict, src.seqPos
 	b.sharedCols = true
 	b.seqs = append(b.seqs[:0], src.seqs...)
 	b.arena = src.arena
@@ -638,7 +687,7 @@ func (b *Block) CloneFrom(src *Block) {
 // buf and returns the extended buffer. seqPos, when non-nil, receives the
 // buffer offset of each event's seq field.
 func (b *Block) EncodeTo(buf []byte, seqPos *[]int) []byte {
-	header := uint32(len(b.ops))
+	header := uint32(len(b.rows))
 	if b.stamp != 0 {
 		header |= batchStamped
 	}
@@ -663,7 +712,7 @@ func (b *Block) EncodeTo(buf []byte, seqPos *[]int) []byte {
 			buf = append(buf, node...)
 		}
 	}
-	return b.appendRows(buf, 0, len(b.ops), seqPos)
+	return b.appendRows(buf, 0, len(b.rows), seqPos)
 }
 
 // AppendRowsTo appends rows [lo, hi) to buf as a wire batch of their own —
@@ -685,20 +734,21 @@ func (b *Block) AppendEntriesTo(buf []byte, lo, hi int) []byte {
 // appendRows appends the wire entries of rows [lo, hi).
 func (b *Block) appendRows(buf []byte, lo, hi int, seqPos *[]int) []byte {
 	for i := lo; i < hi; i++ {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.ops[i]))
-		buf = binary.LittleEndian.AppendUint32(buf, b.cookies[i])
+		r := b.rows[i]
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.op))
+		buf = binary.LittleEndian.AppendUint32(buf, r.cookie)
 		if seqPos != nil {
 			*seqPos = append(*seqPos, len(buf))
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, b.seqs[i])
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(b.times[i]))
-		fs := b.spans[i]
-		for _, sp := range [...]strSpan{fs.root, fs.path, fs.old} {
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(sp.end-sp.off))
-			buf = append(buf, b.arena[sp.off:sp.end]...)
+		e := b.dict[r.pair]
+		for _, sp := range [...]strSpan{e.root, r.path, r.old} {
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(sp.len()))
+			buf = append(buf, b.bytes(sp)...)
 		}
-		buf = append(buf, byte(fs.src.end-fs.src.off))
-		buf = append(buf, b.arena[fs.src.off:fs.src.end]...)
+		buf = append(buf, byte(e.src.len()))
+		buf = append(buf, b.bytes(e.src)...)
 	}
 	return buf
 }
@@ -723,7 +773,7 @@ func (b *Block) Wire() []byte {
 		if !b.seqDirty {
 			return b.wire
 		}
-		if len(b.seqPos) == len(b.ops) {
+		if len(b.seqPos) == len(b.rows) {
 			// The cached image may be a payload or a clone source's image:
 			// copy it into the block's own buffer and patch there.
 			b.wireBuf = append(b.wireBuf[:0], b.wire...)
@@ -741,8 +791,8 @@ func (b *Block) Wire() []byte {
 	if need := b.encodedLen(); cap(buf) < need {
 		buf = make([]byte, 0, need)
 	}
-	if cap(b.seqPos) < len(b.ops) {
-		b.seqPos = make([]int, 0, len(b.ops))
+	if cap(b.seqPos) < len(b.rows) {
+		b.seqPos = make([]int, 0, len(b.rows))
 	}
 	b.wireBuf = b.EncodeTo(buf, &b.seqPos)
 	b.wire = b.wireBuf
@@ -752,7 +802,7 @@ func (b *Block) Wire() []byte {
 
 // encodedLen is the exact length of EncodeTo's output.
 func (b *Block) encodedLen() int {
-	n := 4 + len(b.ops)*minEntry
+	n := 4 + len(b.rows)*minEntry
 	if b.stamp != 0 {
 		n += 8
 	}
@@ -762,7 +812,10 @@ func (b *Block) encodedLen() int {
 			n += 1 + 8 + 1 + min(len(sp.Node), maxNode)
 		}
 	}
-	return n + b.StringBytes(0, len(b.ops))
+	for _, fs := range b.rows {
+		n += fs.path.len() + fs.old.len() + b.pairLen(fs.pair)
+	}
+	return n
 }
 
 // minEntry is the smallest wire entry: the 24-byte fixed header, three
@@ -773,12 +826,10 @@ const minEntry = 24 + 3*2 + 1
 // appending that much allocates nothing. b must own its columns and arena
 // (built or Reset, not decoded or cloned).
 func (b *Block) Grow(rows, bytes int) {
-	if cap(b.ops)-len(b.ops) < rows {
-		b.ops = slices.Grow(b.ops, rows)
-		b.cookies = slices.Grow(b.cookies, rows)
+	if cap(b.rows)-len(b.rows) < rows {
+		b.rows = slices.Grow(b.rows, rows)
 		b.seqs = slices.Grow(b.seqs, rows)
 		b.times = slices.Grow(b.times, rows)
-		b.spans = slices.Grow(b.spans, rows)
 	}
 	b.arena = slices.Grow(b.arena, bytes)
 }
@@ -786,6 +837,7 @@ func (b *Block) Grow(rows, bytes int) {
 // DecodeBlock decodes a wire batch into a fresh Block. See DecodeBlockInto.
 func DecodeBlock(payload []byte) (*Block, error) {
 	b := &Block{ownArena: true}
+	b.dict = b.dict0[:0]
 	if err := DecodeBlockInto(b, payload); err != nil {
 		return nil, err
 	}
@@ -840,17 +892,17 @@ func DecodeBlockInto(b *Block, payload []byte) error {
 	rows := min(int(n), (len(payload)-pos)/minEntry)
 	b.Grow(rows, 0)
 	b.seqPos = slices.Grow(b.seqPos, rows)
+	// The dictionary's spans are compared over the payload as they are read.
+	b.arena, b.ownArena, b.packed = payload, false, false
 	for i := uint32(0); i < n; i++ {
 		if len(payload)-pos < 24 {
 			return fmt.Errorf("events: batch entry %d: short buffer (%d bytes) decoding header", i, len(payload)-pos)
 		}
-		b.ops = append(b.ops, Op(binary.LittleEndian.Uint32(payload[pos:])))
-		b.cookies = append(b.cookies, binary.LittleEndian.Uint32(payload[pos+4:]))
+		r := row{op: Op(binary.LittleEndian.Uint32(payload[pos:])), cookie: binary.LittleEndian.Uint32(payload[pos+4:])}
 		b.seqPos = append(b.seqPos, pos+8)
 		b.seqs = append(b.seqs, binary.LittleEndian.Uint64(payload[pos+8:]))
 		b.times = append(b.times, int64(binary.LittleEndian.Uint64(payload[pos+16:])))
 		pos += 24
-		var fs fieldSpans
 		ok := true
 		str16 := func() strSpan {
 			if !ok || len(payload)-pos < 2 {
@@ -867,16 +919,17 @@ func DecodeBlockInto(b *Block, payload []byte) error {
 			pos += l
 			return sp
 		}
-		fs.root = str16()
-		fs.path = str16()
-		fs.old = str16()
+		var e pairSpans
+		e.root = str16()
+		r.path = str16()
+		r.old = str16()
 		if ok && len(payload)-pos >= 1 {
 			l := int(payload[pos])
 			pos++
 			if len(payload)-pos < l {
 				ok = false
 			} else {
-				fs.src = strSpan{off: uint32(pos), end: uint32(pos + l)}
+				e.src = strSpan{off: uint32(pos), end: uint32(pos + l)}
 				pos += l
 			}
 		} else {
@@ -885,14 +938,17 @@ func DecodeBlockInto(b *Block, payload []byte) error {
 		if !ok {
 			return fmt.Errorf("events: batch entry %d: short buffer decoding strings", i)
 		}
-		b.spans = append(b.spans, fs)
+		k := findPair(b, b.bytes(e.root), b.bytes(e.src))
+		if k < 0 {
+			b.dict = append(b.dict, e) // the entry is the row's own spans in the payload
+			k = len(b.dict) - 1
+		}
+		r.pair = uint32(k)
+		b.rows = append(b.rows, r)
 	}
 	if pos != len(payload) {
 		return fmt.Errorf("events: %d trailing bytes after batch", len(payload)-pos)
 	}
-	b.arena = payload
-	b.ownArena = false
-	b.packed = false
 	b.wire = payload
 	return nil
 }

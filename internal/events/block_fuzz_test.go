@@ -3,14 +3,19 @@ package events
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
+	"time"
 )
 
 // FuzzBlockRoundTrip cross-checks the Block codec against the legacy
 // per-event codec on arbitrary payloads: both decoders must agree on
 // validity, and on valid input the Block must reproduce the events, the
 // stamp, the trace, and — when re-encoded — the exact input bytes (the
-// wire is canonical: there is exactly one encoding per batch).
+// wire is canonical: there is exactly one encoding per batch). The decoded
+// rows, whatever mix of roots and sources they carry, then go through every
+// copy a block has — AppendRowsFrom, AppendPickedTo, CloneFrom, Wire and
+// DecodeBlockInto — and must read back as the decoded block's Event(i).
 func FuzzBlockRoundTrip(f *testing.F) {
 	seedEvents := blockEvents()
 	plain, _ := MarshalBatch(seedEvents)
@@ -27,6 +32,13 @@ func FuzzBlockRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add(append(append([]byte(nil), plain...), 0x00)) // trailing byte
+	var mixed []Event                                  // more (root, source) pairs than a lookup looks back over
+	for i := range 40 {
+		mixed = append(mixed, Event{Root: fmt.Sprintf("/m%d", i%10), Op: OpModify, Path: fmt.Sprintf("/f%d", i),
+			Time: time.Unix(0, int64(i)), Source: fmt.Sprintf("s%d", i%3)})
+	}
+	mixedWire, _ := MarshalBatch(mixed)
+	f.Add(mixedWire)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		evs, stamp, tr, legacyErr := UnmarshalBatchTraced(payload)
@@ -109,5 +121,39 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		if !(header&batchStamped != 0 && stamp == 0) && !bytes.Equal(legacy, payload) {
 			t.Fatalf("re-encoding is not canonical")
 		}
+		want := func(what string, got []Event, rows []int) {
+			t.Helper()
+			for k, i := range rows {
+				if k >= len(got) || got[k] != blk.Event(i) {
+					t.Fatalf("%s: row %d does not read as Event(%d)", what, k, i)
+				}
+			}
+			if len(got) != len(rows) {
+				t.Fatalf("%s: %d events for %d rows", what, len(got), len(rows))
+			}
+		}
+		all := make([]int, len(evs))
+		for i := range all {
+			all[i] = i
+		}
+		half := len(evs) / 2
+		copied := NewBlock(0, 0)
+		copied.AppendRowsFrom(blk, 0, half)
+		copied.AppendRowsFrom(reb, half, len(evs)) // the packed path
+		want("AppendRowsFrom", copied.AppendEventsTo(nil), all)
+		picked := make([]int, 0, len(evs))
+		for i := len(evs) - 1; i >= 0; i -= 2 {
+			picked = append(picked, i, i/2)
+		}
+		want("AppendPickedTo", blk.AppendPickedTo(nil, picked), picked)
+		want("AppendPickedTo of a copy", copied.AppendPickedTo(nil, picked), picked)
+		clone := NewBlock(0, 0)
+		clone.CloneFrom(copied)
+		want("CloneFrom", clone.AppendRangeTo(nil, 0, len(evs)), all)
+		again := NewBlock(0, 0)
+		if err := DecodeBlockInto(again, append([]byte(nil), copied.Wire()...)); err != nil {
+			t.Fatalf("decoding a copy's wire image: %v", err)
+		}
+		want("Wire/DecodeBlockInto", again.AppendEventsTo(nil), all)
 	})
 }

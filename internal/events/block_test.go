@@ -649,8 +649,9 @@ func TestAppendPickedTo(t *testing.T) {
 // A decoded block's pages hold its picked rows' strings and nothing else:
 // over random blocks and picks, AppendPickedTo and AppendRangeTo return the
 // events the same rows of a packed block do, with every string cut back to
-// back from one page outside the payload, that page allocated at exactly
-// the size a packed block of just those rows copies.
+// back from one page outside the payload — each dictionary entry the rows
+// name once, then the rows' own strings — that page allocated at exactly
+// the size of those strings.
 func TestDecodedPageIsStringsOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	str := func(max int) string { return strings.Repeat("p", rng.Intn(max+1)) }
@@ -686,42 +687,62 @@ func TestDecodedPageIsStringsOnly(t *testing.T) {
 			if want := packed.AppendPickedTo(nil, c.rows); !slices.Equal(got, want) {
 				t.Fatalf("%s: %+v, the packed block's rows are %+v", what, got, want)
 			}
-			checkBackToBack(t, what, got, payload)
-			only := make([]Event, len(c.rows))
-			for k, i := range c.rows {
-				only[k] = evs[i]
-			}
-			exact := buildBlock(t, only)
+			size := checkOnePage(t, what, decoded, c.rows, got, payload)
 			dst := make([]Event, 0, len(c.rows))
-			if gotB, wantB := allocBytes(func() { c.page(dst) }), allocBytes(func() { exact.AppendRangeTo(dst, 0, len(only)) }); gotB != wantB {
-				t.Fatalf("%s: the page is %d bytes, the rows' strings take %d", what, gotB, wantB)
+			if gotB, wantB := allocBytes(func() { c.page(dst) }), allocBytes(func() { pageSink = make([]byte, size) }); gotB != wantB {
+				t.Fatalf("%s: the page allocates %d bytes, its %d bytes of strings %d", what, gotB, size, wantB)
 			}
 		}
 	}
 }
 
-// checkBackToBack fails unless evs' non-empty strings lie in field order,
-// one after another, in memory that is not payload's.
-func checkBackToBack(t *testing.T, what string, evs []Event, payload []byte) {
+var pageSink []byte
+
+// checkOnePage fails unless evs, b's rows at the given indexes materialized,
+// hold their non-empty strings back to back in memory that is not
+// payload's: first the root and source of each dictionary entry the rows
+// name, once, in entry order, every event naming the entry sharing them;
+// then each event's path and old path. It returns the strings' total size.
+func checkOnePage(t *testing.T, what string, b *Block, rows []int, evs []Event, payload []byte) int {
 	t.Helper()
+	var named []uint32
+	shared := map[uint32]Event{}
+	for k, i := range rows {
+		pair := b.rows[i].pair
+		if was, ok := shared[pair]; !ok {
+			shared[pair] = evs[k]
+			named = append(named, pair)
+		} else if unsafe.StringData(was.Root) != unsafe.StringData(evs[k].Root) || unsafe.StringData(was.Source) != unsafe.StringData(evs[k].Source) {
+			t.Fatalf("%s: two events naming dictionary entry %d do not share its strings", what, pair)
+		}
+	}
+	slices.Sort(named)
+	var order []string
+	for _, pair := range named {
+		order = append(order, shared[pair].Root, shared[pair].Source)
+	}
+	for _, e := range evs {
+		order = append(order, e.Path, e.OldPath)
+	}
 	lo := uintptr(unsafe.Pointer(unsafe.SliceData(payload)))
 	hi := lo + uintptr(len(payload))
 	var next uintptr
-	for _, e := range evs {
-		for _, s := range [...]string{e.Root, e.Path, e.OldPath, e.Source} {
-			if s == "" {
-				continue
-			}
-			p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
-			if p >= lo && p < hi {
-				t.Fatalf("%s: a string aliases the payload", what)
-			}
-			if next != 0 && p != next {
-				t.Fatalf("%s: a string starts %d bytes from where the one before it ended", what, int64(p-next))
-			}
-			next = p + uintptr(len(s))
+	size := 0
+	for _, s := range order {
+		size += len(s)
+		if s == "" {
+			continue
 		}
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		if p >= lo && p < hi {
+			t.Fatalf("%s: a string aliases the payload", what)
+		}
+		if next != 0 && p != next {
+			t.Fatalf("%s: a string starts %d bytes from where the one before it ended", what, int64(p-next))
+		}
+		next = p + uintptr(len(s))
 	}
+	return size
 }
 
 // allocBytes is the heap bytes one call of f allocates: the least of four
@@ -737,4 +758,66 @@ func allocBytes(f func()) uint64 {
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
 	return least
+}
+
+// Rows that alternate between two roots and two sources round-trip exactly
+// through every way of filling or copying a block, and their arena holds
+// each of the four pairs once: no more bytes than repeating root and source
+// in every row took, and here far fewer.
+func TestAlternatingPairsRoundTrip(t *testing.T) {
+	roots, sources := [...]string{"/mnt/lustre", "/mnt/beegfs"}, [...]string{"lustre", "beegfs-meta"}
+	evs := make([]Event, 64)
+	repeated, own := 0, 0 // the arena with root and source in every row; the rows' own strings
+	for i := range evs {
+		evs[i] = Event{Root: roots[i%2], Op: OpModify, Path: fmt.Sprintf("/d/f%02d", i), Cookie: uint32(i),
+			Time: time.Unix(0, int64(i)), Seq: uint64(i + 1), Source: sources[i/2%2]}
+		if i%5 == 0 {
+			evs[i].Op, evs[i].OldPath = OpMovedTo, fmt.Sprintf("/old/f%02d", i)
+		}
+		own += len(evs[i].Path) + len(evs[i].OldPath)
+		repeated += len(evs[i].Root) + len(evs[i].Path) + len(evs[i].OldPath) + len(evs[i].Source)
+	}
+	built := buildBlock(t, evs)
+	if got, want := len(built.arena), own+2*len(roots[0]+roots[1]+sources[0]+sources[1]); got != want || got > repeated {
+		t.Errorf("arena holds %d bytes, want %d: the rows' own strings and four pairs (%d repeating them)", got, want, repeated)
+	}
+	if got := len(built.dict); got != 4 {
+		t.Errorf("dictionary holds %d entries, want 4", got)
+	}
+	decoded, err := DecodeBlock(append([]byte(nil), built.Wire()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := NewBlock(0, 0)
+	copied.AppendRowsFrom(built, 0, 5)
+	copied.AppendRowsFrom(decoded, 5, 40) // the unpacked path, onto entries it holds
+	copied.AppendRowsFrom(built, 40, len(evs))
+	regrouped := NewBlock(0, 0)
+	for i := range evs {
+		regrouped.AppendFrom(decoded, i)
+	}
+	clone := NewBlock(0, 0)
+	clone.CloneFrom(built)
+	for _, c := range []struct {
+		name string
+		blk  *Block
+	}{{"built", built}, {"decoded", decoded}, {"copied", copied}, {"regrouped", regrouped}, {"clone", clone}} {
+		if got := c.blk.AppendEventsTo(nil); !slices.Equal(got, evs) {
+			t.Errorf("%s: %+v, want %+v", c.name, got, evs)
+		}
+		for i, e := range evs {
+			if c.blk.Event(i) != e || c.blk.EventKey(i) != EventKey(e) {
+				t.Fatalf("%s: row %d reads %+v, want %+v", c.name, i, c.blk.Event(i), e)
+			}
+		}
+		if !bytes.Equal(c.blk.Wire(), built.Wire()) {
+			t.Errorf("%s: the wire image differs from the built block's", c.name)
+		}
+		if got := c.blk.AppendPickedTo(nil, []int{63, 2, 17, 2}); !slices.Equal(got, []Event{evs[63], evs[2], evs[17], evs[2]}) {
+			t.Errorf("%s: picked rows read %+v", c.name, got)
+		}
+	}
+	if got := len(copied.dict); got != 4 {
+		t.Errorf("a block copied from both shapes holds %d entries, want 4", got)
+	}
 }

@@ -2,6 +2,7 @@ package eventstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -169,6 +170,65 @@ func TestSegmentsMadeOnce(t *testing.T) {
 			t.Fatalf("reopened segment %d: %d of %d rows, %d bytes; the store's: %d of %d rows, %d bytes",
 				k, seg.Len(), rows, bytes, s.segs[k].Len(), was.rows, was.bytes)
 		}
+	}
+}
+
+// hotBlock builds n rows as the journey's hot cells carry them: one mount
+// point, one source, the generator's hot file names (/hot/dNN/fNNNN).
+func hotBlock(t testing.TB, n int) *events.Block {
+	t.Helper()
+	blk := events.NewBlock(n, 0)
+	for i := 0; i < n; i++ {
+		e := events.Event{Root: "/mnt/lustre", Op: events.OpModify, Path: fmt.Sprintf("/hot/d%02d/f%04d", i/64%64, i%4096),
+			Time: time.Unix(1_700_000_000, int64(i)), Source: "lustre"}
+		if err := blk.AppendEvent(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return blk
+}
+
+// hotRowSegmentBytes is what storing n hot rows in one batch allocates per
+// row: the one segment they open, made at their exact size.
+func hotRowSegmentBytes(t testing.TB, n int) float64 {
+	blk := hotBlock(t, n)
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		s, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := s.AppendBlock(blk); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		s.Close()
+	}
+	return float64(least) / float64(n)
+}
+
+// A hot row costs a segment its own columns and path: its root and source
+// are one dictionary entry the whole segment shares. Repeating them in
+// every row, a row cost ≈ 89 B.
+func TestHotRowSegmentBytes(t *testing.T) {
+	if perRow := hotRowSegmentBytes(t, 10000); perRow > 60 {
+		t.Fatalf("a hot row costs its segment %.1f B, want at most 60", perRow)
+	}
+}
+
+// BenchmarkStoreHotRows is TestHotRowSegmentBytes's measure as a metric,
+// failing above the same 60 B.
+func BenchmarkStoreHotRows(b *testing.B) {
+	var perRow float64
+	for i := 0; i < b.N; i++ {
+		perRow = hotRowSegmentBytes(b, 10000)
+	}
+	b.ReportMetric(perRow, "B/row")
+	if perRow > 60 {
+		b.Fatalf("a hot row costs its segment %.1f B, want at most 60", perRow)
 	}
 }
 

@@ -12,10 +12,16 @@ import (
 // Changelogs", §IV-2). Records are retained until every registered reader
 // has cleared past them.
 type Changelog struct {
-	mu         sync.Mutex
-	mdt        int
-	records    []Record          // records[i].Index == first + uint64(i)
-	first      uint64            // index of records[0]
+	mu  sync.Mutex
+	mdt int
+	// chunks hold the retained records, chunkRecords to a chunk: record
+	// first is chunks[0][head], and each later one follows it. A chunk is
+	// made at its final size and only appended to, so an append never copies
+	// a record and a view of a chunk stays valid; Clear drops the chunks
+	// every reader is wholly past.
+	chunks     [][]Record
+	head       int
+	first      uint64            // index of the oldest retained record
 	next       uint64            // index the next appended record receives
 	readers    map[string]uint64 // reader id -> highest cleared index
 	nextReader int
@@ -31,6 +37,10 @@ func newChangelog(mdt int) *Changelog {
 // MDT returns the index of the MDT this journal belongs to.
 func (c *Changelog) MDT() int { return c.mdt }
 
+// chunkRecords is the size of a Changelog chunk: a multiple of the
+// collector's read batch, so a drain from the start reads whole batches.
+const chunkRecords = 4096
+
 // append adds a record, assigning its index.
 func (c *Changelog) append(r Record) Record {
 	c.mu.Lock()
@@ -39,7 +49,11 @@ func (c *Changelog) append(r Record) Record {
 	r.MDT = c.mdt
 	c.next++
 	c.appended++
-	c.records = append(c.records, r)
+	if k := len(c.chunks) - 1; k < 0 || len(c.chunks[k]) == chunkRecords {
+		c.chunks = append(c.chunks, make([]Record, 0, chunkRecords))
+	}
+	last := &c.chunks[len(c.chunks)-1]
+	*last = append(*last, r)
 	return r
 }
 
@@ -67,26 +81,27 @@ func (c *Changelog) Deregister(id string) error {
 	return nil
 }
 
-// Read returns up to max records with Index > since, in index order.
-// max <= 0 means no limit.
+// Read returns up to max records with Index > since, in index order, from
+// one chunk: fewer than max (and than are retained) where that chunk ends.
+// max <= 0 means no limit but the chunk's.
 //
-// The result is a read-only view of the journal's own array, not a copy:
+// The result is a read-only view of the journal's own chunk, not a copy:
 // records are immutable once appended, an append writes only past every
 // view's end (the view's capacity is clipped to its length, so appending to
-// one reallocates) and Clear only moves the journal's start. A view stays
-// valid for as long as the caller holds it, across any later append, Clear
-// or Deregister, and pins the array behind it until dropped.
+// one reallocates) and Clear only drops chunks from the journal. A view
+// stays valid for as long as the caller holds it, across any later append,
+// Clear or Deregister, and pins the chunk behind it until dropped.
 func (c *Changelog) Read(since uint64, max int) []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	start := 0
-	if since >= c.first {
-		start = int(since - c.first + 1)
-	}
-	if start >= len(c.records) {
+	if c.next == c.first || since >= c.next-1 {
 		return nil
 	}
-	out := c.records[start:]
+	pos := c.head
+	if since >= c.first {
+		pos += int(since - c.first + 1)
+	}
+	out := c.chunks[pos/chunkRecords][pos%chunkRecords:]
 	if max > 0 && len(out) > max {
 		out = out[:max]
 	}
@@ -115,7 +130,7 @@ func (c *Changelog) Clear(id string, upTo uint64) error {
 // registered, records are retained (as with real Changelogs, which are
 // disabled/purged only explicitly — we keep them for inspection).
 func (c *Changelog) compactLocked() {
-	if len(c.readers) == 0 || len(c.records) == 0 {
+	if len(c.readers) == 0 || c.next == c.first {
 		return
 	}
 	min := c.next - 1
@@ -127,20 +142,22 @@ func (c *Changelog) compactLocked() {
 	if min < c.first {
 		return
 	}
-	drop := int(min - c.first + 1)
-	if drop > len(c.records) {
-		drop = len(c.records)
+	drop := min - c.first + 1
+	c.cleared += drop
+	c.first += drop
+	c.head += int(drop)
+	for c.head >= chunkRecords {
+		c.chunks[0] = nil // let a chunk no view holds go
+		c.chunks = c.chunks[1:]
+		c.head -= chunkRecords
 	}
-	c.cleared += uint64(drop)
-	c.records = c.records[drop:]
-	c.first += uint64(drop)
 }
 
 // Len returns the number of retained records.
 func (c *Changelog) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.records)
+	return int(c.next - c.first)
 }
 
 // NextIndex returns the index the next record will receive.
@@ -165,6 +182,6 @@ func (c *Changelog) Stats() ChangelogStats {
 	defer c.mu.Unlock()
 	return ChangelogStats{
 		MDT: c.mdt, Appended: c.appended, Cleared: c.cleared,
-		Retained: len(c.records), NextIndex: c.next,
+		Retained: int(c.next - c.first), NextIndex: c.next,
 	}
 }
