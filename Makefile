@@ -103,12 +103,13 @@ fuzz-smoke:
 # replay materialized in process (ShardedSinceVector: the result slice is
 # sized once), one journal reopen
 # (StoreOpen: B/op is the segments kept, not the file), 10 000 hot rows
-# stored in one batch (StoreHotRows: at most 60 B a row in the segment,
-# root and source held once), and one watchdog
+# stored in one batch (StoreHotRows: at most 52 B a row in the segment,
+# root and source held once), one 512-row hot payload decoded into a pooled
+# block (DecodeBlock: ns per block, 0 allocs), and one watchdog
 # evaluation over a full 300-series x 256-sample window, as a CI regression
 # canary; the slow paper-table benches stay out of it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|CacheFill|AggregatorThroughput|AppendFid2Path|ChangelogRead|BlockWireFresh|ConsumerDeliver|PublishLeased|TCPHopLeased|RecoveryServe|ConsumerRecover|ShardedSinceVector|StoreOpen|StoreHotRows|HealthEvaluate' -benchtime 1x -benchmem \
+	$(GO) test -run '^$$' -bench 'ResolveStage|ResolveMiss|ResolveHit|GetOrLoad|CacheFill|AggregatorThroughput|AppendFid2Path|ChangelogRead|BlockWireFresh|ConsumerDeliver|PublishLeased|TCPHopLeased|RecoveryServe|ConsumerRecover|ShardedSinceVector|StoreOpen|StoreHotRows|DecodeBlock|HealthEvaluate' -benchtime 1x -benchmem \
 		./internal/resolve/ ./internal/cache/ ./internal/bench/ ./internal/lustre/ ./internal/events/ ./internal/scalable/ ./internal/msgq/ ./internal/telemetry/ ./internal/eventstore/
 
 # bench-aggregator measures aggregation-tier store throughput at 1/2/4

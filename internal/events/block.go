@@ -11,14 +11,14 @@ import (
 // Block is the zero-copy batch representation the hot path runs on: one
 // event batch held as parallel columns (the rows' 4-byte fields, seq,
 // record time) plus a single contiguous byte arena for every string field,
-// with per-event span offsets into that arena. Root and source repeat
-// across a batch, so they are a per-block dictionary of (root, source)
-// pairs, each held once, and a row keeps spans for its path and old path
-// and its pair's index. It is the *only* shape a batch takes from
-// capture to delivery — the collector fills one directly from resolution,
-// the wire carries its encoded image, the aggregator decodes it as views
-// into the received payload (no string materialization), the store appends
-// from it, and the consumer materializes Events lazily for delivery.
+// with per-event offsets into that arena. Root and source repeat across a
+// batch, so they are a per-block dictionary of (root, source) pairs, each
+// held once, and a row keeps where its path starts, its path's and old
+// path's lengths, and its pair's index. It is the *only* shape a batch
+// takes from capture to delivery — the collector fills one directly from
+// resolution, the wire carries its encoded image, the aggregator decodes it
+// as views into the received payload (no string materialization), the store
+// appends from it, and the consumer materializes Events lazily for delivery.
 //
 // Compared to []Event round-tripped through the codec, a Block removes the
 // two per-event costs that dominated the aggregation tier: the ~112 B
@@ -82,7 +82,12 @@ type Block struct {
 	// first row that names it. A row range of a block with one entry is then
 	// one contiguous byte range. True for every block built by appending,
 	// and for clones of one.
-	packed   bool
+	packed bool
+	// gap is how many arena bytes lie between a row's path and its old path:
+	// 0 where the block wrote them (appending writes path, then old), 2 in a
+	// decoded payload (the old path's u16 length prefix). A clone takes its
+	// source's, as does a view adopting a source's arena.
+	gap      uint8
 	interned string // string copy of arena; "" until Intern
 
 	stamp int64
@@ -107,33 +112,43 @@ type strSpan struct{ off, end uint32 }
 // len is the span's length in bytes.
 func (sp strSpan) len() int { return int(sp.end - sp.off) }
 
-// row is one event's 4-byte fields: op, cookie, the spans of its own strings
-// and the index of the dictionary entry holding its root and source.
+// row is one event's fixed fields in 20 bytes: op, cookie, the index of the
+// dictionary entry holding its root and source, and its own strings as the
+// path's arena offset and the two lengths (the wire caps both at u16). The
+// old path starts the block's gap after the path ends.
 type row struct {
-	op        Op
-	cookie    uint32
-	path, old strSpan
-	pair      uint32
+	op              Op
+	cookie          uint32
+	pair            uint32
+	off             uint32
+	pathLen, oldLen uint16
 }
+
+// path is the row's path in the arena.
+func (r row) path() strSpan { return strSpan{off: r.off, end: r.off + uint32(r.pathLen)} }
+
+// old is the row's old path in an arena with the given gap.
+func (r row) old(gap uint8) strSpan {
+	off := r.off + uint32(r.pathLen) + uint32(gap)
+	return strSpan{off: off, end: off + uint32(r.oldLen)}
+}
+
+// strLen is the length of the row's own strings.
+func (r row) strLen() int { return int(r.pathLen) + int(r.oldLen) }
 
 // pairSpans is one dictionary entry: a (root, source) pair in the arena.
 type pairSpans struct{ root, src strSpan }
 
-// NewBlock returns an empty Block with room for evCap events and arenaCap
-// arena bytes before growing. The seq positions are not among the columns
-// sized here: only a block that is encoded needs them (a store segment never
-// is), so Wire and the decoder size them when they first fill them.
+// NewBlock returns an empty Block with room for at least evCap events and
+// arenaCap arena bytes before growing: each column and the arena take the
+// whole size class the allocator rounds them up to (Cap). The seq positions
+// are not among the columns sized here: only a block that is encoded needs
+// them (a store segment never is), so Wire and the decoder size them when
+// they first fill them.
 func NewBlock(evCap, arenaCap int) *Block {
-	b := &Block{
-		rows:  make([]row, 0, evCap),
-		seqs:  make([]uint64, 0, evCap),
-		times: make([]int64, 0, evCap),
-		arena: make([]byte, 0, arenaCap),
-
-		ownArena: true,
-		packed:   true,
-	}
+	b := &Block{ownArena: true, packed: true}
 	b.dict = b.dict0[:0]
+	b.Grow(evCap, arenaCap)
 	return b
 }
 
@@ -158,7 +173,7 @@ func (b *Block) Reset() {
 		b.arena = nil
 		b.ownArena = true
 	}
-	b.packed = true
+	b.packed, b.gap = true, 0
 	b.wire = nil
 	b.interned = ""
 	b.stamp = 0
@@ -245,8 +260,10 @@ func appendRow[S string | []byte](b *Block, op Op, cookie uint32, seq uint64, t 
 	if !b.ownArena {
 		return fmt.Errorf("events: append into a decoded block")
 	}
-	// Calls run left to right: a new entry's bytes go in before the row's.
-	b.rows = append(b.rows, row{op: op, cookie: cookie, pair: pairOf(b, root, source), path: appendJoined(b, dir, name), old: appendJoined(b, oldDir, oldName)})
+	pair := pairOf(b, root, source) // a new entry's bytes go in before the row's
+	path := appendJoined(b, dir, name)
+	old := appendJoined(b, oldDir, oldName)
+	b.rows = append(b.rows, row{op: op, cookie: cookie, pair: pair, off: path.off, pathLen: uint16(path.len()), oldLen: uint16(old.len())})
 	b.seqs = append(b.seqs, seq)
 	b.times = append(b.times, t.UnixNano())
 	b.interned = ""
@@ -355,20 +372,17 @@ func (b *Block) TimeNano(i int) int64 { return b.times[i] }
 func (b *Block) Root(i int) string { return b.str(b.dict[b.rows[i].pair].root) }
 
 // Path returns event i's subject path.
-func (b *Block) Path(i int) string { return b.str(b.rows[i].path) }
+func (b *Block) Path(i int) string { return b.str(b.rows[i].path()) }
 
 // OldPath returns event i's pre-rename path ("" when not a tracked move).
-func (b *Block) OldPath(i int) string { return b.str(b.rows[i].old) }
+func (b *Block) OldPath(i int) string { return b.str(b.rows[i].old(b.gap)) }
 
 // Source returns event i's producing DSI name.
 func (b *Block) Source(i int) string { return b.str(b.dict[b.rows[i].pair].src) }
 
 // PathBytes returns event i's subject path as raw arena bytes — the
 // allocation-free view partition routing hashes.
-func (b *Block) PathBytes(i int) []byte {
-	sp := b.rows[i].path
-	return b.arena[sp.off:sp.end]
-}
+func (b *Block) PathBytes(i int) []byte { return b.bytes(b.rows[i].path()) }
 
 // SetSeq assigns event i's sequence number (the store's job). The cached
 // wire image stays valid — Wire patches the seq fields in place of a full
@@ -444,14 +458,16 @@ func (b *Block) appendPage(dst []Event, n int, row func(k int) int) []Event {
 		}
 		return dst
 	}
-	// The entries the rows name lie in [first, last].
+	// The entries the rows name lie in [first, last]. Rows are read in
+	// place: a copy of a 20-byte row is read back across two stores.
+	gap := b.gap
 	first, last := b.rows[row(0)].pair, b.rows[row(0)].pair
-	lo, hi, size := b.rows[row(0)].path.off, b.rows[row(0)].old.end, 0
+	lo, hi, size := b.rows[row(0)].off, b.rows[row(0)].old(gap).end, 0
 	for k := 0; k < n; k++ {
-		fs := b.rows[row(k)]
+		fs := &b.rows[row(k)]
 		first, last = min(first, fs.pair), max(last, fs.pair)
-		lo, hi = min(lo, fs.path.off), max(hi, fs.old.end)
-		size += fs.path.len() + fs.old.len()
+		lo, hi = min(lo, fs.off), max(hi, fs.old(gap).end)
+		size += fs.strLen()
 	}
 	if b.packed {
 		size = int(hi - lo)
@@ -480,9 +496,9 @@ func (b *Block) appendPage(dst []Event, n int, row func(k int) int) []Event {
 		sb.Write(b.arena[lo:hi])
 	} else {
 		for k := 0; k < n; k++ {
-			fs := b.rows[row(k)]
-			sb.Write(b.bytes(fs.path))
-			sb.Write(b.bytes(fs.old))
+			fs := &b.rows[row(k)]
+			sb.Write(b.bytes(fs.path()))
+			sb.Write(b.bytes(fs.old(gap)))
 		}
 	}
 	page := sb.String()
@@ -490,16 +506,17 @@ func (b *Block) appendPage(dst []Event, n int, row func(k int) int) []Event {
 	base := lo - uint32(off)
 	for k := 0; k < n; k++ {
 		i := row(k)
-		fs := b.rows[i]
+		fs := &b.rows[i]
 		e, from := b.dict[fs.pair], at[fs.pair-first]
 		mid := from + uint32(e.root.len())
 		ev := Event{Root: page[from:mid], Op: fs.op, Cookie: fs.cookie, Time: time.Unix(0, b.times[i]), Seq: b.seqs[i],
 			Source: page[mid : mid+uint32(e.src.len())]}
-		if b.packed {
-			ev.Path, ev.OldPath = page[fs.path.off-base:fs.path.end-base], page[fs.old.off-base:fs.old.end-base]
+		if b.packed { // gap 0: the old path follows the path
+			from := fs.off - base
+			ev.Path, ev.OldPath = page[from:from+uint32(fs.pathLen)], page[from+uint32(fs.pathLen):from+uint32(fs.strLen())]
 		} else {
-			ev.Path, ev.OldPath = page[off:off+fs.path.len()], page[off+fs.path.len():off+fs.path.len()+fs.old.len()]
-			off += fs.path.len() + fs.old.len()
+			ev.Path, ev.OldPath = page[off:off+int(fs.pathLen)], page[off+int(fs.pathLen):off+fs.strLen()]
+			off += fs.strLen()
 		}
 		dst = append(dst, ev)
 	}
@@ -522,10 +539,11 @@ func (b *Block) EventKey(i int) uint64 {
 		h ^= 0xff // field separator
 		h *= prime64
 	}
-	fs, e := b.rows[i], b.dict[b.rows[i].pair]
+	fs := &b.rows[i]
+	e := b.dict[fs.pair]
 	mix(e.root)
-	mix(fs.path)
-	mix(fs.old)
+	mix(fs.path())
+	mix(fs.old(b.gap))
 	mix(e.src)
 	for _, v := range [...]uint64{uint64(b.rows[i].op), uint64(b.rows[i].cookie), uint64(b.times[i])} {
 		for j := 0; j < 8; j++ {
@@ -553,6 +571,7 @@ func (b *Block) AppendFrom(src *Block, i int) {
 		b.dict = append(b.dict[:0], src.dict...)
 		b.ownArena = false
 		b.packed = false
+		b.gap = src.gap
 		b.interned = src.interned
 	}
 	if b.aliases(src.arena) {
@@ -565,7 +584,9 @@ func (b *Block) AppendFrom(src *Block, i int) {
 		}
 		s := src.rows[i]
 		s.pair = b.pairFrom(src, s.pair) // the entry's bytes go in before the row's
-		s.path, s.old = appendJoined(b, src.bytes(s.path), ""), appendJoined(b, src.bytes(s.old), "")
+		path, old := src.bytes(s.path()), src.bytes(s.old(src.gap))
+		s.off = uint32(len(b.arena))
+		b.arena = append(append(b.arena, path...), old...)
 		b.rows = append(b.rows, s)
 		b.interned = ""
 	}
@@ -605,15 +626,13 @@ func (b *Block) AppendRowsFrom(src *Block, lo, hi int) {
 	if src.packed && len(src.dict) == 1 {
 		// The entry goes in before the rows, which then need no lookup.
 		pair := b.pairFrom(src, 0)
-		from := src.rows[lo].path.off
+		from := src.rows[lo].off
 		// The shift may be negative; uint32 arithmetic wraps it right.
 		shift := uint32(len(b.arena)) - from
-		b.arena = append(b.arena, src.arena[from:src.rows[hi-1].old.end]...)
+		b.arena = append(b.arena, src.arena[from:src.rows[hi-1].old(src.gap).end]...)
 		for i := range rows {
-			fs := &rows[i]
-			fs.path.off, fs.path.end = fs.path.off+shift, fs.path.end+shift
-			fs.old.off, fs.old.end = fs.old.off+shift, fs.old.end+shift
-			fs.pair = pair
+			rows[i].off += shift
+			rows[i].pair = pair
 		}
 	} else {
 		from, pair := ^uint32(0), uint32(0)
@@ -622,7 +641,9 @@ func (b *Block) AppendRowsFrom(src *Block, lo, hi int) {
 			if fs.pair != from { // rows mostly name the entry the row before did
 				from, pair = fs.pair, b.pairFrom(src, fs.pair)
 			}
-			fs.path, fs.old, fs.pair = appendJoined(b, src.bytes(fs.path), ""), appendJoined(b, src.bytes(fs.old), ""), pair
+			path, old := src.bytes(fs.path()), src.bytes(fs.old(src.gap))
+			fs.off, fs.pair = uint32(len(b.arena)), pair
+			b.arena = append(append(b.arena, path...), old...)
 		}
 	}
 	b.interned = ""
@@ -640,11 +661,12 @@ func (b *Block) StringBytes(lo, hi int) int {
 	case b.packed && lo == 0 && hi == len(b.rows):
 		return len(b.arena)
 	case b.packed && len(b.dict) == 1:
-		return int(b.rows[hi-1].old.end-b.rows[lo].path.off) + b.pairLen(0)
+		return int(b.rows[hi-1].old(b.gap).end-b.rows[lo].off) + b.pairLen(0)
 	}
 	n, run := 0, ^uint32(0)
-	for _, r := range b.rows[lo:hi] {
-		n += r.path.len() + r.old.len()
+	for i := lo; i < hi; i++ {
+		r := &b.rows[i]
+		n += r.strLen()
 		if r.pair != run {
 			run = r.pair
 			n += b.pairLen(run)
@@ -655,7 +677,9 @@ func (b *Block) StringBytes(lo, hi int) int {
 
 // Cap returns how many rows the block's columns and how many string bytes
 // its arena hold before either grows.
-func (b *Block) Cap() (rows, bytes int) { return cap(b.rows), cap(b.arena) }
+func (b *Block) Cap() (rows, bytes int) {
+	return min(cap(b.rows), cap(b.seqs), cap(b.times)), cap(b.arena)
+}
 
 // CloneFrom makes b a seq-mutable clone of a frozen src: only the seq
 // column is copied (so SetSeq and clone+patch re-encoding work without
@@ -670,7 +694,7 @@ func (b *Block) CloneFrom(src *Block) {
 	b.seqs = append(b.seqs[:0], src.seqs...)
 	b.arena = src.arena
 	b.ownArena = false
-	b.packed = src.packed
+	b.packed, b.gap = src.packed, src.gap
 	b.interned = src.interned
 	b.stamp = src.stamp
 	b.wire = src.wire
@@ -733,8 +757,9 @@ func (b *Block) AppendEntriesTo(buf []byte, lo, hi int) []byte {
 
 // appendRows appends the wire entries of rows [lo, hi).
 func (b *Block) appendRows(buf []byte, lo, hi int, seqPos *[]int) []byte {
+	gap := b.gap
 	for i := lo; i < hi; i++ {
-		r := b.rows[i]
+		r := &b.rows[i]
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.op))
 		buf = binary.LittleEndian.AppendUint32(buf, r.cookie)
 		if seqPos != nil {
@@ -743,7 +768,7 @@ func (b *Block) appendRows(buf []byte, lo, hi int, seqPos *[]int) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, b.seqs[i])
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(b.times[i]))
 		e := b.dict[r.pair]
-		for _, sp := range [...]strSpan{e.root, r.path, r.old} {
+		for _, sp := range [...]strSpan{e.root, r.path(), r.old(gap)} {
 			buf = binary.LittleEndian.AppendUint16(buf, uint16(sp.len()))
 			buf = append(buf, b.bytes(sp)...)
 		}
@@ -751,6 +776,18 @@ func (b *Block) appendRows(buf []byte, lo, hi int, seqPos *[]int) []byte {
 		buf = append(buf, b.bytes(e.src)...)
 	}
 	return buf
+}
+
+// WireRows returns the rows section of Wire(): the entries behind the
+// header, stamp and trace, which are what AppendRowsTo writes after its
+// count for the whole block. It is a view of the cached image, owned by the
+// block; callers must not modify it.
+func (b *Block) WireRows() []byte {
+	w := b.Wire()
+	if len(b.rows) == 0 {
+		return nil
+	}
+	return w[b.seqPos[0]-8:] // a row's seq follows its op and cookie
 }
 
 // Wire returns the block's wire image, caching it. Three speeds:
@@ -812,8 +849,8 @@ func (b *Block) encodedLen() int {
 			n += 1 + 8 + 1 + min(len(sp.Node), maxNode)
 		}
 	}
-	for _, fs := range b.rows {
-		n += fs.path.len() + fs.old.len() + b.pairLen(fs.pair)
+	for i := range b.rows {
+		n += b.rows[i].strLen() + b.pairLen(b.rows[i].pair)
 	}
 	return n
 }
@@ -823,14 +860,13 @@ func (b *Block) encodedLen() int {
 const minEntry = 24 + 3*2 + 1
 
 // Grow makes room for rows more rows and bytes more string bytes, so that
-// appending that much allocates nothing. b must own its columns and arena
-// (built or Reset, not decoded or cloned).
+// appending that much allocates nothing. What it allocates takes the whole
+// size class it is rounded up to. b must own its columns and arena (built or
+// Reset, not decoded or cloned).
 func (b *Block) Grow(rows, bytes int) {
-	if cap(b.rows)-len(b.rows) < rows {
-		b.rows = slices.Grow(b.rows, rows)
-		b.seqs = slices.Grow(b.seqs, rows)
-		b.times = slices.Grow(b.times, rows)
-	}
+	b.rows = slices.Grow(b.rows, rows)
+	b.seqs = slices.Grow(b.seqs, rows)
+	b.times = slices.Grow(b.times, rows)
 	b.arena = slices.Grow(b.arena, bytes)
 }
 
@@ -887,65 +923,61 @@ func DecodeBlockInto(b *Block, payload []byte) error {
 		}
 		b.trace = tr
 	}
-	// Size the columns once for the announced count, capped by what the
-	// payload could hold so a hostile header cannot force the allocation.
-	rows := min(int(n), (len(payload)-pos)/minEntry)
-	b.Grow(rows, 0)
-	b.seqPos = slices.Grow(b.seqPos, rows)
+	// Every entry takes at least minEntry bytes, so a count the payload
+	// cannot hold fails here, before it sizes anything.
+	if int(n) > (len(payload)-pos)/minEntry {
+		return fmt.Errorf("events: batch of %d entries in %d bytes: short buffer", n, len(payload)-pos)
+	}
+	b.Grow(int(n), 0)
+	b.seqPos = slices.Grow(b.seqPos, int(n))
+	rows, seqs, times, seqPos := b.rows[:n], b.seqs[:n], b.times[:n], b.seqPos[:n]
 	// The dictionary's spans are compared over the payload as they are read.
-	b.arena, b.ownArena, b.packed = payload, false, false
-	for i := uint32(0); i < n; i++ {
-		if len(payload)-pos < 24 {
+	b.arena, b.ownArena, b.packed, b.gap = payload, false, false, 2
+	var lastRoot, lastSrc []byte // the last entry a row named
+	k := -1
+	for i := range rows {
+		// The fixed fields and the root's length; then each string's end,
+		// checked with the length prefix of the field after it.
+		if len(payload)-pos < 24+2 {
 			return fmt.Errorf("events: batch entry %d: short buffer (%d bytes) decoding header", i, len(payload)-pos)
 		}
-		r := row{op: Op(binary.LittleEndian.Uint32(payload[pos:])), cookie: binary.LittleEndian.Uint32(payload[pos+4:])}
-		b.seqPos = append(b.seqPos, pos+8)
-		b.seqs = append(b.seqs, binary.LittleEndian.Uint64(payload[pos+8:]))
-		b.times = append(b.times, int64(binary.LittleEndian.Uint64(payload[pos+16:])))
-		pos += 24
-		ok := true
-		str16 := func() strSpan {
-			if !ok || len(payload)-pos < 2 {
-				ok = false
-				return strSpan{}
-			}
-			l := int(binary.LittleEndian.Uint16(payload[pos:]))
-			pos += 2
-			if len(payload)-pos < l {
-				ok = false
-				return strSpan{}
-			}
-			sp := strSpan{off: uint32(pos), end: uint32(pos + l)}
-			pos += l
-			return sp
-		}
-		var e pairSpans
-		e.root = str16()
-		r.path = str16()
-		r.old = str16()
-		if ok && len(payload)-pos >= 1 {
-			l := int(payload[pos])
-			pos++
-			if len(payload)-pos < l {
-				ok = false
-			} else {
-				e.src = strSpan{off: uint32(pos), end: uint32(pos + l)}
-				pos += l
-			}
-		} else {
-			ok = false
-		}
-		if !ok {
+		op, cookie := Op(binary.LittleEndian.Uint32(payload[pos:])), binary.LittleEndian.Uint32(payload[pos+4:])
+		seqPos[i] = pos + 8
+		seqs[i] = binary.LittleEndian.Uint64(payload[pos+8:])
+		times[i] = int64(binary.LittleEndian.Uint64(payload[pos+16:]))
+		root := pos + 24 + 2
+		rootEnd := root + int(binary.LittleEndian.Uint16(payload[pos+24:]))
+		if len(payload)-rootEnd < 2 {
 			return fmt.Errorf("events: batch entry %d: short buffer decoding strings", i)
 		}
-		k := findPair(b, b.bytes(e.root), b.bytes(e.src))
-		if k < 0 {
-			b.dict = append(b.dict, e) // the entry is the row's own spans in the payload
-			k = len(b.dict) - 1
+		path := rootEnd + 2
+		pathEnd := path + int(binary.LittleEndian.Uint16(payload[rootEnd:]))
+		if len(payload)-pathEnd < 2 {
+			return fmt.Errorf("events: batch entry %d: short buffer decoding strings", i)
 		}
-		r.pair = uint32(k)
-		b.rows = append(b.rows, r)
+		old := pathEnd + 2 // the gap: the old path's length prefix
+		oldEnd := old + int(binary.LittleEndian.Uint16(payload[pathEnd:]))
+		if len(payload)-oldEnd < 1 {
+			return fmt.Errorf("events: batch entry %d: short buffer decoding strings", i)
+		}
+		src := oldEnd + 1
+		pos = src + int(payload[oldEnd])
+		if pos > len(payload) {
+			return fmt.Errorf("events: batch entry %d: short buffer decoding strings", i)
+		}
+		// A row nearly always names the entry the row before did: compare
+		// against it in line before findPair looks further back.
+		if k < 0 || string(payload[root:rootEnd]) != string(lastRoot) || string(payload[src:pos]) != string(lastSrc) {
+			if k = findPair(b, payload[root:rootEnd], payload[src:pos]); k < 0 {
+				// The entry is the row's own spans in the payload.
+				b.dict = append(b.dict, pairSpans{root: strSpan{off: uint32(root), end: uint32(rootEnd)}, src: strSpan{off: uint32(src), end: uint32(pos)}})
+				k = len(b.dict) - 1
+			}
+			lastRoot, lastSrc = b.bytes(b.dict[k].root), b.bytes(b.dict[k].src)
+		}
+		rows[i] = row{op: op, cookie: cookie, pair: uint32(k), off: uint32(path), pathLen: uint16(pathEnd - path), oldLen: uint16(oldEnd - old)}
 	}
+	b.rows, b.seqs, b.times, b.seqPos = rows, seqs, times, seqPos
 	if pos != len(payload) {
 		return fmt.Errorf("events: %d trailing bytes after batch", len(payload)-pos)
 	}

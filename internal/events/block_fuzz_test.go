@@ -13,9 +13,12 @@ import (
 // validity, and on valid input the Block must reproduce the events, the
 // stamp, the trace, and — when re-encoded — the exact input bytes (the
 // wire is canonical: there is exactly one encoding per batch). The decoded
-// rows, whatever mix of roots and sources they carry, then go through every
-// copy a block has — AppendRowsFrom, AppendPickedTo, CloneFrom, Wire and
-// DecodeBlockInto — and must read back as the decoded block's Event(i).
+// rows, whatever mix of roots, sources and old paths they carry, then go
+// through every copy a block has — AppendRowsFrom, AppendFrom (a view and a
+// copy), AppendPickedTo, CloneFrom, Wire and DecodeBlockInto — and must read
+// back as the decoded block's Event(i): an old path is found from its path
+// in a decoded payload (two bytes of length prefix between them) and in a
+// packed block (none) alike.
 func FuzzBlockRoundTrip(f *testing.F) {
 	seedEvents := blockEvents()
 	plain, _ := MarshalBatch(seedEvents)
@@ -39,6 +42,19 @@ func FuzzBlockRoundTrip(f *testing.F) {
 	}
 	mixedWire, _ := MarshalBatch(mixed)
 	f.Add(mixedWire)
+	var renames []Event // old paths of every length beside paths of every length
+	for i := range 30 {
+		e := Event{Root: "/mnt/lustre", Op: OpModify, Path: fmt.Sprintf("/d/f%d", i), Time: time.Unix(0, int64(i)), Source: "mdt0"}
+		switch i % 3 {
+		case 1:
+			e.Op, e.Cookie, e.OldPath = OpMovedTo, uint32(i), fmt.Sprintf("/old/%0*d", i, i)
+		case 2:
+			e.Op, e.Cookie, e.Path, e.OldPath = OpMovedFrom, uint32(i), "", "/gone"
+		}
+		renames = append(renames, e)
+	}
+	renameWire, _ := MarshalBatch(renames)
+	f.Add(renameWire)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		evs, stamp, tr, legacyErr := UnmarshalBatchTraced(payload)
@@ -150,10 +166,29 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		clone := NewBlock(0, 0)
 		clone.CloneFrom(copied)
 		want("CloneFrom", clone.AppendRangeTo(nil, 0, len(evs)), all)
+		clone.Reset()
+		clone.CloneFrom(blk)
+		want("CloneFrom a decoded block", clone.AppendRangeTo(nil, 0, len(evs)), all)
 		again := NewBlock(0, 0)
 		if err := DecodeBlockInto(again, append([]byte(nil), copied.Wire()...)); err != nil {
 			t.Fatalf("decoding a copy's wire image: %v", err)
 		}
 		want("Wire/DecodeBlockInto", again.AppendEventsTo(nil), all)
+		// AppendFrom: a view shares the decoded payload; a block with an
+		// arena of its own copies the rows into it, packed.
+		view, own := NewBlock(0, 0), NewBlock(0, 0)
+		if err := own.AppendEvent(Event{Root: "/first", Path: "/row", OldPath: "/before", Source: "s"}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range evs {
+			view.AppendFrom(blk, i)
+			own.AppendFrom(blk, i)
+		}
+		want("AppendFrom (view)", view.AppendEventsTo(nil), all)
+		want("AppendFrom (copy)", own.AppendRangeTo(nil, 1, own.Len()), all)
+		if err := DecodeBlockInto(again, append([]byte(nil), own.Wire()...)); err != nil {
+			t.Fatalf("decoding an AppendFrom copy's wire image: %v", err)
+		}
+		want("AppendFrom copy's Wire/DecodeBlockInto", again.AppendRangeTo(nil, 1, again.Len()), all)
 	})
 }

@@ -333,8 +333,14 @@ func TestBlockAppendBlockCopies(t *testing.T) {
 }
 
 // A clone copies the seq column and shares the rest: for a 512-event block
-// that is one 4 KB allocation, where a column-by-column copy was 32 KB.
+// that is one 4 KB allocation, where a column-by-column copy was 32 KB. The
+// pooled block it fills is the other allocation, its header alone, which
+// stays within 256 B: a new field has to fit the padding there is.
 func TestBlockCloneIsSeqOnly(t *testing.T) {
+	const header = unsafe.Sizeof(Block{})
+	if header > 256 {
+		t.Fatalf("a Block header is %d B, want at most 256", header)
+	}
 	src := NewBlock(512, 32<<10)
 	for i := 0; i < 512; i++ {
 		if err := src.AppendEvent(Event{Root: "/mnt/lustre", Op: OpModify, Path: "/dir/file", Time: time.Unix(0, int64(i)), Source: "mdt0"}); err != nil {
@@ -346,8 +352,8 @@ func TestBlockCloneIsSeqOnly(t *testing.T) {
 	c := NewBlock(0, 0) // what the store lanes' pools hand out
 	c.CloneFrom(src)
 	runtime.ReadMemStats(&after)
-	if objs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; objs > 2 || bytes > 4096+256 {
-		t.Fatalf("clone of a 512-event block allocated %d objects, %d bytes; want the header and one 4 KB seq column", objs, bytes)
+	if objs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; objs > 2 || bytes > uint64(header)+4096 {
+		t.Fatalf("clone of a 512-event block allocated %d objects, %d bytes; want the %d-byte header and one 4 KB seq column", objs, bytes, header)
 	}
 	c.SetSeq(0, 99)
 	if src.Seq(0) != 0 || c.Seq(0) != 99 || c.Path(5) != "/dir/file" {
@@ -819,5 +825,58 @@ func TestAlternatingPairsRoundTrip(t *testing.T) {
 	}
 	if got := len(copied.dict); got != 4 {
 		t.Errorf("a block copied from both shapes holds %d entries, want 4", got)
+	}
+}
+
+// BenchmarkDecodeBlock is the aggregator's and the recovery client's decode
+// of a 512-row hot payload into a pooled block.
+func BenchmarkDecodeBlock(b *testing.B) {
+	payload := append([]byte(nil), hotBlock(b, 512).Wire()...)
+	blk := NewBlock(0, 0)
+	if err := DecodeBlockInto(blk, payload); err != nil { // a pooled block has its columns
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := DecodeBlockInto(blk, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// WireRows is the rows section of the wire image — what AppendRowsTo writes
+// behind its count, and so what a journal record holds — for a block that
+// is built, stamped, traced, decoded or cloned, its seqs set after the image
+// was cached.
+func TestWireRowsAreAppendRowsTo(t *testing.T) {
+	evs := blockEvents()
+	built := buildBlock(t, evs)
+	stamped := buildBlock(t, evs)
+	stamped.SetStamp(123456789)
+	traced := buildBlock(t, evs)
+	traced.SetStamp(7)
+	traced.SetTrace(&BatchTrace{ID: 9, Spans: []Span{{Tier: TierCollect, TS: 1, Node: "mds0"}}})
+	decoded, err := DecodeBlock(append([]byte(nil), traced.Wire()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := NewBlock(0, 0)
+	clone.CloneFrom(decoded)
+	for _, tc := range []struct {
+		name string
+		b    *Block
+	}{{"built", built}, {"stamped", stamped}, {"traced", traced}, {"decoded", decoded}, {"clone", clone}} {
+		_ = tc.b.Wire()
+		for i := 0; i < tc.b.Len(); i++ {
+			tc.b.SetSeq(i, uint64(100+i))
+		}
+		if got, want := tc.b.WireRows(), tc.b.AppendRowsTo(nil, 0, tc.b.Len())[4:]; !bytes.Equal(got, want) {
+			t.Errorf("%s: WireRows\n %x\nwant AppendRowsTo's rows\n %x", tc.name, got, want)
+		}
+	}
+	if rows := NewBlock(0, 0).WireRows(); len(rows) != 0 {
+		t.Errorf("an empty block's WireRows = %x, want none", rows)
 	}
 }

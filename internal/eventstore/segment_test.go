@@ -98,7 +98,10 @@ func TestSincePageAllocations(t *testing.T) {
 // lengths and single Appends, every segment keeps the row and byte capacity
 // it was made with, the first holds the first batch and each next one twice
 // the rows of the one before, up to segEvents — or the batch that opened it,
-// when that is longer. A reopen from the journal lays the same segments out.
+// when that is longer — rounded up to the allocator's size class. A reopen
+// from the journal holds the same events in segments of at most segEvents
+// rows (or the record that opened one), each closed only when the next
+// record did not fit it.
 func TestSegmentsMadeOnce(t *testing.T) {
 	defer func(n int) { segEvents = n }(segEvents)
 	segEvents = 64
@@ -140,7 +143,7 @@ func TestSegmentsMadeOnce(t *testing.T) {
 				if k > 0 {
 					want = max(n, min(2*made[s.segs[k-1]].rows, segEvents))
 				}
-				if rows != want {
+				if want, _ = events.NewBlock(want, 0).Cap(); rows != want {
 					t.Fatalf("step %d: segment %d made for %d rows, want %d", step, k, rows, want)
 				}
 				made[seg] = size{rows, bytes}
@@ -161,14 +164,34 @@ func TestSegmentsMadeOnce(t *testing.T) {
 	if got, _ := r.Since(0, 0); !slices.Equal(got, want) {
 		t.Fatalf("reopened store holds %d events, want %d", len(got), len(want))
 	}
-	if len(r.segs) != len(s.segs) {
-		t.Fatalf("reopened store has %d segments, the store had %d", len(r.segs), len(s.segs))
+	// The journal's records in order, and the segment each lands in.
+	type record struct{ rows, bytes int }
+	var recs []record
+	if _, err := ReadJournal(path, func(blk *events.Block, _ uint64, _ int64) error {
+		if blk != nil {
+			recs = append(recs, record{blk.Len(), blk.StringBytes(0, blk.Len())})
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
+	at := 0
 	for k, seg := range r.segs {
-		rows, bytes := seg.Cap()
-		if was := made[s.segs[k]]; was != (size{rows, bytes}) || seg.Len() != s.segs[k].Len() {
-			t.Fatalf("reopened segment %d: %d of %d rows, %d bytes; the store's: %d of %d rows, %d bytes",
-				k, seg.Len(), rows, bytes, s.segs[k].Len(), was.rows, was.bytes)
+		rows, _ := seg.Cap()
+		first := recs[at]
+		if most, _ := events.NewBlock(max(first.rows, segEvents), 0).Cap(); rows > most {
+			t.Fatalf("reopened segment %d made for %d rows, want at most %d", k, rows, most)
+		}
+		if k > 0 {
+			prev := r.segs[k-1]
+			prevRows, prevBytes := prev.Cap()
+			if prev.Len()+first.rows <= prevRows && prev.StringBytes(0, prev.Len())+first.bytes <= prevBytes {
+				t.Fatalf("reopened segment %d was closed with room for the %d rows and %d bytes that opened the next (%d of %d rows, %d of %d bytes)",
+					k-1, first.rows, first.bytes, prev.Len(), prevRows, prev.StringBytes(0, prev.Len()), prevBytes)
+			}
+		}
+		for held := 0; held < seg.Len(); at++ {
+			held += recs[at].rows
 		}
 	}
 }
@@ -209,17 +232,18 @@ func hotRowSegmentBytes(t testing.TB, blk *events.Block) float64 {
 	return float64(least) / float64(blk.Len())
 }
 
-// A hot row costs a segment its own columns and path: its root and source
-// are one dictionary entry the whole segment shares. Repeating them in
-// every row, a row cost ≈ 89 B.
+// A hot row costs a segment its own columns and path: a 20-byte row record,
+// its seq and time, and 14 bytes of path; its root and source are one
+// dictionary entry the whole segment shares. Repeating them in every row, a
+// row cost ≈ 89 B.
 func TestHotRowSegmentBytes(t *testing.T) {
-	if perRow := hotRowSegmentBytes(t, hotBlock(t, 10000)); perRow > 60 {
-		t.Fatalf("a hot row costs its segment %.1f B, want at most 60", perRow)
+	if perRow := hotRowSegmentBytes(t, hotBlock(t, 10000)); perRow > 52 {
+		t.Fatalf("a hot row costs its segment %.1f B, want at most 52", perRow)
 	}
 }
 
 // BenchmarkStoreHotRows is TestHotRowSegmentBytes's measure as a metric,
-// failing above the same 60 B.
+// failing above the same 52 B.
 func BenchmarkStoreHotRows(b *testing.B) {
 	blk := hotBlock(b, 10000)
 	b.ResetTimer()
@@ -228,8 +252,56 @@ func BenchmarkStoreHotRows(b *testing.B) {
 		perRow = hotRowSegmentBytes(b, blk)
 	}
 	b.ReportMetric(perRow, "B/row")
-	if perRow > 60 {
-		b.Fatalf("a hot row costs its segment %.1f B, want at most 60", perRow)
+	if perRow > 52 {
+		b.Fatalf("a hot row costs its segment %.1f B, want at most 52", perRow)
+	}
+}
+
+// A reload sizes its segments from the journal bytes still to read, so the
+// segments it rebuilds from a 250 000-row journal in two partitions (as a
+// crash-recovery restart reads one) cost within 1 B a row of one segment
+// made at its exact size. Segments doubling from the first record would
+// leave each partition's last one about two-thirds empty: ≈ 2 B a row more.
+func TestOpenSegmentsAtExactSize(t *testing.T) {
+	const n, parts = 250_000, 2
+	exact := hotRowSegmentBytes(t, hotBlock(t, 10000))
+	opts := Options{JournalPath: filepath.Join(t.TempDir(), "journal")}
+	w, err := NewSharded(parts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, last := hotBlock(t, 512), hotBlock(t, n/parts%512)
+	for at := 0; at < n/parts; at += 512 {
+		blk := full
+		if n/parts-at < 512 {
+			blk = last
+		}
+		for p := range parts {
+			if _, err := w.AppendBlockPartition(p, blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := OpenSharded(parts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	defer r.Close()
+	if got := r.Stats().Retained; got != n {
+		t.Fatalf("reopened engine holds %d events, want %d", got, n)
+	}
+	perRow := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("a reload keeps %.2f B a row; one segment at its exact size, %.2f", perRow, exact)
+	if perRow > exact+1 {
+		t.Fatalf("a reload keeps %.2f B a row, want within 1 B of a segment at its exact size (%.2f)", perRow, exact)
 	}
 }
 

@@ -488,8 +488,9 @@ func (c *Consumer) completeTrace(tr *events.BatchTrace) {
 }
 
 // observeDelivery records the latency signals for a delivered batch:
-// end-to-end microseconds from the batch's capture stamp (one observation
-// per delivered event, so the histogram weighs latency by event volume),
+// end-to-end microseconds from the batch's capture stamp (observed once per
+// delivered event, in one update, so the histogram weighs latency by event
+// volume),
 // and the delivery lag (now - record time) of the batch's newest event —
 // the Robinhood-style "how far behind the storage system is the consumer"
 // gauge. Recovered pages skip it, so replayed history with stale stamps
@@ -499,9 +500,7 @@ func (c *Consumer) observeDelivery(pass []events.Event, stamp int64) {
 		return
 	}
 	if us := telemetry.SinceStampUS(stamp); us >= 0 {
-		for range pass {
-			c.e2eUS.Observe(us)
-		}
+		c.e2eUS.ObserveN(us, len(pass))
 	}
 	last := pass[len(pass)-1]
 	if !last.Time.IsZero() {

@@ -112,8 +112,12 @@ func newHistogram(bounds []int64) *Histogram {
 }
 
 // Observe records one value. Safe on a nil receiver.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records the value v n times over, as n calls of Observe(v) would,
+// in one update. Safe on a nil receiver.
+func (h *Histogram) ObserveN(v int64, n int) {
+	if h == nil || n <= 0 {
 		return
 	}
 	// Bucket search: the bound lists are small (tens of entries) and the
@@ -123,9 +127,9 @@ func (h *Histogram) Observe(v int64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.buckets[i].Add(uint64(n))
+	h.count.Add(uint64(n))
+	h.sum.Add(v * int64(n))
 	for {
 		old := h.max.Load()
 		if v <= old || h.max.CompareAndSwap(old, v) {

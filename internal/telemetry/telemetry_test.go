@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -170,6 +171,29 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	if s.Max != 1000 {
 		t.Errorf("max = %d, want 1000", s.Max)
 	}
+}
+
+// ObserveN(v, n) leaves a histogram exactly as n calls of Observe(v) do:
+// count, sum, every bucket and max, over values in, between, on and past the
+// bounds, negative ones too.
+func TestHistogramObserveN(t *testing.T) {
+	bounds := []int64{10, 20, 40}
+	one, batched := newHistogram(bounds), newHistogram(bounds)
+	for k, v := range []int64{5, 10, 11, 40, 41, 1_000_000, -3, 20, 5} {
+		n := k % 4 // 0 records nothing
+		for range n {
+			one.Observe(v)
+		}
+		batched.ObserveN(v, n)
+		gotBounds, got := batched.Buckets()
+		_, want := one.Buckets()
+		if batched.Count() != one.Count() || batched.Sum() != one.Sum() || batched.Max() != one.Max() || !slices.Equal(got, want) {
+			t.Fatalf("after ObserveN(%d, %d): count %d sum %d max %d buckets %v over %v; %d Observe calls: count %d sum %d max %d buckets %v",
+				v, n, batched.Count(), batched.Sum(), batched.Max(), got, gotBounds, n, one.Count(), one.Sum(), one.Max(), want)
+		}
+	}
+	var nilHist *Histogram
+	nilHist.ObserveN(1, 3) // safe on a nil receiver, as Observe is
 }
 
 func TestHistogramOverflow(t *testing.T) {
