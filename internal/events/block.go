@@ -139,16 +139,24 @@ func (r row) strLen() int { return int(r.pathLen) + int(r.oldLen) }
 // pairSpans is one dictionary entry: a (root, source) pair in the arena.
 type pairSpans struct{ root, src strSpan }
 
-// NewBlock returns an empty Block with room for at least evCap events and
-// arenaCap arena bytes before growing: each column and the arena take the
-// whole size class the allocator rounds them up to (Cap). The seq positions
-// are not among the columns sized here: only a block that is encoded needs
-// them (a store segment never is), so Wire and the decoder size them when
-// they first fill them.
+// NewBlock returns an empty Block with room for evCap events and arenaCap
+// arena bytes before growing. The seq positions are not among the columns
+// sized here: only a block that is encoded needs them (a store segment never
+// is), so Wire and the decoder size them when they first fill them. The
+// columns are made at exactly the size asked for, not grown into their size
+// class: under the race detector an append of a make allocates the make
+// too, and a store segment would cost twice its bytes.
 func NewBlock(evCap, arenaCap int) *Block {
-	b := &Block{ownArena: true, packed: true}
+	b := &Block{
+		rows:  make([]row, 0, evCap),
+		seqs:  make([]uint64, 0, evCap),
+		times: make([]int64, 0, evCap),
+		arena: make([]byte, 0, arenaCap),
+
+		ownArena: true,
+		packed:   true,
+	}
 	b.dict = b.dict0[:0]
-	b.Grow(evCap, arenaCap)
 	return b
 }
 

@@ -98,10 +98,9 @@ func TestSincePageAllocations(t *testing.T) {
 // lengths and single Appends, every segment keeps the row and byte capacity
 // it was made with, the first holds the first batch and each next one twice
 // the rows of the one before, up to segEvents — or the batch that opened it,
-// when that is longer — rounded up to the allocator's size class. A reopen
-// from the journal holds the same events in segments of at most segEvents
-// rows (or the record that opened one), each closed only when the next
-// record did not fit it.
+// when that is longer. A reopen from the journal holds the same events in
+// segments of at most segEvents rows (or the record that opened one), each
+// closed only when the next record did not fit it.
 func TestSegmentsMadeOnce(t *testing.T) {
 	defer func(n int) { segEvents = n }(segEvents)
 	segEvents = 64
@@ -143,7 +142,7 @@ func TestSegmentsMadeOnce(t *testing.T) {
 				if k > 0 {
 					want = max(n, min(2*made[s.segs[k-1]].rows, segEvents))
 				}
-				if want, _ = events.NewBlock(want, 0).Cap(); rows != want {
+				if rows != want {
 					t.Fatalf("step %d: segment %d made for %d rows, want %d", step, k, rows, want)
 				}
 				made[seg] = size{rows, bytes}
@@ -179,7 +178,7 @@ func TestSegmentsMadeOnce(t *testing.T) {
 	for k, seg := range r.segs {
 		rows, _ := seg.Cap()
 		first := recs[at]
-		if most, _ := events.NewBlock(max(first.rows, segEvents), 0).Cap(); rows > most {
+		if most := max(first.rows, segEvents); rows > most {
 			t.Fatalf("reopened segment %d made for %d rows, want at most %d", k, rows, most)
 		}
 		if k > 0 {
