@@ -448,7 +448,7 @@ func main() {
 func dumpJournal(w io.Writer, path string, format fsmonitor.Format) error {
 	out := bufio.NewWriter(w)
 	var evs []events.Event
-	torn, err := eventstore.ReadJournal(path, func(blk *events.Block, reported uint64, _ int64) error {
+	torn, err := eventstore.ReadJournal(path, func(blk *events.Block, reported uint64) error {
 		if blk == nil {
 			_, err := fmt.Fprintf(out, "reported %d\n", reported)
 			return err

@@ -232,7 +232,7 @@ func TestRestartOnSameJournal(t *testing.T) {
 		t.Fatalf("replay past seq %d = %d events, want the second run's %d", last, len(missed), len(second))
 	}
 	var prev uint64
-	if _, err := eventstore.ReadJournal(jp, func(blk *events.Block, _ uint64, _ int64) error {
+	if _, err := eventstore.ReadJournal(jp, func(blk *events.Block, _ uint64) error {
 		for i := 0; blk != nil && i < blk.Len(); i++ {
 			if blk.Seq(i) <= prev {
 				t.Errorf("journal holds seq %d after seq %d", blk.Seq(i), prev)

@@ -683,11 +683,20 @@ func (b *Block) StringBytes(lo, hi int) int {
 	return n
 }
 
+// PairBytes returns the string bytes of the block's dictionary: each
+// (root, source) entry once. StringBytes counts them too; appended to a block
+// that holds them already, they are not copied again.
+func (b *Block) PairBytes() int {
+	n := 0
+	for k := range b.dict {
+		n += b.pairLen(uint32(k))
+	}
+	return n
+}
+
 // Cap returns how many rows the block's columns and how many string bytes
 // its arena hold before either grows.
-func (b *Block) Cap() (rows, bytes int) {
-	return min(cap(b.rows), cap(b.seqs), cap(b.times)), cap(b.arena)
-}
+func (b *Block) Cap() (rows, bytes int) { return cap(b.rows), cap(b.arena) }
 
 // CloneFrom makes b a seq-mutable clone of a frozen src: only the seq
 // column is copied (so SetSeq and clone+patch re-encoding work without
@@ -784,18 +793,6 @@ func (b *Block) appendRows(buf []byte, lo, hi int, seqPos *[]int) []byte {
 		buf = append(buf, b.bytes(e.src)...)
 	}
 	return buf
-}
-
-// WireRows returns the rows section of Wire(): the entries behind the
-// header, stamp and trace, which are what AppendRowsTo writes after its
-// count for the whole block. It is a view of the cached image, owned by the
-// block; callers must not modify it.
-func (b *Block) WireRows() []byte {
-	w := b.Wire()
-	if len(b.rows) == 0 {
-		return nil
-	}
-	return w[b.seqPos[0]-8:] // a row's seq follows its op and cookie
 }
 
 // Wire returns the block's wire image, caching it. Three speeds:

@@ -845,38 +845,3 @@ func BenchmarkDecodeBlock(b *testing.B) {
 		}
 	}
 }
-
-// WireRows is the rows section of the wire image — what AppendRowsTo writes
-// behind its count, and so what a journal record holds — for a block that
-// is built, stamped, traced, decoded or cloned, its seqs set after the image
-// was cached.
-func TestWireRowsAreAppendRowsTo(t *testing.T) {
-	evs := blockEvents()
-	built := buildBlock(t, evs)
-	stamped := buildBlock(t, evs)
-	stamped.SetStamp(123456789)
-	traced := buildBlock(t, evs)
-	traced.SetStamp(7)
-	traced.SetTrace(&BatchTrace{ID: 9, Spans: []Span{{Tier: TierCollect, TS: 1, Node: "mds0"}}})
-	decoded, err := DecodeBlock(append([]byte(nil), traced.Wire()...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := NewBlock(0, 0)
-	clone.CloneFrom(decoded)
-	for _, tc := range []struct {
-		name string
-		b    *Block
-	}{{"built", built}, {"stamped", stamped}, {"traced", traced}, {"decoded", decoded}, {"clone", clone}} {
-		_ = tc.b.Wire()
-		for i := 0; i < tc.b.Len(); i++ {
-			tc.b.SetSeq(i, uint64(100+i))
-		}
-		if got, want := tc.b.WireRows(), tc.b.AppendRowsTo(nil, 0, tc.b.Len())[4:]; !bytes.Equal(got, want) {
-			t.Errorf("%s: WireRows\n %x\nwant AppendRowsTo's rows\n %x", tc.name, got, want)
-		}
-	}
-	if rows := NewBlock(0, 0).WireRows(); len(rows) != 0 {
-		t.Errorf("an empty block's WireRows = %x, want none", rows)
-	}
-}

@@ -177,11 +177,19 @@ func Open(opts Options) (*Store, error) {
 	opts.normalize()
 	s := &Store{opts: opts, nextSeq: opts.seqOffset + opts.seqStride}
 	var last uint64
-	torn, err := ReadJournal(opts.JournalPath, func(blk *events.Block, reported uint64, rest int64) error {
+	var rest int64 // journal bytes after the record in hand
+	if info, err := os.Stat(opts.JournalPath); err == nil {
+		rest = info.Size() - int64(len(journalMagic))
+	}
+	torn, err := ReadJournal(opts.JournalPath, func(blk *events.Block, reported uint64) error {
 		if blk == nil {
+			rest -= recHeader + 1 + 8
 			s.markReportedLocked(reported)
 			return nil
 		}
+		// A decoded block's wire image is the record's body.
+		rec := int64(recHeader + 1 + len(blk.Wire()))
+		rest -= rec
 		n := blk.Len()
 		if n == 0 {
 			return nil
@@ -192,11 +200,9 @@ func Open(opts Options) (*Store, error) {
 			}
 			last = blk.Seq(i)
 		}
-		// The rows the rest of the file holds at this record's rows per byte
-		// (a decoded block's wire image is the record's body).
-		rec := int64(recHeader + 1 + len(blk.Wire()))
-		ahead := int(min(rest*int64(n)/rec, int64(segEvents)))
-		s.tailLocked(n, blk.StringBytes(0, n), ahead).AppendBlock(blk)
+		// The rows the rest of the file holds at this record's rows per byte.
+		ahead := int(min(max(rest, 0)*int64(n)/rec, int64(segEvents)))
+		s.tailLocked(n, blk.StringBytes(0, n), blk.PairBytes(), ahead).AppendBlock(blk)
 		s.retained += n
 		s.appended += uint64(n)
 		if last >= s.nextSeq {
@@ -224,18 +230,26 @@ func Open(opts Options) (*Store, error) {
 // tailLocked returns the segment the next n rows, holding bytes string
 // bytes, go into: the tail while both fit in what it was made with, a new
 // segment otherwise. A segment is allocated once, whole, and never regrows.
+// pair is the part of bytes that is the rows' (root, source) entries, which
+// a segment holding them already does not copy again; the fit check counts
+// them all the same, so a segment made for more rows than these has room
+// for them once more, lest it close one batch early.
 //
-// A reload knows about how many rows follow these (ahead >= 0, from the
-// journal bytes still to read): a new segment holds these and those, up to
-// segEvents, at these rows' string bytes per row, so the last one a reload
-// makes is as full as the others. A live append does not (ahead < 0): the
-// row capacity is twice the one's before it, from the first batch's size up
-// to segEvents (never below n), so a store that stays small stays small; its
-// arena holds that many rows at the bytes per row of the one before, so a
-// steady stream appends without allocating. EXPERIMENTS.md ("Allocate once,
-// at final size"; "A stored row in 20 bytes") measures what each saves.
-func (s *Store) tailLocked(n, bytes, ahead int) *events.Block {
+// A live append (ahead < 0) makes the row capacity twice the one's before,
+// from the first batch's size up to segEvents (never below n), so a store
+// that stays small stays small. A reload knows about how many rows follow
+// these (ahead >= 0, from the journal bytes still to read) and makes room
+// for them too, up to segEvents, so the last segment it makes is as full as
+// the others. The arena holds the rows at the bytes per row of the segment
+// before (the first: of these rows, their entries once), so a steady stream
+// appends without allocating. EXPERIMENTS.md ("Allocate once, at final
+// size"; "A stored row in 20 bytes") measures what each saves.
+func (s *Store) tailLocked(n, bytes, pair, ahead int) *events.Block {
 	rows, size := n, bytes
+	if ahead >= 0 {
+		rows = max(n, min(n+ahead, segEvents))
+		size = (rows*(bytes-pair)+n-1)/n + pair
+	}
 	if k := len(s.segs) - 1; k >= 0 {
 		tail := s.segs[k]
 		capRows, capBytes := tail.Cap()
@@ -245,14 +259,15 @@ func (s *Store) tailLocked(n, bytes, ahead int) *events.Block {
 		}
 		if tail.Len() == 0 {
 			s.segs = s.segs[:k] // emptied by a purge, and too small for this batch
-		} else if ahead < 0 {
-			rows = max(n, min(2*capRows, segEvents))
+		} else {
+			if ahead < 0 {
+				rows = max(n, min(2*capRows, segEvents))
+			}
 			size = max(bytes, (rows*used+tail.Len()-1)/tail.Len())
 		}
 	}
-	if ahead >= 0 {
-		rows = max(n, min(n+ahead, segEvents))
-		size = (rows*bytes + n - 1) / n
+	if rows > n {
+		size += pair
 	}
 	seg := events.NewBlock(rows, size)
 	s.segs = append(s.segs, seg)
@@ -272,7 +287,7 @@ func (s *Store) Append(e events.Event) (uint64, error) {
 		return 0, ErrClosed
 	}
 	e.Seq = s.nextSeq
-	tail := s.tailLocked(1, len(e.Root)+len(e.Path)+len(e.OldPath)+len(e.Source), -1)
+	tail := s.tailLocked(1, len(e.Root)+len(e.Path)+len(e.OldPath)+len(e.Source), len(e.Root)+len(e.Source), -1)
 	if err := tail.AppendEvent(e); err != nil {
 		s.mu.Unlock()
 		return 0, err
@@ -281,7 +296,7 @@ func (s *Store) Append(e events.Event) (uint64, error) {
 	s.appended++
 	s.nextSeq += s.opts.seqStride
 	if s.jw != nil {
-		s.journalLocked(tail.AppendRowsTo(newRecord(s.jw.buf, kindEvents), tail.Len()-1, tail.Len()), nil)
+		s.journalLocked(tail.AppendRowsTo(newRecord(s.jw.buf, kindEvents), tail.Len()-1, tail.Len()))
 	}
 	s.appendedLocked(e.Seq, 1)
 	return e.Seq, nil
@@ -307,9 +322,8 @@ func (s *Store) appendedLocked(last uint64, n int) {
 // seqs the block is only read — its strings are not interned here: the
 // store has its own copy, and a reader that wants them as Go strings makes
 // the one copy it needs where it reads them (Block.AppendPickedTo). The
-// journal receives the batch as one record whose rows are the rows section
-// of the block's wire image, seqs patched in: the image a TCP republish
-// sends, made once and cached in the block.
+// journal receives the batch as one record, encoded once into the store's
+// scratch buffer.
 func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
 	n := blk.Len()
 	if n == 0 {
@@ -328,21 +342,20 @@ func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
 		s.nextSeq += s.opts.seqStride
 	}
 	last := s.nextSeq - s.opts.seqStride
-	s.tailLocked(n, blk.StringBytes(0, n), -1).AppendBlock(blk)
+	s.tailLocked(n, blk.StringBytes(0, n), blk.PairBytes(), -1).AppendBlock(blk)
 	s.retained += n
 	s.appended += uint64(n)
 	if s.jw != nil {
-		s.journalLocked(binary.LittleEndian.AppendUint32(newRecord(s.jw.buf, kindEvents), uint32(n)), blk.WireRows())
+		s.journalLocked(blk.AppendRowsTo(newRecord(s.jw.buf, kindEvents), 0, n))
 	}
 	s.appendedLocked(last, n)
 	return last, nil
 }
 
-// journalLocked writes a record begun in s.jw.buf, its body ending in tail,
-// to the journal.
-func (s *Store) journalLocked(rec, tail []byte) {
-	s.tel.journalBytes.Add(uint64(len(rec) + len(tail)))
-	s.latchLocked(s.jw.write(rec, tail))
+// journalLocked writes a record begun in s.jw.buf to the journal.
+func (s *Store) journalLocked(rec []byte) {
+	s.tel.journalBytes.Add(uint64(len(rec)))
+	s.latchLocked(s.jw.write(rec))
 }
 
 // latchLocked keeps the first journal error, reporting it once.
@@ -504,7 +517,7 @@ func (s *Store) MarkReported(seq uint64) error {
 	}
 	s.markReportedLocked(seq)
 	if s.jw != nil {
-		s.journalLocked(binary.LittleEndian.AppendUint64(newRecord(s.jw.buf, kindReported), seq), nil)
+		s.journalLocked(binary.LittleEndian.AppendUint64(newRecord(s.jw.buf, kindReported), seq))
 		s.maybeFlushLocked(0)
 	}
 	return nil
@@ -609,10 +622,10 @@ func (s *Store) CompactJournal() error {
 		return err
 	}
 	s.rowsLocked(0, s.retained, func(seg *events.Block, lo, hi int) {
-		tmp.write(seg.AppendRowsTo(newRecord(tmp.buf, kindEvents), lo, hi), nil)
+		tmp.write(seg.AppendRowsTo(newRecord(tmp.buf, kindEvents), lo, hi))
 	})
 	if s.throughLocked(s.ackedThrough) > 0 {
-		tmp.write(binary.LittleEndian.AppendUint64(newRecord(tmp.buf, kindReported), s.ackedThrough), nil)
+		tmp.write(binary.LittleEndian.AppendUint64(newRecord(tmp.buf, kindReported), s.ackedThrough))
 	}
 	if err = errors.Join(tmp.w.Flush(), tmp.f.Sync()); err == nil {
 		err = os.Rename(path, s.opts.JournalPath)

@@ -40,12 +40,10 @@ func newRecord(buf []byte, kind byte) []byte {
 	return append(buf[:0], 0, 0, 0, 0, 0, 0, 0, 0, kind)
 }
 
-// sealRecord fills in the length and checksum of a record begun by newRecord
-// whose body ends in tail (nil: rec holds all of it), checksumming the two
-// pieces in turn.
-func sealRecord(rec, tail []byte) []byte {
-	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-recHeader+len(tail)))
-	binary.LittleEndian.PutUint32(rec[4:], crc32.Update(crc32.Checksum(rec[recHeader:], castagnoli), castagnoli, tail))
+// sealRecord fills in the length and checksum of a record begun by newRecord.
+func sealRecord(rec []byte) []byte {
+	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-recHeader))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(rec[recHeader:], castagnoli))
 	return rec
 }
 
@@ -87,16 +85,11 @@ func openJournalWriter(path string) (*journalWriter, error) {
 	return j, nil
 }
 
-// write seals a record begun with newRecord(j.buf, kind), whose body ends in
-// tail (nil: rec holds all of it), and hands the file buffer rec, then tail
-// — the only way into a journal. A tail is bytes the caller already has,
-// such as the rows of a block's wire image, so they are not copied first.
-func (j *journalWriter) write(rec, tail []byte) error {
+// write seals a record begun with newRecord(j.buf, kind) and hands it to the
+// file buffer in one Write — the only way into a journal.
+func (j *journalWriter) write(rec []byte) error {
 	j.buf = rec[:0]
-	if _, err := j.w.Write(sealRecord(rec, tail)); err != nil || len(tail) == 0 {
-		return err
-	}
-	_, err := j.w.Write(tail)
+	_, err := j.w.Write(sealRecord(rec))
 	return err
 }
 
@@ -144,16 +137,15 @@ func lenDamaged(b []byte) bool {
 // the format: Open, fsmon -dump-journal and the fuzzer sit on it. fn sees
 // each 'E' record as a decoded block that is valid only during fn — it
 // aliases the record buffer, which the next record overwrites — and each
-// 'R' record as a nil blk with the seq reported through; rest is how many
-// bytes of the file follow the record (what Open sizes segments by). An
-// error from fn ends the read and comes back with the record's offset.
-// Records are judged against the file's size when the read starts: a last
-// record that runs past it, or fails its checksum and ends at it, is the
-// torn tail and its offset is returned (-1: file is whole); a record that
-// fails its checksum earlier, or whose length field alone is damaged, is an
-// error naming its offset. Telling those two apart is the one time the rest
-// of the file is read at once.
-func ReadJournal(path string, fn func(blk *events.Block, reported uint64, rest int64) error) (torn int64, err error) {
+// 'R' record as a nil blk with the seq reported through; an error from fn
+// ends the read and comes back with the record's offset. Records are judged
+// against the file's size when the read starts: a last record that runs
+// past it, or fails its checksum and ends at it, is the torn tail and its
+// offset is returned (-1: file is whole); a record that fails its checksum
+// earlier, or whose length field alone is damaged, is an error naming its
+// offset. Telling those two apart is the one time the rest of the file is
+// read at once.
+func ReadJournal(path string, fn func(blk *events.Block, reported uint64) error) (torn int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return -1, err
@@ -185,14 +177,13 @@ func ReadJournal(path string, fn func(blk *events.Block, reported uint64, rest i
 		if !ok {
 			return failedRecord(f, path, off, size)
 		}
-		rest := size - off - recHeader - int64(len(rec))
 		switch kind, body := rec[0], rec[1:]; {
 		case kind == kindEvents:
 			if err = events.DecodeBlockInto(blk, body); err == nil {
-				err = fn(blk, 0, rest)
+				err = fn(blk, 0)
 			}
 		case kind == kindReported && len(body) == 8:
-			err = fn(nil, binary.LittleEndian.Uint64(body), rest)
+			err = fn(nil, binary.LittleEndian.Uint64(body))
 		case kind == kindReported:
 			err = fmt.Errorf("reported record of %d bytes", len(body))
 		}

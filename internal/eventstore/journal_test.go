@@ -23,7 +23,7 @@ import (
 func journalEvents(t testing.TB, path string) []events.Event {
 	t.Helper()
 	var evs []events.Event
-	torn, err := ReadJournal(path, func(blk *events.Block, _ uint64, _ int64) error {
+	torn, err := ReadJournal(path, func(blk *events.Block, _ uint64) error {
 		if blk != nil {
 			evs = blk.AppendEventsTo(evs)
 		}
@@ -446,7 +446,7 @@ func TestOpenSkipsUnknownKindsAndRejectsDisorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unknown := sealRecord(append(newRecord(nil, 'C'), "checkpoint"...), nil)
+	unknown := sealRecord(append(newRecord(nil, 'C'), "checkpoint"...))
 	jp := copyWith(t, data, func(b []byte) []byte {
 		return append(append(bytes.Clone(b[:offs[1]]), unknown...), b[offs[1]:]...)
 	})
@@ -668,11 +668,11 @@ func FuzzJournalReader(f *testing.F) {
 	}
 	body := valid[len(journalMagic):]
 	f.Add(body)
-	f.Add(body[:offs[2]-offs[0]+5])                                                    // torn tail
-	f.Add(append(bytes.Clone(body), body[:offs[1]-offs[0]]...))                        // a batch repeated out of order
-	f.Add(append(bytes.Clone(body[:offs[1]-offs[0]]), 0xff, 0xff, 0xff, 0x7f))         // a length far past the file
-	f.Add(sealRecord(append(newRecord(nil, kindEvents), 0xff, 0xff, 0xff, 0x3f), nil)) // an intact record announcing 2^30 events
-	f.Add(sealRecord(append(newRecord(nil, kindReported), 1, 2, 3), nil))              // a short reported mark
+	f.Add(body[:offs[2]-offs[0]+5])                                               // torn tail
+	f.Add(append(bytes.Clone(body), body[:offs[1]-offs[0]]...))                   // a batch repeated out of order
+	f.Add(append(bytes.Clone(body[:offs[1]-offs[0]]), 0xff, 0xff, 0xff, 0x7f))    // a length far past the file
+	f.Add(sealRecord(append(newRecord(nil, kindEvents), 0xff, 0xff, 0xff, 0x3f))) // an intact record announcing 2^30 events
+	f.Add(sealRecord(append(newRecord(nil, kindReported), 1, 2, 3)))              // a short reported mark
 	f.Add([]byte{})
 	quietLogs(f)
 	dir := f.TempDir()

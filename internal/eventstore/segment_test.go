@@ -166,7 +166,7 @@ func TestSegmentsMadeOnce(t *testing.T) {
 	// The journal's records in order, and the segment each lands in.
 	type record struct{ rows, bytes int }
 	var recs []record
-	if _, err := ReadJournal(path, func(blk *events.Block, _ uint64, _ int64) error {
+	if _, err := ReadJournal(path, func(blk *events.Block, _ uint64) error {
 		if blk != nil {
 			recs = append(recs, record{blk.Len(), blk.StringBytes(0, blk.Len())})
 		}
@@ -257,50 +257,112 @@ func BenchmarkStoreHotRows(b *testing.B) {
 }
 
 // A reload sizes its segments from the journal bytes still to read, so the
-// segments it rebuilds from a 250 000-row journal in two partitions (as a
-// crash-recovery restart reads one) cost within 1 B a row of one segment
-// made at its exact size. Segments doubling from the first record would
-// leave each partition's last one about two-thirds empty: ≈ 2 B a row more.
+// segments it rebuilds from a 250 000-row journal in two partitions cost
+// within 1 B a row of one segment made at its exact size, whether the
+// journal holds 512-row batches (as a crash-recovery restart reads one) or
+// one row a record (Store.Append, as core's ingest writes it). Segments
+// doubling from the first record would leave each partition's last one
+// about two-thirds empty, ≈ 2 B a row more; segments sized at a one-row
+// record's bytes per row would hold its root and source in every row, ≈ 17.
 func TestOpenSegmentsAtExactSize(t *testing.T) {
 	const n, parts = 250_000, 2
 	exact := hotRowSegmentBytes(t, hotBlock(t, 10000))
-	opts := Options{JournalPath: filepath.Join(t.TempDir(), "journal")}
-	w, err := NewSharded(parts, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	full, last := hotBlock(t, 512), hotBlock(t, n/parts%512)
-	for at := 0; at < n/parts; at += 512 {
-		blk := full
-		if n/parts-at < 512 {
-			blk = last
-		}
-		for p := range parts {
-			if _, err := w.AppendBlockPartition(p, blk); err != nil {
+	for _, tc := range []struct {
+		name  string
+		write func(w *Sharded, p int, blk *events.Block) error
+	}{
+		{"blocks", func(w *Sharded, p int, blk *events.Block) error {
+			_, err := w.AppendBlockPartition(p, blk)
+			return err
+		}},
+		{"appends", func(w *Sharded, p int, blk *events.Block) error {
+			for i := 0; i < blk.Len(); i++ {
+				if _, err := w.Partition(p).Append(blk.Event(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{JournalPath: filepath.Join(t.TempDir(), "journal")}
+			w, err := NewSharded(parts, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for at := 0; at < n/parts; at += 512 {
+				blk := full
+				if n/parts-at < 512 {
+					blk = last
+				}
+				for p := range parts {
+					if err := tc.write(w, p, blk); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			r, err := OpenSharded(parts, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			defer r.Close()
+			if got := r.Stats().Retained; got != n {
+				t.Fatalf("reopened engine holds %d events, want %d", got, n)
+			}
+			perRow := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+			t.Logf("a reload keeps %.2f B a row; one segment at its exact size, %.2f", perRow, exact)
+			if perRow > exact+1 {
+				t.Fatalf("a reload keeps %.2f B a row, want within 1 B of a segment at its exact size (%.2f)", perRow, exact)
+			}
+		})
+	}
+}
+
+// A live store fills every segment but its tail to segEvents rows, fed hot
+// batches or single Appends: the fit check counts each batch's root and
+// source, which a segment holding them does not copy again, and a segment
+// sized without room for that closed one batch early (7 680 of 8 192 rows
+// for 512-row batches).
+func TestLiveSegmentsFill(t *testing.T) {
+	blk := hotBlock(t, 512)
+	for _, tc := range []struct {
+		name   string
+		append func(s *Store) error
+	}{
+		{"blocks", func(s *Store) error {
+			_, err := s.AppendBlock(blk)
+			return err
+		}},
+		{"appends", func(s *Store) error {
+			for i := 0; i < blk.Len(); i++ {
+				if _, err := s.Append(blk.Event(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		s := mustNew(t, Options{})
+		for range 3 * segEvents / blk.Len() {
+			if err := tc.append(s); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	r, err := OpenSharded(parts, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	defer r.Close()
-	if got := r.Stats().Retained; got != n {
-		t.Fatalf("reopened engine holds %d events, want %d", got, n)
-	}
-	perRow := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
-	t.Logf("a reload keeps %.2f B a row; one segment at its exact size, %.2f", perRow, exact)
-	if perRow > exact+1 {
-		t.Fatalf("a reload keeps %.2f B a row, want within 1 B of a segment at its exact size (%.2f)", perRow, exact)
+		for k, seg := range s.segs[:len(s.segs)-1] {
+			if rows, _ := seg.Cap(); seg.Len() != rows {
+				t.Errorf("%s: segment %d holds %d of the %d rows it was made for", tc.name, k, seg.Len(), rows)
+			}
+		}
+		s.Close()
 	}
 }
 

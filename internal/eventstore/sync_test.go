@@ -15,7 +15,7 @@ import (
 func journalLines(t *testing.T, path string) int {
 	t.Helper()
 	n := 0
-	_, err := ReadJournal(path, func(blk *events.Block, _ uint64, _ int64) error {
+	_, err := ReadJournal(path, func(blk *events.Block, _ uint64) error {
 		if blk != nil {
 			n += blk.Len()
 		} else {
