@@ -103,9 +103,10 @@ fuzz-smoke:
 # replay materialized in process (ShardedSinceVector: the result slice is
 # sized once), one journal reopen
 # (StoreOpen: B/op is the segments kept, not the file), 10 000 hot rows
-# stored in one batch (StoreHotRows: at most 52 B a row in the segment,
-# root and source held once), one 512-row hot payload decoded into a pooled
-# block (DecodeBlock: ns per block, 0 allocs), and one watchdog
+# stored in one batch (StoreHotRows: at most 44 B a row in the segment,
+# root and source held once, seqs implied by the segment's first and
+# stride), one 512-row hot payload decoded into a pooled block
+# (DecodeBlock: ns per block, 0 allocs), and one watchdog
 # evaluation over a full 300-series x 256-sample window, as a CI regression
 # canary; the slow paper-table benches stay out of it.
 bench-smoke:

@@ -61,10 +61,15 @@ import (
 //     appendable. The source must outlive it: whoever publishes a clone
 //     names the message the source arrived in as the lease's parent, which
 //     is Done only after the clone has been Reset.
+//   - A seq run (NewSeqRun, a store segment) keeps no seq column: its rows'
+//     seqs are first, first+stride, ... and every append must continue them.
+//     It is read and appended to like any block, but never encoded whole,
+//     decoded into, cloned or given seqs (Wire, DecodeBlockInto, CloneFrom,
+//     SetSeq refuse it).
 type Block struct {
 	rows  []row
-	seqs  []uint64
-	times []int64 // record time, unix nanoseconds
+	seqs  []uint64 // nil in a seq run
+	times []int64  // record time, unix nanoseconds
 	// dict holds the block's distinct (root, source) pairs; a row names its
 	// pair by index. Its spans point into the arena, like the rows'. dict0
 	// backs it until a second pair, so a block naming one pair — nearly all
@@ -88,7 +93,12 @@ type Block struct {
 	// decoded payload (the old path's u16 length prefix). A clone takes its
 	// source's, as does a view adopting a source's arena.
 	gap      uint8
-	interned string // string copy of arena; "" until Intern
+	seqDirty bool // seqs changed since wire was encoded (SetSeq)
+	// seqStride, when not 0, makes the block a seq run: row i's seq is
+	// seqFirst + i·seqStride. It sits in the flags' padding, as seqFirst sits
+	// where seqDirty's padding was, so the header stays 256 B.
+	seqStride uint16
+	interned  string // string copy of arena; "" until Intern
 
 	stamp int64
 	trace *BatchTrace
@@ -103,7 +113,7 @@ type Block struct {
 	wire     []byte
 	wireBuf  []byte
 	seqPos   []int
-	seqDirty bool
+	seqFirst uint64 // a seq run's first seq, set by the append into it when empty
 }
 
 // strSpan is one string field as a [off, end) range into the arena.
@@ -160,9 +170,32 @@ func NewBlock(evCap, arenaCap int) *Block {
 	return b
 }
 
+// NewSeqRun returns an empty seq run with room for evCap events and arenaCap
+// arena bytes: a block whose rows' seqs are one run, each stride past the
+// one before, kept as the first seq and the stride instead of a column. The
+// first row appended sets where the run starts; each row after must carry
+// the run on. A store segment is one: the store numbers its rows so.
+func NewSeqRun(evCap, arenaCap int, stride uint16) *Block {
+	if stride == 0 {
+		panic("events: a seq run's stride must not be 0")
+	}
+	b := &Block{
+		rows:  make([]row, 0, evCap),
+		times: make([]int64, 0, evCap),
+		arena: make([]byte, 0, arenaCap),
+
+		ownArena:  true,
+		packed:    true,
+		seqStride: stride,
+	}
+	b.dict = b.dict0[:0]
+	return b
+}
+
 // Reset empties the Block for reuse, dropping any foreign backing (aliased
 // arena or wire, a clone's shared columns) and retaining owned capacity —
-// the image buffer's too, whatever wire pointed at.
+// the image buffer's too, whatever wire pointed at. A seq run stays one: the
+// next row appended starts its run afresh.
 func (b *Block) Reset() {
 	if b.sharedCols {
 		b.rows, b.times, b.seqPos = nil, nil, nil
@@ -187,6 +220,7 @@ func (b *Block) Reset() {
 	b.stamp = 0
 	b.trace = nil
 	b.seqDirty = false
+	b.seqFirst = 0
 }
 
 // Len returns the number of events in the block.
@@ -268,11 +302,18 @@ func appendRow[S string | []byte](b *Block, op Op, cookie uint32, seq uint64, t 
 	if !b.ownArena {
 		return fmt.Errorf("events: append into a decoded block")
 	}
+	if b.seqStride != 0 && len(b.rows) > 0 && seq != b.Seq(len(b.rows)) {
+		return fmt.Errorf("events: seq %d does not carry on a run at %d", seq, b.Seq(len(b.rows)))
+	}
 	pair := pairOf(b, root, source) // a new entry's bytes go in before the row's
 	path := appendJoined(b, dir, name)
 	old := appendJoined(b, oldDir, oldName)
 	b.rows = append(b.rows, row{op: op, cookie: cookie, pair: pair, off: path.off, pathLen: uint16(path.len()), oldLen: uint16(old.len())})
-	b.seqs = append(b.seqs, seq)
+	if b.seqStride == 0 {
+		b.seqs = append(b.seqs, seq)
+	} else if len(b.rows) == 1 {
+		b.seqFirst = seq
+	}
 	b.times = append(b.times, t.UnixNano())
 	b.interned = ""
 	b.invalidateWire()
@@ -371,7 +412,12 @@ func (b *Block) Op(i int) Op { return b.rows[i].op }
 func (b *Block) Cookie(i int) uint32 { return b.rows[i].cookie }
 
 // Seq returns event i's store sequence number.
-func (b *Block) Seq(i int) uint64 { return b.seqs[i] }
+func (b *Block) Seq(i int) uint64 {
+	if b.seqStride != 0 {
+		return b.seqFirst + uint64(i)*uint64(b.seqStride)
+	}
+	return b.seqs[i]
+}
 
 // TimeNano returns event i's record time in unix nanoseconds.
 func (b *Block) TimeNano(i int) int64 { return b.times[i] }
@@ -396,6 +442,9 @@ func (b *Block) PathBytes(i int) []byte { return b.bytes(b.rows[i].path()) }
 // wire image stays valid — Wire patches the seq fields in place of a full
 // re-encode.
 func (b *Block) SetSeq(i int, seq uint64) {
+	if b.seqStride != 0 {
+		panic("events: Block.SetSeq on a seq run")
+	}
 	if b.seqs[i] == seq {
 		return
 	}
@@ -412,7 +461,7 @@ func (b *Block) Event(i int) Event {
 		OldPath: b.OldPath(i),
 		Cookie:  b.rows[i].cookie,
 		Time:    time.Unix(0, b.times[i]),
-		Seq:     b.seqs[i],
+		Seq:     b.Seq(i),
 		Source:  b.Source(i),
 	}
 }
@@ -517,7 +566,7 @@ func (b *Block) appendPage(dst []Event, n int, row func(k int) int) []Event {
 		fs := &b.rows[i]
 		e, from := b.dict[fs.pair], at[fs.pair-first]
 		mid := from + uint32(e.root.len())
-		ev := Event{Root: page[from:mid], Op: fs.op, Cookie: fs.cookie, Time: time.Unix(0, b.times[i]), Seq: b.seqs[i],
+		ev := Event{Root: page[from:mid], Op: fs.op, Cookie: fs.cookie, Time: time.Unix(0, b.times[i]), Seq: b.Seq(i),
 			Source: page[mid : mid+uint32(e.src.len())]}
 		if b.packed { // gap 0: the old path follows the path
 			from := fs.off - base
@@ -573,6 +622,7 @@ func (b *Block) AppendFrom(src *Block, i int) {
 	if b.sharedCols {
 		panic("events: Block.AppendFrom into a seq-only clone")
 	}
+	b.takeSeqs(src, i, i+1)
 	if len(b.rows) == 0 && len(b.arena) == 0 {
 		// Adopt src's arena and dictionary wholesale: spans and pairs stay valid.
 		b.arena = src.arena
@@ -598,7 +648,6 @@ func (b *Block) AppendFrom(src *Block, i int) {
 		b.rows = append(b.rows, s)
 		b.interned = ""
 	}
-	b.seqs = append(b.seqs, src.seqs[i])
 	b.times = append(b.times, src.times[i])
 	b.invalidateWire()
 }
@@ -626,8 +675,8 @@ func (b *Block) AppendRowsFrom(src *Block, lo, hi int) {
 	if lo >= hi {
 		return
 	}
+	b.takeSeqs(src, lo, hi)
 	first := len(b.rows)
-	b.seqs = append(b.seqs, src.seqs[lo:hi]...)
 	b.times = append(b.times, src.times[lo:hi]...)
 	b.rows = append(b.rows, src.rows[lo:hi]...)
 	rows := b.rows[first:]
@@ -656,6 +705,35 @@ func (b *Block) AppendRowsFrom(src *Block, lo, hi int) {
 	}
 	b.interned = ""
 	b.invalidateWire()
+}
+
+// takeSeqs appends the seqs of src's rows [lo, hi) to b's column or, in a
+// seq run, checks that they carry the run on, which they must; it runs
+// before the rows are appended.
+func (b *Block) takeSeqs(src *Block, lo, hi int) {
+	if b.seqStride == 0 {
+		if src.seqStride == 0 {
+			b.seqs = append(b.seqs, src.seqs[lo:hi]...)
+			return
+		}
+		for i := lo; i < hi; i++ {
+			b.seqs = append(b.seqs, src.Seq(i))
+		}
+		return
+	}
+	if len(b.rows) == 0 {
+		b.seqFirst = src.Seq(lo)
+	}
+	if src.seqStride == b.seqStride {
+		hi = lo + 1 // a run carries b's on if its first row does
+	}
+	next := b.Seq(len(b.rows))
+	for i := lo; i < hi; i++ {
+		if src.Seq(i) != next {
+			panic(fmt.Sprintf("events: row with seq %d appended to a seq run at %d", src.Seq(i), next))
+		}
+		next += uint64(b.seqStride)
+	}
 }
 
 // StringBytes returns the number of string bytes rows [lo, hi) hold, each
@@ -706,6 +784,9 @@ func (b *Block) Cap() (rows, bytes int) { return cap(b.rows), cap(b.arena) }
 // empty (freshly built or Reset); whatever column capacity it owned is
 // let go.
 func (b *Block) CloneFrom(src *Block) {
+	if src.seqStride != 0 || b.seqStride != 0 {
+		panic("events: Block.CloneFrom of or into a seq run")
+	}
 	b.rows, b.times, b.dict, b.seqPos = src.rows, src.times, src.dict, src.seqPos
 	b.sharedCols = true
 	b.seqs = append(b.seqs[:0], src.seqs...)
@@ -782,7 +863,7 @@ func (b *Block) appendRows(buf []byte, lo, hi int, seqPos *[]int) []byte {
 		if seqPos != nil {
 			*seqPos = append(*seqPos, len(buf))
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, b.seqs[i])
+		buf = binary.LittleEndian.AppendUint64(buf, b.Seq(i))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(b.times[i]))
 		e := b.dict[r.pair]
 		for _, sp := range [...]strSpan{e.root, r.path(), r.old(gap)} {
@@ -810,6 +891,9 @@ func (b *Block) appendRows(buf []byte, lo, hi int, seqPos *[]int) []byte {
 //
 // The returned buffer is owned by the block; callers must not modify it.
 func (b *Block) Wire() []byte {
+	if b.seqStride != 0 {
+		panic("events: Block.Wire of a seq run")
+	}
 	if len(b.wire) >= 4 { // any encoded batch carries at least its header
 
 		if !b.seqDirty {
@@ -870,7 +954,9 @@ const minEntry = 24 + 3*2 + 1
 // Reset, not decoded or cloned).
 func (b *Block) Grow(rows, bytes int) {
 	b.rows = slices.Grow(b.rows, rows)
-	b.seqs = slices.Grow(b.seqs, rows)
+	if b.seqStride == 0 {
+		b.seqs = slices.Grow(b.seqs, rows)
+	}
 	b.times = slices.Grow(b.times, rows)
 	b.arena = slices.Grow(b.arena, bytes)
 }
@@ -890,6 +976,9 @@ func DecodeBlock(payload []byte) (*Block, error) {
 // and cached wire image alias payload, which must not be modified
 // afterwards. Bytes left over after the announced events are an error.
 func DecodeBlockInto(b *Block, payload []byte) error {
+	if b.seqStride != 0 {
+		return fmt.Errorf("events: decode into a seq run")
+	}
 	b.Reset()
 	if len(payload) < 4 {
 		return fmt.Errorf("events: short buffer decoding batch count")

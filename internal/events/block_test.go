@@ -370,6 +370,75 @@ func TestBlockCloneIsSeqOnly(t *testing.T) {
 	}
 }
 
+// mustPanic fails t unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// A seq run reads, pages and encodes its rows as a block with a seq column
+// holding the same seqs does, costs no seq column, refuses rows that do not
+// carry its run on, and refuses what would need a seq column: Wire, SetSeq,
+// CloneFrom and decoding into it. Reset lets its run start afresh.
+func TestSeqRun(t *testing.T) {
+	evs := blockEvents()
+	for i := range evs {
+		evs[i].Seq = 10 + 3*uint64(i)
+	}
+	ref := buildBlock(t, evs)
+	run := NewSeqRun(len(evs)+2, 256, 3)
+	for _, e := range evs {
+		if err := run.AppendEvent(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := run.AppendEventsTo(nil); !slices.Equal(got, ref.AppendEventsTo(nil)) {
+		t.Fatalf("run reads %+v, want %+v", got, evs)
+	}
+	if got, want := run.AppendPickedTo(nil, []int{3, 1}), ref.AppendPickedTo(nil, []int{3, 1}); !slices.Equal(got, want) {
+		t.Fatalf("run picks %+v, want %+v", got, want)
+	}
+	if !bytes.Equal(run.AppendRowsTo(nil, 1, 4), ref.AppendRowsTo(nil, 1, 4)) {
+		t.Fatal("run's rows encode unlike the same rows with a seq column")
+	}
+	e := evs[0]
+	e.Seq = 23 // one stride short of carrying the run on
+	if err := run.AppendEvent(e); err == nil || run.Len() != len(evs) {
+		t.Fatalf("AppendEvent of seq 23 after 19 = %v, Len %d; want an error and no row", err, run.Len())
+	}
+	mustPanic(t, "AppendRowsFrom rows that break the run", func() { run.AppendRowsFrom(ref, 0, 1) })
+	next := buildBlock(t, []Event{{Path: "/a", Seq: 22}, {Path: "/b", Seq: 25}})
+	run.AppendBlock(next)
+	if run.Len() != len(evs)+2 || run.Seq(len(evs)+1) != 25 {
+		t.Fatalf("after appending seqs 22, 25: Len %d, last seq %d", run.Len(), run.Seq(run.Len()-1))
+	}
+	copied := NewBlock(0, 0)
+	copied.AppendRowsFrom(run, 2, run.Len())
+	for i := range copied.Len() {
+		if copied.Seq(i) != run.Seq(2+i) {
+			t.Fatalf("copied row %d has seq %d, the run's %d", i, copied.Seq(i), run.Seq(2+i))
+		}
+	}
+	mustPanic(t, "Wire", func() { run.Wire() })
+	mustPanic(t, "SetSeq", func() { run.SetSeq(0, 10) })
+	mustPanic(t, "CloneFrom of a run", func() { NewBlock(0, 0).CloneFrom(run) })
+	if err := DecodeBlockInto(run, ref.Wire()); err == nil {
+		t.Fatal("DecodeBlockInto a run = nil, want an error")
+	}
+	run.Reset()
+	if err := run.AppendEvent(Event{Path: "/c", Seq: 7}); err != nil || run.Seq(0) != 7 {
+		t.Fatalf("after Reset: %v, seq %d; want a run from 7", err, run.Seq(0))
+	}
+	if col, runBytes := allocBytes(func() { NewBlock(512, 0) }), allocBytes(func() { NewSeqRun(512, 0, 1) }); col-runBytes != 512*8 {
+		t.Fatalf("a 512-row run allocates %d B, a block with a seq column %d; want 4096 fewer", runBytes, col)
+	}
+}
+
 // A row range encodes as the plain reference batch of those events whatever
 // the block is stamped with, and BatchLen finds where that batch ends from its
 // own length prefixes: exactly, with other bytes behind it, and not at all

@@ -113,7 +113,9 @@ type Store struct {
 	mu   sync.Mutex
 	opts Options
 	// segs is the retained window, oldest first, as store-owned columnar
-	// segments in Seq order (not necessarily contiguous after a reopen).
+	// segments in Seq order. Each is one seq run (events.NewSeqRun): its
+	// rows' seqs are its first, then one stride apart. Runs need not join
+	// up: a reopen splits at each break in the journal's seqs (Open).
 	// The first head rows of segs[0] are already dropped; a segment leaves
 	// the list when its last row is.
 	segs     []*events.Block
@@ -165,8 +167,11 @@ func New(opts Options) (*Store, error) {
 
 // Open recovers a store from an existing journal, then continues appending
 // to it: every 'E' record is bulk-copied into the tail segment, every 'R'
-// record raises the reported mark. The segments are sized from the journal
-// bytes still to read (tailLocked), so the last one is not left part-empty.
+// record raises the reported mark. A record whose seqs do not carry on the
+// tail's run, one stride apart, is split at each break into runs of its own
+// — a journal that lost records to a write error, or one made by hand,
+// has such breaks. The segments are sized from the journal bytes still to
+// read (tailLocked), so the last one is not left part-empty.
 // The torn tail of a crashed writer is logged and cut off, so that the next
 // append starts on a record boundary; corruption and files that are not
 // journals fail the open (ReadJournal).
@@ -194,15 +199,21 @@ func Open(opts Options) (*Store, error) {
 		if n == 0 {
 			return nil
 		}
+		// The rows the rest of the file holds at this record's rows per byte.
+		ahead := int(min(max(rest, 0)*int64(n)/rec, int64(segEvents)))
 		for i := 0; i < n; i++ {
 			if blk.Seq(i) <= last {
 				return fmt.Errorf("seq %d follows seq %d", blk.Seq(i), last)
 			}
 			last = blk.Seq(i)
 		}
-		// The rows the rest of the file holds at this record's rows per byte.
-		ahead := int(min(max(rest, 0)*int64(n)/rec, int64(segEvents)))
-		s.tailLocked(n, blk.StringBytes(0, n), blk.PairBytes(), ahead).AppendBlock(blk)
+		for lo, hi := 0, 0; lo < n; lo = hi {
+			for hi = lo + 1; hi < n && blk.Seq(hi) == blk.Seq(hi-1)+opts.seqStride; hi++ {
+			}
+			// A run may name fewer (root, source) entries than the record holds.
+			bytes := blk.StringBytes(lo, hi)
+			s.tailLocked(hi-lo, bytes, min(blk.PairBytes(), bytes), ahead+n-hi, blk.Seq(lo)).AppendRowsFrom(blk, lo, hi)
+		}
 		s.retained += n
 		s.appended += uint64(n)
 		if last >= s.nextSeq {
@@ -228,8 +239,9 @@ func Open(opts Options) (*Store, error) {
 }
 
 // tailLocked returns the segment the next n rows, holding bytes string
-// bytes, go into: the tail while both fit in what it was made with, a new
-// segment otherwise. A segment is allocated once, whole, and never regrows.
+// bytes and seqs from first on, go into: the tail while both fit in what it
+// was made with and first carries its seq run on, a new segment otherwise.
+// A segment is allocated once, whole, and never regrows.
 // pair is the part of bytes that is the rows' (root, source) entries, which
 // a segment holding them already does not copy again; the fit check counts
 // them all the same, so a segment made for more rows than these has room
@@ -244,7 +256,7 @@ func Open(opts Options) (*Store, error) {
 // before (the first: of these rows, their entries once), so a steady stream
 // appends without allocating. EXPERIMENTS.md ("Allocate once, at final
 // size"; "A stored row in 20 bytes") measures what each saves.
-func (s *Store) tailLocked(n, bytes, pair, ahead int) *events.Block {
+func (s *Store) tailLocked(n, bytes, pair, ahead int, first uint64) *events.Block {
 	rows, size := n, bytes
 	if ahead >= 0 {
 		rows = max(n, min(n+ahead, segEvents))
@@ -254,7 +266,7 @@ func (s *Store) tailLocked(n, bytes, pair, ahead int) *events.Block {
 		tail := s.segs[k]
 		capRows, capBytes := tail.Cap()
 		used := tail.StringBytes(0, tail.Len())
-		if tail.Len()+n <= capRows && used+bytes <= capBytes {
+		if tail.Len()+n <= capRows && used+bytes <= capBytes && (tail.Len() == 0 || tail.Seq(tail.Len()) == first) {
 			return tail
 		}
 		if tail.Len() == 0 {
@@ -269,7 +281,7 @@ func (s *Store) tailLocked(n, bytes, pair, ahead int) *events.Block {
 	if rows > n {
 		size += pair
 	}
-	seg := events.NewBlock(rows, size)
+	seg := events.NewSeqRun(rows, size, uint16(s.opts.seqStride))
 	s.segs = append(s.segs, seg)
 	return seg
 }
@@ -287,7 +299,7 @@ func (s *Store) Append(e events.Event) (uint64, error) {
 		return 0, ErrClosed
 	}
 	e.Seq = s.nextSeq
-	tail := s.tailLocked(1, len(e.Root)+len(e.Path)+len(e.OldPath)+len(e.Source), len(e.Root)+len(e.Source), -1)
+	tail := s.tailLocked(1, len(e.Root)+len(e.Path)+len(e.OldPath)+len(e.Source), len(e.Root)+len(e.Source), -1, e.Seq)
 	if err := tail.AppendEvent(e); err != nil {
 		s.mu.Unlock()
 		return 0, err
@@ -342,7 +354,7 @@ func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
 		s.nextSeq += s.opts.seqStride
 	}
 	last := s.nextSeq - s.opts.seqStride
-	s.tailLocked(n, blk.StringBytes(0, n), blk.PairBytes(), -1).AppendBlock(blk)
+	s.tailLocked(n, blk.StringBytes(0, n), blk.PairBytes(), -1, blk.Seq(0)).AppendBlock(blk)
 	s.retained += n
 	s.appended += uint64(n)
 	if s.jw != nil {
@@ -403,8 +415,9 @@ func (s *Store) maybeFlushLocked(n int) (groupFlush bool) {
 // searchLocked returns how many retained events precede the first one for
 // which past holds. past must be monotone over the window (false, then
 // true) — Seq and record time both are — so it is one binary search over
-// the segments' last rows and one inside the segment found.
-func (s *Store) searchLocked(past func(seg *events.Block, row int) bool) int {
+// the segments' last rows, and inside the segment found, within(seg) when
+// within is not nil and another binary search when it is.
+func (s *Store) searchLocked(past func(seg *events.Block, row int) bool, within func(seg *events.Block) int) int {
 	si := sort.Search(len(s.segs), func(i int) bool {
 		n := s.segs[i].Len() // 0 only for a tail nothing has landed in yet
 		return n == 0 || past(s.segs[i], n-1)
@@ -417,14 +430,26 @@ func (s *Store) searchLocked(past func(seg *events.Block, row int) bool) int {
 		// The dropped head rows of segs[0] are still in place and in order;
 		// a hit among them means nothing retained precedes it.
 		seg := s.segs[si]
-		before += sort.Search(seg.Len(), func(i int) bool { return past(seg, i) })
+		if within != nil {
+			before += within(seg)
+		} else {
+			before += sort.Search(seg.Len(), func(i int) bool { return past(seg, i) })
+		}
 	}
 	return max(before, 0)
 }
 
-// throughLocked counts the retained events with Seq <= seq.
+// throughLocked counts the retained events with Seq <= seq. A segment is
+// one seq run, so the rows of the one found are counted, not searched.
 func (s *Store) throughLocked(seq uint64) int {
-	return s.searchLocked(func(seg *events.Block, row int) bool { return seg.Seq(row) > seq })
+	return s.searchLocked(func(seg *events.Block, row int) bool { return seg.Seq(row) > seq }, func(seg *events.Block) int {
+		// The segment found is the first whose last seq is past seq, so the
+		// count is below its length.
+		if seg.Len() == 0 || seq < seg.Seq(0) {
+			return 0
+		}
+		return int((seq-seg.Seq(0))/s.opts.seqStride) + 1
+	})
 }
 
 // rowsLocked hands fn the retained rows [skip, skip+n), segment by segment,
@@ -502,7 +527,7 @@ func (s *Store) SinceTime(t time.Time, max int) ([]events.Event, error) {
 		return nil, ErrClosed
 	}
 	ns := t.UnixNano()
-	skip := s.searchLocked(func(seg *events.Block, row int) bool { return seg.TimeNano(row) >= ns })
+	skip := s.searchLocked(func(seg *events.Block, row int) bool { return seg.TimeNano(row) >= ns }, nil)
 	return s.pageLocked(skip, max), nil
 }
 

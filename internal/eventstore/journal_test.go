@@ -659,7 +659,8 @@ func BenchmarkStoreOpen(b *testing.B) {
 
 // FuzzJournalReader feeds the one journal parser arbitrary bytes behind a
 // valid magic: it must never panic or allocate past the input, and Open must
-// either refuse the file or load a window in strict seq order.
+// either refuse the file or load a window in strict seq order holding the
+// seqs the journal holds, whatever runs they come in.
 func FuzzJournalReader(f *testing.F) {
 	path, offs := batchJournal(f, 3, 4)
 	valid, err := os.ReadFile(path)
@@ -673,6 +674,7 @@ func FuzzJournalReader(f *testing.F) {
 	f.Add(append(bytes.Clone(body[:offs[1]-offs[0]]), 0xff, 0xff, 0xff, 0x7f))    // a length far past the file
 	f.Add(sealRecord(append(newRecord(nil, kindEvents), 0xff, 0xff, 0xff, 0x3f))) // an intact record announcing 2^30 events
 	f.Add(sealRecord(append(newRecord(nil, kindReported), 1, 2, 3)))              // a short reported mark
+	f.Add(append(seqRecord(f, 5, 6, 9), markRecord(6)...))                        // a record that is not one seq run
 	f.Add([]byte{})
 	quietLogs(f)
 	dir := f.TempDir()
@@ -693,6 +695,23 @@ func FuzzJournalReader(f *testing.F) {
 		for i := 1; i < len(got); i++ {
 			if got[i].Seq <= got[i-1].Seq {
 				t.Fatalf("event %d has seq %d after seq %d", i, got[i].Seq, got[i-1].Seq)
+			}
+		}
+		var want []uint64
+		if _, err := ReadJournal(jp, func(blk *events.Block, _ uint64) error {
+			for i := 0; blk != nil && i < blk.Len(); i++ {
+				want = append(want, blk.Seq(i))
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("Open loaded %d events, the journal holds %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Seq != want[i] {
+				t.Fatalf("event %d has seq %d, the journal's has %d", i, got[i].Seq, want[i])
 			}
 		}
 		if st := s.Stats(); st.Retained != len(got) || int(st.Appended) != len(got) {

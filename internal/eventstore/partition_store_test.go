@@ -121,6 +121,19 @@ func TestPartitionStoreValidation(t *testing.T) {
 	if _, err := NewShardedClosed(0, Options{}); err == nil {
 		t.Fatal("parts=0 accepted")
 	}
+	// A shard's stride is its segments', which keep it in 16 bits. The
+	// check runs before any shard is made.
+	if _, err := NewSharded(1<<16, Options{}); err == nil {
+		t.Fatal("parts=65536 accepted")
+	}
+	if _, err := NewShardedClosed(1<<16, Options{}); err == nil {
+		t.Fatal("parts=65536 accepted by NewShardedClosed")
+	}
+	if eng, err := NewShardedClosed(1<<16-1, Options{}); err != nil {
+		t.Fatalf("parts=65535: %v", err)
+	} else {
+		eng.Close()
+	}
 	eng, err := NewShardedClosed(4, Options{})
 	if err != nil {
 		t.Fatal(err)

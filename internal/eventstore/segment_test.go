@@ -232,17 +232,18 @@ func hotRowSegmentBytes(t testing.TB, blk *events.Block) float64 {
 }
 
 // A hot row costs a segment its own columns and path: a 20-byte row record,
-// its seq and time, and 14 bytes of path; its root and source are one
-// dictionary entry the whole segment shares. Repeating them in every row, a
-// row cost ≈ 89 B.
+// its time, and 14 bytes of path. Its root and source are one dictionary
+// entry the whole segment shares, and its seq is implied by the segment's
+// first and stride. Repeating root and source in every row, a row cost
+// ≈ 89 B; with a seq column, ≈ 52.
 func TestHotRowSegmentBytes(t *testing.T) {
-	if perRow := hotRowSegmentBytes(t, hotBlock(t, 10000)); perRow > 52 {
-		t.Fatalf("a hot row costs its segment %.1f B, want at most 52", perRow)
+	if perRow := hotRowSegmentBytes(t, hotBlock(t, 10000)); perRow > 44 {
+		t.Fatalf("a hot row costs its segment %.1f B, want at most 44", perRow)
 	}
 }
 
 // BenchmarkStoreHotRows is TestHotRowSegmentBytes's measure as a metric,
-// failing above the same 52 B.
+// failing above the same 44 B.
 func BenchmarkStoreHotRows(b *testing.B) {
 	blk := hotBlock(b, 10000)
 	b.ResetTimer()
@@ -251,8 +252,8 @@ func BenchmarkStoreHotRows(b *testing.B) {
 		perRow = hotRowSegmentBytes(b, blk)
 	}
 	b.ReportMetric(perRow, "B/row")
-	if perRow > 52 {
-		b.Fatalf("a hot row costs its segment %.1f B, want at most 52", perRow)
+	if perRow > 44 {
+		b.Fatalf("a hot row costs its segment %.1f B, want at most 44", perRow)
 	}
 }
 
@@ -262,7 +263,7 @@ func BenchmarkStoreHotRows(b *testing.B) {
 // journal holds 512-row batches (as a crash-recovery restart reads one) or
 // one row a record (Store.Append, as core's ingest writes it). Segments
 // doubling from the first record would leave each partition's last one
-// about two-thirds empty, ≈ 2 B a row more; segments sized at a one-row
+// about two-thirds empty, ≈ 1.6 B a row more; segments sized at a one-row
 // record's bytes per row would hold its root and source in every row, ≈ 17.
 func TestOpenSegmentsAtExactSize(t *testing.T) {
 	const n, parts = 250_000, 2

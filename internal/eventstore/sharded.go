@@ -3,6 +3,7 @@ package eventstore
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -111,6 +112,16 @@ func shardOptions(opts Options, parts, i int) Options {
 	return o
 }
 
+// checkParts refuses a partition count an engine cannot have: below 1, or
+// above 65 535 — a shard's stride, the partition count, is its segments'
+// (events.NewSeqRun), which keep it in 16 bits.
+func checkParts(parts int) error {
+	if parts < 1 || parts > math.MaxUint16 {
+		return fmt.Errorf("eventstore: %d partitions, want 1 to %d", parts, math.MaxUint16)
+	}
+	return nil
+}
+
 // NewSharded creates a partitioned engine with parts shards.
 func NewSharded(parts int, opts Options) (*Sharded, error) {
 	return buildSharded(parts, opts, New)
@@ -123,8 +134,8 @@ func OpenSharded(parts int, opts Options) (*Sharded, error) {
 }
 
 func buildSharded(parts int, opts Options, mk func(Options) (*Store, error)) (*Sharded, error) {
-	if parts < 1 {
-		return nil, errors.New("eventstore: partitions must be >= 1")
+	if err := checkParts(parts); err != nil {
+		return nil, err
 	}
 	// Partitions are separate journal segments and separate Stores, so they
 	// open side by side: a restart reads its P segments in the time of the
@@ -167,8 +178,8 @@ func buildSharded(parts int, opts Options, mk func(Options) (*Store, error)) (*S
 // yet: a member of a clustered aggregation tier, which opens each partition
 // as it is assigned one (OpenPartition).
 func NewShardedClosed(parts int, opts Options) (*Sharded, error) {
-	if parts < 1 {
-		return nil, errors.New("eventstore: partitions must be >= 1")
+	if err := checkParts(parts); err != nil {
+		return nil, err
 	}
 	s := &Sharded{parts: parts, opts: opts}
 	shards := make([]*Store, parts)
