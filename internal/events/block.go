@@ -157,16 +157,8 @@ type pairSpans struct{ root, src strSpan }
 // class: under the race detector an append of a make allocates the make
 // too, and a store segment would cost twice its bytes.
 func NewBlock(evCap, arenaCap int) *Block {
-	b := &Block{
-		rows:  make([]row, 0, evCap),
-		seqs:  make([]uint64, 0, evCap),
-		times: make([]int64, 0, evCap),
-		arena: make([]byte, 0, arenaCap),
-
-		ownArena: true,
-		packed:   true,
-	}
-	b.dict = b.dict0[:0]
+	b := newBlock(evCap, arenaCap)
+	b.seqs = make([]uint64, 0, evCap)
 	return b
 }
 
@@ -179,14 +171,20 @@ func NewSeqRun(evCap, arenaCap int, stride uint16) *Block {
 	if stride == 0 {
 		panic("events: a seq run's stride must not be 0")
 	}
+	b := newBlock(evCap, arenaCap)
+	b.seqStride = stride
+	return b
+}
+
+// newBlock is an empty block with every column but seqs made.
+func newBlock(evCap, arenaCap int) *Block {
 	b := &Block{
 		rows:  make([]row, 0, evCap),
 		times: make([]int64, 0, evCap),
 		arena: make([]byte, 0, arenaCap),
 
-		ownArena:  true,
-		packed:    true,
-		seqStride: stride,
+		ownArena: true,
+		packed:   true,
 	}
 	b.dict = b.dict0[:0]
 	return b
@@ -711,17 +709,18 @@ func (b *Block) AppendRowsFrom(src *Block, lo, hi int) {
 // seq run, checks that they carry the run on, which they must; it runs
 // before the rows are appended.
 func (b *Block) takeSeqs(src *Block, lo, hi int) {
-	if b.seqStride == 0 {
-		if src.seqStride == 0 {
-			b.seqs = append(b.seqs, src.seqs[lo:hi]...)
-			return
-		}
-		for i := lo; i < hi; i++ {
-			b.seqs = append(b.seqs, src.Seq(i))
+	switch {
+	case b.seqStride == 0 && src.seqStride == 0:
+		b.seqs = append(b.seqs, src.seqs[lo:hi]...)
+		return
+	case b.seqStride == 0:
+		b.seqs = slices.Grow(b.seqs, hi-lo)
+		for seq := src.Seq(lo); lo < hi; lo++ {
+			b.seqs = append(b.seqs, seq)
+			seq += uint64(src.seqStride)
 		}
 		return
-	}
-	if len(b.rows) == 0 {
+	case len(b.rows) == 0:
 		b.seqFirst = src.Seq(lo)
 	}
 	if src.seqStride == b.seqStride {

@@ -201,14 +201,17 @@ func Open(opts Options) (*Store, error) {
 		}
 		// The rows the rest of the file holds at this record's rows per byte.
 		ahead := int(min(max(rest, 0)*int64(n)/rec, int64(segEvents)))
-		for i := 0; i < n; i++ {
-			if blk.Seq(i) <= last {
-				return fmt.Errorf("seq %d follows seq %d", blk.Seq(i), last)
-			}
-			last = blk.Seq(i)
-		}
 		for lo, hi := 0, 0; lo < n; lo = hi {
-			for hi = lo + 1; hi < n && blk.Seq(hi) == blk.Seq(hi-1)+opts.seqStride; hi++ {
+			if blk.Seq(lo) <= last {
+				return fmt.Errorf("seq %d follows seq %d", blk.Seq(lo), last)
+			}
+			// The run from lo: each seq one stride past the last, and past it.
+			for last, hi = blk.Seq(lo), lo+1; hi < n; hi++ {
+				seq := blk.Seq(hi)
+				if seq != last+opts.seqStride || seq <= last {
+					break
+				}
+				last = seq
 			}
 			// A run may name fewer (root, source) entries than the record holds.
 			bytes := blk.StringBytes(lo, hi)
