@@ -417,6 +417,9 @@ func (b *Block) Seq(i int) uint64 {
 	return b.seqs[i]
 }
 
+// SeqStride returns a seq run's stride, 0 for a block with a seq column.
+func (b *Block) SeqStride() uint64 { return uint64(b.seqStride) }
+
 // TimeNano returns event i's record time in unix nanoseconds.
 func (b *Block) TimeNano(i int) int64 { return b.times[i] }
 
@@ -722,9 +725,6 @@ func (b *Block) takeSeqs(src *Block, lo, hi int) {
 		return
 	case len(b.rows) == 0:
 		b.seqFirst = src.Seq(lo)
-	}
-	if src.seqStride == b.seqStride {
-		hi = lo + 1 // a run carries b's on if its first row does
 	}
 	next := b.Seq(len(b.rows))
 	for i := lo; i < hi; i++ {

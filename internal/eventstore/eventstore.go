@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io/fs"
 	"log/slog"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -168,10 +169,11 @@ func New(opts Options) (*Store, error) {
 // Open recovers a store from an existing journal, then continues appending
 // to it: every 'E' record is bulk-copied into the tail segment, every 'R'
 // record raises the reported mark. A record whose seqs do not carry on the
-// tail's run, one stride apart, is split at each break into runs of its own
-// — a journal that lost records to a write error, or one made by hand,
-// has such breaks. The segments are sized from the journal bytes still to
-// read (tailLocked), so the last one is not left part-empty.
+// tail's run is split at each break into runs of its own — a journal that
+// lost records to a write error, one written under another partition count
+// (another stride) or one made by hand has such breaks. A run's step is the
+// store's stride until a break, and the step that broke it after: a journal
+// of another stride breaks once, then runs on at its own.
 // The torn tail of a crashed writer is logged and cut off, so that the next
 // append starts on a record boundary; corruption and files that are not
 // journals fail the open (ReadJournal).
@@ -182,7 +184,8 @@ func Open(opts Options) (*Store, error) {
 	opts.normalize()
 	s := &Store{opts: opts, nextSeq: opts.seqOffset + opts.seqStride}
 	var last uint64
-	var rest int64 // journal bytes after the record in hand
+	step := opts.seqStride // the step of the run in hand
+	var rest int64         // journal bytes after the record in hand
 	if info, err := os.Stat(opts.JournalPath); err == nil {
 		rest = info.Size() - int64(len(journalMagic))
 	}
@@ -202,20 +205,23 @@ func Open(opts Options) (*Store, error) {
 		// The rows the rest of the file holds at this record's rows per byte.
 		ahead := int(min(max(rest, 0)*int64(n)/rec, int64(segEvents)))
 		for lo, hi := 0, 0; lo < n; lo = hi {
-			if blk.Seq(lo) <= last {
-				return fmt.Errorf("seq %d follows seq %d", blk.Seq(lo), last)
+			seq := blk.Seq(lo)
+			if seq <= last {
+				return fmt.Errorf("seq %d follows seq %d", seq, last)
 			}
-			// The run from lo: each seq one stride past the last, and past it.
-			for last, hi = blk.Seq(lo), lo+1; hi < n; hi++ {
-				seq := blk.Seq(hi)
-				if seq != last+opts.seqStride || seq <= last {
-					break
+			if seq != last+step {
+				step = opts.seqStride
+				if last > 0 && seq-last <= math.MaxUint16 {
+					step = seq - last
 				}
-				last = seq
+			}
+			// The run from lo: each seq one step past the last, and past it.
+			for last, hi = seq, lo+1; hi < n && blk.Seq(hi) == last+step && blk.Seq(hi) > last; hi++ {
+				last = blk.Seq(hi)
 			}
 			// A run may name fewer (root, source) entries than the record holds.
 			bytes := blk.StringBytes(lo, hi)
-			s.tailLocked(hi-lo, bytes, min(blk.PairBytes(), bytes), ahead+n-hi, blk.Seq(lo)).AppendRowsFrom(blk, lo, hi)
+			s.tailLocked(hi-lo, bytes, min(blk.PairBytes(), bytes), ahead+n-hi, seq, step).AppendRowsFrom(blk, lo, hi)
 		}
 		s.retained += n
 		s.appended += uint64(n)
@@ -241,50 +247,54 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// tailLocked returns the segment the next n rows, holding bytes string
-// bytes and seqs from first on, go into: the tail while both fit in what it
-// was made with and first carries its seq run on, a new segment otherwise.
-// A segment is allocated once, whole, and never regrows.
+// tailLocked returns the segment the next n rows go into: they hold bytes
+// string bytes and seqs first, first+stride, and so on. That is the tail
+// while they carry its run on and fit in what it was made with, a new
+// segment otherwise. A segment is allocated once, whole, and never regrows.
 // pair is the part of bytes that is the rows' (root, source) entries, which
 // a segment holding them already does not copy again; the fit check counts
 // them all the same, so a segment made for more rows than these has room
 // for them once more, lest it close one batch early.
 //
-// A live append (ahead < 0) makes the row capacity twice the one's before,
-// from the first batch's size up to segEvents (never below n), so a store
-// that stays small stays small. A reload knows about how many rows follow
-// these (ahead >= 0, from the journal bytes still to read) and makes room
-// for them too, up to segEvents, so the last segment it makes is as full as
-// the others. The arena holds the rows at the bytes per row of the segment
-// before (the first: of these rows, their entries once), so a steady stream
-// appends without allocating. EXPERIMENTS.md ("Allocate once, at final
-// size"; "A stored row in 20 bytes") measures what each saves.
-func (s *Store) tailLocked(n, bytes, pair, ahead int, first uint64) *events.Block {
+// A segment that starts a run (the store's first, or one after a seq
+// break) is made for these rows alone. One that a full tail makes way for
+// has twice the tail's rows, up to segEvents (never below n), so a store
+// that stays small stays small, and an arena for those rows at the tail's
+// bytes per row, so a steady stream appends without allocating. A live
+// append passes ahead < 0. A reload knows about how many rows follow these
+// (ahead >= 0, from the journal bytes still to read) and makes room for no
+// more, so the last segment it makes is as full as the others; it rounds
+// the rows up to whole records of this one's size, as a run that a break
+// split off a record starts off them. A journal whose runs keep breaking so
+// costs a segment a run, never room for rows that do not come.
+// EXPERIMENTS.md ("Allocate once, at final size"; "A stored row in 20
+// bytes") measures what the sizing saves.
+func (s *Store) tailLocked(n, bytes, pair, ahead int, first, stride uint64) *events.Block {
 	rows, size := n, bytes
-	if ahead >= 0 {
-		rows = max(n, min(n+ahead, segEvents))
-		size = (rows*(bytes-pair)+n-1)/n + pair
-	}
 	if k := len(s.segs) - 1; k >= 0 {
 		tail := s.segs[k]
 		capRows, capBytes := tail.Cap()
 		used := tail.StringBytes(0, tail.Len())
-		if tail.Len()+n <= capRows && used+bytes <= capBytes && (tail.Len() == 0 || tail.Seq(tail.Len()) == first) {
+		runs := tail.SeqStride() == stride && (tail.Len() == 0 || tail.Seq(tail.Len()) == first)
+		if runs && tail.Len()+n <= capRows && used+bytes <= capBytes {
 			return tail
 		}
-		if tail.Len() == 0 {
-			s.segs = s.segs[:k] // emptied by a purge, and too small for this batch
-		} else {
-			if ahead < 0 {
-				rows = max(n, min(2*capRows, segEvents))
+		switch {
+		case tail.Len() == 0:
+			s.segs = s.segs[:k] // emptied by a purge, and not fit for these rows
+		case runs:
+			rows = min(2*capRows, segEvents)
+			if ahead >= 0 {
+				rows = min((2*capRows+n-1)/n*n, segEvents, n+ahead)
 			}
+			rows = max(n, rows)
 			size = max(bytes, (rows*used+tail.Len()-1)/tail.Len())
 		}
 	}
 	if rows > n {
 		size += pair
 	}
-	seg := events.NewSeqRun(rows, size, uint16(s.opts.seqStride))
+	seg := events.NewSeqRun(rows, size, uint16(stride))
 	s.segs = append(s.segs, seg)
 	return seg
 }
@@ -302,7 +312,7 @@ func (s *Store) Append(e events.Event) (uint64, error) {
 		return 0, ErrClosed
 	}
 	e.Seq = s.nextSeq
-	tail := s.tailLocked(1, len(e.Root)+len(e.Path)+len(e.OldPath)+len(e.Source), len(e.Root)+len(e.Source), -1, e.Seq)
+	tail := s.tailLocked(1, len(e.Root)+len(e.Path)+len(e.OldPath)+len(e.Source), len(e.Root)+len(e.Source), -1, e.Seq, s.opts.seqStride)
 	if err := tail.AppendEvent(e); err != nil {
 		s.mu.Unlock()
 		return 0, err
@@ -357,7 +367,7 @@ func (s *Store) AppendBlock(blk *events.Block) (uint64, error) {
 		s.nextSeq += s.opts.seqStride
 	}
 	last := s.nextSeq - s.opts.seqStride
-	s.tailLocked(n, blk.StringBytes(0, n), blk.PairBytes(), -1, blk.Seq(0)).AppendBlock(blk)
+	s.tailLocked(n, blk.StringBytes(0, n), blk.PairBytes(), -1, blk.Seq(0), s.opts.seqStride).AppendBlock(blk)
 	s.retained += n
 	s.appended += uint64(n)
 	if s.jw != nil {
@@ -418,9 +428,8 @@ func (s *Store) maybeFlushLocked(n int) (groupFlush bool) {
 // searchLocked returns how many retained events precede the first one for
 // which past holds. past must be monotone over the window (false, then
 // true) — Seq and record time both are — so it is one binary search over
-// the segments' last rows, and inside the segment found, within(seg) when
-// within is not nil and another binary search when it is.
-func (s *Store) searchLocked(past func(seg *events.Block, row int) bool, within func(seg *events.Block) int) int {
+// the segments' last rows and one inside the segment found.
+func (s *Store) searchLocked(past func(seg *events.Block, row int) bool) int {
 	si := sort.Search(len(s.segs), func(i int) bool {
 		n := s.segs[i].Len() // 0 only for a tail nothing has landed in yet
 		return n == 0 || past(s.segs[i], n-1)
@@ -433,26 +442,14 @@ func (s *Store) searchLocked(past func(seg *events.Block, row int) bool, within 
 		// The dropped head rows of segs[0] are still in place and in order;
 		// a hit among them means nothing retained precedes it.
 		seg := s.segs[si]
-		if within != nil {
-			before += within(seg)
-		} else {
-			before += sort.Search(seg.Len(), func(i int) bool { return past(seg, i) })
-		}
+		before += sort.Search(seg.Len(), func(i int) bool { return past(seg, i) })
 	}
 	return max(before, 0)
 }
 
-// throughLocked counts the retained events with Seq <= seq. A segment is
-// one seq run, so the rows of the one found are counted, not searched.
+// throughLocked counts the retained events with Seq <= seq.
 func (s *Store) throughLocked(seq uint64) int {
-	return s.searchLocked(func(seg *events.Block, row int) bool { return seg.Seq(row) > seq }, func(seg *events.Block) int {
-		// The segment found is the first whose last seq is past seq, so the
-		// count is below its length.
-		if seg.Len() == 0 || seq < seg.Seq(0) {
-			return 0
-		}
-		return int((seq-seg.Seq(0))/s.opts.seqStride) + 1
-	})
+	return s.searchLocked(func(seg *events.Block, row int) bool { return seg.Seq(row) > seq })
 }
 
 // rowsLocked hands fn the retained rows [skip, skip+n), segment by segment,
@@ -530,7 +527,7 @@ func (s *Store) SinceTime(t time.Time, max int) ([]events.Event, error) {
 		return nil, ErrClosed
 	}
 	ns := t.UnixNano()
-	skip := s.searchLocked(func(seg *events.Block, row int) bool { return seg.TimeNano(row) >= ns }, nil)
+	skip := s.searchLocked(func(seg *events.Block, row int) bool { return seg.TimeNano(row) >= ns })
 	return s.pageLocked(skip, max), nil
 }
 

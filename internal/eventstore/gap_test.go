@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -152,7 +153,9 @@ func TestOpenSplitsSeqGaps(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkGapStore(t, fmt.Sprintf("open %d", round), s, m)
+				what := fmt.Sprintf("open %d", round)
+				checkSplit(t, what, s, m)
+				checkGapStore(t, what, s, m)
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -162,9 +165,10 @@ func TestOpenSplitsSeqGaps(t *testing.T) {
 	}
 }
 
-// checkGapStore compares a store reopened over seq gaps with the model,
-// then appends, acks into a gap and purges, comparing again.
-func checkGapStore(t *testing.T, what string, s *Store, m *model) {
+// checkSplit checks that a reopened store holds the model's events in
+// order, in at least as many segments as they make runs at the model's
+// stride.
+func checkSplit(t *testing.T, what string, s *Store, m *model) {
 	t.Helper()
 	runs := 0
 	for i, e := range m.evs {
@@ -172,6 +176,15 @@ func checkGapStore(t *testing.T, what string, s *Store, m *model) {
 			runs++
 		}
 	}
+	if k := checkRows(t, what, s, m); k != len(m.evs) || len(s.segs) < runs {
+		t.Fatalf("%s: %d rows in %d segments, model has %d events in %d runs", what, k, len(s.segs), len(m.evs), runs)
+	}
+}
+
+// checkRows checks that the store's segment rows hold the model's seqs, in
+// order, and returns how many rows they hold.
+func checkRows(t *testing.T, what string, s *Store, m *model) int {
+	t.Helper()
 	k := 0
 	for _, seg := range s.segs {
 		for i := range seg.Len() {
@@ -181,8 +194,15 @@ func checkGapStore(t *testing.T, what string, s *Store, m *model) {
 			k++
 		}
 	}
-	if k != len(m.evs) || len(s.segs) < runs {
-		t.Fatalf("%s: %d rows in %d segments, model has %d events in %d runs", what, k, len(s.segs), len(m.evs), runs)
+	return k
+}
+
+// checkGapStore compares a store reopened over seq gaps with the model,
+// then appends, acks into a gap and purges, comparing again.
+func checkGapStore(t *testing.T, what string, s *Store, m *model) {
+	t.Helper()
+	if k := checkRows(t, what, s, m); k != len(m.evs) {
+		t.Fatalf("%s: %d rows in %d segments, model has %d events", what, k, len(s.segs), len(m.evs))
 	}
 	compare := func(what string) {
 		t.Helper()
@@ -281,4 +301,118 @@ func checkGapStore(t *testing.T, what string, s *Store, m *model) {
 		t.Fatalf("%s: Purge removed %d, model %d", what, n, want)
 	}
 	compare(what + ", purged")
+}
+
+// A journal written under one stride and reopened under another — an
+// engine restarted with another partition count reopens each shard's
+// journal so — breaks the store's stride at every row. Its runs take the
+// journal's own step after the first break, so it reopens into a few
+// segments, not one per row, and reads as the model does.
+func TestOpenUnderAnotherStride(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		wrote, opts Options
+	}{
+		{"2-to-3", Options{seqStride: 2}, Options{seqStride: 3}},
+		{"4-to-2", Options{seqStride: 4, seqOffset: 1}, Options{seqStride: 2, seqOffset: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.wrote.JournalPath = filepath.Join(t.TempDir(), "journal")
+			tc.opts.JournalPath = tc.wrote.JournalPath
+			w, err := New(tc.wrote)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range 40 {
+				if i%5 == 0 { // one-row records among the batches
+					if _, err := w.Append(mkEvent(fmt.Sprintf("/stride/one%d", i), int64(i))); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				blk := events.NewBlock(3, 0)
+				for j := range 3 {
+					if err := blk.AppendEvent(mkEvent(fmt.Sprintf("/stride/f%d.%d", i, j), int64(i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := w.AppendBlock(blk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			m := modelOf(t, tc.opts)
+			s, err := Open(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			// The first row breaks the store's stride; every segment after
+			// the one holding it runs at the journal's.
+			for i, seg := range s.segs[1:] {
+				if seg.SeqStride() != tc.wrote.seqStride {
+					t.Fatalf("segment %d of %d runs at stride %d, the journal's is %d", i+1, len(s.segs), seg.SeqStride(), tc.wrote.seqStride)
+				}
+			}
+			checkGapStore(t, "reopened", s, m)
+		})
+	}
+}
+
+// Open makes a segment for each run it finds, at the run's size, and grows
+// a run's segments from there: a journal whose runs keep breaking costs a
+// few hundred bytes a row, however the breaks fall. Sized for the rows
+// still to read at each break instead, a 4 096-row record breaking at
+// every row asked for ≈ 8 million rows of columns (k²/2), and one-row
+// records breaking every other row for 8 192 rows at each break.
+func TestOpenBrokenRunsAllocation(t *testing.T) {
+	const rows = 4096
+	steps := func(pattern ...uint64) []uint64 {
+		seqs := make([]uint64, rows)
+		for i := range seqs {
+			seqs[i] = 1
+			if i > 0 {
+				seqs[i] = seqs[i-1] + pattern[i%len(pattern)]
+			}
+		}
+		return seqs
+	}
+	for _, tc := range []struct {
+		name    string
+		seqs    []uint64
+		records int // rows a record
+	}{
+		{"one-record-steps-1-2", steps(1, 2), rows},
+		{"one-row-records-steps-1-1-3-3", steps(1, 1, 3, 3), 1},
+		{"512-row-records-steps-1-1-3-3", steps(1, 1, 3, 3), 512},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jp := filepath.Join(t.TempDir(), "journal")
+			data := []byte(journalMagic)
+			for lo := 0; lo < rows; lo += tc.records {
+				data = append(data, seqRecord(t, tc.seqs[lo:lo+tc.records]...)...)
+			}
+			if err := os.WriteFile(jp, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, err := Open(Options{JournalPath: jp})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if got := s.Stats().Retained; got != rows {
+				t.Fatalf("reopened store holds %d events, want %d", got, rows)
+			}
+			perRow := float64(after.TotalAlloc-before.TotalAlloc) / rows
+			t.Logf("%d segments; Open allocated %.0f B a row from a %d-byte journal", len(s.segs), perRow, len(data))
+			if perRow > 1024 {
+				t.Fatalf("Open allocated %.0f B a row, want at most 1 KiB", perRow)
+			}
+		})
+	}
 }

@@ -658,9 +658,11 @@ func BenchmarkStoreOpen(b *testing.B) {
 }
 
 // FuzzJournalReader feeds the one journal parser arbitrary bytes behind a
-// valid magic: it must never panic or allocate past the input, and Open must
-// either refuse the file or load a window in strict seq order holding the
-// seqs the journal holds, whatever runs they come in.
+// valid magic: it must never panic, and Open must allocate no more than a
+// fixed multiple of the input (a row costs its segment a few hundred bytes
+// at most, its record a few dozen at least) and either refuse the file or
+// load a window in strict seq order holding the seqs the journal holds,
+// whatever runs they come in.
 func FuzzJournalReader(f *testing.F) {
 	path, offs := batchJournal(f, 3, 4)
 	valid, err := os.ReadFile(path)
@@ -675,6 +677,7 @@ func FuzzJournalReader(f *testing.F) {
 	f.Add(sealRecord(append(newRecord(nil, kindEvents), 0xff, 0xff, 0xff, 0x3f))) // an intact record announcing 2^30 events
 	f.Add(sealRecord(append(newRecord(nil, kindReported), 1, 2, 3)))              // a short reported mark
 	f.Add(append(seqRecord(f, 5, 6, 9), markRecord(6)...))                        // a record that is not one seq run
+	f.Add(seqRecord(f, 1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17, 19, 20, 22, 23)) // a record breaking its run at every row
 	f.Add([]byte{})
 	quietLogs(f)
 	dir := f.TempDir()
@@ -683,7 +686,13 @@ func FuzzJournalReader(f *testing.F) {
 		if err := os.WriteFile(jp, append([]byte(journalMagic), tail...), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		s, err := Open(Options{JournalPath: jp})
+		runtime.ReadMemStats(&after)
+		if grew, most := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+32*len(tail)); grew > most {
+			t.Fatalf("Open of a %d-byte journal allocated %d bytes, want at most %d", len(tail), grew, most)
+		}
 		if err != nil {
 			return
 		}

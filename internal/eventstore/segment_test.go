@@ -262,42 +262,52 @@ func BenchmarkStoreHotRows(b *testing.B) {
 // within 1 B a row of one segment made at its exact size, whether the
 // journal holds 512-row batches (as a crash-recovery restart reads one) or
 // one row a record (Store.Append, as core's ingest writes it). Segments
-// doubling from the first record would leave each partition's last one
-// about two-thirds empty, ≈ 1.6 B a row more; segments sized at a one-row
-// record's bytes per row would hold its root and source in every row, ≈ 17.
+// doubling from the first record past the rows still to read would leave
+// each partition's last one about two-thirds empty, ≈ 1.6 B a row more;
+// segments sized at a one-row record's bytes per row would hold its root and
+// source in every row, ≈ 17. The same holds when the engine is reopened
+// under another partition count, whose stride every row of the journals
+// breaks: sized for the rows still to read at each break, such a reload
+// asked for about 8 192 rows a row.
 func TestOpenSegmentsAtExactSize(t *testing.T) {
-	const n, parts = 250_000, 2
+	const n = 250_000
 	exact := hotRowSegmentBytes(t, hotBlock(t, 10000))
-	full, last := hotBlock(t, 512), hotBlock(t, n/parts%512)
-	for _, tc := range []struct {
-		name  string
-		write func(w *Sharded, p int, blk *events.Block) error
-	}{
-		{"blocks", func(w *Sharded, p int, blk *events.Block) error {
-			_, err := w.AppendBlockPartition(p, blk)
-			return err
-		}},
-		{"appends", func(w *Sharded, p int, blk *events.Block) error {
-			for i := 0; i < blk.Len(); i++ {
-				if _, err := w.Partition(p).Append(blk.Event(i)); err != nil {
-					return err
-				}
+	blocks := func(w *Sharded, p int, blk *events.Block) error {
+		_, err := w.AppendBlockPartition(p, blk)
+		return err
+	}
+	appends := func(w *Sharded, p int, blk *events.Block) error {
+		for i := 0; i < blk.Len(); i++ {
+			if _, err := w.Partition(p).Append(blk.Event(i)); err != nil {
+				return err
 			}
-			return nil
-		}},
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name          string
+		parts, reopen int
+		write         func(w *Sharded, p int, blk *events.Block) error
+	}{
+		{"blocks", 2, 2, blocks},
+		{"appends", 2, 2, appends},
+		{"blocks-reopened-in-3", 2, 3, blocks},
+		{"appends-reopened-in-3", 2, 3, appends},
+		{"blocks-4-reopened-in-2", 4, 2, blocks},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			full, last := hotBlock(t, 512), hotBlock(t, n/tc.parts%512)
 			opts := Options{JournalPath: filepath.Join(t.TempDir(), "journal")}
-			w, err := NewSharded(parts, opts)
+			w, err := NewSharded(tc.parts, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for at := 0; at < n/parts; at += 512 {
+			for at := 0; at < n/tc.parts; at += 512 {
 				blk := full
-				if n/parts-at < 512 {
+				if n/tc.parts-at < 512 {
 					blk = last
 				}
-				for p := range parts {
+				for p := range tc.parts {
 					if err := tc.write(w, p, blk); err != nil {
 						t.Fatal(err)
 					}
@@ -309,17 +319,18 @@ func TestOpenSegmentsAtExactSize(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			r, err := OpenSharded(parts, opts)
+			r, err := OpenSharded(tc.reopen, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			runtime.GC()
 			runtime.ReadMemStats(&after)
 			defer r.Close()
-			if got := r.Stats().Retained; got != n {
-				t.Fatalf("reopened engine holds %d events, want %d", got, n)
+			kept := n / tc.parts * min(tc.parts, tc.reopen)
+			if got := r.Stats().Retained; got != kept {
+				t.Fatalf("reopened engine holds %d events, want %d", got, kept)
 			}
-			perRow := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+			perRow := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(kept)
 			t.Logf("a reload keeps %.2f B a row; one segment at its exact size, %.2f", perRow, exact)
 			if perRow > exact+1 {
 				t.Fatalf("a reload keeps %.2f B a row, want within 1 B of a segment at its exact size (%.2f)", perRow, exact)
