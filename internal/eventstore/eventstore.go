@@ -263,10 +263,11 @@ func Open(opts Options) (*Store, error) {
 // bytes per row, so a steady stream appends without allocating. A live
 // append passes ahead < 0. A reload knows about how many rows follow these
 // (ahead >= 0, from the journal bytes still to read) and makes room for no
-// more, so the last segment it makes is as full as the others; it rounds
-// the rows up to whole records of this one's size, as a run that a break
-// split off a record starts off them. A journal whose runs keep breaking so
-// costs a segment a run, never room for rows that do not come.
+// more, so the last segment it makes is as full as the others. It rounds
+// the rows up to a whole number of these rows: a run that a break split off
+// a record (511 of 512 rows) would otherwise close each later segment one
+// record short. A journal whose runs keep breaking so costs a segment a
+// run, never room for rows that do not come.
 // EXPERIMENTS.md ("Allocate once, at final size"; "A stored row in 20
 // bytes") measures what the sizing saves.
 func (s *Store) tailLocked(n, bytes, pair, ahead int, first, stride uint64) *events.Block {
