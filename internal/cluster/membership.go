@@ -92,17 +92,20 @@ type peerState struct {
 }
 
 // ctrlMsg is the JSON control frame for both the heartbeat topic and the
-// ctl hello inbox. Heartbeats gossip the sender's live peer list, which
-// is what completes the mesh: a node that learns an unknown member from
-// gossip connects to its endpoint and hellos its ctl so the link becomes
-// mutual.
+// ctl hello inbox. Heartbeats, hellos and their answers gossip the sender's
+// live peer list, which is what completes the mesh: a node that learns an
+// unknown member from gossip connects to its endpoint and hellos its ctl so
+// the link becomes mutual.
 type ctrlMsg struct {
-	Kind  string       `json:"k"` // "hello", "hb", "leave", "release"
+	Kind  string       `json:"k"` // "hello", "answer", "hb", "leave", "release"
 	Epoch uint64       `json:"e,omitempty"`
 	From  MemberInfo   `json:"from"`
 	Peers []MemberInfo `json:"peers,omitempty"`
 	// Parts carries a release broadcast's closed partitions.
 	Parts []int `json:"parts,omitempty"`
+	// To is the ctl address a hello was sent to, carried back by its
+	// answer, so a joiner knows which of its seeds answered.
+	To string `json:"to,omitempty"`
 }
 
 // incidentFrame is the incident-declaration control frame broadcast on
@@ -161,13 +164,15 @@ type Membership struct {
 
 	mu       sync.Mutex
 	peers    map[string]*peerState
+	coming   map[string]bool      // seen, counted once our link to them is ready (admit)
 	dead     map[string]time.Time // tombstones: recently expired/left members
 	helloed  map[string]time.Time // ctl addr -> last hello sent
+	seeds    map[string]bool      // Join ctl addr -> its answer is folded in
 	epoch    uint64
 	maxSeen  uint64
 	assign   Assignment
 	viewKey  string        // member IDs of the last computed view
-	viewCh   chan struct{} // closed and replaced on every peer add/remove
+	viewCh   chan struct{} // closed and replaced on every peer add/remove and seed answer
 	conflict *MemberInfo   // another live participant claiming our ID
 	relOut   []pendingRelease
 	incOut   []pendingIncident
@@ -212,8 +217,10 @@ func NewMembership(opts MembershipOptions) (*Membership, error) {
 		ctl:     ctl,
 		sub:     msgq.NewSub(),
 		peers:   make(map[string]*peerState),
+		coming:  make(map[string]bool),
 		dead:    make(map[string]time.Time),
 		helloed: make(map[string]time.Time),
+		seeds:   make(map[string]bool),
 		viewCh:  make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
@@ -241,9 +248,14 @@ func (m *Membership) Start() {
 		return
 	}
 	m.started = true
-	m.mu.Unlock()
 	for _, ctl := range m.opts.Join {
-		m.hello(ctl)
+		if ctl != "" && ctl != m.opts.Self.Ctl {
+			m.seeds[ctl] = false
+		}
+	}
+	m.mu.Unlock()
+	for ctl := range m.seeds {
+		m.hello(ctl, "hello", ctl)
 	}
 	m.wg.Add(3)
 	go m.ctlLoop()
@@ -251,15 +263,18 @@ func (m *Membership) Start() {
 	go m.tickLoop()
 }
 
-// hello announces ourselves to a peer's ctl inbox (bounded by
+// hello sends ourselves and our peer list to a peer's ctl inbox as a
+// "hello" or as the "answer" to one, to the address to (bounded by
 // helloTimeout; an unreachable inbox is abandoned, and gossip retries
-// later). Caller must not hold m.mu... it may, actually: the send happens
-// on a fresh goroutine.
-func (m *Membership) hello(ctlAddr string) {
+// later). Caller must not hold m.mu.
+func (m *Membership) hello(ctlAddr, kind, to string) {
 	if ctlAddr == "" || ctlAddr == m.opts.Self.Ctl {
 		return
 	}
-	payload, err := json.Marshal(ctrlMsg{Kind: "hello", From: m.opts.Self, Epoch: m.epochNow()})
+	m.mu.Lock()
+	c := ctrlMsg{Kind: kind, From: m.opts.Self, Epoch: m.epoch, Peers: m.peerListLocked(), To: to}
+	m.mu.Unlock()
+	payload, err := json.Marshal(c)
 	if err != nil {
 		return
 	}
@@ -282,38 +297,40 @@ func (m *Membership) epochNow() uint64 {
 	return m.epoch
 }
 
-// ctlLoop serves the join inbox: a hello makes the sender a known peer
-// (connecting to its pub) and is answered with a hello back so the
-// sender learns our pub too — the two-way handshake PUB/SUB alone cannot
-// bootstrap.
+// ctlLoop serves the join inbox. Every hello is answered — the two-way
+// handshake PUB/SUB alone cannot bootstrap — and a hello or an answer makes
+// its sender and the peers it lists known (connecting to their pubs). An
+// answer to one of our join hellos also marks that seed answered
+// (WaitJoined). A sender claiming our own ID hears our claim in the answer
+// and can abort too.
 func (m *Membership) ctlLoop() {
 	defer m.wg.Done()
 	for msg := range m.ctl.C() {
 		var c ctrlMsg
-		if err := json.Unmarshal(msg.Payload, &c); err != nil || c.Kind != "hello" {
+		if err := json.Unmarshal(msg.Payload, &c); err != nil || c.Kind != "hello" && c.Kind != "answer" {
 			continue
 		}
-		if c.From.Endpoint == "" {
-			// Observer hello: it has no pub to track, but it needs our
-			// info to connect — answer and move on.
-			m.hello(c.From.Ctl)
-			continue
+		// The sender knows us, or will from our answer: observe need not
+		// hello it.
+		m.mu.Lock()
+		m.helloed[c.From.Ctl] = time.Now()
+		m.mu.Unlock()
+		if c.Kind == "hello" {
+			m.hello(c.From.Ctl, "answer", c.To)
 		}
-		m.observe(c.From, c.Epoch, true)
-		if c.From.ID == m.opts.Self.ID && c.From.Ctl != "" && c.From.Ctl != m.opts.Self.Ctl {
-			// A hello claiming our own ID from another address: observe
-			// recorded the conflict on our side; answer it (gated like any
-			// hello) so the sender hears our claim and can abort too.
+		if c.From.Endpoint != "" { // an observer has no pub to track
+			m.observe(c.From, c.Epoch, true)
+		}
+		for _, p := range c.Peers {
+			m.observe(p, c.Epoch, false)
+		}
+		if c.Kind == "answer" {
 			m.mu.Lock()
-			last, ok := m.helloed[c.From.Ctl]
-			gate := !ok || time.Since(last) >= m.opts.FailAfter
-			if gate {
-				m.helloed[c.From.Ctl] = time.Now()
+			if _, seed := m.seeds[c.To]; seed {
+				m.seeds[c.To] = true
+				m.signalViewLocked()
 			}
 			m.mu.Unlock()
-			if gate {
-				m.hello(c.From.Ctl)
-			}
 		}
 	}
 }
@@ -364,8 +381,8 @@ func (m *Membership) subLoop() {
 // (a heartbeat from the member itself, or its hello) refresh liveness;
 // gossiped ones only introduce unknown members — a gossiper's stale
 // entry must not keep a dead peer alive, so only firsthand contact
-// resets the expiry clock. replyHello answers a ctl hello so the link
-// becomes mutual.
+// resets the expiry clock. An unknown member is helloed so the link
+// becomes mutual, and counted once our link to it is ready (admit).
 func (m *Membership) observe(info MemberInfo, epoch uint64, direct bool) {
 	if info.ID == m.opts.Self.ID {
 		// Traffic claiming our own ID from different addresses means two
@@ -408,8 +425,7 @@ func (m *Membership) observe(info MemberInfo, epoch uint64, direct bool) {
 			delete(m.dead, info.ID)
 		}
 	}
-	p, known := m.peers[info.ID]
-	if known {
+	if p, known := m.peers[info.ID]; known {
 		p.info = info
 		if direct {
 			p.lastSeen = time.Now()
@@ -420,32 +436,44 @@ func (m *Membership) observe(info MemberInfo, epoch uint64, direct bool) {
 		m.mu.Unlock()
 		return
 	}
+	if m.coming[info.ID] {
+		m.mu.Unlock()
+		return
+	}
+	m.coming[info.ID] = true
 	sendHello := false
 	if last, ok := m.helloed[info.Ctl]; !ok || time.Since(last) >= m.opts.FailAfter {
 		sendHello = true
 		m.helloed[info.Ctl] = time.Now()
 	}
 	m.mu.Unlock()
-	// Hear the new peer's broadcasts BEFORE it becomes countable in the
-	// view: a WaitMembers return implies the links to every counted peer
-	// exist, so a broadcast sent right after (e.g. an immediate leave)
-	// cannot be lost to a still-connecting subscription.
 	_ = m.sub.Connect(info.Endpoint)
+	if sendHello {
+		m.hello(info.Ctl, "hello", info.Ctl)
+	}
+	m.wg.Add(1)
+	go m.admit(info, epoch)
+}
+
+// admit counts a newly seen member once our link to its pub is ready: a
+// WaitMembers return implies every counted peer's broadcasts reach us, so
+// one sent right after (an immediate leave) cannot be lost to a link still
+// coming up. It waits off the ctl and sub loops, so an unreachable endpoint
+// stalls neither; a wait that outlasts FailAfter leaves the member to its
+// next sighting — its first heartbeat, once the link is up.
+func (m *Membership) admit(info MemberInfo, epoch uint64) {
+	defer m.wg.Done()
+	err := m.sub.WaitEndpointReady(info.Endpoint, m.opts.FailAfter)
 	m.mu.Lock()
-	if _, raced := m.peers[info.ID]; raced {
-		// A concurrent observe (ctl and sub loops race) registered it
-		// while we were connecting; Connect is idempotent, nothing to do.
+	coming := m.coming[info.ID]
+	delete(m.coming, info.ID)
+	if err != nil || !coming {
 		m.mu.Unlock()
 		return
 	}
 	m.peers[info.ID] = &peerState{info: info, lastSeen: time.Now(), epoch: epoch}
 	m.signalViewLocked()
 	m.mu.Unlock()
-	// Hello it so it hears ours (the helloed map gates repeats —
-	// receivers are idempotent anyway).
-	if sendHello {
-		m.hello(info.Ctl)
-	}
 	if m.opts.OnPeer != nil {
 		m.opts.OnPeer(info)
 	}
@@ -457,9 +485,13 @@ func (m *Membership) observe(info MemberInfo, epoch uint64, direct bool) {
 func (m *Membership) drop(id, why string) {
 	m.mu.Lock()
 	_, known := m.peers[id]
+	coming := m.coming[id]
 	delete(m.peers, id)
-	if known {
+	delete(m.coming, id) // its admit finds it gone
+	if known || coming {
 		m.dead[id] = time.Now()
+	}
+	if known {
 		m.signalViewLocked()
 	}
 	for tid, t := range m.dead {
@@ -515,10 +547,7 @@ func (m *Membership) beat() {
 		return
 	}
 	m.mu.Lock()
-	c := ctrlMsg{Kind: "hb", From: m.opts.Self, Epoch: m.epoch}
-	for _, p := range m.peers {
-		c.Peers = append(c.Peers, p.info)
-	}
+	c := ctrlMsg{Kind: "hb", From: m.opts.Self, Epoch: m.epoch, Peers: m.peerListLocked()}
 	var rel []pendingRelease
 	if len(m.relOut) > 0 {
 		kept := m.relOut[:0]
@@ -685,6 +714,10 @@ func (m *Membership) Members() int {
 func (m *Membership) Peers() []MemberInfo {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.peerListLocked()
+}
+
+func (m *Membership) peerListLocked() []MemberInfo {
 	out := make([]MemberInfo, 0, len(m.peers))
 	for _, p := range m.peers {
 		out = append(out, p.info)
@@ -774,38 +807,67 @@ func (m *Membership) signalViewLocked() {
 // WaitMembers blocks until the view holds at least n members. It wakes
 // on view changes rather than polling, so convergence waits cost no CPU.
 func (m *Membership) WaitMembers(n int, timeout time.Duration) error {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for {
-		m.mu.Lock()
+	return m.waitView(timeout, func() string {
 		cnt := len(m.peers)
 		if !m.opts.Observer {
 			cnt++
 		}
-		ch := m.viewCh
-		m.mu.Unlock()
 		if cnt >= n {
+			return ""
+		}
+		return fmt.Sprintf("%d/%d members", cnt, n)
+	})
+}
+
+// WaitJoined blocks until every Join seed has answered our hello and the
+// answer — the seed and the peers it lists, with any of them claiming our
+// ID (Conflict) — is folded in.
+func (m *Membership) WaitJoined(timeout time.Duration) error {
+	return m.waitView(timeout, func() string {
+		var waiting []string
+		for ctl, answered := range m.seeds {
+			if !answered {
+				waiting = append(waiting, ctl)
+			}
+		}
+		if len(waiting) == 0 {
+			return ""
+		}
+		return fmt.Sprintf("join seeds %v unanswered", waiting)
+	})
+}
+
+// waitView waits until missing, called under m.mu, says nothing is.
+func (m *Membership) waitView(timeout time.Duration, missing func() string) error {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		m.mu.Lock()
+		miss, ch := missing(), m.viewCh
+		m.mu.Unlock()
+		if miss == "" {
 			return nil
 		}
 		select {
 		case <-ch:
 		case <-m.stopped:
-			return fmt.Errorf("cluster: membership stopped with %d/%d members", cnt, n)
+			return fmt.Errorf("cluster: membership stopped with %s", miss)
 		case <-timer.C:
-			return fmt.Errorf("cluster: %d/%d members after %v", cnt, n, timeout)
+			return fmt.Errorf("cluster: %s after %v", miss, timeout)
 		}
 	}
 }
 
 // Close leaves gracefully: a leave broadcast lets peers reassign without
-// waiting out the failure detector.
+// waiting out the failure detector. It goes out after the heartbeats have
+// stopped, so no heartbeat behind it brings us back into a peer's view.
 func (m *Membership) Close() {
+	m.Kill()
 	if !m.opts.Observer && m.opts.Pub != nil {
 		if payload, err := json.Marshal(ctrlMsg{Kind: "leave", From: m.opts.Self, Epoch: m.epochNow()}); err == nil {
 			m.opts.Pub.Publish(MembershipTopic, payload)
 		}
 	}
-	m.Kill()
 }
 
 // Kill stops the participant without a leave broadcast — the crash path

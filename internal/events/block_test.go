@@ -347,12 +347,19 @@ func TestBlockCloneIsSeqOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c := NewBlock(0, 0) // what the store lanes' pools hand out
-	c.CloneFrom(src)
-	runtime.ReadMemStats(&after)
-	if objs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; objs > 2 || bytes > uint64(header)+4096 {
+	// The least of a few tries: one ReadMemStats pair also counts whatever
+	// else the process allocated meanwhile (a test running beside this one).
+	var c *Block
+	objs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c = NewBlock(0, 0) // what the store lanes' pools hand out
+		c.CloneFrom(src)
+		runtime.ReadMemStats(&after)
+		objs, bytes = min(objs, after.Mallocs-before.Mallocs), min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if objs > 2 || bytes > uint64(header)+4096 {
 		t.Fatalf("clone of a 512-event block allocated %d objects, %d bytes; want the %d-byte header and one 4 KB seq column", objs, bytes, header)
 	}
 	c.SetSeq(0, 99)

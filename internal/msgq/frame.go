@@ -12,6 +12,15 @@
 // Semantics follow ZeroMQ where it matters to the paper's claims: PUB
 // distributes to all matching subscribers with per-subscriber queues and a
 // high-water mark; PUSH provides blocking, lossless backpressure.
+//
+// Unlike ZeroMQ, readiness is proven, not guessed. Over TCP a subscriber
+// follows its SUB/UNSUB control frames with an echo request ("\x01ECHO",
+// an 8-byte token); the publisher applies the frames in order and sends the
+// request back unchanged through that subscriber's queue. A link is ready
+// once the answer to the last request sent on it is back, and a publisher
+// attaches a TCP subscriber (delivers to it, counts it) only from its first
+// answer on, which is therefore the first frame the link carries. Echo
+// frames never reach a receiver.
 package msgq
 
 import (
@@ -52,10 +61,12 @@ type Message struct {
 // a huge allocation.
 const maxFrame = 64 << 20
 
-// control topics exchanged from subscriber to publisher.
+// control topics exchanged from subscriber to publisher; ctlEcho also comes
+// back (see the package doc).
 const (
 	ctlSubscribe   = "\x01SUB"
 	ctlUnsubscribe = "\x01UNSUB"
+	ctlEcho        = "\x01ECHO"
 )
 
 // writeMessage writes one frame: u32 len(topic) | topic | u32 len(payload) | payload.
@@ -109,8 +120,9 @@ func (fr *frameReader) next() (Message, error) {
 		return Message{}, err
 	}
 	m := Message{Topic: fr.topic}
-	// An empty payload (a probe, a bare control frame) borrows nothing.
-	leased := fr.bufs != nil && n > 0
+	// An empty payload (a probe, a bare control frame) borrows nothing, nor
+	// does an echo answer: its 8 bytes would only crowd the list.
+	leased := fr.bufs != nil && n > 0 && fr.topic != ctlEcho
 	if leased {
 		m.Payload = fr.bufs.get(n)
 	} else {

@@ -34,11 +34,9 @@ func leasePub(t testing.TB, tcp bool, opts ...PubOption) (pub *Pub, inproc, tcpA
 }
 
 // leaseSub attaches one more subscriber to pub at addr and returns once pub
-// would deliver to it. WaitReady alone does not say that over TCP: the
-// publisher may not have accepted the connection or read the SUB frame yet.
+// would deliver to it.
 func leaseSub(t testing.TB, pub *Pub, addr, prefix string, opts ...SubOption) *Sub {
 	t.Helper()
-	before := pub.Subscribers()
 	sub := NewSub(opts...)
 	t.Cleanup(sub.Close)
 	sub.Subscribe(prefix)
@@ -48,22 +46,6 @@ func leaseSub(t testing.TB, pub *Pub, addr, prefix string, opts ...SubOption) *S
 	if err := sub.WaitReady(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	registered := func() bool {
-		set := pub.attached.Load()
-		if len(set.tcp)+len(set.peers) != before+1 {
-			return false
-		}
-		for _, s := range set.tcp {
-			s.mu.Lock()
-			n := len(s.prefixes)
-			s.mu.Unlock()
-			if n == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	waitFor(t, registered, "subscriber at "+addr+" to register with the publisher")
 	return sub
 }
 

@@ -143,6 +143,18 @@ func testPubSub(t *testing.T, ep string) {
 			t.Fatalf("message %d payload %q (out of order?)", i, m.Payload)
 		}
 	}
+	// A Subscribe on the ready link makes WaitReady wait until the
+	// publisher has applied it: one publish on the new prefix is enough.
+	sub.Subscribe("more.")
+	if err := sub.WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := pub.PublishCtx(context.Background(), "more.1", nil); n != 1 {
+		t.Fatalf("the publish after WaitReady reached %d queues, want 1", n)
+	}
+	if m := recvN(t, sub.C(), 1)[0]; m.Topic != "more.1" {
+		t.Fatalf("got %q, want the publish on the new prefix", m.Topic)
+	}
 }
 
 func TestPubSubTCP(t *testing.T)    { testPubSub(t, "tcp://127.0.0.1:0") }
@@ -204,7 +216,6 @@ func TestSubPrefixFiltering(t *testing.T) {
 		t.Errorf("topics = %s, %s", msgs[0].Topic, msgs[1].Topic)
 	}
 	sub.Unsubscribe("a.")
-	time.Sleep(50 * time.Millisecond)
 	pub.Publish("a.2", []byte("no"))
 	pub.Publish("b.2", []byte("3"))
 	msgs = recvN(t, sub.C(), 1)
@@ -290,41 +301,22 @@ func TestPubEvictsSlowSubscriber(t *testing.T) {
 			if err := sub.WaitReady(10 * time.Second); err != nil {
 				t.Fatal(err)
 			}
-			if tcp { // the re-link's report waits for a frame to prove the link
-				select {
-				case m := <-sub.C():
-					t.Fatalf("before anything was published on the re-link got %q", m.Topic)
-				case <-time.After(50 * time.Millisecond):
+			// The re-link is reported too, ahead of what it carries and
+			// before WaitReady returns: in process before the attach, over
+			// TCP on the publisher's first echo answer.
+			select {
+			case m := <-sub.C():
+				if !m.LinkLost() {
+					t.Fatalf("the first message after the re-link is %q, want the report", m.Topic)
 				}
+			default:
+				t.Fatal("the re-link was not reported by the time the link was ready")
 			}
-			next := make(chan Message, 2)
-			go func() {
-				for m := range sub.C() {
-					next <- m
-					if !m.LinkLost() {
-						return
-					}
-				}
-			}()
-			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-				if pub.PublishCtx(ctx, "after", nil) == 1 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("the subscriber was never linked again")
-				}
+			if n := pub.PublishCtx(ctx, "after", nil); n != 1 {
+				t.Fatalf("the first publish on the ready re-link reached %d queues, want 1", n)
 			}
-			// The re-link is reported too, ahead of what it carries: in
-			// process before the attach, over TCP once its first frame came.
-			for i, want := range []string{linkLost, "after"} {
-				select {
-				case m := <-next:
-					if m.Topic != want {
-						t.Fatalf("message %d after the re-link is %q, want %q", i, m.Topic, want)
-					}
-				case <-time.After(10 * time.Second):
-					t.Fatalf("message %d after the re-link never came, want %q", i, want)
-				}
+			if m := recvN(t, sub.C(), 1)[0]; m.Topic != "after" {
+				t.Fatalf("after the re-link report got %q, want the publish", m.Topic)
 			}
 		})
 	}
@@ -453,7 +445,9 @@ func TestSubReconnect(t *testing.T) {
 	if err := sub.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return pub.Subscribers() == 1 }, "attach")
+	if err := sub.WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	pub.Publish("t", []byte("one"))
 	recvN(t, sub.C(), 1)
 	// Kill the publisher: the subscriber is told in band. Bring up a new
@@ -467,37 +461,18 @@ func TestSubReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub2.Close()
-	waitFor(t, func() bool { return pub2.Subscribers() == 1 }, "reattach")
-	// A freshly accepted connection may not have had its subscription
-	// frame processed yet (the slow-joiner window), so publish until the
-	// subscriber sees a message rather than racing a single publish.
-	got := make(chan Message, 1)
-	go func() {
-		for m := range sub.C() {
-			if m.LinkLost() { // the re-link, reported ahead of its first frame
-				continue
-			}
-			select {
-			case got <- m:
-			default:
-			}
-			return
-		}
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		pub2.Publish("t", []byte("two"))
-		select {
-		case m := <-got:
-			if string(m.Payload) != "two" {
-				t.Errorf("after reconnect got %q", m.Payload)
-			}
-			return
-		case <-time.After(50 * time.Millisecond):
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no delivery after reconnect")
-		}
+	if err := sub.WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// A ready link has its subscription applied: one publish is enough, and
+	// it arrives behind the re-link's report.
+	pub2.Publish("t", []byte("two"))
+	got := recvN(t, sub.C(), 2)
+	if !got[0].LinkLost() {
+		t.Errorf("the re-link's first message is %q, want its report", got[0].Topic)
+	}
+	if string(got[1].Payload) != "two" {
+		t.Errorf("after reconnect got %q", got[1].Payload)
 	}
 }
 
@@ -514,7 +489,9 @@ func TestConnectBeforeBind(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	waitFor(t, func() bool { return pub.Subscribers() == 1 }, "late attach")
+	if err := sub.WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	pub.Publish("t", []byte("hi"))
 	msgs := recvN(t, sub.C(), 1)
 	if string(msgs[0].Payload) != "hi" {

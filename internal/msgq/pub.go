@@ -57,8 +57,9 @@ type attachedSet struct {
 
 type pubSubscriber struct {
 	peer
-	conn  net.Conn
-	queue chan Message
+	conn     net.Conn
+	queue    chan Message
+	attached bool // its first echo request was answered: publishes reach it (guarded by Pub.mu)
 }
 
 func (s *pubSubscriber) stop() {
@@ -162,16 +163,20 @@ func (p *Pub) acceptLoop(ln net.Listener) {
 			return
 		default:
 		}
-		p.subs[sub] = struct{}{}
-		p.notifySubChangeLocked()
+		p.subs[sub] = struct{}{} // Close stops it; publishes skip it until attached
 		p.mu.Unlock()
-		p.wg.Add(2)
+		p.wg.Add(1)
 		go p.subReader(sub)
-		go p.subWriter(sub)
 	}
 }
 
-// subReader processes SUB/UNSUB control frames from the subscriber.
+// subReader applies the subscriber's control frames in order. An echo
+// request is answered through the subscriber's own queue, behind whatever
+// is queued for it already, so the answer proves every frame ahead of it
+// applied. The first one attaches the subscriber — publishes reach it, and
+// WaitSubscribed counts it, only from then on — and starts its writer, so
+// that answer is the first frame on the wire. A reader waiting on a full
+// queue lets go once the subscriber is evicted.
 func (p *Pub) subReader(sub *pubSubscriber) {
 	defer p.wg.Done()
 	defer p.detach(sub)
@@ -181,7 +186,26 @@ func (p *Pub) subReader(sub *pubSubscriber) {
 		if err != nil {
 			return
 		}
-		sub.control(m.Topic, string(m.Payload))
+		if m.Topic != ctlEcho {
+			sub.control(m.Topic, string(m.Payload))
+			continue
+		}
+		select {
+		case sub.queue <- m:
+		case <-sub.gone:
+			return
+		}
+		p.mu.Lock()
+		first := !sub.attached
+		if first {
+			sub.attached = true
+			p.notifySubChangeLocked()
+		}
+		p.mu.Unlock()
+		if first {
+			p.wg.Add(1)
+			go p.subWriter(sub)
+		}
 	}
 }
 
@@ -259,7 +283,9 @@ func (p *Pub) notifySubChangeLocked() {
 		peers: make([]*inprocPeer, 0, len(p.inproc)),
 	}
 	for s := range p.subs {
-		set.tcp = append(set.tcp, s)
+		if s.attached {
+			set.tcp = append(set.tcp, s)
+		}
 	}
 	for q := range p.inproc {
 		set.peers = append(set.peers, q)
@@ -270,16 +296,16 @@ func (p *Pub) notifySubChangeLocked() {
 }
 
 // WaitSubscribed blocks until the socket has at least one attached
-// subscriber (either transport), the context is canceled, or the socket
-// closes. It is event-driven — collectors gate Changelog consumption on
-// it so unconsumed events buffer source-side with no sleep/poll loop.
+// subscriber (either transport; over TCP, one whose subscriptions are
+// applied), the context is canceled, or the socket closes. It is
+// event-driven — collectors gate Changelog consumption on it so unconsumed
+// events buffer source-side with no sleep/poll loop.
 func (p *Pub) WaitSubscribed(ctx context.Context) error {
 	for {
 		p.mu.Lock()
-		n := len(p.subs) + len(p.inproc)
-		change := p.subChange
+		set, change := p.attached.Load(), p.subChange
 		p.mu.Unlock()
-		if n > 0 {
+		if len(set.tcp)+len(set.peers) > 0 {
 			return nil
 		}
 		select {
@@ -449,11 +475,11 @@ func (p *Pub) offer(ctx context.Context, queue chan<- Message, to subscriber, m 
 	return ok
 }
 
-// Subscribers returns the number of attached subscribers (both transports).
+// Subscribers returns the number of attached subscribers (both transports;
+// over TCP, those whose subscriptions are applied).
 func (p *Pub) Subscribers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.subs) + len(p.inproc)
+	set := p.attached.Load()
+	return len(set.tcp) + len(set.peers)
 }
 
 // Evicted returns how many subscribers were evicted for outstaying the

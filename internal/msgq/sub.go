@@ -3,6 +3,7 @@ package msgq
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -36,9 +37,11 @@ type subConn struct {
 	raw    net.Conn
 	notify func() // wakes the owning Sub's readiness waiters
 	mu     sync.Mutex
+	wmu    sync.Mutex  // tcp only: one writer of control frames at a time
 	peer   *inprocPeer // inproc only
 	pub    *Pub        // inproc only
 	bufs   *bufList    // tcp only: the current connection's receive buffers
+	echo   uint64      // tcp only: the token of the last echo request sent
 	ready  bool
 	lost   bool // a link ended and none has come back since (connLoop's own)
 }
@@ -47,9 +50,7 @@ func (c *subConn) setReady(v bool) {
 	c.mu.Lock()
 	c.ready = v
 	c.mu.Unlock()
-	if c.notify != nil {
-		c.notify()
-	}
+	c.notify()
 }
 
 func (c *subConn) isReady() bool {
@@ -133,22 +134,50 @@ func (s *Sub) control(ctl, prefix string) {
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
-		c.sendCtl(ctl, prefix)
+		c.mu.Lock()
+		raw := c.raw
+		c.mu.Unlock()
+		if raw != nil && c.sendCtl(raw, ctl, prefix) != nil {
+			raw.Close() // the link ends; the next one replays every prefix
+		}
 		if c.peer != nil {
 			c.peer.control(ctl, prefix)
 		}
 	}
 }
 
-func (c *subConn) sendCtl(topic, prefix string) {
+// sendCtl writes a ctl frame per prefix onto the link's connection, then an
+// echo request, and marks the link not ready until the answer to that
+// request is back (echoed).
+func (c *subConn) sendCtl(conn net.Conn, ctl string, prefixes ...string) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	c.mu.Lock()
-	raw := c.raw
+	c.echo++
+	token := c.echo
+	c.ready = false
 	c.mu.Unlock()
-	if raw == nil {
-		return
+	w := bufio.NewWriter(conn)
+	for _, p := range prefixes {
+		if err := writeMessage(w, Message{Topic: ctl, Payload: []byte(p)}); err != nil {
+			return err
+		}
 	}
-	w := bufio.NewWriter(raw)
-	_ = writeMessage(w, Message{Topic: topic, Payload: []byte(prefix)})
+	return writeMessage(w, Message{Topic: ctlEcho, Payload: binary.LittleEndian.AppendUint64(nil, token)})
+}
+
+// echoed takes the answer to an echo request: the link is ready when it
+// answers the last one sent.
+func (c *subConn) echoed(m Message) {
+	c.mu.Lock()
+	last := len(m.Payload) == 8 && binary.LittleEndian.Uint64(m.Payload) == c.echo
+	if last {
+		c.ready = true
+	}
+	c.mu.Unlock()
+	if last {
+		c.notify()
+	}
 }
 
 // C returns the receive channel. It is closed when the socket closes.
@@ -181,9 +210,9 @@ const linkLost = "\x02LINK-LOST"
 // LinkLost reports whether m is a Sub's report that a link ended other than
 // by Close (evicted for lagging, publisher closed, connection broken) — it
 // comes behind the link's last frame — or that the link is back: ahead of
-// what it carries, over TCP with the first frame, which proves the publisher
-// took the subscriptions. A receiver that must miss nothing resumes from
-// its cursor on each.
+// what it carries, in process before the attach and over TCP on the
+// publisher's first echo answer, which comes before any frame of the link.
+// A receiver that must miss nothing resumes from its cursor on each.
 func (m Message) LinkLost() bool { return m.Topic == linkLost }
 
 // report queues a link report unless the socket is closing, and records
@@ -266,30 +295,42 @@ func (s *Sub) runInproc(c *subConn) bool {
 	return true
 }
 
-// WaitReady blocks until every connected endpoint has an established,
-// subscription-replayed link to its publisher, or the timeout elapses.
+// WaitReady blocks until every connected endpoint has a link whose
+// publisher has applied every subscription sent on it — over TCP, the
+// answer to the link's last echo request is back — or the timeout elapses.
 // PUB/SUB has no delivery guarantee for messages published before a
 // subscriber attaches (the ZeroMQ "slow joiner"); callers that must not
-// miss the first messages wait for readiness before triggering them.
-func (s *Sub) WaitReady(timeout time.Duration) error { return s.waitReady(timeout, true) }
+// miss the first messages wait for readiness before triggering them, and
+// a Subscribe on a ready link makes it not ready until it is applied.
+func (s *Sub) WaitReady(timeout time.Duration) error { return s.waitReady(timeout, "", true) }
 
 // WaitAnyReady blocks until at least one connected endpoint is ready, or
 // the timeout elapses. Used when some publishers may come up later (e.g.
 // an aggregator whose collectors restart independently).
-func (s *Sub) WaitAnyReady(timeout time.Duration) error { return s.waitReady(timeout, false) }
+func (s *Sub) WaitAnyReady(timeout time.Duration) error { return s.waitReady(timeout, "", false) }
 
-func (s *Sub) waitReady(timeout time.Duration, all bool) error {
+// WaitEndpointReady is WaitReady for the one link Connect(ep) made.
+func (s *Sub) WaitEndpointReady(ep string, timeout time.Duration) error {
+	return s.waitReady(timeout, ep, true)
+}
+
+// waitReady waits on the links to every endpoint, or to ep alone when set.
+func (s *Sub) waitReady(timeout time.Duration, ep string, all bool) error {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
 		s.mu.Lock()
-		ready := 0
-		for _, c := range s.conns {
+		ready, n := 0, 0
+		for e, c := range s.conns {
+			if ep != "" && e != ep {
+				continue
+			}
+			n++
 			if c.isReady() {
 				ready++
 			}
 		}
-		n, change := len(s.conns), s.readyCh
+		change := s.readyCh
 		s.mu.Unlock()
 		if ready > 0 && (ready == n || !all) {
 			return nil
@@ -305,8 +346,8 @@ func (s *Sub) waitReady(timeout time.Duration, all bool) error {
 }
 
 // runTCP serves one TCP connection lifetime and reports whether the link
-// was ever up.
-func (s *Sub) runTCP(c *subConn) bool {
+// was ever up: whether an echo answer came back on it.
+func (s *Sub) runTCP(c *subConn) (up bool) {
 	conn, err := net.DialTimeout("tcp", c.ep.addr, 2*time.Second)
 	if err != nil {
 		return false
@@ -318,54 +359,50 @@ func (s *Sub) runTCP(c *subConn) bool {
 	c.mu.Lock()
 	c.raw, c.bufs = conn, fr.bufs
 	c.mu.Unlock()
+	defer func() {
+		conn.Close()
+		c.mu.Lock()
+		c.raw = nil
+		c.mu.Unlock()
+		c.setReady(false)
+		if up {
+			s.report(c, true)
+		}
+	}()
 	select {
 	case <-s.closed:
-		conn.Close()
 		return false
 	default:
 	}
-	// Replay subscriptions.
-	w := bufio.NewWriter(conn)
 	s.mu.Lock()
 	prefixes := make([]string, 0, len(s.prefixes))
 	for p := range s.prefixes {
 		prefixes = append(prefixes, p)
 	}
 	s.mu.Unlock()
-	for _, p := range prefixes {
-		if err := writeMessage(w, Message{Topic: ctlSubscribe, Payload: []byte(p)}); err != nil {
-			conn.Close()
-			return false
-		}
+	if c.sendCtl(conn, ctlSubscribe, prefixes...) != nil {
+		return false
 	}
-	// Give the publisher's control-frame reader a beat to process the
-	// subscriptions before declaring readiness; topic matching happens
-	// publisher-side at publish time.
-	time.Sleep(5 * time.Millisecond)
-	c.setReady(true)
 	for {
 		m, err := fr.next()
 		if err != nil {
-			break
+			return up
 		}
-		if c.lost { // a frame proves the publisher took the subscriptions
-			s.report(c, false)
+		if m.Topic == ctlEcho {
+			if c.lost { // the first answer: the publisher has attached the link
+				s.report(c, false)
+			}
+			up = true
+			c.echoed(m)
+			continue
 		}
 		s.received.Add(1)
 		select {
 		case s.out <- m:
-			continue
 		case <-s.closed:
+			return up
 		}
-		break
 	}
-	conn.Close()
-	c.mu.Lock()
-	c.raw = nil
-	c.mu.Unlock()
-	c.setReady(false)
-	s.report(c, true)
-	return true
 }
 
 // Depth returns the current receive-channel backlog — the queue-depth

@@ -377,10 +377,9 @@ func (c *Collector) publish(ctx context.Context, pb pubBatch) {
 // canceled, re-resolving the owner between attempts: a batch in flight
 // across a partition handoff retargets to the new owner instead of stalling
 // on the dead one's topic. A zero count means no subscriber accepted the
-// batch — all detached between the wait and the send, or a fresh TCP link
-// has not registered its topics yet — so pause and re-wait rather than
-// losing the batch; the block's wire image is encoded at most once across
-// the retries. An accepted publish takes the block away on lease — it comes
+// batch — the owner changed, or all detached between the wait and the send
+// — so pause and re-wait rather than losing the batch; the block's wire
+// image is encoded at most once across the retries. An accepted publish takes the block away on lease — it comes
 // back to the pool when the last receiver is done — so the event count is
 // read before the publish, never after. On failure the caller still owns
 // blk.

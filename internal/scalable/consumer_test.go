@@ -487,3 +487,75 @@ func BenchmarkConsumerRecover(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/event")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/n, "B/event")
 }
+
+// TestConsumerJoinUnderLoad: a TCP consumer that joins while batches keep
+// flowing misses none of them. Each of 200 consumers resumes from the
+// store's last seq at the moment it is built, replays from there, then
+// takes live batches: what it delivers must be every seq after that
+// cursor, in order, with no gap and no repeat. A subscription the
+// aggregator applies only after the consumer's replay loses whatever it
+// republished in between.
+func TestConsumerJoinUnderLoad(t *testing.T) {
+	const joins, perJoin = 200, 64
+	col := msgq.NewPub(msgq.WithBlockOnFull())
+	if err := col.Bind(fmt.Sprintf("inproc://joinload-%p", t)); err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	agg, err := NewAggregator(AggregatorOptions{
+		CollectorEndpoints: []string{col.Addr()},
+		Endpoint:           "tcp://127.0.0.1:0",
+		EventOverhead:      time.Nanosecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	loaded := make(chan struct{})
+	go func() { // the load: a four-event batch a millisecond until the joins are done
+		defer close(loaded)
+		for i := 0; ctx.Err() == nil; i++ {
+			blk := events.NewBlock(4, 0)
+			for j := 0; j < 4; j++ {
+				if err := blk.AppendEvent(events.Event{Root: "/mnt", Op: events.OpCreate, Path: fmt.Sprintf("/load/f%d", 4*i+j), Source: "mdt0"}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			col.PublishBlockCtx(ctx, TopicPrefix+"mdt0", blk)
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	defer func() { cancel(); <-loaded }()
+
+	for j := 0; j < joins; j++ {
+		since := agg.engine.Partition(0).LastSeq()
+		con, err := NewConsumer(ConsumerOptions{
+			AggregatorEndpoint: agg.Endpoint(),
+			Filter:             iface.Filter{Recursive: true},
+			Recover:            agg,
+			SinceSeq:           since,
+			EventOverhead:      time.Nanosecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for next := since + 1; next <= since+perJoin; {
+			select {
+			case evs := <-con.C():
+				for _, e := range evs {
+					if e.Seq != next {
+						con.Close()
+						t.Fatalf("join %d from seq %d: delivered seq %d where %d was due", j, since, e.Seq, next)
+					}
+					next++
+				}
+			case <-time.After(10 * time.Second):
+				con.Close()
+				t.Fatalf("join %d from seq %d: nothing after seq %d for 10s", j, since, next-1)
+			}
+		}
+		con.Close()
+	}
+}

@@ -108,6 +108,7 @@ func (m *Monitor) startMembers() error {
 	bindHost := clusterBindHost(opts)
 	tcpBind := "tcp://" + net.JoinHostPort(bindHost, "0")
 
+	moved := make(chan struct{}, 1) // a partition opened or closed on some node
 	for i := 0; i < nodes; i++ {
 		id := fmt.Sprintf("%s%d", prefix, i)
 		ep := m.endpoint("clnode-" + id)
@@ -140,6 +141,7 @@ func (m *Monitor) startMembers() error {
 		if err != nil {
 			return err
 		}
+		n.own.moved = moved
 		m.Nodes = append(m.Nodes, n)
 		recBind := "127.0.0.1:0"
 		if opts.Transport == "tcp" || external {
@@ -161,22 +163,27 @@ func (m *Monitor) startMembers() error {
 		}
 	}
 	if len(opts.ClusterJoin) > 0 {
-		// A joiner waits out a couple of heartbeat rounds for the existing
-		// members' gossip, then refuses to run if any live member already
-		// claims one of its IDs — two members under one ID would ignore
-		// each other's heartbeats and append to the same sequence lanes.
-		time.Sleep(2 * cluster.DefaultHeartbeatInterval)
+		// A joiner waits for its seeds' answers, which list the members
+		// they know, then refuses to run if any live member already claims
+		// one of its IDs — two members under one ID would ignore each
+		// other's heartbeats and append to the same sequence lanes.
 		for _, n := range m.Nodes {
+			if err := n.Membership().WaitJoined(clusterReadyTimeout); err != nil {
+				return err
+			}
 			if other, ok := n.Membership().Conflict(); ok {
 				return fmt.Errorf("scalable: member ID %q already in use by a live cluster member at %s (set ClusterNodePrefix)", n.ID(), other.Endpoint)
 			}
 		}
-	}
-	// With no external members, the in-process nodes must converge on
-	// full coverage before collectors start routing; joining an existing
-	// cluster leaves coverage to members this process cannot see.
-	if len(opts.ClusterJoin) == 0 {
-		deadline := time.Now().Add(clusterReadyTimeout)
+	} else {
+		// With no external members, the in-process nodes must converge on
+		// full coverage before collectors start routing. The wait wakes
+		// where a partition opens or closes — the view alone would not do,
+		// as ownership lags it behind the release fence — and once a
+		// FailAfter, the fence's own fallback, which opens only when
+		// something looks (OwnedPartitions).
+		deadline := time.NewTimer(clusterReadyTimeout)
+		defer deadline.Stop()
 		for {
 			owned := 0
 			for _, n := range m.Nodes {
@@ -185,10 +192,12 @@ func (m *Monitor) startMembers() error {
 			if owned == parts {
 				break
 			}
-			if time.Now().After(deadline) {
+			select {
+			case <-moved:
+			case <-time.After(m.Nodes[0].Membership().FailAfter()):
+			case <-deadline.C:
 				return fmt.Errorf("scalable: cluster owns %d/%d partitions after %v", owned, parts, clusterReadyTimeout)
 			}
-			time.Sleep(10 * time.Millisecond)
 		}
 	}
 	for _, mi := range m.ClusterMembers() {

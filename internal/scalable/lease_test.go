@@ -1,7 +1,6 @@
 package scalable
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -215,19 +214,6 @@ func testRecycledBlocksPoisoned(t *testing.T, shape leaseShape, colTCP bool, inp
 	}
 	for i := 0; i < tcps; i++ {
 		consumers[fmt.Sprintf("tcp %d", i)] = r.consumer(t, r.agg.Endpoint(), 0)
-	}
-	// A TCP subscription is live only once the publisher has read the SUB
-	// frame, which WaitReady does not wait for: probe with an empty block
-	// until every consumer's queue accepts it.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	for probe := events.NewBlock(0, 0); ; time.Sleep(time.Millisecond) {
-		if n, _ := r.agg.pub.PublishBlockCtx(ctx, AggTopic, probe); n == len(consumers) {
-			break
-		}
-		if ctx.Err() != nil {
-			t.Fatal("the consumers never all subscribed")
-		}
 	}
 	r.release()
 

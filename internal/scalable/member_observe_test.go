@@ -253,10 +253,11 @@ func TestForwardingMemberNotStalled(t *testing.T) {
 		}
 	}
 
-	// window publishes perWindow copies of payload to n0's inbox for part,
-	// waits until n0's store lane has taken them all, and samples.
-	sent := uint64(0)
-	window := func(part int, payload []byte) {
+	// window publishes perWindow copies of payload, a batch of which n0
+	// forwards rows events, to n0's inbox for part, waits until n0's store
+	// lane has taken them all and every forward has landed, and samples.
+	sent, forwarded := uint64(0), uint64(0)
+	window := func(part int, payload []byte, rows int) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for i := 0; i < perWindow; i++ {
@@ -268,9 +269,11 @@ func TestForwardingMemberNotStalled(t *testing.T) {
 			}
 		}
 		sent += perWindow
-		for storeLane(n0).In < sent {
+		forwarded += uint64(perWindow * rows)
+		for storeLane(n0).In < sent || n0.Stats().StraysForwarded < forwarded {
 			if time.Now().After(deadline) {
-				t.Fatalf("n0's store lane took %d of %d batches", storeLane(n0).In, sent)
+				t.Fatalf("n0's store lane took %d of %d batches and forwarded %d of %d events",
+					storeLane(n0).In, sent, n0.Stats().StraysForwarded, forwarded)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -293,7 +296,7 @@ func TestForwardingMemberNotStalled(t *testing.T) {
 	stray := eventstest.WireBatch(t, evs, 0, nil)
 	sampler.SampleNow()
 	for w := 0; w <= k; w++ {
-		window(peers, stray)
+		window(peers, stray, len(evs))
 		if v := cluster(); v.Status != telemetry.StatusOK {
 			t.Fatalf("window %d: a forwarding member reads %v: %v", w, v.Status, v.Reasons)
 		}
@@ -303,7 +306,7 @@ func TestForwardingMemberNotStalled(t *testing.T) {
 	}
 
 	for w := 0; w < k; w++ {
-		window(held, []byte("not a block"))
+		window(held, []byte("not a block"), 0)
 	}
 	v := cluster()
 	if v.Status != telemetry.StatusStalled || !strings.Contains(strings.Join(v.Reasons, "; "), "fsmon.cluster.n0.aggregator.pipeline.store") {

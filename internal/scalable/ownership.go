@@ -26,6 +26,15 @@ type ownership struct {
 	prev    cluster.Assignment     // the previously applied map (previous owners for fencing)
 	applied uint64                 // highest assignment epoch applied to the engine
 	boot    bool                   // first assignment applied (its acquisitions are not handoffs)
+	moved   chan<- struct{}        // when set, signalled (without blocking) as a partition opens or closes
+}
+
+// movedLocked raises the moved signal. Caller holds mu.
+func (o *ownership) movedLocked() {
+	select {
+	case o.moved <- struct{}{}:
+	default:
+	}
 }
 
 // pendingAcquire fences a gained partition until its previous owner has
@@ -168,6 +177,7 @@ func (a *Aggregator) applyAssignment(as cluster.Assignment) {
 			a.slog.Error("closing released partition", "partition", p, "err", err)
 		}
 		released = append(released, p)
+		o.movedLocked()
 		a.slog.Info("partition released", "partition", p, "epoch", as.Epoch, "owner", as.OwnerOf(p))
 	}
 	for p := range o.pending {
@@ -216,6 +226,7 @@ func (a *Aggregator) openPartitionLocked(p int, epoch uint64) {
 	}
 	delete(a.own.pending, p)
 	delete(a.own.relLog, p)
+	a.own.movedLocked()
 	if a.own.boot {
 		a.handoffs.Add(1)
 		a.slog.Info("partition acquired", "partition", p, "epoch", epoch, "last_seq", a.engine.Partition(p).LastSeq())

@@ -106,10 +106,9 @@ func TestAggregatorCloseWithStalledConsumer(t *testing.T) {
 
 // A consumer evicted while events keep coming heals from its cursors while
 // they still come, and receives every event exactly once, in per-partition
-// order: the catch-up repeated once the re-link carries its first frame
-// misses nothing the aggregator published before it took the new link's
-// subscription, however the first catch-up raced that. In process and over
-// TCP.
+// order: the catch-up repeated once the re-link is back misses nothing the
+// aggregator published before it took the new link's subscription, however
+// the first catch-up raced that. In process and over TCP.
 func TestEvictedConsumerHealsUnderLiveTraffic(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
 		t.Run(transportName(tcp), func(t *testing.T) {
