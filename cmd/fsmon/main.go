@@ -94,7 +94,7 @@ func main() {
 	cache := flag.Int("cache", 0, "Lustre fid2path cache size (0 = paper default 5000, negative = disabled)")
 	partitions := flag.Int("partitions", 0, "with -lustre: aggregation-tier store partitions (0 = 1, the paper's single store)")
 	clusterNodes := flag.Int("cluster-nodes", 0, "with -lustre: deploy the aggregation tier as this many routed aggregator nodes (0 = single aggregator)")
-	clusterJoin := flag.String("cluster-join", "", "with -lustre: comma-separated ctl inboxes of an existing aggregation cluster to join")
+	clusterJoin := flag.String("cluster-join", "", "with -lustre: comma-separated events addresses of an existing aggregation cluster's members to join through")
 	clusterListen := flag.String("cluster-listen", "", "with -lustre: first node's publisher bind for external subscribers, e.g. tcp://0.0.0.0:7400")
 	clusterPrefix := flag.String("cluster-node-prefix", "", "with -lustre: member-ID prefix for the deployed cluster nodes (default: \"n\" founding, host+pid when joining)")
 	clusterAdvertise := flag.String("cluster-advertise", "", "with -lustre: externally reachable host advertised for cluster addresses bound on a wildcard host")
@@ -338,8 +338,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fsmon: monitoring via %s DSI\n", m.DSIName())
 	}
 	for _, cm := range m.ClusterMembers() {
-		fmt.Fprintf(os.Stderr, "fsmon: cluster member %s: events %s, join %s, recovery %s\n",
-			cm.ID, cm.Endpoint, cm.Ctl, cm.Recovery)
+		fmt.Fprintf(os.Stderr, "fsmon: cluster member %s: events (and join) %s, recovery %s\n",
+			cm.ID, cm.Endpoint, cm.Recovery)
 	}
 	if *metricsAddr != "" {
 		srv, err := fsmonitor.ServeTelemetry(*metricsAddr, reg)

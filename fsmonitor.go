@@ -230,11 +230,11 @@ func WithClusterNodes(n int) Option {
 }
 
 // WithClusterJoin points the deployed aggregator node(s) at an existing
-// cluster's ctl inboxes (e.g. "tcp://host:7401"): they join that cluster
-// and take over their rendezvous share of its partitions. Lustre path
-// only.
-func WithClusterJoin(ctl ...string) Option {
-	return func(o *core.Options) { o.Lustre.ClusterJoin = append([]string(nil), ctl...) }
+// cluster's members by their event publishers (ClusterMember.Endpoint,
+// e.g. "tcp://host:7400"): they join that cluster and take over their
+// rendezvous share of its partitions. Lustre path only.
+func WithClusterJoin(endpoint ...string) Option {
+	return func(o *core.Options) { o.Lustre.ClusterJoin = append([]string(nil), endpoint...) }
 }
 
 // WithClusterListen binds the first deployed node's event publisher to a
@@ -255,8 +255,8 @@ func WithClusterNodePrefix(prefix string) Option {
 }
 
 // WithClusterAdvertise sets the externally reachable host substituted
-// into every advertised cluster address (publishers, join inboxes,
-// recovery servers). Required when WithClusterListen binds a wildcard
+// into every advertised cluster address (publishers and recovery
+// servers). Required when WithClusterListen binds a wildcard
 // host ("0.0.0.0") that machines elsewhere cannot dial back. Lustre
 // path only.
 func WithClusterAdvertise(host string) Option {
@@ -264,8 +264,9 @@ func WithClusterAdvertise(host string) Option {
 }
 
 // ClusterMember identifies one member of a clustered aggregation tier:
-// its ID and the addresses peers join (Ctl) and consumers dial
-// (Endpoint, Recovery). Monitor.ClusterMembers returns them.
+// its ID, the address peers join through and consumers subscribe to
+// (Endpoint), and its recovery server (Recovery). Monitor.ClusterMembers
+// returns them.
 type ClusterMember = dsi.ClusterMember
 
 // WithBatch tunes resolution-layer batching (§III-A2's batching

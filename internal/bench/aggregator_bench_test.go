@@ -81,7 +81,7 @@ func buildTier(b *testing.B, nodes, parts int, reg *telemetry.Registry, overhead
 	for i := 0; i < nodes; i++ {
 		var join []string
 		if i > 0 {
-			join = []string{t.aggs[0].CtlEndpoint()}
+			join = []string{t.aggs[0].Endpoint()}
 		}
 		if err := member(fmt.Sprintf("n%d", i), join).Start(); err != nil {
 			b.Fatal(err)

@@ -42,11 +42,9 @@ type MemberInfo struct {
 	// embedded in routed topic names, where '.' is the separator).
 	ID string `json:"id"`
 	// Endpoint is the member's publisher endpoint: routed event traffic
-	// in, membership broadcasts and republished batches out.
+	// in, membership broadcasts and republished batches out. Peers join
+	// through it: a hello goes upstream on their link to it.
 	Endpoint string `json:"ep"`
-	// Ctl is the member's join inbox (a PULL socket): peers that learn
-	// of this member send a hello here so it connects back.
-	Ctl string `json:"ctl"`
 	// Recovery is the member's recovery-server address, "" when the
 	// member serves no recovery (observers).
 	Recovery string `json:"rec,omitempty"`

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,19 +75,36 @@ type memberHarness struct {
 	mem *Membership
 }
 
-func newMemberHarness(t *testing.T, id string, parts int, join ...string) *memberHarness {
-	return newMemberHarnessTimed(t, id, parts, 10*time.Millisecond, 60*time.Millisecond, join...)
+// harnessSeq names the harnesses' in-process endpoints.
+var harnessSeq atomic.Uint64
+
+// forTransports runs f as a subtest per msgq transport.
+func forTransports(t *testing.T, f func(t *testing.T, tcp bool)) {
+	for _, tcp := range []bool{false, true} {
+		name := "inproc"
+		if tcp {
+			name = "tcp"
+		}
+		t.Run(name, func(t *testing.T) { f(t, tcp) })
+	}
 }
 
-func newMemberHarnessTimed(t *testing.T, id string, parts int, interval, failAfter time.Duration, join ...string) *memberHarness {
+func newMemberHarness(t *testing.T, tcp bool, id string, parts int, join ...string) *memberHarness {
+	return newMemberHarnessTimed(t, tcp, id, parts, 10*time.Millisecond, 60*time.Millisecond, join...)
+}
+
+func newMemberHarnessTimed(t *testing.T, tcp bool, id string, parts int, interval, failAfter time.Duration, join ...string) *memberHarness {
 	t.Helper()
 	pub := msgq.NewPub()
-	ep := fmt.Sprintf("inproc://memtest-%p-%s", t, id)
+	ep := fmt.Sprintf("inproc://memtest-%d", harnessSeq.Add(1))
+	if tcp {
+		ep = "tcp://127.0.0.1:0"
+	}
 	if err := pub.Bind(ep); err != nil {
 		t.Fatal(err)
 	}
 	mem, err := NewMembership(MembershipOptions{
-		Self:      MemberInfo{ID: id, Endpoint: ep, Ctl: ep + ".ctl"},
+		Self:      MemberInfo{ID: id, Endpoint: pub.Addr()},
 		Pub:       pub,
 		Join:      join,
 		Parts:     parts,
@@ -106,13 +125,17 @@ func (h *memberHarness) kill() {
 }
 
 func TestMembershipConvergenceAndFailure(t *testing.T) {
+	forTransports(t, testMembershipConvergenceAndFailure)
+}
+
+func testMembershipConvergenceAndFailure(t *testing.T, tcp bool) {
 	const parts = 8
-	a := newMemberHarness(t, "a", parts)
+	a := newMemberHarness(t, tcp, "a", parts)
 	defer a.kill()
-	b := newMemberHarness(t, "b", parts, a.mem.Self().Ctl)
+	b := newMemberHarness(t, tcp, "b", parts, a.mem.Self().Endpoint)
 	defer b.kill()
 	// c joins via a only; it must learn b through gossip.
-	c := newMemberHarness(t, "c", parts, a.mem.Self().Ctl)
+	c := newMemberHarness(t, tcp, "c", parts, a.mem.Self().Endpoint)
 	defer c.kill()
 	for _, h := range []*memberHarness{a, b, c} {
 		if err := h.mem.WaitMembers(3, 5*time.Second); err != nil {
@@ -163,10 +186,12 @@ func TestMembershipConvergenceAndFailure(t *testing.T) {
 	}
 }
 
-func TestMembershipGracefulLeave(t *testing.T) {
-	a := newMemberHarness(t, "a", 4)
+func TestMembershipGracefulLeave(t *testing.T) { forTransports(t, testMembershipGracefulLeave) }
+
+func testMembershipGracefulLeave(t *testing.T, tcp bool) {
+	a := newMemberHarness(t, tcp, "a", 4)
 	defer a.kill()
-	b := newMemberHarness(t, "b", 4, a.mem.Self().Ctl)
+	b := newMemberHarness(t, tcp, "b", 4, a.mem.Self().Endpoint)
 	if err := a.mem.WaitMembers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +210,7 @@ func TestMembershipGracefulLeave(t *testing.T) {
 
 // TestMembershipStableUnderHeartbeats: with everyone healthy, the view
 // must hold steady across many FailAfter windows — heartbeats alone (not
-// just ctl hellos) refresh liveness, so no peer flaps dead/alive and the
+// just hellos) refresh liveness, so no peer flaps dead/alive and the
 // epoch never advances. Regression: heartbeat senders were folded in as
 // secondhand sightings, so every peer expired each FailAfter and was
 // resurrected by the next gossip round, churning epochs and handoffs.
@@ -198,9 +223,9 @@ func TestMembershipStableUnderHeartbeats(t *testing.T) {
 		interval  = 20 * time.Millisecond
 		failAfter = 250 * time.Millisecond
 	)
-	a := newMemberHarnessTimed(t, "a", parts, interval, failAfter)
+	a := newMemberHarnessTimed(t, false, "a", parts, interval, failAfter)
 	defer a.kill()
-	b := newMemberHarnessTimed(t, "b", parts, interval, failAfter, a.mem.Self().Ctl)
+	b := newMemberHarnessTimed(t, false, "b", parts, interval, failAfter, a.mem.Self().Endpoint)
 	defer b.kill()
 	for _, h := range []*memberHarness{a, b} {
 		if err := h.mem.WaitMembers(2, 5*time.Second); err != nil {
@@ -245,31 +270,13 @@ func TestAdvertiseEndpoint(t *testing.T) {
 // existing member's ID from a different address: both sides must record
 // the conflict (so a joining deployment can abort) and the original must
 // not absorb the imposter into its peer table.
-func TestMembershipIDConflict(t *testing.T) {
-	a := newMemberHarness(t, "dup", 4)
+func TestMembershipIDConflict(t *testing.T) { forTransports(t, testMembershipIDConflict) }
+
+func testMembershipIDConflict(t *testing.T, tcp bool) {
+	a := newMemberHarness(t, tcp, "dup", 4)
 	defer a.kill()
-	// The imposter claims "dup" too, from its own endpoint (built by hand:
-	// the harness derives endpoints from the ID, which must collide here
-	// in identity only, not in bind address).
-	bpub := msgq.NewPub()
-	bep := fmt.Sprintf("inproc://memtest-%p-dup2", t)
-	if err := bpub.Bind(bep); err != nil {
-		t.Fatal(err)
-	}
-	bmem, err := NewMembership(MembershipOptions{
-		Self:      MemberInfo{ID: "dup", Endpoint: bep, Ctl: bep + ".ctl"},
-		Pub:       bpub,
-		Join:      []string{a.mem.Self().Ctl},
-		Parts:     4,
-		Interval:  10 * time.Millisecond,
-		FailAfter: 60 * time.Millisecond,
-	})
-	if err != nil {
-		bpub.Close()
-		t.Fatal(err)
-	}
-	bmem.Start()
-	b := &memberHarness{pub: bpub, mem: bmem}
+	// The imposter claims "dup" too, from its own endpoint.
+	b := newMemberHarness(t, tcp, "dup", 4, a.mem.Self().Endpoint)
 	defer b.kill()
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -290,5 +297,66 @@ func TestMembershipIDConflict(t *testing.T) {
 	if a.mem.Members() != 1 || b.mem.Members() != 1 {
 		t.Fatalf("conflicting participants merged into one view: a=%d b=%d members",
 			a.mem.Members(), b.mem.Members())
+	}
+}
+
+// An observer binds no socket: it joins through its link to a member's
+// pub, hears the answer there, and converges on the members' view without
+// being counted in it.
+func TestMembershipObserverBindsNothing(t *testing.T) {
+	forTransports(t, func(t *testing.T, tcp bool) {
+		a := newMemberHarness(t, tcp, "a", 4)
+		defer a.kill()
+		b := newMemberHarness(t, tcp, "b", 4, a.mem.Self().Endpoint)
+		defer b.kill()
+		obs, err := NewMembership(MembershipOptions{
+			Self:      MemberInfo{ID: "router"},
+			Observer:  true,
+			Join:      []string{a.mem.Self().Endpoint},
+			Parts:     4,
+			Interval:  10 * time.Millisecond,
+			FailAfter: 60 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs.Start()
+		defer obs.Kill()
+		if err := obs.WaitJoined(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.WaitMembers(2, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []*memberHarness{a, b} {
+			if err := h.mem.WaitMembers(2, 5*time.Second); err != nil {
+				t.Fatalf("%s: %v", h.mem.Self().ID, err)
+			}
+			if n := h.mem.Members(); n != 2 {
+				t.Fatalf("%s counts %d members with an observer joined, want 2", h.mem.Self().ID, n)
+			}
+		}
+	})
+}
+
+// A joiner that dials its seed by another address than the one the seed
+// advertises (localhost against 127.0.0.1) is still answered: the answer
+// carries the address the hello went to.
+func TestMembershipJoinByAnotherAddress(t *testing.T) {
+	a := newMemberHarness(t, true, "a", 4)
+	defer a.kill()
+	seed := strings.Replace(a.mem.Self().Endpoint, "127.0.0.1", "localhost", 1)
+	if seed == a.mem.Self().Endpoint {
+		t.Fatalf("advertised endpoint %q is not on 127.0.0.1", seed)
+	}
+	b := newMemberHarness(t, true, "b", 4, seed)
+	defer b.kill()
+	if err := b.mem.WaitJoined(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*memberHarness{a, b} {
+		if err := h.mem.WaitMembers(2, 5*time.Second); err != nil {
+			t.Fatalf("%s: %v", h.mem.Self().ID, err)
+		}
 	}
 }

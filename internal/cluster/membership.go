@@ -20,16 +20,13 @@ const (
 	// DefaultFailFactor: a peer is declared dead after this many missed
 	// heartbeat intervals.
 	DefaultFailFactor = 4
-	// helloTimeout bounds a join hello to an unreachable ctl inbox.
-	helloTimeout = 5 * time.Second
 )
 
 // MembershipOptions configures one member's (or observer's) view of the
 // cluster.
 type MembershipOptions struct {
-	// Self describes this member. ID is required (ValidID); Endpoint and
-	// Ctl must be the already-bound addresses of Pub and the ctl inbox.
-	// Observers leave Endpoint empty.
+	// Self describes this member. ID is required (ValidID); Endpoint must
+	// be the already-bound address of Pub. Observers leave Endpoint empty.
 	Self MemberInfo
 	// Observer makes this a receive-only participant: it sends join
 	// hellos and tracks the member set, but broadcasts no heartbeats and
@@ -37,11 +34,13 @@ type MembershipOptions struct {
 	// consumers use an observer to resolve partition owners.
 	Observer bool
 	// Pub is the member's bound publisher, shared with the event path;
-	// membership broadcasts ride on it. Required unless Observer.
+	// membership broadcasts ride on it, and peers' hellos arrive on its
+	// inbox. Required unless Observer.
 	Pub *msgq.Pub
-	// Join lists ctl inboxes of known members to announce ourselves to.
-	// The transitive gossip in heartbeats completes the mesh from any
-	// single live seed.
+	// Join lists publisher endpoints of known members to announce
+	// ourselves to: the hello goes upstream on our link to each. The
+	// transitive gossip in heartbeats completes the mesh from any single
+	// live seed.
 	Join []string
 	// Parts is the global store-partition count assignments map over.
 	Parts int
@@ -50,10 +49,6 @@ type MembershipOptions struct {
 	// peer is expired (default 4×Interval).
 	Interval  time.Duration
 	FailAfter time.Duration
-	// Advertise, when non-empty, is the externally reachable host
-	// substituted into the advertised ctl address — required when the ctl
-	// inbox binds a wildcard address (0.0.0.0) that peers cannot dial.
-	Advertise string
 	// OnChange is called (from the membership goroutine) with each new
 	// assignment map. Callbacks must apply maps idempotently and in
 	// epoch order — stale epochs may be delivered and must be ignored.
@@ -91,11 +86,12 @@ type peerState struct {
 	epoch    uint64
 }
 
-// ctrlMsg is the JSON control frame for both the heartbeat topic and the
-// ctl hello inbox. Heartbeats, hellos and their answers gossip the sender's
-// live peer list, which is what completes the mesh: a node that learns an
-// unknown member from gossip connects to its endpoint and hellos its ctl so
-// the link becomes mutual.
+// ctrlMsg is the JSON control frame of the membership protocol: broadcast
+// on MembershipTopic, or a hello sent upstream to one peer's pub.
+// Heartbeats, hellos and their answers gossip the sender's live peer list,
+// which is what completes the mesh: a node that learns an unknown member
+// from gossip connects to its endpoint and hellos it there, so the link
+// becomes mutual.
 type ctrlMsg struct {
 	Kind  string       `json:"k"` // "hello", "answer", "hb", "leave", "release"
 	Epoch uint64       `json:"e,omitempty"`
@@ -103,8 +99,8 @@ type ctrlMsg struct {
 	Peers []MemberInfo `json:"peers,omitempty"`
 	// Parts carries a release broadcast's closed partitions.
 	Parts []int `json:"parts,omitempty"`
-	// To is the ctl address a hello was sent to, carried back by its
-	// answer, so a joiner knows which of its seeds answered.
+	// To is the address a hello was sent to, carried back by its answer,
+	// so a joiner knows which of its seeds answered.
 	To string `json:"to,omitempty"`
 }
 
@@ -159,15 +155,13 @@ type pendingIncident struct {
 type Membership struct {
 	opts MembershipOptions
 
-	sub *msgq.Sub  // membership broadcasts from every connected peer pub
-	ctl *msgq.Pull // join hellos
+	sub *msgq.Sub // membership broadcasts from every connected peer pub; our hellos go up its links
 
 	mu       sync.Mutex
 	peers    map[string]*peerState
-	coming   map[string]bool      // seen, counted once our link to them is ready (admit)
+	coming   map[string]bool      // seen, counted once our link to them is ready (admit); true: hello it then too
 	dead     map[string]time.Time // tombstones: recently expired/left members
-	helloed  map[string]time.Time // ctl addr -> last hello sent
-	seeds    map[string]bool      // Join ctl addr -> its answer is folded in
+	seeds    map[string]bool      // Join address -> its answer is folded in
 	epoch    uint64
 	maxSeen  uint64
 	assign   Assignment
@@ -182,8 +176,8 @@ type Membership struct {
 	wg       sync.WaitGroup
 }
 
-// NewMembership creates an unstarted membership participant. The ctl
-// inbox is bound here (at Self.Ctl); Start begins the protocol.
+// NewMembership creates an unstarted membership participant; Start begins
+// the protocol.
 func NewMembership(opts MembershipOptions) (*Membership, error) {
 	if !ValidID(opts.Self.ID) {
 		return nil, fmt.Errorf("cluster: invalid member ID %q", opts.Self.ID)
@@ -194,9 +188,6 @@ func NewMembership(opts MembershipOptions) (*Membership, error) {
 	if !opts.Observer && (opts.Pub == nil || opts.Self.Endpoint == "") {
 		return nil, errors.New("cluster: members need a bound Pub and Self.Endpoint")
 	}
-	if opts.Self.Ctl == "" {
-		return nil, errors.New("cluster: MembershipOptions.Self.Ctl is required")
-	}
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultHeartbeatInterval
 	}
@@ -204,22 +195,12 @@ func NewMembership(opts MembershipOptions) (*Membership, error) {
 		opts.FailAfter = DefaultFailFactor * opts.Interval
 	}
 	opts.Logger = telemetry.ComponentLogger(opts.Logger, "cluster."+opts.Self.ID)
-	ctl := msgq.NewPull(0)
-	if err := ctl.Bind(opts.Self.Ctl); err != nil {
-		return nil, err
-	}
-	// Resolve tcp://:0 binds to the real port, then substitute the
-	// advertised host: a wildcard bind (0.0.0.0) is reachable but not
-	// dialable, so peers must be told the external address.
-	opts.Self.Ctl = AdvertiseEndpoint(ctl.Addr(), opts.Advertise)
 	m := &Membership{
 		opts:    opts,
-		ctl:     ctl,
 		sub:     msgq.NewSub(),
 		peers:   make(map[string]*peerState),
 		coming:  make(map[string]bool),
 		dead:    make(map[string]time.Time),
-		helloed: make(map[string]time.Time),
 		seeds:   make(map[string]bool),
 		viewCh:  make(chan struct{}),
 		stopped: make(chan struct{}),
@@ -248,47 +229,51 @@ func (m *Membership) Start() {
 		return
 	}
 	m.started = true
-	for _, ctl := range m.opts.Join {
-		if ctl != "" && ctl != m.opts.Self.Ctl {
-			m.seeds[ctl] = false
+	for _, ep := range m.opts.Join {
+		if _, dup := m.seeds[ep]; ep == "" || ep == m.opts.Self.Endpoint || dup {
+			continue
 		}
+		m.seeds[ep] = false
+		_ = m.sub.Connect(ep)
+		m.wg.Add(1)
+		go m.join(ep)
 	}
 	m.mu.Unlock()
-	for ctl := range m.seeds {
-		m.hello(ctl, "hello", ctl)
+	if !m.opts.Observer {
+		m.wg.Add(1)
+		go m.inboxLoop(m.opts.Pub.Inbox()) // open before any hello can come
 	}
-	m.wg.Add(3)
-	go m.ctlLoop()
+	m.wg.Add(2)
 	go m.subLoop()
 	go m.tickLoop()
 }
 
-// hello sends ourselves and our peer list to a peer's ctl inbox as a
-// "hello" or as the "answer" to one, to the address to (bounded by
-// helloTimeout; an unreachable inbox is abandoned, and gossip retries
-// later). Caller must not hold m.mu.
-func (m *Membership) hello(ctlAddr, kind, to string) {
-	if ctlAddr == "" || ctlAddr == m.opts.Self.Ctl {
-		return
+// join greets one Join seed: once our link to its pub is ready, the hello
+// goes upstream on it. A link that drops first is waited for again.
+func (m *Membership) join(seed string) {
+	defer m.wg.Done()
+	for m.sub.WaitEndpointReady(seed, m.opts.FailAfter) != nil || m.hello(seed) != nil {
+		select {
+		case <-m.stopped:
+			return
+		default:
+		}
 	}
+}
+
+// hello sends ourselves and our peer list upstream on our link to the pub
+// at ep, whose owner answers on MembershipTopic (inboxLoop).
+func (m *Membership) hello(ep string) error {
+	return m.sub.Send(ep, msgq.Message{Topic: MembershipTopic, Payload: m.frame("hello", ep)})
+}
+
+// frame encodes a heartbeat, hello or answer: ourselves and our peer list.
+func (m *Membership) frame(kind, to string) []byte {
 	m.mu.Lock()
 	c := ctrlMsg{Kind: kind, From: m.opts.Self, Epoch: m.epoch, Peers: m.peerListLocked(), To: to}
 	m.mu.Unlock()
-	payload, err := json.Marshal(c)
-	if err != nil {
-		return
-	}
-	push, err := msgq.NewPush(ctlAddr)
-	if err != nil {
-		m.opts.Logger.Warn("bad ctl endpoint", "ctl", ctlAddr, "err", err)
-		return
-	}
-	go func() {
-		t := time.AfterFunc(helloTimeout, push.Close)
-		defer t.Stop()
-		defer push.Close()
-		_ = push.Send(msgq.Message{Topic: "cluster.hello", Payload: payload})
-	}()
+	payload, _ := json.Marshal(c) // a ctrlMsg always encodes
+	return payload
 }
 
 func (m *Membership) epochNow() uint64 {
@@ -297,40 +282,35 @@ func (m *Membership) epochNow() uint64 {
 	return m.epoch
 }
 
-// ctlLoop serves the join inbox. Every hello is answered — the two-way
-// handshake PUB/SUB alone cannot bootstrap — and a hello or an answer makes
-// its sender and the peers it lists known (connecting to their pubs). An
-// answer to one of our join hellos also marks that seed answered
-// (WaitJoined). A sender claiming our own ID hears our claim in the answer
-// and can abort too.
-func (m *Membership) ctlLoop() {
+// inboxLoop serves the hellos peers send upstream to our pub. Every hello
+// is answered on MembershipTopic — the two-way handshake PUB/SUB alone
+// cannot bootstrap — and the answer reaches the sender: our pub attached
+// its link before it read the hello behind the link's echo. A hello makes
+// its sender and the peers it lists known (connecting to their pubs); a
+// sender claiming our own ID hears our claim in the answer and can abort
+// too.
+func (m *Membership) inboxLoop(inbox <-chan msgq.Message) {
 	defer m.wg.Done()
-	for msg := range m.ctl.C() {
+	for {
+		var msg msgq.Message
+		var ok bool
+		select {
+		case msg, ok = <-inbox:
+		case <-m.stopped:
+		}
+		if !ok {
+			return
+		}
 		var c ctrlMsg
-		if err := json.Unmarshal(msg.Payload, &c); err != nil || c.Kind != "hello" && c.Kind != "answer" {
+		if err := json.Unmarshal(msg.Payload, &c); err != nil || c.Kind != "hello" {
 			continue
 		}
-		// The sender knows us, or will from our answer: observe need not
-		// hello it.
-		m.mu.Lock()
-		m.helloed[c.From.Ctl] = time.Now()
-		m.mu.Unlock()
-		if c.Kind == "hello" {
-			m.hello(c.From.Ctl, "answer", c.To)
-		}
+		m.opts.Pub.Publish(MembershipTopic, m.frame("answer", c.To))
 		if c.From.Endpoint != "" { // an observer has no pub to track
 			m.observe(c.From, c.Epoch, true)
 		}
 		for _, p := range c.Peers {
 			m.observe(p, c.Epoch, false)
-		}
-		if c.Kind == "answer" {
-			m.mu.Lock()
-			if _, seed := m.seeds[c.To]; seed {
-				m.seeds[c.To] = true
-				m.signalViewLocked()
-			}
-			m.mu.Unlock()
 		}
 	}
 }
@@ -358,12 +338,22 @@ func (m *Membership) subLoop() {
 			continue
 		}
 		switch c.Kind {
-		case "hb":
+		case "hb", "answer":
 			// The sender itself is firsthand contact; only the gossiped
-			// peer list is secondhand.
+			// peer list is secondhand. An answer to one of our join hellos
+			// also marks that seed answered (WaitJoined), once what it
+			// lists — any claim on our ID included — is folded in.
 			m.observe(c.From, c.Epoch, true)
 			for _, p := range c.Peers {
 				m.observe(p, c.Epoch, false)
+			}
+			if c.Kind == "answer" {
+				m.mu.Lock()
+				if answered, seed := m.seeds[c.To]; seed && !answered {
+					m.seeds[c.To] = true
+					m.signalViewLocked()
+				}
+				m.mu.Unlock()
 			}
 		case "leave":
 			m.drop(c.From.ID, "leave")
@@ -378,19 +368,21 @@ func (m *Membership) subLoop() {
 }
 
 // observe folds a member sighting into the peer table. Direct sightings
-// (a heartbeat from the member itself, or its hello) refresh liveness;
-// gossiped ones only introduce unknown members — a gossiper's stale
-// entry must not keep a dead peer alive, so only firsthand contact
-// resets the expiry clock. An unknown member is helloed so the link
-// becomes mutual, and counted once our link to it is ready (admit).
+// (its hello, or a heartbeat, answer or release from the member itself)
+// refresh liveness; gossiped ones only introduce unknown members — a
+// gossiper's stale entry must not keep a dead peer alive, so only firsthand
+// contact resets the expiry clock. An unknown member is counted once our
+// link to it is ready (admit), and helloed then if gossip introduced it, so
+// the link becomes mutual. One we first heard from directly knows us
+// already (it helloed us, or answered our hello), and a hello it does not
+// need could reach it behind our leave and bring us back.
 func (m *Membership) observe(info MemberInfo, epoch uint64, direct bool) {
 	if info.ID == m.opts.Self.ID {
 		// Traffic claiming our own ID from different addresses means two
 		// live participants share one ID — routed topics and the
 		// assignment map would interleave them. Record it so a joining
 		// deployment can abort instead of corrupting sequence lanes.
-		if (info.Endpoint != "" && info.Endpoint != m.opts.Self.Endpoint) ||
-			(info.Ctl != "" && info.Ctl != m.opts.Self.Ctl) {
+		if info.Endpoint != "" && info.Endpoint != m.opts.Self.Endpoint {
 			m.mu.Lock()
 			first := m.conflict == nil
 			c := info
@@ -398,7 +390,7 @@ func (m *Membership) observe(info MemberInfo, epoch uint64, direct bool) {
 			m.mu.Unlock()
 			if first {
 				m.opts.Logger.Error("member ID conflict: another live participant claims this ID",
-					"id", info.ID, "their_endpoint", info.Endpoint, "their_ctl", info.Ctl)
+					"id", info.ID, "their_endpoint", info.Endpoint)
 			}
 		}
 		return
@@ -436,36 +428,30 @@ func (m *Membership) observe(info MemberInfo, epoch uint64, direct bool) {
 		m.mu.Unlock()
 		return
 	}
-	if m.coming[info.ID] {
+	if hello, coming := m.coming[info.ID]; coming {
+		m.coming[info.ID] = hello && !direct
 		m.mu.Unlock()
 		return
 	}
-	m.coming[info.ID] = true
-	sendHello := false
-	if last, ok := m.helloed[info.Ctl]; !ok || time.Since(last) >= m.opts.FailAfter {
-		sendHello = true
-		m.helloed[info.Ctl] = time.Now()
-	}
+	m.coming[info.ID] = !direct
 	m.mu.Unlock()
 	_ = m.sub.Connect(info.Endpoint)
-	if sendHello {
-		m.hello(info.Ctl, "hello", info.Ctl)
-	}
 	m.wg.Add(1)
 	go m.admit(info, epoch)
 }
 
-// admit counts a newly seen member once our link to its pub is ready: a
-// WaitMembers return implies every counted peer's broadcasts reach us, so
-// one sent right after (an immediate leave) cannot be lost to a link still
-// coming up. It waits off the ctl and sub loops, so an unreachable endpoint
-// stalls neither; a wait that outlasts FailAfter leaves the member to its
-// next sighting — its first heartbeat, once the link is up.
+// admit counts a newly seen member once our link to its pub is ready, then
+// hellos it on that link if observe says to. A WaitMembers return implies
+// every counted peer's broadcasts reach us, so one sent right after (an
+// immediate leave) cannot be lost to a link still coming up. It waits off
+// the inbox and sub loops, so an unreachable endpoint stalls neither; a
+// wait that outlasts FailAfter leaves the member to its next sighting — its
+// first heartbeat, once the link is up.
 func (m *Membership) admit(info MemberInfo, epoch uint64) {
 	defer m.wg.Done()
 	err := m.sub.WaitEndpointReady(info.Endpoint, m.opts.FailAfter)
 	m.mu.Lock()
-	coming := m.coming[info.ID]
+	hello, coming := m.coming[info.ID]
 	delete(m.coming, info.ID)
 	if err != nil || !coming {
 		m.mu.Unlock()
@@ -474,6 +460,9 @@ func (m *Membership) admit(info MemberInfo, epoch uint64) {
 	m.peers[info.ID] = &peerState{info: info, lastSeen: time.Now(), epoch: epoch}
 	m.signalViewLocked()
 	m.mu.Unlock()
+	if hello {
+		_ = m.hello(info.Endpoint) // best effort: gossip makes the link mutual too
+	}
 	if m.opts.OnPeer != nil {
 		m.opts.OnPeer(info)
 	}
@@ -485,7 +474,7 @@ func (m *Membership) admit(info MemberInfo, epoch uint64) {
 func (m *Membership) drop(id, why string) {
 	m.mu.Lock()
 	_, known := m.peers[id]
-	coming := m.coming[id]
+	_, coming := m.coming[id]
 	delete(m.peers, id)
 	delete(m.coming, id) // its admit finds it gone
 	if known || coming {
@@ -546,8 +535,8 @@ func (m *Membership) beat() {
 	if m.opts.Observer {
 		return
 	}
+	hb := m.frame("hb", "")
 	m.mu.Lock()
-	c := ctrlMsg{Kind: "hb", From: m.opts.Self, Epoch: m.epoch, Peers: m.peerListLocked()}
 	var rel []pendingRelease
 	if len(m.relOut) > 0 {
 		kept := m.relOut[:0]
@@ -571,9 +560,7 @@ func (m *Membership) beat() {
 		inc = append(inc, kept...)
 	}
 	m.mu.Unlock()
-	if payload, err := json.Marshal(c); err == nil {
-		m.opts.Pub.Publish(MembershipTopic, payload)
-	}
+	m.opts.Pub.Publish(MembershipTopic, hb)
 	for _, r := range rel {
 		m.publishRelease(r.epoch, r.parts)
 	}
@@ -875,7 +862,6 @@ func (m *Membership) Close() {
 func (m *Membership) Kill() {
 	m.stopOnce.Do(func() {
 		close(m.stopped)
-		m.ctl.Close()
 		m.sub.Close()
 		m.wg.Wait()
 	})

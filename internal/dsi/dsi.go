@@ -45,10 +45,9 @@ type DSI interface {
 type ClusterMember struct {
 	// ID is the member's cluster-wide name.
 	ID string
-	// Endpoint is the member's event publisher (subscribe here).
+	// Endpoint is the member's event publisher: subscribe here, and pass
+	// it as a cluster-join address.
 	Endpoint string
-	// Ctl is the member's join inbox (pass as a cluster-join address).
-	Ctl string
 	// Recovery is the member's recovery-server address, "" when none.
 	Recovery string
 }

@@ -151,7 +151,7 @@ func (d *lustreDSI) ClusterMembers() []dsi.ClusterMember {
 	}
 	var out []dsi.ClusterMember
 	for _, mi := range d.mon.ClusterMembers() {
-		out = append(out, dsi.ClusterMember{ID: mi.ID, Endpoint: mi.Endpoint, Ctl: mi.Ctl, Recovery: mi.Recovery})
+		out = append(out, dsi.ClusterMember{ID: mi.ID, Endpoint: mi.Endpoint, Recovery: mi.Recovery})
 	}
 	return out
 }

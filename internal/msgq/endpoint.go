@@ -39,11 +39,6 @@ func parseEndpoint(s string) (endpoint, error) {
 	}
 }
 
-// inprocBindable is anything that can accept an in-process peer.
-type inprocBindable interface {
-	attachInproc(peer *inprocPeer)
-}
-
 // subscriber is what a publisher's offer needs of a subscriber.
 type subscriber interface {
 	done() <-chan struct{}
@@ -114,13 +109,13 @@ func (p *inprocPeer) evict(pub *Pub) {
 	p.stop()
 }
 
-// inprocRegistry maps names to bound sockets within the process.
+// inprocRegistry maps names to bound publishers within the process.
 var inprocRegistry = struct {
 	sync.Mutex
-	bound map[string]inprocBindable
-}{bound: make(map[string]inprocBindable)}
+	bound map[string]*Pub
+}{bound: make(map[string]*Pub)}
 
-func inprocBind(name string, s inprocBindable) error {
+func inprocBind(name string, s *Pub) error {
 	inprocRegistry.Lock()
 	defer inprocRegistry.Unlock()
 	if _, ok := inprocRegistry.bound[name]; ok {
@@ -136,7 +131,7 @@ func inprocUnbind(name string) {
 	delete(inprocRegistry.bound, name)
 }
 
-func inprocLookup(name string) (inprocBindable, bool) {
+func inprocLookup(name string) (*Pub, bool) {
 	inprocRegistry.Lock()
 	defer inprocRegistry.Unlock()
 	s, ok := inprocRegistry.bound[name]

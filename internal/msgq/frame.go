@@ -1,8 +1,8 @@
 // Package msgq implements the high-performance message-passing queue the
 // scalable monitor is built on (§II-B2: "FSMonitor ... employs a high
 // performance message passing queue to concurrently collect, report, and
-// aggregate events from each MDS"). It provides ZeroMQ-style PUB/SUB and
-// PUSH/PULL sockets (the paper uses ZeroMQ, §IV-2 "Aggregation") over two
+// aggregate events from each MDS"). It provides ZeroMQ-style PUB/SUB
+// sockets (the paper uses ZeroMQ, §IV-2 "Aggregation") over two
 // transports:
 //
 //   - "tcp://host:port" — length-prefixed frames over TCP (net, stdlib).
@@ -11,7 +11,7 @@
 //
 // Semantics follow ZeroMQ where it matters to the paper's claims: PUB
 // distributes to all matching subscribers with per-subscriber queues and a
-// high-water mark; PUSH provides blocking, lossless backpressure.
+// high-water mark.
 //
 // Unlike ZeroMQ, readiness is proven, not guessed. Over TCP a subscriber
 // follows its SUB/UNSUB control frames with an echo request ("\x01ECHO",
@@ -21,6 +21,12 @@
 // attaches a TCP subscriber (delivers to it, counts it) only from its first
 // answer on, which is therefore the first frame the link carries. Echo
 // frames never reach a receiver.
+//
+// A ready link also carries frames upstream (Sub.Send): any topic not
+// starting with "\x01", read by the publisher in order behind the link's
+// control frames and handed to its owner (Pub.Inbox). The publisher has
+// attached the link by then, so what it publishes in reply reaches the
+// sender. This is how a cluster member greets the member it joins.
 package msgq
 
 import (
@@ -62,8 +68,9 @@ type Message struct {
 const maxFrame = 64 << 20
 
 // control topics exchanged from subscriber to publisher; ctlEcho also comes
-// back (see the package doc).
+// back (see the package doc). Every control topic starts with ctlMark.
 const (
+	ctlMark        = "\x01"
 	ctlSubscribe   = "\x01SUB"
 	ctlUnsubscribe = "\x01UNSUB"
 	ctlEcho        = "\x01ECHO"

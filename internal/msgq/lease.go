@@ -103,7 +103,7 @@ func (l *lease) done() {
 // receiver's reference on the publisher's block; for a frame a Sub read from
 // a TCP connection it hands the payload buffer back to that connection,
 // which reads a later frame into it. A message that carries no lease
-// (PublishCtx, PublishBlockCtx, ReadFrame, a Pull socket) ignores it, so
+// (PublishCtx, PublishBlockCtx, ReadFrame, Pub.Inbox) ignores it, so
 // receivers call it unconditionally.
 //
 // The asymmetry callers rely on: a missing Done only leaves the memory to

@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -511,113 +512,143 @@ func TestInprocDoubleBind(t *testing.T) {
 	}
 }
 
-func testPushPull(t *testing.T, ep string) {
-	pull := NewPull(0)
-	if err := pull.Bind(ep); err != nil {
-		t.Fatal(err)
-	}
-	defer pull.Close()
-	push, err := NewPush(pull.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer push.Close()
-	const n = 500
-	go func() {
-		for i := 0; i < n; i++ {
-			if err := push.Send(Message{Topic: "t", Payload: []byte{byte(i)}}); err != nil {
-				t.Error(err)
-				return
+// Frames go upstream on a ready link to the publisher's inbox, over either
+// transport: only once the publisher has attached the sender (a reply
+// published on reading the frame reaches it), in order, and all of them
+// past a reader slower than the inbox is deep. Send refuses a link that is
+// not ready and a control topic, and a Pub whose inbox nobody opened drops
+// the frames. With the inbox full and unread, Sub.Close lets a waiting
+// sender go, and Pub.Close closes the inbox under a waiting reader.
+func TestSubSendUpstream(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(transportName(tcp), func(t *testing.T) {
+			pub, addr, tcpAddr := leasePub(t, tcp)
+			unbound := "inproc://upstream-unbound-" + t.Name()
+			if tcp {
+				addr, unbound = tcpAddr, "tcp://127.0.0.1:1"
 			}
-		}
-	}()
-	msgs := recvN(t, pull.C(), n)
-	for i, m := range msgs {
-		if m.Payload[0] != byte(i) {
-			t.Fatalf("message %d out of order", i)
-		}
-	}
-	if pull.Received() != n {
-		t.Errorf("Received = %d", pull.Received())
-	}
-}
-
-func TestPushPullTCP(t *testing.T)    { testPushPull(t, "tcp://127.0.0.1:0") }
-func TestPushPullInproc(t *testing.T) { testPushPull(t, "inproc://pushpull") }
-
-func TestPushPullManyToOne(t *testing.T) {
-	pull := NewPull(0)
-	if err := pull.Bind("tcp://127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer pull.Close()
-	const pushers, per = 4, 250
-	var wg sync.WaitGroup
-	for p := 0; p < pushers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			push, err := NewPush(pull.Addr())
-			if err != nil {
-				t.Error(err)
-				return
+			sub := NewSub()
+			defer sub.Close()
+			if err := sub.Send(addr, Message{Topic: "hello"}); err == nil {
+				t.Fatal("Send on an endpoint never connected succeeded")
 			}
-			defer push.Close()
-			for i := 0; i < per; i++ {
-				if err := push.Send(Message{Topic: fmt.Sprintf("mdt%d", p), Payload: []byte{byte(i)}}); err != nil {
-					t.Error(err)
-					return
+			if err := sub.Connect(unbound); err != nil {
+				t.Fatal(err)
+			}
+			if err := sub.Send(unbound, Message{Topic: "hello"}); err == nil {
+				t.Fatal("Send on a link that is not ready succeeded")
+			}
+			if tcp { // nor is a connection whose echo request is never answered
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ln.Close()
+				mute := "tcp://" + ln.Addr().String()
+				if err := sub.Connect(mute); err != nil {
+					t.Fatal(err)
+				}
+				conn, err := ln.Accept()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				r := bufio.NewReader(conn)
+				for m, err := readMessage(r); m.Topic != ctlEcho; m, err = readMessage(r) {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := sub.Send(mute, Message{Topic: "hello"}); err == nil {
+					t.Fatal("Send on a connection awaiting its echo succeeded")
 				}
 			}
-		}(p)
-	}
-	msgs := recvN(t, pull.C(), pushers*per)
-	wg.Wait()
-	// Per-pusher ordering is preserved even though the interleaving is
-	// arbitrary (this is the property the aggregator relies on).
-	next := map[string]byte{}
-	for _, m := range msgs {
-		if m.Payload[0] != next[m.Topic] {
-			t.Fatalf("topic %s out of order: got %d want %d", m.Topic, m.Payload[0], next[m.Topic])
-		}
-		next[m.Topic]++
-	}
-}
+			if err := sub.Connect(addr); err != nil {
+				t.Fatal(err)
+			}
+			if err := sub.WaitEndpointReady(addr, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if err := sub.Send(addr, Message{Topic: ctlSubscribe, Payload: []byte("x")}); err == nil {
+				t.Fatal("Send of a control topic succeeded")
+			}
+			if err := sub.Send(addr, Message{Topic: "dropped"}); err != nil {
+				t.Fatal(err)
+			}
+			sub.Subscribe("") // its echo answer comes back once the publisher has read the frame ahead
+			if err := sub.WaitEndpointReady(addr, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
 
-func TestPushBlocksUntilPullExists(t *testing.T) {
-	push, err := NewPush("inproc://pull-late")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer push.Close()
-	errc := make(chan error, 1)
-	go func() {
-		errc <- push.Send(Message{Topic: "t", Payload: []byte("x")})
-	}()
-	select {
-	case err := <-errc:
-		t.Fatalf("Send returned early: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	pull := NewPull(0)
-	if err := pull.Bind("inproc://pull-late"); err != nil {
-		t.Fatal(err)
-	}
-	defer pull.Close()
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	recvN(t, pull.C(), 1)
-}
+			inbox := pub.Inbox()
+			for i := 0; i < 50; i++ { // each Send as early as the link lets it
+				s := NewSub()
+				s.Subscribe(fmt.Sprintf("reply%d", i))
+				if err := s.Connect(addr); err != nil {
+					t.Fatal(err)
+				}
+				for s.Send(addr, Message{Topic: "hello", Payload: []byte{byte(i)}}) != nil {
+					time.Sleep(20 * time.Microsecond)
+				}
+				m := recvN(t, inbox, 1)[0]
+				if m.Topic != "hello" || len(m.Payload) != 1 || m.Payload[0] != byte(i) {
+					t.Fatalf("inbox frame %d: %q %v", i, m.Topic, m.Payload)
+				}
+				if n := pub.PublishCtx(context.Background(), fmt.Sprintf("reply%d", i), nil); n != 2 {
+					t.Fatalf("the reply to frame %d reached %d queues, want the sender's and sub's", i, n)
+				}
+				recvN(t, s.C(), 1)
+				s.Close()
+			}
 
-func TestPushSendAfterClose(t *testing.T) {
-	push, err := NewPush("inproc://closed-push")
-	if err != nil {
-		t.Fatal(err)
-	}
-	push.Close()
-	if err := push.Send(Message{}); err == nil {
-		t.Error("Send on closed socket succeeded")
+			n := 4 * cap(inbox)
+			go func() {
+				for i := 0; i < n; i++ {
+					if err := sub.Send(addr, Message{Topic: "seq", Payload: []byte(fmt.Sprint(i))}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			waitFor(t, func() bool { return len(inbox) == cap(inbox) }, "a full inbox") // the link waits on its reader
+			for i, m := range recvN(t, inbox, n) {
+				if string(m.Payload) != fmt.Sprint(i) {
+					t.Fatalf("inbox frame %d is %q", i, m.Payload)
+				}
+			}
+
+			sent := make(chan error, 1)
+			go func() {
+				payload := bytes.Repeat([]byte{1}, 16<<10)
+				for {
+					if err := sub.Send(addr, Message{Topic: "fill", Payload: payload}); err != nil {
+						sent <- err
+						return
+					}
+				}
+			}()
+			waitFor(t, func() bool { return len(inbox) == cap(inbox) }, "a full inbox")
+			time.Sleep(50 * time.Millisecond) // in process the sender waits; over TCP the connection fills
+			sub.Close()
+			select {
+			case <-sent:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Sub.Close did not let the waiting sender go")
+			}
+			read := make(chan struct{})
+			go func() {
+				defer close(read)
+				for range inbox {
+				}
+			}()
+			waitFor(t, func() bool { return len(inbox) == 0 }, "the inbox drained")
+			pub.Close()
+			select {
+			case <-read:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Pub.Close did not close the inbox under its reader")
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,6 +49,11 @@ type Pub struct {
 	evicted   atomic.Uint64
 	published atomic.Uint64
 	wg        sync.WaitGroup
+	// inMu fences upstream deliveries (read side, which may wait on a full
+	// inbox: each also waits on closed) against Close's closing inbox (write
+	// side, after closed); inbox is nil until Inbox opens it.
+	inMu  sync.RWMutex
+	inbox chan Message
 }
 
 type attachedSet struct {
@@ -170,13 +176,14 @@ func (p *Pub) acceptLoop(ln net.Listener) {
 	}
 }
 
-// subReader applies the subscriber's control frames in order. An echo
-// request is answered through the subscriber's own queue, behind whatever
-// is queued for it already, so the answer proves every frame ahead of it
-// applied. The first one attaches the subscriber — publishes reach it, and
-// WaitSubscribed counts it, only from then on — and starts its writer, so
-// that answer is the first frame on the wire. A reader waiting on a full
-// queue lets go once the subscriber is evicted.
+// subReader applies the subscriber's control frames in order and hands its
+// upstream frames to the inbox. An echo request is answered through the
+// subscriber's own queue, behind whatever is queued for it already, so the
+// answer proves every frame ahead of it applied. The first one attaches the
+// subscriber — publishes reach it, and WaitSubscribed counts it, only from
+// then on — and starts its writer, so that answer is the first frame on the
+// wire. A reader waiting on a full queue or inbox lets go once the
+// subscriber is evicted.
 func (p *Pub) subReader(sub *pubSubscriber) {
 	defer p.wg.Done()
 	defer p.detach(sub)
@@ -185,6 +192,12 @@ func (p *Pub) subReader(sub *pubSubscriber) {
 		m, err := readMessage(r)
 		if err != nil {
 			return
+		}
+		if !strings.HasPrefix(m.Topic, ctlMark) {
+			if p.upstream(m, sub.gone) != nil {
+				return
+			}
+			continue
 		}
 		if m.Topic != ctlEcho {
 			sub.control(m.Topic, string(m.Payload))
@@ -259,12 +272,48 @@ func (p *Pub) detach(sub *pubSubscriber) {
 	}
 }
 
-// attachInproc implements inprocBindable.
+// attachInproc attaches an in-process subscriber.
 func (p *Pub) attachInproc(peer *inprocPeer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.inproc[peer] = struct{}{}
 	p.notifySubChangeLocked()
+}
+
+// Inbox returns the frames subscribers send upstream (Sub.Send), each
+// link's in the order sent. The first call opens it; until then such frames
+// are dropped. Delivery is lossless: a frame waits for room, holding up only
+// the link it came on (in process, the sender), until the link or the socket
+// goes. The channel closes when the socket does.
+func (p *Pub) Inbox() <-chan Message {
+	p.inMu.Lock()
+	defer p.inMu.Unlock()
+	if p.inbox == nil {
+		p.inbox = make(chan Message, 64) // hellos are control traffic; a full inbox holds up only the links sending
+	}
+	return p.inbox
+}
+
+// upstream hands one upstream frame to the inbox, if it is open, and fails
+// only when gone (the link's) or the socket closes first.
+func (p *Pub) upstream(m Message, gone <-chan struct{}) error {
+	p.inMu.RLock()
+	defer p.inMu.RUnlock()
+	select {
+	case <-p.closed: // Close may have closed the inbox already
+		return ErrClosed
+	default:
+	}
+	if p.inbox == nil {
+		return nil
+	}
+	select {
+	case p.inbox <- m:
+		return nil
+	case <-gone:
+	case <-p.closed:
+	}
+	return ErrClosed
 }
 
 // detachInproc removes an in-process peer.
@@ -507,5 +556,12 @@ func (p *Pub) Close() {
 		p.notifySubChangeLocked()
 		p.mu.Unlock()
 		p.wg.Wait()
+		// Every upstream delivery has seen closed and let go of inMu.
+		p.inMu.Lock()
+		if p.inbox == nil {
+			p.inbox = make(chan Message)
+		}
+		close(p.inbox)
+		p.inMu.Unlock()
 	})
 }

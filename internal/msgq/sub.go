@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,7 +38,7 @@ type subConn struct {
 	raw    net.Conn
 	notify func() // wakes the owning Sub's readiness waiters
 	mu     sync.Mutex
-	wmu    sync.Mutex  // tcp only: one writer of control frames at a time
+	wmu    sync.Mutex  // tcp only: one writer of control and upstream frames at a time
 	peer   *inprocPeer // inproc only
 	pub    *Pub        // inproc only
 	bufs   *bufList    // tcp only: the current connection's receive buffers
@@ -180,6 +181,49 @@ func (c *subConn) echoed(m Message) {
 	}
 }
 
+// Send sends one frame upstream on the link Connect(ep) made, to the
+// publisher's owner (Pub.Inbox); only Topic and Payload travel, and the
+// topic must not start with "\x01". It refuses unless the link is ready, so
+// a frame never overtakes the subscriptions a reconnect replays ahead of it
+// and the publisher has attached the link by the time it reads the frame.
+// Over TCP it returns once the frame is written; in process, once the inbox
+// takes it (the link or either socket going lets it go).
+func (s *Sub) Send(ep string, m Message) error {
+	if strings.HasPrefix(m.Topic, ctlMark) {
+		return fmt.Errorf("msgq: topic %q is reserved for control frames", m.Topic)
+	}
+	m = Message{Topic: m.Topic, Payload: m.Payload}
+	s.mu.Lock()
+	c := s.conns[ep]
+	var q *inprocPeer
+	var pub *Pub
+	if c != nil {
+		q, pub = c.peer, c.pub
+	}
+	s.mu.Unlock()
+	switch {
+	case c == nil:
+		return fmt.Errorf("msgq: no link to %s", ep)
+	case pub != nil && c.isReady(): // in process the attach comes before ready
+		return pub.upstream(m, q.gone)
+	case pub != nil:
+		return fmt.Errorf("msgq: link to %s not ready", ep)
+	}
+	c.wmu.Lock() // after sendCtl's frames, which make a new connection not ready
+	defer c.wmu.Unlock()
+	c.mu.Lock()
+	ready, raw := c.ready, c.raw
+	c.mu.Unlock()
+	if !ready || raw == nil {
+		return fmt.Errorf("msgq: link to %s not ready", ep)
+	}
+	if err := writeMessage(bufio.NewWriter(raw), m); err != nil {
+		raw.Close() // the link ends, as a failed SUB ends it
+		return err
+	}
+	return nil
+}
+
 // C returns the receive channel. It is closed when the socket closes.
 func (s *Sub) C() <-chan Message { return s.out }
 
@@ -259,12 +303,8 @@ func (s *Sub) connLoop(c *subConn) {
 // runInproc attaches to an in-process publisher until the link ends and
 // reports whether it was ever up.
 func (s *Sub) runInproc(c *subConn) bool {
-	b, found := inprocLookup(c.ep.addr)
+	pub, found := inprocLookup(c.ep.addr)
 	if !found {
-		return false
-	}
-	pub, isPub := b.(*Pub)
-	if !isPub {
 		return false
 	}
 	q := &inprocPeer{peer: peer{prefixes: map[string]bool{}, gone: make(chan struct{})}, sub: s}

@@ -115,15 +115,13 @@ type AggregatorOptions struct {
 	// only the partitions the assignment map gives it, and forwards batches
 	// for any other partition to that partition's owner.
 	ID string
-	// Ctl is the member's join inbox bind (default "<Endpoint>.ctl" for
-	// inproc, "tcp://127.0.0.1:0" when Endpoint is tcp).
-	Ctl string
 	// Advertise, when non-empty, is the externally reachable host
-	// substituted into the advertised publisher and ctl addresses —
-	// required when Endpoint/Ctl bind wildcard addresses (0.0.0.0) that
-	// peers on other machines cannot dial.
+	// substituted into the advertised publisher address — required when
+	// Endpoint binds a wildcard address (0.0.0.0) that peers on other
+	// machines cannot dial.
 	Advertise string
-	// Join lists ctl inboxes of existing members; empty founds a cluster.
+	// Join lists publisher endpoints (Endpoint) of existing members; empty
+	// founds a cluster.
 	Join []string
 	// HeartbeatInterval/FailAfter tune the membership failure detector.
 	HeartbeatInterval time.Duration
@@ -135,13 +133,6 @@ func (o AggregatorOptions) withDefaults() AggregatorOptions {
 		o.Endpoint = "inproc://aggregator"
 		if o.ID != "" {
 			o.Endpoint += "-" + o.ID
-		}
-	}
-	if o.ID != "" && o.Ctl == "" {
-		if strings.HasPrefix(o.Endpoint, "tcp://") {
-			o.Ctl = "tcp://127.0.0.1:0"
-		} else {
-			o.Ctl = o.Endpoint + ".ctl"
 		}
 	}
 	if o.EventOverhead <= 0 {

@@ -254,8 +254,7 @@ func TestClusterSingleNodeWireIdentity(t *testing.T) {
 }
 
 // TestClassicAggregatorHasNoMembership pins what "membership is a parameter"
-// costs a classic deployment: nothing. No ctl inbox is bound (the address a
-// member would have taken is still free), no membership exists, and no
+// costs a classic deployment: nothing. No membership exists, and no
 // membership goroutine runs.
 func TestClassicAggregatorHasNoMembership(t *testing.T) {
 	col := msgq.NewPub()
@@ -275,11 +274,6 @@ func TestClassicAggregatorHasNoMembership(t *testing.T) {
 	if snap := agg.RecoverySnapshot(); snap != nil {
 		t.Fatalf("classic aggregator limits its recovery coverage to %v", snap.OwnedPartitions())
 	}
-	ctl := msgq.NewPull(0)
-	if err := ctl.Bind(endpoint + ".ctl"); err != nil {
-		t.Fatalf("the ctl inbox address is taken: %v", err)
-	}
-	ctl.Close()
 	stacks := make([]byte, 1<<20)
 	stacks = stacks[:runtime.Stack(stacks, true)]
 	if bytes.Contains(stacks, []byte("cluster.(*Membership).tickLoop")) {
@@ -313,7 +307,7 @@ func TestClusterConsumerHandoffRecovery(t *testing.T) {
 	n0, rec0 := newNode("n0")
 	defer n0.Close()
 	defer rec0.Close()
-	n1, rec1 := newNode("n1", n0.CtlEndpoint())
+	n1, rec1 := newNode("n1", n0.Endpoint())
 	defer n1.Close()
 	for _, n := range []*Aggregator{n0, n1} {
 		if err := n.Membership().WaitMembers(2, 5*time.Second); err != nil {
@@ -486,14 +480,15 @@ func TestClusterNodePrefixAndMembers(t *testing.T) {
 	if len(members) != 2 {
 		t.Fatalf("ClusterMembers = %d entries, want 2", len(members))
 	}
-	for _, mi := range members {
-		if mi.Endpoint == "" || mi.Ctl == "" || mi.Recovery == "" {
+	for i, mi := range members {
+		// The address peers join through is the node's own publisher.
+		if mi.Endpoint == "" || mi.Endpoint != m.Nodes[i].Endpoint() || mi.Recovery == "" {
 			t.Fatalf("member %q missing addresses: %+v", mi.ID, mi)
 		}
 	}
 }
 
-// TestClusterJoinIDConflictRejected joins a second deployment that
+// TestClusterJoinIDConflictRejected joins a second deployment over TCP that
 // reuses the founding deployment's ID prefix: the joiner must detect the
 // live ID collision and refuse to run instead of splitting the colliding
 // member's routed topics and sequence lanes.
@@ -505,6 +500,7 @@ func TestClusterJoinIDConflictRejected(t *testing.T) {
 		PollInterval:    time.Millisecond,
 		ClusterNodes:    1,
 		StorePartitions: 2,
+		ClusterListen:   "tcp://127.0.0.1:0", // the joiner dials the founder over TCP
 		Store:           eventstore.Options{JournalPath: filepath.Join(dir, "journal-a")},
 	})
 	if err != nil {
@@ -517,7 +513,7 @@ func TestClusterJoinIDConflictRejected(t *testing.T) {
 		PollInterval:      time.Millisecond,
 		ClusterNodes:      1,
 		StorePartitions:   2,
-		ClusterJoin:       []string{a.Nodes[0].CtlEndpoint()},
+		ClusterJoin:       []string{a.Nodes[0].Endpoint()},
 		ClusterNodePrefix: "n", // collides with the founder's n0
 		Store:             eventstore.Options{JournalPath: filepath.Join(dir, "journal-b")},
 	})

@@ -71,14 +71,15 @@ type DeployOptions struct {
 	// single-aggregator deployment. StorePartitions is raised to at least
 	// ClusterNodes so every node owns work.
 	ClusterNodes int
-	// ClusterJoin lists ctl inboxes of an existing cluster's members:
-	// the deployed nodes join that cluster instead of founding their own.
+	// ClusterJoin lists publisher endpoints of an existing cluster's
+	// members: the deployed nodes join that cluster through them instead
+	// of founding their own.
 	ClusterJoin []string
 	// ClusterListen is the first deployed node's publisher bind (e.g.
 	// "tcp://0.0.0.0:7400") so nodes on other machines can join it; empty
 	// uses the Transport default. Its host also becomes the bind host for
 	// every other cluster socket this process opens (remaining node
-	// publishers, ctl inboxes, recovery servers), all on ephemeral ports —
+	// publishers, recovery servers), all on ephemeral ports —
 	// a listen/join deployment is reachable end to end, not just node 0.
 	ClusterListen string
 	// ClusterNodePrefix prefixes the deployed nodes' member IDs
@@ -88,8 +89,7 @@ type DeployOptions struct {
 	// member IDs. Must not contain '.' (IDs ride in routed topic names).
 	ClusterNodePrefix string
 	// ClusterAdvertise is the externally reachable host substituted into
-	// every advertised cluster address (publishers, ctl inboxes, recovery
-	// servers). Required when ClusterListen binds a wildcard host
+	// every advertised cluster address (publishers, recovery servers). Required when ClusterListen binds a wildcard host
 	// ("0.0.0.0") that peers on other machines cannot dial back.
 	ClusterAdvertise string
 	// BatchSize overrides the collectors' batch bound (Changelog records

@@ -112,16 +112,15 @@ func (m *Monitor) startMembers() error {
 	for i := 0; i < nodes; i++ {
 		id := fmt.Sprintf("%s%d", prefix, i)
 		ep := m.endpoint("clnode-" + id)
-		ctl := ""
 		if opts.Transport == "tcp" || external {
-			ep, ctl = tcpBind, tcpBind
+			ep = tcpBind
 		}
 		if i == 0 && opts.ClusterListen != "" {
 			ep = opts.ClusterListen
 		}
 		join := opts.ClusterJoin
 		if i > 0 {
-			join = append([]string{m.Nodes[0].CtlEndpoint()}, opts.ClusterJoin...)
+			join = append([]string{m.Nodes[0].Endpoint()}, opts.ClusterJoin...)
 		}
 		engine, err := eventstore.NewShardedClosed(parts, opts.Store)
 		if err != nil {
@@ -130,7 +129,6 @@ func (m *Monitor) startMembers() error {
 		n, err := NewAggregator(AggregatorOptions{
 			ID:        id,
 			Endpoint:  ep,
-			Ctl:       ctl,
 			Advertise: opts.ClusterAdvertise,
 			Join:      join,
 			Engine:    engine,
@@ -201,21 +199,16 @@ func (m *Monitor) startMembers() error {
 		}
 	}
 	for _, mi := range m.ClusterMembers() {
-		dlog.Info("cluster member ready", "id", mi.ID, "endpoint", mi.Endpoint, "ctl", mi.Ctl, "recovery", mi.Recovery)
+		dlog.Info("cluster member ready", "id", mi.ID, "endpoint", mi.Endpoint, "recovery", mi.Recovery)
 	}
 
 	// The routing observer: a receive-only membership participant whose
 	// view the collectors resolve partition owners against. It owns no
-	// partitions and broadcasts no heartbeats.
-	obsCtl := tcpBind
-	if opts.Transport != "tcp" && !external {
-		obsCtl = m.endpoint("clrouter") + ".ctl"
-	}
-	obsJoin := append([]string{m.Nodes[0].CtlEndpoint()}, opts.ClusterJoin...)
+	// partitions, broadcasts no heartbeats and binds no socket.
 	router, err := cluster.NewMembership(cluster.MembershipOptions{
-		Self:     cluster.MemberInfo{ID: "router", Ctl: obsCtl},
+		Self:     cluster.MemberInfo{ID: "router"},
 		Observer: true,
-		Join:     obsJoin,
+		Join:     append([]string{m.Nodes[0].Endpoint()}, opts.ClusterJoin...),
 		Parts:    parts,
 		// The observer also folds peers' telemetry frames into the shared
 		// federation, so the cluster view covers members joined from other
@@ -229,8 +222,7 @@ func (m *Monitor) startMembers() error {
 		OnIncident: func(id, from, reason string) {
 			opts.Telemetry.Flight().CaptureRemote(id, from, reason)
 		},
-		Advertise: opts.ClusterAdvertise,
-		Logger:    opts.Logger,
+		Logger: opts.Logger,
 	})
 	if err != nil {
 		return err

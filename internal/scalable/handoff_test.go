@@ -73,7 +73,7 @@ func TestNodeHandoffContinuity(t *testing.T) {
 
 	n0 := startNode(t, "n0", parts, journal, []string{colEP})
 	defer n0.Close()
-	n1 := startNode(t, "n1", parts, journal, []string{colEP}, n0.CtlEndpoint())
+	n1 := startNode(t, "n1", parts, journal, []string{colEP}, n0.Endpoint())
 	defer n1.Close()
 	for _, n := range []*Aggregator{n0, n1} {
 		if err := n.Membership().WaitMembers(2, 5*time.Second); err != nil {
@@ -241,7 +241,7 @@ func TestNodeJoinFencedHandoff(t *testing.T) {
 	var n1 *Aggregator
 	for i := 0; i < total; i++ {
 		if i == 50 {
-			n1 = startNode(t, "n1", parts, journal, []string{colEP}, n0.CtlEndpoint())
+			n1 = startNode(t, "n1", parts, journal, []string{colEP}, n0.Endpoint())
 			defer n1.Close()
 			live = append(live, n1)
 			nodeFor["n1"] = n1
@@ -320,7 +320,7 @@ func TestForwardToStalledOwnerLosesNothing(t *testing.T) {
 	}
 	n0 := member("n0")
 	defer n0.Close()
-	n1 := member("n1", n0.CtlEndpoint())
+	n1 := member("n1", n0.Endpoint())
 	defer n1.Close()
 	part := -1
 	for deadline := time.Now().Add(5 * time.Second); part < 0; time.Sleep(2 * time.Millisecond) {

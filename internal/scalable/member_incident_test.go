@@ -50,9 +50,9 @@ func TestClusterCoordinatedIncident(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "journal")
 	n0 := newIncidentNode(t, "n0", journal)
 	defer n0.node.Close()
-	n1 := newIncidentNode(t, "n1", journal, n0.node.CtlEndpoint())
+	n1 := newIncidentNode(t, "n1", journal, n0.node.Endpoint())
 	defer n1.node.Close()
-	n2 := newIncidentNode(t, "n2", journal, n0.node.CtlEndpoint())
+	n2 := newIncidentNode(t, "n2", journal, n0.node.Endpoint())
 	defer n2.node.Close()
 	members := []*incidentNode{n0, n1, n2}
 	for _, in := range members {
@@ -102,9 +102,9 @@ func TestClusterIncidentOnMemberDeath(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "journal")
 	n0 := newIncidentNode(t, "n0", journal)
 	defer n0.node.Close()
-	n1 := newIncidentNode(t, "n1", journal, n0.node.CtlEndpoint())
+	n1 := newIncidentNode(t, "n1", journal, n0.node.Endpoint())
 	defer n1.node.Close()
-	n2 := newIncidentNode(t, "n2", journal, n0.node.CtlEndpoint())
+	n2 := newIncidentNode(t, "n2", journal, n0.node.Endpoint())
 	defer n2.node.Close()
 	survivors := []*incidentNode{n0, n1}
 	for _, in := range []*incidentNode{n0, n1, n2} {

@@ -47,7 +47,7 @@ func TestClusterHealthzMemberDeathAndRejoin(t *testing.T) {
 	}
 	n0 := newNode("n0")
 	defer n0.Close()
-	n1 := newNode("n1", n0.CtlEndpoint())
+	n1 := newNode("n1", n0.Endpoint())
 	defer n1.Close()
 	for _, n := range []*Aggregator{n0, n1} {
 		if err := n.Membership().WaitMembers(2, 5*time.Second); err != nil {
@@ -145,7 +145,7 @@ func TestClusterHealthzMemberDeathAndRejoin(t *testing.T) {
 	// Rejoin under the same ID: fresh snapshots revive the member and the
 	// rollup recovers to 200 — the operator's signal that the cluster is
 	// whole again.
-	n1b := newNode("n1", n0.CtlEndpoint())
+	n1b := newNode("n1", n0.Endpoint())
 	defer n1b.Close()
 	waitRollup("rejoined member recovers rollup", true, bothAlive, nil)
 }
@@ -230,7 +230,7 @@ func TestForwardingMemberNotStalled(t *testing.T) {
 	}
 	n0 := member("n0")
 	defer n0.Close()
-	n1 := member("n1", n0.CtlEndpoint())
+	n1 := member("n1", n0.Endpoint())
 	defer n1.Close()
 	held, peers := -1, -1
 	for deadline := time.Now().Add(5 * time.Second); held < 0 || peers < 0; time.Sleep(2 * time.Millisecond) {

@@ -25,7 +25,6 @@ type ownership struct {
 	relLog  map[int]releaseRec     // releases received (possibly before the map that needs them)
 	prev    cluster.Assignment     // the previously applied map (previous owners for fencing)
 	applied uint64                 // highest assignment epoch applied to the engine
-	boot    bool                   // first assignment applied (its acquisitions are not handoffs)
 	moved   chan<- struct{}        // when set, signalled (without blocking) as a partition opens or closes
 }
 
@@ -55,11 +54,11 @@ type releaseRec struct {
 	epoch uint64
 }
 
-// joinCluster binds the member's join inbox and prepares (but does not
-// start) its membership. The observability plane hangs off the registry:
-// the federated cluster view is an idempotent attach — in-process members
-// share one — and its dead-member window matches the membership failure
-// detector so both flip within the same heartbeat budget.
+// joinCluster prepares (but does not start) the member's membership. The
+// observability plane hangs off the registry: the federated cluster view is
+// an idempotent attach — in-process members share one — and its dead-member
+// window matches the membership failure detector so both flip within the
+// same heartbeat budget.
 func (a *Aggregator) joinCluster() error {
 	a.own.pending = make(map[int]pendingAcquire)
 	a.own.relLog = make(map[int]releaseRec)
@@ -78,13 +77,12 @@ func (a *Aggregator) joinCluster() error {
 		snapshot = a.telemetryFrame
 	}
 	mem, err := cluster.NewMembership(cluster.MembershipOptions{
-		Self:              cluster.MemberInfo{ID: opts.ID, Endpoint: cluster.AdvertiseEndpoint(a.pub.Addr(), opts.Advertise), Ctl: opts.Ctl},
+		Self:              cluster.MemberInfo{ID: opts.ID, Endpoint: cluster.AdvertiseEndpoint(a.pub.Addr(), opts.Advertise)},
 		Pub:               a.pub,
 		Join:              opts.Join,
 		Parts:             a.parts,
 		Interval:          opts.HeartbeatInterval,
 		FailAfter:         opts.FailAfter,
-		Advertise:         opts.Advertise,
 		OnChange:          a.applyAssignment,
 		OnPeer:            func(p cluster.MemberInfo) { _ = a.sub.Connect(p.Endpoint) },
 		OnRelease:         a.onRelease,
@@ -124,10 +122,6 @@ func (a *Aggregator) SetRecovery(addr string) { a.mem.SetRecovery(addr) }
 
 // ID returns the member ID ("" for a classic aggregator).
 func (a *Aggregator) ID() string { return a.opts.ID }
-
-// CtlEndpoint returns the member's join inbox address — what other members
-// pass as Join.
-func (a *Aggregator) CtlEndpoint() string { return a.mem.Self().Ctl }
 
 // Membership exposes the member's membership view (nil for a classic
 // aggregator).
@@ -194,11 +188,10 @@ func (a *Aggregator) applyAssignment(as cluster.Assignment) {
 			continue
 		}
 		prevOwner := prev.OwnerOf(p)
-		if rel, ok := o.relLog[p]; ok && rel.from == prevOwner && rel.epoch >= prev.Epoch {
-			prevOwner = "" // already released by the old owner
-		}
-		if prevOwner == "" || prevOwner == a.opts.ID || !a.mem.Alive(prevOwner) {
-			a.openPartitionLocked(p, as.Epoch)
+		rel, ok := o.relLog[p]
+		freed := ok && rel.from == prevOwner && rel.epoch >= prev.Epoch // already released by the old owner
+		if freed || prevOwner == "" || prevOwner == a.opts.ID || !a.mem.Alive(prevOwner) {
+			a.openPartitionLocked(p, as.Epoch, prevOwner != "" && prevOwner != a.opts.ID)
 			continue
 		}
 		o.pending[p] = pendingAcquire{
@@ -208,7 +201,6 @@ func (a *Aggregator) applyAssignment(as cluster.Assignment) {
 		}
 		a.slog.Info("partition acquisition fenced on old owner", "partition", p, "epoch", as.Epoch, "old_owner", prevOwner)
 	}
-	o.boot = true
 	o.mu.Unlock()
 	// The broadcast happens after the stores are closed: receivers may
 	// open the segments the moment they see it.
@@ -218,8 +210,9 @@ func (a *Aggregator) applyAssignment(as cluster.Assignment) {
 }
 
 // openPartitionLocked recovers a gained partition from its journal
-// segment and continues its sequence lane. Caller holds own.mu.
-func (a *Aggregator) openPartitionLocked(p int, epoch uint64) {
+// segment and continues its sequence lane; handoff says another member
+// held it before. Caller holds own.mu.
+func (a *Aggregator) openPartitionLocked(p int, epoch uint64, handoff bool) {
 	if err := a.engine.OpenPartition(p); err != nil {
 		a.slog.Error("opening acquired partition", "partition", p, "err", err)
 		return
@@ -227,7 +220,7 @@ func (a *Aggregator) openPartitionLocked(p int, epoch uint64) {
 	delete(a.own.pending, p)
 	delete(a.own.relLog, p)
 	a.own.movedLocked()
-	if a.own.boot {
+	if handoff {
 		a.handoffs.Add(1)
 		a.slog.Info("partition acquired", "partition", p, "epoch", epoch, "last_seq", a.engine.Partition(p).LastSeq())
 	}
@@ -238,7 +231,7 @@ func (a *Aggregator) openPartitionLocked(p int, epoch uint64) {
 func (a *Aggregator) checkPendingLocked() {
 	for p, pa := range a.own.pending {
 		if !a.mem.Alive(pa.prevOwner) || time.Now().After(pa.deadline) {
-			a.openPartitionLocked(p, a.own.applied)
+			a.openPartitionLocked(p, a.own.applied, true)
 		}
 	}
 }
@@ -255,7 +248,7 @@ func (a *Aggregator) onRelease(from string, epoch uint64, parts []int) {
 			continue
 		}
 		if pa, fenced := o.pending[p]; fenced && pa.prevOwner == from && epoch >= pa.sinceEpoch {
-			a.openPartitionLocked(p, epoch)
+			a.openPartitionLocked(p, epoch, true)
 			continue
 		}
 		if rel, ok := o.relLog[p]; !ok || epoch >= rel.epoch {

@@ -66,8 +66,8 @@ type Config struct {
 type Cluster struct {
 	cfg   Config
 	fs    *vfs.FS
-	push  []*msgq.Push // one producer per node
-	pull  *msgq.Pull
+	pub   *msgq.Pub // every node's producer
+	sub   *msgq.Sub
 	mu    sync.Mutex
 	audit []Record // the retention-enabled audit fileset
 	first uint64   // seq of audit[0]
@@ -87,19 +87,22 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 2
 	}
-	c := &Cluster{cfg: cfg, fs: vfs.New(), next: 1}
-	c.pull = msgq.NewPull(0)
+	// The queue is lossless, as the collector hop is: a full consumer
+	// queue holds the node that publishes.
+	c := &Cluster{cfg: cfg, fs: vfs.New(), next: 1, pub: msgq.NewPub(msgq.WithBlockOnFull()), sub: msgq.NewSub()}
 	ep := fmt.Sprintf("inproc://gpfs-audit-%p", c)
-	if err := c.pull.Bind(ep); err != nil {
-		return nil, err
+	c.sub.Subscribe(auditTopic)
+	err := c.pub.Bind(ep)
+	if err == nil {
+		err = c.sub.Connect(ep)
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		p, err := msgq.NewPush(ep)
-		if err != nil {
-			c.pull.Close()
-			return nil, err
-		}
-		c.push = append(c.push, p)
+	if err == nil {
+		err = c.sub.WaitReady(5 * time.Second)
+	}
+	if err != nil {
+		c.sub.Close()
+		c.pub.Close()
+		return nil, err
 	}
 	c.wg.Add(1)
 	go c.consume()
@@ -109,12 +112,15 @@ func New(cfg Config) (*Cluster, error) {
 // Config returns the cluster configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
+// auditTopic is the topic the nodes publish audit records on.
+const auditTopic = "audit"
+
 // consume drains the multi-node queue into the audit fileset.
 func (c *Cluster) consume() {
 	defer c.wg.Done()
-	for m := range c.pull.C() {
+	for m := range c.sub.C() {
 		var r Record
-		if err := json.Unmarshal(m.Payload, &r); err != nil {
+		if m.LinkLost() || json.Unmarshal(m.Payload, &r) != nil {
 			continue
 		}
 		c.mu.Lock()
@@ -174,10 +180,8 @@ func (c *Cluster) MarshalAudit() []byte {
 // Close stops the audit pipeline.
 func (c *Cluster) Close() {
 	c.once.Do(func() {
-		for _, p := range c.push {
-			p.Close()
-		}
-		c.pull.Close()
+		c.pub.Close()
+		c.sub.Close()
 		c.wg.Wait()
 	})
 }
@@ -185,17 +189,16 @@ func (c *Cluster) Close() {
 // Node returns a client bound to protocol node i, whose operations are
 // attributed to that node in the audit stream.
 func (c *Cluster) Node(i int) (*Node, error) {
-	if i < 0 || i >= len(c.push) {
+	if i < 0 || i >= c.cfg.Nodes {
 		return nil, fmt.Errorf("spectrum: no such node %d", i)
 	}
-	return &Node{c: c, name: fmt.Sprintf("node%d", i), push: c.push[i]}, nil
+	return &Node{c: c, name: fmt.Sprintf("node%d", i)}, nil
 }
 
 // Node performs file operations from one protocol node.
 type Node struct {
 	c    *Cluster
 	name string
-	push *msgq.Push
 }
 
 func (n *Node) emit(event, p, oldPath string, info vfs.Info) {
@@ -214,7 +217,7 @@ func (n *Node) emit(event, p, oldPath string, info vfs.Info) {
 	if err != nil {
 		return
 	}
-	_ = n.push.Send(msgq.Message{Topic: "audit", Payload: payload})
+	n.c.pub.Publish(auditTopic, payload)
 }
 
 // Mkdir creates a directory.
