@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -95,11 +96,17 @@ func newMemberHarness(t *testing.T, tcp bool, id string, parts int, join ...stri
 
 func newMemberHarnessTimed(t *testing.T, tcp bool, id string, parts int, interval, failAfter time.Duration, join ...string) *memberHarness {
 	t.Helper()
-	pub := msgq.NewPub()
 	ep := fmt.Sprintf("inproc://memtest-%d", harnessSeq.Add(1))
 	if tcp {
 		ep = "tcp://127.0.0.1:0"
 	}
+	return newMemberHarnessOn(t, ep, id, parts, interval, failAfter, join...)
+}
+
+// newMemberHarnessOn starts a member whose pub binds ep.
+func newMemberHarnessOn(t *testing.T, ep, id string, parts int, interval, failAfter time.Duration, join ...string) *memberHarness {
+	t.Helper()
+	pub := msgq.NewPub()
 	if err := pub.Bind(ep); err != nil {
 		t.Fatal(err)
 	}
@@ -358,5 +365,103 @@ func TestMembershipJoinByAnotherAddress(t *testing.T) {
 		if err := h.mem.WaitMembers(2, 5*time.Second); err != nil {
 			t.Fatalf("%s: %v", h.mem.Self().ID, err)
 		}
+	}
+}
+
+// A founder that restarts on its address, with no Join list, is learned
+// again by the member that joined through it: that member hears it
+// heartbeat without listing it, and hellos it. Otherwise the founder counts
+// itself alone and claims every partition the other also owns.
+func TestMembershipFounderRestart(t *testing.T) {
+	const interval, failAfter = 10 * time.Millisecond, 60 * time.Millisecond
+	a := newMemberHarness(t, true, "a", 4)
+	ep := a.mem.Self().Endpoint
+	b := newMemberHarness(t, true, "b", 4, ep)
+	defer b.kill()
+	for _, h := range []*memberHarness{a, b} {
+		if err := h.mem.WaitMembers(2, 5*time.Second); err != nil {
+			t.Fatalf("%s: %v", h.mem.Self().ID, err)
+		}
+	}
+	a.kill()
+	a = newMemberHarnessOn(t, ep, "a", 4, interval, failAfter)
+	defer a.kill()
+	for _, h := range []*memberHarness{a, b} {
+		if err := h.mem.WaitMembers(2, 5*time.Second); err != nil {
+			t.Fatalf("restarted: %s: %v", h.mem.Self().ID, err)
+		}
+	}
+	waitFor(t, func() bool {
+		return fmt.Sprint(a.mem.Assignment().Owner) == fmt.Sprint(b.mem.Assignment().Owner)
+	}, "the restarted founder's map to match the member's")
+}
+
+// A joiner is answered only by an answer to its own hello: every subscriber
+// of the seed hears each answer, and one for another joiner that dialed the
+// same address does not mark the seed answered. Until its own comes, the
+// joiner says hello again every FailAfter.
+func TestMembershipJoinAnswerIsForSender(t *testing.T) {
+	forTransports(t, func(t *testing.T, tcp bool) {
+		seed := msgq.NewPub() // a seed whose owner answers by hand
+		ep := fmt.Sprintf("inproc://memtest-%d", harnessSeq.Add(1))
+		if tcp {
+			ep = "tcp://127.0.0.1:0"
+		}
+		if err := seed.Bind(ep); err != nil {
+			t.Fatal(err)
+		}
+		defer seed.Close()
+		ep = seed.Addr()
+		obs, err := NewMembership(MembershipOptions{
+			Self:      MemberInfo{ID: "c"},
+			Observer:  true,
+			Join:      []string{ep},
+			Parts:     4,
+			Interval:  10 * time.Millisecond,
+			FailAfter: 60 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs.Start()
+		defer obs.Kill()
+		hello := func() {
+			t.Helper()
+			select {
+			case m := <-seed.Inbox():
+				var c ctrlMsg
+				if err := json.Unmarshal(m.Payload, &c); err != nil || c.Kind != "hello" || c.From.ID != "c" || c.To != ep {
+					t.Fatalf("inbox frame %s (%v), want c's hello to %s", m.Payload, err, ep)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("no hello")
+			}
+		}
+		hello() // the joiner's link is attached: what the seed publishes reaches it
+		answer := func(to string) {
+			payload, _ := json.Marshal(ctrlMsg{Kind: "answer", From: MemberInfo{ID: "s", Endpoint: ep}, To: ep, For: to})
+			seed.Publish(MembershipTopic, payload)
+		}
+		answer("d")
+		if err := obs.WaitJoined(200 * time.Millisecond); err == nil {
+			t.Fatal("an answer to another joiner's hello marked the seed answered")
+		}
+		hello() // sent again, the first still unanswered
+		answer("c")
+		if err := obs.WaitJoined(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, cond func() bool, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

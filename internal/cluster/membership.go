@@ -84,6 +84,7 @@ type peerState struct {
 	info     MemberInfo
 	lastSeen time.Time
 	epoch    uint64
+	greeted  time.Time // counted, or last helloed (regreet)
 }
 
 // ctrlMsg is the JSON control frame of the membership protocol: broadcast
@@ -100,8 +101,10 @@ type ctrlMsg struct {
 	// Parts carries a release broadcast's closed partitions.
 	Parts []int `json:"parts,omitempty"`
 	// To is the address a hello was sent to, carried back by its answer,
-	// so a joiner knows which of its seeds answered.
-	To string `json:"to,omitempty"`
+	// so a joiner knows which of its seeds answered; For is the ID of the
+	// hello's sender, since every subscriber of the seed hears the answer.
+	To  string `json:"to,omitempty"`
+	For string `json:"for,omitempty"`
 }
 
 // incidentFrame is the incident-declaration control frame broadcast on
@@ -128,21 +131,13 @@ func decodeIncidentFrame(payload []byte) (incidentFrame, bool) {
 	return f, f.Kind == "incident" && f.ID != ""
 }
 
-// pendingRelease is one release broadcast rebroadcast with heartbeats
-// until it expires: the first publish races the new owner's subscription
-// to our pub, so a lost frame must heal before the FailAfter fallback.
-type pendingRelease struct {
-	epoch uint64
-	parts []int
-	until time.Time
-}
-
-// pendingIncident is one incident declaration rebroadcast with
-// heartbeats until it expires, for the same reason releases are: the
-// first publish races still-connecting peer subscriptions, and a member
-// that misses the frame would capture nothing for the shared window.
-// Receivers dedup by incident ID, so repeats cost nothing.
-type pendingIncident struct {
+// pendingFrame is one release or incident frame rebroadcast with
+// heartbeats until it expires: the first publish races still-connecting
+// peer subscriptions (a release, the new owner's), so a lost frame must heal
+// before the FailAfter fallback. Releases apply idempotently and incidents
+// dedup by ID, so repeats cost nothing.
+type pendingFrame struct {
+	topic   string
 	payload []byte
 	until   time.Time
 }
@@ -168,8 +163,7 @@ type Membership struct {
 	viewKey  string        // member IDs of the last computed view
 	viewCh   chan struct{} // closed and replaced on every peer add/remove and seed answer
 	conflict *MemberInfo   // another live participant claiming our ID
-	relOut   []pendingRelease
-	incOut   []pendingIncident
+	outbox   []pendingFrame
 	started  bool
 	stopOnce sync.Once
 	stopped  chan struct{}
@@ -241,7 +235,7 @@ func (m *Membership) Start() {
 	m.mu.Unlock()
 	if !m.opts.Observer {
 		m.wg.Add(1)
-		go m.inboxLoop(m.opts.Pub.Inbox()) // open before any hello can come
+		go m.inboxLoop(m.opts.Pub.Inbox())
 	}
 	m.wg.Add(2)
 	go m.subLoop()
@@ -249,10 +243,18 @@ func (m *Membership) Start() {
 }
 
 // join greets one Join seed: once our link to its pub is ready, the hello
-// goes upstream on it. A link that drops first is waited for again.
+// goes upstream on it, and again every FailAfter until the seed's answer is
+// in — a hello lost with a link that dropped after the write is sent anew.
 func (m *Membership) join(seed string) {
 	defer m.wg.Done()
-	for m.sub.WaitEndpointReady(seed, m.opts.FailAfter) != nil || m.hello(seed) != nil {
+	unanswered := func() string {
+		if m.seeds[seed] {
+			return ""
+		}
+		return "unanswered"
+	}
+	for m.sub.WaitEndpointReady(seed, m.opts.FailAfter) != nil || m.hello(seed) != nil ||
+		m.waitView(m.opts.FailAfter, unanswered) != nil {
 		select {
 		case <-m.stopped:
 			return
@@ -262,24 +264,26 @@ func (m *Membership) join(seed string) {
 }
 
 // hello sends ourselves and our peer list upstream on our link to the pub
-// at ep, whose owner answers on MembershipTopic (inboxLoop).
+// at ep, whose owner answers on MembershipTopic (inboxLoop). None goes once
+// Close has begun: it could reach the peer behind our leave and bring us
+// back.
 func (m *Membership) hello(ep string) error {
-	return m.sub.Send(ep, msgq.Message{Topic: MembershipTopic, Payload: m.frame("hello", ep)})
+	select {
+	case <-m.stopped:
+		return errors.New("cluster: membership stopped")
+	default:
+	}
+	return m.sub.Send(ep, msgq.Message{Topic: MembershipTopic, Payload: m.frame(ctrlMsg{Kind: "hello", To: ep})})
 }
 
-// frame encodes a heartbeat, hello or answer: ourselves and our peer list.
-func (m *Membership) frame(kind, to string) []byte {
+// frame encodes a heartbeat, hello or answer c as from us, with our peer
+// list.
+func (m *Membership) frame(c ctrlMsg) []byte {
 	m.mu.Lock()
-	c := ctrlMsg{Kind: kind, From: m.opts.Self, Epoch: m.epoch, Peers: m.peerListLocked(), To: to}
+	c.From, c.Epoch, c.Peers = m.opts.Self, m.epoch, m.peerListLocked()
 	m.mu.Unlock()
 	payload, _ := json.Marshal(c) // a ctrlMsg always encodes
 	return payload
-}
-
-func (m *Membership) epochNow() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epoch
 }
 
 // inboxLoop serves the hellos peers send upstream to our pub. Every hello
@@ -305,7 +309,7 @@ func (m *Membership) inboxLoop(inbox <-chan msgq.Message) {
 		if err := json.Unmarshal(msg.Payload, &c); err != nil || c.Kind != "hello" {
 			continue
 		}
-		m.opts.Pub.Publish(MembershipTopic, m.frame("answer", c.To))
+		m.opts.Pub.Publish(MembershipTopic, m.frame(ctrlMsg{Kind: "answer", To: c.To, For: c.From.ID}))
 		if c.From.Endpoint != "" { // an observer has no pub to track
 			m.observe(c.From, c.Epoch, true)
 		}
@@ -347,7 +351,10 @@ func (m *Membership) subLoop() {
 			for _, p := range c.Peers {
 				m.observe(p, c.Epoch, false)
 			}
-			if c.Kind == "answer" {
+			if c.Kind == "hb" {
+				m.regreet(c.From, c.Peers)
+			}
+			if c.Kind == "answer" && c.For == m.opts.Self.ID {
 				m.mu.Lock()
 				if answered, seed := m.seeds[c.To]; seed && !answered {
 					m.seeds[c.To] = true
@@ -375,7 +382,8 @@ func (m *Membership) subLoop() {
 // link to it is ready (admit), and helloed then if gossip introduced it, so
 // the link becomes mutual. One we first heard from directly knows us
 // already (it helloed us, or answered our hello), and a hello it does not
-// need could reach it behind our leave and bring us back.
+// need could reach it behind our leave and bring us back; one whose
+// heartbeats say otherwise is helloed then (regreet).
 func (m *Membership) observe(info MemberInfo, epoch uint64, direct bool) {
 	if info.ID == m.opts.Self.ID {
 		// Traffic claiming our own ID from different addresses means two
@@ -457,7 +465,7 @@ func (m *Membership) admit(info MemberInfo, epoch uint64) {
 		m.mu.Unlock()
 		return
 	}
-	m.peers[info.ID] = &peerState{info: info, lastSeen: time.Now(), epoch: epoch}
+	m.peers[info.ID] = &peerState{info: info, lastSeen: time.Now(), epoch: epoch, greeted: time.Now()}
 	m.signalViewLocked()
 	m.mu.Unlock()
 	if hello {
@@ -467,6 +475,29 @@ func (m *Membership) admit(info MemberInfo, epoch uint64) {
 		m.opts.OnPeer(info)
 	}
 	m.changed()
+}
+
+// regreet hellos a counted peer whose heartbeat does not list us: it has
+// told us it does not know us (it restarted on its address, or its wait for
+// our link timed out), and nobody else will hello it. At most once per
+// FailAfter, the first a FailAfter after we counted it — by then a peer that
+// greeted or answered us has counted us too. No member needs to know an
+// observer.
+func (m *Membership) regreet(from MemberInfo, peers []MemberInfo) {
+	for _, p := range peers {
+		if p.ID == m.opts.Self.ID {
+			return
+		}
+	}
+	m.mu.Lock()
+	p, known := m.peers[from.ID]
+	due := known && !m.opts.Observer && time.Since(p.greeted) > m.opts.FailAfter
+	if due {
+		p.greeted = time.Now()
+		m.wg.Add(1)
+		go func() { defer m.wg.Done(); _ = m.hello(from.Endpoint) }() // in process it can wait on the peer's inbox
+	}
+	m.mu.Unlock()
 }
 
 // drop removes a peer (leaving a tombstone against gossip resurrection)
@@ -535,37 +566,20 @@ func (m *Membership) beat() {
 	if m.opts.Observer {
 		return
 	}
-	hb := m.frame("hb", "")
+	hb := m.frame(ctrlMsg{Kind: "hb"})
 	m.mu.Lock()
-	var rel []pendingRelease
-	if len(m.relOut) > 0 {
-		kept := m.relOut[:0]
-		for _, r := range m.relOut {
-			if time.Now().Before(r.until) {
-				kept = append(kept, r)
-			}
+	kept := m.outbox[:0]
+	for _, f := range m.outbox {
+		if time.Now().Before(f.until) {
+			kept = append(kept, f)
 		}
-		m.relOut = kept
-		rel = append(rel, kept...)
 	}
-	var inc []pendingIncident
-	if len(m.incOut) > 0 {
-		kept := m.incOut[:0]
-		for _, i := range m.incOut {
-			if time.Now().Before(i.until) {
-				kept = append(kept, i)
-			}
-		}
-		m.incOut = kept
-		inc = append(inc, kept...)
-	}
+	m.outbox = kept
+	out := append([]pendingFrame(nil), kept...)
 	m.mu.Unlock()
 	m.opts.Pub.Publish(MembershipTopic, hb)
-	for _, r := range rel {
-		m.publishRelease(r.epoch, r.parts)
-	}
-	for _, i := range inc {
-		m.opts.Pub.Publish(TelemetryTopic, i.payload)
+	for _, f := range out {
+		m.opts.Pub.Publish(f.topic, f.payload)
 	}
 	if m.opts.TelemetrySnapshot != nil {
 		if frame := m.opts.TelemetrySnapshot(); len(frame) > 0 {
@@ -590,22 +604,16 @@ func (m *Membership) BroadcastIncident(id, reason string) {
 	if err != nil {
 		return
 	}
-	// Rebroadcast with heartbeats for one FailAfter window (the
-	// pendingRelease pattern): the first publish can race a peer's
-	// still-connecting subscription, and receivers dedup by ID anyway.
-	m.mu.Lock()
-	m.incOut = append(m.incOut, pendingIncident{payload: payload, until: time.Now().Add(m.opts.FailAfter)})
-	m.mu.Unlock()
-	m.opts.Pub.Publish(TelemetryTopic, payload)
+	m.broadcast(TelemetryTopic, payload)
 }
 
-// publishRelease broadcasts one release frame.
-func (m *Membership) publishRelease(epoch uint64, parts []int) {
-	payload, err := json.Marshal(ctrlMsg{Kind: "release", Epoch: epoch, From: m.opts.Self, Parts: parts})
-	if err != nil {
-		return
-	}
-	m.opts.Pub.Publish(MembershipTopic, payload)
+// broadcast publishes a frame now and with each heartbeat for one
+// FailAfter window (pendingFrame).
+func (m *Membership) broadcast(topic string, payload []byte) {
+	m.mu.Lock()
+	m.outbox = append(m.outbox, pendingFrame{topic: topic, payload: payload, until: time.Now().Add(m.opts.FailAfter)})
+	m.mu.Unlock()
+	m.opts.Pub.Publish(topic, payload)
 }
 
 // BroadcastRelease announces that this member has closed the given
@@ -617,10 +625,8 @@ func (m *Membership) BroadcastRelease(epoch uint64, parts []int) {
 	if m.opts.Observer || m.opts.Pub == nil || len(parts) == 0 {
 		return
 	}
-	m.mu.Lock()
-	m.relOut = append(m.relOut, pendingRelease{epoch: epoch, parts: parts, until: time.Now().Add(m.opts.FailAfter)})
-	m.mu.Unlock()
-	m.publishRelease(epoch, parts)
+	payload, _ := json.Marshal(ctrlMsg{Kind: "release", Epoch: epoch, From: m.opts.Self, Parts: parts}) // a ctrlMsg always encodes
+	m.broadcast(MembershipTopic, payload)
 }
 
 // changed recomputes the view and, when it differs from the last one,
@@ -683,7 +689,11 @@ func (m *Membership) Assignment() Assignment {
 }
 
 // Epoch returns the current assignment epoch.
-func (m *Membership) Epoch() uint64 { return m.epochNow() }
+func (m *Membership) Epoch() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.epoch
+}
 
 // Members returns the current live member count (including self for
 // members).
@@ -851,9 +861,7 @@ func (m *Membership) waitView(timeout time.Duration, missing func() string) erro
 func (m *Membership) Close() {
 	m.Kill()
 	if !m.opts.Observer && m.opts.Pub != nil {
-		if payload, err := json.Marshal(ctrlMsg{Kind: "leave", From: m.opts.Self, Epoch: m.epochNow()}); err == nil {
-			m.opts.Pub.Publish(MembershipTopic, payload)
-		}
+		m.opts.Pub.Publish(MembershipTopic, m.frame(ctrlMsg{Kind: "leave"}))
 	}
 }
 

@@ -516,8 +516,8 @@ func TestInprocDoubleBind(t *testing.T) {
 // transport: only once the publisher has attached the sender (a reply
 // published on reading the frame reaches it), in order, and all of them
 // past a reader slower than the inbox is deep. Send refuses a link that is
-// not ready and a control topic, and a Pub whose inbox nobody opened drops
-// the frames. With the inbox full and unread, Sub.Close lets a waiting
+// not ready and a control topic, and a frame sent before anyone reads the
+// inbox waits in it. With the inbox full and unread, Sub.Close lets a waiting
 // sender go, and Pub.Close closes the inbox under a waiting reader.
 func TestSubSendUpstream(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
@@ -572,7 +572,7 @@ func TestSubSendUpstream(t *testing.T) {
 			if err := sub.Send(addr, Message{Topic: ctlSubscribe, Payload: []byte("x")}); err == nil {
 				t.Fatal("Send of a control topic succeeded")
 			}
-			if err := sub.Send(addr, Message{Topic: "dropped"}); err != nil {
+			if err := sub.Send(addr, Message{Topic: "early"}); err != nil {
 				t.Fatal(err)
 			}
 			sub.Subscribe("") // its echo answer comes back once the publisher has read the frame ahead
@@ -581,6 +581,9 @@ func TestSubSendUpstream(t *testing.T) {
 			}
 
 			inbox := pub.Inbox()
+			if m := recvN(t, inbox, 1)[0]; m.Topic != "early" {
+				t.Fatalf("first inbox frame %q, want the one sent before the inbox was read", m.Topic)
+			}
 			for i := 0; i < 50; i++ { // each Send as early as the link lets it
 				s := NewSub()
 				s.Subscribe(fmt.Sprintf("reply%d", i))

@@ -51,7 +51,7 @@ type Pub struct {
 	wg        sync.WaitGroup
 	// inMu fences upstream deliveries (read side, which may wait on a full
 	// inbox: each also waits on closed) against Close's closing inbox (write
-	// side, after closed); inbox is nil until Inbox opens it.
+	// side, after closed).
 	inMu  sync.RWMutex
 	inbox chan Message
 }
@@ -102,6 +102,7 @@ func NewPub(opts ...PubOption) *Pub {
 		inproc:    make(map[*inprocPeer]struct{}),
 		subChange: make(chan struct{}),
 		closed:    make(chan struct{}),
+		inbox:     make(chan Message, 64), // hellos are control traffic; a full inbox holds up only the links sending
 	}
 	p.attached.Store(&attachedSet{})
 	for _, o := range opts {
@@ -281,21 +282,15 @@ func (p *Pub) attachInproc(peer *inprocPeer) {
 }
 
 // Inbox returns the frames subscribers send upstream (Sub.Send), each
-// link's in the order sent. The first call opens it; until then such frames
-// are dropped. Delivery is lossless: a frame waits for room, holding up only
-// the link it came on (in process, the sender), until the link or the socket
-// goes. The channel closes when the socket does.
-func (p *Pub) Inbox() <-chan Message {
-	p.inMu.Lock()
-	defer p.inMu.Unlock()
-	if p.inbox == nil {
-		p.inbox = make(chan Message, 64) // hellos are control traffic; a full inbox holds up only the links sending
-	}
-	return p.inbox
-}
+// link's in the order sent. It exists from NewPub, so no frame that arrives
+// before its owner starts reading is lost. Delivery is lossless: a frame
+// waits for room, holding up only the link it came on (in process, the
+// sender), until the link or the socket goes. The channel closes when the
+// socket does.
+func (p *Pub) Inbox() <-chan Message { return p.inbox }
 
-// upstream hands one upstream frame to the inbox, if it is open, and fails
-// only when gone (the link's) or the socket closes first.
+// upstream hands one upstream frame to the inbox, and fails only when gone
+// (the link's) or the socket closes first.
 func (p *Pub) upstream(m Message, gone <-chan struct{}) error {
 	p.inMu.RLock()
 	defer p.inMu.RUnlock()
@@ -303,9 +298,6 @@ func (p *Pub) upstream(m Message, gone <-chan struct{}) error {
 	case <-p.closed: // Close may have closed the inbox already
 		return ErrClosed
 	default:
-	}
-	if p.inbox == nil {
-		return nil
 	}
 	select {
 	case p.inbox <- m:
@@ -558,9 +550,6 @@ func (p *Pub) Close() {
 		p.wg.Wait()
 		// Every upstream delivery has seen closed and let go of inMu.
 		p.inMu.Lock()
-		if p.inbox == nil {
-			p.inbox = make(chan Message)
-		}
 		close(p.inbox)
 		p.inMu.Unlock()
 	})
