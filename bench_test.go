@@ -134,7 +134,7 @@ func BenchmarkLocalPipeline(b *testing.B) {
 // (changelog → collector → aggregator → consumer).
 func BenchmarkScalablePipeline(b *testing.B) {
 	cluster := lustre.NewCluster(lustre.Config{NumMDS: 2, NumOSS: 2, OSTsPerOSS: 2, OSTSizeGB: 10})
-	mon, err := scalable.Deploy(cluster, scalable.DeployOptions{CacheSize: 5000, PollInterval: 100 * time.Microsecond})
+	mon, err := scalable.Deploy(cluster, scalable.DeployOptions{CacheSize: 5000})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 		b.Run(fmt.Sprintf("batch%d", size), func(b *testing.B) {
 			cluster := lustre.NewCluster(lustre.Config{NumMDS: 1, NumOSS: 1, OSTsPerOSS: 1, OSTSizeGB: 10})
 			mon, err := scalable.Deploy(cluster, scalable.DeployOptions{
-				CacheSize: 5000, BatchSize: size, PollInterval: 100 * time.Microsecond,
+				CacheSize: 5000, BatchSize: size,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -259,7 +259,7 @@ func BenchmarkAblationTransport(b *testing.B) {
 		b.Run(transport, func(b *testing.B) {
 			cluster := lustre.NewCluster(lustre.Config{NumMDS: 1, NumOSS: 1, OSTsPerOSS: 1, OSTSizeGB: 10})
 			mon, err := scalable.Deploy(cluster, scalable.DeployOptions{
-				CacheSize: 5000, Transport: transport, PollInterval: 100 * time.Microsecond,
+				CacheSize: 5000, Transport: transport,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -310,7 +310,7 @@ func BenchmarkAblationConsumerFiltering(b *testing.B) {
 	for _, consumers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("consumers%d", consumers), func(b *testing.B) {
 			cluster := lustre.NewCluster(lustre.Config{NumMDS: 1, NumOSS: 1, OSTsPerOSS: 1, OSTSizeGB: 10})
-			mon, err := scalable.Deploy(cluster, scalable.DeployOptions{CacheSize: 5000, PollInterval: 100 * time.Microsecond})
+			mon, err := scalable.Deploy(cluster, scalable.DeployOptions{CacheSize: 5000})
 			if err != nil {
 				b.Fatal(err)
 			}

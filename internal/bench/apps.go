@@ -25,10 +25,7 @@ func Table9(opts Options) (Table, error) {
 	}
 	cfg := lustre.ThorConfig()
 	cluster := lustre.NewCluster(cfg)
-	mon, err := scalable.Deploy(cluster, scalable.DeployOptions{
-		CacheSize:    5000,
-		PollInterval: 200 * time.Microsecond,
-	})
+	mon, err := scalable.Deploy(cluster, scalable.DeployOptions{CacheSize: 5000})
 	if err != nil {
 		return t, err
 	}

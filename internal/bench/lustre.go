@@ -66,10 +66,7 @@ func runScalable(o runOpts) (scalableRun, error) {
 	if o.workersPerMDS <= 0 {
 		o.workersPerMDS = lustre.ScriptWorkers(o.cfg.Name)
 	}
-	mon, err := scalable.Deploy(cluster, scalable.DeployOptions{
-		CacheSize:    o.cacheSize,
-		PollInterval: 200 * time.Microsecond,
-	})
+	mon, err := scalable.Deploy(cluster, scalable.DeployOptions{CacheSize: o.cacheSize})
 	if err != nil {
 		return out, err
 	}

@@ -145,13 +145,14 @@ type Event struct {
 	Root string
 	// Op is the standardized operation mask.
 	Op Op
+	// Cookie correlates OpMovedFrom/OpMovedTo pairs, as in inotify. It
+	// sits beside Op so the two u32s share a word: no padding.
+	Cookie uint32
 	// Path is the event subject, relative to Root, beginning with "/".
 	Path string
 	// OldPath, for OpMovedTo, is the previous path when the rename pair
 	// could be correlated; otherwise empty.
 	OldPath string
-	// Cookie correlates OpMovedFrom/OpMovedTo pairs, as in inotify.
-	Cookie uint32
 	// Time is when the underlying storage system recorded the event.
 	Time time.Time
 	// Seq is a monotonically increasing sequence number assigned by the

@@ -403,3 +403,17 @@ func TestNormalizeIdempotentQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEventHasNoPadding: every []Event row, in a consumer's batch and a
+// decoded page alike, is the sum of its fields. A u32 left alone between
+// two 8-byte-aligned fields pads a word; Op and Cookie share one.
+func TestEventHasNoPadding(t *testing.T) {
+	typ := reflect.TypeOf(Event{})
+	var sum uintptr
+	for i := 0; i < typ.NumField(); i++ {
+		sum += typ.Field(i).Type.Size()
+	}
+	if sum != typ.Size() {
+		t.Errorf("sizeof(Event) = %d, but its fields sum to %d: %d bytes of padding", typ.Size(), sum, typ.Size()-sum)
+	}
+}

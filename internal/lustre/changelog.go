@@ -27,7 +27,18 @@ type Changelog struct {
 	nextReader int
 	appended   uint64
 	cleared    uint64
+	// wake is the channel Follow hands a reader with nothing left to read;
+	// the next append closes it. It exists only while a reader waits, so an
+	// append with no waiter costs a nil check.
+	wake chan struct{}
 }
+
+// woken is the channel Follow returns when a record is already there.
+var woken = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // newChangelog creates the journal for MDT index mdt. Indices start at 1.
 func newChangelog(mdt int) *Changelog {
@@ -54,7 +65,29 @@ func (c *Changelog) append(r Record) Record {
 	}
 	last := &c.chunks[len(c.chunks)-1]
 	*last = append(*last, r)
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
 	return r
+}
+
+// Follow returns a channel that is closed once a record with Index > since
+// is retained: already closed if one is, otherwise by the next append. It
+// is the blocking read of a real Changelog (CHANGELOG_FLAG_FOLLOW): a
+// reader whose Read came back empty waits on it instead of polling, and an
+// append between that Read and this call is not missed. Every waiter shares
+// one channel until that append.
+func (c *Changelog) Follow(since uint64) <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.next != c.first && since < c.next-1 {
+		return woken
+	}
+	if c.wake == nil {
+		c.wake = make(chan struct{})
+	}
+	return c.wake
 }
 
 // Register creates a changelog reader (cf. `lctl changelog_register`,

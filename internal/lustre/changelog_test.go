@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // fillChangelog appends n CREAT records named f<base>..f<base+n-1>.
@@ -123,6 +124,96 @@ func TestChangelogViewRace(t *testing.T) {
 	if n := log.Len(); n != 0 {
 		t.Errorf("journal retains %d records after both readers finished", n)
 	}
+}
+
+// closed reports whether ch is closed, without waiting.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestChangelogFollow pins Follow's contract: already closed while a record
+// past since is retained, closed by the next append otherwise, one channel
+// for every waiter, and no wake-up lost to an append that races the wait.
+func TestChangelogFollow(t *testing.T) {
+	log := newChangelog(0)
+	id := log.Register()
+	fillChangelog(log, 0, 3)
+
+	if !closed(log.Follow(0)) || !closed(log.Follow(2)) {
+		t.Fatal("Follow before the last record: channel not closed")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = log.Follow(0) }); allocs != 0 {
+		t.Errorf("Follow with a record retained allocates %v times per call, want 0", allocs)
+	}
+
+	// Caught up: the next append closes the channel.
+	ch := log.Follow(3)
+	if closed(ch) {
+		t.Fatal("Follow(3) with 3 records: channel already closed")
+	}
+	fillChangelog(log, 3, 1)
+	if !closed(ch) {
+		t.Fatal("append did not close the Follow channel")
+	}
+
+	// Caught up after a Clear purged everything: the same holds.
+	if err := log.Clear(id, 4); err != nil {
+		t.Fatal(err)
+	}
+	if ch := log.Follow(4); closed(ch) {
+		t.Fatal("Follow(4) on a purged journal: channel already closed")
+	}
+
+	// Several waiters share one channel, and one append wakes them all.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		ch := log.Follow(4)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			select {
+			case <-ch:
+			case <-time.After(10 * time.Second):
+				t.Error("a waiter was not woken by the append")
+			}
+		}()
+	}
+	fillChangelog(log, 4, 1)
+	wg.Wait()
+
+	// A reader that waits on Follow after every empty Read sees every
+	// record of a concurrent appender: a lost wake-up would leave it
+	// waiting after the appender has finished.
+	const total = 20000
+	race := newChangelog(0)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < total; i++ {
+			fillChangelog(race, i, 1)
+			if i%64 == 0 {
+				time.Sleep(time.Microsecond)
+			}
+		}
+	}()
+	var since uint64
+	for since < total {
+		if recs := race.Read(since, 512); len(recs) > 0 {
+			since = recs[len(recs)-1].Index
+			continue
+		}
+		select {
+		case <-race.Follow(since):
+		case <-time.After(10 * time.Second):
+			t.Fatalf("reader at %d of %d never woken: a wake-up was lost", since, total)
+		}
+	}
+	wg.Wait()
 }
 
 var viewSink []Record

@@ -27,6 +27,12 @@
 // control frames and handed to its owner (Pub.Inbox). The publisher has
 // attached the link by then, so what it publishes in reply reaches the
 // sender. This is how a cluster member greets the member it joins.
+//
+// Every Pub has an inbox, read or not. It holds 64 frames; past that, a link
+// sending upstream waits until the owner reads: over TCP the link's reader
+// stops, so its control frames wait too, and in process the sender blocks.
+// An owner that never reads its inbox therefore holds up any subscriber
+// that sends to it. Only the cluster membership reads one today.
 package msgq
 
 import (

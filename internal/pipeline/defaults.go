@@ -77,8 +77,9 @@ const (
 	// unbounded latency.
 	DefaultBatchInterval = 10 * time.Millisecond
 
-	// DefaultPollInterval is how long a source idles when its feed
-	// (Changelog, scan target) had nothing new.
+	// DefaultPollInterval is how long a collector waits before it offers
+	// again a batch that no subscriber accepted. It paces delivery retries
+	// only: no source polls its feed (a Changelog reader follows the log).
 	DefaultPollInterval = time.Millisecond
 
 	// DefaultDrainGrace bounds graceful shutdown: Drain escalates to

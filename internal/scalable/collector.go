@@ -145,8 +145,11 @@ type CollectorOptions struct {
 	// pipeline.DefaultChangelogBatch), or events per published batch of a
 	// mounted backend (default pipeline.DefaultLocalBatch).
 	BatchSize int
-	// PollInterval is the idle wait between empty Changelog reads and
-	// between delivery retries (default pipeline.DefaultPollInterval).
+	// PollInterval paces delivery retries: the wait before a batch no
+	// subscriber accepted is offered again (default
+	// pipeline.DefaultPollInterval). Capture does not poll: an idle
+	// Changelog collector waits on the log's Follow, a mounted one on the
+	// DSI's channel.
 	PollInterval time.Duration
 	// Endpoint is the msgq endpoint the collector's publisher binds
 	// (default "inproc://collector-mdt<N>" / "inproc://collector-mount-<name>").

@@ -95,7 +95,8 @@ type DeployOptions struct {
 	// BatchSize overrides the collectors' batch bound (Changelog records
 	// per read; events per batch of a mounted backend).
 	BatchSize int
-	// PollInterval overrides the collectors' idle poll.
+	// PollInterval overrides the collectors' delivery retry wait
+	// (CollectorOptions.PollInterval).
 	PollInterval time.Duration
 	// Context aborts every deployed service when canceled (Close remains
 	// the graceful path). Nil means Background.

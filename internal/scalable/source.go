@@ -111,11 +111,11 @@ func (s *changelogSource) capture() pipeline.Flow[pubBatch] {
 // delivery guarantee without a subscriber, and purging unconsumed records
 // would lose events if the aggregator attaches late or restarts mid-run.
 // The gate guards every batch, so an aggregator crash pauses collection
-// (the Changelog buffers) rather than losing events.
+// (the Changelog buffers) rather than losing events. An empty read waits
+// on the Changelog's Follow, so an idle collector sleeps until the next
+// append instead of waking on a timer.
 func (s *changelogSource) readLoop(ctx context.Context, emit func(readBatch) bool) error {
 	c := s.c
-	idle := time.NewTimer(c.opts.PollInterval)
-	defer idle.Stop()
 	var since uint64
 	for {
 		if ctx.Err() != nil {
@@ -126,11 +126,10 @@ func (s *changelogSource) readLoop(ctx context.Context, emit func(readBatch) boo
 		}
 		recs := s.log.Read(since, c.opts.BatchSize)
 		if len(recs) == 0 {
-			idle.Reset(c.opts.PollInterval)
 			select {
 			case <-ctx.Done():
 				return nil
-			case <-idle.C:
+			case <-s.log.Follow(since):
 			}
 			continue
 		}

@@ -290,3 +290,51 @@ func TestFailedDeployClosesEveryDSI(t *testing.T) {
 		})
 	}
 }
+
+// TestCollectorFollowsChangelog: an idle Changelog collector wakes on the
+// next append, not on a poll. PollInterval is an hour, so a collector that
+// slept between empty reads would hold the second record that long.
+func TestCollectorFollowsChangelog(t *testing.T) {
+	cluster := testCluster(1)
+	cl := cluster.Client()
+	col, err := NewCollector(CollectorOptions{
+		Cluster: cluster, MDT: 0, CacheSize: 100,
+		Endpoint:     "inproc://follow-col",
+		PollInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	sub := msgq.NewSub()
+	sub.Subscribe(TopicPrefix)
+	if err := sub.Connect(col.Endpoint()); err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+
+	recv := func(what string, within time.Duration) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), within)
+		defer cancel()
+		m, ok := sub.Recv(ctx)
+		if !ok {
+			t.Fatalf("%s: nothing published within %v", what, within)
+		}
+		m.Done()
+	}
+	if err := cl.Create("/first"); err != nil {
+		t.Fatal(err)
+	}
+	recv("first record", 10*time.Second)
+	// The collector has read the first record; its next read finds the
+	// Changelog empty and it goes idle.
+	time.Sleep(50 * time.Millisecond)
+	if err := cl.Create("/second"); err != nil {
+		t.Fatal(err)
+	}
+	recv("record appended while the collector idled", time.Second)
+	if got := col.Stats().RecordsRead; got != 2 {
+		t.Errorf("collector read %d records, want 2", got)
+	}
+}
