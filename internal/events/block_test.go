@@ -763,6 +763,10 @@ func TestDecodedPageIsStringsOnly(t *testing.T) {
 		}{
 			{"AppendPickedTo", rows, func(dst []Event) []Event { return decoded.AppendPickedTo(dst, rows) }},
 			{"AppendRangeTo", rangeRows, func(dst []Event) []Event { return decoded.AppendRangeTo(dst, lo, hi) }},
+			{"AppendPickedArena into a new arena", rows, func(dst []Event) []Event {
+				var arena PathArena
+				return decoded.AppendPickedArena(dst, rows, &arena, 0)
+			}},
 		} {
 			what := fmt.Sprintf("round %d: %s of %d rows", round, c.name, len(c.rows))
 			got := c.page(nil)
@@ -779,6 +783,58 @@ func TestDecodedPageIsStringsOnly(t *testing.T) {
 }
 
 var pageSink []byte
+
+// AppendPickedArena writes each page to the end of the arena it is handed
+// and never over bytes already there: a page that does not fit in what is
+// left starts a new arena of max(grow, page) bytes, and every event an
+// earlier call returned still reads as AppendPickedTo's copy of it. Built
+// and decoded blocks alternate; some pages are larger than grow.
+func TestAppendPickedArena(t *testing.T) {
+	const grow = 4 << 10
+	rng := rand.New(rand.NewSource(2))
+	str := func(max int) string { return strings.Repeat(string(rune('a'+rng.Intn(26))), rng.Intn(max+1)) }
+	var arena PathArena
+	var got, want [][]Event
+	arenas := 0
+	for round := 0; round < 300; round++ {
+		evs, path := make([]Event, 1+rng.Intn(40)), 30
+		if round%10 == 0 {
+			path = 400 // a page larger than grow, likely
+		}
+		for i := range evs {
+			evs[i] = Event{Root: str(12), Op: OpCreate, Path: str(path), OldPath: str(20), Time: time.Unix(0, rng.Int63()), Source: str(8)}
+		}
+		blk := buildBlock(t, evs)
+		if round%2 == 1 {
+			decoded, err := DecodeBlock(append([]byte(nil), blk.Wire()...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blk = decoded
+		}
+		rows := rng.Perm(len(evs))[:1+rng.Intn(len(evs))]
+		data, room := unsafe.SliceData(arena.buf), cap(arena.buf)-len(arena.buf)
+		page := blk.AppendPickedArena(nil, rows, &arena, grow)
+		switch size := len(arena.buf); {
+		case unsafe.SliceData(arena.buf) == data: // appended behind the page before
+		case size <= room:
+			t.Fatalf("round %d: a page of %d bytes, with %d left, started a new arena", round, size, room)
+		case cap(arena.buf) != max(grow, size):
+			t.Fatalf("round %d: a page of %d bytes started an arena of %d, want %d", round, size, cap(arena.buf), max(grow, size))
+		default:
+			arenas++
+		}
+		got, want = append(got, page), append(want, blk.AppendPickedTo(nil, rows))
+	}
+	for i := range got {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("round %d's events changed by round %d: %+v, want %+v", i, len(got)-1, got[i], want[i])
+		}
+	}
+	if arenas > len(got)/3 {
+		t.Errorf("%d pages took %d arenas", len(got), arenas)
+	}
+}
 
 // checkOnePage fails unless evs, b's rows at the given indexes materialized,
 // hold their non-empty strings back to back in memory that is not

@@ -269,6 +269,9 @@ func TestPubEvictsSlowSubscriber(t *testing.T) {
 					break
 				}
 				sent++
+				if q := pub.Queued(); !tcp && sent == 1 && (len(q) != 1 || q[0] != 1) {
+					t.Errorf("after one publish to an in-process subscriber that reads nothing, Queued = %v, want [1]", q)
+				}
 			}
 			if ctx.Err() != nil {
 				t.Fatalf("no eviction after %d publishes", sent)
@@ -280,6 +283,9 @@ func TestPubEvictsSlowSubscriber(t *testing.T) {
 				t.Errorf("Evicted = %d, want 1", n)
 			}
 			waitFor(t, func() bool { return pub.Subscribers() == 0 }, "the evicted subscriber to detach")
+			if q := pub.Queued(); len(q) != 0 {
+				t.Errorf("Queued = %v once the only subscriber is detached, want none", q)
+			}
 			time.Sleep(50 * time.Millisecond)
 			if n := pub.Subscribers(); n != 0 {
 				t.Fatalf("a subscriber that still reads nothing was linked again (%d attached)", n)

@@ -523,6 +523,21 @@ func (p *Pub) Subscribers() int {
 	return len(set.tcp) + len(set.peers)
 }
 
+// Queued returns how many messages wait for each attached subscriber: the
+// send queue of each TCP subscriber, then the receive buffer of each
+// in-process one.
+func (p *Pub) Queued() []int {
+	set := p.attached.Load()
+	n := make([]int, 0, len(set.tcp)+len(set.peers))
+	for _, s := range set.tcp {
+		n = append(n, len(s.queue))
+	}
+	for _, q := range set.peers {
+		n = append(n, q.sub.Depth())
+	}
+	return n
+}
+
 // Evicted returns how many subscribers were evicted for outstaying the
 // stall bound on a full queue.
 func (p *Pub) Evicted() uint64 { return p.evicted.Load() }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"fsmonitor/internal/events"
 	"fsmonitor/internal/iface"
@@ -121,6 +122,10 @@ type Consumer struct {
 	pool   *pipeline.Pool[events.Block] // blocks the consumer decoded itself
 	idx    []int                        // take's surviving-index scratch (NewConsumer's, then the sink goroutine's)
 	replay [][]events.Event             // recovered pages, filtered, awaiting C() ahead of live batches
+	// What take hands batches out of, owned like idx: the rest of a slab
+	// (batchSlice) and the path arena every batch's strings are cut from.
+	slab  []events.Event
+	arena events.PathArena
 
 	received  atomic.Uint64
 	delivered atomic.Uint64
@@ -436,12 +441,12 @@ func (c *Consumer) take(blk *events.Block, aud *telemetry.Audit) []events.Event 
 	// Stats/LastSeq readers should not wait on pacing. The accounted filter
 	// cost of every dedup survivor is spent once for the batch, like the
 	// aggregator's and the resolver's. The survivors' strings are one copy
-	// made here, by the tier that hands them to the application: nobody
-	// upstream interns on a consumer's account, and the block — borrowed and
-	// frozen, decoded over a payload that goes back to its connection at
-	// Done, or a recovery page — is only read.
+	// made here, into the path arena, by the tier that hands them to the
+	// application: nobody upstream interns on a consumer's account, and the
+	// block — borrowed and frozen, decoded over a payload that goes back to
+	// its connection at Done, or a recovery page — is only read.
 	c.throttle.Spend(time.Duration(len(keep)) * c.opts.EventOverhead)
-	pass := blk.AppendPickedTo(make([]events.Event, 0, len(keep)), keep)
+	pass := blk.AppendPickedArena(c.batchSlice(len(keep)), keep, &c.arena, pathArenaBytes)
 	if c.opts.Filter.All() {
 		return pass
 	}
@@ -457,11 +462,47 @@ func (c *Consumer) take(blk *events.Block, aud *telemetry.Audit) []events.Event 
 	return pass[:kept]
 }
 
+// The Go heap allocates an object larger than maxSmallBytes in whole
+// heapPage pages. eventBytes is one delivered Event.
+const (
+	heapPage      = 8 << 10
+	maxSmallBytes = 32 << 10
+	eventBytes    = int(unsafe.Sizeof(events.Event{}))
+	// pathArenaBytes is the path arena take cuts each batch's strings from,
+	// a new one whenever a batch's do not fit in what is left. The tail an
+	// arena leaves unused shrinks as it grows beside a batch's strings: in
+	// the event-journey benchmark 64 KiB cost crash_recovery 1.3 B/event
+	// more than 256 KiB, 128 KiB cost churn_cold_4part ≈ 3 more, and 512 KiB
+	// saved nothing.
+	pathArenaBytes = 256 << 10
+)
+
+// batchSlice returns an empty slice with room for the n events of one
+// batch. A slice of n that would be a large object leaving part of its last
+// page empty — a 512-event batch takes 53 248 B, 7 pages — comes out of a
+// slab of whole pages for two such batches (13 pages are exactly 1 024
+// events), as a window capped at n: an append to the batch reallocates
+// instead of reaching into the next one. Any other slice is one allocation
+// of its own, which wastes nothing a slab would save.
+func (c *Consumer) batchSlice(n int) []events.Event {
+	size := n * eventBytes
+	if size <= maxSmallBytes || size%heapPage == 0 {
+		return make([]events.Event, 0, n)
+	}
+	if cap(c.slab)-len(c.slab) < n {
+		pages := (2*size + heapPage - 1) / heapPage
+		c.slab = make([]events.Event, 0, pages*heapPage/eventBytes)
+	}
+	off := len(c.slab)
+	c.slab = c.slab[:off+n]
+	return c.slab[off : off : off+n]
+}
+
 // recycle ends the consumer's use of a batch: a block it decoded itself
 // returns to the pool, a borrowed one goes back to the aggregator that lent
 // it. The delivered events hold no reference to either — their strings are
-// a copy (AppendPickedTo) — which is what lets the payload a decoded block
-// aliased return to its connection here.
+// a copy in the consumer's path arena (AppendPickedArena) — which is what
+// lets the payload a decoded block aliased return to its connection here.
 func (c *Consumer) recycle(cb conBatch) {
 	if cb.owned() {
 		c.pool.Put(cb.blk)

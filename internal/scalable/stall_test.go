@@ -53,7 +53,8 @@ func TestStalledConsumerStallsNothing(t *testing.T) {
 					}
 					checkBacklog(t, "drained", got, shape.parts)
 					if n := r.agg.pub.Evicted(); n == 0 {
-						t.Error("the stalled consumer was never evicted")
+						t.Errorf("the stalled consumer was never evicted: its subscription holds %d of %d, the publisher's queues hold %v (TCP, then in process)\nstalled %+v\ndrained %+v",
+							stalled.sub.Depth(), stalled.sub.Cap(), r.agg.pub.Queued(), stalled.Stats(), drained.Stats())
 					}
 					checkBacklog(t, "stalled", collect(t, stalled, want), shape.parts)
 				})
