@@ -327,13 +327,14 @@ func TestConsumerHandOffFillsPages(t *testing.T) {
 		name         string
 		batch, other []events.Event
 		want         *events.Block
-	}{{"second", x, y, scratchB}, {"first", y, x, scratchA}} {
+		from         int // the first event of other not written to by the test
+	}{{"second", x, y, scratchB, 0}, {"first", y, x, scratchA, 1}} {
 		grown := append(c.batch, events.Event{Op: events.OpDelete, Path: "/appended"})
 		if unsafe.SliceData(grown) == unsafe.SliceData(c.batch) {
 			t.Fatal("an append to a delivered batch did not reallocate")
 		}
 		c.batch[0].Path = "/written"
-		for i := 1; i < batch; i++ { // the first batch's event 0 was written in the first round
+		for i := c.from; i < batch; i++ {
 			if want := c.want.Event(i); c.other[i] != want {
 				t.Fatalf("an append and a write to one batch changed the %s's event %d: %+v, want %+v", c.name, i, c.other[i], want)
 			}
